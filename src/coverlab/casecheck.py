@@ -111,13 +111,17 @@ def linear_case_31(q_max: int = 16) -> CaseReport:
     refinements as notes: the sharper estimate (t-1)(r-1)/r <= 2q-1 excludes
     every solution (the source argument's contradiction), and the terminal
     d = 7 claim (no admissible q < 4) is re-checked by the same sweep.
+    The expected solutions are pinned for q <= 16, so a larger q_max raises.
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
+    if q_max > 16:
+        raise ValueError(f"q_max = {q_max} exceeds 16, the range the "
+                         "expected solutions are pinned for")
     sols = []
     notes = []
     for d in (6, 7, 8):
-        for q in range(2, min(q_max, 16) + 1):
+        for q in range(2, q_max + 1):
             if prime_power_decompose(q) is None:
                 continue
             tt = (q ** d - 1) // (q - 1) + 1
@@ -140,7 +144,7 @@ def linear_case_31(q_max: int = 16) -> CaseReport:
 
     rep = CaseReport(
         case_id="linear31",
-        search_space=f"d in {{6,7,8}}, prime powers q <= {min(q_max, 16)}, "
+        search_space=f"d in {{6,7,8}}, prime powers q <= {q_max}, "
                      f"(t^2-1)(q-1) = q^d-1, t >= 6, r = 6'-part of t-1",
         solutions=sols,
         expected=[(2, 6, 8, 7), (2, 8, 16, 5)],

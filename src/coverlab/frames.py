@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphcore import CoverGraph, params_of
-from .groupops import covering_group
+from .groupops import covering_group, fixes_fibres, kernel_info
 from .params import CoverParams
 from .perms import PermGroup, Permutation
 
@@ -179,15 +179,21 @@ def character_matrix(g: CoverGraph, chi: Character,
                      base_vertices=None) -> CharacterMatrix:
     """Hermitian signature matrix of an abelian cover under a character.
 
-    The covering group is located automatically when not supplied.  The
-    eigenvalues of the result are certified against the cover's {theta, tau}
-    (clustering tolerance 1e-8, membership tolerance 1e-10 relative).
+    The cover's parameters come from the report verify_cover recorded on g
+    (g is verified only when none is recorded).  The covering group is
+    found by covering_group(g) when not supplied; a supplied kernel is not
+    searched again: its generators must fix every fibre, and its order,
+    abelianity and regularity are read from it directly.  The eigenvalues of
+    the result are certified against the cover's {theta, tau} (clustering
+    tolerance 1e-8, membership tolerance 1e-10 relative).
     """
     params = params_of(g)
     if kernel is None:
         kernel, info = covering_group(g)
     else:
-        _, info = covering_group(g, kernel)
+        if not all(fixes_fibres(g, p) for p in kernel.generators):
+            raise FrameError("kernel does not fix every fibre")
+        info = kernel_info(g, kernel)
     if not info["abelian_cover"]:
         raise FrameError("cover is not abelian (kernel not abelian-regular)")
     if chi.is_trivial:

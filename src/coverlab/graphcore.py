@@ -6,6 +6,9 @@ combinatorially: connectivity, fibres are cocliques, any two fibres induce a
 perfect matching, non-adjacent cross-fibre pairs have a constant number mu of
 common neighbours, and adjacent pairs have lambda = n - (r-1)mu - 2 of them.
 Adjacency is stored as bit rows, so common-neighbour counts are popcounts.
+A passing report is recorded on the graph, which never changes after
+construction; cover_report hands it to later stages so that each graph is
+verified once.
 """
 from __future__ import annotations
 
@@ -61,10 +64,11 @@ class CoverGraph:
     fibres ordered by minimum element.  The constructor checks only the
     partition structure; the cover axioms (including fibres being cocliques)
     are the business of verify_cover, so invalid candidates can be built and
-    then diagnosed.
+    then diagnosed.  verify_cover records a passing report on the graph.
     """
 
-    __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_edges")
+    __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_edges",
+                 "_report")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
         fibres = [sorted(int(x) for x in f) for f in fibres]
@@ -114,6 +118,7 @@ class CoverGraph:
                 fo[x] = i
         self.fibre_of = tuple(fo)
         self._edges = tuple(sorted(edge_set))
+        self._report: CoverReport | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -218,13 +223,22 @@ def distance_classes(g: CoverGraph, vertex: int) -> list[list[int]]:
     return layers
 
 
-def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
-    """Check the cover axioms, collecting up to max_violations per axiom."""
-    rep = CoverReport(is_cover=False, n=g.n, r=g.r, mu=None, lam=None)
-    fibre_masks = [0] * g.n
+def fibre_masks(g: CoverGraph) -> list[int]:
+    """Bit mask of each fibre's vertices, indexed like g.fibres."""
+    masks = [0] * g.n
     for i, f in enumerate(g.fibres):
         for x in f:
-            fibre_masks[i] |= 1 << x
+            masks[i] |= 1 << x
+    return masks
+
+
+def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
+    """Check the cover axioms, collecting up to max_violations per axiom.
+
+    Always verifies; a passing report is recorded on g for cover_report.
+    """
+    rep = CoverReport(is_cover=False, n=g.n, r=g.r, mu=None, lam=None)
+    masks = fibre_masks(g)
 
     # (a) connectivity
     layers = bfs_layers(g.adj, 0)
@@ -238,7 +252,7 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     count = 0
     for i, f in enumerate(g.fibres):
         for u in f:
-            inside = g.adj[u] & fibre_masks[i]
+            inside = g.adj[u] & masks[i]
             if inside and count < max_violations:
                 rep.failures.append(Violation(
                     "fibre-coclique", (u, _bits(inside)[0]),
@@ -252,7 +266,7 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
             if count >= max_violations:
                 break
             for u in g.fibres[i]:
-                d = (g.adj[u] & fibre_masks[j]).bit_count()
+                d = (g.adj[u] & masks[j]).bit_count()
                 if d != 1:
                     rep.failures.append(Violation(
                         "perfect-matching", (u, j),
@@ -320,6 +334,21 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
         return rep
 
     rep.is_cover = True
+    g._report = rep
+    return rep
+
+
+def cover_report(g: CoverGraph) -> CoverReport:
+    """The passing report recorded on g, or verify_cover(g) if none is."""
+    return g._report if g._report is not None else verify_cover(g)
+
+
+def require_cover(g: CoverGraph) -> CoverReport:
+    """cover_report(g), raising GraphStructureError if g is not a cover."""
+    rep = cover_report(g)
+    if not rep.is_cover:
+        raise GraphStructureError(
+            f"not a cover: {[f.axiom for f in rep.failures]}")
     return rep
 
 
@@ -374,24 +403,38 @@ def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
 
     Verifies (A - theta I)(A + I)(A - tau I)(A - k I) = 0 over the surd field.
     The two surd factors multiply out to A^2 - (lambda - mu)A - (n-1)I, which
-    has integer entries, so the whole product is exact integer arithmetic.
-    Then tr(A^m) for m <= 3 is compared with the model spectrum
+    has integer entries, so every product is one of integer matrices.  The
+    products run in float64 through BLAS and are exact: a partial sum of
+    X @ Y is an integer of absolute value at most the largest row 1-norm of X
+    times the largest entry of Y, and these are bounded from the maximum
+    degree of g.  ValueError is raised when the bound reaches 2^53, past
+    which float64 no longer holds every integer.
+    Then tr(A^m) for m <= 3, read from A^2 as tr(A^2) and sum(A^2 * A), is
+    compared with the model spectrum
     k^m + m_theta theta^m + (n-1)(-1)^m + m_tau tau^m, evaluated exactly.
     """
-    failed = []
-    a = g.adjacency_matrix()
     v = g.v
-    eye = np.eye(v, dtype=np.int64)
     k = p.n - 1
-    quad = a @ a - (p.lam - p.mu) * a - (p.n - 1) * eye
+    d = max(g.degree(u) for u in range(v))
+    # |partial sums| of ((A - kI) @ (A + I)) @ quad: the left factor's rows
+    # have 1-norm <= (d + k)(d + 1), quad's entries are <= d + |lam-mu| + k;
+    # the smaller products stay below this, and sum(A^2 * A) is <= v d^2
+    bound = max((d + k) * (d + 1) * (d + abs(p.lam - p.mu) + k), v * d * d)
+    if bound >= 2 ** 53:
+        raise ValueError(f"spectrum products reach {bound} >= 2^53, "
+                         "beyond exact float64 arithmetic")
+    failed = []
+    a = g.adjacency_matrix().astype(np.float64)
+    eye = np.eye(v)
+    a2 = a @ a
+    quad = a2 - (p.lam - p.mu) * a - (p.n - 1) * eye
     prod = (a - k * eye) @ (a + eye) @ quad
     if np.any(prod != 0):
         failed.append("minimal-polynomial")
     if g.v != p.v:
         failed.append("vertex-count")
 
-    tr = [int(np.trace(np.linalg.matrix_power(a, m))) if m else v
-          for m in range(4)]
+    tr = [v, int(np.trace(a)), int(np.trace(a2)), int(np.sum(a2 * a))]
     expect = [v, 0, p.v * k, p.v * k * p.lam]
     for m, (got, want) in enumerate(zip(tr, expect)):
         if got != want:
@@ -407,9 +450,6 @@ def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
 
 
 def params_of(g: CoverGraph) -> CoverParams:
-    """verify_cover + derive_params in one step; raises if g is not a cover."""
-    rep = verify_cover(g)
-    if not rep.is_cover:
-        raise GraphStructureError(
-            f"not a cover: {[f.axiom for f in rep.failures]}")
+    """require_cover + derive_params in one step; raises if g is not a cover."""
+    rep = require_cover(g)
     return derive_params(rep.n, rep.r, rep.mu)

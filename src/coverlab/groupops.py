@@ -1,22 +1,31 @@
 """Group actions on covers: covering group, fibre action, quotients, audits.
 
-The covering group is the kernel of a group's action on the fibre set; it is
-computed with the extended-domain trick (append one point per fibre, take the
-pointwise stabilizer of the appended points).  Quotients by subgroups of the
-covering group inherit the cover structure with fibre size divided and mu
-multiplied by the subgroup order, which quotient_cover re-verifies rather
-than assumes.  The audit functions turn the assertable group-theoretic
-identities (arc orbits vs rank, displacement counts, fixed subgraphs of
-involutions, rank-3 subdegree relations) into pass/fail reports on concrete
-instances.
+The covering group K of a cover is found without a search.  A fibre-fixing
+automorphism of a connected cover is determined by the image of one vertex,
+because each neighbour's image is the unique neighbour of the image in that
+neighbour's fibre (Godsil-Hensel 1992).  covering_group(g) tries the r images
+of vertex 0 in its fibre and propagates each along the perfect matchings
+between fibres.  Given a group, the kernel of its action on the fibre set is
+computed with the extended-domain trick instead (append one point per fibre,
+take the pointwise stabilizer of the appended points).  Quotients by
+subgroups of the covering group inherit the cover structure with fibre size
+divided and mu multiplied by the subgroup order, which quotient_cover
+re-verifies rather than assumes.  The audit functions turn the assertable
+group-theoretic identities (arc orbits vs rank, displacement counts, fixed
+subgraphs of involutions, rank-3 subdegree relations) into pass/fail reports
+on concrete instances.  Stages that need a verified cover take the report
+verify_cover recorded on the graph (graphcore.cover_report), so a graph is
+verified once however many stages use it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .autgroup import automorphism_generators
-from .graphcore import CoverGraph, GraphStructureError, verify_cover
+import numpy as np
+
+from .graphcore import (CoverGraph, bfs_layers, cover_report, fibre_masks,
+                        require_cover, verify_cover)
 from .perms import PermGroup, Permutation
 
 
@@ -45,32 +54,80 @@ def is_cover_automorphism(g: CoverGraph, perm) -> bool:
     return all(g.has_edge(p[u], p[w]) for u, w in g.edges)
 
 
+def fixes_fibres(g: CoverGraph, perm: Permutation) -> bool:
+    """True when perm maps every fibre of g onto itself."""
+    fo = g.fibre_of
+    return all(fo[perm[x]] == fo[x] for x in range(g.v))
+
+
 def covering_group(g: CoverGraph, group: PermGroup | None = None):
     """Kernel of the action on fibres, with regularity/abelianity report.
 
-    With group = None the fibre-preserving automorphisms are searched
-    directly (vertex colouring by fibre), which is cheap and does not require
-    the full automorphism group.
+    With group = None, g must be a cover: the report verify_cover recorded
+    on g is used, g is verified only when none is recorded, and
+    GraphStructureError names the failed axioms otherwise.  The kernel is
+    then every fibre-fixing automorphism, found by matching propagation
+    (see _fibre_fixing_automorphisms); no search is made.  With a group,
+    the kernel of its action comes from the extended-domain chain.
     Returns (K: PermGroup, info: dict).
     """
     if group is None:
-        gens = automorphism_generators(g.adj, colors=list(g.fibre_of))
-        kernel = PermGroup(gens, g.v)
+        require_cover(g)
+        kernel = PermGroup(_fibre_fixing_automorphisms(g), g.v)
     else:
         extended = [extend_to_fibres(g, p) for p in group.generators]
         chain = PermGroup(extended, g.v + g.n,
                           base_hint=tuple(range(g.v, g.v + g.n)))
         kept = chain.stabilizer_prefix_gens(g.n)
         kernel = PermGroup([Permutation(p.img[:g.v]) for p in kept], g.v)
+    return kernel, kernel_info(g, kernel)
 
+
+def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:
+    """Order, abelianity and regularity on fibres of a fibre-fixing group."""
     order = kernel.order()
     abelian = kernel.is_abelian()
     regular = order == g.r and all(
         kernel.orbit(f[0]) == set(f) for f in g.fibres)
-    info = {"order": order, "is_abelian": abelian,
+    return {"order": order, "is_abelian": abelian,
             "regular_on_fibres": regular,
             "abelian_cover": abelian and regular}
-    return kernel, info
+
+
+def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
+    """Every fibre-fixing automorphism of a verified cover, identity included.
+
+    match[x, j] is the neighbour of x in fibre j, the single bit of
+    adj[x] & fibre_mask[j] (x itself for its own fibre).  Each image c of
+    vertex 0 in its fibre determines img[y] = match[img[x], fibre_of[y]]
+    along a BFS tree, one layer at a time.  The candidate is kept when img
+    is a bijection with img[match[x, j]] = match[img[x], j] for every x and
+    j, i.e. every edge goes to an edge.  The cost is O(r v n).
+    """
+    masks = fibre_masks(g)
+    match = np.array([[(ax & m).bit_length() - 1 for m in masks]
+                      for ax in g.adj], dtype=np.intp)
+    fibre = np.array(g.fibre_of, dtype=np.intp)
+    match[np.arange(g.v), fibre] = np.arange(g.v)
+
+    # (layer, a neighbour of each layer vertex in the layer before)
+    steps = []
+    before = 1
+    for layer in bfs_layers(g.adj, 0)[1:]:
+        parents = [(g.adj[y] & before).bit_length() - 1 for y in layer]
+        steps.append((np.array(layer), np.array(parents)))
+        before = sum(1 << y for y in layer)
+
+    found = []
+    for c in g.fibres[g.fibre_of[0]]:
+        img = np.empty(g.v, dtype=np.intp)
+        img[0] = c
+        for layer, parents in steps:
+            img[layer] = match[img[parents], fibre[layer]]
+        if (np.array_equal(img[match], match[img])
+                and np.unique(img).size == g.v):
+            found.append(Permutation(img.tolist()))
+    return found
 
 
 @dataclass
@@ -152,10 +209,8 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     The result is checked to be an (n, r/|U|, mu |U|)-cover; a failure raises,
     since it would contradict the quotient-closure property for valid input.
     """
-    for p in sub.generators:
-        for i, f in enumerate(g.fibres):
-            if any(g.fibre_of[p[x]] != i for x in f):
-                raise QuotientError("subgroup is not fibre-fixing")
+    if not all(fixes_fibres(g, p) for p in sub.generators):
+        raise QuotientError("subgroup is not fibre-fixing")
     u_order = sub.order()
     if u_order >= g.r:
         raise QuotientError(f"|U| = {u_order} must be smaller than r = {g.r}")
@@ -174,7 +229,7 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     fibres = [sorted({orbit_of[x] for x in f}) for f in g.fibres]
     quot = CoverGraph(fibres, edges)
 
-    base = verify_cover(g)
+    base = cover_report(g)
     if base.is_cover:
         rep = verify_cover(quot)
         if not (rep.is_cover and (rep.n, rep.r) == (g.n, g.r // u_order)
@@ -249,9 +304,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     if not fixed:
         return [AuditItem(lemma, "applicability", "inapplicable",
                           {"reason": "fixed-point-free involution"})]
-    rep = verify_cover(g)
-    if not rep.is_cover:
-        raise GraphStructureError("audit needs a valid cover")
+    rep = require_cover(g)
     n, r, mu, lam = rep.n, rep.r, rep.mu, rep.lam
 
     fixed_set = set(fixed)
@@ -353,9 +406,7 @@ def subdegree_identity_check(g: CoverGraph, group: PermGroup) -> dict:
     if not fa.transitive or fa.rank != 3:
         return {"applicable": False,
                 "reason": f"fibre action rank is {fa.rank}, need 3"}
-    rep = verify_cover(g)
-    if not rep.is_cover:
-        raise GraphStructureError("need a valid cover")
+    rep = require_cover(g)
     lam, mu = rep.lam, rep.mu
 
     a = 0

@@ -1,9 +1,12 @@
 """Shared fixtures: the small-cover corpus and explicit witness permutations."""
+import random
+import sys
 from itertools import product
 
 import pytest
 
 from coverlab import cube, hexagon, icosahedron, thas_somma
+from coverlab.graphcore import verify_cover
 from coverlab.perms import Permutation
 
 
@@ -55,3 +58,40 @@ def symplectic_witnesses(q: int):
         return Permutation(img)
 
     return translation, shift, linear
+
+
+def relabelled(g, seed: int):
+    """g under a vertex permutation drawn from the seed."""
+    perm = list(range(g.v))
+    random.Random(seed).shuffle(perm)
+    return g.relabelled(perm)
+
+
+def matching_swapped(g):
+    """g with two edges of one fibre-pair matching exchanged.
+
+    A fixed seed picks the two fibres and the two vertices.  Fibres stay
+    cocliques and every fibre pair still induces a perfect matching, so
+    only the mu, lambda or connectivity axioms can notice.
+    """
+    rng = random.Random(0)
+    i, j = rng.sample(range(g.n), 2)
+    u, u2 = rng.sample(g.fibres[i], 2)
+    w, w2 = (next(x for x in g.fibres[j] if g.has_edge(y, x)) for y in (u, u2))
+    return g.toggled(u, w).toggled(u2, w2).toggled(u, w2).toggled(u2, w)
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Graphs passed to verify_cover, seen through every module binding it."""
+    calls = []
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return verify_cover(g, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("coverlab")
+                and getattr(mod, "verify_cover", None) is verify_cover):
+            monkeypatch.setattr(mod, "verify_cover", counting)
+    return calls

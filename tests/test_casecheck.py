@@ -1,6 +1,8 @@
 """Case-enumeration regressions against the expected finite sets."""
 from math import isqrt
 
+import pytest
+
 from coverlab.casecheck import (all_cases, claim4_search,
                                 linear_case_31, linear_case_parity_exclusion,
                                 sp_case, sporadic_filter, twin_power_centers,
@@ -46,6 +48,11 @@ def test_linear_case_31():
     rep2 = linear_case_31(2)
     assert set(rep2.solutions) == {(2, 6, 8, 7), (2, 8, 16, 5)}
     assert rep2.match
+
+
+def test_linear_case_31_rejects_q_max_past_pinned_range():
+    with pytest.raises(ValueError, match="exceeds 16"):
+        linear_case_31(17)
 
 
 def test_linear_case_parity():

@@ -7,6 +7,7 @@ import numpy as np
 
 from coverlab import hexagon, thas_somma
 from coverlab.cli import main
+from conftest import matching_swapped
 
 
 def run_cli(argv, capsys):
@@ -96,6 +97,28 @@ def test_quotient_subcommand(tmp_path, capsys):
     code, _ = run_cli(["quotient", str(path), "--subgroup-order", "5"],
                       capsys)
     assert code == 2
+
+
+def test_non_cover_exits_2(tmp_path, capsys):
+    """A matching-swapped copy is bad input to etf and quotient."""
+    path = tmp_path / "swapped.json"
+    path.write_text(matching_swapped(thas_somma(4, 1)).to_json_str())
+    for argv in (["etf", str(path)],
+                 ["quotient", str(path), "--subgroup-order", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not a cover")
+
+
+def test_analyze_audits_verify_once(tmp_path, capsys, verify_calls):
+    path = tmp_path / "hexagon.json"
+    path.write_text(hexagon().to_json_str())
+    code, out = run_cli(["analyze", str(path), "--audits"], capsys)
+    assert code == 0
+    invs = json.loads(out)["involution_audits"]
+    assert any(inv["fixed_points"] for inv in invs)
+    assert len(verify_calls) == 1
 
 
 def test_analyze_subcommand(tmp_path, capsys):

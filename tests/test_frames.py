@@ -12,6 +12,8 @@ from coverlab import (all_characters, character_matrix, covering_group, cube,
                       lines_from_cover, quotient_cover, subgroups_of,
                       thas_somma, verify_etf)
 from coverlab.frames import FrameError, LineSystem, _abelian_basis
+from coverlab.groupops import is_cover_automorphism
+from coverlab.perms import PermGroup, Permutation
 
 
 def test_characters_of_cyclic_group(corpus):
@@ -61,6 +63,23 @@ def test_trivial_character_rejected(corpus):
     kernel, _ = covering_group(g)
     with pytest.raises(FrameError):
         character_matrix(g, all_characters(kernel)[0], kernel=kernel)
+
+
+def test_supplied_kernel_must_fix_fibres(corpus):
+    g = corpus["hexagon"]
+    kernel, _ = covering_group(g)
+    chi = all_characters(kernel)[1]
+    swap = PermGroup([Permutation([0, 5, 4, 3, 2, 1])], 6)  # a reflection
+    assert is_cover_automorphism(g, swap.generators[0])
+    with pytest.raises(FrameError, match="fix every fibre"):
+        character_matrix(g, chi, kernel=swap)
+
+
+def test_lines_from_cover_verifies_once(verify_calls):
+    g = thas_somma(4, 1)
+    lines = lines_from_cover(g)
+    assert lines.certificates["tight"]
+    assert verify_calls == [g]
 
 
 def test_ts31_character_matrix_eigenvalues(corpus):

@@ -7,6 +7,7 @@ from coverlab import (CoverGraph, antipodal_classes, cube, derive_params,
                       distance_classes, hexagon, icosahedron, params_of,
                       spectrum_check, thas_somma, verify_cover)
 from coverlab.graphcore import GraphStructureError
+from conftest import relabelled
 
 
 def petersen_adjacency():
@@ -98,6 +99,29 @@ def test_spectrum_checks(corpus):
     assert spectrum_check(corpus["ts41"], derive_params(16, 4, 4)).ok
     bad = spectrum_check(corpus["cube"], derive_params(3, 2, 1))
     assert not bad.ok and bad.failed
+
+
+def test_spectrum_check_relabelled(corpus):
+    for g in corpus.values():
+        p = params_of(g)
+        for seed in (1, 2):
+            assert spectrum_check(relabelled(g, seed), p).ok
+
+
+def test_spectrum_check_rejects_toggled_edge(corpus):
+    g = corpus["ts31"]
+    u, w = g.edges[0]
+    rep = spectrum_check(g.toggled(u, w), derive_params(9, 3, 3))
+    assert "minimal-polynomial" in rep.failed
+
+
+def test_spectrum_check_raises_past_exactness_bound():
+    # k = 2^27 and lambda = mu: the final product's partial sums reach
+    # about 3 k^2 > 2^53, which float64 cannot hold exactly
+    p = derive_params(2 ** 27 + 1, 7, (2 ** 27 - 1) // 7)
+    assert p.lam == p.mu
+    with pytest.raises(ValueError, match="2\\^53"):
+        spectrum_check(hexagon(), p)
 
 
 def test_mutation_single_edge_toggle_breaks_cover():

@@ -6,10 +6,12 @@ from coverlab import (arc_orbit_count, automorphism_group, covering_group,
                       icosahedron, quotient_cover, structure_audit,
                       subdegree_identity_check, subgroups_of, thas_somma,
                       verify_cover)
-from coverlab.groupops import (QuotientError, involution_audit,
-                               is_cover_automorphism)
+from coverlab.autgroup import automorphism_generators
+from coverlab.graphcore import GraphStructureError
+from coverlab.groupops import (QuotientError, _fibre_fixing_automorphisms,
+                               involution_audit, is_cover_automorphism)
 from coverlab.perms import PermGroup, Permutation
-from conftest import symplectic_witnesses
+from conftest import matching_swapped, relabelled, symplectic_witnesses
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,54 @@ def test_covering_groups(corpus, auts):
         k2, info2 = covering_group(g)
         assert info2["order"] == info["order"]
         assert all(p in kernel for p in k2.generators)
+
+
+ORACLE_COVERS = {"hexagon": hexagon, "cube": cube,
+                 "icosahedron": icosahedron,
+                 "ts31": lambda: thas_somma(3, 1),
+                 "ts22": lambda: thas_somma(2, 2),
+                 "ts41": lambda: thas_somma(4, 1)}
+
+
+def coloured_search_elements(g):
+    """The fibre-fixing automorphisms by the coloured automorphism search."""
+    gens = automorphism_generators(g.adj, colors=list(g.fibre_of))
+    return {p.img for p in PermGroup(gens, g.v).elements()}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
+def test_covering_group_matches_coloured_search(name):
+    """Matching propagation finds exactly the group the coloured
+    automorphism search finds, under relabelling too."""
+    base = ORACLE_COVERS[name]()
+    for g in (base, relabelled(base, 1), relabelled(base, 2)):
+        kernel, info = covering_group(g)
+        got = {p.img for p in kernel.elements()}
+        assert got == coloured_search_elements(g), name
+        assert info["order"] == len(got) == g.r and info["abelian_cover"]
+        if name != "hexagon":  # its swapped copy splits into two triangles
+            # the swap keeps every matching perfect, so propagation still
+            # runs; it must reject the images that give no automorphism
+            sw = matching_swapped(g)
+            got = {p.img for p in _fibre_fixing_automorphisms(sw)}
+            assert got == coloured_search_elements(sw), name
+
+
+def test_covering_group_rejects_non_cover():
+    g = matching_swapped(thas_somma(4, 1))
+    assert not verify_cover(g).is_cover
+    with pytest.raises(GraphStructureError, match="not a cover: .*mu"):
+        covering_group(g)
+
+
+def test_quotients_verify_parent_once(verify_calls):
+    g = thas_somma(4, 1)
+    kernel, _ = covering_group(g)
+    subs = [u for u in subgroups_of(kernel) if u.order() < g.r]
+    quotients = [quotient_cover(g, u) for u in subs]
+    assert len(subs) == 4  # trivial and the three of order 2
+    assert sum(h is g for h in verify_calls) <= 1
+    assert [h for h in verify_calls if h is not g] == quotients
 
 
 def test_covering_group_semiregular(corpus, auts):
