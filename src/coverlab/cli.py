@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -27,7 +26,6 @@ from .params import (ParameterError, derive_params, family_B, feasible_A,
 from .perms import subgroups_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-SEED_DEFAULT = 0  # recorded for reproducibility; all algorithms are deterministic
 
 
 def _canonical(obj) -> str:
@@ -58,8 +56,6 @@ def _canonical(obj) -> str:
 def _emit(payload: dict, args) -> None:
     payload["config"] = {
         "subcommand": args.command,
-        "seed": getattr(args, "seed", SEED_DEFAULT),
-        "threads": int(os.environ.get("COVERLAB_THREADS", "1")),
         "args": {k: v for k, v in sorted(vars(args).items())
                  if k not in ("func", "command") and v is not None
                  and not callable(v)},
@@ -293,8 +289,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="antipodal covers of complete graphs: build, verify, "
                     "analyze, and extract equiangular line systems")
     ap.add_argument("--output", choices=("json", "text"), default="json")
-    ap.add_argument("--seed", type=int, default=SEED_DEFAULT,
-                    help="recorded in output; all algorithms deterministic")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="parameter tables")

@@ -3,19 +3,20 @@
 The covering group K of a cover is found without a search.  A fibre-fixing
 automorphism of a connected cover is determined by the image of one vertex,
 because each neighbour's image is the unique neighbour of the image in that
-neighbour's fibre (Godsil-Hensel 1992).  covering_group(g) tries the r images
+neighbour's fibre (Godsil-Hensel 1992).  covering_group tries the r images
 of vertex 0 in its fibre and propagates each along the perfect matchings
-between fibres.  Given a group, the kernel of its action on the fibre set is
-computed with the extended-domain trick instead (append one point per fibre,
-take the pointwise stabilizer of the appended points).  Quotients by
-subgroups of the covering group inherit the cover structure with fibre size
-divided and mu multiplied by the subgroup order, which quotient_cover
-re-verifies rather than assumes.  The audit functions turn the assertable
-group-theoretic identities (arc orbits vs rank, displacement counts, fixed
-subgraphs of involutions, rank-3 subdegree relations) into pass/fail reports
-on concrete instances.  Stages that need a verified cover take the report
-verify_cover recorded on the graph (graphcore.cover_report), so a graph is
-verified once however many stages use it.
+between fibres.  Given a group, which must act by automorphisms of a
+verified cover, the kernel of its action on the fibre set is group ∩ K: the
+r - 1 non-identity elements of K are sifted through the group's own chain,
+and no second chain is built.  Quotients by subgroups of the covering group
+inherit the cover structure with fibre size divided and mu multiplied by the
+subgroup order, which quotient_cover re-verifies rather than assumes.  The
+audit functions turn the assertable group-theoretic identities (arc orbits
+vs rank, displacement counts, fixed subgraphs of involutions, rank-3
+subdegree relations) into pass/fail reports on concrete instances.  Stages
+that need a verified cover take the report verify_cover recorded on the
+graph (graphcore.cover_report), so a graph is verified once however many
+stages use it.
 """
 from __future__ import annotations
 
@@ -63,23 +64,20 @@ def fixes_fibres(g: CoverGraph, perm: Permutation) -> bool:
 def covering_group(g: CoverGraph, group: PermGroup | None = None):
     """Kernel of the action on fibres, with regularity/abelianity report.
 
-    With group = None, g must be a cover: the report verify_cover recorded
-    on g is used, g is verified only when none is recorded, and
-    GraphStructureError names the failed axioms otherwise.  The kernel is
-    then every fibre-fixing automorphism, found by matching propagation
-    (see _fibre_fixing_automorphisms); no search is made.  With a group,
-    the kernel of its action comes from the extended-domain chain.
-    Returns (K: PermGroup, info: dict).
+    g must be a cover: the report verify_cover recorded on g is used, g is
+    verified only when none is recorded, and GraphStructureError names the
+    failed axioms otherwise.  K is every fibre-fixing automorphism, found by
+    matching propagation (see _fibre_fixing_automorphisms); no search is
+    made, and K.generators lists every non-identity element of K.  Given a
+    group, it must act by automorphisms of g (ValueError otherwise), and the
+    kernel of its action on the fibres is group ∩ K: the elements of K
+    that pass membership in group.  Returns (kernel: PermGroup, info: dict).
     """
-    if group is None:
-        require_cover(g)
-        kernel = PermGroup(_fibre_fixing_automorphisms(g), g.v)
-    else:
-        extended = [extend_to_fibres(g, p) for p in group.generators]
-        chain = PermGroup(extended, g.v + g.n,
-                          base_hint=tuple(range(g.v, g.v + g.n)))
-        kept = chain.stabilizer_prefix_gens(g.n)
-        kernel = PermGroup([Permutation(p.img[:g.v]) for p in kept], g.v)
+    require_cover(g)
+    kernel = PermGroup(_fibre_fixing_automorphisms(g), g.v)
+    if group is not None:
+        require_automorphisms(g, group)
+        kernel = PermGroup([k for k in kernel.generators if k in group], g.v)
     return kernel, kernel_info(g, kernel)
 
 
@@ -163,8 +161,9 @@ def arc_orbit_count(g: CoverGraph, group: PermGroup) -> dict:
     The rank identity (arc orbits = rank on fibres minus one) needs the group
     to be vertex-transitive and to contain the covering group with order
     exactly r; both are checked and reported, the count is returned anyway.
+    covering_group requires g to be a cover and group to act on it.
     """
-    require_automorphisms(g, group)
+    _, kinfo = covering_group(g, group)
     arcs = []
     for u, w in g.edges:
         arcs.append((u, w))
@@ -188,7 +187,6 @@ def arc_orbit_count(g: CoverGraph, group: PermGroup) -> dict:
                     queue.append(im)
 
     vertex_transitive = group.is_transitive()
-    kernel, kinfo = covering_group(g, group)
     hypotheses_met = vertex_transitive and kinfo["order"] == g.r
     return {"arc_orbits": count,
             "vertex_transitive": vertex_transitive,

@@ -1,10 +1,13 @@
 """CLI surfaces: exit codes, canonical output, pipelines."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import coverlab
 from coverlab import hexagon, thas_somma
 from coverlab.cli import main
 from conftest import matching_swapped
@@ -23,6 +26,7 @@ def test_params_derive(capsys):
     blob = json.loads(out)
     assert blob["params"]["m_theta"] == 12
     assert blob["config"]["subcommand"] == "params"
+    assert set(blob["config"]) == {"subcommand", "args"}
 
 
 def test_params_feasible_b(capsys):
@@ -167,10 +171,13 @@ def test_text_output_mode(capsys):
 
 
 def test_installed_entry_point(tmp_path):
-    """One subprocess round through the actual console script."""
+    """One subprocess round through the actual console script, run from
+    the package this suite imports, installed or not."""
+    src = str(Path(coverlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coverlab.cli", "build", "hexagon"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert blob["v"] == 6

@@ -6,7 +6,8 @@ import pytest
 from coverlab import (CoverGraph, antipodal_classes, cube, derive_params,
                       distance_classes, hexagon, icosahedron, params_of,
                       spectrum_check, thas_somma, verify_cover)
-from coverlab.graphcore import GraphStructureError
+from coverlab import graphcore
+from coverlab.graphcore import GraphStructureError, bfs_layers
 from conftest import relabelled
 
 
@@ -146,13 +147,29 @@ def test_violation_cap_configurable():
 
 
 def test_degree_and_far_layer_sizes(corpus):
-    for g in corpus.values():
-        rep = verify_cover(g)
-        assert rep.is_cover
-        for v in range(g.v):
-            assert g.degree(v) == g.n - 1
-            layers = distance_classes(g, v)
-            assert len(layers[3]) == g.r - 1
+    """verify_cover's diameter and antipodality, which it derives from the
+    axioms, agree with a BFS from every vertex, under relabelling too."""
+    for base in corpus.values():
+        for g in (base, relabelled(base, 1), relabelled(base, 2)):
+            rep = verify_cover(g)
+            assert rep.is_cover and rep.antipodality_confirmed
+            for v in range(g.v):
+                assert g.degree(v) == g.n - 1
+                layers = distance_classes(g, v)
+                assert set(layers[3]) == set(g.fibres[g.fibre_of[v]]) - {v}
+                assert rep.diameter == len(layers) - 1
+
+
+def test_verify_cover_makes_one_bfs(monkeypatch):
+    starts = []
+
+    def counting(adj, start):
+        starts.append(start)
+        return bfs_layers(adj, start)
+
+    monkeypatch.setattr(graphcore, "bfs_layers", counting)
+    assert verify_cover(thas_somma(4, 1)).is_cover
+    assert len(starts) == 1
 
 
 def test_json_canonical_round_trip(corpus):

@@ -10,7 +10,7 @@ from coverlab.autgroup import automorphism_generators
 from coverlab.graphcore import GraphStructureError
 from coverlab.groupops import (QuotientError, _fibre_fixing_automorphisms,
                                involution_audit, is_cover_automorphism)
-from coverlab.perms import PermGroup, Permutation
+from coverlab.perms import PermGroup, Permutation, closure_elements
 from conftest import matching_swapped, relabelled, symplectic_witnesses
 
 
@@ -26,7 +26,7 @@ def test_covering_groups(corpus, auts):
         kernel, info = covering_group(g, auts[name])
         assert info["order"] == expected_order[name], name
         assert info["abelian_cover"], name
-        # direct colored search agrees with the kernel computation
+        # the kernel of Aut is all of K, as covering_group(g) finds it
         k2, info2 = covering_group(g)
         assert info2["order"] == info["order"]
         assert all(p in kernel for p in k2.generators)
@@ -64,10 +64,63 @@ def test_covering_group_matches_coloured_search(name):
 
 
 def test_covering_group_rejects_non_cover():
-    g = matching_swapped(thas_somma(4, 1))
+    base = thas_somma(4, 1)
+    g = matching_swapped(base)
     assert not verify_cover(g).is_cover
     with pytest.raises(GraphStructureError, match="not a cover: .*mu"):
         covering_group(g)
+    # with a group too, and before its generators are checked
+    with pytest.raises(GraphStructureError, match="not a cover: .*mu"):
+        covering_group(g, covering_group(base)[0])
+
+
+def rank3_subgroup_ts31():
+    """The order-108 subgroup of Aut(TS(3,1)) of rank 3 on the fibres."""
+    translation, shift, linear = symplectic_witnesses(3)
+    return PermGroup([translation((1, 0)), translation((0, 1)), shift(1),
+                      linear([[0, -1], [1, 0]])])
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """(graph, group) pairs: Aut on four covers and a relabelled copy of
+    each, the rank-3 subgroup (kernel Z3), and a point stabilizer (kernel
+    trivial)."""
+    cases = {}
+    for name in ("hexagon", "cube", "icosahedron", "ts31"):
+        base = ORACLE_COVERS[name]()
+        for label, g in ((name, base), (f"{name}-relabelled",
+                                        relabelled(base, 3))):
+            cases[label] = (g, automorphism_group(g))
+    ts31 = thas_somma(3, 1)
+    cases["ts31-rank3"] = (ts31, rank3_subgroup_ts31())
+    cases["ts31-stabilizer"] = (
+        ts31, automorphism_group(ts31).point_stabilizer(0))
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    "hexagon", "hexagon-relabelled", "cube", "cube-relabelled",
+    "icosahedron", "icosahedron-relabelled", "ts31", "ts31-relabelled",
+    "ts31-rank3", "ts31-stabilizer"])
+def test_covering_group_of_group_matches_closure(case, kernel_cases):
+    """covering_group(g, H) is the set of fibre-fixing elements of H, as
+    a plain closure of H's generators lists them."""
+    g, group = kernel_cases[case]
+    kernel, info = covering_group(g, group)
+    fo = g.fibre_of
+    expected = {e for e in closure_elements(group.generators, g.v)
+                if all(fo[e[x]] == fo[x] for x in range(g.v))}
+    assert {p.img for p in kernel.elements()} == expected
+    assert info["order"] == len(expected)
+    if case == "ts31-rank3":
+        assert info["order"] == 3 and info["abelian_cover"]
+    elif case == "ts31-stabilizer":
+        assert info["order"] == 1 and not info["regular_on_fibres"]
+    else:  # H = Aut(g) contains K, so the generators are those of K
+        full, _ = covering_group(g)
+        assert [p.img for p in kernel.generators] == \
+            [p.img for p in full.generators]
 
 
 def test_quotients_verify_parent_once(verify_calls):
@@ -121,10 +174,8 @@ def test_rank_identity_arc_orbits(corpus, auts):
 
 
 def test_rank_identity_on_rank3_subgroup():
-    translation, shift, linear = symplectic_witnesses(3)
     g = thas_somma(3, 1)
-    sub = PermGroup([translation((1, 0)), translation((0, 1)), shift(1),
-                     linear([[0, -1], [1, 0]])])
+    sub = rank3_subgroup_ts31()
     assert sub.order() == 108
     fa = fibre_action(g, sub)
     assert fa.rank == 3 and fa.subdegrees == (1, 4, 4)
@@ -180,7 +231,7 @@ def test_trivial_quotient_is_identity(corpus):
 def test_nested_quotients_compose():
     """Quotient by U2 equals quotient-of-quotient through U1 < U2 (TS(8,1))."""
     g = thas_somma(8, 1)
-    kernel, info = covering_group(g)  # Z2^3 via direct colored search
+    kernel, info = covering_group(g)  # Z2^3 by matching propagation
     assert info["order"] == 8 and info["abelian_cover"]
     subs = subgroups_of(kernel)
     u1 = next(s for s in subs if s.order() == 2)
@@ -283,10 +334,8 @@ def test_involution_audit_all_involutions_all_covers(corpus, auts):
 
 
 def test_subdegree_identities_rank3():
-    translation, shift, linear = symplectic_witnesses(3)
     g = thas_somma(3, 1)
-    sub = PermGroup([translation((1, 0)), translation((0, 1)), shift(1),
-                     linear([[0, -1], [1, 0]])])
+    sub = rank3_subgroup_ts31()
     res = subdegree_identity_check(g, sub)
     assert res["applicable"]
     assert (res["k1"], res["k2"]) == (4, 4)
@@ -327,3 +376,7 @@ def test_non_automorphism_groups_rejected(corpus):
         fibre_action(g, bogus)
     with pytest.raises(ValueError):
         subdegree_identity_check(g, bogus)
+    with pytest.raises(ValueError, match="not a graph automorphism"):
+        covering_group(g, bogus)
+    with pytest.raises(ValueError, match="not a graph automorphism"):
+        arc_orbit_count(g, bogus)
