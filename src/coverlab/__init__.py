@@ -17,8 +17,7 @@ from .constructions import (build, cube, hexagon, icosahedron,
                             seidel_from_cover, seidel_of_graph,
                             taylor_from_seidel, thas_somma)
 from .perms import PermGroup, Permutation, closure_elements, subgroups_of
-from .autgroup import (automorphism_group, covers_isomorphic,
-                       find_isomorphism)
+from .autgroup import automorphism_group, covers_isomorphic
 from .groupops import (arc_orbit_count, covering_group, displacement_profile,
                        fibre_action, involution_audit, quotient_cover,
                        structure_audit, subdegree_identity_check)
@@ -37,7 +36,7 @@ __all__ = [
     "icosahedron", "seidel_from_cover", "seidel_of_graph",
     "taylor_from_seidel", "thas_somma", "PermGroup", "Permutation",
     "closure_elements", "subgroups_of", "automorphism_group",
-    "covers_isomorphic", "find_isomorphism", "arc_orbit_count",
+    "covers_isomorphic", "arc_orbit_count",
     "covering_group", "displacement_profile", "fibre_action",
     "involution_audit", "quotient_cover", "structure_audit",
     "subdegree_identity_check", "Character", "CharacterMatrix", "LineSystem",

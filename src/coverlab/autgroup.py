@@ -12,12 +12,16 @@ positionally, split keys are adjacency counts), so automorphic branches
 produce identical traces and both prunings are sound.  Off the first path a
 subtree is abandoned as soon as it contributes one automorphism, which is the
 usual backjump to the first-path ancestor.
+
+Isomorphism of two connected covers is read off the same search, run on
+their disjoint union: they are isomorphic iff a generator swaps the two
+components.  There is no second matching engine.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .graphcore import CoverGraph
+from .graphcore import CoverGraph, distance_classes
 from .perms import PermGroup, Permutation
 
 AUT_VERTEX_BOUND = 512
@@ -179,46 +183,22 @@ def automorphism_group(g: CoverGraph | list, colors=None) -> PermGroup:
     return PermGroup(gens, len(adj))
 
 
-def find_isomorphism(adj1, adj2) -> list[int] | None:
-    """One isomorphism between two graphs (bit rows), or None.
-
-    Straight backtracking over degree-compatible assignments with incremental
-    adjacency consistency; fine for the small graphs used in tests.
-    """
-    n = len(adj1)
-    if len(adj2) != n:
-        return None
-    deg1 = [a.bit_count() for a in adj1]
-    deg2 = [a.bit_count() for a in adj2]
-    if sorted(deg1) != sorted(deg2):
-        return None
-    img = [-1] * n
-    used = [False] * n
-
-    def consistent(u: int, x: int) -> bool:
-        if deg1[u] != deg2[x]:
-            return False
-        for w in range(u):
-            if bool(adj1[u] >> w & 1) != bool(adj2[x] >> img[w] & 1):
-                return False
-        return True
-
-    def bt(u: int) -> bool:
-        if u == n:
-            return True
-        for x in range(n):
-            if not used[x] and consistent(u, x):
-                img[u] = x
-                used[x] = True
-                if bt(u + 1):
-                    return True
-                img[u] = -1
-                used[x] = False
-        return False
-
-    return list(img) if bt(0) else None
-
-
 def covers_isomorphic(g1: CoverGraph, g2: CoverGraph) -> bool:
-    """Graph isomorphism between covers (fibres are graph-determined)."""
-    return find_isomorphism(g1.adj, g2.adj) is not None
+    """Whether two connected graphs (covers) are isomorphic.
+
+    Runs the automorphism search on the disjoint union, g2 relabelled to
+    v..2v-1.  Both components are connected, so every automorphism fixes
+    them or swaps them, and a swap exists iff g1 and g2 are isomorphic.
+    The generators found generate the whole group, so a swap exists iff
+    some generator sends vertex 0 to a label >= v.  Raises
+    GraphStructureError (a ValueError) on a disconnected input and
+    SizeBoundExceeded when the union has more than AUT_VERTEX_BOUND
+    vertices.
+    """
+    v = g1.v
+    if g2.v != v:
+        return False
+    for g in (g1, g2):
+        distance_classes(g, 0)
+    gens = automorphism_generators([*g1.adj, *(a << v for a in g2.adj)])
+    return any(gen[0] >= v for gen in gens)

@@ -9,9 +9,10 @@ raw constraints rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import isqrt
 
-from .numtheory import has_coprime6_divisor, prime_power_decompose
+from .numtheory import (divisors, factorize, has_coprime6_divisor,
+                        prime_power_decompose, prime_sieve, six_prime_part)
 
 
 @dataclass
@@ -41,14 +42,6 @@ def tuple_or_scalar(x):
     return tuple(x) if isinstance(x, (tuple, list)) else x
 
 
-def _v2(n: int) -> int:
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    return e
-
-
 def sp_case(d_min: int = 3, d_max: int = 6, swap_powers: bool = False) -> CaseReport:
     """Splittings t-1 = 2x, t+1 = 2^{d-2} y with xy = 2^d +- 1.
 
@@ -67,9 +60,10 @@ def sp_case(d_min: int = 3, d_max: int = 6, swap_powers: bool = False) -> CaseRe
             t = isqrt(target + 1)
             if t * t != target + 1 or t < 6:
                 continue
+            lo, hi = factorize(t - 1).get(2, 0), factorize(t + 1).get(2, 0)
             if not swap_powers:
                 # t odd, exactly one factor of 2 in t-1, 2^{d-2} in t+1
-                if _v2(t - 1) != 1 or _v2(t + 1) != d - 2:
+                if lo != 1 or hi != d - 2:
                     notes.append(f"d={d}, t={t}: two-power split fails")
                     continue
                 x, y = (t - 1) // 2, (t + 1) // 2 ** (d - 2)
@@ -78,7 +72,7 @@ def sp_case(d_min: int = 3, d_max: int = 6, swap_powers: bool = False) -> CaseRe
                                               or (y + 1) % div == 0):
                     sols.append((t, d))
             else:
-                if _v2(t + 1) != 1 or _v2(t - 1) != d - 2:
+                if hi != 1 or lo != d - 2:
                     notes.append(f"d={d}, t={t}: two-power split fails")
                     continue
                 y, x = (t + 1) // 2, (t - 1) // 2 ** (d - 2)
@@ -95,13 +89,6 @@ def sp_case(d_min: int = 3, d_max: int = 6, swap_powers: bool = False) -> CaseRe
                      f"t^2-1 = 2^(d-1)(2^d+eps)",
         solutions=sols, expected=expected, notes=notes)
     return rep.finalize()
-
-
-def _six_prime_part(m: int) -> int:
-    for p in (2, 3):
-        while m % p == 0:
-            m //= p
-    return m
 
 
 def linear_case_31(q_max: int = 16) -> CaseReport:
@@ -133,7 +120,7 @@ def linear_case_31(q_max: int = 16) -> CaseReport:
             if not has_coprime6_divisor(t - 1):
                 notes.append(f"d={d}, q={q}, t={t}: no admissible r")
                 continue
-            r = _six_prime_part(t - 1)
+            r = six_prime_part(t - 1)
             sols.append((q, d, t, r))
 
     survivors = [(q, d, t, r) for (q, d, t, r) in sols
@@ -216,7 +203,7 @@ def claim4_search(targets=(11, 20)) -> CaseReport:
     # the p | 20 sub-branch of target 20: t-1 = 2*5^j with t+1 = 2^i needs
     # 5^j = 2^(i-1) - 1, i.e. a Mersenne number that is a power of five
     mersenne_vs_five = [(i, 2 ** (i - 1) - 1) for i in range(2, 30)
-                        if _is_pow5(2 ** (i - 1) - 1)]
+                        if set(factorize(2 ** (i - 1) - 1)) == {5}]
     notes.append("p|20 sub-branch: Mersenne numbers 2^(i-1)-1 that are "
                  f"powers of 5 with j >= 1: {mersenne_vs_five}")
 
@@ -228,14 +215,6 @@ def claim4_search(targets=(11, 20)) -> CaseReport:
         expected=[(11, ((12, 13, 2),)), (20, ())],
         notes=notes)
     return rep.finalize()
-
-
-def _is_pow5(n: int) -> bool:
-    if n < 5:
-        return False
-    while n % 5 == 0:
-        n //= 5
-    return n == 1
 
 
 def twin_power_centers(t_max: int) -> CaseReport:
@@ -260,10 +239,16 @@ def twin_power_centers(t_max: int) -> CaseReport:
         sols.append(t)
         annotated.append({"t": t, "p1^s1": lo, "p2^s2": hi,
                           "blocks": ((t - 1) ** 2, (t + 1) ** 2)})
+    # expected from other code: prime powers as sieved primes raised to
+    # powers, and the admissible-r condition as "t-1 is not 3-smooth"
+    top = t_max + 1
+    sieve = prime_sieve(top)
+    powers = {p ** k for p in range(2, top + 1) if sieve[p]
+              for k in range(1, top.bit_length() + 1) if p ** k <= top}
+    smooth = {2 ** a * 3 ** b for a in range(top.bit_length())
+              for b in range(top.bit_length())}
     expected = [t for t in range(2, t_max + 1)
-                if prime_power_decompose(t - 1) is not None
-                and prime_power_decompose(t + 1) is not None
-                and has_coprime6_divisor(t - 1)]
+                if t - 1 in powers and t + 1 in powers and t - 1 not in smooth]
     rep = CaseReport(
         case_id="twin-powers",
         search_space=f"t <= {t_max}, t-1 and t+1 prime powers, "
@@ -314,13 +299,12 @@ def wreathed_congruence_case(t_sweep: int = 1000) -> CaseReport:
     hits = []
     checked = 0
     for t in range(7, t_sweep + 1, 2):
-        divisors = [r for r in range(2, t) if (t - 1) % r == 0
-                    and gcd(6, r) == 1]
-        if not divisors:
+        admissible = divisors(six_prime_part(t - 1))[1:]
+        if not admissible:
             continue
         half_mod = (t * t - 3) // 2
         full_mod = t * t - 3
-        for r in divisors:
+        for r in admissible:
             base = -t + (t - 1) // r
             for z1 in (1, 2):
                 lam1 = z1 * (t * t - 2) + base

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .numtheory import prime_powers
+
 Rat = Union[int, Fraction]
 
 
@@ -19,18 +21,10 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
     if m == 0:
         return 0, 1
     s, d = 1, 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    d *= m
+    for p, e, _ in prime_powers(m):
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
     return s, d
 
 

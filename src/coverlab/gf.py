@@ -3,9 +3,11 @@
 Elements are integers 0..q-1 encoding base-p digit vectors (lowest digit
 first), so 0 and 1 are the field's zero and one.  Multiplication uses
 log/antilog tables built from the Conway generator; everything is
-deterministic.
+deterministic.  q is split as p^e by numtheory.prime_power_decompose.
 """
 from __future__ import annotations
+
+from .numtheory import prime_power_decompose
 
 # Conway polynomials, coefficient list of x^e in ascending degree order,
 # omitting the leading 1: p(x) = x^e + sum(c_i x^i).
@@ -16,29 +18,12 @@ _CONWAY = {
     (3, 2): (2, 2),          # x^2 + 2x + 2
 }
 
-_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, e) with q = p^e and p prime, or None."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-    return None
-
 
 class GF:
     """Arithmetic in GF(q), q = p^e <= 16."""
 
     def __init__(self, q: int):
-        pp = prime_power(q)
+        pp = prime_power_decompose(q)
         if pp is None:
             raise ValueError(f"{q} is not a prime power")
         p, e = pp

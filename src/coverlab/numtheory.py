@@ -2,6 +2,11 @@
 
 Everything is exact big-integer arithmetic; the identity checkers evaluate
 their own applicability hypotheses instead of assuming them.
+
+This module holds the one factorization in coverlab: prime_powers, a lazy
+trial division over 2, 3 and 6k +- 1.  is_prime, prime_power_decompose,
+factorize, divisors and six_prime_part (m with its factors 2 and 3 removed)
+are views of it, and the other modules call these instead of dividing.
 """
 from __future__ import annotations
 
@@ -9,46 +14,71 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
+def _trial_divisors():
+    """2, 3, then every 6k - 1 and 6k + 1: a superset of the primes."""
+    yield 2
+    yield 3
     f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
+    while True:
+        yield f
+        yield f + 2
         f += 6
-    return True
+
+
+def prime_powers(n: int):
+    """Yield (p, e, rest) for each prime power p^e exactly dividing n >= 1.
+
+    Primes come in increasing order and rest is the cofactor still left
+    once p^e is divided out, so rest == 1 on the last yield.  The trial
+    division is lazy: a caller that stops after the first yield pays only
+    for the smallest prime factor.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    for p in _trial_divisors():
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e, n
+    if n > 1:
+        yield n, 1, 1
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and next(prime_powers(n)) == (n, 1, 1)
 
 
 def prime_power_decompose(n: int) -> tuple[int, int] | None:
     """(p, e) with n = p^e, p prime, e >= 1; None otherwise."""
     if n < 2:
         return None
-    for p in range(2, isqrt(n) + 1):
-        if n % p == 0:  # smallest divisor, hence prime
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            return (p, e) if n == 1 else None
-    return (n, 1)  # n itself prime
+    p, e, rest = next(prime_powers(n))
+    return (p, e) if rest == 1 else None
 
 
 def factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return {p: e for p, e, _ in prime_powers(n)}
+
+
+def divisors(n: int) -> list[int]:
+    """Every positive divisor of n >= 1, ascending."""
+    out = [1]
+    for p, e, _ in prime_powers(n):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def six_prime_part(m: int) -> int:
+    """m >= 1 with every factor 2 and 3 divided out (its 6'-part)."""
+    for p, _, rest in prime_powers(m):
+        if p > 3:
+            break
+        m = rest
+    return m
 
 
 @dataclass(frozen=True)
@@ -200,9 +230,4 @@ def nagell_ljunggren_search(x_max: int, i_max: int) -> list[tuple[int, int, int]
 
 def has_coprime6_divisor(m: int) -> bool:
     """Whether m has a divisor >= 2 coprime to 6 (i.e. a prime factor >= 5)."""
-    if m < 2:
-        return False
-    for p in (2, 3):
-        while m % p == 0:
-            m //= p
-    return m > 1
+    return m >= 1 and six_prime_part(m) > 1

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .exact import QuadExt, rational_json
+from .numtheory import divisors, prime_powers, six_prime_part
 
 
 class ParameterError(ValueError):
@@ -161,16 +161,16 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
 def feasible_B(t_max: int) -> list[FamilyBParams]:
     """All odd-fibre family members with t <= t_max, sorted by (t, r).
 
-    Entries are the pairs (t, r) with r | t-1, gcd(6, r) = 1, r >= 2, plus
+    Entries are the pairs (t, r) with r | t-1, gcd(6, r) = 1, r >= 2 (the
+    divisors >= 2 of the 6'-part of t-1), plus
     the special (9, 3, 3) member listed first (as t = 2).
     """
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")
     out = [family_B(2, 3)]
     for t in range(2, t_max + 1):
-        for r in range(2, t):
-            if (t - 1) % r == 0 and gcd(6, r) == 1:
-                out.append(family_B(t, r))
+        for r in divisors(six_prime_part(t - 1))[1:]:
+            out.append(family_B(t, r))
     out.sort(key=lambda fb: (fb.t, fb.r))
     return out
 
@@ -192,18 +192,7 @@ def _condition_tags_A(t: int, r: int, mu: int) -> list[str] | None:
         return None
     if t % 2 == 1:
         tags.append("mu even (t odd)")
-    rr = r
-    while rr % 2 == 0:
-        rr //= 2
-    p = 3
-    while p * p <= rr:
-        if rr % p == 0:
-            if (t - 1) % p != 0:
-                return None
-            while rr % p == 0:
-                rr //= p
-        p += 2
-    if rr > 1 and (t - 1) % rr != 0:
+    if any(p > 2 and (t - 1) % p for p, _, _ in prime_powers(r)):
         return None
     tags.append("odd primes of r divide t-1")
     return tags
@@ -247,7 +236,7 @@ def feasible_A(t_max: int) -> list[FamilyAEntry]:
     # so r runs over even divisors of the branch polynomial
     for t in range(3, t_max + 1):
         poly = (t - 1) ** 3 * (t + 2)
-        for d in _divisors(poly):
+        for d in divisors(poly):
             if d % 2 != 0 or d // 2 < 4:
                 continue
             r = d // 2
@@ -262,18 +251,6 @@ def feasible_A(t_max: int) -> list[FamilyAEntry]:
             out.append(FamilyAEntry(t=t, r=r, params=p, branch="eq1",
                                     conditions=tuple(tags)))
     return out
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 def hoffman_bounds(fb: FamilyBParams) -> tuple[Fraction, Fraction]:

@@ -3,11 +3,12 @@ from math import isqrt
 
 import pytest
 
+from coverlab import casecheck
 from coverlab.casecheck import (all_cases, claim4_search,
                                 linear_case_31, linear_case_parity_exclusion,
                                 sp_case, sporadic_filter, twin_power_centers,
                                 wreathed_congruence_case)
-from coverlab.numtheory import has_coprime6_divisor, prime_power_decompose
+from coverlab.numtheory import prime_sieve
 
 
 def test_sp_case_standard():
@@ -70,21 +71,45 @@ def test_claim4():
     assert any("t=10" in n and "2-3-smooth" in n for n in rep.notes)
 
 
-def test_twin_power_centers_oracle():
-    """Independent brute force: both neighbours prime powers, admissible r."""
-    def brute(t_max):
-        out = []
-        for t in range(2, t_max + 1):
-            if prime_power_decompose(t - 1) and prime_power_decompose(t + 1) \
-                    and has_coprime6_divisor(t - 1):
-                out.append(t)
-        return out
+def _twin_brute(t_max):
+    """Both neighbours prime powers and t-1 not 3-smooth (an admissible r
+    exists), with no factorization: prime powers are sieved primes raised
+    to powers, 3-smooth numbers are enumerated as 2^a 3^b."""
+    top = t_max + 1
+    sieve = prime_sieve(top)
+    powers, smooth = set(), set()
+    for p in range(2, top + 1):
+        q = p
+        while sieve[p] and q <= top:
+            powers.add(q)
+            q *= p
+    two = 1
+    while two <= top:
+        three = two
+        while three <= top:
+            smooth.add(three)
+            three *= 3
+        two *= 2
+    return [t for t in range(2, t_max + 1)
+            if t - 1 in powers and t + 1 in powers and t - 1 not in smooth]
 
+
+def test_twin_power_centers_oracle():
     rep = twin_power_centers(20)
     assert rep.match
-    assert rep.solutions == brute(20) == [6, 8, 12, 18]
+    assert rep.solutions == rep.expected == _twin_brute(20) == [6, 8, 12, 18]
     assert twin_power_centers(6).solutions == [6]
-    assert not any(t % 2 for t in twin_power_centers(500).solutions)
+    rep = twin_power_centers(500)
+    assert rep.match and rep.solutions == _twin_brute(500)
+    assert not any(t % 2 for t in rep.solutions)
+
+
+def test_twin_power_centers_expected_is_independent(monkeypatch):
+    """A broken prime-power test changes the solutions, not the expected
+    set, so the report stops matching."""
+    monkeypatch.setattr(casecheck, "prime_power_decompose", lambda n: (n, 1))
+    rep = twin_power_centers(20)
+    assert rep.expected == [6, 8, 12, 18] and not rep.match
 
 
 def test_sporadic_filter_all_empty():

@@ -6,7 +6,8 @@ from coverlab import (covering_group, covers_isomorphic, cube, hexagon,
                       icosahedron, seidel_from_cover, seidel_of_graph,
                       taylor_from_seidel, thas_somma, verify_cover)
 from coverlab.constructions import build
-from coverlab.gf import GF, prime_power
+from coverlab.gf import GF
+from coverlab.numtheory import prime_power_decompose
 
 
 def test_hexagon():
@@ -51,7 +52,8 @@ def test_gf_arithmetic():
         GF(6)
     with pytest.raises(ValueError):
         GF(32)
-    assert prime_power(49) == (7, 2) and prime_power(12) is None
+    assert prime_power_decompose(49) == (7, 2)
+    assert prime_power_decompose(12) is None
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1),

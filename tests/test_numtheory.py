@@ -4,11 +4,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverlab.numtheory import (GcdPowerCheck, gcd_qpow, has_coprime6_divisor,
-                                is_prime, lifting_identity_check,
-                                nagell_ljunggren_search, p_part, prime_sieve,
-                                prime_power_decompose,
-                                zsigmondy_corollary_solve)
+from coverlab.numtheory import (GcdPowerCheck, divisors, gcd_qpow,
+                                has_coprime6_divisor, is_prime,
+                                lifting_identity_check,
+                                nagell_ljunggren_search, p_part, prime_powers,
+                                prime_sieve, prime_power_decompose,
+                                six_prime_part, zsigmondy_corollary_solve)
 
 PRIMES_50 = [p for p in range(2, 51) if is_prime(p)]
 
@@ -89,18 +90,22 @@ def test_zsigmondy_full_classification_to_million():
 
 
 def test_zsigmondy_brute_oracle_small():
-    """Independent double loop up to 5000 must find the same solutions."""
+    """Independent double loop up to 5000 must find the same solutions.
+
+    Primality comes from the sieve: the solver factors through the same
+    engine as is_prime."""
     bound = 5000
+    sieve = prime_sieve(bound)
     brute = set()
     for p in range(2, bound):
-        if not is_prime(p):
+        if not sieve[p]:
             continue
         pm = p
         m = 1
         while pm <= bound:
             q_n = pm - 1
             for q in range(2, q_n + 1):
-                if not is_prime(q):
+                if not sieve[q]:
                     continue
                 qn = q
                 n = 1
@@ -142,9 +147,56 @@ def test_prime_power_decompose_consistent(n):
 
 
 def test_prime_sieve_matches_trial_division():
-    sieve = prime_sieve(2000)
-    for n in range(2000 + 1):
+    sieve = prime_sieve(10**5)
+    for n in range(10**5 + 1):
         assert bool(sieve[n]) == is_prime(n)
+
+
+def _divisor_lists(limit: int) -> list[list[int]]:
+    """divs[n] for n <= limit, by marking the multiples of every d."""
+    divs = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for m in range(d, limit + 1, d):
+            divs[m].append(d)
+    return divs
+
+
+def test_divisors_and_prime_powers_brute_force():
+    """A prime power p^e has exactly the e + 1 divisors 1, p, ..., p^e."""
+    divs = _divisor_lists(5000)
+    assert prime_power_decompose(0) is None
+    assert prime_power_decompose(1) is None
+    for n in range(1, 5001):
+        assert divisors(n) == divs[n]
+        if n >= 2:
+            p, e = divs[n][1], len(divs[n]) - 1
+            assert prime_power_decompose(n) == ((p, e) if p ** e == n else None)
+        assert six_prime_part(n) == max(d for d in divs[n]
+                                        if d % 2 and d % 3)
+    with pytest.raises(ValueError):
+        divisors(0)
+
+
+SIEVE_1E6 = prime_sieve(10**6)
+
+
+@given(st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=500)
+def test_prime_powers_reconstruct_n(n):
+    product, last = 1, 1
+    for p, e, rest in prime_powers(n):
+        assert SIEVE_1E6[p] and p > last
+        product *= p ** e
+        assert product * rest == n
+        last = p
+    assert product == n
+
+
+def test_admissible_r_matches_range_scan():
+    """The divisors >= 2 of the 6'-part of t-1 equal the O(t) range scan."""
+    for t in range(2, 5000):
+        scan = [r for r in range(2, t) if (t - 1) % r == 0 and gcd(6, r) == 1]
+        assert divisors(six_prime_part(t - 1))[1:] == scan
 
 
 def test_has_coprime6_divisor():

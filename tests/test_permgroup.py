@@ -3,10 +3,13 @@ from itertools import permutations as all_perms
 
 import pytest
 
-from coverlab import (automorphism_group, closure_elements, cube, hexagon,
-                      icosahedron, subgroups_of, thas_somma)
+from coverlab import (automorphism_group, closure_elements, covers_isomorphic,
+                      cube, hexagon, icosahedron, subgroups_of, thas_somma)
+from coverlab.graphcore import CoverGraph
 from coverlab.perms import PermGroup, Permutation
-from coverlab.autgroup import automorphism_generators, find_isomorphism
+from coverlab.autgroup import (AUT_VERTEX_BOUND, SizeBoundExceeded,
+                               automorphism_generators)
+from conftest import matching_swapped, relabelled
 
 
 def test_permutation_basics():
@@ -132,11 +135,33 @@ def test_subgroups_of_small_groups():
     assert orders == [1, 2, 2, 2, 4]
 
 
-def test_find_isomorphism():
-    g1, g2 = hexagon(), hexagon().relabelled([3, 1, 5, 0, 2, 4])
-    iso = find_isomorphism(g1.adj, g2.adj)
-    assert iso is not None
-    assert find_isomorphism(hexagon().adj, cube().adj) is None
+@pytest.mark.parametrize("name", ["hexagon", "cube", "icosahedron", "ts31"])
+def test_covers_isomorphic_relabelled(corpus, name):
+    g = corpus[name]
+    assert covers_isomorphic(g, relabelled(g, 1))
+    assert covers_isomorphic(relabelled(g, 2), relabelled(g, 3))
+
+
+@pytest.mark.parametrize("name", ["cube", "icosahedron", "ts31"])
+def test_covers_isomorphic_rejects_matching_swapped(corpus, name):
+    g = corpus[name]
+    assert not covers_isomorphic(g, matching_swapped(g))
+    assert not covers_isomorphic(relabelled(matching_swapped(g), 4), g)
+
+
+def test_covers_isomorphic_bad_inputs():
+    assert not covers_isomorphic(hexagon(), cube())  # 6 and 8 vertices
+    # the hexagon's matching-swapped copy is two disjoint triangles
+    two_triangles = matching_swapped(hexagon())
+    for pair in ((hexagon(), two_triangles), (two_triangles, hexagon())):
+        with pytest.raises(ValueError, match="disconnected"):
+            covers_isomorphic(*pair)
+    # a union past the search bound raises; it is never clamped
+    v = AUT_VERTEX_BOUND // 2 + 2
+    cycle = CoverGraph([[i, i + v // 2] for i in range(v // 2)],
+                       [(i, (i + 1) % v) for i in range(v)])
+    with pytest.raises(SizeBoundExceeded):
+        covers_isomorphic(cycle, cycle)
 
 
 def test_aut_search_random_graphs_vs_brute_force():
