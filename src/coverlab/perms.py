@@ -3,9 +3,9 @@
 The chain is built by a deterministic Schreier-Sims procedure: base points
 are prepended from an optional hint (enabling pointwise set stabilizers,
 e.g. the kernel of an action), otherwise chosen as the first moved point.
-Orders, membership, point stabilizers and full element iteration all come
-from the chain.  Scales comfortably to the desk-size groups used here
-(degree <= about 1000, orders up to a few hundred thousand).
+Orders, membership, stabilizers, transversals and lazy element iteration
+all come from the chain, so orders in the tens of millions are fine at
+degree <= about 1000 as long as nothing scans every element.
 """
 from __future__ import annotations
 
@@ -235,9 +235,11 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Stabilizer of a single point, as a new group."""
-        sub = PermGroup(self.generators, self.degree, base_hint=(point,))
-        gens = sub.stabilizer_prefix_gens(1)
-        return PermGroup(gens, self.degree)
+        return self.pointwise_stabilizer((point,))
+
+    def transversal(self) -> dict[int, Permutation]:
+        """Point b -> an element sending the first base point to b."""
+        return dict(self._chain()[0].orbit)
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """Stabilizer of a set of points, pointwise."""
@@ -284,24 +286,20 @@ class PermGroup:
     # -- element iteration -----------------------------------------------------
 
     def elements(self, limit: int = 200_000):
-        """Iterate all elements (products over the transversal chain)."""
-        if self.order() > limit:
-            raise ValueError(f"order {self.order()} exceeds iteration limit {limit}")
+        """Iterate the elements (products over the transversal chain);
+        ValueError comes only when element limit + 1 is asked for."""
         levels = self._chain()
         transversals = [[lvl.orbit[x] for x in sorted(lvl.orbit)] for lvl in levels]
-        for combo in product(*transversals) if transversals else ((),):
+        for count, combo in enumerate(product(*transversals)):
+            if count == limit:
+                raise ValueError(f"more than {limit} elements requested")
             g = Permutation.identity(self.degree)
             for t in reversed(combo):
                 g = g * t
             yield g
 
-    def conjugate_subgroup(self, sub: "PermGroup", g: Permutation) -> "PermGroup":
-        ginv = g.inverse()
-        return PermGroup([ginv * s * g for s in sub.generators] or [],
-                         self.degree)
-
     def normalizer(self, sub: "PermGroup", limit: int = 200_000) -> "PermGroup":
-        """N_G(sub) by scanning elements; intended for small groups only."""
+        """N_G(sub) by scanning every element: a small-group test oracle."""
         gens = []
         found = PermGroup([], self.degree)
         for g in self.elements(limit):
@@ -313,7 +311,7 @@ class PermGroup:
 
     def centralizer_of_group(self, other: "PermGroup",
                              limit: int = 200_000) -> "PermGroup":
-        """C_G(other) by element scan; small groups only."""
+        """C_G(other) by scanning every element: a small-group test oracle."""
         gens = []
         for g in self.elements(limit):
             if all((g * s).img == (s * g).img for s in other.generators):

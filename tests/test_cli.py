@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import coverlab
-from coverlab import hexagon, thas_somma
+from coverlab import (hexagon, seidel_of_graph, taylor_from_seidel,
+                      thas_somma)
 from coverlab.cli import main
 from conftest import matching_swapped
 
@@ -136,6 +139,35 @@ def test_analyze_subcommand(tmp_path, capsys):
     assert blob["fibre_action"]["rank"] == 2
     assert blob["rank_identity_holds"]
     assert blob["structure_audit"]
+
+
+def gosset_cover(convention: int):
+    """Taylor extension of the Schlaefli graph: the double cover of K_28
+    from the Seidel matrix of T(8), the line graph of K_8, whose switching
+    class holds the Schlaefli graph plus an isolated vertex."""
+    pairs = list(combinations(range(8), 2))
+    adj = [[int(len(set(x) & set(y)) == 1) for y in pairs] for x in pairs]
+    return taylor_from_seidel(seidel_of_graph(adj), convention=convention)
+
+
+@pytest.mark.parametrize("convention", (-1, 1))
+def test_analyze_audits_gosset_covers(convention, tmp_path, capsys):
+    """Both Gosset covers.  |Aut| is the Weyl group order |W(E7)| =
+    2^10 3^4 5 7 (Bourbaki, Lie Groups and Lie Algebras, ch. VI), far past
+    any element scan, so every audit item must come from chains."""
+    path = tmp_path / "gosset.json"
+    path.write_text(gosset_cover(convention).to_json_str())
+    code, out = run_cli(["analyze", "--audits", str(path)], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["automorphism_group"]["order"] == 2**10 * 3**4 * 5 * 7
+    assert (blob["report"]["n"], blob["report"]["r"]) == (28, 2)
+    items = blob["structure_audit"]
+    assert len(items) == 5
+    assert all(item["status"] == "pass" for item in items), items
+    invs = blob["involution_audits"]
+    assert len(invs) == 50
+    assert not any(inv["failures"] for inv in invs)
 
 
 def test_lemma_check(capsys):

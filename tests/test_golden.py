@@ -3,11 +3,15 @@
 Each file under tests/golden/ is the stdout of `coverlab <argv>`; a
 refactor that claims the same behaviour must reproduce it exactly.  To
 record a new one, run the command and save its stdout under the same name.
+The analyze payloads embed their cover path, so those are recorded as
+`coverlab analyze --audits NAME.json` run in the directory holding the
+built cover NAME.json.
 """
 from pathlib import Path
 
 import pytest
 
+from coverlab import cube, hexagon, icosahedron, thas_somma
 from coverlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,3 +31,18 @@ CASES = {
 def test_cli_matches_golden(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+ANALYZE_COVERS = {"hexagon": hexagon, "cube": cube, "icosahedron": icosahedron,
+                  "ts31": lambda: thas_somma(3, 1),
+                  "ts41": lambda: thas_somma(4, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_COVERS))
+def test_analyze_audits_matches_golden(name, tmp_path, monkeypatch, capsys):
+    cover = ANALYZE_COVERS[name]()
+    (tmp_path / f"{name}.json").write_text(cover.to_json_str())
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--audits", f"{name}.json"]) == 0
+    golden = GOLDEN / f"analyze_audits_{name}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()

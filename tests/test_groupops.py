@@ -352,9 +352,14 @@ def test_subdegree_inapplicable_rank2(corpus, auts):
 
 
 def test_structure_audit(corpus, auts):
-    for name in ("hexagon", "cube", "ts31"):
-        items = structure_audit(corpus[name], auts[name])
+    groups = {name: (corpus[name], auts[name])
+              for name in ("hexagon", "cube", "ts31", "ts41")}
+    ts22 = thas_somma(2, 2)
+    groups["ts22"] = (ts22, automorphism_group(ts22))
+    for name, (g, aut) in groups.items():
+        items = structure_audit(g, aut)
         by_name = {i.item: i for i in items}
+        assert len(items) == 5, name
         assert by_name["index-G:M-equals-n"].status == "pass", name
         assert by_name["M=K:Ga"].status == "pass", name
         assert by_name["C=CG(K)^Ga"].status == "pass", name
@@ -366,6 +371,60 @@ def test_structure_audit(corpus, auts):
     items = structure_audit(corpus["ts31"], auts["ts31"])
     g_to_m = next(i for i in items if i.item == "index-G:M-equals-n")
     assert g_to_m.witness == {"|G|": 1296, "|M|": 144, "n": 9}
+
+
+def generated_by(elements, degree: int) -> PermGroup:
+    """The group the image tuples generate; an element joins the
+    generators only when it is not yet a member."""
+    group = PermGroup([], degree)
+    for e in elements:
+        if Permutation(e) not in group:
+            group = PermGroup(group.generators + [Permutation(e)], degree)
+    return group
+
+
+@pytest.mark.parametrize("name", ("hexagon", "cube", "icosahedron", "ts31"))
+def test_structure_audit_matches_element_scan(name):
+    """The chain-based numbers of the audit (base vertex a = 0) against
+    scans of every group element: |C_G(K) meet G_a|, |N_G(G_a) : G_a| and
+    |N_G(M) : M|, with M the setwise stabilizer of a's fibre."""
+    base = ORACLE_COVERS[name]()
+    for g in (base, relabelled(base, 1)):
+        aut = automorphism_group(g)
+        kernel, _ = covering_group(g, aut)
+        wit = {i.item: i.witness for i in structure_audit(g, aut)}
+        elements = closure_elements(aut.generators, g.v)
+
+        cgk = aut.centralizer_of_group(kernel)
+        assert wit["C=CG(K)^Ga"]["|CG(K) meet Ga|"] == \
+            sum(1 for p in cgk.elements() if p[0] == 0), name
+
+        g_a = generated_by(sorted(e for e in elements if e[0] == 0), g.v)
+        assert wit["M=K:Ga"]["|Ga|"] == g_a.order()
+        assert wit["Fix(Ga)=index-in-normalizer-divides-nr"]["|N:Ga|"] == \
+            aut.normalizer(g_a).order() // g_a.order(), name
+
+        fibre = set(g.fibres[g.fibre_of[0]])
+        m = generated_by(sorted(e for e in elements
+                                if {e[x] for x in fibre} == fibre), g.v)
+        assert wit["M=K:Ga"]["|M|"] == m.order()
+        assert wit["FixSigma(M)=index-in-normalizer-divides-n"]["|N:M|"] == \
+            aut.normalizer(m).order() // m.order(), name
+
+
+def test_structure_audit_can_fail(corpus, auts, monkeypatch):
+    """G_a put in place of C = G_F must fail the C = C_G(K) meet G_a item:
+    on TS(3,1), |G_a| = 48 while |C| = |C_G(K) meet G_a| = 24.  Vertex 0
+    comes first in its fibre, so fixing that first point gives G_a."""
+    g, aut = corpus["ts31"], auts["ts31"]
+    assert g.fibres[g.fibre_of[0]][0] == 0
+    pointwise = PermGroup.pointwise_stabilizer
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer",
+                        lambda self, points: pointwise(self, points[:1]))
+    by_name = {i.item: i for i in structure_audit(g, aut)}
+    assert by_name["C=CG(K)^Ga"].status == "fail"
+    assert by_name["C=CG(K)^Ga"].witness == {"|C|": 48,
+                                              "|CG(K) meet Ga|": 24}
 
 
 def test_non_automorphism_groups_rejected(corpus):

@@ -46,6 +46,51 @@ def test_membership_and_elements():
     assert Permutation([0, 1, 2, 3]) not in g  # wrong degree
 
 
+def random_group(rng, n_max: int = 8) -> PermGroup:
+    n = rng.randint(2, n_max)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        img = list(range(n))
+        rng.shuffle(img)
+        gens.append(Permutation(img))
+    return PermGroup(gens, n)
+
+
+def test_elements_bounds_the_scan_not_the_order():
+    """Below the limit: every element once, as the closure finds them.
+    Above it: the first limit elements of the full sequence are yielded,
+    and ValueError comes when element limit + 1 is asked for."""
+    import random
+    rng = random.Random(5)
+    limit = 30
+    for _ in range(60):
+        grp = random_group(rng, n_max=6)
+        full = list(grp.elements(grp.order()))
+        assert len(full) == grp.order() == len(set(full))
+        assert {p.img for p in full} == closure_elements(grp.generators,
+                                                         grp.degree)
+        if grp.order() <= limit:
+            assert list(grp.elements(limit)) == full
+            continue
+        seen = []
+        with pytest.raises(ValueError, match=f"more than {limit}"):
+            for p in grp.elements(limit):
+                seen.append(p)
+        assert seen == full[:limit]
+
+
+def test_transversal_sends_base_point_over_its_orbit():
+    import random
+    rng = random.Random(8)
+    for _ in range(40):
+        grp = random_group(rng)
+        point = rng.randrange(grp.degree)
+        chain = PermGroup(grp.generators, grp.degree, base_hint=(point,))
+        moves = chain.transversal()
+        assert set(moves) == grp.orbit(point)
+        assert all(t[point] == b and t in grp for b, t in moves.items())
+
+
 def test_point_stabilizer_and_orbits():
     cyc = Permutation([1, 2, 3, 4, 5, 0])
     flip = Permutation([0, 5, 4, 3, 2, 1])
