@@ -1,17 +1,20 @@
 """Graph automorphism search by individualization and partition refinement.
 
-The search tree refines an ordered partition until equitable, then
-individualizes a vertex from the first non-singleton cell and recurses.
-Leaves are discrete partitions; the labelling of every later leaf is compared
-with the first leaf, and edge-preserving label maps become generators.
-Pruning is deterministic and twofold: branches whose refinement trace differs
-from the first path's cannot contain equivalent leaves, and candidates in one
-orbit of the already-found group (stabilizing the individualized prefix) are
-interchangeable.  Refinement is vertex-label-free (cells are processed
-positionally, split keys are adjacency counts), so automorphic branches
-produce identical traces and both prunings are sound.  Off the first path a
-subtree is abandoned as soon as it contributes one automorphism, which is the
-usual backjump to the first-path ancestor.
+The graph is held only as bit rows.  Refinement is a splitter worklist
+(McKay and Piperno, Practical graph isomorphism II, JSC 2014): a FIFO queue
+of cells, seeded with the input cells, splits each non-singleton cell by
+(adj[u] & splitter).bit_count(), in place and in increasing key order, and
+queues every part, until the partition is equitable.  The search then
+individualizes a vertex of the first non-singleton cell and recurses.  Every
+leaf labelling is compared with the first leaf's, and a label map sending
+each edge of the bit rows to an edge becomes a generator.  Pruning is
+twofold: a branch whose refinement trace differs from the first path's has
+no equivalent leaf, and candidates in one orbit of the group found so far
+(fixing the individualized prefix) are interchangeable.  Traces are
+label-free (splitter steps, cell positions, keys and part sizes), so
+automorphic branches trace alike and both prunings are sound.  Off the first
+path a subtree is abandoned once it yields an automorphism, the usual
+backjump to the first-path ancestor.
 
 Isomorphism of two connected covers is read off the same search, run on
 their disjoint union: they are isomorphic iff a generator swaps the two
@@ -19,9 +22,9 @@ components.  There is no second matching engine.
 """
 from __future__ import annotations
 
-import numpy as np
+from collections import deque
 
-from .graphcore import CoverGraph, distance_classes
+from .graphcore import CoverGraph, _bits, distance_classes
 from .perms import PermGroup, Permutation
 
 AUT_VERTEX_BOUND = 512
@@ -31,38 +34,35 @@ class SizeBoundExceeded(ValueError):
     pass
 
 
-def _refine(cells, amat):
-    """Equitable refinement; returns (cells, trace), trace is label-free."""
+def _refine(cells, adj_rows):
+    """Equitable refinement by a splitter worklist; returns (cells, trace).
+
+    Trace entries are (splitter step, cell position, ((key, size), ...)).
+    """
     cells = [list(c) for c in cells]
+    n = sum(map(len, cells))
+    queue = deque(cells)
     trace = []
-    changed = True
-    while changed:
-        changed = False
-        for w_idx in range(len(cells)):
-            w_members = cells[w_idx]
-            for c_idx, cell in enumerate(cells):
-                if len(cell) <= 1:
-                    continue
-                counts = amat[np.ix_(cell, w_members)].sum(axis=1)
-                keys = sorted(set(int(k) for k in counts))
+    step = 0
+    while queue and len(cells) < n:
+        splitter = sum(1 << u for u in queue.popleft())
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) > 1:
+                counts = [(adj_rows[u] & splitter).bit_count() for u in cell]
+                keys = sorted(set(counts))
                 if len(keys) > 1:
-                    parts = [[v for v, k in zip(cell, counts) if k == key]
+                    parts = [[u for u, k in zip(cell, counts) if k == key]
                              for key in keys]
-                    cells[c_idx:c_idx + 1] = parts
-                    trace.append((w_idx, c_idx,
-                                  tuple((k, len(p)) for k, p in zip(keys, parts))))
-                    changed = True
-                    break
-            if changed:
-                break
+                    cells[i:i + 1] = parts
+                    trace.append((step, i, tuple((k, len(p))
+                                                 for k, p in zip(keys, parts))))
+                    queue.extend(parts)
+                    i += len(parts) - 1
+            i += 1
+        step += 1
     return cells, tuple(trace)
-
-
-def _first_nonsingleton(cells) -> int:
-    for i, c in enumerate(cells):
-        if len(c) > 1:
-            return i
-    return -1
 
 
 def _prefix_stabilizer_orbits(gens, prefix, n: int) -> list[int]:
@@ -95,14 +95,6 @@ def automorphism_generators(adj_rows, colors=None) -> list[Permutation]:
         raise SizeBoundExceeded(f"{n} vertices exceed bound {AUT_VERTEX_BOUND}")
     if n == 0:
         return []
-    amat = np.zeros((n, n), dtype=np.int16)
-    for u in range(n):
-        row = adj_rows[u]
-        while row:
-            low = row & -row
-            amat[u, low.bit_length() - 1] = 1
-            row ^= low
-
     if colors is None:
         initial = [list(range(n))]
     else:
@@ -111,7 +103,6 @@ def automorphism_generators(adj_rows, colors=None) -> list[Permutation]:
             buckets.setdefault(c, []).append(v)
         initial = [buckets[c] for c in sorted(buckets)]
 
-    directed_edges = {(u, w) for u in range(n) for w in range(n) if amat[u, w]}
     first_leaf: list[int] = []
     first_choices: list[int] = []
     first_traces: dict[int, tuple] = {}
@@ -119,18 +110,18 @@ def automorphism_generators(adj_rows, colors=None) -> list[Permutation]:
     identity = list(range(n))
 
     def is_automorphism(img) -> bool:
-        return all((img[u], img[w]) in directed_edges
-                   for (u, w) in directed_edges)
+        return all(adj_rows[img[u]] >> img[w] & 1
+                   for u in range(n) for w in _bits(adj_rows[u]))
 
     def dfs(cells, depth: int, prefix: list[int], on_first_path: bool) -> bool:
-        cells, trace = _refine(cells, amat)
+        cells, trace = _refine(cells, adj_rows)
         if depth in first_traces:
             if trace != first_traces[depth]:
                 return False
         elif on_first_path:
             first_traces[depth] = trace
 
-        tgt = _first_nonsingleton(cells)
+        tgt = next((i for i, c in enumerate(cells) if len(c) > 1), -1)
         if tgt < 0:
             leaf = [c[0] for c in cells]
             if not first_leaf:

@@ -67,11 +67,12 @@ class CoverGraph:
     fibres ordered by minimum element.  The constructor checks only the
     partition structure; the cover axioms (including fibres being cocliques)
     are the business of verify_cover, so invalid candidates can be built and
-    then diagnosed.  verify_cover records a passing report on the graph.
+    then diagnosed.  verify_cover records a passing report on the graph, and
+    covering_group the fibre-fixing automorphisms.
     """
 
     __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_edges",
-                 "_report")
+                 "_report", "_kernel")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
         fibres = [sorted(int(x) for x in f) for f in fibres]
@@ -122,6 +123,7 @@ class CoverGraph:
         self.fibre_of = tuple(fo)
         self._edges = tuple(sorted(edge_set))
         self._report: CoverReport | None = None
+        self._kernel: tuple | None = None
 
     # -- basic accessors ---------------------------------------------------
 

@@ -15,8 +15,8 @@ audit functions turn the assertable group-theoretic identities (arc orbits
 vs rank, displacement counts, fixed subgraphs of involutions, rank-3
 subdegree relations) into pass/fail reports on concrete instances.  Stages
 that need a verified cover take the report verify_cover recorded on the
-graph (graphcore.cover_report), so a graph is verified once however many
-stages use it.
+graph (graphcore.cover_report), and K is recorded there too, so a graph is
+verified and its K found once however many stages use them.
 """
 from __future__ import annotations
 
@@ -67,14 +67,17 @@ def covering_group(g: CoverGraph, group: PermGroup | None = None):
     g must be a cover: the report verify_cover recorded on g is used, g is
     verified only when none is recorded, and GraphStructureError names the
     failed axioms otherwise.  K is every fibre-fixing automorphism, found by
-    matching propagation (see _fibre_fixing_automorphisms); no search is
-    made, and K.generators lists every non-identity element of K.  Given a
-    group, it must act by automorphisms of g (ValueError otherwise), and the
-    kernel of its action on the fibres is group ∩ K: the elements of K
-    that pass membership in group.  Returns (kernel: PermGroup, info: dict).
+    matching propagation (see _fibre_fixing_automorphisms), once per graph:
+    the result is recorded on g.  No search is made, and K.generators lists
+    every non-identity element of K.  Given a group, it must act by
+    automorphisms of g (ValueError otherwise), and the kernel of its action
+    on the fibres is group ∩ K: the elements of K that pass membership in
+    group.  Returns (kernel: PermGroup, info: dict).
     """
     require_cover(g)
-    kernel = PermGroup(_fibre_fixing_automorphisms(g), g.v)
+    if g._kernel is None:
+        g._kernel = tuple(_fibre_fixing_automorphisms(g))
+    kernel = PermGroup(g._kernel, g.v)
     if group is not None:
         require_automorphisms(g, group)
         kernel = PermGroup([k for k in kernel.generators if k in group], g.v)

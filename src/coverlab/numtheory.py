@@ -95,11 +95,16 @@ def p_part(l: int, p: int) -> PPartDecomposition:
         raise ValueError("l must be positive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    part = _p_power(l, p)
+    return PPartDecomposition(l=l, p=p, p_part=part, p_prime_part=l // part)
+
+
+def _p_power(l: int, p: int) -> int:
+    """Largest power of the prime p dividing l >= 1."""
     part = 1
-    while l % p == 0:
-        l //= p
+    while l % (part * p) == 0:
         part *= p
-    return PPartDecomposition(l=l * part, p=p, p_part=part, p_prime_part=l)
+    return part
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,8 @@ def lifting_identity_check(q: int, e: int, m: int, p: int) -> LiftingCheck:
         applicable = (q - e) % 4 == 0 or m % 2 == 1
     if not applicable:
         return LiftingCheck(q, e, m, p, False)
-    lhs = p_part(q ** m - e ** m, p).p_part
-    rhs = p_part(m, p).p_part * p_part(q - e, p).p_part
+    lhs = _p_power(q ** m - e ** m, p)
+    rhs = _p_power(m, p) * _p_power(q - e, p)
     return LiftingCheck(q, e, m, p, True, lhs, rhs, lhs == rhs)
 
 

@@ -101,9 +101,11 @@ def derive_params(n: int, r: int, mu: int) -> CoverParams:
 def family_B(t: int, r: int) -> FamilyBParams:
     """Odd-fibre family member (n, r, mu) = ((t^2-1)^2, r, (t-1)^2(t^2+t-1)/r).
 
-    The pair (t, r) = (2, 3) is the genuine exception with (n, r, mu) =
-    (9, 3, 3); it does not satisfy the t-parametrisation (which would give
-    mu = 5/3) and is returned tagged as special.
+    The spectrum is the closed forms tau = -t, theta = t(t^2-2), m_theta =
+    (t^2-1)(r-1), m_tau = (t^2-2) m_theta.  The pair (t, r) = (2, 3) is the
+    genuine exception with (n, r, mu) = (9, 3, 3); it does not satisfy the
+    t-parametrisation (which would give mu = 5/3) and is returned tagged as
+    special.
     """
     if t < 2:
         raise ParameterError(f"t must be at least 2, got {t}")
@@ -114,13 +116,10 @@ def family_B(t: int, r: int) -> FamilyBParams:
     if (t - 1) % r != 0:
         raise ParameterError(f"r = {r} does not divide t-1 = {t - 1}")
     n = (t * t - 1) ** 2
-    mu_num = (t - 1) ** 2 * (t * t + t - 1)
-    mu = mu_num // r
-    p = derive_params(n, r, mu)
-    # sanity: the closed forms for this family
-    assert p.tau == -t and p.theta == t * (t * t - 2)
-    assert p.m_theta == (t * t - 1) * (r - 1)
-    assert p.m_tau == (t * t - 2) * (t * t - 1) * (r - 1)
+    mu = (t - 1) ** 2 * (t * t + t - 1) // r
+    m_theta = (t * t - 1) * (r - 1)
+    p = CoverParams(n, r, mu, n - (r - 1) * mu - 2, QuadExt(t * (t * t - 2)),
+                    QuadExt(-t), QuadExt(m_theta), QuadExt((t * t - 2) * m_theta))
     return FamilyBParams(t=t, r=r, params=p)
 
 

@@ -141,6 +141,22 @@ def test_analyze_subcommand(tmp_path, capsys):
     assert blob["structure_audit"]
 
 
+def test_analyze_finds_the_covering_group_once(tmp_path, capsys,
+                                              monkeypatch):
+    """analyze asks for the covering group three times (directly, for the
+    arc orbits and in the audit); the matching propagation runs once."""
+    from coverlab import groupops
+    calls = []
+    real = groupops._fibre_fixing_automorphisms
+    monkeypatch.setattr(groupops, "_fibre_fixing_automorphisms",
+                        lambda g: calls.append(g) or real(g))
+    path = tmp_path / "ts31.json"
+    path.write_text(thas_somma(3, 1).to_json_str())
+    code, out = run_cli(["analyze", "--audits", str(path)], capsys)
+    assert code == 0 and json.loads(out)["covering_group"]["order"] == 3
+    assert len(calls) == 1
+
+
 def gosset_cover(convention: int):
     """Taylor extension of the Schlaefli graph: the double cover of K_28
     from the Seidel matrix of T(8), the line graph of K_8, whose switching

@@ -1,16 +1,21 @@
-"""CLI payloads pinned byte for byte against recorded golden files.
+"""CLI payloads and demo output pinned byte for byte against golden files.
 
-Each file under tests/golden/ is the stdout of `coverlab <argv>`; a
+Each JSON file under tests/golden/ is the stdout of `coverlab <argv>`; a
 refactor that claims the same behaviour must reproduce it exactly.  To
 record a new one, run the command and save its stdout under the same name.
 The analyze payloads embed their cover path, so those are recorded as
 `coverlab analyze --audits NAME.json` run in the directory holding the
-built cover NAME.json.
+built cover NAME.json.  Each demo_NAME.txt is the stdout of
+`python demos/NAME.py`.
 """
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import coverlab
 from coverlab import cube, hexagon, icosahedron, thas_somma
 from coverlab.cli import main
 
@@ -46,3 +51,18 @@ def test_analyze_audits_matches_golden(name, tmp_path, monkeypatch, capsys):
     assert main(["analyze", "--audits", f"{name}.json"]) == 0
     golden = GOLDEN / f"analyze_audits_{name}.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DEMOS.glob("*.py")))
+def test_demo_matches_golden(name):
+    """Each demo, run in a subprocess on the package this suite imports."""
+    src = str(Path(coverlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")],
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"demo_{name}.txt").read_bytes()

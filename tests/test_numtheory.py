@@ -43,6 +43,17 @@ def test_lifting_examples():
     assert not lifting_identity_check(3, 1, 2, 2).applicable
 
 
+def test_lifting_tests_p_for_primality_once(monkeypatch):
+    from coverlab import numtheory
+    calls = []
+    real = numtheory.is_prime
+    monkeypatch.setattr(numtheory, "is_prime",
+                        lambda n: calls.append(n) or real(n))
+    chk = lifting_identity_check(10, 1, 9, 3)  # 10^9 - 1 = 3^4 * 12345679
+    assert (chk.lhs, chk.rhs, chk.equal) == (81, 81, True)
+    assert calls == [3]
+
+
 def test_lifting_exhaustive_sweep():
     """Spec bounds: q <= 50, m <= 30, p <= 50; zero counterexamples."""
     bad = []

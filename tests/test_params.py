@@ -9,6 +9,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverlab import (cube, derive_params, family_A, family_B, feasible_A,
                       feasible_B, hexagon, hoffman_bounds, icosahedron,
@@ -129,6 +130,27 @@ def test_feasible_b_integrality_and_trace_identity():
                    - ((t * t - 1) ** 2 - 1)
                    - (t * t - 2) * (t * t - 1) * (r - 1) * t)
             assert lhs == 0
+
+
+def test_family_b_closed_forms_match_derive_params():
+    """family_B writes the spectrum from closed forms; derive_params'
+    exact arithmetic is the oracle for every member with t <= 1000."""
+    for fb in feasible_B(1000):
+        p = fb.params
+        oracle = derive_params(p.n, p.r, p.mu)
+        assert p == oracle and p.to_json() == oracle.to_json()
+
+
+@given(st.sampled_from([5, 7, 11, 13, 25, 35, 49, 77, 143]),
+       st.integers(min_value=200, max_value=10**4))
+@settings(max_examples=100, deadline=None)
+def test_family_b_closed_forms_large_t(r, k):
+    t = 1 + r * k
+    n, mu = (t * t - 1) ** 2, (t - 1) ** 2 * (t * t + t - 1) // r
+    p = family_B(t, r).params
+    assert (p.n, p.r, p.mu) == (n, r, mu)
+    oracle = derive_params(n, r, mu)
+    assert p == oracle and p.to_json() == oracle.to_json()
 
 
 def test_feasible_b_large_sweep_parity():

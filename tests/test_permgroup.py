@@ -116,9 +116,12 @@ def test_chain_order_equals_closure_for_corpus_groups():
 
 
 def test_aut_hexagon_cube_orders():
-    assert automorphism_group(hexagon()).order() == 12
-    assert automorphism_group(cube()).order() == 48
-    assert automorphism_group(icosahedron()).order() == 120
+    """The dihedral group of the hexagon, and the full symmetry groups
+    (rotations times the central inversion) of the cube and icosahedron,
+    also on a seeded relabelling."""
+    for build, order in ((hexagon, 12), (cube, 48), (icosahedron, 120)):
+        assert automorphism_group(build()).order() == order
+        assert automorphism_group(relabelled(build(), 5)).order() == order
 
 
 def test_aut_cube_brute_force_oracle():
@@ -180,7 +183,8 @@ def test_subgroups_of_small_groups():
     assert orders == [1, 2, 2, 2, 4]
 
 
-@pytest.mark.parametrize("name", ["hexagon", "cube", "icosahedron", "ts31"])
+@pytest.mark.parametrize("name", ["hexagon", "cube", "icosahedron", "ts31",
+                                  "ts41"])
 def test_covers_isomorphic_relabelled(corpus, name):
     g = corpus[name]
     assert covers_isomorphic(g, relabelled(g, 1))
