@@ -3,8 +3,8 @@
 Subcommands: params, build, verify, analyze, quotient, etf, lemma-check,
 cases.  Output is canonical JSON (sorted keys, 15 significant digits for
 floats) so golden-file comparisons are stable; every run embeds its full
-configuration.  Exit codes: 0 success/verified, 1 verification or case-match
-failure, 2 bad input.
+configuration.  Exit codes: 0 success/verified, 1 verification, certificate
+or case-match failure, 2 bad input.
 """
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import casecheck, constructions, numtheory
-from .frames import all_characters, character_matrix, extract_lines
+from .frames import (SpectrumCertificateError, all_characters,
+                     character_matrix, extract_lines)
 from .graphcore import CoverGraph, GraphStructureError, verify_cover
 from .groupops import (arc_orbit_count, covering_group, fibre_action,
                        involution_audit, quotient_cover, structure_audit,
@@ -215,7 +216,11 @@ def cmd_etf(args) -> int:
         print(f"--char must be in 1..{len(chars) - 1} (0 is trivial)",
               file=sys.stderr)
         return EXIT_USAGE
-    s = character_matrix(g, chars[args.char], kernel=kernel)
+    try:
+        s = character_matrix(g, chars[args.char], kernel=kernel)
+    except SpectrumCertificateError as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     lines = extract_lines(s, args.side, tol=args.tol)
     ok = (lines.certificates["equiangular"] and lines.certificates["tight"]
           and lines.certificates["relative_bound_equality"])

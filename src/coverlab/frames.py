@@ -4,15 +4,17 @@ From an abelian cover and a nontrivial character chi of its covering group K
 one forms the n x n Hermitian signature matrix S: pick a base vertex per
 fibre (minimum label), and for fibres F != F' set S[F, F'] = chi(k) where
 k in K moves the matched partner of F's base vertex inside F' onto F''s base
-vertex.  The eigenvalues of S are certified to lie in {theta, tau} of the
-cover; projecting onto one eigenspace and rescaling to unit diagonal yields
-the Gram matrix of n equiangular unit vectors meeting the relative bound
-(an equiangular tight frame), with dimensions n - m_theta/(r-1) and
-n - m_tau/(r-1) on the two sides.
+vertex.  The spectrum of S is certified to be {theta, tau} of the cover by
+the identity S^2 - (theta+tau)S + theta*tau*I = 0, which for a Hermitian,
+non-scalar S holds exactly when its eigenvalues are theta and tau; tr S = 0
+then fixes the multiplicities exactly.  Projecting onto one eigenspace and
+rescaling to unit diagonal yields the Gram matrix of n equiangular unit
+vectors meeting the relative bound (an equiangular tight frame), with
+dimensions n - m_theta/(r-1) and n - m_tau/(r-1) on the two sides.
 
-Eigendecomposition is a hand-rolled cyclic Jacobi for Hermitian matrices so
-the certification tolerances are self-contained; numpy's eigh is used only
-as an independent oracle in the test suite.
+hermitian_jacobi is a standalone cyclic Jacobi eigensolver for Hermitian
+matrices; nothing in the library calls it, and numpy's eigvalsh serves as
+the independent oracle in the test suite.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exact import QuadExt
 from .graphcore import CoverGraph, params_of
 from .groupops import covering_group, fixes_fibres, kernel_info
 from .params import CoverParams
@@ -168,6 +171,7 @@ class CharacterMatrix:
     params: CoverParams
     eigenvalues: tuple          # certified: ((theta, mult), (tau, mult))
     max_eigen_residual: float
+    trace_deviation: float
 
     @property
     def n(self) -> int:
@@ -183,9 +187,11 @@ def character_matrix(g: CoverGraph, chi: Character,
     (g is verified only when none is recorded).  The covering group is
     found by covering_group(g) when not supplied; a supplied kernel is not
     searched again: its generators must fix every fibre, and its order,
-    abelianity and regularity are read from it directly.  The eigenvalues of
-    the result are certified against the cover's {theta, tau} (clustering
-    tolerance 1e-8, membership tolerance 1e-10 relative).
+    abelianity and regularity are read from it directly.  Row i is read off
+    the neighbours of base vertex i through a carrier table: for each vertex
+    x, chi of the kernel element taking x to its fibre's base.  The spectrum
+    is certified to be the cover's {theta, tau} by certify_two_eigenvalues
+    (relative tolerance CERTIFICATE_TOL).
     """
     params = params_of(g)
     if kernel is None:
@@ -207,62 +213,92 @@ def character_matrix(g: CoverGraph, chi: Character,
         if sorted(g.fibre_of[b] for b in bases) != list(range(n)):
             raise FrameError("need exactly one base vertex per fibre")
         bases = sorted(bases, key=lambda b: g.fibre_of[b])
-    elements = list(kernel.elements())
+
+    # carrier[x] = chi(k) for the first k in K with k(x) = base of x's fibre
+    base_of = [bases[j] for j in g.fibre_of]
+    carrier = [None] * g.v
+    for k in kernel.elements():
+        value = chi(k)
+        for x, y in enumerate(k.img):
+            if y == base_of[x] and carrier[x] is None:
+                carrier[x] = value
 
     s = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        bi = bases[i]
-        nbrs = g.adj[bi]
-        for j in range(n):
-            if i == j:
-                continue
-            partner = None
-            for x in g.fibres[j]:
-                if (nbrs >> x) & 1:
-                    partner = x
-                    break
-            # matched partner of base i inside fibre j; kernel element
-            # carrying it to base j defines the entry
-            carrier = None
-            for k in elements:
-                if k[partner] == bases[j]:
-                    carrier = k
-                    break
-            if carrier is None:
+    for i, b in enumerate(bases):
+        # the neighbours of base i are its matched partners in the other fibres
+        for x in g.neighbours(b):
+            if carrier[x] is None:
                 raise FrameError("covering group is not transitive on a fibre")
-            s[i, j] = chi(carrier)
+            s[i, g.fibre_of[x]] = carrier[x]
 
-    if not np.allclose(s, s.conj().T, atol=1e-12):
-        raise FrameError("signature matrix is not Hermitian")
-
-    evals, _ = hermitian_jacobi(s)
-    clusters = _cluster(sorted(evals), 1e-8)
-    theta_f, tau_f = float(params.theta), float(params.tau)
-    certified = []
-    scale = max(abs(theta_f), abs(tau_f), 1.0)
-    residual = 0.0
-    for center, mult in clusters:
-        best = min((theta_f, tau_f), key=lambda t: abs(t - center))
-        residual = max(residual, abs(center - best) / scale)
-        certified.append((best, mult))
-    if len(clusters) != 2 or residual > 1e-10:
-        raise FrameError(
-            f"eigenvalues {clusters} not certified against "
-            f"theta={theta_f}, tau={tau_f}")
-    certified.sort(key=lambda c: -c[0])
+    cert = certify_two_eigenvalues(s, params.theta, params.tau)
     return CharacterMatrix(matrix=s, base_vertices=tuple(bases),
-                           params=params, eigenvalues=tuple(certified),
-                           max_eigen_residual=residual)
+                           params=params, eigenvalues=cert.eigenvalues,
+                           max_eigen_residual=cert.residual,
+                           trace_deviation=cert.trace)
 
 
-def _cluster(sorted_vals, tol):
-    groups: list[list[float]] = []
-    for x in sorted_vals:
-        if groups and x - groups[-1][-1] <= tol:
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-    return [(sum(grp) / len(grp), len(grp)) for grp in groups]
+# -- spectrum certificate --------------------------------------------------------
+
+CERTIFICATE_TOL = 1e-10
+
+
+class SpectrumCertificateError(FrameError):
+    """A matrix failed the two-eigenvalue certificate; carries the witness."""
+
+    def __init__(self, message: str, residual: float, m_theta):
+        super().__init__(message)
+        self.residual = residual
+        self.m_theta = m_theta
+
+
+@dataclass(frozen=True)
+class SpectrumCertificate:
+    eigenvalues: tuple      # ((theta, m_theta), (tau, m_tau)), largest first
+    residual: float         # max|S^2 - (theta+tau)S + theta*tau*I| / scale^2
+    trace: float            # |tr S|
+
+
+def certify_two_eigenvalues(s: np.ndarray, theta: QuadExt,
+                            tau: QuadExt) -> SpectrumCertificate:
+    """Certify that s has exactly the two eigenvalues theta and tau.
+
+    A Hermitian matrix is diagonalisable, so R = s^2 - (theta+tau)s +
+    theta*tau*I vanishes exactly when every eigenvalue is theta or tau; a
+    non-scalar s then has both.  With tr s = 0 the multiplicities follow:
+    m_theta = -n*tau/(theta - tau), evaluated exactly, which must be an
+    integer in 1..n-1 (this also rules out a scalar s).  The residual
+    max|R| / max(|theta|, |tau|, 1)^2, the Hermitian deviation and
+    |tr s| / max(|theta|, |tau|, 1) must not exceed CERTIFICATE_TOL;
+    otherwise SpectrumCertificateError is raised with the residual and
+    m_theta.
+    """
+    n = s.shape[0]
+    if s.shape != (n, n):
+        raise FrameError("matrix must be square")
+    if theta == tau:
+        raise FrameError("theta and tau must differ")
+    theta_f, tau_f = float(theta), float(tau)
+    scale = max(abs(theta_f), abs(tau_f), 1.0)
+    r = s @ s - (theta_f + tau_f) * s
+    r[np.diag_indices(n)] += theta_f * tau_f
+    residual = float(np.max(np.abs(r))) / scale ** 2
+    hermitian = float(np.max(np.abs(s - s.conj().T)))
+    trace = abs(complex(np.trace(s)))
+    m_theta = -tau * n / (theta - tau)
+    if (residual > CERTIFICATE_TOL or hermitian > CERTIFICATE_TOL
+            or trace > CERTIFICATE_TOL * scale
+            or not (m_theta.is_integer and 0 < m_theta < n)):
+        raise SpectrumCertificateError(
+            f"spectrum not certified against theta={theta_f}, tau={tau_f}: "
+            f"residual {residual:.3g}, hermitian deviation {hermitian:.3g}, "
+            f"|tr S| {trace:.3g}, m_theta {m_theta} (n = {n})",
+            residual, m_theta)
+    m = int(m_theta)
+    eigenvalues = tuple(sorted(((theta_f, m), (tau_f, n - m)),
+                               key=lambda c: -c[0]))
+    return SpectrumCertificate(eigenvalues=eigenvalues, residual=residual,
+                               trace=trace)
 
 
 # -- Hermitian Jacobi eigensolver ------------------------------------------------

@@ -93,6 +93,20 @@ def test_etf_subcommand(tmp_path, capsys):
     assert blob["config"]["args"]["tol"] == 1e-9
 
 
+def test_etf_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
+    """A failed spectrum certificate is a failure (1), not bad input (2)."""
+    certify = coverlab.frames.certify_two_eigenvalues
+    monkeypatch.setattr(coverlab.frames, "certify_two_eigenvalues",
+                        lambda s, theta, tau: certify(s, theta + 1, tau))
+    path = tmp_path / "ts31.json"
+    path.write_text(thas_somma(3, 1).to_json_str())
+    assert main(["etf", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certificate failed: ")
+    assert "residual" in captured.err and "m_theta 36/7" in captured.err
+
+
 def test_quotient_subcommand(tmp_path, capsys):
     path = tmp_path / "ts41.json"
     path.write_text(thas_somma(4, 1).to_json_str())

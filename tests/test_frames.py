@@ -1,19 +1,27 @@
-"""Character matrices, Jacobi eigensolver, and ETF certificates.
+"""Character matrices, the two-eigenvalue certificate, and ETF certificates.
 
-numpy.linalg.eigh serves as the independent oracle for the hand-rolled
-Jacobi; line-system angles are checked against the tight-frame identity
-alpha^2 = (n-d)/(d(n-1)) computed from first principles.
+numpy.linalg.eigvalsh is the independent oracle for the multiplicities the
+quadratic-identity certificate derives, and for the standalone Jacobi
+eigensolver; the certificate must fail on perturbed matrices, on the wrong
+{theta, tau} and on a matrix with three eigenvalues.  Line-system angles are
+checked against the tight-frame identity alpha^2 = (n-d)/(d(n-1)) computed
+from first principles, and the certified spectrum and line certificates
+against seeded relabellings.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverlab import (all_characters, character_matrix, covering_group, cube,
                       extract_lines, hexagon, hermitian_jacobi, icosahedron,
-                      lines_from_cover, quotient_cover, subgroups_of,
-                      thas_somma, verify_etf)
-from coverlab.frames import FrameError, LineSystem, _abelian_basis
+                      lines_from_cover, params_of, quotient_cover,
+                      subgroups_of, thas_somma, verify_etf)
+from coverlab.exact import QuadExt
+from coverlab.frames import (FrameError, LineSystem, SpectrumCertificateError,
+                             _abelian_basis, certify_two_eigenvalues)
 from coverlab.groupops import is_cover_automorphism
 from coverlab.perms import PermGroup, Permutation
+from conftest import relabelled
 
 
 def test_characters_of_cyclic_group(corpus):
@@ -248,3 +256,94 @@ def test_line_system_json(corpus):
     assert blob["d"] == 2 and blob["n"] == 3
     assert blob["gram"][0][0] == {"re": 1.0, "im": 0.0}
     assert "tightness_deviation" in blob["certificates"]
+
+
+def _ts31_signature(corpus):
+    g = corpus["ts31"]
+    kernel, _ = covering_group(g)
+    return character_matrix(g, all_characters(kernel)[1], kernel=kernel)
+
+
+def _certificate_error(s, theta, tau) -> SpectrumCertificateError:
+    with pytest.raises(SpectrumCertificateError) as info:
+        certify_two_eigenvalues(s, theta, tau)
+    exc = info.value
+    assert exc.residual > 1e-10
+    assert f"residual {exc.residual:.3g}" in str(exc)
+    return exc
+
+
+def test_certificate_rejects_perturbed_matrix(corpus):
+    sig = _ts31_signature(corpus)
+    p = sig.params
+    cert = certify_two_eigenvalues(sig.matrix, p.theta, p.tau)
+    assert cert.eigenvalues == ((2.0, 6), (-4.0, 3))
+    s = sig.matrix.copy()
+    s[0, 1] += 1e-6
+    s[1, 0] += 1e-6  # still Hermitian
+    exc = _certificate_error(s, p.theta, p.tau)
+    assert exc.m_theta == 6  # the multiplicity identity alone cannot tell
+
+
+def test_certificate_rejects_wrong_eigenvalues(corpus):
+    sig = _ts31_signature(corpus)
+    other = params_of(corpus["ts41"])
+    exc = _certificate_error(sig.matrix, other.theta, other.tau)
+    assert not exc.m_theta.is_integer  # 9*5/8
+
+
+def test_certificate_rejects_three_eigenvalues():
+    """Traceless, Hermitian, non-scalar, with m_theta an integer in 1..n-1:
+    only the quadratic identity can see the third eigenvalue."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    q, _ = np.linalg.qr(a)
+    theta, tau = QuadExt(2), QuadExt(-4)
+    good = q @ np.diag([2.0] * 6 + [-4.0] * 3) @ q.conj().T
+    assert certify_two_eigenvalues(good, theta, tau).eigenvalues == \
+        ((2.0, 6), (-4.0, 3))
+    s = q @ np.diag([2.0] * 4 + [-4.0] * 2 + [0.0] * 3) @ q.conj().T
+    assert len(set(np.round(np.linalg.eigvalsh(s), 8))) == 3
+    exc = _certificate_error(s, theta, tau)
+    assert exc.m_theta == 6
+
+
+@pytest.mark.parametrize("name", ["hexagon", "cube", "icosahedron", "ts31",
+                                  "ts41", "ts22", "ts32"])
+def test_certified_multiplicities_match_eigvalsh(corpus, name):
+    extra = {"ts22": (2, 2), "ts32": (3, 2)}
+    g = corpus[name] if name in corpus else thas_somma(*extra[name])
+    kernel, _ = covering_group(g)
+    for chi in all_characters(kernel)[1:]:
+        s = character_matrix(g, chi, kernel=kernel)
+        p = s.params
+        evals = np.linalg.eigvalsh(s.matrix)
+        counts = [int(np.sum(np.abs(evals - float(x)) <= 1e-8))
+                  for x in (p.theta, p.tau)]
+        from_params = [int(m / (p.r - 1)) for m in (p.m_theta, p.m_tau)]
+        certified = [m for _, m in s.eigenvalues]
+        assert certified == counts == from_params, (name, chi.index)
+        assert s.trace_deviation <= 1e-10
+
+
+def _spectra_and_certificates(g):
+    kernel, _ = covering_group(g)
+    eigenvalues, certs = set(), []
+    for chi in all_characters(kernel)[1:]:
+        s = character_matrix(g, chi, kernel=kernel)
+        eigenvalues.add(s.eigenvalues)
+        certs.append(tuple(
+            tuple(sorted((k, v) for k, v in
+                         extract_lines(s, side).certificates.items()
+                         if isinstance(v, bool)))
+            for side in ("theta", "tau")))
+    return eigenvalues, sorted(certs)
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(["icosahedron", "ts31", "ts41"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_certificates_invariant_under_relabelling(corpus, name, seed):
+    g = corpus[name]
+    assert (_spectra_and_certificates(relabelled(g, seed))
+            == _spectra_and_certificates(g))
