@@ -174,7 +174,9 @@ def cmd_analyze(args) -> int:
         invs = []
         count = 0
         for p in aut.elements(limit=100_000):
-            if p.order() == 2:
+            img = p.img
+            if (all(img[y] == x for x, y in enumerate(img))
+                    and not p.is_identity()):
                 items = involution_audit(g, p)
                 bad = [i.to_json() for i in items if i.status == "fail"]
                 invs.append({"fixed_points": len(p.fixed_points()),

@@ -13,7 +13,9 @@ inherit the cover structure with fibre size divided and mu multiplied by the
 subgroup order, which quotient_cover re-verifies rather than assumes.  The
 audit functions turn the assertable group-theoretic identities (arc orbits
 vs rank, displacement counts, fixed subgraphs of involutions, rank-3
-subdegree relations) into pass/fail reports on concrete instances.  Stages
+subdegree relations) into pass/fail reports on concrete instances;
+structure_audit reads its subgroups off two chains of G, with bases
+(a, F - {a}) and (F*, K - 1, a).  Stages
 that need a verified cover take the report verify_cover recorded on the
 graph (graphcore.cover_report), and K is recorded there too, so a graph is
 verified and its K found once however many stages use them.
@@ -31,17 +33,6 @@ from .perms import PermGroup, Permutation
 
 
 # -- basic actions -----------------------------------------------------------
-
-def extend_to_fibres(g: CoverGraph, perm: Permutation) -> Permutation:
-    """Action on vertices followed by the induced action on fibre points.
-
-    The extended domain is 0..v-1 plus one point v+i per fibre i.
-    """
-    img = list(perm.img)
-    for i, f in enumerate(g.fibres):
-        img.append(g.v + g.fibre_of[perm[f[0]]])
-    return Permutation(img)
-
 
 def fibre_image(g: CoverGraph, perm: Permutation) -> Permutation:
     """The permutation induced on the fibre set."""
@@ -487,11 +478,12 @@ def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
     Checks, on the concrete group: C = C_G(K) meet G_a and M = K : G_a
     (semidirect with trivial intersection); the index |G : M| equals the
     fibre count; |Fix(G_a)| = |N_G(G_a) : G_a| divides nr; and
-    |Fix_Sigma(M)| = |N_G(M) : M| divides n.  Every number comes from
-    chains and membership tests, none from an element scan: C_G(K) meet G_a
-    is a prefix stabilizer of G acting on the vertices and, by conjugation,
-    on K minus 1; |N_G(H) : H| counts the transversal elements t (one per
-    fibre for M) with t^-1 H t inside H.
+    |Fix_Sigma(M)| = |N_G(M) : M| divides n.  Each group is a tail of one
+    of two chains of G, and nothing scans elements: on the vertices with
+    base (a, F - {a}), G_a and C; on the vertices, a point F* per fibre and
+    a point per element of K - 1 (by conjugation) with base (F*, K - 1, a),
+    M and C_G(K) meet G_a, as G_a <= M.  |N_G(H) : H| counts the first
+    chain's transversal elements t (one per fibre for M) with H^t <= H.
     """
     lemma = "stabilizer-structure"
     out: list[AuditItem] = []
@@ -506,17 +498,26 @@ def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
     a = 0
     fa_idx = g.fibre_of[a]
     fibre = g.fibres[fa_idx]
-    # one chain with base a: G_a, and t_b sending a to b for every vertex b
-    a_chain = PermGroup(group.generators, g.v, base_hint=(a,))
-    g_a = PermGroup(a_chain.stabilizer_prefix_gens(1), g.v)
-    moves = a_chain.transversal()
-    c_point = group.pointwise_stabilizer(fibre)          # C = G_F
-    # M = setwise stabilizer of F, via the extended domain
-    ext = [extend_to_fibres(g, p) for p in group.generators]
-    ext_group = PermGroup(ext, g.v + g.n, base_hint=(g.v + fa_idx,))
-    m_gens = [Permutation(p.img[:g.v])
-              for p in ext_group.stabilizer_prefix_gens(1)]
-    m_group = PermGroup(m_gens, g.v)
+    chain1 = PermGroup(group.generators, g.v,
+                       base_hint=(a, *(x for x in fibre if x != a)))
+    g_a, c_point = chain1.stabilizer(1), chain1.stabilizer(len(fibre))
+    moves = chain1.transversal()              # t_b sends a to b
+    ks = kernel.generators                    # K - 1, as K is regular
+    k_point = {k.img: g.v + g.n + j for j, k in enumerate(ks)}
+
+    def extend(p: Permutation) -> Permutation:
+        """p on the vertices, on the point v + i of each fibre i and, by
+        k -> p^-1 k p, on the point k_point[k] of each k in ks."""
+        inv = p.inverse()
+        return Permutation(p.img
+                           + tuple(g.v + g.fibre_of[p[f[0]]] for f in g.fibres)
+                           + tuple(k_point[(inv * k * p).img] for k in ks))
+
+    chain2 = PermGroup([extend(p) for p in group.generators],
+                       g.v + g.n + len(ks),
+                       base_hint=(g.v + fa_idx, *k_point.values(), a))
+    m_group = chain2.stabilizer(1)
+    cgk_a = chain2.stabilizer(len(ks) + 2)
 
     order_g = group.order()
     order_m = m_group.order()
@@ -532,18 +533,10 @@ def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
                          {"|M|": order_m, "|K|": kernel.order(),
                           "|Ga|": g_a.order()}))
 
-    # C_G(K) meet G_a: fix the points of ks = K - 1 (its generators), then a
-    ks = kernel.generators
-    index = {k.img: g.v + i for i, k in enumerate(ks)}
-    conj = PermGroup(
-        [_extend_by_conjugation(p, ks, index) for p in group.generators],
-        g.v + len(ks), base_hint=tuple(index.values()) + (a,))
-    cgk_a = PermGroup([Permutation(p.img[:g.v])
-                       for p in conj.stabilizer_prefix_gens(len(ks) + 1)],
-                      g.v)
     ok = (cgk_a.order() == c_point.order()
-          and all(p in c_point for p in cgk_a.generators)
-          and all(p in cgk_a for p in c_point.generators))
+          and all(Permutation(p.img[:g.v]) in c_point
+                  for p in cgk_a.generators)
+          and all(extend(p) in cgk_a for p in c_point.generators))
     out.append(AuditItem(lemma, "C=CG(K)^Ga", "pass" if ok else "fail",
                          {"|C|": c_point.order(),
                           "|CG(K) meet Ga|": cgk_a.order()}))
@@ -558,10 +551,10 @@ def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
         {"|Fix(Ga)|": len(fix_ga), "|N:Ga|": idx, "nr": g.v}))
 
     fixed_fibres = [i for i in range(g.n)
-                    if all(fibre_image(g, p)[i] == i
-                           for p in m_group.generators)]
+                    if all(p[g.v + i] == g.v + i for p in m_group.generators)]
     # moves[f[0]] sends F to fibre f; M is normalised by all or none of those
-    idx_m = sum(1 for f in g.fibres if _normalizes(moves[f[0]], m_group))
+    idx_m = sum(1 for f in g.fibres
+                if _normalizes(extend(moves[f[0]]), m_group))
     ok = (len(fixed_fibres) == idx_m
           and g.n % max(len(fixed_fibres), 1) == 0)
     out.append(AuditItem(
@@ -569,13 +562,6 @@ def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
         "pass" if ok else "fail",
         {"|FixSigma(M)|": len(fixed_fibres), "|N:M|": idx_m, "n": g.n}))
     return out
-
-
-def _extend_by_conjugation(perm: Permutation, ks, index) -> Permutation:
-    """perm, then k -> perm^-1 k perm on the point index[k] for k in ks."""
-    inv = perm.inverse()
-    return Permutation(perm.img + tuple(index[(inv * k * perm).img]
-                                        for k in ks))
 
 
 def _normalizes(t: Permutation, sub: PermGroup) -> bool:

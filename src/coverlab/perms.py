@@ -5,12 +5,12 @@ are prepended from an optional hint (enabling pointwise set stabilizers,
 e.g. the kernel of an action), otherwise chosen as the first moved point.
 Orders, membership, stabilizers, transversals and lazy element iteration
 all come from the chain, so orders in the tens of millions are fine at
-degree <= about 1000 as long as nothing scans every element.
+degree <= about 1000 as long as nothing scans every element.  A stabilizer
+is a chain tail and runs no Schreier-Sims (Seress 2003, section 4.1).
 """
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
 from math import gcd
 
 
@@ -103,6 +103,7 @@ def _first_moved(g: Permutation) -> int:
 
 
 class _Level:
+    # Stabilizer tails share levels: none is mutated once its chain is built.
     __slots__ = ("point", "orbit")
 
     def __init__(self, point: int):
@@ -226,12 +227,17 @@ class PermGroup:
             g = g * lvl.orbit[x].inverse()
         return g.is_identity()
 
-    def stabilizer_prefix_gens(self, k: int) -> list[Permutation]:
-        """Strong generators fixing the first k base points pointwise."""
-        self._chain()
-        pts = self.base[:k]
-        return [g for g in self._strong
-                if all(g[p] == p for p in pts)]
+    def stabilizer(self, k: int) -> "PermGroup":
+        """Pointwise stabilizer of the first k base points: the strong
+        generators fixing them, with levels k, k+1, ... as its chain
+        (Seress, Permutation Group Algorithms, 2003, 4.1)."""
+        levels = self._chain()
+        pts = [l.point for l in levels[:k]]
+        sub = PermGroup([g for g in self._strong
+                         if all(g[p] == p for p in pts)], self.degree)
+        sub._levels = levels[k:]
+        sub._strong = sub.generators
+        return sub
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Stabilizer of a single point, as a new group."""
@@ -242,11 +248,10 @@ class PermGroup:
         return dict(self._chain()[0].orbit)
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
-        """Stabilizer of a set of points, pointwise."""
+        """Stabilizer of a set of points, pointwise: one chain's tail."""
         points = tuple(points)
-        sub = PermGroup(self.generators, self.degree, base_hint=points)
-        gens = sub.stabilizer_prefix_gens(len(points))
-        return PermGroup(gens, self.degree)
+        chain = PermGroup(self.generators, self.degree, base_hint=points)
+        return chain.stabilizer(len(points))
 
     # -- orbits ---------------------------------------------------------------
 
@@ -286,16 +291,15 @@ class PermGroup:
     # -- element iteration -----------------------------------------------------
 
     def elements(self, limit: int = 200_000):
-        """Iterate the elements (products over the transversal chain);
-        ValueError comes only when element limit + 1 is asked for."""
-        levels = self._chain()
-        transversals = [[lvl.orbit[x] for x in sorted(lvl.orbit)] for lvl in levels]
-        for count, combo in enumerate(product(*transversals)):
+        """Iterate t_L ... t_1 t_0 over the sorted transversals, last level
+        fastest, one product per element: each level multiplies onto the
+        slower levels' products.  ValueError only for element limit + 1."""
+        products = iter([Permutation.identity(self.degree)])
+        for lvl in self._chain():
+            products = _times_transversal(lvl, products)
+        for count, g in enumerate(products):
             if count == limit:
                 raise ValueError(f"more than {limit} elements requested")
-            g = Permutation.identity(self.degree)
-            for t in reversed(combo):
-                g = g * t
             yield g
 
     def normalizer(self, sub: "PermGroup", limit: int = 200_000) -> "PermGroup":
@@ -317,6 +321,14 @@ class PermGroup:
             if all((g * s).img == (s * g).img for s in other.generators):
                 gens.append(g)
         return PermGroup(gens or [], self.degree)
+
+
+def _times_transversal(level: _Level, products):
+    """t * p for each p in products and, within it, each t of the level."""
+    transversal = [level.orbit[x] for x in sorted(level.orbit)]
+    for p in products:
+        for t in transversal:
+            yield t * p
 
 
 def closure_elements(generators, degree: int, limit: int = 200_000) -> set[tuple]:

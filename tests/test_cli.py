@@ -171,6 +171,22 @@ def test_analyze_finds_the_covering_group_once(tmp_path, capsys,
     assert len(calls) == 1
 
 
+def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):
+    """analyze --audits on TS(3,1) runs Schreier-Sims 8 times: Aut, K for
+    the covering group and again for the arc orbits and the audit, the
+    fibre group's stabilizer chain twice (fibre action, subdegree check)
+    and the audit's two chains of Aut."""
+    from coverlab.perms import PermGroup
+    builds = []
+    build = PermGroup._build_chain
+    monkeypatch.setattr(PermGroup, "_build_chain",
+                        lambda self: builds.append(self) or build(self))
+    path = tmp_path / "ts31.json"
+    path.write_text(thas_somma(3, 1).to_json_str())
+    code, _ = run_cli(["analyze", "--audits", str(path)], capsys)
+    assert code == 0 and len(builds) == 8
+
+
 def gosset_cover(convention: int):
     """Taylor extension of the Schlaefli graph: the double cover of K_28
     from the Seidel matrix of T(8), the line graph of K_8, whose switching

@@ -39,6 +39,7 @@ def test_cli_matches_golden(name, capsys):
 
 
 ANALYZE_COVERS = {"hexagon": hexagon, "cube": cube, "icosahedron": icosahedron,
+                  "ts22": lambda: thas_somma(2, 2),
                   "ts31": lambda: thas_somma(3, 1),
                   "ts41": lambda: thas_somma(4, 1)}
 

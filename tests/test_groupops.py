@@ -414,17 +414,53 @@ def test_structure_audit_matches_element_scan(name):
 
 def test_structure_audit_can_fail(corpus, auts, monkeypatch):
     """G_a put in place of C = G_F must fail the C = C_G(K) meet G_a item:
-    on TS(3,1), |G_a| = 48 while |C| = |C_G(K) meet G_a| = 24.  Vertex 0
-    comes first in its fibre, so fixing that first point gives G_a."""
+    on TS(3,1), |G_a| = 48 while |C| = |C_G(K) meet G_a| = 24.  C is the
+    tail of the audit's chain on the vertices after r points; the tail
+    after one point, G_a, is read instead."""
     g, aut = corpus["ts31"], auts["ts31"]
-    assert g.fibres[g.fibre_of[0]][0] == 0
-    pointwise = PermGroup.pointwise_stabilizer
-    monkeypatch.setattr(PermGroup, "pointwise_stabilizer",
-                        lambda self, points: pointwise(self, points[:1]))
+    stabilizer = PermGroup.stabilizer
+    monkeypatch.setattr(
+        PermGroup, "stabilizer",
+        lambda self, k: stabilizer(self, 1 if self.degree == g.v else k))
     by_name = {i.item: i for i in structure_audit(g, aut)}
     assert by_name["C=CG(K)^Ga"].status == "fail"
     assert by_name["C=CG(K)^Ga"].witness == {"|C|": 48,
                                               "|CG(K) meet Ga|": 24}
+
+
+def test_structure_audit_fails_with_ga_for_m(corpus, auts, monkeypatch):
+    """G_a put in place of M = G_{F} must fail |G : M| = n on TS(3,1):
+    |G| = 1296 = 144 * 9, but 48 * 9 = 432.  M is the tail after one point
+    of the audit's chain on the extended domain; G_a of that same action
+    is read instead."""
+    g, aut = corpus["ts31"], auts["ts31"]
+    stabilizer = PermGroup.stabilizer
+
+    def ga_for_m(self, k):
+        if self.degree == g.v or k != 1:
+            return stabilizer(self, k)
+        return stabilizer(PermGroup(self.generators, self.degree,
+                                    base_hint=(0,)), 1)
+
+    monkeypatch.setattr(PermGroup, "stabilizer", ga_for_m)
+    by_name = {i.item: i for i in structure_audit(g, aut)}
+    assert by_name["index-G:M-equals-n"].status == "fail"
+    assert by_name["index-G:M-equals-n"].witness == {"|G|": 1296, "|M|": 48,
+                                                     "n": 9}
+
+
+def test_structure_audit_builds_two_chains(corpus, auts, monkeypatch):
+    """With G's chain built, the audit runs Schreier-Sims three times: its
+    two chains of G, whose tails give every subgroup, and K's chain."""
+    g, aut = corpus["ts31"], auts["ts31"]
+    aut.order()
+    builds = []
+    build = PermGroup._build_chain
+    monkeypatch.setattr(PermGroup, "_build_chain",
+                        lambda self: builds.append(self) or build(self))
+    items = structure_audit(g, aut)
+    assert all(i.status == "pass" for i in items)
+    assert len(builds) == 3
 
 
 def test_non_automorphism_groups_rejected(corpus):

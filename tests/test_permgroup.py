@@ -284,9 +284,55 @@ def test_pointwise_stabilizer_random_vs_brute():
         grp = PermGroup(gens)
         pts = rng.sample(range(n), rng.randint(1, 3))
         stab = grp.pointwise_stabilizer(pts)
-        brute = [e for e in closure_elements(gens, n)
-                 if all(e[p] == p for p in pts)]
+        elements = closure_elements(gens, n)
+        brute = {e for e in elements if all(e[p] == p for p in pts)}
         assert stab.order() == len(brute)
+        assert {p.img for p in stab.elements()} == brute
+        for e in elements:
+            assert (Permutation(e) in stab) == (e in brute)
+
+
+def test_pointwise_stabilizer_builds_one_chain(monkeypatch):
+    """The stabilizer is a tail of the chain based at its points, so its
+    order needs no second Schreier-Sims."""
+    import random
+    builds = []
+    build = PermGroup._build_chain
+    monkeypatch.setattr(PermGroup, "_build_chain",
+                        lambda self: builds.append(self) or build(self))
+    rng = random.Random(12)
+    for _ in range(20):
+        grp = random_group(rng)
+        pts = rng.sample(range(grp.degree), rng.randint(1, grp.degree - 1))
+        builds.clear()
+        grp.pointwise_stabilizer(pts).order()
+        assert len(builds) == 1
+
+
+def test_elements_follow_the_transversal_product_order():
+    """elements() yields t_L ... t_1 t_0 over the sorted transversals with
+    the last level fastest, as the product formula below does, for the
+    full group and up to each limit."""
+    import random
+    from itertools import product
+    rng = random.Random(13)
+    for _ in range(40):
+        grp = random_group(rng, n_max=7)
+        transversals = [[lvl.orbit[x] for x in sorted(lvl.orbit)]
+                        for lvl in grp._chain()]
+        oracle = []
+        for combo in product(*transversals):
+            g = Permutation.identity(grp.degree)
+            for t in reversed(combo):
+                g = g * t
+            oracle.append(g)
+        assert list(grp.elements(len(oracle))) == oracle
+        for limit in {0, 1, 7, len(oracle) - 1} & set(range(len(oracle))):
+            seen = []
+            with pytest.raises(ValueError, match=f"more than {limit}"):
+                for p in grp.elements(limit):
+                    seen.append(p)
+            assert seen == oracle[:limit]
 
 
 def test_normalizer_and_centralizer():
