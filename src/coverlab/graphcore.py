@@ -8,15 +8,18 @@ common neighbours, and adjacent pairs have lambda = n - (r-1)mu - 2 of them.
 These axioms fix every distance, so no further BFS is needed: vertices in
 one fibre are at distance 3, and cross-fibre pairs at distance 1 or 2
 (mu >= 1).  The diameter is 3 and the fibres are the distance-3 classes.
-Adjacency is stored as bit rows, so common-neighbour counts are popcounts.
-A passing report is recorded on the graph, which never changes after
-construction; cover_report hands it to later stages so that each graph is
-verified once.
+Adjacency is stored as bit rows; bit_matrix unpacks them into the 0/1
+matrix A, and the axioms are read off two BLAS products: neighbour counts
+per fibre are entries of A·F (F the fibre indicator), and common-neighbour
+counts are entries of A·A.  A passing report is recorded on the graph,
+which never changes after construction; cover_report hands it to later
+stages so that each graph is verified once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +29,11 @@ from .params import CoverParams, derive_params
 
 class GraphStructureError(ValueError):
     """Malformed input (bad partition, unknown vertex), not an axiom failure."""
+
+
+# float32 holds every integer up to 2^24 exactly; verify_cover's products sum
+# 0/1 terms, so each partial sum is at most the largest degree
+FLOAT32_EXACT = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -65,17 +73,19 @@ class CoverGraph:
 
     Fibres are canonicalised on construction: each fibre sorted ascending,
     fibres ordered by minimum element.  The constructor checks only the
-    partition structure; the cover axioms (including fibres being cocliques)
-    are the business of verify_cover, so invalid candidates can be built and
-    then diagnosed.  verify_cover records a passing report on the graph, and
-    covering_group the fibre-fixing automorphisms.
+    partition structure and the edge list: vertex labels are ints (numpy
+    integers too, never bools, floats or strings), endpoints lie in 0..v-1
+    and there are no loops.  The cover axioms (including fibres being
+    cocliques) are the business of verify_cover, so invalid candidates can
+    be built and then diagnosed.  verify_cover records a passing report on
+    the graph, and covering_group the fibre-fixing automorphisms.
     """
 
     __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_edges",
                  "_report", "_kernel")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
-        fibres = [sorted(int(x) for x in f) for f in fibres]
+        fibres = [sorted(_label(x, "fibre") for x in f) for f in fibres]
         fibres.sort(key=lambda f: f[0] if f else -1)
         seen: set[int] = set()
         for f in fibres:
@@ -83,7 +93,8 @@ class CoverGraph:
                 if x in seen:
                     raise GraphStructureError(f"vertex {x} in two fibres")
                 seen.add(x)
-        v = vertex_count if vertex_count is not None else (max(seen) + 1 if seen else 0)
+        v = (_label(vertex_count, "vertex count") if vertex_count is not None
+             else (max(seen) + 1 if seen else 0))
         if seen != set(range(v)):
             raise GraphStructureError("fibres do not partition 0..v-1")
         if not fibres:
@@ -97,31 +108,26 @@ class CoverGraph:
         if n < 3:
             raise GraphStructureError(f"need at least 3 fibres, got {n}")
 
-        adj = [0] * v
-        edge_set: set[tuple[int, int]] = set()
-        for u, w in edges:
-            u, w = int(u), int(w)
-            if not (0 <= u < v and 0 <= w < v):
-                raise GraphStructureError(f"edge ({u},{w}) out of range")
-            if u == w:
-                raise GraphStructureError(f"loop at {u}")
-            a, b = (u, w) if u < w else (w, u)
-            edge_set.add((a, b))
-        for a, b in edge_set:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+        pairs = _edge_array(edges, v)
+        a = np.zeros((v, v), dtype=bool)
+        a[pairs[:, 0], pairs[:, 1]] = True
+        a[pairs[:, 1], pairs[:, 0]] = True
+        packed = np.packbits(a, axis=1, bitorder="little")
+        us, ws = np.nonzero(np.triu(a, 1))
 
         self.v = v
         self.n = n
         self.r = r
         self.fibres = tuple(tuple(f) for f in fibres)
-        self.adj = tuple(adj)
+        self.adj = tuple(int.from_bytes(row, "little") for row in packed)
         fo = [0] * v
         for i, f in enumerate(self.fibres):
             for x in f:
                 fo[x] = i
         self.fibre_of = tuple(fo)
-        self._edges = tuple(sorted(edge_set))
+        # edge tuples share one int object per vertex
+        label = list(range(v)).__getitem__
+        self._edges = tuple(zip(map(label, us.tolist()), map(label, ws.tolist())))
         self._report: CoverReport | None = None
         self._kernel: tuple | None = None
 
@@ -141,10 +147,8 @@ class CoverGraph:
         return bool(self.adj[u] >> w & 1)
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.v, self.v), dtype=np.int64)
-        for u, w in self._edges:
-            a[u, w] = a[w, u] = 1
-        return a
+        """The 0/1 adjacency matrix, dtype uint8 (see bit_matrix)."""
+        return bit_matrix(self.adj, self.v)
 
     def toggled(self, u: int, w: int) -> "CoverGraph":
         """Copy with the adjacency of the pair (u, w) flipped."""
@@ -161,7 +165,8 @@ class CoverGraph:
     def relabelled(self, perm) -> "CoverGraph":
         """Image of the graph under a vertex permutation (perm[u] = new label)."""
         fibres = [[perm[x] for x in f] for f in self.fibres]
-        edges = [(perm[u], perm[w]) for u, w in self._edges]
+        images = np.array([perm[x] for x in range(self.v)])
+        edges = images[np.argwhere(np.triu(self.adjacency_matrix(), 1))]
         return CoverGraph(fibres, edges, self.v)
 
     # -- file format ---------------------------------------------------------
@@ -183,6 +188,62 @@ class CoverGraph:
             return CoverGraph(obj["fibres"], obj["edges"], obj["v"])
         except KeyError as exc:
             raise GraphStructureError(f"missing key {exc}") from exc
+
+
+def _is_label(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _label(x, what: str) -> int:
+    if not _is_label(x):
+        raise GraphStructureError(f"{what} label {x!r} is not an integer")
+    return int(x)
+
+
+def _edge_array(edges, v: int) -> np.ndarray:
+    """The edge list as an (m, 2) integer array, validated in one pass.
+
+    GraphStructureError names the first bad edge in input order: one with a
+    label that is not an integer (bools included), an endpoint outside
+    0..v-1, or a loop.  An integer array is taken as it is; a list has its
+    label types read in one sweep, and only when that finds a bad label are
+    the edges before it checked on their own, so that an earlier bad edge
+    is the one named.
+    """
+    if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
+        edges = list(edges)
+        if not all(t is not bool and issubclass(t, (int, np.integer))
+                   for t in set(map(type, chain.from_iterable(edges)))):
+            k = next(i for i, e in enumerate(edges)
+                     if not all(map(_is_label, e)))
+            _edge_array(edges[:k], v)
+            raise GraphStructureError(
+                f"edge {tuple(edges[k])!r} has a non-integer label")
+    e = np.asarray(edges)
+    if e.size == 0:
+        return np.zeros((0, 2), dtype=np.intp)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise GraphStructureError("edges must be vertex pairs")
+    bad = (e < 0).any(axis=1) | (e >= v).any(axis=1) | (e[:, 0] == e[:, 1])
+    if bad.any():
+        u, w = (int(x) for x in e[bad.argmax()])
+        if not (0 <= u < v and 0 <= w < v):
+            raise GraphStructureError(f"edge ({u},{w}) out of range")
+        raise GraphStructureError(f"loop at {u}")
+    return e.astype(np.intp)
+
+
+def bit_matrix(rows, width: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row i holds bits 0..width-1 of rows[i].
+
+    One np.unpackbits over the rows' little-endian bytes.
+    """
+    nbytes = (width + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    return np.unpackbits(
+        np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes),
+        axis=1, count=width, bitorder="little")
 
 
 def _bits(mask: int) -> list[int]:
@@ -241,16 +302,24 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     """Check the cover axioms, collecting up to max_violations per axiom.
 
     Always verifies; a passing report is recorded on g for cover_report.
-    One BFS checks connectivity.  Once (b)-(e) hold, the distances follow
-    without another: same-fibre vertices share no neighbour, since that
-    neighbour would have two neighbours in one fibre; cross-fibre
-    non-adjacent pairs are at distance 2, since mu >= 1; and u's matched
-    neighbour w in another fibre is non-adjacent to u's fibre mates, so
-    each is at distance 2 from w, hence at distance 3 from u.  So the
-    diameter is 3 and the fibres are the distance-3 classes.
+    One BFS checks connectivity.  The other axioms are read off the 0/1
+    adjacency matrix A through two float32 BLAS products: M = A·F, with F
+    the v x n fibre indicator, counts each vertex's neighbours per fibre
+    for (b) and (c), and C = A·A counts common neighbours for (d) and (e).
+    Their entries are sums of 0/1 terms, so they are exact while the
+    largest degree stays below FLOAT32_EXACT; past it ValueError is raised.
+    Witnesses are listed as a scan of the pairs u < w in row-major order
+    finds them; for (c), the first vertex of fibre i with a wrong count in
+    fibre j, for each pair i < j.
+    Once (b)-(e) hold, the distances follow without another BFS:
+    same-fibre vertices share no neighbour, since that neighbour would have
+    two neighbours in one fibre; cross-fibre non-adjacent pairs are at
+    distance 2, since mu >= 1; and u's matched neighbour w in another fibre
+    is non-adjacent to u's fibre mates, so each is at distance 2 from w,
+    hence at distance 3 from u.  So the diameter is 3 and the fibres are
+    the distance-3 classes.
     """
     rep = CoverReport(is_cover=False, n=g.n, r=g.r, mu=None, lam=None)
-    masks = fibre_masks(g)
 
     # (a) connectivity
     layers = bfs_layers(g.adj, 0)
@@ -260,69 +329,71 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
                                       f"only {reached} of {g.v} vertices reachable"))
         return rep
 
+    a = g.adjacency_matrix()
+    degree = int(a.sum(axis=1).max())
+    if degree >= FLOAT32_EXACT:
+        raise ValueError(f"common-neighbour counts reach {degree} >= "
+                         f"{FLOAT32_EXACT}, beyond exact float32 arithmetic")
+    cap = max(max_violations, 0)
+    fibre_of = np.array(g.fibre_of)
+    members = np.array(g.fibres)  # members[i, k]: k-th vertex of fibre i
+    a32 = a.astype(np.float32)
+    f = np.zeros((g.v, g.n), dtype=np.float32)
+    f[np.arange(g.v), fibre_of] = 1
+    per_fibre = (a32 @ f)[members]  # [i, k, j]: neighbours in fibre j
+
     # (b) each fibre is a coclique
-    count = 0
-    for i, f in enumerate(g.fibres):
-        for u in f:
-            inside = g.adj[u] & masks[i]
-            if inside and count < max_violations:
-                rep.failures.append(Violation(
-                    "fibre-coclique", (u, _bits(inside)[0]),
-                    f"edge inside fibre {i}"))
-                count += 1
+    own = per_fibre[np.arange(g.n), :, np.arange(g.n)]  # [i, k]
+    for i, k in np.argwhere(own != 0)[:cap].tolist():
+        u = int(members[i, k])
+        w = int(members[i, a[u, members[i]].argmax()])
+        rep.failures.append(Violation("fibre-coclique", (u, w),
+                                      f"edge inside fibre {i}"))
 
     # (c) every fibre pair induces a perfect matching
-    count = 0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if count >= max_violations:
-                break
-            for u in g.fibres[i]:
-                d = (g.adj[u] & masks[j]).bit_count()
-                if d != 1:
-                    rep.failures.append(Violation(
-                        "perfect-matching", (u, j),
-                        f"vertex {u} has {d} neighbours in fibre {j}"))
-                    count += 1
-                    break
+    wrong = per_fibre != 1
+    first = wrong.argmax(axis=1)  # [i, j]: first k with a wrong count
+    for i, j in np.argwhere(np.triu(wrong.any(axis=1), 1))[:cap].tolist():
+        u = int(members[i, first[i, j]])
+        d = int(per_fibre[i, first[i, j], j])
+        rep.failures.append(Violation(
+            "perfect-matching", (u, j),
+            f"vertex {u} has {d} neighbours in fibre {j}"))
 
     if rep.failures:
         return rep
 
-    # (d) constant mu >= 1 over non-adjacent cross-fibre pairs
-    mu = None
-    mu_witness = None
-    count = 0
-    for u in range(g.v):
-        au = g.adj[u]
-        fu = g.fibre_of[u]
-        for w in range(u + 1, g.v):
-            if g.fibre_of[w] == fu or (au >> w) & 1:
-                continue
-            c = (au & g.adj[w]).bit_count()
-            if mu is None:
-                mu, mu_witness = c, (u, w)
-            elif c != mu and count < max_violations:
-                rep.failures.append(Violation(
-                    "mu-constant", (u, w),
-                    f"{c} common neighbours, expected {mu} as at {mu_witness}"))
-                count += 1
-    if mu is not None and mu < 1:
-        rep.failures.append(Violation("mu-positive", mu_witness or (),
-                                      f"mu = {mu} < 1"))
-    rep.mu = mu
+    common = a32 @ a32
+    del a32  # v x v temporaries are dropped once used, to bound peak memory
 
-    # (e) adjacent pairs: lambda = n - (r-1)mu - 2
+    # (d) constant mu >= 1 over non-adjacent cross-fibre pairs u < w
+    pairs = fibre_of[:, None] != fibre_of
+    pairs &= a == 0
+    pairs = np.triu(pairs, 1)
+    mu = None
+    if pairs.any():
+        x0 = int(pairs.argmax())
+        mu, mu_witness = int(common.flat[x0]), divmod(x0, g.v)
+        for x in np.flatnonzero(pairs & (common != mu))[:cap].tolist():
+            rep.failures.append(Violation(
+                "mu-constant", divmod(x, g.v),
+                f"{int(common.flat[x])} common neighbours, expected {mu} "
+                f"as at {mu_witness}"))
+        if mu < 1:
+            rep.failures.append(Violation("mu-positive", mu_witness,
+                                          f"mu = {mu} < 1"))
+    rep.mu = mu
+    del pairs
+
+    # (e) adjacent pairs u < w: lambda = n - (r-1)mu - 2
     if mu is not None and not rep.failures:
         lam_expect = g.n - (g.r - 1) * mu - 2
-        count = 0
-        for u, w in g.edges:
-            c = (g.adj[u] & g.adj[w]).bit_count()
-            if c != lam_expect and count < max_violations:
-                rep.failures.append(Violation(
-                    "lambda-mismatch", (u, w),
-                    f"{c} common neighbours, expected n-(r-1)mu-2 = {lam_expect}"))
-                count += 1
+        wrong = np.triu(a, 1) & (common != lam_expect)
+        for x in np.flatnonzero(wrong)[:cap].tolist():
+            rep.failures.append(Violation(
+                "lambda-mismatch", divmod(x, g.v),
+                f"{int(common.flat[x])} common neighbours, expected "
+                f"n-(r-1)mu-2 = {lam_expect}"))
         if not rep.failures:
             rep.lam = lam_expect
 
@@ -416,25 +487,31 @@ def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
     v = g.v
     k = p.n - 1
     d = max(g.degree(u) for u in range(v))
-    # |partial sums| of ((A - kI) @ (A + I)) @ quad: the left factor's rows
+    # |partial sums| of ((A - kI)(A + I)) @ quad: the left factor's rows
     # have 1-norm <= (d + k)(d + 1), quad's entries are <= d + |lam-mu| + k;
-    # the smaller products stay below this, and sum(A^2 * A) is <= v d^2
+    # A @ A stays below this, and sum(A^2 * A) is <= v d^2
     bound = max((d + k) * (d + 1) * (d + abs(p.lam - p.mu) + k), v * d * d)
     if bound >= 2 ** 53:
         raise ValueError(f"spectrum products reach {bound} >= 2^53, "
                          "beyond exact float64 arithmetic")
     failed = []
     a = g.adjacency_matrix().astype(np.float64)
-    eye = np.eye(v)
     a2 = a @ a
-    quad = a2 - (p.lam - p.mu) * a - (p.n - 1) * eye
-    prod = (a - k * eye) @ (a + eye) @ quad
-    if np.any(prod != 0):
+    tr = [v, int(np.trace(a)), int(np.trace(a2)), int(np.vdot(a2, a))]
+    # (A - kI)(A + I) = A^2 + (1 - k)A - kI, so one product remains; both
+    # polynomials in A are built in place, to hold few v x v temporaries
+    left = np.multiply(a, 1 - k)
+    left += a2
+    left.flat[::v + 1] -= k
+    quad = np.multiply(a, -(p.lam - p.mu))
+    quad += a2
+    quad.flat[::v + 1] -= p.n - 1
+    del a, a2
+    if np.any(left @ quad != 0):
         failed.append("minimal-polynomial")
     if g.v != p.v:
         failed.append("vertex-count")
 
-    tr = [v, int(np.trace(a)), int(np.trace(a2)), int(np.sum(a2 * a))]
     expect = [v, 0, p.v * k, p.v * k * p.lam]
     for m, (got, want) in enumerate(zip(tr, expect)):
         if got != want:

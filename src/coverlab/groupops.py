@@ -43,7 +43,9 @@ def is_cover_automorphism(g: CoverGraph, perm) -> bool:
     p = perm if isinstance(perm, Permutation) else Permutation(perm)
     if p.degree != g.v:
         return False
-    return all(g.has_edge(p[u], p[w]) for u, w in g.edges)
+    a = g.adjacency_matrix()
+    img = np.array(p.img)
+    return bool((a[img][:, img] == a).all())
 
 
 def fixes_fibres(g: CoverGraph, perm: Permutation) -> bool:
@@ -197,10 +199,18 @@ class QuotientError(ValueError):
 def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     """Quotient by a subgroup of the covering group, re-verified.
 
-    Requires every generator to fix each fibre setwise and 1 <= |U| < r.
-    The result is checked to be an (n, r/|U|, mu |U|)-cover; a failure raises,
-    since it would contradict the quotient-closure property for valid input.
+    Requires every generator to fix each fibre setwise and 1 <= |U| < r,
+    with U semiregular.  The U-orbits, numbered by least element, are the
+    quotient's vertices; with P the v x m orbit indicator, Q = P^T (A P)
+    counts the edges of g between two orbits, and the quotient's edges are
+    the off-diagonal pairs with Q > 0: every edge of g between different
+    orbits, so nothing assumes U <= Aut.  The result is checked by
+    verify_cover to be an (n, r/|U|, mu |U|)-cover; a failure raises, since
+    it would contradict the quotient-closure property for valid input.
     """
+    if sub.degree != g.v:
+        raise QuotientError(f"subgroup acts on {sub.degree} points, "
+                            f"not on the {g.v} vertices")
     if not all(fixes_fibres(g, p) for p in sub.generators):
         raise QuotientError("subgroup is not fibre-fixing")
     u_order = sub.order()
@@ -212,12 +222,15 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     orbits = sub.orbits()
     if any(len(o) != u_order for o in orbits):
         raise QuotientError("subgroup does not act semiregularly")
-    orbit_of = {}
+    orbit_of = [0] * g.v
     for idx, orb in enumerate(sorted(orbits, key=lambda o: o[0])):
         for x in orb:
             orbit_of[x] = idx
-    edges = {(min(orbit_of[u], orbit_of[w]), max(orbit_of[u], orbit_of[w]))
-             for u, w in g.edges if orbit_of[u] != orbit_of[w]}
+    p = np.zeros((g.v, len(orbits)), dtype=np.float32)
+    p[np.arange(g.v), orbit_of] = 1
+    # sums of nonnegative terms: Q > 0 is exact at any float precision
+    q = p.T @ (g.adjacency_matrix().astype(np.float32) @ p)
+    edges = np.argwhere(np.triu(q > 0, 1))
     fibres = [sorted({orbit_of[x] for x in f}) for f in g.fibres]
     quot = CoverGraph(fibres, edges)
 

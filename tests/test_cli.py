@@ -63,10 +63,24 @@ def test_verify_corrupted_exits_1(tmp_path, capsys):
 
 
 def test_verify_malformed_exits_2(tmp_path, capsys):
+    """Bad input exits 2: fibres of size 1, and labels that are not ints
+    (int() would read the hexagon with [0.9, 1], true or "0" as a cover)."""
+    hexagon_json = hexagon().to_json()
+    cases = ['{"v": 3, "fibres": [[0],[1],[2]], "edges": []}']
+    for first_edge in ([0.9, 1], [0, True], ["0", 1], [0, 1.0]):
+        cases.append(json.dumps(dict(hexagon_json, edges=[first_edge]
+                                     + hexagon_json["edges"][1:])))
+    for first_fibre in ([True, 3], ["0", 3], [0.0, 3]):
+        cases.append(json.dumps(dict(hexagon_json, fibres=[first_fibre]
+                                     + hexagon_json["fibres"][1:])))
+    cases.append(json.dumps(dict(hexagon_json, v=6.0)))
+    assert hexagon_json["edges"][0] == [0, 1]
+    assert hexagon_json["fibres"][0] == [0, 3]
     path = tmp_path / "malformed.json"
-    path.write_text('{"v": 3, "fibres": [[0],[1],[2]], "edges": []}')
-    code, _ = run_cli(["verify", str(path)], capsys)
-    assert code == 2
+    for text in cases:
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2, text
+        assert capsys.readouterr().err.startswith("error: "), text
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -5,8 +5,9 @@ refactor that claims the same behaviour must reproduce it exactly.  To
 record a new one, run the command and save its stdout under the same name.
 The analyze payloads embed their cover path, so those are recorded as
 `coverlab analyze --audits NAME.json` run in the directory holding the
-built cover NAME.json.  Each demo_NAME.txt is the stdout of
-`python demos/NAME.py`.
+built cover NAME.json; the verify and quotient payloads are recorded the
+same way, on the perturbed or built cover each test writes.  Each
+demo_NAME.txt is the stdout of `python demos/NAME.py`.
 """
 import os
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 import coverlab
 from coverlab import cube, hexagon, icosahedron, thas_somma
 from coverlab.cli import main
+from conftest import matching_swapped
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,6 +53,47 @@ def test_analyze_audits_matches_golden(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["analyze", "--audits", f"{name}.json"]) == 0
     golden = GOLDEN / f"analyze_audits_{name}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+# fixed toggles of TS(3,2): three inside fibres (fibre-coclique) and four
+# across fibres (perfect-matching), so both axioms truncate at 3
+TS32_TOGGLES = [(0, 1), (4, 5), (9, 11), (0, 100), (13, 200), (50, 52),
+                (77, 240)]
+
+
+def _toggled_ts32():
+    g = thas_somma(3, 2)
+    for u, w in TS32_TOGGLES:
+        g = g.toggled(u, w)
+    return g
+
+
+# (cover, argv after the cover path, exit code)
+PERTURBED = {
+    "verify_swapped_ts41": (lambda: matching_swapped(thas_somma(4, 1)),
+                            [], 1),
+    "verify_toggled_ts32_max3": (_toggled_ts32, ["--max-violations", "3"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED))
+def test_verify_perturbed_matches_golden(name, tmp_path, monkeypatch, capsys):
+    build, extra, code = PERTURBED[name]
+    (tmp_path / "cover.json").write_text(build().to_json_str())
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "cover.json", *extra]) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("order,index", [(2, 3), (4, 5)])
+def test_quotient_ts81_matches_golden(order, index, tmp_path, monkeypatch,
+                                      capsys):
+    (tmp_path / "ts81.json").write_text(thas_somma(8, 1).to_json_str())
+    monkeypatch.chdir(tmp_path)
+    assert main(["quotient", "ts81.json", "--subgroup-order", str(order),
+                 "--subgroup-index", str(index)]) == 0
+    golden = GOLDEN / f"quotient_ts81_order{order}_index{index}.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

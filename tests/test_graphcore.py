@@ -1,7 +1,9 @@
 """Cover-axiom verification, distance layers, antipodal classes, spectra."""
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverlab import (CoverGraph, antipodal_classes, cube, derive_params,
                       distance_classes, hexagon, icosahedron, params_of,
@@ -198,3 +200,213 @@ def test_params_of(corpus):
     assert (p.n, p.r, p.mu, p.lam) == (16, 4, 4, 2)
     with pytest.raises(GraphStructureError):
         params_of(hexagon().toggled(0, 1))
+
+
+def test_cover_graph_rejects_non_integer_labels():
+    """Labels are ints, never bools, floats or strings; int() would take
+    [0.9, 1] for the hexagon's edge (0, 1) and let it verify."""
+    fibres = [[0, 3], [1, 4], [2, 5]]
+    ring = [(i, (i + 1) % 6) for i in range(6)]
+    bad_edges = [(0.9, 1), (0, True), ("0", 1), (0, 1.0), (None, 1)]
+    for bad in bad_edges:
+        with pytest.raises(GraphStructureError, match="non-integer"):
+            CoverGraph(fibres, [bad] + ring[1:])
+    for bad in (True, "0", 0.0):
+        with pytest.raises(GraphStructureError, match="not an integer"):
+            CoverGraph([[bad, 3], [1, 4], [2, 5]], ring)
+    for bad in (True, 6.0, "6"):
+        with pytest.raises(GraphStructureError, match="not an integer"):
+            CoverGraph(fibres, ring, bad)
+    # the first bad edge is named, not a later out-of-range one
+    with pytest.raises(GraphStructureError, match="non-integer"):
+        CoverGraph(fibres, [(0, 1), (False, 1), (0, 6)])
+    # numpy integers are integers
+    g = CoverGraph(np.array(fibres), np.array(ring), np.int64(6))
+    assert g.edges == hexagon().edges and g.fibres == hexagon().fibres
+
+
+_ODD_LABELS = [0.5, 1.0, True, False, "0", None]
+
+
+@st.composite
+def edge_lists(draw):
+    """A random fibre partition and a random edge list on it: repeated
+    edges, both orientations, and now and then a loop, an endpoint out of
+    range or a label that is not an int."""
+    n, r = draw(st.integers(3, 5)), draw(st.integers(2, 3))
+    v = n * r
+    perm = draw(st.permutations(range(v)))
+    fibres = [list(perm[i * r:(i + 1) * r]) for i in range(n)]
+    pool = draw(st.lists(st.tuples(st.integers(0, v - 1),
+                                   st.integers(0, v - 1))
+                         .filter(lambda e: e[0] != e[1]),
+                         min_size=1, max_size=12))
+    edge = st.one_of(st.sampled_from(pool),
+                     st.sampled_from(pool).map(lambda e: (e[1], e[0])))
+    if draw(st.booleans()):
+        label = st.one_of(st.integers(-1, v), st.sampled_from(_ODD_LABELS))
+        edge = st.one_of(edge, st.tuples(label, label))
+    return v, fibres, draw(st.lists(edge, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_cover_graph_matches_set_oracle(case):
+    """adj, edges and the adjacency matrix equal a set-based build, and an
+    error names the first bad edge in input order."""
+    v, fibres, edges = case
+    expected_error = None
+    for u, w in edges:
+        if not all(type(x) is int for x in (u, w)):
+            expected_error = f"edge {(u, w)!r} has a non-integer label"
+        elif not (0 <= u < v and 0 <= w < v):
+            expected_error = f"edge ({u},{w}) out of range"
+        elif u == w:
+            expected_error = f"loop at {u}"
+        if expected_error:
+            break
+    if expected_error:
+        with pytest.raises(GraphStructureError) as exc:
+            CoverGraph(fibres, edges, v)
+        assert str(exc.value) == expected_error
+        return
+    pairs = {(min(u, w), max(u, w)) for u, w in edges}
+    g = CoverGraph(fibres, edges, v)
+    assert g.edges == tuple(sorted(pairs))
+    assert all(type(x) is int for e in g.edges for x in e)
+    matrix = [[int((min(u, w), max(u, w)) in pairs) for w in range(v)]
+              for u in range(v)]
+    assert g.adj == tuple(sum(bit << w for w, bit in enumerate(row))
+                          for row in matrix)
+    a = g.adjacency_matrix()
+    assert a.dtype == np.uint8 and a.tolist() == matrix
+
+
+def _oracle_report(fibres, edges, max_violations):
+    """verify_cover's report by pair loops over neighbour sets: the loops
+    verify_cover ran before it read the axioms off matrix products."""
+    fibres = sorted((sorted(f) for f in fibres), key=lambda f: f[0])
+    n, r = len(fibres), len(fibres[0])
+    v = n * r
+    fibre_of = {x: i for i, f in enumerate(fibres) for x in f}
+    nbrs = [set() for _ in range(v)]
+    for u, w in edges:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    rep = {"is_cover": False, "n": n, "r": r, "mu": None, "lambda": None,
+           "failures": [], "antipodality_confirmed": False, "diameter": None}
+
+    def fail(axiom, witness, detail):
+        rep["failures"].append({"axiom": axiom, "witness": list(witness),
+                                "detail": detail})
+
+    seen, frontier = {0}, {0}
+    while frontier:
+        frontier = {w for u in frontier for w in nbrs[u]} - seen
+        seen |= frontier
+    if len(seen) != v:
+        fail("connectivity", (0,), f"only {len(seen)} of {v} vertices reachable")
+        return rep
+
+    count = 0
+    for i, f in enumerate(fibres):
+        for u in f:
+            inside = sorted(nbrs[u] & set(f))
+            if inside and count < max_violations:
+                fail("fibre-coclique", (u, inside[0]), f"edge inside fibre {i}")
+                count += 1
+    count = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if count >= max_violations:
+                break
+            for u in fibres[i]:
+                d = len(nbrs[u] & set(fibres[j]))
+                if d != 1:
+                    fail("perfect-matching", (u, j),
+                         f"vertex {u} has {d} neighbours in fibre {j}")
+                    count += 1
+                    break
+    if rep["failures"]:
+        return rep
+
+    mu = mu_witness = None
+    count = 0
+    for u in range(v):
+        for w in range(u + 1, v):
+            if fibre_of[u] == fibre_of[w] or w in nbrs[u]:
+                continue
+            c = len(nbrs[u] & nbrs[w])
+            if mu is None:
+                mu, mu_witness = c, (u, w)
+            elif c != mu and count < max_violations:
+                fail("mu-constant", (u, w),
+                     f"{c} common neighbours, expected {mu} as at {mu_witness}")
+                count += 1
+    if mu is not None and mu < 1:
+        fail("mu-positive", mu_witness, f"mu = {mu} < 1")
+    rep["mu"] = mu
+    if mu is not None and not rep["failures"]:
+        lam = n - (r - 1) * mu - 2
+        count = 0
+        for u, w in sorted({(min(e), max(e)) for e in edges}):
+            c = len(nbrs[u] & nbrs[w])
+            if c != lam and count < max_violations:
+                fail("lambda-mismatch", (u, w),
+                     f"{c} common neighbours, expected n-(r-1)mu-2 = {lam}")
+                count += 1
+        if not rep["failures"]:
+            rep["lambda"] = lam
+    if not rep["failures"]:
+        rep.update(is_cover=True, antipodality_confirmed=True, diameter=3)
+    return rep
+
+
+ORACLE_COVERS = {"hexagon": hexagon(), "cube": cube(),
+                 "icosahedron": icosahedron(), "ts31": thas_somma(3, 1),
+                 "ts22": thas_somma(2, 2)}
+
+
+@st.composite
+def perturbed_covers(draw):
+    """A corpus cover after 0-3 random toggles or 0-3 random matching
+    swaps; swaps keep the coclique and matching axioms, so mu and lambda
+    are reached."""
+    base = ORACLE_COVERS[draw(st.sampled_from(sorted(ORACLE_COVERS)))]
+    fibres = [list(f) for f in base.fibres]
+    edges = {tuple(e) for e in base.edges}
+    swaps = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3))):
+        if swaps:
+            i, j = draw(st.lists(st.integers(0, base.n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            u, u2 = draw(st.lists(st.sampled_from(fibres[i]), min_size=2,
+                                  max_size=2, unique=True))
+            w, w2 = (next(x for x in fibres[j]
+                          if (min(y, x), max(y, x)) in edges) for y in (u, u2))
+            edges -= {(min(u, w), max(u, w)), (min(u2, w2), max(u2, w2))}
+            edges |= {(min(u, w2), max(u, w2)), (min(u2, w), max(u2, w))}
+        else:
+            u, w = draw(st.lists(st.integers(0, base.v - 1), min_size=2,
+                                 max_size=2, unique=True))
+            edges ^= {(min(u, w), max(u, w))}
+    edges = [(w, u) if draw(st.booleans()) else (u, w) for u, w in edges]
+    return fibres, edges, draw(st.sampled_from([1, 3, 10]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(perturbed_covers())
+def test_verify_cover_matches_pair_loop_oracle(case):
+    fibres, edges, m = case
+    got = verify_cover(CoverGraph(fibres, edges), max_violations=m).to_json()
+    assert got == _oracle_report(fibres, edges, m)
+
+
+def test_verify_cover_raises_past_float32_bound(monkeypatch):
+    """Past FLOAT32_EXACT the common-neighbour products could round, so
+    verify_cover raises instead of reporting; the hexagon has degree 2."""
+    monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 3)
+    assert verify_cover(hexagon()).is_cover
+    monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 2)
+    with pytest.raises(ValueError, match="float32"):
+        verify_cover(hexagon())

@@ -1,4 +1,6 @@
 """Actions, quotients, displacement and the group-identity audits."""
+import random
+
 import pytest
 
 from coverlab import (arc_orbit_count, automorphism_group, covering_group,
@@ -220,6 +222,65 @@ def test_quotient_rejections(corpus, auts):
                          for x in range(6))]
     with pytest.raises(QuotientError):
         quotient_cover(hexagon(), PermGroup([non_fixing[0]], 6))
+
+
+@pytest.mark.parametrize("q,count", [(4, 4), (8, 15)])
+def test_quotient_cover_matches_all_edges_oracle(q, count):
+    """On every subgroup U < K of TS(q,1) (K = GF(q)^+, elementary abelian:
+    1 + 3 of TS(4,1), 1 + 7 + 7 of TS(8,1)), the quotient's edges are every
+    edge of g between two U-orbits, orbits numbered by least element."""
+    g = thas_somma(q, 1)
+    kernel, _ = covering_group(g)
+    subs = [s for s in subgroups_of(kernel) if s.order() < g.r]
+    assert len(subs) == count
+    for sub in subs:
+        orbit = {}
+        for x in range(g.v):
+            if x not in orbit:
+                orb, stack = {x}, [x]
+                while stack:
+                    y = stack.pop()
+                    for p in sub.generators:
+                        if p.img[y] not in orb:
+                            orb.add(p.img[y])
+                            stack.append(p.img[y])
+                for y in orb:
+                    orbit[y] = x
+        index = {m: i for i, m in enumerate(sorted(set(orbit.values())))}
+        of = {x: index[m] for x, m in orbit.items()}
+        edges = {(min(of[u], of[w]), max(of[u], of[w]))
+                 for u, w in g.edges if of[u] != of[w]}
+        fibres = sorted(tuple(sorted({of[x] for x in f})) for f in g.fibres)
+        quot = quotient_cover(g, sub)
+        assert quot.edges == tuple(sorted(edges))
+        assert quot.fibres == tuple(fibres)
+
+
+def test_is_cover_automorphism_matches_edge_walk(corpus, auts):
+    """The matrix test agrees with walking every edge through the image."""
+    rng = random.Random(3)
+    for name, g in corpus.items():
+        edges = set(g.edges)
+        perms = list(auts[name].generators)
+        for p in list(perms):
+            img = list(p.img)
+            i, j = rng.sample(range(g.v), 2)
+            img[i], img[j] = img[j], img[i]
+            perms.append(Permutation(img))
+        perms += [Permutation(rng.sample(range(g.v), g.v)) for _ in range(5)]
+        for p in perms:
+            walk = all((min(p[u], p[w]), max(p[u], p[w])) in edges
+                       for u, w in edges)
+            assert is_cover_automorphism(g, p) is walk
+        assert any(is_cover_automorphism(g, p) for p in perms)
+        assert is_cover_automorphism(g, list(range(g.v + 1))) is False
+
+
+def test_quotient_rejects_subgroup_of_other_degree(corpus):
+    g = corpus["ts31"]
+    for degree in (g.v - 1, g.v + 1):
+        with pytest.raises(QuotientError, match="acts on"):
+            quotient_cover(g, PermGroup([], degree))
 
 
 def test_trivial_quotient_is_identity(corpus):
