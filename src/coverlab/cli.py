@@ -29,6 +29,9 @@ from .perms import subgroups_of
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
+_JSON_ATOMS = frozenset({int, str, bool, type(None)})
+
+
 def _canonical(obj) -> str:
     def default(x):
         if isinstance(x, (np.integer,)):
@@ -42,6 +45,14 @@ def _canonical(obj) -> str:
         raise TypeError(f"not JSON-serializable: {type(x)}")
 
     def walk(x):
+        t = type(x)  # the exact types of a payload first, no isinstance chain
+        if t is dict:
+            return {str(k): walk(v) for k, v in x.items()}
+        if t is list or t is tuple:
+            return [walk(i) for i in x]
+        if t in _JSON_ATOMS:
+            return x
+        # subclasses (np.float64 is a float, a NamedTuple a tuple) land here
         if isinstance(x, float):
             return float(f"{x:.15g}")
         if isinstance(x, dict):

@@ -3,6 +3,11 @@
 Cover spectra involve eigenvalues of the form a + b*sqrt(D) (the icosahedron
 has tau = -sqrt(5)); storing them as (a, b, D) with rational a, b and
 squarefree D keeps every spectral identity exact, with no floating point.
+
+Most values are rational (b == 0, D == 1).  Building one from a rational
+costs a single Fraction and no factorization, a rational QuadExt hashes as
+its Fraction (so it hashes like the int or Fraction it equals), and the
+integer-t feasibility tables in params avoid QuadExt arithmetic altogether.
 """
 from __future__ import annotations
 
@@ -12,6 +17,8 @@ from typing import Union
 from .numtheory import prime_powers
 
 Rat = Union[int, Fraction]
+
+_ZERO = Fraction(0)  # the b of every rational element
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
@@ -39,6 +46,9 @@ class QuadExt:
     __slots__ = ("a", "b", "D")
 
     def __init__(self, a: Rat = 0, b: Rat = 0, D: int = 1):
+        if b == 0 and D == 1:  # rational: nothing to normalise
+            self.a, self.b, self.D = Fraction(a), _ZERO, 1
+            return
         a = Fraction(a)
         b = Fraction(b)
         if D < 1:
@@ -48,7 +58,7 @@ class QuadExt:
             b *= s
             D = d
             if D == 1:  # radicand was a perfect square
-                a, b = a + b, Fraction(0)
+                a, b = a + b, _ZERO
         else:
             D = 1
         self.a, self.b, self.D = a, b, D
@@ -174,6 +184,9 @@ class QuadExt:
         return self.a == o.a and self.b == o.b and self.D == o.D
 
     def __hash__(self):
+        # equal values hash alike: a rational element equals its Fraction
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b, self.D))
 
     def sign(self) -> int:
@@ -195,18 +208,26 @@ class QuadExt:
 
     def __lt__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return (self - o).sign() < 0
 
     def __le__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return (self - o).sign() <= 0
 
     def __gt__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return (self - o).sign() > 0
 
     def __ge__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return (self - o).sign() >= 0
 
     # -- io ------------------------------------------------------------------

@@ -318,7 +318,11 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     is non-adjacent to u's fibre mates, so each is at distance 2 from w,
     hence at distance 3 from u.  So the diameter is 3 and the fibres are
     the distance-3 classes.
+    A cap below 1 raises ValueError: it would record no witness, and the
+    verdict is read off the witnesses.
     """
+    if max_violations < 1:
+        raise ValueError(f"max_violations must be at least 1, got {max_violations}")
     rep = CoverReport(is_cover=False, n=g.n, r=g.r, mu=None, lam=None)
 
     # (a) connectivity
@@ -334,7 +338,7 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     if degree >= FLOAT32_EXACT:
         raise ValueError(f"common-neighbour counts reach {degree} >= "
                          f"{FLOAT32_EXACT}, beyond exact float32 arithmetic")
-    cap = max(max_violations, 0)
+    cap = max_violations
     fibre_of = np.array(g.fibre_of)
     members = np.array(g.fibres)  # members[i, k]: k-th vertex of fibre i
     a32 = a.astype(np.float32)

@@ -7,6 +7,10 @@ This module holds the one factorization in coverlab: prime_powers, a lazy
 trial division over 2, 3 and 6k +- 1.  is_prime, prime_power_decompose,
 factorize, divisors and six_prime_part (m with its factors 2 and 3 removed)
 are views of it, and the other modules call these instead of dividing.
+Two views answer small or even inputs without it: is_prime reads a sieve of
+the n below SMALL_PRIME_LIMIT (built once at import, 4 KB), and
+prime_power_decompose reads an even n off its bits (a power of two or
+nothing).
 """
 from __future__ import annotations
 
@@ -48,14 +52,32 @@ def prime_powers(n: int):
         yield n, 1, 1
 
 
+def prime_sieve(limit: int) -> bytearray:
+    """sieve[i] == 1 iff i is prime, for 0 <= i <= limit."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    return sieve
+
+
+SMALL_PRIME_LIMIT = 1 << 12
+_SMALL_PRIMES = prime_sieve(SMALL_PRIME_LIMIT - 1)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and next(prime_powers(n)) == (n, 1, 1)
+    if n < SMALL_PRIME_LIMIT:
+        return n >= 2 and _SMALL_PRIMES[n] == 1
+    return next(prime_powers(n)) == (n, 1, 1)
 
 
 def prime_power_decompose(n: int) -> tuple[int, int] | None:
     """(p, e) with n = p^e, p prime, e >= 1; None otherwise."""
     if n < 2:
         return None
+    if n & 1 == 0:  # only a power of two has no odd prime factor
+        return (2, n.bit_length() - 1) if n & (n - 1) == 0 else None
     p, e, rest = next(prime_powers(n))
     return (p, e) if rest == 1 else None
 
@@ -168,16 +190,6 @@ class ZsigmondySolution:
     q: int
     n: int
     case: str  # 'nine', 'fermat', 'mersenne', or 'unclassified'
-
-
-def prime_sieve(limit: int) -> bytearray:
-    """sieve[i] == 1 iff i is prime, for 0 <= i <= limit."""
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
-    return sieve
 
 
 def zsigmondy_corollary_solve(bound: int) -> list[ZsigmondySolution]:

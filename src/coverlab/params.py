@@ -130,12 +130,17 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
     an integer >= 3.  For r = 2 both branches are admitted and t may also be
     sqrt(5) (pass t = QuadExt.sqrt(5)); sign = +1 selects
     mu = (t-1)^3 (t+2)/(2r), sign = -1 the companion (t+1)^3 (t-2)/(2r).
+
+    For integer t the spectrum is the closed forms below, in integers; they
+    are the roots of x^2 - (lambda-mu)x - (n-1) and the multiplicities
+    derive_params gives (tests hold them to it).  t = sqrt(5) goes through
+    derive_params.
     """
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
     tq = t if isinstance(t, QuadExt) else QuadExt(t)
     if r == 2:
-        if not (tq == QuadExt.sqrt(5) or (tq.is_integer and int(tq) >= 2)):
+        if not ((tq.is_integer and int(tq) >= 2) or tq == QuadExt.sqrt(5)):
             raise ParameterError("for r = 2, t must be an integer >= 2 or sqrt(5)")
     elif r >= 4:
         if sign != +1:
@@ -145,16 +150,41 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
     else:
         raise ParameterError(f"r must be 2 or >= 4, got {r}")
 
-    n_exact = (tq * tq - 2) * (tq * tq - 1) / 2
+    if not tq.is_integer:  # t = sqrt(5)
+        n_exact = (tq * tq - 2) * (tq * tq - 1) / 2
+        if sign == +1:
+            mu_exact = (tq - 1) ** 3 * (tq + 2) / (2 * r)
+        else:
+            mu_exact = (tq + 1) ** 3 * (tq - 2) / (2 * r)
+        if not n_exact.is_integer:
+            raise ParameterError(f"n = {n_exact} is not an integer")
+        if not (mu_exact.is_integer and mu_exact > 0):
+            raise ParameterError(f"mu = {mu_exact} is not a positive integer")
+        return derive_params(int(n_exact), r, int(mu_exact))
+
+    t = int(tq)
+    n = (t * t - 2) * (t * t - 1) // 2  # t^2-2, t^2-1 are consecutive: even
     if sign == +1:
-        mu_exact = (tq - 1) ** 3 * (tq + 2) / (2 * r)
+        poly = (t - 1) ** 3 * (t + 2)
     else:
-        mu_exact = (tq + 1) ** 3 * (tq - 2) / (2 * r)
-    if not n_exact.is_integer:
-        raise ParameterError(f"n = {n_exact} is not an integer")
-    if not (mu_exact.is_integer and mu_exact > 0):
-        raise ParameterError(f"mu = {mu_exact} is not a positive integer")
-    return derive_params(int(n_exact), r, int(mu_exact))
+        poly = (t + 1) ** 3 * (t - 2)
+    if poly % (2 * r) or poly <= 0:
+        raise ParameterError(
+            f"mu = {Fraction(poly, 2 * r)} is not a positive integer")
+    mu = poly // (2 * r)
+    # lambda - mu = +-(t^3-5t)/2, so lambda >= 0 once mu >= 1 (sign -1 has
+    # t >= 3).  Sign +1: theta = t(t^2-3)/2, tau = -t; sign -1: theta = t,
+    # tau = -t(t^2-3)/2 (t(t^2-3) is even).  The eigenvalue +-t(t^2-3)/2
+    # has multiplicity (r-1)(t^2-2), and +-t has (r-1)(t^2-2)(t^2-3)/2.
+    lam = n - (r - 1) * mu - 2
+    big = t * (t * t - 3) // 2
+    m_small = (r - 1) * (t * t - 2)
+    m_big = m_small * (t * t - 3) // 2
+    if sign == +1:
+        return CoverParams(n, r, mu, lam, QuadExt(big), QuadExt(-t),
+                           QuadExt(m_small), QuadExt(m_big))
+    return CoverParams(n, r, mu, lam, QuadExt(t), QuadExt(-big),
+                       QuadExt(m_big), QuadExt(m_small))
 
 
 def feasible_B(t_max: int) -> list[FamilyBParams]:

@@ -62,6 +62,14 @@ def test_verify_corrupted_exits_1(tmp_path, capsys):
     assert rep["failures"] and rep["failures"][0]["axiom"] == "perfect-matching"
 
 
+def test_verify_cap_below_one_exits_2(tmp_path, capsys):
+    """--max-violations 0 is bad input, not a cap that passes any graph."""
+    path = tmp_path / "broken.json"
+    path.write_text(hexagon().toggled(0, 1).toggled(0, 2).to_json_str())
+    assert run_cli(["verify", str(path), "--max-violations", "1"], capsys)[0] == 1
+    assert run_cli(["verify", str(path), "--max-violations", "0"], capsys)[0] == 2
+
+
 def test_verify_malformed_exits_2(tmp_path, capsys):
     """Bad input exits 2: fibres of size 1, and labels that are not ints
     (int() would read the hexagon with [0.9, 1], true or "0" as a cover)."""

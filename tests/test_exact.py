@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coverlab.exact import QuadExt, squarefree_decompose
 
@@ -101,3 +101,36 @@ def test_pow_and_int():
 def test_json_round_trip():
     for x in (QuadExt(Fraction(1, 2), Fraction(-3, 4), 5), QuadExt(7)):
         assert QuadExt.from_json(x.to_json()) == x
+
+
+# few values, several spellings of each: equal pairs are common
+tiny_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+numbers = st.one_of(
+    st.integers(-2, 2), tiny_rationals,
+    st.builds(QuadExt, tiny_rationals,
+              st.sampled_from([0, Fraction(1, 2), 1, -1]),
+              st.sampled_from([1, 4, 5, 20])))
+
+
+@given(st.lists(numbers, min_size=2, max_size=8))
+@settings(max_examples=300)
+def test_equal_values_hash_alike(xs):
+    for a in xs:
+        for b in xs:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
+def test_rational_elements_hash_as_their_fraction():
+    assert len({QuadExt(3), 3, Fraction(3)}) == 1
+    assert len({QuadExt(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert QuadExt(0, 1, 20) == QuadExt(0, 2, 5)
+    assert len({QuadExt(0, 1, 20), QuadExt(0, 2, 5)}) == 1
+
+
+def test_ordering_against_non_numbers_is_not_implemented():
+    x = QuadExt(1, 1, 5)
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(x, op)("2") is NotImplemented
+    with pytest.raises(TypeError, match="not supported"):
+        x < "2"

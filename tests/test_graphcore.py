@@ -40,6 +40,16 @@ def test_verify_broken_hexagon_names_matching_axiom():
     assert any(f.axiom == "perfect-matching" for f in rep.failures)
 
 
+def test_verify_cover_rejects_cap_below_one():
+    """A cap below 1 would record no witness, and the verdict is read off
+    the witnesses: the hexagon with (0,1) and (0,2) toggled read as a cover."""
+    g = hexagon().toggled(0, 1).toggled(0, 2)
+    assert not verify_cover(g, max_violations=1).is_cover
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_violations"):
+            verify_cover(g, max_violations=cap)
+
+
 def test_structural_error_distinct_from_axiom_failure():
     with pytest.raises(GraphStructureError):
         CoverGraph([[0, 1], [2, 3]], [(0, 2)])  # only 2 fibres

@@ -1,5 +1,5 @@
 """Exact identity checkers and their exhaustive sweeps."""
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +10,7 @@ from coverlab.numtheory import (GcdPowerCheck, divisors, gcd_qpow,
                                 nagell_ljunggren_search, p_part, prime_powers,
                                 prime_sieve, prime_power_decompose,
                                 six_prime_part, zsigmondy_corollary_solve)
+from coverlab import numtheory
 
 PRIMES_50 = [p for p in range(2, 51) if is_prime(p)]
 
@@ -100,6 +101,16 @@ def test_zsigmondy_full_classification_to_million():
         assert is_prime(s.p) and is_prime(s.q)
 
 
+def test_zsigmondy_values_to_million():
+    """Every p^m up to 10^6, written from the admissible shapes: the Fermat
+    primes 2^(2^k) + 1, the powers 2^m whose 2^m - 1 is a Mersenne prime,
+    and 9 = 2^3 + 1."""
+    fermat = [2 ** 2 ** k + 1 for k in range(5)]
+    mersenne = [2 ** m for m in (2, 3, 5, 7, 13, 17, 19)]
+    got = sorted(s.p ** s.m for s in zsigmondy_corollary_solve(10**6))
+    assert got == sorted(fermat + mersenne + [9])
+
+
 def test_zsigmondy_brute_oracle_small():
     """Independent double loop up to 5000 must find the same solutions.
 
@@ -155,6 +166,28 @@ def test_prime_power_decompose_consistent(n):
     if pp is not None:
         p, e = pp
         assert is_prime(p) and p ** e == n
+
+
+def _trial_prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with n = p^e by trial division written here; None otherwise."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return (p, e) if n == 1 else None
+
+
+def test_prime_power_decompose_and_is_prime_oracle():
+    """None exactly off the prime powers, on both sides of is_prime's sieve
+    edge and for every even n (read off its bits)."""
+    assert 0 < numtheory.SMALL_PRIME_LIMIT < 20_000
+    for n in range(-5, 20_001):
+        want = _trial_prime_power(n)
+        assert prime_power_decompose(n) == want, n
+        assert is_prime(n) == (want is not None and want[1] == 1), n
 
 
 def test_prime_sieve_matches_trial_division():

@@ -176,6 +176,54 @@ def test_family_a_named_members():
         family_A(3, 4, -1)  # minus branch only at r = 2
 
 
+def _family_A_oracle(t: int, r: int, sign: int):
+    """n and mu from the defining polynomials, then derive_params."""
+    poly = (t - 1) ** 3 * (t + 2) if sign == +1 else (t + 1) ** 3 * (t - 2)
+    mu = Fraction(poly, 2 * r)
+    if mu.denominator != 1 or mu <= 0:
+        raise ParameterError(f"mu = {mu} is not a positive integer")
+    return derive_params((t * t - 2) * (t * t - 1) // 2, r, int(mu))
+
+
+def _assert_family_A_matches_oracle(t, r, sign):
+    try:
+        want = _family_A_oracle(t, r, sign)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            family_A(t, r, sign)
+        assert str(got.value) == str(exc)
+        return
+    p = family_A(t, r, sign)
+    assert p == want and p.to_json() == want.to_json(), (t, r, sign)
+
+
+def test_family_a_closed_forms_match_derive_params():
+    """family_A writes integer-t members from closed forms; derive_params'
+    exact arithmetic is the oracle for every row of feasible_A(100) and on
+    a grid of (t, r, sign), raising included."""
+    for e in feasible_A(100):
+        oracle = derive_params(e.params.n, e.r, e.params.mu)
+        assert e.params == oracle and e.params.to_json() == oracle.to_json()
+    for t in range(2, 201):
+        _assert_family_A_matches_oracle(t, 2, +1)
+        _assert_family_A_matches_oracle(t, 2, -1)
+        if t >= 3:
+            for r in range(4, 61):
+                _assert_family_A_matches_oracle(t, r, +1)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_family_a_closed_forms_large_t(data):
+    """t up to 10^4, mostly with r | t - 1 so that mu is integral."""
+    r = data.draw(st.sampled_from([2, 4, 5, 6, 8, 10, 16, 25, 50, 64, 200]))
+    t = data.draw(st.one_of(
+        st.integers(3, 10**4),
+        st.builds(lambda k: 1 + r * k, st.integers(1, 10**4 // r))))
+    sign = data.draw(st.sampled_from([+1, -1])) if r == 2 else +1
+    _assert_family_A_matches_oracle(max(t, 3), r, sign)
+
+
 def test_feasible_a_contents():
     entries = feasible_A(5)
     keyed = {(str(e.t), e.r, e.params.n, e.params.mu) for e in entries}
