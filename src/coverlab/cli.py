@@ -29,9 +29,6 @@ from .perms import subgroups_of
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-_JSON_ATOMS = frozenset({int, str, bool, type(None)})
-
-
 def _canonical(obj) -> str:
     def default(x):
         if isinstance(x, (np.integer,)):
@@ -45,20 +42,12 @@ def _canonical(obj) -> str:
         raise TypeError(f"not JSON-serializable: {type(x)}")
 
     def walk(x):
-        t = type(x)  # the exact types of a payload first, no isinstance chain
-        if t is dict:
-            return {str(k): walk(v) for k, v in x.items()}
-        if t is list or t is tuple:
-            return [walk(i) for i in x]
-        if t in _JSON_ATOMS:
-            return x
-        # subclasses (np.float64 is a float, a NamedTuple a tuple) land here
-        if isinstance(x, float):
-            return float(f"{x:.15g}")
-        if isinstance(x, dict):
+        if isinstance(x, dict):  # containers first: a payload is mostly rows
             return {str(k): walk(v) for k, v in x.items()}
         if isinstance(x, (list, tuple)):
             return [walk(i) for i in x]
+        if isinstance(x, float):
+            return float(f"{x:.15g}")
         return x
 
     return json.dumps(walk(obj), sort_keys=True, default=default,

@@ -46,21 +46,18 @@ class QuadExt:
     __slots__ = ("a", "b", "D")
 
     def __init__(self, a: Rat = 0, b: Rat = 0, D: int = 1):
-        if b == 0 and D == 1:  # rational: nothing to normalise
+        if D < 1:
+            raise ValueError("D must be a positive integer")
+        if b == 0:  # rational: nothing to normalise
             self.a, self.b, self.D = Fraction(a), _ZERO, 1
             return
         a = Fraction(a)
         b = Fraction(b)
-        if D < 1:
-            raise ValueError("D must be a positive integer")
-        if b != 0:
-            s, d = squarefree_decompose(D)
-            b *= s
-            D = d
-            if D == 1:  # radicand was a perfect square
-                a, b = a + b, _ZERO
-        else:
-            D = 1
+        s, d = squarefree_decompose(D)
+        b *= s
+        D = d
+        if D == 1:  # radicand was a perfect square
+            a, b = a + b, _ZERO
         self.a, self.b, self.D = a, b, D
 
     # -- constructors ------------------------------------------------------

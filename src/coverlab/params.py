@@ -133,8 +133,8 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
 
     For integer t the spectrum is the closed forms below, in integers; they
     are the roots of x^2 - (lambda-mu)x - (n-1) and the multiplicities
-    derive_params gives (tests hold them to it).  t = sqrt(5) goes through
-    derive_params.
+    derive_params gives (tests hold them to it).  t = sqrt(5) is the
+    icosahedron, (n, r, mu) = (6, 2, 2), read off derive_params.
     """
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
@@ -150,17 +150,8 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
     else:
         raise ParameterError(f"r must be 2 or >= 4, got {r}")
 
-    if not tq.is_integer:  # t = sqrt(5)
-        n_exact = (tq * tq - 2) * (tq * tq - 1) / 2
-        if sign == +1:
-            mu_exact = (tq - 1) ** 3 * (tq + 2) / (2 * r)
-        else:
-            mu_exact = (tq + 1) ** 3 * (tq - 2) / (2 * r)
-        if not n_exact.is_integer:
-            raise ParameterError(f"n = {n_exact} is not an integer")
-        if not (mu_exact.is_integer and mu_exact > 0):
-            raise ParameterError(f"mu = {mu_exact} is not a positive integer")
-        return derive_params(int(n_exact), r, int(mu_exact))
+    if not tq.is_integer:  # t = sqrt(5): both signs give the icosahedron
+        return derive_params(6, 2, 2)
 
     t = int(tq)
     n = (t * t - 2) * (t * t - 1) // 2  # t^2-2, t^2-1 are consecutive: even
