@@ -82,7 +82,7 @@ class CoverGraph:
     """
 
     __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_edges",
-                 "_report", "_kernel")
+                 "_report", "_kernel", "_params")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
         fibres = [sorted(_label(x, "fibre") for x in f) for f in fibres]
@@ -130,6 +130,7 @@ class CoverGraph:
         self._edges = tuple(zip(map(label, us.tolist()), map(label, ws.tolist())))
         self._report: CoverReport | None = None
         self._kernel: tuple | None = None
+        self._params: CoverParams | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -531,6 +532,10 @@ def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
 
 
 def params_of(g: CoverGraph) -> CoverParams:
-    """require_cover + derive_params in one step; raises if g is not a cover."""
-    rep = require_cover(g)
-    return derive_params(rep.n, rep.r, rep.mu)
+    """require_cover + derive_params in one step; raises if g is not a cover.
+
+    Derived once per graph: the result is recorded on g."""
+    if g._params is None:
+        rep = require_cover(g)
+        g._params = derive_params(rep.n, rep.r, rep.mu)
+    return g._params

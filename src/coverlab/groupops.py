@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphcore import (CoverGraph, bfs_layers, cover_report, fibre_masks,
-                        require_cover, verify_cover)
+                        params_of, require_cover, verify_cover)
 from .perms import PermGroup, Permutation
 
 
@@ -308,6 +308,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     n, r, mu, lam = rep.n, rep.r, rep.mu, rep.lam
 
     fixed_set = set(fixed)
+    fixed_mask = sum(1 << u for u in fixed)
     fixed_fibres = [i for i, f in enumerate(g.fibres)
                     if all(g.fibre_of[p[z]] == i for z in f)]
     l = len(fixed_fibres)
@@ -323,7 +324,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     ok = len(fixed) == l * f
     out.append(AuditItem(lemma, "size-lf", "pass" if ok else "fail",
                          {"fixed": len(fixed), "l*f": l * f}))
-    degs = sorted({sum(1 for w in fixed if g.has_edge(u, w)) for u in fixed})
+    degs = sorted({(g.adj[u] & fixed_mask).bit_count() for u in fixed})
     ok = degs == [l - 1]
     out.append(AuditItem(lemma, "regular-degree-l-1",
                          "pass" if ok else "fail",
@@ -339,16 +340,13 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
                           "(n-l)r": (n - l) * r}))
 
     # vertices outside see at most l fixed vertices
-    worst = 0
-    for u in range(g.v):
-        if u not in fixed_set:
-            worst = max(worst, sum(1 for w in fixed if g.has_edge(u, w)))
+    worst = max(((g.adj[u] & fixed_mask).bit_count()
+                 for u in range(g.v) if u not in fixed_set), default=0)
     out.append(AuditItem(lemma, "outside-neighbours<=l",
                          "pass" if worst <= l else "fail",
                          {"max_outside": worst, "l": l}))
 
-    from .params import derive_params
-    pp = derive_params(n, r, mu)
+    pp = params_of(g)
     t_int = -int(pp.tau) if pp.tau.is_integer else None
 
     if l == 1:
@@ -364,8 +362,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
             out.append(AuditItem(lemma, "case-l=1-t-even", "inapplicable",
                                  {"reason": "tau is not an integer"}))
     if f == 1 and l > 1:
-        clique = all(g.has_edge(u, w) for i, u in enumerate(fixed)
-                     for w in fixed[i + 1:])
+        clique = degs == [len(fixed) - 1]
         out.append(AuditItem(lemma, "case-f=1-clique",
                              "pass" if clique else "fail", {"l": l}))
         if t_int is not None and t_int >= 2:
@@ -376,7 +373,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     if l > 1:
         if lam >= mu:
             xset = [u for u in range(g.v) if u not in fixed_set
-                    and any(g.has_edge(u, w) for w in fixed)]
+                    and g.adj[u] & fixed_mask]
             lhs = Fraction(len(xset), n - l)
             middle = len(fixed)
             rhs = Fraction((lam - mu) * alpha[1], n - l) + r * mu
@@ -485,6 +482,10 @@ def subdegree_identity_check(g: CoverGraph, group: PermGroup) -> dict:
 
 # -- structural audit (stabilizers, normalizers, fixed points) -----------------
 
+# seed of the draws behind structure_audit's chains; |G| certifies each chain
+_AUDIT_SEED = 1
+
+
 def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
     """Assertable identities tying M = G_{F}, C = G_F, K and G_a together.
 
@@ -492,11 +493,12 @@ def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
     (semidirect with trivial intersection); the index |G : M| equals the
     fibre count; |Fix(G_a)| = |N_G(G_a) : G_a| divides nr; and
     |Fix_Sigma(M)| = |N_G(M) : M| divides n.  Each group is a tail of one
-    of two chains of G, and nothing scans elements: on the vertices with
-    base (a, F - {a}), G_a and C; on the vertices, a point F* per fibre and
-    a point per element of K - 1 (by conjugation) with base (F*, K - 1, a),
-    M and C_G(K) meet G_a, as G_a <= M.  |N_G(H) : H| counts the first
-    chain's transversal elements t (one per fibre for M) with H^t <= H.
+    of two chains of G (_audit_chains), and nothing scans elements: on the
+    vertices with base (a, F - {a}), G_a and C; on the vertices, a point F*
+    per fibre and a point per element of K - 1 (by conjugation) with base
+    (F*, K - 1, a), M and C_G(K) meet G_a, as G_a <= M.  |N_G(H) : H|
+    counts the first chain's transversal elements t (one per fibre for M)
+    with H^t <= H.
     """
     lemma = "stabilizer-structure"
     out: list[AuditItem] = []
@@ -509,28 +511,12 @@ def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
                           {"reason": "covering group is not abelian-regular"})]
 
     a = 0
-    fa_idx = g.fibre_of[a]
-    fibre = g.fibres[fa_idx]
-    chain1 = PermGroup(group.generators, g.v,
-                       base_hint=(a, *(x for x in fibre if x != a)))
-    g_a, c_point = chain1.stabilizer(1), chain1.stabilizer(len(fibre))
+    nf, nk = len(g.fibres[g.fibre_of[a]]), len(kernel.generators)
+    chain1, chain2, extend = _audit_chains(g, group, kernel)
+    g_a, c_point = chain1.stabilizer(1), chain1.stabilizer(nf)
     moves = chain1.transversal()              # t_b sends a to b
-    ks = kernel.generators                    # K - 1, as K is regular
-    k_point = {k.img: g.v + g.n + j for j, k in enumerate(ks)}
-
-    def extend(p: Permutation) -> Permutation:
-        """p on the vertices, on the point v + i of each fibre i and, by
-        k -> p^-1 k p, on the point k_point[k] of each k in ks."""
-        inv = p.inverse()
-        return Permutation(p.img
-                           + tuple(g.v + g.fibre_of[p[f[0]]] for f in g.fibres)
-                           + tuple(k_point[(inv * k * p).img] for k in ks))
-
-    chain2 = PermGroup([extend(p) for p in group.generators],
-                       g.v + g.n + len(ks),
-                       base_hint=(g.v + fa_idx, *k_point.values(), a))
     m_group = chain2.stabilizer(1)
-    cgk_a = chain2.stabilizer(len(ks) + 2)
+    cgk_a = chain2.stabilizer(nk + 2)
 
     order_g = group.order()
     order_m = m_group.order()
@@ -575,6 +561,41 @@ def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
         "pass" if ok else "fail",
         {"|FixSigma(M)|": len(fixed_fibres), "|N:M|": idx_m, "n": g.n}))
     return out
+
+
+def _audit_chains(g: CoverGraph, group: PermGroup, kernel: PermGroup):
+    """structure_audit's two chains of G, with a = 0 and F its fibre, and
+    the map extend from G to the second chain's group.
+
+    The first acts on the vertices with base (a, F - {a}).  The second acts
+    on the vertices, a point F* per fibre and a point per element of
+    kernel.generators (K - 1, as K is regular), with base (F*, K - 1, a).
+    Both are built from |G| by known-order sifting of seeded draws from
+    G's own chain.  Returns (chain1, chain2, extend).
+    """
+    a = 0
+    fa_idx = g.fibre_of[a]
+    fibre = g.fibres[fa_idx]
+    order_g = group.order()
+    chain1 = PermGroup.from_order(
+        group.generators, g.v, order_g, group.random_elements(_AUDIT_SEED),
+        base_hint=(a, *(x for x in fibre if x != a)))
+    ks = kernel.generators
+    k_point = {k.img: g.v + g.n + j for j, k in enumerate(ks)}
+
+    def extend(p: Permutation) -> Permutation:
+        """p on the vertices, on the point v + i of each fibre i and, by
+        k -> p^-1 k p, on the point k_point[k] of each k in ks."""
+        inv = p.inverse()
+        return Permutation(p.img
+                           + tuple(g.v + g.fibre_of[p[f[0]]] for f in g.fibres)
+                           + tuple(k_point[(inv * k * p).img] for k in ks))
+
+    chain2 = PermGroup.from_order(
+        [extend(p) for p in group.generators], g.v + g.n + len(ks), order_g,
+        map(extend, group.random_elements(_AUDIT_SEED)),
+        base_hint=(g.v + fa_idx, *k_point.values(), a))
+    return chain1, chain2, extend
 
 
 def _normalizes(t: Permutation, sub: PermGroup) -> bool:

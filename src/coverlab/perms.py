@@ -1,17 +1,28 @@
 """Permutations and small permutation groups with a stabilizer chain.
 
-The chain is built by a deterministic Schreier-Sims procedure: base points
-are prepended from an optional hint (enabling pointwise set stabilizers,
-e.g. the kernel of an action), otherwise chosen as the first moved point.
-Orders, membership, stabilizers, transversals and lazy element iteration
-all come from the chain, so orders in the tens of millions are fine at
-degree <= about 1000 as long as nothing scans every element.  A stabilizer
-is a chain tail and runs no Schreier-Sims (Seress 2003, section 4.1).
+A group of unknown order gets its chain from a deterministic Schreier-Sims
+procedure: base points are prepended from an optional hint (enabling
+pointwise set stabilizers, e.g. the kernel of an action), otherwise chosen
+as the first moved point.  A group whose order is already known, such as
+the same group on another base or on an extended domain, is built by
+PermGroup.from_order: seeded uniform draws are sifted until the product of
+the orbit lengths equals the order, which certifies the chain, so the
+seed changes no result.  Orders, membership, stabilizers, transversals and
+lazy element iteration all come from the chain, so orders in the tens of
+millions are fine at degree <= about 1000 as long as nothing scans every
+element.  A stabilizer is a chain tail and runs no Schreier-Sims (Seress
+2003, section 4.1).  Products index one image tuple by another with
+operator.itemgetter, and each permutation keeps its inverse once computed.
 """
 from __future__ import annotations
 
-from functools import reduce
+import random
+from functools import lru_cache, reduce
 from math import gcd
+from operator import itemgetter
+
+# known-order sifting gives up after this many identity residues in a row
+MAX_IDLE_DRAWS = 64
 
 
 class Permutation:
@@ -21,14 +32,15 @@ class Permutation:
     exponent convention x^(pq) = (x^p)^q.
     """
 
-    __slots__ = ("img",)
+    __slots__ = ("img", "_inv")
 
     def __init__(self, img):
         self.img = tuple(img)
+        self._inv: Permutation | None = None
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(n))
+        return Permutation(_identity_img(n))
 
     @property
     def degree(self) -> int:
@@ -41,17 +53,23 @@ class Permutation:
         return self.img[x]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        oi = other.img
-        return Permutation(tuple(oi[x] for x in self.img))
+        img = self.img
+        if len(img) < 2:  # itemgetter of one index gives a scalar, of none raises
+            return Permutation(other.img)
+        return Permutation(itemgetter(*img)(other.img))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.img)
-        for i, x in enumerate(self.img):
-            inv[x] = i
-        return Permutation(inv)
+        """The inverse, computed once: each of the pair holds the other."""
+        if self._inv is None:
+            inv = [0] * len(self.img)
+            for i, x in enumerate(self.img):
+                inv[x] = i
+            self._inv = Permutation(inv)
+            self._inv._inv = self
+        return self._inv
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.img))
+        return self.img == _identity_img(len(self.img))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.img == other.img
@@ -95,6 +113,11 @@ class Permutation:
         return list(self.img)
 
 
+@lru_cache(maxsize=64)
+def _identity_img(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
 def _first_moved(g: Permutation) -> int:
     for i, x in enumerate(g.img):
         if i != x:
@@ -106,9 +129,45 @@ class _Level:
     # Stabilizer tails share levels: none is mutated once its chain is built.
     __slots__ = ("point", "orbit")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, degree: int):
         self.point = point
-        self.orbit: dict[int, Permutation] = {}
+        # base point -> transversal element sending it there
+        self.orbit = {point: Permutation.identity(degree)}
+
+
+def _fixing(strong, levels) -> list[Permutation]:
+    """The strong generators fixing the base points of levels."""
+    pts = [l.point for l in levels]
+    return [g for g in strong if all(g[p] == p for p in pts)]
+
+
+def _close_orbit(orbit: dict, gens, queue: list) -> None:
+    """Apply gens to the points in queue and to every point they reach,
+    recording each new point's transversal element."""
+    while queue:
+        x = queue.pop()
+        tx = orbit[x]
+        for s in gens:
+            y = s[x]
+            if y not in orbit:
+                orbit[y] = tx * s
+                queue.append(y)
+
+
+def _sift(levels, g: Permutation, start: int = 0):
+    """Strip g through levels start, start + 1, ...: (residue, index of
+    the level whose orbit misses it, or len(levels))."""
+    for i in range(start, len(levels)):
+        lvl = levels[i]
+        t = lvl.orbit.get(g[lvl.point])
+        if t is None:
+            return g, i
+        g = g * t.inverse()
+    return g, len(levels)
+
+
+def _orbit_product(levels) -> int:
+    return reduce(lambda a, l: a * len(l.orbit), levels, 1)
 
 
 class PermGroup:
@@ -136,65 +195,38 @@ class PermGroup:
             self._build_chain()
         return self._levels
 
-    def _build_chain(self):
-        ident = Permutation.identity(self.degree)
+    def _start_chain(self) -> tuple[list[_Level], list[Permutation]]:
+        """Levels for the hinted base points, then one for the first moved
+        point of each generator that fixes every base point so far; each
+        orbit is just its base point.  Returns (levels, strong generators)."""
         levels: list[_Level] = []
         strong: list[Permutation] = list(self.generators)
-
-        def add_level(pt: int):
-            lvl = _Level(pt)
-            lvl.orbit[pt] = ident
-            levels.append(lvl)
-
         for b in self._base_hint:
-            add_level(b)
+            levels.append(_Level(b, self.degree))
         for g in strong:
             if all(g[l.point] == l.point for l in levels):
-                add_level(_first_moved(g))
+                levels.append(_Level(_first_moved(g), self.degree))
+        return levels, strong
 
-        def gens_at(i: int) -> list[Permutation]:
-            pts = [l.point for l in levels[:i]]
-            return [g for g in strong
-                    if all(g[p] == p for p in pts)]
-
-        def sift(g: Permutation, start: int):
-            for i in range(start, len(levels)):
-                lvl = levels[i]
-                x = g[lvl.point]
-                if x not in lvl.orbit:
-                    return g, i
-                g = g * lvl.orbit[x].inverse()
-            return g, len(levels)
-
-        def rebuild_orbit(i: int):
-            lvl = levels[i]
-            gens = gens_at(i)
-            lvl.orbit = {lvl.point: ident}
-            queue = [lvl.point]
-            while queue:
-                x = queue.pop()
-                tx = lvl.orbit[x]
-                for s in gens:
-                    y = s[x]
-                    if y not in lvl.orbit:
-                        lvl.orbit[y] = tx * s
-                        queue.append(y)
-
+    def _build_chain(self):
+        """Deterministic Schreier-Sims, for a group of unknown order."""
+        levels, strong = self._start_chain()
         i = len(levels) - 1
         while i >= 0:
-            rebuild_orbit(i)
             lvl = levels[i]
-            gens = gens_at(i)
+            gens = _fixing(strong, levels[:i])
+            lvl.orbit = {lvl.point: lvl.orbit[lvl.point]}
+            _close_orbit(lvl.orbit, gens, [lvl.point])
             dirty = None
             for x in sorted(lvl.orbit):
                 tx = lvl.orbit[x]
                 for s in gens:
                     y = s[x]
                     schreier = tx * s * lvl.orbit[y].inverse()
-                    h, j = sift(schreier, i + 1)
+                    h, j = _sift(levels, schreier, i + 1)
                     if not h.is_identity():
                         if j == len(levels):
-                            add_level(_first_moved(h))
+                            levels.append(_Level(_first_moved(h), self.degree))
                         strong.append(h)
                         dirty = j
                         break
@@ -208,24 +240,65 @@ class PermGroup:
         self._levels = levels
         self._strong = strong
 
+    @classmethod
+    def from_order(cls, generators, degree: int, order: int, draws,
+                   base_hint=()) -> "PermGroup":
+        """The group generated by generators, whose order is known, with a
+        chain built by known-order sifting (Seress, Permutation Group
+        Algorithms, 2003, ch. 4): sift elements of the group taken from the
+        iterator draws, add each non-identity residue as a strong generator
+        and grow the orbits, until the product of the orbit lengths equals
+        order.  That product never exceeds the group's order and reaches it
+        only on a complete chain, so the order certifies the chain for any
+        draws from the group; uniform draws make each sift succeed with
+        probability at least 1/2 while the chain is incomplete.  ValueError
+        when the product passes order or MAX_IDLE_DRAWS draws in a row sift
+        to the identity first: order was not the group's order, or the
+        draws were not uniform in it.
+        """
+        group = cls(generators, degree, base_hint)
+        levels, strong = group._start_chain()
+
+        def grow(top: int):
+            """Close the orbits of levels 0..top under their generators."""
+            for i in range(top + 1):
+                orbit = levels[i].orbit
+                _close_orbit(orbit, _fixing(strong, levels[:i]), list(orbit))
+
+        grow(len(levels) - 1)
+        idle = 0
+        while (found := _orbit_product(levels)) < order:
+            h, j = _sift(levels, next(draws))
+            if h.is_identity():
+                idle += 1
+                if idle == MAX_IDLE_DRAWS:
+                    raise ValueError(
+                        f"{idle} draws in a row sifted to the identity with "
+                        f"orbit product {found} below the order {order}")
+                continue
+            idle = 0
+            if j == len(levels):
+                levels.append(_Level(_first_moved(h), degree))
+            strong.append(h)
+            grow(j)  # h fixes the base points before level j
+        if found > order:
+            raise ValueError(f"orbit product {found} passes the order {order}")
+        group._levels, group._strong = levels, strong
+        return group
+
     @property
     def base(self) -> list[int]:
         return [l.point for l in self._chain()]
 
     def order(self) -> int:
-        return reduce(lambda a, l: a * len(l.orbit), self._chain(), 1)
+        return _orbit_product(self._chain())
 
     def __contains__(self, g) -> bool:
         if not isinstance(g, Permutation):
             g = Permutation(g)
         if g.degree != self.degree:
             return False
-        for lvl in self._chain():
-            x = g[lvl.point]
-            if x not in lvl.orbit:
-                return False
-            g = g * lvl.orbit[x].inverse()
-        return g.is_identity()
+        return _sift(self._chain(), g)[0].is_identity()
 
     def stabilizer(self, k: int) -> "PermGroup":
         """Pointwise stabilizer of the first k base points: the strong
@@ -252,6 +325,19 @@ class PermGroup:
         points = tuple(points)
         chain = PermGroup(self.generators, self.degree, base_hint=points)
         return chain.stabilizer(len(points))
+
+    def random_elements(self, seed: int):
+        """Endless seeded uniform draws: t_L ... t_1 t_0 with each t_i a
+        random transversal element of level i, as elements() multiplies
+        them, so every element is one product."""
+        rng = random.Random(seed)
+        transversals = [list(l.orbit.values()) for l in self._chain()]
+        ident = Permutation.identity(self.degree)
+        while True:
+            g = ident
+            for ts in transversals:
+                g = rng.choice(ts) * g
+            yield g
 
     # -- orbits ---------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Actions, quotients, displacement and the group-identity audits."""
 import random
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -10,8 +12,9 @@ from coverlab import (arc_orbit_count, automorphism_group, covering_group,
                       verify_cover)
 from coverlab.autgroup import automorphism_generators
 from coverlab.graphcore import GraphStructureError
-from coverlab.groupops import (QuotientError, _fibre_fixing_automorphisms,
-                               involution_audit, is_cover_automorphism)
+from coverlab.groupops import (QuotientError, _audit_chains,
+                               _fibre_fixing_automorphisms, involution_audit,
+                               is_cover_automorphism)
 from coverlab.perms import PermGroup, Permutation, closure_elements
 from conftest import matching_swapped, relabelled, symplectic_witnesses
 
@@ -511,8 +514,9 @@ def test_structure_audit_fails_with_ga_for_m(corpus, auts, monkeypatch):
 
 
 def test_structure_audit_builds_two_chains(corpus, auts, monkeypatch):
-    """With G's chain built, the audit runs Schreier-Sims three times: its
-    two chains of G, whose tails give every subgroup, and K's chain."""
+    """With G's chain built, the audit runs Schreier-Sims once, for K's
+    chain: its two chains of G, whose tails give every subgroup, are built
+    from |G| by known-order sifting."""
     g, aut = corpus["ts31"], auts["ts31"]
     aut.order()
     builds = []
@@ -521,7 +525,7 @@ def test_structure_audit_builds_two_chains(corpus, auts, monkeypatch):
                         lambda self: builds.append(self) or build(self))
     items = structure_audit(g, aut)
     assert all(i.status == "pass" for i in items)
-    assert len(builds) == 3
+    assert len(builds) == 1
 
 
 def test_non_automorphism_groups_rejected(corpus):
@@ -536,3 +540,76 @@ def test_non_automorphism_groups_rejected(corpus):
         covering_group(g, bogus)
     with pytest.raises(ValueError, match="not a graph automorphism"):
         arc_orbit_count(g, bogus)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
+@pytest.mark.parametrize("seed", (None, 4))
+def test_audit_chains_match_schreier_sims(name, seed):
+    """structure_audit's known-order chains against the deterministic
+    Schreier-Sims on the same generators and base hint: the same orders
+    and hinted base, and the same membership in every hinted stabilizer,
+    for elements of G (mapped by extend for the second chain), for
+    elements of each Schreier-Sims stabilizer and for random permutations
+    of the domain, which are mostly non-members."""
+    base = ORACLE_COVERS[name]()
+    g = base if seed is None else relabelled(base, seed)
+    aut = automorphism_group(g)
+    kernel, _ = covering_group(g, aut)
+    chain1, chain2, extend = _audit_chains(g, aut, kernel)
+    rng = random.Random(23)
+    draws = aut.random_elements(24)
+    for chain, image in ((chain1, lambda p: p), (chain2, extend)):
+        hint = chain._base_hint
+        slow = PermGroup(chain.generators, chain.degree, base_hint=hint)
+        assert chain.order() == aut.order() == slow.order()
+        assert chain.base[:len(hint)] == list(hint) == slow.base[:len(hint)]
+        members = [image(next(draws)) for _ in range(10)]
+        others = [Permutation(rng.sample(range(chain.degree), chain.degree))
+                  for _ in range(10)]
+        assert all(x in chain for x in members)
+        for k in range(len(hint) + 1):
+            fast, sub = chain.stabilizer(k), slow.stabilizer(k)
+            assert fast.order() == sub.order(), (name, k)
+            sub_draws = sub.random_elements(25)
+            tests = members + others + [next(sub_draws) for _ in range(5)]
+            for x in tests:
+                assert (x in fast) == (x in sub), (name, k)
+
+
+def test_involution_audit_matches_pair_loops(corpus, auts):
+    """The neighbour counts read off the bit rows against has_edge pair
+    loops, for every involution with fixed points in the first 2000
+    elements of each corpus cover and a relabelled TS(4,1): the fixed
+    subgraph's degrees, the most fixed neighbours of an outside vertex,
+    the clique case and |X|, the outside vertices with a fixed neighbour."""
+    covers = dict(corpus, ts41_relabelled=relabelled(corpus["ts41"], 6))
+    checked = 0
+    for name, g in covers.items():
+        aut = auts.get(name) or automorphism_group(g)
+        for p in islice(aut.elements(), 2000):
+            if p.order() != 2 or not p.fixed_points():
+                continue
+            fixed = p.fixed_points()
+            items = {i.item: i for i in involution_audit(g, p)}
+            if "regular-degree-l-1" not in items:
+                continue
+            checked += 1
+            degs = sorted({sum(1 for w in fixed if g.has_edge(u, w))
+                           for u in fixed})
+            assert items["regular-degree-l-1"].witness["degrees"] == degs
+            worst = max(sum(1 for w in fixed if g.has_edge(u, w))
+                        for u in range(g.v) if u not in fixed)
+            assert items["outside-neighbours<=l"].witness["max_outside"] \
+                == worst
+            if "case-f=1-clique" in items:
+                clique = all(g.has_edge(u, w) for u in fixed for w in fixed
+                             if u != w)
+                assert (items["case-f=1-clique"].status == "pass") == clique
+            chain = items.get("case-l>1-chain")
+            if chain is not None and chain.status != "inapplicable":
+                xset = [u for u in range(g.v) if u not in fixed
+                        and any(g.has_edge(u, w) for w in fixed)]
+                l = items["constant-f"].witness["l"]
+                assert chain.witness["|X|/(n-l)"] == \
+                    str(Fraction(len(xset), g.n - l))
+    assert checked > 50

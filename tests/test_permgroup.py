@@ -341,3 +341,86 @@ def test_normalizer_and_centralizer():
     assert s4.normalizer(v4).order() == 24  # V4 is normal in S4
     z = s4.centralizer_of_group(s4)
     assert z.order() == 1  # S4 is centreless
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_kernel_small_degrees(n):
+    """Products, inverses and is_identity at the degrees where itemgetter
+    of one index gives a scalar and of none raises."""
+    perms = [Permutation(p) for p in all_perms(range(n))]
+    ident = Permutation.identity(n)
+    assert ident.is_identity()
+    for p in perms:
+        assert p.inverse().inverse() is p
+        assert p * p.inverse() == ident == p.inverse() * p
+        assert p.is_identity() == (list(p.img) == list(range(n)))
+        for q in perms:
+            assert (p * q).img == tuple(q.img[x] for x in p.img)
+            assert (p * q).degree == n
+
+
+def test_kernel_matches_pointwise_composition():
+    """Products and inverses on 243 points against pointwise loops."""
+    import random
+    rng = random.Random(21)
+    n = 243
+    for _ in range(20):
+        p = Permutation(rng.sample(range(n), n))
+        q = Permutation(rng.sample(range(n), n))
+        assert (p * q).img == tuple(q.img[p.img[x]] for x in range(n))
+        inv = p.inverse()
+        assert inv is p.inverse() and inv.inverse() is p
+        assert all(inv[p[x]] == x for x in range(n))
+        assert not p.is_identity() and (p * inv).is_identity()
+
+
+def test_from_order_matches_schreier_sims_on_random_groups():
+    """Known-order chains against the deterministic Schreier-Sims with the
+    same base hint: the same order, the same hinted base prefix, and the
+    same membership in every hinted stabilizer, for several draw seeds;
+    the closure is the order's oracle."""
+    import random
+    rng = random.Random(22)
+    for _ in range(30):
+        grp = random_group(rng, n_max=7)
+        elements = closure_elements(grp.generators, grp.degree)
+        hint = tuple(rng.sample(range(grp.degree),
+                                rng.randint(0, grp.degree - 1)))
+        slow = PermGroup(grp.generators, grp.degree, base_hint=hint)
+        for seed in (0, 1, 2):
+            fast = PermGroup.from_order(grp.generators, grp.degree,
+                                        len(elements),
+                                        grp.random_elements(seed), hint)
+            assert fast.order() == len(elements) == slow.order()
+            assert fast.base[:len(hint)] == list(hint)
+            for k in range(len(hint) + 1):
+                f, s = fast.stabilizer(k), slow.stabilizer(k)
+                assert f.order() == s.order()
+                for e in elements:
+                    assert (Permutation(e) in f) == (Permutation(e) in s)
+
+
+def test_random_elements_are_uniform_members():
+    """Each draw is one product t_L ... t_0, so over a small group every
+    element appears and each draw is a member."""
+    s4 = PermGroup([Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
+    draws = s4.random_elements(3)
+    seen = {next(draws).img for _ in range(400)}
+    assert seen == closure_elements(s4.generators, 4)
+
+
+def test_from_order_rejects_a_wrong_order():
+    """Known-order sifting never loops and never clamps.  An order below
+    |G| is passed by the orbit product; above |G| it is never reached, and
+    the draws keep sifting to the identity."""
+    from coverlab.perms import MAX_IDLE_DRAWS
+    aut = automorphism_group(thas_somma(3, 1))
+    order = aut.order()
+    for low in (1, order - 1):
+        with pytest.raises(ValueError, match="passes the order"):
+            PermGroup.from_order(aut.generators, aut.degree, low,
+                                 aut.random_elements(0), (0,))
+    draws = aut.random_elements(0)
+    with pytest.raises(ValueError, match=f"{MAX_IDLE_DRAWS} draws in a row"):
+        PermGroup.from_order(aut.generators, aut.degree, 2 * order, draws,
+                             (0,))
