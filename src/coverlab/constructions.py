@@ -71,40 +71,23 @@ def thas_somma(q: int, m: int = 1) -> CoverGraph:
     if nverts > VERTEX_BOUND:
         raise ValueError(f"{nverts} vertices exceed the bound {VERTEX_BOUND}")
 
-    points = list(product(fld.elements(), repeat=dim))
-    index = {u: i for i, u in enumerate(points)}
-
-    def form(u, v) -> int:
-        acc = 0
-        for i in range(m):
-            t1 = fld.mul(u[2 * i], v[2 * i + 1])
-            t2 = fld.mul(u[2 * i + 1], v[2 * i])
-            acc = fld.add(acc, fld.sub(t1, t2))
-        return acc
-
-    edges = []
-    npts = len(points)
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            b_val = form(points[i], points[j])
-            for a in fld.elements():
-                edges.append((i * q + a, j * q + fld.add(a, b_val)))
-    fibres = [[i * q + a for a in range(q)] for i in range(npts)]
+    # pairs of points i < j in product order; B is accumulated over the
+    # coordinate pairs through the field's tables
+    points = np.array(list(product(range(q), repeat=dim))).reshape(-1, dim)
+    i, j = np.triu_indices(len(points), 1)
+    u, w = points[i], points[j]
+    add, neg, mul = fld.add_table, fld.neg_table, fld.mul_table
+    form = np.zeros(len(i), dtype=np.intp)
+    for k in range(0, dim, 2):
+        t1 = mul[u[:, k], w[:, k + 1]]
+        t2 = mul[u[:, k + 1], w[:, k]]
+        form = add[form, add[t1, neg[t2]]]
+    # (i, a) ~ (j, a + B(u_i, u_j)) for every a in GF(q)
+    a = np.arange(q)
+    edges = np.stack([i[:, None] * q + a, j[:, None] * q + add[a, form[:, None]]],
+                     axis=-1).reshape(-1, 2)
+    fibres = [[x * q + c for c in range(q)] for x in range(len(points))]
     return CoverGraph(fibres, edges)
-
-
-def thas_somma_covering_translations(q: int, m: int = 1) -> list[tuple[int, ...]]:
-    """The q second-coordinate translations (u, a) -> (u, a + c), as images."""
-    fld = GF(q)
-    npts = q ** (2 * m)
-    out = []
-    for c in fld.elements():
-        img = [0] * (npts * q)
-        for i in range(npts):
-            for a in fld.elements():
-                img[i * q + a] = i * q + fld.add(a, c)
-        out.append(tuple(img))
-    return out
 
 
 def taylor_from_seidel(seidel, convention: int = -1) -> CoverGraph:

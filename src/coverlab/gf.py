@@ -1,11 +1,15 @@
 """Small finite fields GF(q) for q <= 16 via fixed Conway polynomials.
 
 Elements are integers 0..q-1 encoding base-p digit vectors (lowest digit
-first), so 0 and 1 are the field's zero and one.  Multiplication uses
-log/antilog tables built from the Conway generator; everything is
+first), so 0 and 1 are the field's zero and one.  The addition,
+negation and multiplication tables are built once per field, as numpy
+arrays that vectorised callers index directly; multiplication comes from
+log/antilog tables of the Conway generator.  Everything is
 deterministic.  q is split as p^e by numtheory.prime_power_decompose.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .numtheory import prime_power_decompose
 
@@ -20,7 +24,11 @@ _CONWAY = {
 
 
 class GF:
-    """Arithmetic in GF(q), q = p^e <= 16."""
+    """Arithmetic in GF(q), q = p^e <= 16.
+
+    add_table[a, b], neg_table[a] and mul_table[a, b] hold a + b, -a and
+    a * b; the scalar operations read them.
+    """
 
     def __init__(self, q: int):
         pp = prime_power_decompose(q)
@@ -29,79 +37,52 @@ class GF:
         p, e = pp
         if q > 16:
             raise ValueError(f"q = {q} exceeds the supported bound 16")
+        if e > 1 and (p, e) not in _CONWAY:
+            raise ValueError(f"no Conway polynomial stored for {p}^{e}")
         self.q, self.p, self.e = q, p, e
+        # digits[a, i] is the coefficient of x^i in a; addition is digitwise
+        weights = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // weights % p
+        self.add_table = (digits[:, None, :] + digits) % p @ weights
+        self.neg_table = -digits % p @ weights
         if e == 1:
-            self._mul_table = None
+            self.mul_table = np.outer(np.arange(q), np.arange(q)) % p
         else:
-            if (p, e) not in _CONWAY:
-                raise ValueError(f"no Conway polynomial stored for {p}^{e}")
-            self._build_tables(_CONWAY[(p, e)])
-
-    # digit-vector encoding: n = sum(d_i p^i)
-
-    def _vec(self, a: int) -> list[int]:
-        return [(a // self.p**i) % self.p for i in range(self.e)]
-
-    def _num(self, v) -> int:
-        return sum(d * self.p**i for i, d in enumerate(v)) % self.q
-
-    def _build_tables(self, conway):
-        p, e = self.p, self.e
-        # powers of the generator x, reduced mod the Conway polynomial
-        cur = [0] * e
-        cur[1 if e > 1 else 0] = 1  # the element x
-        x_elt = self._num(cur)
-        log = {1: 0}
-        antilog = [1]
-        elt = 1
-        for k in range(1, self.q - 1):
-            elt = self._poly_mul(elt, x_elt, conway)
-            antilog.append(elt)
-            log[elt] = k
-        if len(log) != self.q - 1:
-            raise AssertionError("Conway polynomial did not generate the field")
-        self._log, self._antilog = log, antilog
-
-    def _poly_mul(self, a: int, b: int, conway) -> int:
-        p, e = self.p, self.e
-        va, vb = self._vec(a), self._vec(b)
-        prod = [0] * (2 * e - 1)
-        for i, ca in enumerate(va):
-            if ca:
-                for j, cb in enumerate(vb):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        # reduce: x^e = -conway coefficients
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, cc in enumerate(conway):
-                    prod[i - e + j] = (prod[i - e + j] - c * cc) % p
-        return self._num(prod[:e])
+            antilog = _powers_of_x(p, e, _CONWAY[(p, e)])
+            if len(set(antilog)) != q - 1:
+                raise AssertionError("Conway polynomial did not generate the field")
+            log = np.zeros(q, dtype=np.intp)
+            log[antilog] = np.arange(q - 1)
+            mul = np.array(antilog)[(log[:, None] + log) % (q - 1)]
+            mul[0, :] = mul[:, 0] = 0
+            self.mul_table = mul
 
     # -- field operations ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (a + b) % p
-        return self._num([(x + y) % p for x, y in zip(self._vec(a), self._vec(b))])
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (-a) % p
-        return self._num([(-x) % p for x in self._vec(a)])
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._antilog[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return int(self.mul_table[a, b])
 
     def elements(self) -> range:
         return range(self.q)
+
+
+def _powers_of_x(p: int, e: int, conway) -> list[int]:
+    """x^0, ..., x^(p^e - 2) reduced mod the Conway polynomial, encoded."""
+    coeffs = [1] + [0] * (e - 1)
+    out = []
+    for _ in range(p ** e - 1):
+        out.append(sum(c * p ** i for i, c in enumerate(coeffs)))
+        # times x: shift up, then x^e = -sum(c_i x^i)
+        top = coeffs[-1]
+        coeffs = [(lo - top * c) % p
+                  for lo, c in zip([0] + coeffs[:-1], conway)]
+    return out

@@ -78,11 +78,13 @@ class CoverGraph:
     and there are no loops.  The cover axioms (including fibres being
     cocliques) are the business of verify_cover, so invalid candidates can
     be built and then diagnosed.  verify_cover records a passing report on
-    the graph, and covering_group the fibre-fixing automorphisms.
+    the graph, and covering_group the fibre-fixing automorphisms.  The
+    edges are held as one (m, 2) array, which to_json and relabelled read;
+    the edges property builds the tuple of pairs only when first read.
     """
 
-    __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_edges",
-                 "_report", "_kernel", "_params")
+    __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_pairs",
+                 "_edges", "_report", "_kernel", "_params")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
         fibres = [sorted(_label(x, "fibre") for x in f) for f in fibres]
@@ -113,7 +115,6 @@ class CoverGraph:
         a[pairs[:, 0], pairs[:, 1]] = True
         a[pairs[:, 1], pairs[:, 0]] = True
         packed = np.packbits(a, axis=1, bitorder="little")
-        us, ws = np.nonzero(np.triu(a, 1))
 
         self.v = v
         self.n = n
@@ -125,9 +126,9 @@ class CoverGraph:
             for x in f:
                 fo[x] = i
         self.fibre_of = tuple(fo)
-        # edge tuples share one int object per vertex
-        label = list(range(v)).__getitem__
-        self._edges = tuple(zip(map(label, us.tolist()), map(label, ws.tolist())))
+        # the edges u < w in row-major order, as one (m, 2) array
+        self._pairs = np.argwhere(np.triu(a, 1))
+        self._edges: tuple | None = None
         self._report: CoverReport | None = None
         self._kernel: tuple | None = None
         self._params: CoverParams | None = None
@@ -136,6 +137,12 @@ class CoverGraph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u, w), u < w, sorted; built on first read, with one
+        shared int object per vertex."""
+        if self._edges is None:
+            label = list(range(self.v)).__getitem__
+            us, ws = self._pairs.T.tolist()
+            self._edges = tuple(zip(map(label, us), map(label, ws)))
         return self._edges
 
     def degree(self, u: int) -> int:
@@ -155,7 +162,7 @@ class CoverGraph:
         """Copy with the adjacency of the pair (u, w) flipped."""
         if u == w:
             raise GraphStructureError("cannot toggle a loop")
-        e = set(self._edges)
+        e = set(self.edges)
         pair = (u, w) if u < w else (w, u)
         if pair in e:
             e.remove(pair)
@@ -167,8 +174,7 @@ class CoverGraph:
         """Image of the graph under a vertex permutation (perm[u] = new label)."""
         fibres = [[perm[x] for x in f] for f in self.fibres]
         images = np.array([perm[x] for x in range(self.v)])
-        edges = images[np.argwhere(np.triu(self.adjacency_matrix(), 1))]
-        return CoverGraph(fibres, edges, self.v)
+        return CoverGraph(fibres, images[self._pairs], self.v)
 
     # -- file format ---------------------------------------------------------
 
@@ -176,7 +182,7 @@ class CoverGraph:
         """Canonical form: u < w, edges sorted, fibres sorted by minimum."""
         return {"v": self.v,
                 "fibres": [list(f) for f in self.fibres],
-                "edges": [list(e) for e in self._edges]}
+                "edges": self._pairs.tolist()}
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))

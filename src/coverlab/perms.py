@@ -418,7 +418,9 @@ def _times_transversal(level: _Level, products):
 
 
 def closure_elements(generators, degree: int, limit: int = 200_000) -> set[tuple]:
-    """Plain BFS closure of a generating set; the naive cross-check oracle."""
+    """Plain BFS closure of a generating set, one tuple composition per
+    product.  No library code calls it: it is the naive cross-check oracle
+    that tests compare chains and subgroups_of with."""
     gens = [g if isinstance(g, Permutation) else Permutation(g)
             for g in generators]
     ident = tuple(range(degree))
@@ -441,33 +443,58 @@ def closure_elements(generators, degree: int, limit: int = 200_000) -> set[tuple
 def subgroups_of(group: PermGroup, max_group_order: int = 10_000) -> list[PermGroup]:
     """All subgroups, by closure extension; rejects groups above the bound.
 
-    Deterministic order: by (order, sorted element tuples).  Meant for the
-    small groups that occur as covering groups and their relatives.
+    The elements are numbered in sorted order and every closure runs on
+    frozensets of these indices.  The product of two indices is composed
+    the first time it is needed and remembered, so at most |G|^2 tuple
+    compositions are made, whatever the number of closures.  Each subgroup
+    keeps the generators that first produced it.  Deterministic order: by
+    (order, sorted element tuples), which the order-preserving numbering
+    turns into (order, sorted indices).  Meant for the small groups that
+    occur as covering groups and their relatives.
     """
     n = group.order()
     if n > max_group_order:
         raise ValueError(f"group order {n} exceeds bound {max_group_order}")
     elements = sorted(g.img for g in group.elements())
-    ident = tuple(range(group.degree))
-    known: dict[frozenset, tuple] = {frozenset([ident]): (ident,)}
-    frontier = [frozenset([ident])]
+    index = {img: i for i, img in enumerate(elements)}
+    # the identity is the least image tuple, so index 0, and its products
+    # need no composition; the others are composed on first use
+    products = {(0, y): y for y in range(n)}
+
+    def times(x: int, y: int) -> int:
+        xy = products.get((x, y))
+        if xy is None:
+            xy = products[x, y] = index[itemgetter(*elements[x])(elements[y])]
+        return xy
+
+    def closure(gens) -> frozenset:
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in gens:
+                    xy = times(x, y)
+                    if xy not in seen:
+                        seen.add(xy)
+                        nxt.append(xy)
+            frontier = nxt
+        return frozenset(seen)
+
+    trivial = frozenset([0])
+    known: dict[frozenset, tuple] = {trivial: ()}
+    frontier = [trivial]
     while frontier:
         nxt = []
         for sub in frontier:
-            for e in elements:
+            for e in range(1, n):
                 if e in sub:
                     continue
-                gens = list(known[sub]) + [e]
-                closed = frozenset(closure_elements(
-                    [Permutation(g) for g in gens], group.degree,
-                    limit=max_group_order + 1))
+                gens = known[sub] + (e,)
+                closed = closure(gens)
                 if closed not in known:
-                    known[closed] = tuple(gens)
+                    known[closed] = gens
                     nxt.append(closed)
         frontier = nxt
-    out = []
-    for sub in sorted(known, key=lambda s: (len(s), sorted(s))):
-        gens = [Permutation(g) for g in known[sub]]
-        out.append(PermGroup([g for g in gens if not g.is_identity()],
-                             group.degree))
-    return out
+    return [PermGroup([elements[x] for x in known[sub]], group.degree)
+            for sub in sorted(known, key=lambda s: (len(s), sorted(s)))]

@@ -1,5 +1,6 @@
 """Cover-axiom verification, distance layers, antipodal classes, spectra."""
 import json
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from coverlab import (CoverGraph, antipodal_classes, cube, derive_params,
                       distance_classes, hexagon, icosahedron, params_of,
                       spectrum_check, thas_somma, verify_cover)
 from coverlab import graphcore
+from coverlab.frames import all_characters, character_matrix
 from coverlab.graphcore import GraphStructureError, bfs_layers
+from coverlab.groupops import covering_group
+from coverlab.perms import subgroups_of
 from conftest import relabelled
 
 
@@ -194,6 +198,50 @@ def test_json_canonical_round_trip(corpus):
         assert obj["edges"] == sorted(obj["edges"])
         mins = [f[0] for f in obj["fibres"]]
         assert mins == sorted(mins)
+
+
+def test_etf_stages_leave_edge_tuples_unbuilt():
+    """Loading TS(8,1) and running verify_cover, spectrum_check,
+    covering_group and character_matrix never asks for the edge tuples."""
+    g = CoverGraph.from_json(thas_somma(8, 1).to_json_str())
+    assert verify_cover(g).is_cover
+    assert spectrum_check(g, params_of(g)).ok
+    k, _ = covering_group(g)
+    character_matrix(g, all_characters(k)[1], kernel=k)
+    assert g._edges is None
+    assert len(g.edges) == 512 * 63 // 2 and g._edges is g.edges
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelled_json_matches_argwhere_formula(corpus, seed):
+    """relabelled's canonical JSON equals the image of every pair u < w of
+    the adjacency matrix, sorted, beside the relabelled fibres."""
+    for g in corpus.values():
+        perm = list(range(g.v))
+        random.Random(seed).shuffle(perm)
+        images = np.array(perm)
+        pairs = images[np.argwhere(np.triu(g.adjacency_matrix(), 1))]
+        want = {"v": g.v,
+                "fibres": sorted(sorted(perm[x] for x in f) for f in g.fibres),
+                "edges": sorted(sorted(e) for e in pairs.tolist())}
+        assert relabelled(g, seed).to_json_str() == json.dumps(
+            want, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["hexagon", "cube", "icosahedron", "ts31", "ts41"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_invariants_survive_relabelling(corpus, name, seed):
+    """verify_cover's verdict and parameters, params_of, |K| and the orders
+    of K's subgroups do not depend on the vertex labels."""
+    def invariants(g):
+        rep = verify_cover(g)
+        k, _ = covering_group(g)
+        return ((rep.is_cover, rep.n, rep.r, rep.mu, rep.lam), params_of(g),
+                k.order(), sorted(u.order() for u in subgroups_of(k)))
+
+    g = corpus[name]
+    assert invariants(relabelled(g, seed)) == invariants(g)
 
 
 def test_json_reader_accepts_any_order():

@@ -1,11 +1,14 @@
 """Permutation engine: stabilizer chains vs naive closure, automorphisms."""
 from itertools import permutations as all_perms
+from types import GeneratorType
 
 import pytest
 
 from coverlab import (automorphism_group, closure_elements, covers_isomorphic,
                       cube, hexagon, icosahedron, subgroups_of, thas_somma)
 from coverlab.graphcore import CoverGraph
+from coverlab import perms
+from coverlab.groupops import covering_group
 from coverlab.perms import PermGroup, Permutation
 from coverlab.autgroup import (AUT_VERTEX_BOUND, SizeBoundExceeded,
                                automorphism_generators)
@@ -181,6 +184,116 @@ def test_subgroups_of_small_groups():
     v4 = PermGroup([Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])])
     orders = sorted(s.order() for s in subgroups_of(v4))
     assert orders == [1, 2, 2, 2, 4]
+
+
+def subgroups_by_closure(group):
+    """The closure-extension enumeration over tuples, each closure a BFS of
+    closure_elements: every subgroup's first-found generators (identity
+    first) and order, in (order, sorted element tuples) order."""
+    elements = sorted(g.img for g in group.elements())
+    ident = tuple(range(group.degree))
+    known = {frozenset([ident]): (ident,)}
+    frontier = [frozenset([ident])]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for e in elements:
+                if e in sub:
+                    continue
+                gens = known[sub] + (e,)
+                closed = frozenset(closure_elements(gens, group.degree))
+                if closed not in known:
+                    known[closed] = gens
+                    nxt.append(closed)
+        frontier = nxt
+    return [([g for g in known[s] if g != ident], len(s))
+            for s in sorted(known, key=lambda s: (len(s), sorted(s)))]
+
+
+def _quaternion_regular():
+    """Q8 acting on itself by right multiplication, quaternions as 4-tuples."""
+    def times(a, b):
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+    units = [tuple(s * (k == i) for k in range(4))
+             for i in range(4) for s in (1, -1)]
+    pos = {q: i for i, q in enumerate(units)}
+    return PermGroup([[pos[times(q, g)] for q in units]
+                      for g in ((0, 1, 0, 0), (0, 0, 1, 0))])
+
+
+# subgroup counts from the groups' subgroup lattices
+SMALL_GROUPS = {
+    "S4": (lambda: PermGroup([[1, 2, 3, 0], [1, 0, 2, 3]]), 30),
+    "A4": (lambda: PermGroup([[1, 2, 0, 3], [0, 2, 3, 1]]), 10),
+    "D4": (lambda: PermGroup([[1, 2, 3, 0], [0, 3, 2, 1]]), 10),
+    "Q8": (_quaternion_regular, 6),
+    "Z6": (lambda: PermGroup([[1, 2, 3, 4, 5, 0]]), 4),
+    "V4": (lambda: PermGroup([[1, 0, 3, 2], [2, 3, 0, 1]]), 5),
+    # (Z3)^2 on itself, (a, b) -> 3a + b
+    "Z3^2": (lambda: PermGroup([[(3 * (x // 3 + 1) + x % 3) % 9
+                                 for x in range(9)],
+                                [3 * (x // 3) + (x + 1) % 3
+                                 for x in range(9)]]), 6),
+    "(Z2)^3 = K(TS(8,1))": (lambda: covering_group(thas_somma(8, 1))[0], 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_subgroups_of_matches_closure_extension(name):
+    build, count = SMALL_GROUPS[name]
+    group = build()
+    got = [([g.img for g in u.generators], u.order())
+           for u in subgroups_of(group)]
+    assert got == subgroups_by_closure(group)
+    assert len(got) == count
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", ["hexagon", "cube", "icosahedron", "ts31",
+                                  "ts41"])
+def test_subgroups_of_corpus_kernels_match_closure_extension(corpus, name,
+                                                             seed):
+    g = corpus[name] if seed is None else relabelled(corpus[name], seed)
+    k = covering_group(g)[0]
+    got = [([p.img for p in u.generators], u.order()) for u in subgroups_of(k)]
+    assert got == subgroups_by_closure(k)
+
+
+def test_subgroups_of_composes_each_product_once(monkeypatch):
+    """On K(TS(8,1)) = (Z2)^3, at most |K|^2 = 64 compositions of degree
+    512, however they are made: an itemgetter applied to an image tuple, or
+    a tuple built from a generator of images.  A closure_elements BFS per
+    candidate generating set makes 1 436, elements() included."""
+    k = covering_group(thas_somma(8, 1))[0]
+    n = k.order()  # the chain is built before counting
+    made = []
+    real_getter = perms.itemgetter
+
+    def counting_getter(*items):
+        get = real_getter(*items)
+
+        def apply(seq):
+            out = get(seq)
+            if len(items) == k.degree:
+                made.append(out)
+            return out
+        return apply
+
+    def counting_tuple(it=()):
+        out = tuple(it)
+        if isinstance(it, GeneratorType) and len(out) == k.degree:
+            made.append(out)
+        return out
+
+    monkeypatch.setattr(perms, "itemgetter", counting_getter)
+    monkeypatch.setattr(perms, "tuple", counting_tuple, raising=False)
+    assert len(subgroups_of(k)) == 16
+    assert 0 < len(made) <= n * n
 
 
 @pytest.mark.parametrize("name", ["hexagon", "cube", "icosahedron", "ts31",
