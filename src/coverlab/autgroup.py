@@ -10,11 +10,11 @@ leaf labelling is compared with the first leaf's, and a label map sending
 each edge of the bit rows to an edge becomes a generator.  Pruning is
 twofold: a branch whose refinement trace differs from the first path's has
 no equivalent leaf, and candidates in one orbit of the group found so far
-(fixing the individualized prefix) are interchangeable.  Traces are
-label-free (splitter steps, cell positions, keys and part sizes), so
-automorphic branches trace alike and both prunings are sound.  Off the first
-path a subtree is abandoned once it yields an automorphism, the usual
-backjump to the first-path ancestor.
+(fixing the individualized prefix), numbered by PermGroup.orbits, are
+interchangeable.  Traces are label-free (splitter steps, cell positions,
+keys and part sizes), so automorphic branches trace alike and both
+prunings are sound.  Off the first path a subtree is abandoned once it
+yields an automorphism, the usual backjump to the first-path ancestor.
 
 Isomorphism of two connected covers is read off the same search, run on
 their disjoint union: they are isomorphic iff a generator swaps the two
@@ -63,25 +63,6 @@ def _refine(cells, adj_rows):
             i += 1
         step += 1
     return cells, tuple(trace)
-
-
-def _prefix_stabilizer_orbits(gens, prefix, n: int) -> list[int]:
-    """Orbit representative per vertex under <gens fixing prefix pointwise>."""
-    keep = [g for g in gens if all(g[p] == p for p in prefix)]
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in keep:
-        for x in range(n):
-            a, b = find(x), find(g[x])
-            if a != b:
-                parent[a] = b
-    return [find(x) for x in range(n)]
 
 
 def automorphism_generators(adj_rows, colors=None) -> list[Permutation]:
@@ -144,7 +125,11 @@ def automorphism_generators(adj_rows, colors=None) -> list[Permutation]:
         for v in candidates:
             if gens and first_leaf:
                 if orbit_stamp != len(gens):
-                    orbit_id = _prefix_stabilizer_orbits(gens, prefix, n)
+                    keep = [g for g in gens if all(g[p] == p for p in prefix)]
+                    orbit_id = [0] * n
+                    for i, orb in enumerate(PermGroup(keep, n).orbits()):
+                        for x in orb:
+                            orbit_id[x] = i
                     orbit_stamp = len(gens)
                 if any(orbit_id[v] == orbit_id[w] for w in candidates if w < v):
                     continue

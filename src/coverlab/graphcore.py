@@ -79,8 +79,9 @@ class CoverGraph:
     cocliques) are the business of verify_cover, so invalid candidates can
     be built and then diagnosed.  verify_cover records a passing report on
     the graph, and covering_group the fibre-fixing automorphisms.  The
-    edges are held as one (m, 2) array, which to_json and relabelled read;
-    the edges property builds the tuple of pairs only when first read.
+    edges are held as one (m, 2) array, which to_json, relabelled and
+    arc_orbit_count read; the edges property builds the tuple of pairs
+    only when first read, and only toggled reads it.
     """
 
     __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_pairs",
@@ -97,7 +98,8 @@ class CoverGraph:
                 seen.add(x)
         v = (_label(vertex_count, "vertex count") if vertex_count is not None
              else (max(seen) + 1 if seen else 0))
-        if seen != set(range(v)):
+        # the count first: set(range(v)) of a huge v from a file is never built
+        if v != len(seen) or seen != set(range(v)):
             raise GraphStructureError("fibres do not partition 0..v-1")
         if not fibres:
             raise GraphStructureError("empty fibre list")

@@ -10,12 +10,15 @@ verified cover, the kernel of its action on the fibre set is group ∩ K: the
 r - 1 non-identity elements of K are sifted through the group's own chain,
 and no second chain is built.  Quotients by subgroups of the covering group
 inherit the cover structure with fibre size divided and mu multiplied by the
-subgroup order, which quotient_cover re-verifies rather than assumes.  The
-audit functions turn the assertable group-theoretic identities (arc orbits
-vs rank, displacement counts, fixed subgraphs of involutions, rank-3
-subdegree relations) into pass/fail reports on concrete instances;
-structure_audit reads its subgroups off two chains of G, with bases
-(a, F - {a}) and (F*, K - 1, a).  Stages
+subgroup order, which quotient_cover re-verifies rather than assumes.
+Every orbit here comes from PermGroup.orbits: K's on the vertices, U's for
+a quotient, the group's on the arcs (each generator becomes a permutation
+of the arcs, numbered by a v x v index array) and the vertex stabilizer's
+for the subdegrees.  The audit functions turn the assertable
+group-theoretic identities (arc orbits vs rank, displacement counts, fixed
+subgraphs of involutions, rank-3 subdegree relations) into pass/fail
+reports on concrete instances; structure_audit reads its subgroups off two
+chains of G, with bases (a, F - {a}) and (F*, K - 1, a).  Stages
 that need a verified cover take the report verify_cover recorded on the
 graph (graphcore.cover_report), and K is recorded there too, so a graph is
 verified and its K found once however many stages use them.
@@ -81,8 +84,7 @@ def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:
     """Order, abelianity and regularity on fibres of a fibre-fixing group."""
     order = kernel.order()
     abelian = kernel.is_abelian()
-    regular = order == g.r and all(
-        kernel.orbit(f[0]) == set(f) for f in g.fibres)
+    regular = order == g.r and kernel.orbits() == [list(f) for f in g.fibres]
     return {"order": order, "is_abelian": abelian,
             "regular_on_fibres": regular,
             "abelian_cover": abelian and regular}
@@ -160,27 +162,15 @@ def arc_orbit_count(g: CoverGraph, group: PermGroup) -> dict:
     covering_group requires g to be a cover and group to act on it.
     """
     _, kinfo = covering_group(g, group)
-    arcs = []
-    for u, w in g.edges:
-        arcs.append((u, w))
-        arcs.append((w, u))
-    index = {a: i for i, a in enumerate(arcs)}
-    seen = [False] * len(arcs)
-    count = 0
-    for start in range(len(arcs)):
-        if seen[start]:
-            continue
-        count += 1
-        queue = [arcs[start]]
-        seen[start] = True
-        while queue:
-            u, w = queue.pop()
-            for p in group.generators:
-                im = (p[u], p[w])
-                i = index[im]
-                if not seen[i]:
-                    seen[i] = True
-                    queue.append(im)
+    arcs = np.concatenate([g._pairs, g._pairs[:, ::-1]])
+    us, ws = arcs.T
+    arc = np.zeros((g.v, g.v), dtype=np.intp)  # arc[u, w]: index of (u, w)
+    arc[us, ws] = np.arange(len(arcs))
+    images = []
+    for p in group.generators:
+        img = np.array(p.img)
+        images.append(arc[img[us], img[ws]].tolist())
+    count = len(PermGroup(images, len(arcs)).orbits())
 
     vertex_transitive = group.is_transitive()
     hypotheses_met = vertex_transitive and kinfo["order"] == g.r
@@ -223,7 +213,7 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     if any(len(o) != u_order for o in orbits):
         raise QuotientError("subgroup does not act semiregularly")
     orbit_of = [0] * g.v
-    for idx, orb in enumerate(sorted(orbits, key=lambda o: o[0])):
+    for idx, orb in enumerate(orbits):
         for x in orb:
             orbit_of[x] = idx
     p = np.zeros((g.v, len(orbits)), dtype=np.float32)
@@ -256,6 +246,11 @@ def displacement_profile(g: CoverGraph, x) -> tuple[int, int, int, int]:
     p = x if isinstance(x, Permutation) else Permutation(x)
     if not is_cover_automorphism(g, p):
         raise ValueError("permutation is not an automorphism of the cover")
+    return _displacement_counts(g, p)
+
+
+def _displacement_counts(g: CoverGraph, p: Permutation):
+    """displacement_profile for an automorphism p already checked."""
     alpha = [0, 0, 0, 0]
     for u in range(g.v):
         w = p[u]
@@ -330,7 +325,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
                          "pass" if ok else "fail",
                          {"degrees": degs, "expected": l - 1}))
 
-    alpha = displacement_profile(g, p)
+    alpha = _displacement_counts(g, p)
     ok = alpha[3] == (r - f) * l
     out.append(AuditItem(lemma, "alpha3", "pass" if ok else "fail",
                          {"alpha3": alpha[3], "(r-f)l": (r - f) * l}))
@@ -398,7 +393,6 @@ def subdegree_identity_check(g: CoverGraph, group: PermGroup) -> dict:
     Needs the induced fibre group to have rank 3 and the vertex stabilizer to
     have exactly two orbits on the neighbourhood; otherwise inapplicable.
     """
-    require_automorphisms(g, group)
     fa = fibre_action(g, group)
     if not fa.transitive or fa.rank != 3:
         return {"applicable": False,
@@ -408,19 +402,16 @@ def subdegree_identity_check(g: CoverGraph, group: PermGroup) -> dict:
 
     a = 0
     stab = group.point_stabilizer(a)
-    nbrs = g.neighbours(a)
-    orbit_sets = []
-    seen: set[int] = set()
-    for x in nbrs:
-        if x in seen:
-            continue
-        orb = stab.orbit(x) & set(nbrs)
-        orb_full = stab.orbit(x)
-        if orb_full != orb:
-            return {"applicable": False,
-                    "reason": "stabilizer orbit leaves the neighbourhood"}
-        seen |= orb
-        orbit_sets.append(sorted(orb))
+    orbits = stab.orbits()
+
+    def meeting(u: int) -> list[list[int]]:
+        """The stabilizer orbits that meet N(u)."""
+        return [o for o in orbits if any(g.adj[u] >> x & 1 for x in o)]
+
+    orbit_sets = meeting(a)
+    if sum(map(len, orbit_sets)) != g.degree(a):
+        return {"applicable": False,
+                "reason": "stabilizer orbit leaves the neighbourhood"}
     if len(orbit_sets) != 2:
         return {"applicable": False,
                 "reason": f"{len(orbit_sets)} stabilizer orbits on the "
@@ -445,18 +436,11 @@ def subdegree_identity_check(g: CoverGraph, group: PermGroup) -> dict:
     fixed_companions = [x for x in home
                         if all(s[x] == x for s in stab.generators)]
     for astar in fixed_companions:
-        star_nbrs = g.neighbours(astar)
-        star_orbits = []
-        seen = set()
-        for x in star_nbrs:
-            if x in seen:
-                continue
-            orb = sorted(stab.orbit(x))
-            seen |= set(orb)
-            star_orbits.append(orb)
+        star_orbits = meeting(astar)
         sized = {}
         for orb in star_orbits:
             sized.setdefault(len(orb), []).append(orb)
+        # an orbit leaving N(a*) takes the sizes' sum past k1 + k2
         if sorted(len(o) for o in star_orbits) != sorted([k1, k2]):
             result["mu_checks"].append(
                 {"a_star": astar, "status": "inapplicable",

@@ -11,8 +11,11 @@ seed changes no result.  Orders, membership, stabilizers, transversals and
 lazy element iteration all come from the chain, so orders in the tens of
 millions are fine at degree <= about 1000 as long as nothing scans every
 element.  A stabilizer is a chain tail and runs no Schreier-Sims (Seress
-2003, section 4.1).  Products index one image tuple by another with
-operator.itemgetter, and each permutation keeps its inverse once computed.
+2003, section 4.1).  PermGroup.orbits is the one orbit partition: the
+automorphism search, the arc orbits, the covering group's regularity,
+quotients and subdegrees all read it.  Products index one image tuple by
+another with operator.itemgetter, and each permutation keeps its inverse
+once computed.
 """
 from __future__ import annotations
 
@@ -342,22 +345,23 @@ class PermGroup:
     # -- orbits ---------------------------------------------------------------
 
     def orbit(self, point: int) -> set[int]:
+        imgs = [g.img for g in self.generators]
         orb = {point}
         queue = [point]
         while queue:
             x = queue.pop()
-            for g in self.generators:
-                y = g[x]
+            for img in imgs:
+                y = img[x]
                 if y not in orb:
                     orb.add(y)
                     queue.append(y)
         return orb
 
-    def orbits(self, domain=None) -> list[list[int]]:
-        domain = range(self.degree) if domain is None else domain
+    def orbits(self) -> list[list[int]]:
+        """The orbits on 0..degree-1, each sorted, in order of least point."""
         seen: set[int] = set()
         out = []
-        for x in domain:
+        for x in range(self.degree):
             if x in seen:
                 continue
             orb = self.orbit(x)
@@ -365,9 +369,8 @@ class PermGroup:
             out.append(sorted(orb))
         return out
 
-    def is_transitive(self, domain=None) -> bool:
-        domain = list(range(self.degree) if domain is None else domain)
-        return set(self.orbit(domain[0])) >= set(domain)
+    def is_transitive(self) -> bool:
+        return len(self.orbit(0)) == self.degree
 
     def is_abelian(self) -> bool:
         gens = self.generators

@@ -72,10 +72,25 @@ def test_verify_cap_below_one_exits_2(tmp_path, capsys):
 
 
 def test_verify_malformed_exits_2(tmp_path, capsys):
-    """Bad input exits 2: fibres of size 1, and labels that are not ints
-    (int() would read the hexagon with [0.9, 1], true or "0" as a cover)."""
+    """Bad input exits 2: fibres of size 1, labels that are not ints
+    (int() would read the hexagon with [0.9, 1], true or "0" as a cover),
+    a vertex count far past the fibres (rejected before any set of that
+    size is built), JSON of the wrong shape, and text that is not JSON."""
     hexagon_json = hexagon().to_json()
     cases = ['{"v": 3, "fibres": [[0],[1],[2]], "edges": []}']
+    cases.append(json.dumps(dict(hexagon_json, v=10**12)))
+    cases.append("[]")
+    cases.append(json.dumps({k: x for k, x in hexagon_json.items()
+                             if k != "fibres"}))
+    cases.append(json.dumps(dict(hexagon_json, fibres=None)))
+    cases.append(json.dumps(dict(hexagon_json, fibres=[None]
+                                 + hexagon_json["fibres"][1:])))
+    cases.append(json.dumps(dict(hexagon_json, edges=5)))
+    for first_edge in ([0], [0, 1, 2]):
+        cases.append(json.dumps(dict(hexagon_json, edges=[first_edge]
+                                     + hexagon_json["edges"][1:])))
+    cases.append(b'{"v": \xff\xfe}')  # not UTF-8
+    cases.append("{")
     for first_edge in ([0.9, 1], [0, True], ["0", 1], [0, 1.0]):
         cases.append(json.dumps(dict(hexagon_json, edges=[first_edge]
                                      + hexagon_json["edges"][1:])))
@@ -87,7 +102,7 @@ def test_verify_malformed_exits_2(tmp_path, capsys):
     assert hexagon_json["fibres"][0] == [0, 3]
     path = tmp_path / "malformed.json"
     for text in cases:
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["verify", str(path)]) == 2, text
         assert capsys.readouterr().err.startswith("error: "), text
 
@@ -192,6 +207,26 @@ def test_analyze_finds_the_covering_group_once(tmp_path, capsys,
     code, out = run_cli(["analyze", "--audits", str(path)], capsys)
     assert code == 0 and json.loads(out)["covering_group"]["order"] == 3
     assert len(calls) == 1
+
+
+def test_tracing_targets_resolve():
+    """Every function and method the benchmark's tracer wraps exists in
+    coverlab, so a rename cannot silently break run.py --trace 1.  The
+    tracer's source is read and executed in a fresh namespace, so no
+    bytecode is written next to it."""
+    import importlib
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    namespace = {"__name__": "tracing_under_test"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    targets = namespace["TARGETS"]
+    assert targets
+    for mod_name, attr in targets:
+        owner = importlib.import_module(f"coverlab.{mod_name}")
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name)
+            assert attr in vars(owner), (mod_name, cls_name, attr)
+        assert callable(getattr(owner, attr, None)), (mod_name, attr)
 
 
 def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):

@@ -397,6 +397,64 @@ def test_involution_audit_all_involutions_all_covers(corpus, auts):
         assert count > 0, name
 
 
+def test_audits_check_each_automorphism_once(corpus, monkeypatch):
+    """involution_audit checks its involution once (displacement_profile's
+    own check is not repeated), and subdegree_identity_check checks the
+    group's generators once, in fibre_action."""
+    from coverlab import groupops
+    calls = {"is_cover_automorphism": 0, "require_automorphisms": 0}
+    for name in calls:
+        original = getattr(groupops, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(groupops, name, counting)
+    involution_audit(corpus["hexagon"], Permutation([0, 5, 4, 3, 2, 1]))
+    assert calls["is_cover_automorphism"] == 1
+    subdegree_identity_check(thas_somma(3, 1), rank3_subgroup_ts31())
+    assert calls["require_automorphisms"] == 1
+
+
+def brute_force_arc_orbits(g, group) -> int:
+    """Orbits on the arcs (u, w), u ~ w, read off every element."""
+    elements = closure_elements(group.generators, g.v)
+    arcs = {(u, w) for u in range(g.v) for w in g.neighbours(u)}
+    count = 0
+    while arcs:
+        u, w = min(arcs)
+        arcs -= {(e[u], e[w]) for e in elements}
+        count += 1
+    return count
+
+
+ARC_ORBIT_CASES = {
+    "ts31-aut": lambda g, aut: aut,
+    "ts31-kernel": lambda g, aut: covering_group(g, aut)[0],
+    "ts31-stabilizer": lambda g, aut: aut.point_stabilizer(0),
+    "ts31-rank3": lambda g, aut: rank3_subgroup_ts31(),
+    "hexagon": lambda g, aut: aut,
+    "cube": lambda g, aut: aut,
+    "icosahedron": lambda g, aut: aut,
+    "ts22": lambda g, aut: aut,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARC_ORBIT_CASES))
+def test_arc_orbit_count_matches_element_scan(case, corpus, auts):
+    """The count against a scan of the group's elements, also where the
+    rank identity does not apply (K and a vertex stabilizer)."""
+    name = case.split("-")[0]
+    if name == "ts22":
+        g = thas_somma(2, 2)
+        aut = automorphism_group(g)
+    else:
+        g, aut = corpus[name], auts[name]
+    group = ARC_ORBIT_CASES[case](g, aut)
+    assert (arc_orbit_count(g, group)["arc_orbits"]
+            == brute_force_arc_orbits(g, group))
+
+
 def test_subdegree_identities_rank3():
     g = thas_somma(3, 1)
     sub = rank3_subgroup_ts31()

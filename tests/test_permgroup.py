@@ -384,6 +384,32 @@ def test_schreier_sims_random_groups_vs_closure():
             assert Permutation(img) in grp
 
 
+def test_orbits_and_transitivity_random_groups_vs_closure():
+    """orbits() lists the orbits read off every element, each sorted and in
+    order of least point; is_transitive() holds iff there is one orbit.
+    The trivial group comes first at each degree."""
+    import random
+    rng = random.Random(5)
+    for trial in range(80):
+        n = rng.randint(1, 7)
+        gens = []
+        for _ in range(0 if trial % 8 == 0 else rng.randint(1, 3)):
+            img = list(range(n))
+            rng.shuffle(img)
+            gens.append(Permutation(img))
+        grp = PermGroup(gens, n)
+        els = closure_elements(gens, n)
+        expected = []
+        for x in range(n):
+            orb = sorted({e[x] for e in els})
+            if orb[0] == x:
+                expected.append(orb)
+        assert grp.orbits() == expected, gens
+        assert grp.is_transitive() == (len(expected) == 1), gens
+        if not gens:
+            assert expected == [[x] for x in range(n)]
+
+
 def test_pointwise_stabilizer_random_vs_brute():
     import random
     rng = random.Random(11)
