@@ -86,7 +86,11 @@ def _print_text(payload, indent=0):
 
 
 def _load_cover(path: str) -> CoverGraph:
-    raw = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            raw = fh.read()
     return CoverGraph.from_json(raw)
 
 
@@ -127,7 +131,8 @@ def cmd_build(args) -> int:
         if not args.seidel:
             print("taylor construction needs --seidel FILE", file=sys.stderr)
             return EXIT_USAGE
-        seidel = json.load(open(args.seidel))
+        with open(args.seidel) as fh:
+            seidel = json.load(fh)
         kwargs = {"seidel": seidel, "convention": args.convention}
     g = constructions.build(args.name, **kwargs)
     print(g.to_json_str())
@@ -142,6 +147,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.max_involutions < 1:
+        print(f"--max-involutions must be at least 1, got "
+              f"{args.max_involutions}", file=sys.stderr)
+        return EXIT_USAGE
     g = _load_cover(args.cover)
     rep = verify_cover(g)
     if not rep.is_cover:
@@ -198,8 +207,8 @@ def cmd_quotient(args) -> int:
         print(f"no subgroup of order {args.subgroup_order} in the covering "
               f"group (order {kinfo['order']})", file=sys.stderr)
         return EXIT_USAGE
-    if args.subgroup_index >= len(subs):
-        print(f"subgroup index out of range (found {len(subs)})",
+    if not 0 <= args.subgroup_index < len(subs):
+        print(f"subgroup index must be in 0..{len(subs) - 1}",
               file=sys.stderr)
         return EXIT_USAGE
     quot = quotient_cover(g, subs[args.subgroup_index])

@@ -67,9 +67,11 @@ def thas_somma(q: int, m: int = 1) -> CoverGraph:
         raise ValueError("m must be >= 1")
     fld = GF(q)
     dim = 2 * m
-    nverts = q ** dim * q
-    if nverts > VERTEX_BOUND:
-        raise ValueError(f"{nverts} vertices exceed the bound {VERTEX_BOUND}")
+    # q >= 2, so a long exponent alone exceeds the bound; the power is taken
+    # only for short ones
+    if dim + 1 >= VERTEX_BOUND.bit_length() or q ** (dim + 1) > VERTEX_BOUND:
+        raise ValueError(f"q^(2m+1) = {q}^{dim + 1} vertices exceed the bound "
+                         f"{VERTEX_BOUND}")
 
     # pairs of points i < j in product order; B is accumulated over the
     # coordinate pairs through the field's tables

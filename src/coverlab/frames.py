@@ -1,8 +1,12 @@
 """Equiangular line systems from abelian covers.
 
-From an abelian cover and a nontrivial character chi of its covering group K
-one forms the n x n Hermitian signature matrix S: pick a base vertex per
-fibre (minimum label), and for fibres F != F' set S[F, F'] = chi(k) where
+The characters of the abelian covering group K are built by extension along
+its generators: if m is the least power with g^m in a subgroup H, each
+character of H extends to <H, g> in exactly m = [<H, g> : H] ways.
+
+From an abelian cover and a nontrivial character chi of K one forms the
+n x n Hermitian signature matrix S: pick a base vertex per fibre (minimum
+label), and for fibres F != F' set S[F, F'] = chi(k) where
 k in K moves the matched partner of F's base vertex inside F' onto F''s base
 vertex.  The spectrum of S is certified to be {theta, tau} of the cover by
 the identity S^2 - (theta+tau)S + theta*tau*I = 0, which for a Hermitian,
@@ -72,91 +76,34 @@ class Character:
         return len(self.kernel_images()) == 1
 
 
-def _abelian_basis(elements: list[Permutation]) -> list[Permutation]:
-    """Independent generators with |group| = product of their orders.
-
-    Backtracking over elements in (order desc, image) order; guaranteed to
-    exist by the structure theorem.  Intended for tiny groups (|K| <= 16).
-    """
-    ident = next(e for e in elements if e.is_identity())
-    target = len(elements)
-    pool = sorted((e for e in elements if not e.is_identity()),
-                  key=lambda e: (-e.order(), e.img))
-
-    def span(basis) -> set:
-        out = {ident.img}
-        for b in basis:
-            powers = []
-            cur = b
-            while not cur.is_identity():
-                powers.append(cur)
-                cur = cur * b
-            new = set(out)
-            for p in powers:
-                for s in out:
-                    new.add((Permutation(s) * p).img)
-            out = new
-        return out
-
-    def extend(basis, spanned):
-        if len(spanned) == target:
-            return basis
-        for e in pool:
-            if e.img in spanned:
-                continue
-            if len(spanned) * e.order() > target:
-                continue
-            new_span = span(basis + [e])
-            if len(new_span) == len(spanned) * e.order():
-                got = extend(basis + [e], new_span)
-                if got is not None:
-                    return got
-        return None
-
-    basis = extend([], {ident.img})
-    if basis is None:
-        raise FrameError("group is not abelian or basis search failed")
-    return basis
-
-
 def all_characters(kernel: PermGroup) -> list[Character]:
     """Every character of an abelian group, deterministically ordered.
 
+    Built by extension along the generators: if m is the least power with
+    g^m in H, every element of <H, g> is h*g^e for exactly one h in H and
+    0 <= e < m, and a character chi of H extends to <H, g> in exactly m
+    ways, chi(h*g^e) = chi(h) + e*(chi(g^m) + j)/m mod 1 for j = 0..m-1.
     The trivial character has index 0.
     """
     if not kernel.is_abelian():
         raise FrameError("covering group must be abelian")
-    elements = list(kernel.elements())
-    basis = _abelian_basis(elements)
-    orders = [b.order() for b in basis]
-
-    # exponent vector of each element, by enumerating all power tuples
-    exponent: dict[tuple, tuple] = {}
-    def rec(i, acc, vec):
-        if i == len(basis):
-            exponent.setdefault(acc.img, tuple(vec))
-            return
-        cur = acc
-        for e in range(orders[i]):
-            rec(i + 1, cur, vec + [e])
-            cur = cur * basis[i]
-    rec(0, Permutation.identity(kernel.degree), [])
-    assert len(exponent) == len(elements)
-
-    chars = []
-    def rec_char(i, vec):
-        if i == len(basis):
-            values = {}
-            for img, exps in exponent.items():
-                q = sum(Fraction(v * e, d) for v, e, d in zip(vec, exps, orders))
-                values[img] = q % 1
-            chars.append(values)
-            return
-        for v in range(orders[i]):
-            rec_char(i + 1, vec + [v])
-    rec_char(0, [])
-    if not basis:  # trivial group
-        chars = [{Permutation.identity(kernel.degree).img: Fraction(0)}]
+    elements = [Permutation.identity(kernel.degree)]
+    chars = [{elements[0].img: Fraction(0)}]
+    # chars[0] stays the trivial character, so its keys are the elements of H
+    for g in kernel.generators:
+        if g.img in chars[0]:
+            continue
+        power, m = g, 1
+        while power.img not in chars[0]:
+            power, m = power * g, m + 1
+        layers = [elements]
+        for _ in range(m - 1):
+            layers.append([x * g for x in layers[-1]])
+        chars = [{x.img: (chi[h.img] + e * (chi[power.img] + j) / m) % 1
+                  for e, layer in enumerate(layers)
+                  for h, x in zip(elements, layer)}
+                 for chi in chars for j in range(m)]
+        elements = [x for layer in layers for x in layer]
     chars.sort(key=lambda vals: sorted((img, q) for img, q in vals.items()))
     chars.sort(key=lambda vals: all(q == 0 for q in vals.values()), reverse=True)
     return [Character(values=v, index=i) for i, v in enumerate(chars)]

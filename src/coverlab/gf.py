@@ -31,12 +31,12 @@ class GF:
     """
 
     def __init__(self, q: int):
+        if q > 16:
+            raise ValueError(f"q = {q} exceeds the supported bound 16")
         pp = prime_power_decompose(q)
         if pp is None:
             raise ValueError(f"{q} is not a prime power")
         p, e = pp
-        if q > 16:
-            raise ValueError(f"q = {q} exceeds the supported bound 16")
         if e > 1 and (p, e) not in _CONWAY:
             raise ValueError(f"no Conway polynomial stored for {p}^{e}")
         self.q, self.p, self.e = q, p, e

@@ -156,6 +156,13 @@ def test_quotient_subcommand(tmp_path, capsys):
     code, _ = run_cli(["quotient", str(path), "--subgroup-order", "5"],
                       capsys)
     assert code == 2
+    # K = Z2 x Z2 has three subgroups of order 2: indices 0..2
+    for index in ("-1", "-3", "3"):
+        assert main(["quotient", str(path), "--subgroup-order", "2",
+                     "--subgroup-index", index]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("subgroup index must be in 0..2")
 
 
 def test_non_cover_exits_2(tmp_path, capsys):
@@ -191,6 +198,21 @@ def test_analyze_subcommand(tmp_path, capsys):
     assert blob["fibre_action"]["rank"] == 2
     assert blob["rank_identity_holds"]
     assert blob["structure_audit"]
+
+
+def test_analyze_max_involutions_below_1_exits_2(tmp_path, capsys):
+    """--max-involutions 0 is bad input, not a cap that still audits one."""
+    path = tmp_path / "hexagon.json"
+    path.write_text(hexagon().to_json_str())
+    code, out = run_cli(["analyze", str(path), "--audits",
+                         "--max-involutions", "1"], capsys)
+    assert code == 0 and len(json.loads(out)["involution_audits"]) == 1
+    for value in ("0", "-3"):
+        assert main(["analyze", str(path), "--audits",
+                     "--max-involutions", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-involutions must be at least 1" in captured.err
 
 
 def test_analyze_finds_the_covering_group_once(tmp_path, capsys,

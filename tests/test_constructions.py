@@ -72,11 +72,33 @@ def test_thas_somma_covering_group_abelian_regular():
         assert info["order"] == q and info["abelian_cover"]
 
 
+def test_gf_checks_its_bound_before_factoring(monkeypatch):
+    """q > 16 is rejected before q is factored, whose cost grows as sqrt(q)."""
+    import coverlab.gf
+    calls = []
+
+    def spy(q):
+        calls.append(q)
+        return prime_power_decompose(q)
+
+    monkeypatch.setattr(coverlab.gf, "prime_power_decompose", spy)
+    for q in (17, 999_999_999_989, 99_999_999_999_973):
+        with pytest.raises(ValueError, match="bound 16"):
+            GF(q)
+    assert calls == []
+    GF(9)
+    assert calls == [9]
+
+
 def test_thas_somma_bounds():
     with pytest.raises(ValueError):
         thas_somma(9, 1)  # 729 vertices
     with pytest.raises(ValueError):
         thas_somma(6, 1)  # not a prime power
+    assert thas_somma(2, 4).v == 512
+    for q, m in ((2, 5), (9, 1), (3, 10 ** 5)):
+        with pytest.raises(ValueError, match="exceed the bound 512"):
+            thas_somma(q, m)
 
 
 def test_ts2_is_cube():

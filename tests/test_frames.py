@@ -1,4 +1,6 @@
-"""Character matrices, the two-eigenvalue certificate, and ETF certificates.
+"""Characters, character matrices, the two-eigenvalue certificate, and ETF
+certificates.  Characters are checked as homomorphisms on the closure_elements
+set, with products composed in the test.
 
 numpy.linalg.eigvalsh is the independent oracle for the multiplicities the
 quadratic-identity certificate derives, and for the standalone Jacobi
@@ -8,17 +10,21 @@ checked against the tight-frame identity alpha^2 = (n-d)/(d(n-1)) computed
 from first principles, and the certified spectrum and line certificates
 against seeded relabellings.
 """
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverlab import (all_characters, character_matrix, covering_group, cube,
-                      extract_lines, hexagon, hermitian_jacobi, icosahedron,
-                      lines_from_cover, params_of, quotient_cover,
-                      subgroups_of, thas_somma, verify_etf)
+from coverlab import (all_characters, character_matrix, closure_elements,
+                      covering_group, cube, extract_lines, hexagon,
+                      hermitian_jacobi, icosahedron, lines_from_cover,
+                      params_of, quotient_cover, subgroups_of, thas_somma,
+                      verify_etf)
 from coverlab.exact import QuadExt
 from coverlab.frames import (FrameError, LineSystem, SpectrumCertificateError,
-                             _abelian_basis, certify_two_eigenvalues)
+                             certify_two_eigenvalues)
 from coverlab.groupops import is_cover_automorphism
 from coverlab.perms import PermGroup, Permutation
 from conftest import relabelled
@@ -46,14 +52,65 @@ def test_characters_of_elementary_abelian(corpus):
         assert len(c.kernel_images()) == 2
 
 
-def test_abelian_basis_z4_z2():
-    from coverlab.perms import Permutation, PermGroup
-    a = Permutation([1, 2, 3, 0, 4, 5])
-    b = Permutation([0, 1, 2, 3, 5, 4])
-    grp = PermGroup([a, b])
-    basis = _abelian_basis(list(grp.elements()))
-    orders = sorted(g.order() for g in basis)
-    assert orders == [2, 4]
+def _random_abelian_group(rng: random.Random) -> PermGroup:
+    """Disjoint cycles of lengths 2..6, generated by random products of
+    their powers (which need not generate the whole product)."""
+    while True:
+        lengths = [rng.choice((2, 2, 3, 4, 5, 6)) for _ in range(rng.randint(1, 3))]
+        if math.prod(lengths) <= 48:
+            break
+    degree = sum(lengths)
+    cycles, start = [], 0
+    for length in lengths:
+        img = list(range(degree))
+        for i in range(length):
+            img[start + i] = start + (i + 1) % length
+        cycles.append(Permutation(img))
+        start += length
+    gens = []
+    for _ in range(rng.randint(1, len(lengths) + 1)):
+        p = Permutation.identity(degree)
+        for c in cycles:
+            for _ in range(rng.randrange(6)):
+                p = p * c
+        gens.append(p)
+    return PermGroup(gens, degree)
+
+
+def _oracle_groups():
+    """K of the ten corpus covers, Z4 x Z2, the trivial group and 40 seeded
+    random abelian groups."""
+    for g in (hexagon(), cube(), icosahedron(), thas_somma(3, 1),
+              thas_somma(4, 1), thas_somma(5, 1), thas_somma(7, 1),
+              thas_somma(8, 1), thas_somma(2, 2), thas_somma(3, 2)):
+        yield covering_group(g)[0]
+    yield PermGroup([Permutation([1, 2, 3, 0, 4, 5]),
+                     Permutation([0, 1, 2, 3, 5, 4])])
+    yield PermGroup([], 3)
+    for seed in range(40):
+        yield _random_abelian_group(random.Random(seed))
+
+
+def test_characters_vs_closure_oracle():
+    """|G| distinct homomorphisms G -> Q/Z, trivial first, checked on the
+    closure_elements set with products composed here."""
+    orders = []
+    for grp in _oracle_groups():
+        elements = closure_elements(grp.generators, grp.degree)
+        orders.append(len(elements))
+        chars = all_characters(grp)
+        assert len(chars) == len(elements)
+        assert [c.index for c in chars] == list(range(len(elements)))
+        assert len({tuple(sorted(c.values.items())) for c in chars}) == len(chars)
+        assert chars[0].is_trivial
+        products = [(a, b, tuple(b[x] for x in a))
+                    for a in elements for b in elements]
+        for c in chars:
+            assert set(c.values) == elements
+            assert all((c.angle(ab) - c.angle(a) - c.angle(b)).denominator == 1
+                       for a, b, ab in products)
+    assert orders[:12] == [2, 2, 2, 3, 4, 5, 7, 8, 2, 3, 8, 1]
+    assert max(orders) > 16
 
 
 def test_hexagon_character_matrix(corpus):
