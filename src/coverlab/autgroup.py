@@ -16,6 +16,14 @@ keys and part sizes), so automorphic branches trace alike and both
 prunings are sound.  Off the first path a subtree is abandoned once it
 yields an automorphism, the usual backjump to the first-path ancestor.
 
+The first path is explored in full and pruned only by orbits of the group
+fixing its prefix, so at each of its nodes the generators fixing the prefix
+reach the whole orbit of its choice under the prefix's stabilizer in Aut.
+The generators are therefore a strong generating set relative to the
+first-path base (McKay 1981; McKay and Piperno 2014), which the search
+returns with them, and automorphism_group builds Aut's chain from that base
+by orbit closure alone, with no Schreier generator sifted.
+
 Isomorphism of two connected covers is read off the same search, run on
 their disjoint union: they are isomorphic iff a generator swaps the two
 components.  There is no second matching engine.
@@ -65,8 +73,20 @@ def _refine(cells, adj_rows):
     return cells, tuple(trace)
 
 
-def automorphism_generators(adj_rows, colors=None) -> list[Permutation]:
-    """Generators of the automorphism group of a graph given as bit rows.
+class SearchGenerators(list):
+    """The generators a search found, in order of discovery, with base, its
+    first-path base: they are a strong generating set relative to it."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, gens, base):
+        super().__init__(gens)
+        self.base = base
+
+
+def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
+    """Generators of the automorphism group of a graph given as bit rows,
+    with the first-path base they strongly generate relative to.
 
     colors, when given, is a vertex colouring (sequence of ints) that
     automorphisms must preserve; the fibre-wise search passes fibre indices.
@@ -75,7 +95,7 @@ def automorphism_generators(adj_rows, colors=None) -> list[Permutation]:
     if n > AUT_VERTEX_BOUND:
         raise SizeBoundExceeded(f"{n} vertices exceed bound {AUT_VERTEX_BOUND}")
     if n == 0:
-        return []
+        return SearchGenerators([], [])
     if colors is None:
         initial = [list(range(n))]
     else:
@@ -149,14 +169,15 @@ def automorphism_generators(adj_rows, colors=None) -> list[Permutation]:
         return found_any
 
     dfs(initial, 0, [], True)
-    return gens
+    return SearchGenerators(gens, first_choices)
 
 
 def automorphism_group(g: CoverGraph | list, colors=None) -> PermGroup:
-    """Full automorphism group of a cover (or of raw bit-row adjacency)."""
+    """Full automorphism group of a cover (or of raw bit-row adjacency),
+    with its chain on the search's first-path base."""
     adj = g.adj if isinstance(g, CoverGraph) else g
     gens = automorphism_generators(adj, colors)
-    return PermGroup(gens, len(adj))
+    return PermGroup.from_base(gens, len(adj), gens.base)
 
 
 def covers_isomorphic(g1: CoverGraph, g2: CoverGraph) -> bool:

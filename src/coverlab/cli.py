@@ -19,8 +19,8 @@ from .frames import (SpectrumCertificateError, all_characters,
                      character_matrix, extract_lines)
 from .graphcore import CoverGraph, GraphStructureError, verify_cover
 from .groupops import (arc_orbit_count, covering_group, fibre_action,
-                       involution_audit, quotient_cover, structure_audit,
-                       subdegree_identity_check)
+                       involution_audit, involution_types, quotient_cover,
+                       structure_audit, subdegree_identity_check)
 from .autgroup import automorphism_group
 from .params import (ParameterError, derive_params, family_B, feasible_A,
                      feasible_B, hoffman_bounds)
@@ -179,21 +179,14 @@ def cmd_analyze(args) -> int:
     if args.audits:
         payload["structure_audit"] = [a.to_json()
                                       for a in structure_audit(g, aut)]
-        payload["subdegree_identities"] = subdegree_identity_check(g, aut)
-        invs = []
-        count = 0
-        for p in aut.elements(limit=100_000):
-            img = p.img
-            if (all(img[y] == x for x, y in enumerate(img))
-                    and not p.is_identity()):
-                items = involution_audit(g, p)
-                bad = [i.to_json() for i in items if i.status == "fail"]
-                invs.append({"fixed_points": len(p.fixed_points()),
-                             "failures": bad})
-                count += 1
-                if count >= args.max_involutions:
-                    break
-        payload["involution_audits"] = invs
+        payload["subdegree_identities"] = subdegree_identity_check(g, fa)
+        types, draws = involution_types(g, aut)
+        payload["involution_audits"] = [
+            {"fixed_points": kind[0], "displacement_profile": list(kind),
+             "failures": [i.to_json() for i in involution_audit(g, x)
+                          if i.status == "fail"]}
+            for kind, x in types[:args.max_involutions]]
+        payload["involution_draws"] = {"draws": draws, "types": len(types)}
     _emit(payload, args)
     return EXIT_OK
 
@@ -334,7 +327,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="groups, rank, arc orbits, audits")
     p.add_argument("cover")
     p.add_argument("--audits", action="store_true")
-    p.add_argument("--max-involutions", type=int, default=50)
+    p.add_argument("--max-involutions", type=int, default=50,
+                   help="audit at most this many involution types, the "
+                        "least first (at least 1)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("quotient", help="quotient by a covering subgroup")

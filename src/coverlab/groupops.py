@@ -18,7 +18,10 @@ for the subdegrees.  The audit functions turn the assertable
 group-theoretic identities (arc orbits vs rank, displacement counts, fixed
 subgraphs of involutions, rank-3 subdegree relations) into pass/fail
 reports on concrete instances; structure_audit reads its subgroups off two
-chains of G, with bases (a, F - {a}) and (F*, K - 1, a).  Stages
+chains of G, with bases (a, F - {a}) and (F*, K - 1, a), and
+involution_types draws one involution of each displacement type from
+seeded uniform draws, with no element scan.  subdegree_identity_check reads
+fibre_action's report, so the fibre action is computed once.  Stages
 that need a verified cover take the report verify_cover recorded on the
 graph (graphcore.cover_report), and K is recorded there too, so a graph is
 verified and its K found once however many stages use them.
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 import numpy as np
 
@@ -128,10 +133,12 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
 
 @dataclass
 class FibreActionReport:
+    """group is the image on the fibres of vertex_group."""
     group: PermGroup
     transitive: bool
     rank: int | None
     subdegrees: tuple[int, ...] | None
+    vertex_group: PermGroup
 
 
 def require_automorphisms(g: CoverGraph, group: PermGroup) -> None:
@@ -146,11 +153,11 @@ def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
     image = PermGroup([fibre_image(g, p) for p in group.generators], g.n)
     transitive = image.is_transitive()
     if not transitive:
-        return FibreActionReport(image, False, None, None)
+        return FibreActionReport(image, False, None, None, group)
     stab = image.point_stabilizer(0)
     orbs = stab.orbits()
     sizes = tuple(sorted(len(o) for o in orbs))
-    return FibreActionReport(image, True, len(orbs), sizes)
+    return FibreActionReport(image, True, len(orbs), sizes, group)
 
 
 def arc_orbit_count(g: CoverGraph, group: PermGroup) -> dict:
@@ -384,16 +391,66 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     return out
 
 
+# involution_types stops after INVOLUTION_DRAWS draws, or sooner once
+# INVOLUTION_IDLE_DRAWS draws in a row have brought no new type
+INVOLUTION_SEED = 1
+INVOLUTION_DRAWS = 400
+INVOLUTION_IDLE_DRAWS = 100
+
+
+def involution_types(g: CoverGraph, group: PermGroup):
+    """One involution of each type in group, and the number of draws made.
+
+    The type of an involution is its displacement profile, whose first
+    entry counts its fixed vertices.  It is invariant under conjugation by
+    automorphisms, so the set of types does not depend on the labelling.  Each draw p
+    is uniform in group (random_elements, seeded by INVOLUTION_SEED), and p
+    of even order o gives the involution x = p^(o/2): every involution is
+    drawn as itself, and a larger class is drawn more often.  One cycles()
+    pass gives o and x: a cycle of length c turns o/2 mod c steps, which is
+    0 or c/2, so x swaps the points c/2 apart on each cycle that turns, and
+    the type is counted on those pairs.  Drawing stops after
+    INVOLUTION_DRAWS draws, or once INVOLUTION_IDLE_DRAWS draws in a row
+    have brought no new type.  group must act by automorphisms of the
+    verified cover g.  Returns ([(type, x)] sorted by type, draws).
+    """
+    fibre_of, adj = g.fibre_of, g.adj
+    found: dict[tuple, Permutation] = {}
+    idle = draws = 0
+    for p in group.random_elements(INVOLUTION_SEED):
+        if draws == INVOLUTION_DRAWS or idle == INVOLUTION_IDLE_DRAWS:
+            break
+        draws += 1
+        idle += 1
+        cycles = p.cycles()
+        half, odd = divmod(reduce(lcm, map(len, cycles), 1), 2)
+        if odd:
+            continue
+        pairs = [(c[i], c[i + len(c) // 2]) for c in cycles if half % len(c)
+                 for i in range(len(c) // 2)]
+        same = sum(fibre_of[u] == fibre_of[w] for u, w in pairs)
+        near = sum(adj[u] >> w & 1 for u, w in pairs)
+        kind = (g.v - 2 * len(pairs), 2 * near,
+                2 * (len(pairs) - same - near), 2 * same)
+        if kind not in found:
+            img = list(range(g.v))
+            for u, w in pairs:
+                img[u], img[w] = w, u
+            found[kind] = Permutation(img)
+            idle = 0
+    return sorted(found.items()), draws
+
+
 # -- rank-3 subdegree identities ----------------------------------------------
 
-def subdegree_identity_check(g: CoverGraph, group: PermGroup) -> dict:
+def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
     """Check the rank-3 relations k1(lam-lam1) = k2(lam-lam2) and the
     mu-companion k1(mu-mu1) = k2(mu-mu2) for every fixed companion vertex.
 
-    Needs the induced fibre group to have rank 3 and the vertex stabilizer to
-    have exactly two orbits on the neighbourhood; otherwise inapplicable.
+    fa is fibre_action's report on the group checked, fa.vertex_group.
+    Needs the induced fibre group to have rank 3 and the vertex stabilizer
+    to have exactly two orbits on the neighbourhood; otherwise inapplicable.
     """
-    fa = fibre_action(g, group)
     if not fa.transitive or fa.rank != 3:
         return {"applicable": False,
                 "reason": f"fibre action rank is {fa.rank}, need 3"}
@@ -401,7 +458,7 @@ def subdegree_identity_check(g: CoverGraph, group: PermGroup) -> dict:
     lam, mu = rep.lam, rep.mu
 
     a = 0
-    stab = group.point_stabilizer(a)
+    stab = fa.vertex_group.point_stabilizer(a)
     orbits = stab.orbits()
 
     def meeting(u: int) -> list[list[int]]:

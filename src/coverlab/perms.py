@@ -7,15 +7,19 @@ as the first moved point.  A group whose order is already known, such as
 the same group on another base or on an extended domain, is built by
 PermGroup.from_order: seeded uniform draws are sifted until the product of
 the orbit lengths equals the order, which certifies the chain, so the
-seed changes no result.  Orders, membership, stabilizers, transversals and
-lazy element iteration all come from the chain, so orders in the tens of
-millions are fine at degree <= about 1000 as long as nothing scans every
-element.  A stabilizer is a chain tail and runs no Schreier-Sims (Seress
-2003, section 4.1).  PermGroup.orbits is the one orbit partition: the
-automorphism search, the arc orbits, the covering group's regularity,
-quotients and subdegrees all read it.  Products index one image tuple by
-another with operator.itemgetter, and each permutation keeps its inverse
-once computed.
+seed changes no result.  Generators that are already a strong generating
+set relative to a known base, such as the automorphism search's relative to
+its first-path base, give the chain by PermGroup.from_base: each level's
+orbit is closed under the generators fixing the earlier base points, and no
+Schreier generator is sifted.  Orders, membership, stabilizers,
+transversals, seeded uniform draws and lazy element iteration all come from
+the chain, so orders in the tens of millions are fine at degree <= about
+1000 as long as nothing scans every element.  A stabilizer is a chain tail
+and runs no Schreier-Sims (Seress 2003, section 4.1).  PermGroup.orbits is
+the one orbit partition: the automorphism search, the arc orbits, the
+covering group's regularity, quotients and subdegrees all read it.
+Products index one image tuple by another with operator.itemgetter, and
+each permutation keeps its inverse once computed.
 """
 from __future__ import annotations
 
@@ -287,6 +291,31 @@ class PermGroup:
         if found > order:
             raise ValueError(f"orbit product {found} passes the order {order}")
         group._levels, group._strong = levels, strong
+        return group
+
+    @classmethod
+    def from_base(cls, generators, degree: int, base) -> "PermGroup":
+        """The group generated by generators, which must be a strong
+        generating set relative to base: those fixing base[:i] generate the
+        pointwise stabilizer of base[:i], for every i.  Level i's orbit is
+        closed under them alone and no Schreier generator is sifted; a base
+        point they all fix gets no level.  Only the last step is checked:
+        ValueError when a generator fixes the whole base and is not the
+        identity.  Nothing else checks the strong generation, so the caller
+        vouches for it, as the automorphism search does for its first-path
+        base (McKay 1981)."""
+        group = cls(generators, degree)
+        gens = group.generators
+        levels: list[_Level] = []
+        for b in base:
+            lvl = _Level(b, degree)
+            _close_orbit(lvl.orbit, gens, [b])
+            if len(lvl.orbit) > 1:
+                levels.append(lvl)
+                gens = [g for g in gens if g[b] == b]
+        if gens:
+            raise ValueError("a generator fixes the whole base")
+        group._levels, group._strong = levels, group.generators
         return group
 
     @property

@@ -1,14 +1,19 @@
 """The automorphism search: refinement properties and pinned group orders.
 
 The refinement properties are checked against a naive colour-refinement
-oracle written here, and the |Aut| pins come from closed forms in the
-literature, so neither expectation is computed by the search under test.
+oracle written here, the |Aut| pins come from closed forms in the
+literature, and the chain read off the search is checked level by level
+against Schreier-Sims on the same generators, so no expectation is computed
+by the search under test.
 """
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverlab import automorphism_group, thas_somma
 from coverlab.autgroup import _refine
+from coverlab.perms import PermGroup, Permutation
 from conftest import relabelled
 
 
@@ -104,3 +109,62 @@ def test_symplectic_cover_aut_order(q, m):
     g = relabelled(thas_somma(q, m), 10 * q + m)
     assert automorphism_group(g).order() == expected
 
+
+
+def assert_chain_matches_schreier_sims(aut, seed: int):
+    """aut's chain, read off the search's first-path base, against the
+    deterministic Schreier-Sims chain of the same generators hinted with the
+    same base.  At every level the two have the same base point and orbit,
+    and each tail (a pointwise stabilizer of a base prefix) has the same
+    members: draws from either chain's tail, random permutations of the
+    domain, and random permutations fixing the prefix."""
+    oracle = PermGroup(aut.generators, aut.degree, base_hint=aut.base)
+    assert oracle.base == aut.base
+    n = aut.degree
+    rng = random.Random(seed)
+    for k in range(len(aut.base) + 1):
+        mine, theirs = aut.stabilizer(k), oracle.stabilizer(k)
+        assert mine.order() == theirs.order()
+        if k < len(aut.base):
+            assert mine.transversal().keys() == theirs.transversal().keys()
+        for a, b in ((mine, theirs), (theirs, mine)):
+            draws = a.random_elements(seed)
+            assert all(next(draws) in b for _ in range(10))
+        rest = [x for x in range(n) if x not in aut.base[:k]]
+        for _ in range(10):
+            img = rng.sample(range(n), n)
+            assert (Permutation(img) in mine) == (Permutation(img) in theirs)
+            img = list(range(n))
+            for x, y in zip(rest, rng.sample(rest, len(rest))):
+                img[x] = y
+            assert (Permutation(img) in mine) == (Permutation(img) in theirs)
+
+
+def test_search_chain_matches_schreier_sims_on_the_corpus(corpus):
+    """The corpus and three seeded relabellings of each cover in it."""
+    for name, g in corpus.items():
+        for seed in (0, 1, 2, 3):
+            h = relabelled(g, seed) if seed else g
+            assert_chain_matches_schreier_sims(automorphism_group(h), seed)
+
+
+@st.composite
+def coloured_graphs(draw):
+    """(bit rows, vertex colouring) on up to 12 vertices."""
+    n = draw(st.integers(1, 12))
+    adj = [0] * n
+    for u in range(n):
+        for w in range(u + 1, n):
+            if draw(st.booleans()):
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+    colours = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return adj, colours
+
+
+@given(coloured_graphs(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_search_chain_matches_schreier_sims_on_coloured_graphs(case, seed):
+    adj, colours = case
+    assert_chain_matches_schreier_sims(automorphism_group(adj, colours),
+                                       seed)

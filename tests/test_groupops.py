@@ -12,8 +12,9 @@ from coverlab import (arc_orbit_count, automorphism_group, covering_group,
                       verify_cover)
 from coverlab.autgroup import automorphism_generators
 from coverlab.graphcore import GraphStructureError
-from coverlab.groupops import (QuotientError, _audit_chains,
-                               _fibre_fixing_automorphisms, involution_audit,
+from coverlab.groupops import (INVOLUTION_DRAWS, QuotientError,
+                               _audit_chains, _fibre_fixing_automorphisms,
+                               involution_audit, involution_types,
                                is_cover_automorphism)
 from coverlab.perms import PermGroup, Permutation, closure_elements
 from conftest import matching_swapped, relabelled, symplectic_witnesses
@@ -399,8 +400,8 @@ def test_involution_audit_all_involutions_all_covers(corpus, auts):
 
 def test_audits_check_each_automorphism_once(corpus, monkeypatch):
     """involution_audit checks its involution once (displacement_profile's
-    own check is not repeated), and subdegree_identity_check checks the
-    group's generators once, in fibre_action."""
+    own check is not repeated), and the group's generators are checked
+    once, in fibre_action, whose report subdegree_identity_check reads."""
     from coverlab import groupops
     calls = {"is_cover_automorphism": 0, "require_automorphisms": 0}
     for name in calls:
@@ -412,8 +413,31 @@ def test_audits_check_each_automorphism_once(corpus, monkeypatch):
         monkeypatch.setattr(groupops, name, counting)
     involution_audit(corpus["hexagon"], Permutation([0, 5, 4, 3, 2, 1]))
     assert calls["is_cover_automorphism"] == 1
-    subdegree_identity_check(thas_somma(3, 1), rank3_subgroup_ts31())
+    g = thas_somma(3, 1)
+    subdegree_identity_check(g, fibre_action(g, rank3_subgroup_ts31()))
     assert calls["require_automorphisms"] == 1
+
+
+def test_involution_types_match_an_element_scan(corpus, auts):
+    """On every corpus cover (|Aut| <= 25 000) the types found by the draws
+    are the displacement profiles of all involutions of Aut, found by
+    scanning every element, and each type comes with an involution of Aut
+    of that type."""
+    for name, g in corpus.items():
+        aut = auts[name]
+        assert aut.order() <= 25_000
+        scanned = set()
+        for p in aut.elements():
+            img = p.img
+            if (not p.is_identity()
+                    and all(img[y] == x for x, y in enumerate(img))):
+                scanned.add(displacement_profile(g, p))
+        types, draws = involution_types(g, aut)
+        assert [kind for kind, _ in types] == sorted(scanned), name
+        assert draws <= INVOLUTION_DRAWS
+        for kind, x in types:
+            assert x.order() == 2 and x in aut
+            assert displacement_profile(g, x) == kind
 
 
 def brute_force_arc_orbits(g, group) -> int:
@@ -458,7 +482,7 @@ def test_arc_orbit_count_matches_element_scan(case, corpus, auts):
 def test_subdegree_identities_rank3():
     g = thas_somma(3, 1)
     sub = rank3_subgroup_ts31()
-    res = subdegree_identity_check(g, sub)
+    res = subdegree_identity_check(g, fibre_action(g, sub))
     assert res["applicable"]
     assert (res["k1"], res["k2"]) == (4, 4)
     assert res["eq_lambda_holds"]
@@ -469,7 +493,8 @@ def test_subdegree_identities_rank3():
 
 
 def test_subdegree_inapplicable_rank2(corpus, auts):
-    res = subdegree_identity_check(corpus["ts31"], auts["ts31"])
+    res = subdegree_identity_check(corpus["ts31"],
+                                   fibre_action(corpus["ts31"], auts["ts31"]))
     assert not res["applicable"]
 
 
@@ -592,8 +617,6 @@ def test_non_automorphism_groups_rejected(corpus):
     assert not is_cover_automorphism(g, bogus.generators[0])
     with pytest.raises(ValueError):
         fibre_action(g, bogus)
-    with pytest.raises(ValueError):
-        subdegree_identity_check(g, bogus)
     with pytest.raises(ValueError, match="not a graph automorphism"):
         covering_group(g, bogus)
     with pytest.raises(ValueError, match="not a graph automorphism"):

@@ -539,6 +539,15 @@ def test_from_order_matches_schreier_sims_on_random_groups():
                     assert (Permutation(e) in f) == (Permutation(e) in s)
 
 
+def test_from_base_rejects_a_short_base():
+    """A generator fixing the whole base would be lost from the chain, so
+    from_base refuses it rather than report a smaller order."""
+    swap = Permutation([0, 2, 1])
+    with pytest.raises(ValueError, match="fixes the whole base"):
+        PermGroup.from_base([swap], 3, [0])
+    assert PermGroup.from_base([swap], 3, [0, 1]).order() == 2
+
+
 def test_random_elements_are_uniform_members():
     """Each draw is one product t_L ... t_0, so over a small group every
     element appears and each draw is a member."""
