@@ -9,6 +9,7 @@ or case-match failure, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -292,7 +293,10 @@ def cmd_cases(args) -> int:
     return EXIT_OK if all(r.match for r in reports.values()) else EXIT_FAIL
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it as it
+    was, so every main call can share it."""
     ap = argparse.ArgumentParser(
         prog="coverlab",
         description="antipodal covers of complete graphs: build, verify, "

@@ -8,10 +8,9 @@ From an abelian cover and a nontrivial character chi of K one forms the
 n x n Hermitian signature matrix S: pick a base vertex per fibre (minimum
 label), and for fibres F != F' set S[F, F'] = chi(k) where
 k in K moves the matched partner of F's base vertex inside F' onto F''s base
-vertex.  The spectrum of S is certified to be {theta, tau} of the cover by
-the identity S^2 - (theta+tau)S + theta*tau*I = 0, which for a Hermitian,
-non-scalar S holds exactly when its eigenvalues are theta and tau; tr S = 0
-then fixes the multiplicities exactly.  Projecting onto one eigenspace and
+vertex.  Each entry is kept as an exact angle a in Z_e, chi(k) =
+exp(2 pi i a/e), and an integer identity on the 0/1 angle layers certifies
+the spectrum {theta, tau} with a witness.  Projecting onto one eigenspace and
 rescaling to unit diagonal yields the Gram matrix of n equiangular unit
 vectors meeting the relative bound (an equiangular tight frame), with
 dimensions n - m_theta/(r-1) and n - m_tau/(r-1) on the two sides.
@@ -29,7 +28,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import QuadExt
 from .graphcore import CoverGraph, params_of
 from .groupops import covering_group, fixes_fibres, kernel_info
 from .params import CoverParams
@@ -54,11 +52,6 @@ class Character:
     """
     values: dict
     index: int
-
-    def __call__(self, perm) -> complex:
-        img = perm.img if isinstance(perm, Permutation) else tuple(perm)
-        q = self.values[img]
-        return cmath.exp(2j * cmath.pi * float(q))
 
     def angle(self, perm) -> Fraction:
         img = perm.img if isinstance(perm, Permutation) else tuple(perm)
@@ -114,11 +107,11 @@ def all_characters(kernel: PermGroup) -> list[Character]:
 @dataclass
 class CharacterMatrix:
     matrix: np.ndarray          # n x n complex Hermitian, zero diagonal
+    angle: np.ndarray           # matrix = exp(2 pi i angle/e); -1 marks 0
+    e: int                      # order of chi's image
     base_vertices: tuple[int, ...]
     params: CoverParams
     eigenvalues: tuple          # certified: ((theta, mult), (tau, mult))
-    max_eigen_residual: float
-    trace_deviation: float
 
     @property
     def n(self) -> int:
@@ -136,9 +129,9 @@ def character_matrix(g: CoverGraph, chi: Character,
     searched again: its generators must fix every fibre, and its order,
     abelianity and regularity are read from it directly.  Row i is read off
     the neighbours of base vertex i through a carrier table: for each vertex
-    x, chi of the kernel element taking x to its fibre's base.  The spectrum
-    is certified to be the cover's {theta, tau} by certify_two_eigenvalues
-    (relative tolerance CERTIFICATE_TOL).
+    x, the angle a in Z_e of chi at the kernel element taking x to its
+    fibre's base (e the lcm of chi's angle denominators).  S is exp(2 pi i
+    a/e) entrywise, on an angle table certify_two_eigenvalues certifies.
     """
     params = params_of(g)
     if kernel is None:
@@ -161,91 +154,96 @@ def character_matrix(g: CoverGraph, chi: Character,
             raise FrameError("need exactly one base vertex per fibre")
         bases = sorted(bases, key=lambda b: g.fibre_of[b])
 
-    # carrier[x] = chi(k) for the first k in K with k(x) = base of x's fibre
+    # carrier[x] = e*angle(chi, k) for the first k in K taking x to its base
+    e = math.lcm(*(q.denominator for q in chi.values.values()))
     base_of = [bases[j] for j in g.fibre_of]
-    carrier = [None] * g.v
+    carrier = [-1] * g.v
     for k in kernel.elements():
-        value = chi(k)
+        a = int(chi.angle(k) * e)
         for x, y in enumerate(k.img):
-            if y == base_of[x] and carrier[x] is None:
-                carrier[x] = value
+            if y == base_of[x] and carrier[x] < 0:
+                carrier[x] = a
 
-    s = np.zeros((n, n), dtype=complex)
+    angle = np.full((n, n), -1)
     for i, b in enumerate(bases):
         # the neighbours of base i are its matched partners in the other fibres
         for x in g.neighbours(b):
-            if carrier[x] is None:
+            if carrier[x] < 0:
                 raise FrameError("covering group is not transitive on a fibre")
-            s[i, g.fibre_of[x]] = carrier[x]
+            angle[i, g.fibre_of[x]] = carrier[x]
 
-    cert = certify_two_eigenvalues(s, params.theta, params.tau)
-    return CharacterMatrix(matrix=s, base_vertices=tuple(bases),
-                           params=params, eigenvalues=cert.eigenvalues,
-                           max_eigen_residual=cert.residual,
-                           trace_deviation=cert.trace)
+    cert = certify_two_eigenvalues(angle, e, params)
+    roots = np.array([cmath.exp(2j * cmath.pi * float(Fraction(a, e)))
+                      for a in range(e)] + [0])  # roots[-1] = 0
+    return CharacterMatrix(matrix=roots[angle], angle=angle, e=e,
+                           base_vertices=tuple(bases), params=params,
+                           eigenvalues=cert.eigenvalues)
 
 
 # -- spectrum certificate --------------------------------------------------------
 
-CERTIFICATE_TOL = 1e-10
-
-
 class SpectrumCertificateError(FrameError):
-    """A matrix failed the two-eigenvalue certificate; carries the witness."""
+    """A failed certificate, with its witness: an entry, or m_theta."""
 
-    def __init__(self, message: str, residual: float, m_theta):
+    def __init__(self, message: str, **witness):
         super().__init__(message)
-        self.residual = residual
-        self.m_theta = m_theta
+        self.witness = witness
 
 
 @dataclass(frozen=True)
 class SpectrumCertificate:
     eigenvalues: tuple      # ((theta, m_theta), (tau, m_tau)), largest first
-    residual: float         # max|S^2 - (theta+tau)S + theta*tau*I| / scale^2
-    trace: float            # |tr S|
 
 
-def certify_two_eigenvalues(s: np.ndarray, theta: QuadExt,
-                            tau: QuadExt) -> SpectrumCertificate:
-    """Certify that s has exactly the two eigenvalues theta and tau.
-
-    A Hermitian matrix is diagonalisable, so R = s^2 - (theta+tau)s +
-    theta*tau*I vanishes exactly when every eigenvalue is theta or tau; a
-    non-scalar s then has both.  With tr s = 0 the multiplicities follow:
-    m_theta = -n*tau/(theta - tau), evaluated exactly, which must be an
-    integer in 1..n-1 (this also rules out a scalar s).  The residual
-    max|R| / max(|theta|, |tau|, 1)^2, the Hermitian deviation and
-    |tr s| / max(|theta|, |tau|, 1) must not exceed CERTIFICATE_TOL;
-    otherwise SpectrumCertificateError is raised with the residual and
-    m_theta.
+def certify_two_eigenvalues(angle: np.ndarray, e: int,
+                            params: CoverParams) -> SpectrumCertificate:
+    """Certify exactly that S = exp(2 pi i angle/e) (0 where angle is -1)
+    has the eigenvalues theta and tau of params.  With C_a = [angle = a]:
+    - C_{-a} = C_a^T and the diagonal is empty: S is Hermitian, tr S = 0;
+    - for c in Z_e, sum over a + b = c of C_a C_b = (lam - mu) C_c
+      + (n-1)[c = 0] I + (mu r/e)(J - I).  Every abelian cover satisfies it
+      (a fibre has r/e vertices of each angle; the 2-paths from base i end
+      lam times at i's neighbour in fibre j, mu times at each other one).
+      Summed against zeta^c, since sum_c zeta^c = 0 for e >= 2, it gives
+      S^2 = (lam - mu)S + (n-1)I: every eigenvalue is theta or tau;
+    - m_theta = -n tau/(theta - tau) is an integer in 1..n-1.
+    One float64 (en x n)(n x en) product gives every C_a C_b, exactly, as
+    no entry exceeds n - 1.  A failure raises SpectrumCertificateError.
     """
-    n = s.shape[0]
-    if s.shape != (n, n):
-        raise FrameError("matrix must be square")
-    if theta == tau:
-        raise FrameError("theta and tau must differ")
-    theta_f, tau_f = float(theta), float(tau)
-    scale = max(abs(theta_f), abs(tau_f), 1.0)
-    r = s @ s - (theta_f + tau_f) * s
-    r[np.diag_indices(n)] += theta_f * tau_f
-    residual = float(np.max(np.abs(r))) / scale ** 2
-    hermitian = float(np.max(np.abs(s - s.conj().T)))
-    trace = abs(complex(np.trace(s)))
-    m_theta = -tau * n / (theta - tau)
-    if (residual > CERTIFICATE_TOL or hermitian > CERTIFICATE_TOL
-            or trace > CERTIFICATE_TOL * scale
-            or not (m_theta.is_integer and 0 < m_theta < n)):
+    if e < 2:
+        raise FrameError("need e >= 2: sum_c zeta^c vanishes only then")
+    n, a = len(angle), np.arange(e)
+    eye = np.eye(n, dtype=bool)
+    layers = angle == a[:, None, None]
+    flipped = layers[-a % e].transpose(0, 2, 1)
+    bad = np.argwhere((flipped != layers).any(axis=0) | (eye & (angle >= 0)))
+    if bad.size:
+        i, j = bad[0].tolist()
         raise SpectrumCertificateError(
-            f"spectrum not certified against theta={theta_f}, tau={tau_f}: "
-            f"residual {residual:.3g}, hermitian deviation {hermitian:.3g}, "
-            f"|tr S| {trace:.3g}, m_theta {m_theta} (n = {n})",
-            residual, m_theta)
+            f"S is not Hermitian with zero diagonal at entry ({i}, {j})",
+            entry=(i, j))
+
+    flat = layers.astype(float)  # blocks[a, :, b, :] = C_a C_b
+    blocks = (flat.reshape(e * n, n) @ np.hstack(flat)).reshape(e, n, e, n)
+    got = blocks[a[:, None], :, (a - a[:, None]) % e, :].sum(axis=0)
+    want = (params.lam - params.mu) * layers + params.mu * params.r / e * ~eye
+    want[0] += (params.n - 1) * eye
+    bad = np.argwhere(got != want)
+    if bad.size:
+        c, i, j = bad[0].tolist()
+        raise SpectrumCertificateError(
+            f"layer identity fails at entry ({i}, {j}), power {c}: "
+            f"got {got[c, i, j]:g}, want {want[c, i, j]:g}",
+            entry=(i, j), power=c, got=int(got[c, i, j]),
+            want=float(want[c, i, j]))
+
+    m_theta = -params.tau * n / (params.theta - params.tau)
+    if not (m_theta.is_integer and 0 < m_theta < n):
+        raise SpectrumCertificateError(f"m_theta {m_theta} is not an integer "
+                                       f"in 1..{n - 1}", m_theta=m_theta)
     m = int(m_theta)
-    eigenvalues = tuple(sorted(((theta_f, m), (tau_f, n - m)),
-                               key=lambda c: -c[0]))
-    return SpectrumCertificate(eigenvalues=eigenvalues, residual=residual,
-                               trace=trace)
+    return SpectrumCertificate(eigenvalues=((float(params.theta), m),
+                                            (float(params.tau), n - m)))
 
 
 # -- Hermitian Jacobi eigensolver ------------------------------------------------

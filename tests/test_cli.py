@@ -1,4 +1,5 @@
 """CLI surfaces: exit codes, canonical output, pipelines."""
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import coverlab
 from coverlab import (hexagon, seidel_of_graph, taylor_from_seidel,
                       thas_somma)
-from coverlab.cli import main
+from coverlab.cli import main, make_parser
 from conftest import matching_swapped, relabelled
 from test_autgroup import symplectic_cover_aut_order
 
@@ -121,6 +122,23 @@ def test_cases_exit_codes(capsys):
     assert main(["cases", "nonsense"]) == 2
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch, request):
+    """Two main calls share one argparse tree, with the same output."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    make_parser.cache_clear()
+    request.addfinalizer(make_parser.cache_clear)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["params", "derive", "--n", "9", "--r", "3", "--mu", "3"]
+    first, second = run_cli(argv, capsys), run_cli(argv, capsys)
+    assert first == second and first[0] == 0
+    assert built.count("coverlab") == 1
+
+
 def test_etf_subcommand(tmp_path, capsys):
     path = tmp_path / "ts31.json"
     path.write_text(thas_somma(3, 1).to_json_str())
@@ -132,17 +150,17 @@ def test_etf_subcommand(tmp_path, capsys):
 
 
 def test_etf_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
-    """A failed spectrum certificate is a failure (1), not bad input (2)."""
-    certify = coverlab.frames.certify_two_eigenvalues
-    monkeypatch.setattr(coverlab.frames, "certify_two_eigenvalues",
-                        lambda s, theta, tau: certify(s, theta + 1, tau))
+    """A failed spectrum certificate is a failure (1), not bad input (2):
+    under TS(4,1)'s parameters, TS(3,1)'s angle layers fail the identity."""
+    ts41 = coverlab.graphcore.params_of(thas_somma(4, 1))
+    monkeypatch.setattr(coverlab.frames, "params_of", lambda g: ts41)
     path = tmp_path / "ts31.json"
     path.write_text(thas_somma(3, 1).to_json_str())
     assert main(["etf", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("certificate failed: ")
-    assert "residual" in captured.err and "m_theta 36/7" in captured.err
+    assert "entry (0, 0), power 0: got 8, want 15" in captured.err
 
 
 def test_quotient_subcommand(tmp_path, capsys):

@@ -3,9 +3,11 @@ certificates.  Characters are checked as homomorphisms on the closure_elements
 set, with products composed in the test.
 
 numpy.linalg.eigvalsh is the independent oracle for the multiplicities the
-quadratic-identity certificate derives, and for the standalone Jacobi
-eigensolver; the certificate must fail on perturbed matrices, on the wrong
-{theta, tau} and on a matrix with three eigenvalues.  Line-system angles are
+exact angle-layer certificate derives, on every nontrivial character of the
+ten covers, and for the standalone Jacobi eigensolver.  The certificate must
+fail on TS(3,1)'s angle table (e = 3, where C_a C_b and C_a C_b^T differ)
+with one Hermitian pair moved, with one entry moved alone and under TS(4,1)'s
+parameters, each time with its witness checked.  Line-system angles are
 checked against the tight-frame identity alpha^2 = (n-d)/(d(n-1)) computed
 from first principles, and the certified spectrum and line certificates
 against seeded relabellings.
@@ -22,7 +24,6 @@ from coverlab import (all_characters, character_matrix, closure_elements,
                       hermitian_jacobi, icosahedron, lines_from_cover,
                       params_of, quotient_cover, subgroups_of, thas_somma,
                       verify_etf)
-from coverlab.exact import QuadExt
 from coverlab.frames import (FrameError, LineSystem, SpectrumCertificateError,
                              certify_two_eigenvalues)
 from coverlab.groupops import is_cover_automorphism
@@ -39,7 +40,7 @@ def test_characters_of_cyclic_group(corpus):
     # values are cube roots of unity
     for c in chars[1:]:
         for img in c.values:
-            assert abs(c(img) ** 3 - 1) < 1e-12
+            assert (3 * c.angle(img)).denominator == 1
 
 
 def test_characters_of_elementary_abelian(corpus):
@@ -168,7 +169,6 @@ def test_eigenvalue_sum_property(corpus):
         kernel, info = covering_group(g)
         for chi in all_characters(kernel)[1:]:
             s = character_matrix(g, chi, kernel=kernel)
-            assert s.max_eigen_residual <= 1e-10
             assert sum(m for _, m in s.eigenvalues) == g.n
 
 
@@ -321,55 +321,73 @@ def _ts31_signature(corpus):
     return character_matrix(g, all_characters(kernel)[1], kernel=kernel)
 
 
-def _certificate_error(s, theta, tau) -> SpectrumCertificateError:
+def _certificate_error(angle, e, params) -> SpectrumCertificateError:
     with pytest.raises(SpectrumCertificateError) as info:
-        certify_two_eigenvalues(s, theta, tau)
-    exc = info.value
-    assert exc.residual > 1e-10
-    assert f"residual {exc.residual:.3g}" in str(exc)
-    return exc
+        certify_two_eigenvalues(angle, e, params)
+    return info.value
+
+
+def _layer_count(angle, e, i, j, c) -> int:
+    """Entry (i, j) of sum over a + b = c of C_a C_b, counted directly."""
+    return sum(1 for k in range(len(angle))
+               if min(angle[i, k], angle[k, j]) >= 0
+               and (angle[i, k] + angle[k, j]) % e == c)
 
 
 def test_certificate_rejects_perturbed_matrix(corpus):
+    """Move the pair (0, 1), (1, 0) to the next angle pair: S stays
+    Hermitian, and the layer identity fails in row or column 0 or 1."""
     sig = _ts31_signature(corpus)
     p = sig.params
-    cert = certify_two_eigenvalues(sig.matrix, p.theta, p.tau)
+    assert sig.e == 3
+    cert = certify_two_eigenvalues(sig.angle, sig.e, p)
     assert cert.eigenvalues == ((2.0, 6), (-4.0, 3))
-    s = sig.matrix.copy()
-    s[0, 1] += 1e-6
-    s[1, 0] += 1e-6  # still Hermitian
-    exc = _certificate_error(s, p.theta, p.tau)
-    assert exc.m_theta == 6  # the multiplicity identity alone cannot tell
+    angle = sig.angle.copy()
+    angle[0, 1] = (angle[0, 1] + 1) % 3
+    angle[1, 0] = -angle[0, 1] % 3
+    exc = _certificate_error(angle, 3, p)
+    (i, j), c = exc.witness["entry"], exc.witness["power"]
+    assert {i, j} & {0, 1}
+    want = ((p.lam - p.mu) * (angle[i, j] == c) + p.mu * p.r / 3 * (i != j)
+            + (p.n - 1) * (i == j and c == 0))
+    assert exc.witness["got"] == _layer_count(angle, 3, i, j, c)
+    assert exc.witness["want"] == want != exc.witness["got"]
+    assert str(exc) == (f"layer identity fails at entry ({i}, {j}), power "
+                        f"{c}: got {exc.witness['got']:g}, want {want:g}")
+
+
+def test_certificate_rejects_non_hermitian_entry(corpus):
+    """Move (2, 5) alone: S[2, 5] is no longer conj(S[5, 2])."""
+    sig = _ts31_signature(corpus)
+    angle = sig.angle.copy()
+    angle[2, 5] = (angle[2, 5] + 1) % 3
+    exc = _certificate_error(angle, 3, sig.params)
+    assert exc.witness == {"entry": (2, 5)}
+    assert "not Hermitian" in str(exc)
 
 
 def test_certificate_rejects_wrong_eigenvalues(corpus):
+    """TS(4,1)'s parameters on TS(3,1)'s table: the diagonal counts the
+    n - 1 = 8 neighbours of each base, not 15."""
     sig = _ts31_signature(corpus)
-    other = params_of(corpus["ts41"])
-    exc = _certificate_error(sig.matrix, other.theta, other.tau)
-    assert not exc.m_theta.is_integer  # 9*5/8
+    exc = _certificate_error(sig.angle, 3, params_of(corpus["ts41"]))
+    assert exc.witness == {"entry": (0, 0), "power": 0, "got": 8, "want": 15}
 
 
-def test_certificate_rejects_three_eigenvalues():
-    """Traceless, Hermitian, non-scalar, with m_theta an integer in 1..n-1:
-    only the quadratic identity can see the third eigenvalue."""
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    q, _ = np.linalg.qr(a)
-    theta, tau = QuadExt(2), QuadExt(-4)
-    good = q @ np.diag([2.0] * 6 + [-4.0] * 3) @ q.conj().T
-    assert certify_two_eigenvalues(good, theta, tau).eigenvalues == \
-        ((2.0, 6), (-4.0, 3))
-    s = q @ np.diag([2.0] * 4 + [-4.0] * 2 + [0.0] * 3) @ q.conj().T
-    assert len(set(np.round(np.linalg.eigvalsh(s), 8))) == 3
-    exc = _certificate_error(s, theta, tau)
-    assert exc.m_theta == 6
+def test_certificate_needs_two_layers(corpus):
+    """With e = 1, J - I satisfies the identity but has eigenvalues n - 1
+    and -1: the sum of the e-th roots of unity vanishes only for e >= 2."""
+    sig = _ts31_signature(corpus)
+    with pytest.raises(FrameError, match="e >= 2"):
+        certify_two_eigenvalues(np.where(sig.angle < 0, -1, 0), 1, sig.params)
 
 
 @pytest.mark.parametrize("name", ["hexagon", "cube", "icosahedron", "ts31",
-                                  "ts41", "ts22", "ts32"])
+                                  "ts41", "ts51", "ts71", "ts81", "ts22",
+                                  "ts32"])
 def test_certified_multiplicities_match_eigvalsh(corpus, name):
-    extra = {"ts22": (2, 2), "ts32": (3, 2)}
-    g = corpus[name] if name in corpus else thas_somma(*extra[name])
+    g = corpus[name] if name in corpus else thas_somma(int(name[2]),
+                                                       int(name[3]))
     kernel, _ = covering_group(g)
     for chi in all_characters(kernel)[1:]:
         s = character_matrix(g, chi, kernel=kernel)
@@ -380,7 +398,6 @@ def test_certified_multiplicities_match_eigvalsh(corpus, name):
         from_params = [int(m / (p.r - 1)) for m in (p.m_theta, p.m_tau)]
         certified = [m for _, m in s.eigenvalues]
         assert certified == counts == from_params, (name, chi.index)
-        assert s.trace_deviation <= 1e-10
 
 
 def _spectra_and_certificates(g):

@@ -5,8 +5,8 @@ refactor that claims the same behaviour must reproduce it exactly.  To
 record a new one, run the command and save its stdout under the same name.
 The analyze payloads embed their cover path, so those are recorded as
 `coverlab analyze --audits NAME.json` run in the directory holding the
-built cover NAME.json; the verify and quotient payloads are recorded the
-same way, on the perturbed or built cover each test writes.  Each
+built cover NAME.json; the verify, quotient and etf payloads are recorded
+the same way, on the perturbed or built cover each test writes.  Each
 demo_NAME.txt is the stdout of `python demos/NAME.py`.
 """
 import os
@@ -96,6 +96,26 @@ def test_quotient_ts81_matches_golden(order, index, tmp_path, monkeypatch,
                  "--subgroup-index", str(index)]) == 0
     golden = GOLDEN / f"quotient_ts81_order{order}_index{index}.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+# (cover, argv after the cover path); e = 2, 2, 3, 3 and 5 angle layers
+ETF_CASES = {
+    "etf_hexagon_theta": (hexagon, ["--side", "theta"]),
+    "etf_icosahedron": (icosahedron, []),
+    "etf_ts31_char1": (lambda: thas_somma(3, 1), ["--char", "1"]),
+    "etf_ts31_char2": (lambda: thas_somma(3, 1), ["--char", "2"]),
+    "etf_ts51_char3_theta": (lambda: thas_somma(5, 1),
+                             ["--char", "3", "--side", "theta"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ETF_CASES))
+def test_etf_matches_golden(name, tmp_path, monkeypatch, capsys):
+    build, extra = ETF_CASES[name]
+    (tmp_path / "cover.json").write_text(build().to_json_str())
+    monkeypatch.chdir(tmp_path)
+    assert main(["etf", "cover.json", *extra]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
