@@ -1,10 +1,11 @@
 """Command-line front end for reproducible batch runs.
 
 Subcommands: params, build, verify, analyze, quotient, etf, lemma-check,
-cases.  Output is canonical JSON (sorted keys, 15 significant digits for
-floats) so golden-file comparisons are stable; every run embeds its full
-configuration.  Exit codes: 0 success/verified, 1 verification, certificate
-or case-match failure, 2 bad input.
+cases.  Output is canonical JSON, emitted by one json.dumps with sorted
+keys, so golden-file comparisons are stable; etf, the one payload with
+floats, has them rounded to 15 significant digits first, in text mode too.
+Every run embeds its full configuration.  Exit codes: 0 success/verified,
+1 verification, certificate or case-match failure, 2 bad input.
 """
 from __future__ import annotations
 
@@ -30,28 +31,31 @@ from .perms import subgroups_of
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
+def _round15(x):
+    """x with every float in it at 15 significant digits, so float noise
+    past that does not reach a golden comparison."""
+    if isinstance(x, dict):
+        return {k: _round15(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_round15(v) for v in x]
+    if isinstance(x, (float, np.floating)):
+        return float(f"{float(x):.15g}")
+    return x
+
+
 def _canonical(obj) -> str:
     def default(x):
-        if isinstance(x, (np.integer,)):
+        if isinstance(x, np.integer):
             return int(x)
-        if isinstance(x, (np.floating, float)):
-            return float(f"{float(x):.15g}")
+        if isinstance(x, np.floating):  # np.float32 is no float subclass
+            return _round15(x)
         if isinstance(x, complex):
             return {"re": x.real, "im": x.imag}
         if hasattr(x, "to_json"):
             return x.to_json()
         raise TypeError(f"not JSON-serializable: {type(x)}")
 
-    def walk(x):
-        if isinstance(x, dict):  # containers first: a payload is mostly rows
-            return {str(k): walk(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [walk(i) for i in x]
-        if isinstance(x, float):
-            return float(f"{x:.15g}")
-        return x
-
-    return json.dumps(walk(obj), sort_keys=True, default=default,
+    return json.dumps(obj, sort_keys=True, default=default,
                       separators=(",", ":"))
 
 
@@ -62,6 +66,8 @@ def _emit(payload: dict, args) -> None:
                  if k not in ("func", "command") and v is not None
                  and not callable(v)},
     }
+    if args.command == "etf":  # the one payload (--tol too) with floats
+        payload = _round15(payload)
     if getattr(args, "output", "json") == "text":
         _print_text(payload)
     else:

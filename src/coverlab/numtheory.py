@@ -14,8 +14,9 @@ nothing).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
+from typing import NamedTuple
 
 
 def _trial_divisors():
@@ -103,8 +104,7 @@ def six_prime_part(m: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class PPartDecomposition:
+class PPartDecomposition(NamedTuple):
     l: int
     p: int
     p_part: int
@@ -129,8 +129,7 @@ def _p_power(l: int, p: int) -> int:
     return part
 
 
-@dataclass(frozen=True)
-class LiftingCheck:
+class LiftingCheck(NamedTuple):
     q: int
     e: int
     m: int
@@ -164,8 +163,7 @@ def lifting_identity_check(q: int, e: int, m: int, p: int) -> LiftingCheck:
     return LiftingCheck(q, e, m, p, True, lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class GcdPowerCheck:
+class GcdPowerCheck(NamedTuple):
     q: int
     k: int
     m: int
@@ -183,8 +181,7 @@ def gcd_qpow(q: int, k: int, m: int) -> GcdPowerCheck:
     return GcdPowerCheck(q, k, m, val, want, val == want)
 
 
-@dataclass(frozen=True)
-class ZsigmondySolution:
+class ZsigmondySolution(NamedTuple):
     p: int
     m: int
     q: int
@@ -204,9 +201,7 @@ def zsigmondy_corollary_solve(bound: int) -> list[ZsigmondySolution]:
         raise ValueError("bound must be at least 4")
     sieve = prime_sieve(bound)
     out = []
-    for q in range(2, bound):
-        if not sieve[q]:
-            continue
+    for q in compress(range(bound), sieve):
         n = 1
         while q ** n + 1 <= bound:
             s = q ** n + 1

@@ -13,8 +13,8 @@ i.e. SIC-POVM-sized systems), together with their known sporadic members.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import QuadExt, rational_json
 from .numtheory import divisors, prime_powers, six_prime_part
@@ -24,8 +24,7 @@ class ParameterError(ValueError):
     """Raised for parameter triples outside the admissible domain."""
 
 
-@dataclass(frozen=True)
-class CoverParams:
+class CoverParams(NamedTuple):
     """The quadruple (n, r, mu, lambda) with its exact spectrum."""
 
     n: int
@@ -61,8 +60,7 @@ class CoverParams:
         }
 
 
-@dataclass(frozen=True)
-class FamilyBParams:
+class FamilyBParams(NamedTuple):
     """Odd-fibre extremal family member, indexed by t = -tau."""
 
     t: int
@@ -218,8 +216,7 @@ def _condition_tags_A(t: int, r: int, mu: int) -> list[str] | None:
     return tags
 
 
-@dataclass(frozen=True)
-class FamilyAEntry:
+class FamilyAEntry(NamedTuple):
     t: object  # int or QuadExt (the icosahedron entry)
     r: int
     params: CoverParams

@@ -13,7 +13,8 @@ import pytest
 import coverlab
 from coverlab import (hexagon, seidel_of_graph, taylor_from_seidel,
                       thas_somma)
-from coverlab.cli import main, make_parser
+from coverlab.cli import _canonical, main, make_parser
+from coverlab.numtheory import GcdPowerCheck, LiftingCheck
 from conftest import matching_swapped, relabelled
 from test_autgroup import symplectic_cover_aut_order
 
@@ -348,6 +349,43 @@ def test_lemma_check(capsys):
     assert blob["zsigmondy"]["unclassified"] == 0
 
 
+def test_lemma_sweep_reports_its_counterexamples(capsys, monkeypatch):
+    """The sweeps can fail: one planted unequal record per checker makes
+    the run exit 1 and is the one counterexample each lists."""
+    gcd_qpow = coverlab.numtheory.gcd_qpow
+    lifting = coverlab.numtheory.lifting_identity_check
+
+    def planted_gcd(q, k, m):
+        chk = gcd_qpow(q, k, m)
+        if (q, k, m) != (7, 12, 18):
+            return chk
+        return GcdPowerCheck(q, k, m, chk.gcd_value, chk.expected + 1, False)
+
+    def planted_lifting(q, e, m, p):
+        chk = lifting(q, e, m, p)
+        if (q, e, m, p) != (5, 1, 4, 2):
+            return chk
+        return LiftingCheck(q, e, m, p, True, chk.lhs, 2 * chk.rhs, False)
+
+    monkeypatch.setattr(coverlab.numtheory, "gcd_qpow", planted_gcd)
+    monkeypatch.setattr(coverlab.numtheory, "lifting_identity_check",
+                        planted_lifting)
+    code, out = run_cli(["lemma-check", "nt", "--sweep"], capsys)
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["gcd_sweep"]["counterexamples"] == [[7, 12, 18]]
+    assert blob["lifting_sweep"]["counterexamples"] == [[5, 1, 4, 2]]
+
+
+def test_canonical_of_float_free_payload_is_plain_dumps():
+    rows = [{"t": fb.t, "r": fb.r, "special": fb.special,
+             "params": fb.params.to_json()} for fb in coverlab.feasible_B(30)]
+    payload = {"rows": rows, "tags": ("b", "a"), "none": None,
+               "config": {"args": {"t_max": 30}, "subcommand": "params"}}
+    assert _canonical(payload) == json.dumps(payload, sort_keys=True,
+                                             separators=(",", ":"))
+
+
 def test_deterministic_byte_identical(capsys):
     _, out1 = run_cli(["cases", "all"], capsys)
     _, out2 = run_cli(["cases", "all"], capsys)
@@ -370,6 +408,15 @@ def test_text_output_mode(capsys):
                          "--r", "3", "--mu", "3"], capsys)
     assert code == 0
     assert "m_theta: 12" in out
+
+
+def test_etf_text_output_shows_the_rounded_floats(tmp_path, capsys):
+    """Text mode prints the etf floats as the JSON has them, at 15
+    significant digits (TS(3,1)'s Hermitian deviation has 17)."""
+    path = tmp_path / "ts31.json"
+    path.write_text(thas_somma(3, 1).to_json_str())
+    code, out = run_cli(["--output", "text", "etf", str(path)], capsys)
+    assert code == 0 and "hermitian_deviation: 3.72380122987091e-16\n" in out
 
 
 def test_installed_entry_point(tmp_path):

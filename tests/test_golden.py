@@ -9,6 +9,7 @@ built cover NAME.json; the verify, quotient and etf payloads are recorded
 the same way, on the perturbed or built cover each test writes.  Each
 demo_NAME.txt is the stdout of `python demos/NAME.py`.
 """
+import json
 import os
 import subprocess
 import sys
@@ -116,6 +117,25 @@ def test_etf_matches_golden(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["etf", "cover.json", *extra]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _floats(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        for v in x:
+            yield from _floats(v)
+    elif isinstance(x, float):
+        yield x
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_golden_floats_have_15_significant_digits(name):
+    """Every float a CLI golden holds survives rounding to 15 significant
+    digits unchanged; the etf goldens are the ones that hold floats."""
+    floats = list(_floats(json.loads((GOLDEN / f"{name}.json").read_text())))
+    assert floats or not name.startswith("etf_")
+    assert [x for x in floats if float(f"{x:.15g}") != x] == []
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"

@@ -4,8 +4,8 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverlab.numtheory import (GcdPowerCheck, divisors, gcd_qpow,
-                                has_coprime6_divisor, is_prime,
+from coverlab.numtheory import (GcdPowerCheck, LiftingCheck, divisors,
+                                gcd_qpow, has_coprime6_divisor, is_prime,
                                 lifting_identity_check,
                                 nagell_ljunggren_search, p_part, prime_powers,
                                 prime_sieve, prime_power_decompose,
@@ -66,6 +66,26 @@ def test_lifting_exhaustive_sweep():
                     if chk.applicable and not chk.equal:
                         bad.append((q, e, m, p))
     assert bad == []
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: p_part(63, 3), "p_part"),
+    (lambda: lifting_identity_check(5, 1, 4, 2), "equal"),
+    (lambda: lifting_identity_check(3, 1, 2, 2), "applicable"),
+    (lambda: gcd_qpow(2, 6, 4), "gcd_value"),
+    (lambda: zsigmondy_corollary_solve(100)[0], "case"),
+], ids=["p_part", "lifting", "lifting_inapplicable", "gcd", "zsigmondy"])
+def test_records_are_immutable_and_hashable(make, field):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    assert record == make() and hash(record) == hash(make())
+
+
+def test_lifting_check_defaults():
+    chk = LiftingCheck(3, 1, 2, 2, False)
+    assert (chk.lhs, chk.rhs, chk.equal) == (None, None, None)
+    assert lifting_identity_check(3, 1, 2, 2) == chk
 
 
 def test_gcd_examples():

@@ -15,7 +15,7 @@ from coverlab import (cube, derive_params, family_A, family_B, feasible_A,
                       feasible_B, hexagon, hoffman_bounds, icosahedron,
                       thas_somma)
 from coverlab.exact import QuadExt
-from coverlab.params import ParameterError
+from coverlab.params import FamilyAEntry, FamilyBParams, ParameterError
 
 
 def spectrum_oracle(g):
@@ -295,3 +295,39 @@ def test_cover_params_json():
     d = p.to_json()
     assert d["theta"] == {"a": 0, "b": 1, "D": 5}
     assert d["m_theta"] == 3 and d["v"] == 12
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: derive_params(28, 4, 8), "mu"),
+    (lambda: family_B(6, 5), "special"),
+    (lambda: feasible_A(3)[0], "branch"),
+], ids=["cover_params", "family_b", "family_a_entry"])
+def test_records_are_immutable_and_hashable(make, field):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    assert record == make() and hash(record) == hash(make())
+
+
+def test_record_defaults():
+    p = derive_params(9, 3, 3)
+    assert FamilyBParams(2, 3, p).special is False
+    assert family_B(6, 5).special is False
+    assert FamilyAEntry(3, 2, p, "eq2+").conditions == ()
+
+
+@pytest.mark.parametrize("triple,v,k,integral,blob", [
+    ((28, 4, 8), 112, 27, True,
+     {"n": 28, "r": 4, "mu": 8, "lambda": 2, "theta": {"a": 3, "b": 0, "D": 1},
+      "tau": {"a": -9, "b": 0, "D": 1}, "m_theta": 63, "m_tau": 21,
+      "v": 112}),
+    ((6, 2, 2), 12, 5, True,
+     {"n": 6, "r": 2, "mu": 2, "lambda": 2, "theta": {"a": 0, "b": 1, "D": 5},
+      "tau": {"a": 0, "b": -1, "D": 5}, "m_theta": 3, "m_tau": 3, "v": 12}),
+])
+def test_cover_params_properties(triple, v, k, integral, blob):
+    """(28, 4, 8): x^2 + 6x - 27 = (x - 3)(x + 9), m_theta = 9 * 3 * 28 / 12;
+    the icosahedron: x^2 - 5, m_theta = m_tau = 6 / 2."""
+    p = derive_params(*triple)
+    assert (p.v, p.k, p.multiplicities_integral) == (v, k, integral)
+    assert p.to_json() == blob
