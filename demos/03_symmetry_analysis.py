@@ -15,9 +15,9 @@ for name, g in [("hexagon", hexagon()), ("cube", cube()),
                 ("symplectic q=3", thas_somma(3, 1)),
                 ("symplectic q=4", thas_somma(4, 1))]:
     aut = automorphism_group(g)
-    kernel, info = covering_group(g, aut)
     fa = fibre_action(g, aut)
-    arcs = arc_orbit_count(g, aut)
+    info = fa.kernel_info
+    arcs = arc_orbit_count(g, fa)
     print(f"\n{name}:")
     print(f"  |Aut| = {aut.order()}, covering group order {info['order']}, "
           f"abelian: {info['is_abelian']}, regular on fibres: "

@@ -5,7 +5,7 @@ cases.  Output is canonical JSON, emitted by one json.dumps with sorted
 keys, so golden-file comparisons are stable; etf, the one payload with
 floats, has them rounded to 15 significant digits first, in text mode too.
 Every run embeds its full configuration.  Exit codes: 0 success/verified,
-1 verification, certificate or case-match failure, 2 bad input.
+1 verification, certificate or case-match failure, 2 bad input or path.
 """
 from __future__ import annotations
 
@@ -19,13 +19,13 @@ import numpy as np
 from . import casecheck, constructions, numtheory
 from .frames import (SpectrumCertificateError, all_characters,
                      character_matrix, extract_lines)
-from .graphcore import CoverGraph, GraphStructureError, verify_cover
+from .graphcore import CoverGraph, verify_cover
 from .groupops import (arc_orbit_count, covering_group, fibre_action,
                        involution_audit, involution_types, quotient_cover,
                        structure_audit, subdegree_identity_check)
 from .autgroup import automorphism_group
-from .params import (ParameterError, derive_params, family_B, feasible_A,
-                     feasible_B, hoffman_bounds)
+from .params import (derive_params, family_B, feasible_A, feasible_B,
+                     hoffman_bounds)
 from .perms import subgroups_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -164,18 +164,17 @@ def cmd_analyze(args) -> int:
         _emit({"report": rep.to_json()}, args)
         return EXIT_FAIL
     aut = automorphism_group(g)
-    kernel, kinfo = covering_group(g, aut)
     fa = fibre_action(g, aut)
-    arcs = arc_orbit_count(g, aut)
+    arcs = arc_orbit_count(g, fa)
     payload = {
         "report": rep.to_json(),
         "automorphism_group": {
             "order": aut.order(),
             "generators": [list(p.img) for p in aut.generators],
         },
-        "covering_group": dict(kinfo,
+        "covering_group": dict(fa.kernel_info,
                                generators=[list(p.img)
-                                           for p in kernel.generators]),
+                                           for p in fa.kernel.generators]),
         "fibre_action": {"transitive": fa.transitive, "rank": fa.rank,
                          "subdegrees": list(fa.subdegrees or ())},
         "arc_orbits": arcs,
@@ -185,7 +184,7 @@ def cmd_analyze(args) -> int:
     }
     if args.audits:
         payload["structure_audit"] = [a.to_json()
-                                      for a in structure_audit(g, aut)]
+                                      for a in structure_audit(g, fa)]
         payload["subdegree_identities"] = subdegree_identity_check(g, fa)
         types, draws = involution_types(g, aut)
         payload["involution_audits"] = [
@@ -376,8 +375,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (GraphStructureError, ParameterError, ValueError, TypeError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,7 +2,8 @@
 
 The characters of the abelian covering group K are built by extension along
 its generators: if m is the least power with g^m in a subgroup H, each
-character of H extends to <H, g> in exactly m = [<H, g> : H] ways.
+character of H extends to <H, g> in exactly m = [<H, g> : H] ways.  K is
+covering_group's record on the graph, found and checked once per cover.
 
 From an abelian cover and a nontrivial character chi of K one forms the
 n x n Hermitian signature matrix S: pick a base vertex per fibre (minimum
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphcore import CoverGraph, params_of
-from .groupops import covering_group, fixes_fibres, kernel_info
+from .groupops import covering_group
 from .params import CoverParams
 from .perms import PermGroup, Permutation
 
@@ -124,22 +125,20 @@ def character_matrix(g: CoverGraph, chi: Character,
     """Hermitian signature matrix of an abelian cover under a character.
 
     The cover's parameters come from the report verify_cover recorded on g
-    (g is verified only when none is recorded).  The covering group is
-    found by covering_group(g) when not supplied; a supplied kernel is not
-    searched again: its generators must fix every fibre, and its order,
-    abelianity and regularity are read from it directly.  Row i is read off
-    the neighbours of base vertex i through a carrier table: for each vertex
-    x, the angle a in Z_e of chi at the kernel element taking x to its
-    fibre's base (e the lcm of chi's angle denominators).  S is exp(2 pi i
-    a/e) entrywise, on an angle table certify_two_eigenvalues certifies.
+    (g is verified only when none is recorded), K and its info from
+    covering_group(g).  A supplied kernel must be K: same order, and its
+    generators in K.  Row i is read off the arcs at base vertex i, one
+    selection of g's edge array, through a carrier table: for each vertex
+    x, the angle a in Z_e of chi at the p in K taking x to its fibre's
+    base (e the lcm of chi's angle denominators).  S is exp(2 pi i a/e)
+    entrywise, on an angle table certify_two_eigenvalues certifies.
     """
     params = params_of(g)
-    if kernel is None:
-        kernel, info = covering_group(g)
-    else:
-        if not all(fixes_fibres(g, p) for p in kernel.generators):
-            raise FrameError("kernel does not fix every fibre")
-        info = kernel_info(g, kernel)
+    k, info = covering_group(g)
+    if kernel is not None and (kernel.order() != info["order"] or
+                               not all(p in k for p in kernel.generators)):
+        raise FrameError("kernel is not the covering group, which must "
+                         "fix every fibre")
     if not info["abelian_cover"]:
         raise FrameError("cover is not abelian (kernel not abelian-regular)")
     if chi.is_trivial:
@@ -154,23 +153,23 @@ def character_matrix(g: CoverGraph, chi: Character,
             raise FrameError("need exactly one base vertex per fibre")
         bases = sorted(bases, key=lambda b: g.fibre_of[b])
 
-    # carrier[x] = e*angle(chi, k) for the first k in K taking x to its base
+    # carrier[x] = e*angle(chi, p) for the p in K taking x to its base
     e = math.lcm(*(q.denominator for q in chi.values.values()))
-    base_of = [bases[j] for j in g.fibre_of]
-    carrier = [-1] * g.v
-    for k in kernel.elements():
-        a = int(chi.angle(k) * e)
-        for x, y in enumerate(k.img):
-            if y == base_of[x] and carrier[x] < 0:
-                carrier[x] = a
+    fibre = np.array(g.fibre_of)
+    base_of = np.array(bases)[fibre]
+    carrier = np.full(g.v, -1)
+    for p in k.elements():
+        carrier[np.array(p.img) == base_of] = int(chi.angle(p) * e)
 
+    # the arcs (b, x) out of the bases: x is b's partner in x's fibre
+    row = np.full(g.v, -1)
+    row[bases] = np.arange(n)
+    arcs = np.concatenate([g._pairs, g._pairs[:, ::-1]])
+    b, x = arcs[row[arcs[:, 0]] >= 0].T
+    if (carrier[x] < 0).any():
+        raise FrameError("covering group is not transitive on a fibre")
     angle = np.full((n, n), -1)
-    for i, b in enumerate(bases):
-        # the neighbours of base i are its matched partners in the other fibres
-        for x in g.neighbours(b):
-            if carrier[x] < 0:
-                raise FrameError("covering group is not transitive on a fibre")
-            angle[i, g.fibre_of[x]] = carrier[x]
+    angle[row[b], fibre[x]] = carrier[x]
 
     cert = certify_two_eigenvalues(angle, e, params)
     roots = np.array([cmath.exp(2j * cmath.pi * float(Fraction(a, e)))
@@ -416,9 +415,7 @@ def verify_etf(lines: LineSystem, tol: float = DEFAULT_TOL,
 def lines_from_cover(g: CoverGraph, char_index: int = 1, side: str = "tau",
                      tol: float = DEFAULT_TOL) -> LineSystem:
     """End-to-end helper: cover -> character -> signature matrix -> lines."""
-    kernel, info = covering_group(g)
-    if not info["abelian_cover"]:
-        raise FrameError("cover is not abelian")
+    kernel, _ = covering_group(g)
     chars = all_characters(kernel)
     if not 0 < char_index < len(chars):
         raise FrameError(f"character index must be in 1..{len(chars) - 1}")

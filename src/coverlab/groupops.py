@@ -20,11 +20,11 @@ subgraphs of involutions, rank-3 subdegree relations) into pass/fail
 reports on concrete instances; structure_audit reads its subgroups off two
 chains of G, with bases (a, F - {a}) and (F*, K - 1, a), and
 involution_types draws one involution of each displacement type from
-seeded uniform draws, with no element scan.  subdegree_identity_check reads
-fibre_action's report, so the fibre action is computed once.  Stages
-that need a verified cover take the report verify_cover recorded on the
-graph (graphcore.cover_report), and K is recorded there too, so a graph is
-verified and its K found once however many stages use them.
+seeded uniform draws, with no element scan.  fibre_action alone checks a
+group and takes its kernel; arc_orbit_count, structure_audit and
+subdegree_identity_check read its report.  A verified cover's report
+(cover_report) and its K with K's info are recorded on the graph, so a
+graph is verified and its K found once however many stages use them.
 """
 from __future__ import annotations
 
@@ -68,20 +68,24 @@ def covering_group(g: CoverGraph, group: PermGroup | None = None):
     g must be a cover: the report verify_cover recorded on g is used, g is
     verified only when none is recorded, and GraphStructureError names the
     failed axioms otherwise.  K is every fibre-fixing automorphism, found by
-    matching propagation (see _fibre_fixing_automorphisms), once per graph:
-    the result is recorded on g.  No search is made, and K.generators lists
-    every non-identity element of K.  Given a group, it must act by
-    automorphisms of g (ValueError otherwise), and the kernel of its action
-    on the fibres is group ∩ K: the elements of K that pass membership in
-    group.  Returns (kernel: PermGroup, info: dict).
+    matching propagation (see _fibre_fixing_automorphisms) once per graph
+    and recorded on g with its kernel_info; every call returns that record.
+    No search is made, and K.generators lists every non-identity element of
+    K.  Given a group, it must act by automorphisms of g (ValueError
+    otherwise), and the kernel of its action on the fibres is group ∩ K,
+    the record itself when group contains K.  Returns (kernel, info).
     """
     require_cover(g)
     if g._kernel is None:
-        g._kernel = tuple(_fibre_fixing_automorphisms(g))
-    kernel = PermGroup(g._kernel, g.v)
-    if group is not None:
-        require_automorphisms(g, group)
-        kernel = PermGroup([k for k in kernel.generators if k in group], g.v)
+        kernel = PermGroup(_fibre_fixing_automorphisms(g), g.v)
+        g._kernel = kernel, kernel_info(g, kernel)
+    if group is None:
+        return g._kernel
+    require_automorphisms(g, group)
+    full = g._kernel[0].generators
+    kernel = PermGroup([k for k in full if k in group], g.v)
+    if kernel.generators == full:
+        return g._kernel
     return kernel, kernel_info(g, kernel)
 
 
@@ -133,12 +137,15 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
 
 @dataclass
 class FibreActionReport:
-    """group is the image on the fibres of vertex_group."""
+    """group is vertex_group's image on the fibres; kernel is its ∩ K."""
     group: PermGroup
     transitive: bool
     rank: int | None
     subdegrees: tuple[int, ...] | None
     vertex_group: PermGroup
+    kernel: PermGroup
+    kernel_info: dict
+    vertex_transitive: bool
 
 
 def require_automorphisms(g: CoverGraph, group: PermGroup) -> None:
@@ -148,43 +155,41 @@ def require_automorphisms(g: CoverGraph, group: PermGroup) -> None:
 
 
 def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
-    """Induced group on the fibre set with its transitivity, rank, subdegrees."""
-    require_automorphisms(g, group)
+    """Induced group on the fibre set with its transitivity, rank and
+    subdegrees, and group ∩ K with its info, from covering_group, which
+    checks that g is a verified cover and group acts by automorphisms."""
+    kernel, kinfo = covering_group(g, group)
     image = PermGroup([fibre_image(g, p) for p in group.generators], g.n)
-    transitive = image.is_transitive()
-    if not transitive:
-        return FibreActionReport(image, False, None, None, group)
-    stab = image.point_stabilizer(0)
-    orbs = stab.orbits()
-    sizes = tuple(sorted(len(o) for o in orbs))
-    return FibreActionReport(image, True, len(orbs), sizes, group)
+    rank = sizes = None
+    if image.is_transitive():
+        orbs = image.point_stabilizer(0).orbits()
+        rank, sizes = len(orbs), tuple(sorted(len(o) for o in orbs))
+    return FibreActionReport(image, rank is not None, rank, sizes, group,
+                             kernel, kinfo, group.is_transitive())
 
 
-def arc_orbit_count(g: CoverGraph, group: PermGroup) -> dict:
+def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
     """Number of orbits on ordered adjacent pairs, plus hypothesis checks.
 
-    The rank identity (arc orbits = rank on fibres minus one) needs the group
-    to be vertex-transitive and to contain the covering group with order
-    exactly r; both are checked and reported, the count is returned anyway.
-    covering_group requires g to be a cover and group to act on it.
+    fa is fibre_action's report on the group counted.  The rank identity
+    (arc orbits = rank on fibres minus one) needs that group to be
+    vertex-transitive and to contain the covering group with order exactly
+    r; both are read off fa and reported, and the count is returned anyway.
     """
-    _, kinfo = covering_group(g, group)
     arcs = np.concatenate([g._pairs, g._pairs[:, ::-1]])
     us, ws = arcs.T
     arc = np.zeros((g.v, g.v), dtype=np.intp)  # arc[u, w]: index of (u, w)
     arc[us, ws] = np.arange(len(arcs))
     images = []
-    for p in group.generators:
+    for p in fa.vertex_group.generators:
         img = np.array(p.img)
         images.append(arc[img[us], img[ws]].tolist())
     count = len(PermGroup(images, len(arcs)).orbits())
 
-    vertex_transitive = group.is_transitive()
-    hypotheses_met = vertex_transitive and kinfo["order"] == g.r
-    return {"arc_orbits": count,
-            "vertex_transitive": vertex_transitive,
-            "covering_group_order": kinfo["order"],
-            "rank_identity_applicable": hypotheses_met}
+    vt, order = fa.vertex_transitive, fa.kernel_info["order"]
+    return {"arc_orbits": count, "vertex_transitive": vt,
+            "covering_group_order": order,
+            "rank_identity_applicable": vt and order == g.r}
 
 
 # -- quotient covers -----------------------------------------------------------
@@ -527,10 +532,10 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
 _AUDIT_SEED = 1
 
 
-def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
+def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
     """Assertable identities tying M = G_{F}, C = G_F, K and G_a together.
 
-    Checks, on the concrete group: C = C_G(K) meet G_a and M = K : G_a
+    Checks, on G = fa.vertex_group: C = C_G(K) meet G_a and M = K : G_a
     (semidirect with trivial intersection); the index |G : M| equals the
     fibre count; |Fix(G_a)| = |N_G(G_a) : G_a| divides nr; and
     |Fix_Sigma(M)| = |N_G(M) : M| divides n.  Each group is a tail of one
@@ -543,11 +548,11 @@ def structure_audit(g: CoverGraph, group: PermGroup) -> list[AuditItem]:
     """
     lemma = "stabilizer-structure"
     out: list[AuditItem] = []
-    if not group.is_transitive():
+    if not fa.vertex_transitive:
         return [AuditItem(lemma, "applicability", "inapplicable",
                           {"reason": "group is not vertex-transitive"})]
-    kernel, kinfo = covering_group(g, group)
-    if not kinfo["abelian_cover"]:
+    group, kernel = fa.vertex_group, fa.kernel
+    if not fa.kernel_info["abelian_cover"]:
         return [AuditItem(lemma, "applicability", "inapplicable",
                           {"reason": "covering group is not abelian-regular"})]
 

@@ -77,7 +77,7 @@ def test_criterion_3_arc_orbits_vs_rank():
     for name, g in covers.items():
         aut = automorphism_group(g)
         fa = fibre_action(g, aut)
-        arcs = arc_orbit_count(g, aut)
+        arcs = arc_orbit_count(g, fa)
         good = (arcs["rank_identity_applicable"]
                 and arcs["arc_orbits"] == fa.rank - 1)
         ok = ok and good

@@ -236,8 +236,9 @@ def test_analyze_max_involutions_below_1_exits_2(tmp_path, capsys):
 
 def test_analyze_finds_the_covering_group_once(tmp_path, capsys,
                                               monkeypatch):
-    """analyze asks for the covering group three times (directly, for the
-    arc orbits and in the audit); the matching propagation runs once."""
+    """analyze asks for the covering group once, in fibre_action, whose
+    report the arc orbits and the audits read; the matching propagation
+    runs once."""
     from coverlab import groupops
     calls = []
     real = groupops._fibre_fixing_automorphisms
@@ -271,11 +272,13 @@ def test_tracing_targets_resolve():
 
 
 def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):
-    """analyze --audits on TS(3,1) runs Schreier-Sims 4 times: K for the
-    covering group and again for the arc orbits and the audit, and the fibre
-    group's stabilizer once, in fibre_action, whose report the subdegree
-    check reads.  Aut's chain is read off the search's first-path base, and
-    the audit's two other chains of Aut are built from its known order."""
+    """analyze --audits on TS(3,1) runs Schreier-Sims twice: once for K,
+    whose chain is recorded on the graph with K and serves as Aut's kernel
+    too, as Aut contains K, and once for the fibre group's stabilizer, both
+    in fibre_action, whose report the arc orbits, the audit and the
+    subdegree check read.  Aut's chain is read off the search's first-path
+    base, and the audit's two other chains of Aut are built from its known
+    order."""
     from coverlab.perms import PermGroup
     builds = []
     build = PermGroup._build_chain
@@ -284,7 +287,40 @@ def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ts31.json"
     path.write_text(thas_somma(3, 1).to_json_str())
     code, _ = run_cli(["analyze", "--audits", str(path)], capsys)
-    assert code == 0 and len(builds) == 4
+    assert code == 0 and len(builds) == 2
+
+
+def test_analyze_audits_checks_the_group_once(tmp_path, capsys, monkeypatch):
+    """One analyze --audits request on TS(3,1) checks Aut's generators once
+    (require_automorphisms, in fibre_action through covering_group) and
+    takes K's order, abelianity and regularity once (kernel_info): every
+    later stage reads them off the fibre-action report."""
+    from coverlab import groupops
+    calls = {"require_automorphisms": 0, "kernel_info": 0}
+    for name in calls:
+        original = getattr(groupops, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(groupops, name, counting)
+    path = tmp_path / "ts31.json"
+    path.write_text(thas_somma(3, 1).to_json_str())
+    code, out = run_cli(["analyze", "--audits", str(path)], capsys)
+    assert code == 0 and json.loads(out)["covering_group"]["order"] == 3
+    assert calls == {"require_automorphisms": 1, "kernel_info": 1}
+
+
+@pytest.mark.parametrize("argv", (["verify"], ["analyze", "--audits"],
+                                  ["etf"], ["quotient", "--subgroup-order",
+                                            "2"]))
+def test_directory_path_exits_2(argv, tmp_path, capsys):
+    """A path that cannot be read as a file is bad input (exit 2, with an
+    error line), not a failed certificate (exit 1) or a traceback."""
+    code = main([argv[0], str(tmp_path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def gosset_cover(convention: int):

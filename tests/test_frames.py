@@ -141,6 +141,43 @@ def test_supplied_kernel_must_fix_fibres(corpus):
         character_matrix(g, chi, kernel=swap)
 
 
+def test_supplied_kernel_must_be_the_covering_group(corpus):
+    """A fibre-fixing group that is not K, here K's trivial subgroup on
+    TS(3,1), is refused too, by its order."""
+    g = corpus["ts31"]
+    kernel, _ = covering_group(g)
+    chi = all_characters(kernel)[1]
+    with pytest.raises(FrameError, match="not the covering group"):
+        character_matrix(g, chi, kernel=PermGroup([], g.v))
+
+
+def test_characters_never_recheck_the_kernel(monkeypatch):
+    """Building S for every nontrivial character of TS(4,1), with K
+    supplied and without, finds K once and never checks it again: no
+    fixes_fibres sweep, and kernel_info once, when K is recorded.  Both
+    are counted wherever a coverlab module binds them."""
+    from coverlab import frames, groupops
+    calls = {"fixes_fibres": 0, "kernel_info": 0}
+    for module in (groupops, frames):
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counting)
+    g = thas_somma(4, 1)
+    kernel, _ = covering_group(g)
+    chars = all_characters(kernel)[1:]
+    assert len(chars) == 3
+    for chi in chars:
+        for supplied in (kernel, None):
+            assert character_matrix(g, chi, kernel=supplied).n == g.n
+    assert calls == {"fixes_fibres": 0, "kernel_info": 1}
+
+
 def test_lines_from_cover_verifies_once(verify_calls):
     g = thas_somma(4, 1)
     lines = lines_from_cover(g)
