@@ -60,26 +60,17 @@ def sp_case(d_min: int = 3, d_max: int = 6, swap_powers: bool = False) -> CaseRe
             t = isqrt(target + 1)
             if t * t != target + 1 or t < 6:
                 continue
-            lo, hi = factorize(t - 1).get(2, 0), factorize(t + 1).get(2, 0)
-            if not swap_powers:
-                # t odd, exactly one factor of 2 in t-1, 2^{d-2} in t+1
-                if lo != 1 or hi != d - 2:
-                    notes.append(f"d={d}, t={t}: two-power split fails")
-                    continue
-                x, y = (t - 1) // 2, (t + 1) // 2 ** (d - 2)
-                div = 2 ** max(d - 3, 0)
-                if x * y == 2 ** d + eps and ((y - 1) % div == 0
-                                              or (y + 1) % div == 0):
-                    sols.append((t, d))
-            else:
-                if hi != 1 or lo != d - 2:
-                    notes.append(f"d={d}, t={t}: two-power split fails")
-                    continue
-                y, x = (t + 1) // 2, (t - 1) // 2 ** (d - 2)
-                div = 2 ** max(d - 3, 0)
-                if x * y == 2 ** d + eps and ((x - 1) % div == 0
-                                              or (x + 1) % div == 0):
-                    sols.append((t, d))
+            # t odd: one factor of 2 in one of t -+ 1, 2^{d-2} in the other
+            one, many = (t + 1, t - 1) if swap_powers else (t - 1, t + 1)
+            if (factorize(one).get(2, 0) != 1
+                    or factorize(many).get(2, 0) != d - 2):
+                notes.append(f"d={d}, t={t}: two-power split fails")
+                continue
+            x, y = one // 2, many // 2 ** (d - 2)
+            div = 2 ** max(d - 3, 0)
+            if x * y == 2 ** d + eps and ((y - 1) % div == 0
+                                          or (y + 1) % div == 0):
+                sols.append((t, d))
     expected = [] if swap_powers else [s for s in [(11, 4), (23, 5)]
                                        if d_min <= s[1] <= d_max]
     label = "swapped" if swap_powers else "standard"

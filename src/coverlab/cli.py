@@ -243,10 +243,6 @@ def cmd_etf(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    if args.family != "nt":
-        print("only the number-theory family 'nt' is available",
-              file=sys.stderr)
-        return EXIT_USAGE
     payload = {}
     failures = 0
     zs = numtheory.zsigmondy_corollary_solve(args.zsigmondy_bound)

@@ -8,6 +8,11 @@ Most values are rational (b == 0, D == 1).  Building one from a rational
 costs a single Fraction and no factorization, a rational QuadExt hashes as
 its Fraction (so it hashes like the int or Fraction it equals), and the
 integer-t feasibility tables in params avoid QuadExt arithmetic altogether.
+
+QuadExt adds, multiplies, takes nonnegative powers and compares by exact
+sign; it does not divide.  Nothing needs it to: the cover spectrum is
+rational in sqrt(Delta) (params.derive_params), and the absolute-bound
+endpoints are decided by squared identities (frames.verify_etf).
 """
 from __future__ import annotations
 
@@ -138,29 +143,9 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.D)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.D
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        nrm = o.norm()
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero element")
-        conj = o.conjugate()
-        num = self * conj
-        return QuadExt(num.a / nrm, num.b / nrm, num.D)
-
-    def __rtruediv__(self, other):
-        return QuadExt(other) / self
-
     def __pow__(self, k: int):
         if k < 0:
-            return QuadExt(1) / self ** (-k)
+            raise ValueError(f"negative power {k}: QuadExt has no division")
         out = QuadExt(1)
         base = self
         while k:

@@ -153,7 +153,8 @@ def character_matrix(g: CoverGraph, chi: Character,
             raise FrameError("need exactly one base vertex per fibre")
         bases = sorted(bases, key=lambda b: g.fibre_of[b])
 
-    # carrier[x] = e*angle(chi, p) for the p in K taking x to its base
+    # carrier[x] = e*angle(chi, p) for the one p in K taking x to its base
+    # (abelian_cover holds, so K is regular on every fibre)
     e = math.lcm(*(q.denominator for q in chi.values.values()))
     fibre = np.array(g.fibre_of)
     base_of = np.array(bases)[fibre]
@@ -166,8 +167,6 @@ def character_matrix(g: CoverGraph, chi: Character,
     row[bases] = np.arange(n)
     arcs = np.concatenate([g._pairs, g._pairs[:, ::-1]])
     b, x = arcs[row[arcs[:, 0]] >= 0].T
-    if (carrier[x] < 0).any():
-        raise FrameError("covering group is not transitive on a fibre")
     angle = np.full((n, n), -1)
     angle[row[b], fibre[x]] = carrier[x]
 
@@ -205,7 +204,7 @@ def certify_two_eigenvalues(angle: np.ndarray, e: int,
       lam times at i's neighbour in fibre j, mu times at each other one).
       Summed against zeta^c, since sum_c zeta^c = 0 for e >= 2, it gives
       S^2 = (lam - mu)S + (n-1)I: every eigenvalue is theta or tau;
-    - m_theta = -n tau/(theta - tau) is an integer in 1..n-1.
+    - theta's multiplicity m_theta/(r-1) in S is an integer in 1..n-1.
     One float64 (en x n)(n x en) product gives every C_a C_b, exactly, as
     no entry exceeds n - 1.  A failure raises SpectrumCertificateError.
     """
@@ -236,7 +235,7 @@ def certify_two_eigenvalues(angle: np.ndarray, e: int,
             entry=(i, j), power=c, got=int(got[c, i, j]),
             want=float(want[c, i, j]))
 
-    m_theta = -params.tau * n / (params.theta - params.tau)
+    m_theta = params.m_theta * Fraction(1, params.r - 1)
     if not (m_theta.is_integer and 0 < m_theta < n):
         raise SpectrumCertificateError(f"m_theta {m_theta} is not an integer "
                                        f"in 1..{n - 1}", m_theta=m_theta)
@@ -352,7 +351,8 @@ def verify_etf(lines: LineSystem, tol: float = DEFAULT_TOL,
     in the relative bound n = d(1 - a^2)/(1 - d a^2), the complex absolute
     bound n = d^2 (SIC size) and the real one n = d(d+1)/2, and, when cover
     parameters are supplied, whether tau sits at an extremal endpoint of the
-    applicable absolute-bound inequality.
+    applicable absolute-bound inequality.  tol governs the float deviations;
+    the endpoint is decided exactly, by _tau_endpoint.
     """
     g = lines.gram
     n, d = lines.n, lines.dimension
@@ -390,26 +390,30 @@ def verify_etf(lines: LineSystem, tol: float = DEFAULT_TOL,
     }
 
     if source_params is not None:
-        p = source_params
-        tau = float(p.tau)
-        sn = math.sqrt(p.n)
-        if p.r % 2 == 1:
-            lo = -(sn - 1.0) * math.sqrt(sn + 1.0)
-            hi = -math.sqrt(sn + 1.0)
-            kind = "odd-r"
-        else:
-            root = math.sqrt(8.0 * p.n + 1.0)
-            lo = -0.5 * math.sqrt((p.n - 1.0) * (root - 3.0))
-            hi = -math.sqrt(0.5 * (root + 3.0))
-            kind = "even-r"
-        end = None
-        if abs(tau - hi) <= tol * max(abs(hi), 1.0):
-            end = "upper"
-        elif abs(tau - lo) <= tol * max(abs(lo), 1.0):
-            end = "lower"
+        kind, end = _tau_endpoint(source_params)
         report["absolute_bound_kind"] = kind
         report["tau_extremal_endpoint"] = end
     return report
+
+
+def _tau_endpoint(p: CoverParams) -> tuple[str, str | None]:
+    """The absolute bound that applies to p, and the endpoint tau sits at.
+
+    With T = tau^2 and s = sqrt(n) for odd r: tau = -sqrt(s + 1) ("upper")
+    when T - 1 = s, and tau = -(s - 1) sqrt(s + 1) ("lower") when
+    T/(n-1) + 1 = s.  With s = sqrt(8n + 1) for even r: "upper" when
+    2T - 3 = s, "lower" when 4T/(n-1) + 3 = s.  A side x equals s exactly
+    when x >= 0 and x^2 = s^2, decided in QuadExt with no float and no tol.
+    """
+    t2, inv = p.tau * p.tau, Fraction(1, p.n - 1)
+    if p.r % 2 == 1:
+        kind, s2, sides = "odd-r", p.n, (t2 - 1, t2 * inv + 1)
+    else:
+        kind, s2, sides = "even-r", 8 * p.n + 1, (2 * t2 - 3, 4 * t2 * inv + 3)
+    for end, x in zip(("upper", "lower"), sides):
+        if x >= 0 and x * x == s2:
+            return kind, end
+    return kind, None
 
 
 def lines_from_cover(g: CoverGraph, char_index: int = 1, side: str = "tau",

@@ -70,7 +70,13 @@ class FamilyBParams(NamedTuple):
 
 
 def derive_params(n: int, r: int, mu: int) -> CoverParams:
-    """Populate the full exact parameter set from the triple (n, r, mu)."""
+    """Populate the full exact parameter set from the triple (n, r, mu).
+
+    With b = lambda - mu, Delta = b^2 + 4(n-1) and h = (r-1)n/2, the
+    spectrum is the closed form theta, tau = (b +- sqrt(Delta))/2 and
+    m_theta, m_tau = h -+ sqrt(Delta) hb/Delta; these solve
+    m_theta + m_tau = (r-1)n and theta m_theta + tau m_tau = 0.
+    """
     if n < 3:
         raise ParameterError(f"n must be at least 3, got {n}")
     if r < 2:
@@ -81,19 +87,13 @@ def derive_params(n: int, r: int, mu: int) -> CoverParams:
     if lam < 0:
         raise ParameterError(f"lambda = n-(r-1)mu-2 = {lam} is negative")
 
-    disc = (lam - mu) ** 2 + 4 * (n - 1)
-    if disc <= 0:  # cannot happen for lam >= 0, asserted defensively
-        raise ParameterError("eigenvalues are not real and distinct")
+    b = lam - mu
+    disc = b * b + 4 * (n - 1)  # > 0 as n >= 3
+    h = Fraction((r - 1) * n, 2)
     root = QuadExt.sqrt(disc)
-    half = Fraction(1, 2)
-    theta = (QuadExt(lam - mu) + root) * half
-    tau = (QuadExt(lam - mu) - root) * half
-
-    # m_theta = -tau (r-1) n / (theta - tau), m_tau = theta (r-1) n / (theta - tau)
-    denom = theta - tau
-    m_theta = (-tau) * ((r - 1) * n) / denom
-    m_tau = theta * ((r - 1) * n) / denom
-    return CoverParams(n, r, mu, lam, theta, tau, m_theta, m_tau)
+    theta, tau = (root + b) * Fraction(1, 2), (b - root) * Fraction(1, 2)
+    skew = root * (h * b / disc)
+    return CoverParams(n, r, mu, lam, theta, tau, h - skew, h + skew)
 
 
 def family_B(t: int, r: int) -> FamilyBParams:

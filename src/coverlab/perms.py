@@ -14,12 +14,14 @@ orbit is closed under the generators fixing the earlier base points, and no
 Schreier generator is sifted.  Orders, membership, stabilizers,
 transversals, seeded uniform draws and lazy element iteration all come from
 the chain, so orders in the tens of millions are fine at degree <= about
-1000 as long as nothing scans every element.  A stabilizer is a chain tail
-and runs no Schreier-Sims (Seress 2003, section 4.1).  PermGroup.orbits is
-the one orbit partition: the automorphism search, the arc orbits, the
-covering group's regularity, quotients and subdegrees all read it.
-Products index one image tuple by another with operator.itemgetter, and
-each permutation keeps its inverse once computed.
+1000 as long as nothing scans every element.  PermGroup.stabilizer(k), of
+the first k base points, is a chain tail and runs no Schreier-Sims (Seress
+2003, section 4.1); point_stabilizer and pointwise_stabilizer build a new
+chain by Schreier-Sims with the points as base hint and take its tail.
+PermGroup.orbits is the one orbit partition: the automorphism search, the
+arc orbits, the covering group's regularity, quotients and subdegrees all
+read it.  Products index one image tuple by another with
+operator.itemgetter, and each permutation keeps its inverse once computed.
 """
 from __future__ import annotations
 

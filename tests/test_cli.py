@@ -150,6 +150,16 @@ def test_etf_subcommand(tmp_path, capsys):
     assert blob["config"]["args"]["tol"] == 1e-9
 
 
+def test_etf_endpoint_ignores_tol(tmp_path, capsys):
+    """TS(3,1)'s tau = -4 is the lower endpoint -(3 - 1) sqrt(3 + 1); at
+    --tol 1 a float comparison would also accept the upper one, -2."""
+    path = tmp_path / "ts31.json"
+    path.write_text(thas_somma(3, 1).to_json_str())
+    code, out = run_cli(["etf", str(path), "--tol", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["certificates"]["tau_extremal_endpoint"] == "lower"
+
+
 def test_etf_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
     """A failed spectrum certificate is a failure (1), not bad input (2):
     under TS(4,1)'s parameters, TS(3,1)'s angle layers fail the identity."""
@@ -383,6 +393,10 @@ def test_lemma_check(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["zsigmondy"]["unclassified"] == 0
+
+
+def test_lemma_check_unknown_family_exits_2(capsys):
+    assert main(["lemma-check", "xyz"]) == 2
 
 
 def test_lemma_sweep_reports_its_counterexamples(capsys, monkeypatch):

@@ -10,10 +10,14 @@ with one Hermitian pair moved, with one entry moved alone and under TS(4,1)'s
 parameters, each time with its witness checked.  Line-system angles are
 checked against the tight-frame identity alpha^2 = (n-d)/(d(n-1)) computed
 from first principles, and the certified spectrum and line certificates
-against seeded relabellings.
+against seeded relabellings.  The exact absolute-bound endpoint of tau is
+pinned on every feasibility-table row, with the families' closed forms as
+oracle.
 """
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,9 +28,11 @@ from coverlab import (all_characters, character_matrix, closure_elements,
                       hermitian_jacobi, icosahedron, lines_from_cover,
                       params_of, quotient_cover, subgroups_of, thas_somma,
                       verify_etf)
+from coverlab.exact import QuadExt
 from coverlab.frames import (FrameError, LineSystem, SpectrumCertificateError,
-                             certify_two_eigenvalues)
+                             _tau_endpoint, certify_two_eigenvalues)
 from coverlab.groupops import is_cover_automorphism
+from coverlab.params import CoverParams, feasible_A, feasible_B
 from coverlab.perms import PermGroup, Permutation
 from conftest import relabelled
 
@@ -344,6 +350,67 @@ def test_tau_endpoint_reporting(corpus):
     assert not other.certificates["absolute_bound_attained"]  # 9 < 36
 
 
+def test_tau_endpoint_on_feasible_b():
+    """Every non-special odd-fibre member has the paper's tau = -sqrt(sqrt(n)
+    + 1): by the family's closed form sqrt(n) = t^2 - 1 and tau = -t.
+    (9, 3, 3) has tau = -4 = -(3 - 1) sqrt(3 + 1), the lower endpoint."""
+    rows = feasible_B(200)
+    for fb in rows:
+        p, t = fb.params, fb.t
+        if fb.special:
+            assert (p.n, p.r, p.mu, p.tau) == (9, 3, 3, -4)
+            assert _tau_endpoint(p) == ("odd-r", "lower")
+            continue
+        assert p.n == (t * t - 1) ** 2 and p.tau == -t
+        assert _tau_endpoint(p) == ("odd-r", "upper"), (t, fb.r)
+    assert len(rows) == 246
+
+
+def test_tau_endpoint_on_feasible_a():
+    """Even-fibre rows, with 8n + 1 = (2t^2 - 3)^2 from n = (t^2-2)(t^2-1)/2:
+    tau = -t = -sqrt((s + 3)/2) is the upper endpoint (eq2+ and eq1 with
+    even r), tau = -t(t^2 - 3)/2 = -sqrt((n - 1)(s - 3))/2 the lower one
+    (eq2-).  The sporadic (28, 4, 8) has tau = -9 = -sqrt(27 * 12)/2, lower.
+    An odd r takes the complex bound, which no eq1 row meets."""
+    seen = Counter()
+    for e in feasible_A(100):
+        p, t = e.params, e.t
+        got = _tau_endpoint(p)
+        seen[e.branch, p.r % 2, got] += 1
+        if e.branch == "sporadic":
+            assert (p.n, p.r, p.mu, p.tau) == (28, 4, 8, -9)
+            assert got == ("even-r", "lower")
+            continue
+        assert 8 * p.n + 1 == (2 * t * t - 3) ** 2
+        if e.branch == "eq2-":
+            assert p.tau == -t * (t * t - 3) * Fraction(1, 2)
+            assert got == ("even-r", "lower")
+        else:
+            assert p.tau == -t
+            assert got == (("odd-r", None) if p.r % 2 else ("even-r", "upper"))
+    assert seen == {("eq2+", 0, ("even-r", "upper")): 75,
+                    ("eq2-", 0, ("even-r", "lower")): 73,
+                    ("sporadic", 0, ("even-r", "lower")): 1,
+                    ("eq1", 0, ("even-r", "upper")): 776,
+                    ("eq1", 1, ("odd-r", None)): 301}
+
+
+def test_tau_endpoint_is_exact_not_within_tol():
+    """tau = -2 + 10^-12 with n = 9, r = 3 misses the upper endpoint -2,
+    however loose tol is; a float rule at tol 1e-9 calls it "upper"."""
+    tau = QuadExt(Fraction(1, 10 ** 12) - 2)
+    p = CoverParams(9, 3, 3, 1, QuadExt(0), tau, QuadExt(0), QuadExt(0))
+    lines = LineSystem(dimension=3, gram=np.eye(3, dtype=complex),
+                       common_angle=0.0, side="tau")
+    for tol in (1e-9, 1.0):
+        report = verify_etf(lines, tol=tol, source_params=p)
+        assert report["absolute_bound_kind"] == "odd-r"
+        assert report["tau_extremal_endpoint"] is None
+    exact = p._replace(tau=QuadExt(-2))
+    assert verify_etf(lines, source_params=exact)[
+        "tau_extremal_endpoint"] == "upper"
+
+
 def test_line_system_json(corpus):
     lines = lines_from_cover(corpus["hexagon"], side="theta")
     blob = lines.to_json()
@@ -432,7 +499,8 @@ def test_certified_multiplicities_match_eigvalsh(corpus, name):
         evals = np.linalg.eigvalsh(s.matrix)
         counts = [int(np.sum(np.abs(evals - float(x)) <= 1e-8))
                   for x in (p.theta, p.tau)]
-        from_params = [int(m / (p.r - 1)) for m in (p.m_theta, p.m_tau)]
+        from_params = [int(m * Fraction(1, p.r - 1))
+                       for m in (p.m_theta, p.m_tau)]
         certified = [m for _, m in s.eigenvalues]
         assert certified == counts == from_params, (name, chi.index)
 

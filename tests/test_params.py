@@ -76,6 +76,23 @@ def test_derive_rejections():
         derive_params(5, 3, 4)  # lambda negative
 
 
+def test_derived_spectrum_identities():
+    """The closed-form spectrum solves its defining equations exactly on
+    every admissible triple with n < 40 and r <= 6, irrational ones too."""
+    irrational = 0
+    for n in range(3, 40):
+        for r in range(2, 7):
+            for mu in range(1, (n - 2) // (r - 1) + 1):
+                p = derive_params(n, r, mu)
+                assert p.theta + p.tau == p.lam - p.mu
+                assert p.theta * p.tau == -(n - 1)
+                assert p.theta > p.tau
+                assert p.m_theta + p.m_tau == (r - 1) * n
+                assert p.theta * p.m_theta + p.tau * p.m_tau == 0
+                irrational += not p.theta.is_rational
+    assert irrational > 1000
+
+
 def test_non_integral_multiplicities_flagged():
     # (8, 2, 2): lambda = 4, surd spectrum, m_theta = 4 - sqrt(2) not integral
     p = derive_params(8, 2, 2)
