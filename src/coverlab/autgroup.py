@@ -89,7 +89,9 @@ def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
     with the first-path base they strongly generate relative to.
 
     colors, when given, is a vertex colouring (sequence of ints) that
-    automorphisms must preserve; the fibre-wise search passes fibre indices.
+    automorphisms must preserve.  The library passes none; the tests pass
+    fibre indices to find the fibre-fixing automorphisms by this search
+    and compare them with covering_group's.
     """
     n = len(adj_rows)
     if n > AUT_VERTEX_BOUND:

@@ -103,7 +103,17 @@ def _load_cover(path: str) -> CoverGraph:
 
 # -- subcommands ------------------------------------------------------------------
 
+# the flags each params table needs; the others have defaults
+PARAMS_FLAGS = {"derive": ("n", "r", "mu"), "family-b": ("t", "r")}
+
+
 def cmd_params(args) -> int:
+    missing = [f"--{k}" for k in PARAMS_FLAGS.get(args.table, ())
+               if getattr(args, k) is None]
+    if missing:
+        print(f"params {args.table} needs {' '.join(missing)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.table == "derive":
         p = derive_params(args.n, args.r, args.mu)
         _emit({"params": p.to_json()}, args)

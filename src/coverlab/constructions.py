@@ -101,6 +101,8 @@ def taylor_from_seidel(seidel, convention: int = -1) -> CoverGraph:
     the complementary-switching cover.
     """
     s = np.asarray(seidel)
+    if s.ndim != 2 or not np.issubdtype(s.dtype, np.number):
+        raise ValueError("Seidel matrix must be a 2-d array of numbers")
     n = s.shape[0]
     if s.shape != (n, n) or np.any(s != s.T) or np.any(np.diag(s) != 0):
         raise ValueError("Seidel matrix must be symmetric with zero diagonal")

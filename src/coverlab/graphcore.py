@@ -79,8 +79,8 @@ class CoverGraph:
     cocliques) are the business of verify_cover, so invalid candidates can
     be built and then diagnosed.  verify_cover records a passing report on
     the graph, and covering_group K with its kernel_info.  The edges are
-    held as one (m, 2) array, which to_json, relabelled, arc_orbit_count
-    and character_matrix read; the edges property builds the tuple of pairs
+    held as one (m, 2) array, which to_json, relabelled and
+    character_matrix read; the edges property builds the tuple of pairs
     only when first read, and only toggled reads it.
     """
 

@@ -11,20 +11,23 @@ r - 1 non-identity elements of K are sifted through the group's own chain,
 and no second chain is built.  Quotients by subgroups of the covering group
 inherit the cover structure with fibre size divided and mu multiplied by the
 subgroup order, which quotient_cover re-verifies rather than assumes.
-Every orbit here comes from PermGroup.orbits: K's on the vertices, U's for
-a quotient, the group's on the arcs (each generator becomes a permutation
-of the arcs, numbered by a v x v index array) and the vertex stabilizer's
-for the subdegrees.  The audit functions turn the assertable
-group-theoretic identities (arc orbits vs rank, displacement counts, fixed
-subgraphs of involutions, rank-3 subdegree relations) into pass/fail
-reports on concrete instances; structure_audit reads its subgroups off two
-chains of G, with bases (a, F - {a}) and (F*, K - 1, a), and
-involution_types draws one involution of each displacement type from
-seeded uniform draws, with no element scan.  fibre_action alone checks a
-group and takes its kernel; arc_orbit_count, structure_audit and
-subdegree_identity_check read its report.  A verified cover's report
-(cover_report) and its K with K's info are recorded on the graph, so a
-graph is verified and its K found once however many stages use them.
+fibre_action alone checks a group G and takes its kernel, and it builds G's
+one chain on the vertices with base (a, F - {a}), a = 0 and F its fibre,
+from |G| by known-order sifting.  Its report holds that chain, and every
+later stage reads the vertex stabilizer G_a, the pointwise stabilizer C of
+F and the transversal off it: the fibre rank and subdegrees (the orbits of
+the fibre stabilizer, generated by G_a and the transversal elements into
+F), the arc orbits (G's orbits on arcs from a are G_a's orbits on N(a)),
+the rank-3 subdegree identities and structure_audit, which builds only a
+second chain on an extended domain for M = G_{F} and C_G(K) meet G_a.
+Every orbit here comes from PermGroup.orbits.  The audit functions turn
+the assertable group-theoretic identities (arc orbits vs rank, displacement
+counts, fixed subgraphs of involutions, rank-3 subdegree relations) into
+pass/fail reports on concrete instances, and involution_types draws one
+involution of each displacement type from seeded uniform draws, with no
+element scan.  A verified cover's report (cover_report) and its K with K's
+info are recorded on the graph, so a graph is verified and its K found once
+however many stages use them.
 """
 from __future__ import annotations
 
@@ -135,9 +138,19 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
     return found
 
 
+# seed of the draws behind the known-order chains of G that fibre_action and
+# _audit_chains build; |G| certifies each chain, so the seed changes no result
+_CHAIN_SEED = 1
+
+
 @dataclass
 class FibreActionReport:
-    """group is vertex_group's image on the fibres; kernel is its ∩ K."""
+    """fibre_action's findings on G = vertex_group, with a = 0 and F its
+    fibre.  group is G's image on the fibres; kernel is G ∩ K.  chain is G
+    on the vertices with base (a, F - {a}): chain.stabilizer(1) is G_a,
+    chain.stabilizer(|F|) is C, the pointwise stabilizer of F, and
+    chain.transversal() sends b in a^G to an element t_b mapping a to b.
+    Every later stage reads G_a, C and the t_b from it."""
     group: PermGroup
     transitive: bool
     rank: int | None
@@ -146,6 +159,7 @@ class FibreActionReport:
     kernel: PermGroup
     kernel_info: dict
     vertex_transitive: bool
+    chain: PermGroup
 
 
 def require_automorphisms(g: CoverGraph, group: PermGroup) -> None:
@@ -156,35 +170,50 @@ def require_automorphisms(g: CoverGraph, group: PermGroup) -> None:
 
 def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
     """Induced group on the fibre set with its transitivity, rank and
-    subdegrees, and group ∩ K with its info, from covering_group, which
-    checks that g is a verified cover and group acts by automorphisms."""
+    subdegrees, group ∩ K with its info, and group's chain on base
+    (a, F - {a}), a = 0.  covering_group checks that g is a verified cover
+    and group acts by automorphisms.  The chain is built once, from |G| by
+    known-order sifting of seeded draws from G's own chain.  The fibre
+    stabilizer G_F is generated by G_a and the t_b with b in F, as every
+    element of G_F sends a to some b in F ∩ a^G; the orbits of its image
+    are the subdegrees, and no chain of the fibre group is built."""
     kernel, kinfo = covering_group(g, group)
     image = PermGroup([fibre_image(g, p) for p in group.generators], g.n)
+    a = 0
+    fibre = g.fibres[g.fibre_of[a]]
+    chain = PermGroup.from_order(
+        group.generators, g.v, group.order(),
+        group.random_elements(_CHAIN_SEED),
+        base_hint=(a, *(x for x in fibre if x != a)))
     rank = sizes = None
     if image.is_transitive():
-        orbs = image.point_stabilizer(0).orbits()
+        moves = chain.transversal()
+        g_f = chain.stabilizer(1).generators + [moves[b] for b in fibre
+                                                 if b in moves]
+        orbs = PermGroup([fibre_image(g, p) for p in g_f], g.n).orbits()
         rank, sizes = len(orbs), tuple(sorted(len(o) for o in orbs))
     return FibreActionReport(image, rank is not None, rank, sizes, group,
-                             kernel, kinfo, group.is_transitive())
+                             kernel, kinfo, group.is_transitive(), chain)
 
 
 def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
     """Number of orbits on ordered adjacent pairs, plus hypothesis checks.
 
-    fa is fibre_action's report on the group counted.  The rank identity
-    (arc orbits = rank on fibres minus one) needs that group to be
+    fa is fibre_action's report on the group G counted.  The G-orbits on
+    the arcs (a, w) with a fixed correspond to the G_a-orbits on N(a), so
+    the count sums those over G's vertex orbits, each with its least point
+    a.  The orbit of a = 0 reads G_a off fa.chain; any further orbit, which
+    only a group that is not vertex-transitive has, takes point_stabilizer.
+    The rank identity (arc orbits = rank on fibres minus one) needs G to be
     vertex-transitive and to contain the covering group with order exactly
     r; both are read off fa and reported, and the count is returned anyway.
     """
-    arcs = np.concatenate([g._pairs, g._pairs[:, ::-1]])
-    us, ws = arcs.T
-    arc = np.zeros((g.v, g.v), dtype=np.intp)  # arc[u, w]: index of (u, w)
-    arc[us, ws] = np.arange(len(arcs))
-    images = []
-    for p in fa.vertex_group.generators:
-        img = np.array(p.img)
-        images.append(arc[img[us], img[ws]].tolist())
-    count = len(PermGroup(images, len(arcs)).orbits())
+    group = fa.vertex_group
+    count = 0
+    for orbit in group.orbits():
+        a = orbit[0]
+        g_a = fa.chain.stabilizer(1) if a == 0 else group.point_stabilizer(a)
+        count += sum(g.adj[a] >> o[0] & 1 for o in g_a.orbits())
 
     vt, order = fa.vertex_transitive, fa.kernel_info["order"]
     return {"arc_orbits": count, "vertex_transitive": vt,
@@ -452,9 +481,10 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
     """Check the rank-3 relations k1(lam-lam1) = k2(lam-lam2) and the
     mu-companion k1(mu-mu1) = k2(mu-mu2) for every fixed companion vertex.
 
-    fa is fibre_action's report on the group checked, fa.vertex_group.
-    Needs the induced fibre group to have rank 3 and the vertex stabilizer
-    to have exactly two orbits on the neighbourhood; otherwise inapplicable.
+    fa is fibre_action's report on the group checked, fa.vertex_group,
+    and the vertex stabilizer G_a (a = 0) is read off its chain.  Needs the
+    induced fibre group to have rank 3 and G_a to have exactly two orbits
+    on the neighbourhood; otherwise inapplicable.
     """
     if not fa.transitive or fa.rank != 3:
         return {"applicable": False,
@@ -463,7 +493,7 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
     lam, mu = rep.lam, rep.mu
 
     a = 0
-    stab = fa.vertex_group.point_stabilizer(a)
+    stab = fa.chain.stabilizer(1)
     orbits = stab.orbits()
 
     def meeting(u: int) -> list[list[int]]:
@@ -528,10 +558,6 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
 
 # -- structural audit (stabilizers, normalizers, fixed points) -----------------
 
-# seed of the draws behind structure_audit's chains; |G| certifies each chain
-_AUDIT_SEED = 1
-
-
 def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
     """Assertable identities tying M = G_{F}, C = G_F, K and G_a together.
 
@@ -539,12 +565,12 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
     (semidirect with trivial intersection); the index |G : M| equals the
     fibre count; |Fix(G_a)| = |N_G(G_a) : G_a| divides nr; and
     |Fix_Sigma(M)| = |N_G(M) : M| divides n.  Each group is a tail of one
-    of two chains of G (_audit_chains), and nothing scans elements: on the
-    vertices with base (a, F - {a}), G_a and C; on the vertices, a point F*
-    per fibre and a point per element of K - 1 (by conjugation) with base
-    (F*, K - 1, a), M and C_G(K) meet G_a, as G_a <= M.  |N_G(H) : H|
-    counts the first chain's transversal elements t (one per fibre for M)
-    with H^t <= H.
+    of two chains of G, and nothing scans elements: G_a and C are tails of
+    fa.chain, on the vertices with base (a, F - {a}); M and C_G(K) meet
+    G_a are tails of _audit_chains' chain, on the vertices, a point F* per
+    fibre and a point per element of K - 1 (by conjugation) with base
+    (F*, K - 1, a), as G_a <= M.  |N_G(H) : H| counts fa.chain's
+    transversal elements t (one per fibre for M) with H^t <= H.
     """
     lemma = "stabilizer-structure"
     out: list[AuditItem] = []
@@ -558,9 +584,9 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
 
     a = 0
     nf, nk = len(g.fibres[g.fibre_of[a]]), len(kernel.generators)
-    chain1, chain2, extend = _audit_chains(g, group, kernel)
-    g_a, c_point = chain1.stabilizer(1), chain1.stabilizer(nf)
-    moves = chain1.transversal()              # t_b sends a to b
+    chain2, extend = _audit_chains(g, group, kernel)
+    g_a, c_point = fa.chain.stabilizer(1), fa.chain.stabilizer(nf)
+    moves = fa.chain.transversal()            # t_b sends a to b
     m_group = chain2.stabilizer(1)
     cgk_a = chain2.stabilizer(nk + 2)
 
@@ -610,22 +636,16 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
 
 
 def _audit_chains(g: CoverGraph, group: PermGroup, kernel: PermGroup):
-    """structure_audit's two chains of G, with a = 0 and F its fibre, and
-    the map extend from G to the second chain's group.
+    """structure_audit's chain of G on an extended domain, with a = 0, and
+    the map extend from G to that chain's group.
 
-    The first acts on the vertices with base (a, F - {a}).  The second acts
-    on the vertices, a point F* per fibre and a point per element of
-    kernel.generators (K - 1, as K is regular), with base (F*, K - 1, a).
-    Both are built from |G| by known-order sifting of seeded draws from
-    G's own chain.  Returns (chain1, chain2, extend).
+    The chain acts on the vertices, a point F* per fibre and a point per
+    element of kernel.generators (K - 1, as K is regular), with base
+    (F*, K - 1, a).  It is built from |G| by known-order sifting of seeded
+    draws from G's own chain; G's chain on the vertices with base
+    (a, F - {a}) is fibre_action's.  Returns (chain, extend).
     """
     a = 0
-    fa_idx = g.fibre_of[a]
-    fibre = g.fibres[fa_idx]
-    order_g = group.order()
-    chain1 = PermGroup.from_order(
-        group.generators, g.v, order_g, group.random_elements(_AUDIT_SEED),
-        base_hint=(a, *(x for x in fibre if x != a)))
     ks = kernel.generators
     k_point = {k.img: g.v + g.n + j for j, k in enumerate(ks)}
 
@@ -637,11 +657,11 @@ def _audit_chains(g: CoverGraph, group: PermGroup, kernel: PermGroup):
                            + tuple(g.v + g.fibre_of[p[f[0]]] for f in g.fibres)
                            + tuple(k_point[(inv * k * p).img] for k in ks))
 
-    chain2 = PermGroup.from_order(
-        [extend(p) for p in group.generators], g.v + g.n + len(ks), order_g,
-        map(extend, group.random_elements(_AUDIT_SEED)),
-        base_hint=(g.v + fa_idx, *k_point.values(), a))
-    return chain1, chain2, extend
+    chain = PermGroup.from_order(
+        [extend(p) for p in group.generators], g.v + g.n + len(ks),
+        group.order(), map(extend, group.random_elements(_CHAIN_SEED)),
+        base_hint=(g.v + g.fibre_of[a], *k_point.values(), a))
+    return chain, extend
 
 
 def _normalizes(t: Permutation, sub: PermGroup) -> bool:

@@ -230,6 +230,15 @@ def feasible_A(t_max: int) -> list[FamilyAEntry]:
     Contains the sporadic (28, 4, 8); every r = 2 entry (both branches, with
     integral positive mu) for integer t <= t_max plus the t = sqrt(5) member;
     and every r >= 4 entry passing conditions (i)-(vi).
+
+    Open question: the r >= 4 rows take r = d/2 for every even divisor d of
+    (t-1)^3 (t+2), odd r included, and 301 of them have odd r at t_max =
+    100.  Family A is the even-fibre family, and a cover with odd r has no
+    real nontrivial character, so those rows give no real line system at
+    the real absolute bound; none of them sits at an endpoint of the
+    complex bound either (frames._tau_endpoint).  Whether condition (vi)
+    should demand an even r is a question for the paper's statement, and
+    the table keeps those rows until it is settled.
     """
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")

@@ -35,6 +35,18 @@ def test_params_derive(capsys):
     assert set(blob["config"]) == {"subcommand", "args"}
 
 
+@pytest.mark.parametrize("argv, missing", (
+    (["derive"], "--n --r --mu"), (["derive", "--n", "9"], "--r --mu"),
+    (["family-b"], "--t --r"), (["family-b", "--t", "3"], "--r")))
+def test_params_missing_flags_exit_2(argv, missing, capsys):
+    """A params table run without the flags it needs is bad input that
+    names those flags, not a comparison with None."""
+    code = main(["params", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"params {argv[0]} needs {missing}\n"
+
+
 def test_params_feasible_b(capsys):
     code, out = run_cli(["params", "feasible-b", "--t-max", "12"], capsys)
     assert code == 0
@@ -282,13 +294,13 @@ def test_tracing_targets_resolve():
 
 
 def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):
-    """analyze --audits on TS(3,1) runs Schreier-Sims twice: once for K,
-    whose chain is recorded on the graph with K and serves as Aut's kernel
-    too, as Aut contains K, and once for the fibre group's stabilizer, both
-    in fibre_action, whose report the arc orbits, the audit and the
-    subdegree check read.  Aut's chain is read off the search's first-path
-    base, and the audit's two other chains of Aut are built from its known
-    order."""
+    """analyze --audits on TS(3,1) runs Schreier-Sims once, for K, whose
+    chain is recorded on the graph with K and serves as Aut's kernel too,
+    as Aut contains K.  Aut's chain is read off the search's first-path
+    base.  Its chain on base (a, F - {a}) is built from its known order in
+    fibre_action, and the fibre rank, the arc orbits, the subdegree check
+    and the audit read G_a off it; the audit's chain on the extended
+    domain is built from the known order too."""
     from coverlab.perms import PermGroup
     builds = []
     build = PermGroup._build_chain
@@ -297,7 +309,7 @@ def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ts31.json"
     path.write_text(thas_somma(3, 1).to_json_str())
     code, _ = run_cli(["analyze", "--audits", str(path)], capsys)
-    assert code == 0 and len(builds) == 2
+    assert code == 0 and len(builds) == 1
 
 
 def test_analyze_audits_checks_the_group_once(tmp_path, capsys, monkeypatch):
@@ -480,6 +492,20 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert blob["v"] == 6
+
+
+@pytest.mark.parametrize("text", ("5", '"abc"', "null", "[0, 1]",
+                                  '[["0", "1"], ["1", "0"]]'))
+def test_taylor_build_rejects_non_matrix_seidel_file(text, tmp_path, capsys):
+    """A Seidel file holding a scalar, a string, null, a vector or a matrix
+    of strings is bad input (exit 2 with an error line), not a crash."""
+    path = tmp_path / "seidel.json"
+    path.write_text(text)
+    code = main(["build", "taylor-from-seidel", "--seidel", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: Seidel matrix must be a 2-d array of "
+                            "numbers\n")
 
 
 def test_taylor_build_via_seidel_file(tmp_path, capsys):

@@ -90,6 +90,13 @@ def test_gf_checks_its_bound_before_factoring(monkeypatch):
     assert calls == [9]
 
 
+@pytest.mark.parametrize("seidel", (5, "abc", None, [0, 1],
+                                    [["0", "1"], ["1", "0"]]))
+def test_taylor_from_seidel_needs_a_numeric_matrix(seidel):
+    with pytest.raises(ValueError, match="2-d array of numbers"):
+        taylor_from_seidel(seidel)
+
+
 def test_thas_somma_bounds():
     with pytest.raises(ValueError):
         thas_somma(9, 1)  # 729 vertices

@@ -489,9 +489,9 @@ def test_involution_types_find_rare_types(ts22_seed2):
     assert [kind for kind, _ in types] == sorted(scanned)
 
 
-def brute_force_arc_orbits(g, group) -> int:
-    """Orbits on the arcs (u, w), u ~ w, read off every element."""
-    elements = closure_elements(group.generators, g.v)
+def brute_force_arc_orbits(g, elements) -> int:
+    """Orbits on the arcs (u, w), u ~ w, of the group whose image tuples
+    are elements."""
     arcs = {(u, w) for u in range(g.v) for w in g.neighbours(u)}
     count = 0
     while arcs:
@@ -525,7 +525,42 @@ def test_arc_orbit_count_matches_element_scan(case, corpus, auts):
         g, aut = corpus[name], auts[name]
     group = ARC_ORBIT_CASES[case](g, aut)
     assert (arc_orbit_count(g, fibre_action(g, group))["arc_orbits"]
-            == brute_force_arc_orbits(g, group))
+            == brute_force_arc_orbits(g, closure_elements(group.generators,
+                                                          g.v)))
+
+
+def fibre_scan(g, elements):
+    """(transitive, rank, subdegrees) on the fibres of the group whose
+    image tuples are elements, read off their images on the fibres: the
+    stabilizer of fibre 0 is the images fixing it, and its orbit of fibre
+    j is the set of their values at j."""
+    images = {tuple(g.fibre_of[e[f[0]]] for f in g.fibres) for e in elements}
+    if len({img[0] for img in images}) != g.n:
+        return False, None, None
+    stab = [img for img in images if img[0] == 0]
+    orbits = {frozenset(img[j] for img in stab) for j in range(g.n)}
+    return True, len(orbits), tuple(sorted(map(len, orbits)))
+
+
+@pytest.mark.parametrize("name, count", (("hexagon", 16), ("cube", 98),
+                                         ("icosahedron", 164)))
+def test_fibre_action_over_subgroup_lattice(name, count, corpus, auts):
+    """For every subgroup H of Aut, fibre_action's transitivity, rank and
+    subdegrees and arc_orbit_count's count against scans of H's elements.
+    247 of the 278 H are not vertex-transitive, and for each of the other
+    31 the fibre stabilizer needs, besides G_a, the elements that move a
+    inside its fibre."""
+    g = corpus[name]
+    subs = subgroups_of(auts[name])
+    assert len(subs) == count
+    for sub in subs:
+        elements = closure_elements(sub.generators, g.v)
+        fa = fibre_action(g, sub)
+        assert (fa.transitive, fa.rank, fa.subdegrees) == \
+            fibre_scan(g, elements), (name, len(elements))
+        assert fa.vertex_transitive == (len({e[0] for e in elements}) == g.v)
+        assert arc_orbit_count(g, fa)["arc_orbits"] == \
+            brute_force_arc_orbits(g, elements), (name, len(elements))
 
 
 def test_subdegree_identities_rank3():
@@ -649,19 +684,44 @@ def test_structure_audit_fails_with_ga_for_m(corpus, auts, monkeypatch):
                                                      "n": 9}
 
 
-def test_structure_audit_builds_two_chains(corpus, auts, monkeypatch):
-    """With fibre_action's report built, which holds K with its chain, the
-    audit runs no Schreier-Sims: its two chains of G, whose tails give
-    every subgroup, are built from |G| by known-order sifting."""
-    g, aut = corpus["ts31"], auts["ts31"]
-    fa = fibre_action(g, aut)
-    builds = []
-    build = PermGroup._build_chain
+def record_chain_builds(monkeypatch):
+    """Lists of the groups Schreier-Sims builds a chain for and of the
+    degrees of the chains from_order builds, from now on."""
+    builds, known_order = [], []
+    build, from_order = PermGroup._build_chain, PermGroup.from_order.__func__
     monkeypatch.setattr(PermGroup, "_build_chain",
                         lambda self: builds.append(self) or build(self))
+    monkeypatch.setattr(PermGroup, "from_order", classmethod(
+        lambda cls, gens, degree, *args, **kw: known_order.append(degree)
+        or from_order(cls, gens, degree, *args, **kw)))
+    return builds, known_order
+
+
+def test_structure_audit_builds_one_chain(corpus, auts, monkeypatch):
+    """With fibre_action's report built, which holds K with its chain and
+    G's chain on base (a, F - {a}), the audit runs no Schreier-Sims and
+    builds one chain, on the extended domain, from |G| by known-order
+    sifting; G_a, C and the transversal are read off the report."""
+    g, aut = corpus["ts31"], auts["ts31"]
+    fa = fibre_action(g, aut)
+    builds, known_order = record_chain_builds(monkeypatch)
     items = structure_audit(g, fa)
     assert all(i.status == "pass" for i in items)
     assert len(builds) == 0
+    assert known_order == [g.v + g.n + g.r - 1]
+
+
+def test_rank3_stages_build_no_chain_after_fibre_action(monkeypatch):
+    """On the rank-3 subgroup of TS(3,1), vertex-transitive, the arc
+    orbits and the subdegree identities read G_a off fibre_action's
+    chain: neither runs Schreier-Sims or builds a chain of its own."""
+    g = thas_somma(3, 1)
+    fa = fibre_action(g, rank3_subgroup_ts31())
+    assert fa.vertex_transitive and fa.rank == 3
+    builds, known_order = record_chain_builds(monkeypatch)
+    assert arc_orbit_count(g, fa)["arc_orbits"] == 2
+    assert subdegree_identity_check(g, fa)["applicable"]
+    assert builds == [] and known_order == []
 
 
 def test_non_automorphism_groups_rejected(corpus):
@@ -677,7 +737,8 @@ def test_non_automorphism_groups_rejected(corpus):
 @pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
 @pytest.mark.parametrize("seed", (None, 4))
 def test_audit_chains_match_schreier_sims(name, seed):
-    """structure_audit's known-order chains against the deterministic
+    """structure_audit's known-order chains, fibre_action's chain 1 from
+    its report and _audit_chains' chain 2, against the deterministic
     Schreier-Sims on the same generators and base hint: the same orders
     and hinted base, and the same membership in every hinted stabilizer,
     for elements of G (mapped by extend for the second chain), for
@@ -686,8 +747,9 @@ def test_audit_chains_match_schreier_sims(name, seed):
     base = ORACLE_COVERS[name]()
     g = base if seed is None else relabelled(base, seed)
     aut = automorphism_group(g)
-    kernel, _ = covering_group(g, aut)
-    chain1, chain2, extend = _audit_chains(g, aut, kernel)
+    fa = fibre_action(g, aut)
+    chain1 = fa.chain
+    chain2, extend = _audit_chains(g, aut, fa.kernel)
     rng = random.Random(23)
     draws = aut.random_elements(24)
     for chain, image in ((chain1, lambda p: p), (chain2, extend)):
