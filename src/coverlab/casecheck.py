@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .numtheory import (divisors, factorize, has_coprime6_divisor,
-                        prime_power_decompose, prime_sieve, six_prime_part)
+from .numtheory import (factorize, has_coprime6_divisor, prime_power_decompose,
+                        prime_sieve, six_prime_part)
+from .params import admissible_r
 
 
 @dataclass
@@ -290,7 +291,7 @@ def wreathed_congruence_case(t_sweep: int = 1000) -> CaseReport:
     hits = []
     checked = 0
     for t in range(7, t_sweep + 1, 2):
-        admissible = divisors(six_prime_part(t - 1))[1:]
+        admissible = admissible_r(t)
         if not admissible:
             continue
         half_mod = (t * t - 3) // 2

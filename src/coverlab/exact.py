@@ -5,9 +5,11 @@ has tau = -sqrt(5)); storing them as (a, b, D) with rational a, b and
 squarefree D keeps every spectral identity exact, with no floating point.
 
 Most values are rational (b == 0, D == 1).  Building one from a rational
-costs a single Fraction and no factorization, a rational QuadExt hashes as
-its Fraction (so it hashes like the int or Fraction it equals), and the
-integer-t feasibility tables in params avoid QuadExt arithmetic altogether.
+costs a single Fraction and no factorization, and a rational QuadExt hashes
+as its Fraction (so it hashes like the int or Fraction it equals).  The
+integer-t feasibility tables in params build no QuadExt at all: their
+closed-form spectra are plain ints, which is_integral and quad_json read
+alongside QuadExt values.
 
 QuadExt adds, multiplies, takes nonnegative powers and compares by exact
 sign; it does not divide.  Nothing needs it to: the cover spectrum is
@@ -251,8 +253,28 @@ def _rat_parse(x) -> Fraction:
     return Fraction(x)
 
 
+def is_integral(x) -> bool:
+    """Whether an int, Fraction or QuadExt value is an integer.
+
+    Reads no is_integer off an int or a Fraction: Python 3.11 has none,
+    and from 3.12 it is a method, so reading it as a flag is always true.
+    """
+    if isinstance(x, QuadExt):
+        return x.is_integer
+    return x.denominator == 1
+
+
+def quad_json(x) -> dict:
+    """QuadExt's JSON form {"a", "b", "D"}, written for an int x too."""
+    if isinstance(x, int):
+        return {"a": x, "b": 0, "D": 1}
+    return x.to_json()
+
+
 def rational_json(x) -> object:
     """Canonical JSON form for an exact rational or QuadExt value."""
+    if isinstance(x, int):
+        return x
     if isinstance(x, QuadExt):
         if x.is_rational:
             return _rat_json(x.a)

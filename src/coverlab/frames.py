@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exact import is_integral
 from .graphcore import CoverGraph, params_of
 from .groupops import covering_group
 from .params import CoverParams
@@ -236,7 +237,7 @@ def certify_two_eigenvalues(angle: np.ndarray, e: int,
             want=float(want[c, i, j]))
 
     m_theta = params.m_theta * Fraction(1, params.r - 1)
-    if not (m_theta.is_integer and 0 < m_theta < n):
+    if not (is_integral(m_theta) and 0 < m_theta < n):
         raise SpectrumCertificateError(f"m_theta {m_theta} is not an integer "
                                        f"in 1..{n - 1}", m_theta=m_theta)
     m = int(m_theta)

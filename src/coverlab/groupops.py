@@ -38,6 +38,7 @@ from math import lcm
 
 import numpy as np
 
+from .exact import is_integral
 from .graphcore import (CoverGraph, bfs_layers, cover_report, fibre_masks,
                         params_of, require_cover, verify_cover)
 from .perms import PermGroup, Permutation
@@ -383,7 +384,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
                          {"max_outside": worst, "l": l}))
 
     pp = params_of(g)
-    t_int = -int(pp.tau) if pp.tau.is_integer else None
+    t_int = -int(pp.tau) if is_integral(pp.tau) else None
 
     if l == 1:
         fibre = set(g.fibres[fixed_fibres[0]])

@@ -11,12 +11,18 @@ Two views answer small or even inputs without it: is_prime reads a sieve of
 the n below SMALL_PRIME_LIMIT (built once at import, 4 KB), and
 prime_power_decompose reads an even n off its bits (a power of two or
 nothing).
+
+zsigmondy_corollary_solve scans the sieve's primes as an int64 numpy array,
+one power at a time.  Its bound is capped at ZSIGMONDY_BOUND_MAX, which
+caps the sieve at one byte per integer up to 10^8 and keeps every product
+the scan forms below 10^16, inside int64.
 """
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
+
+import numpy as np
 
 
 def _trial_divisors():
@@ -189,6 +195,9 @@ class ZsigmondySolution(NamedTuple):
     case: str  # 'nine', 'fermat', 'mersenne', or 'unclassified'
 
 
+ZSIGMONDY_BOUND_MAX = 10 ** 8
+
+
 def zsigmondy_corollary_solve(bound: int) -> list[ZsigmondySolution]:
     """All prime solutions of p^m = q^n + 1 with p^m <= bound, classified.
 
@@ -196,30 +205,50 @@ def zsigmondy_corollary_solve(bound: int) -> list[ZsigmondySolution]:
     (q = 2, m = 1, n a power of two), and Mersenne primes (p = 2, n = 1,
     m prime).  Any solution outside them is tagged 'unclassified', which the
     property suite treats as a hard failure.
+
+    Every prime q and n >= 1 with q^n + 1 <= bound is tested.  For each n
+    the powers q^n of the sieve's primes form one int64 array, cut to its
+    prefix with q^n <= bound - 1.  An even s = q^n + 1 (odd q) is a prime
+    power only as a power of two, so only those with s & (s - 1) == 0 reach
+    prime_power_decompose, together with the one odd s, from q = 2.  A bound
+    above ZSIGMONDY_BOUND_MAX raises before the sieve is allocated.
     """
     if bound < 4:
         raise ValueError("bound must be at least 4")
-    sieve = prime_sieve(bound)
+    if bound > ZSIGMONDY_BOUND_MAX:
+        raise ValueError(f"zsigmondy bound {bound} exceeds "
+                         f"ZSIGMONDY_BOUND_MAX = {ZSIGMONDY_BOUND_MAX}")
+    primes = np.flatnonzero(np.frombuffer(prime_sieve(bound), dtype=np.uint8))
+    primes = primes.astype(np.int64, copy=False)  # primes[0] == 2
     out = []
-    for q in compress(range(bound), sieve):
-        n = 1
-        while q ** n + 1 <= bound:
-            s = q ** n + 1
-            pp = prime_power_decompose(s)
+    power, n = primes, 1
+    while True:
+        power = power[:np.searchsorted(power, bound - 1, side="right")]
+        if not power.size:
+            break
+        s = power + 1
+        even = s[1:]
+        hits = np.flatnonzero((even & (even - 1)) == 0) + 1
+        for i in [0, *hits.tolist()]:
+            pp = prime_power_decompose(int(s[i]))
             if pp is not None:
-                p, m = pp
-                if (q, p, n, m) == (2, 3, 3, 2):
-                    case = "nine"
-                elif q == 2 and m == 1 and _is_power_of_two(n):
-                    case = "fermat"
-                elif p == 2 and n == 1 and is_prime(m):
-                    case = "mersenne"
-                else:
-                    case = "unclassified"
-                out.append(ZsigmondySolution(p, m, q, n, case))
-            n += 1
+                out.append(_zsigmondy_solution(*pp, int(primes[i]), n))
+        power = power * primes[:power.size]
+        n += 1
     out.sort(key=lambda s: (s.p ** s.m, s.q))
     return out
+
+
+def _zsigmondy_solution(p: int, m: int, q: int, n: int) -> ZsigmondySolution:
+    if (q, p, n, m) == (2, 3, 3, 2):
+        case = "nine"
+    elif q == 2 and m == 1 and _is_power_of_two(n):
+        case = "fermat"
+    elif p == 2 and n == 1 and is_prime(m):
+        case = "mersenne"
+    else:
+        case = "unclassified"
+    return ZsigmondySolution(p, m, q, n, case)
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -2,9 +2,11 @@
 
 An (n, r, mu)-cover has four distinct eigenvalues n-1 > theta > -1 > tau,
 where theta and tau are the roots of x^2 - (lambda - mu)x - (n - 1) = 0 and
-lambda = n - (r-1)mu - 2.  Everything here is exact: eigenvalues are stored
-as quadratic surds and multiplicities as exact field elements, so feasibility
+lambda = n - (r-1)mu - 2.  Everything here is exact, so feasibility
 (integrality and positivity of multiplicities) is decided without rounding.
+derive_params stores the spectrum as quadratic surds (QuadExt); the
+family tables store plain ints wherever their closed forms make a value an
+integer, and exact.is_integral reads integrality off either type.
 
 The two extremal families enumerated here are the even-fibre family
 (n = (t^2-2)(t^2-1)/2, lines meeting the real absolute bound) and the
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import QuadExt, rational_json
+from .exact import QuadExt, is_integral, quad_json, rational_json
 from .numtheory import divisors, prime_powers, six_prime_part
 
 
@@ -25,16 +27,23 @@ class ParameterError(ValueError):
 
 
 class CoverParams(NamedTuple):
-    """The quadruple (n, r, mu, lambda) with its exact spectrum."""
+    """The quadruple (n, r, mu, lambda) with its exact spectrum.
+
+    Type rule: theta, tau, m_theta and m_tau are plain ints only where a
+    closed form makes them integers (family_B and integer-t family_A);
+    otherwise, as from derive_params, they are QuadExt.  Both types compare,
+    hash and serialise alike, so a record equals its derive_params oracle
+    and writes the same JSON.
+    """
 
     n: int
     r: int
     mu: int
     lam: int
-    theta: QuadExt
-    tau: QuadExt
-    m_theta: QuadExt
-    m_tau: QuadExt
+    theta: int | QuadExt
+    tau: int | QuadExt
+    m_theta: int | QuadExt
+    m_tau: int | QuadExt
 
     @property
     def v(self) -> int:
@@ -47,13 +56,13 @@ class CoverParams(NamedTuple):
 
     @property
     def multiplicities_integral(self) -> bool:
-        return (self.m_theta.is_integer and self.m_tau.is_integer
+        return (is_integral(self.m_theta) and is_integral(self.m_tau)
                 and self.m_theta > 0 and self.m_tau > 0)
 
     def to_json(self) -> dict:
         return {
             "n": self.n, "r": self.r, "mu": self.mu, "lambda": self.lam,
-            "theta": self.theta.to_json(), "tau": self.tau.to_json(),
+            "theta": quad_json(self.theta), "tau": quad_json(self.tau),
             "m_theta": rational_json(self.m_theta),
             "m_tau": rational_json(self.m_tau),
             "v": self.v,
@@ -116,8 +125,8 @@ def family_B(t: int, r: int) -> FamilyBParams:
     n = (t * t - 1) ** 2
     mu = (t - 1) ** 2 * (t * t + t - 1) // r
     m_theta = (t * t - 1) * (r - 1)
-    p = CoverParams(n, r, mu, n - (r - 1) * mu - 2, QuadExt(t * (t * t - 2)),
-                    QuadExt(-t), QuadExt(m_theta), QuadExt((t * t - 2) * m_theta))
+    p = CoverParams(n, r, mu, n - (r - 1) * mu - 2, t * (t * t - 2), -t,
+                    m_theta, (t * t - 2) * m_theta)
     return FamilyBParams(t=t, r=r, params=p)
 
 
@@ -129,8 +138,8 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
     sqrt(5) (pass t = QuadExt.sqrt(5)); sign = +1 selects
     mu = (t-1)^3 (t+2)/(2r), sign = -1 the companion (t+1)^3 (t-2)/(2r).
 
-    For integer t the spectrum is the closed forms below, in integers; they
-    are the roots of x^2 - (lambda-mu)x - (n-1) and the multiplicities
+    For integer t the spectrum is the closed forms below, stored as ints;
+    they are the roots of x^2 - (lambda-mu)x - (n-1) and the multiplicities
     derive_params gives (tests hold them to it).  t = sqrt(5) is the
     icosahedron, (n, r, mu) = (6, 2, 2), read off derive_params.
     """
@@ -138,17 +147,17 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
         raise ParameterError("sign must be +1 or -1")
     tq = t if isinstance(t, QuadExt) else QuadExt(t)
     if r == 2:
-        if not ((tq.is_integer and int(tq) >= 2) or tq == QuadExt.sqrt(5)):
+        if not ((is_integral(tq) and int(tq) >= 2) or tq == QuadExt.sqrt(5)):
             raise ParameterError("for r = 2, t must be an integer >= 2 or sqrt(5)")
     elif r >= 4:
         if sign != +1:
             raise ParameterError("the sign = -1 branch exists only for r = 2")
-        if not (tq.is_integer and int(tq) >= 3):
+        if not (is_integral(tq) and int(tq) >= 3):
             raise ParameterError("for r >= 4, t must be an integer >= 3")
     else:
         raise ParameterError(f"r must be 2 or >= 4, got {r}")
 
-    if not tq.is_integer:  # t = sqrt(5): both signs give the icosahedron
+    if not is_integral(tq):  # t = sqrt(5): both signs give the icosahedron
         return derive_params(6, 2, 2)
 
     t = int(tq)
@@ -170,26 +179,28 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
     m_small = (r - 1) * (t * t - 2)
     m_big = m_small * (t * t - 3) // 2
     if sign == +1:
-        return CoverParams(n, r, mu, lam, QuadExt(big), QuadExt(-t),
-                           QuadExt(m_small), QuadExt(m_big))
-    return CoverParams(n, r, mu, lam, QuadExt(t), QuadExt(-big),
-                       QuadExt(m_big), QuadExt(m_small))
+        return CoverParams(n, r, mu, lam, big, -t, m_small, m_big)
+    return CoverParams(n, r, mu, lam, t, -big, m_big, m_small)
+
+
+def admissible_r(t: int) -> list[int]:
+    """The r >= 2 with r | t-1 and gcd(6, r) = 1, ascending: the divisors
+    >= 2 of the 6'-part of t-1 >= 1."""
+    return divisors(six_prime_part(t - 1))[1:]
 
 
 def feasible_B(t_max: int) -> list[FamilyBParams]:
-    """All odd-fibre family members with t <= t_max, sorted by (t, r).
+    """All odd-fibre family members with t <= t_max, in (t, r) order.
 
-    Entries are the pairs (t, r) with r | t-1, gcd(6, r) = 1, r >= 2 (the
-    divisors >= 2 of the 6'-part of t-1), plus
-    the special (9, 3, 3) member listed first (as t = 2).
+    Entries are the pairs (t, r) with r in admissible_r(t), plus the special
+    (9, 3, 3) member listed first (as t = 2, which has no admissible r).
     """
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")
     out = [family_B(2, 3)]
     for t in range(2, t_max + 1):
-        for r in divisors(six_prime_part(t - 1))[1:]:
+        for r in admissible_r(t):
             out.append(family_B(t, r))
-    out.sort(key=lambda fb: (fb.t, fb.r))
     return out
 
 

@@ -407,6 +407,14 @@ def test_lemma_check(capsys):
     assert blob["zsigmondy"]["unclassified"] == 0
 
 
+def test_lemma_check_bound_past_the_cap_exits_2(capsys):
+    code = main(["lemma-check", "nt", "--zsigmondy-bound", str(10**12)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: zsigmondy bound {10**12} exceeds "
+                   f"ZSIGMONDY_BOUND_MAX = {coverlab.numtheory.ZSIGMONDY_BOUND_MAX}\n")
+
+
 def test_lemma_check_unknown_family_exits_2(capsys):
     assert main(["lemma-check", "xyz"]) == 2
 

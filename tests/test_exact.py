@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverlab.exact import QuadExt, squarefree_decompose
+from coverlab.exact import (QuadExt, is_integral, quad_json, rational_json,
+                            squarefree_decompose)
 
 small_rationals = st.builds(
     Fraction,
@@ -118,6 +119,19 @@ def test_equal_values_hash_alike(xs):
         for b in xs:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+@given(numbers)
+@settings(max_examples=300)
+def test_is_integral_on_int_fraction_and_quadext(x):
+    """One rule for all three types: x equals the integer nearest to it."""
+    assert is_integral(x) is (x == round(float(x)))
+
+
+@pytest.mark.parametrize("k", [0, 1, -4, 3 ** 40])
+def test_int_json_matches_quadext_json(k):
+    assert quad_json(k) == QuadExt(k).to_json() == {"a": k, "b": 0, "D": 1}
+    assert rational_json(k) == rational_json(QuadExt(k)) == k
 
 
 def test_rational_elements_hash_as_their_fraction():

@@ -438,6 +438,23 @@ def _layer_count(angle, e, i, j, c) -> int:
                and (angle[i, k] + angle[k, j]) % e == c)
 
 
+def test_certificate_reads_int_and_quadext_records(corpus):
+    """character_matrix certifies against params_of(g), derive_params'
+    QuadExt spectrum; an int copy of the record, as the family tables
+    build them, gives the same certificate, and an int m_theta that r - 1
+    does not divide is refused."""
+    sig = _ts31_signature(corpus)
+    p = sig.params
+    assert all(type(x) is QuadExt for x in p[4:])
+    ints = p._replace(theta=int(p.theta), tau=int(p.tau),
+                      m_theta=int(p.m_theta), m_tau=int(p.m_tau))
+    cert = certify_two_eigenvalues(sig.angle, sig.e, ints)
+    assert cert == certify_two_eigenvalues(sig.angle, sig.e, p)
+    assert cert.eigenvalues == ((2.0, 6), (-4.0, 3))
+    exc = _certificate_error(sig.angle, sig.e, ints._replace(m_theta=13))
+    assert exc.witness == {"m_theta": Fraction(13, 2)}
+
+
 def test_certificate_rejects_perturbed_matrix(corpus):
     """Move the pair (0, 1), (1, 0) to the next angle pair: S stays
     Hermitian, and the layer identity fails in row or column 0 or 1."""

@@ -11,7 +11,8 @@ from coverlab import (arc_orbit_count, automorphism_group, covering_group,
                       subdegree_identity_check, subgroups_of, thas_somma,
                       verify_cover)
 from coverlab.autgroup import automorphism_generators
-from coverlab.graphcore import GraphStructureError
+from coverlab.exact import QuadExt
+from coverlab.graphcore import GraphStructureError, params_of
 from coverlab.groupops import (INVOLUTION_DRAWS, QuotientError,
                                _audit_chains, _fibre_fixing_automorphisms,
                                involution_audit, involution_types,
@@ -393,6 +394,9 @@ def test_involution_audit_hexagon_reflection(corpus):
     assert items["constant-f"].witness == {"f": 2, "l": 1}
     assert items["case-l=1"].status == "pass"
     assert items["case-l=1-t-even"].status == "pass"  # t = 2
+    # t is read off params_of(g), derive_params' QuadExt tau = -2
+    assert type(params_of(g).tau) is QuadExt
+    assert items["case-l=1-t-even"].witness == {"t": 2}
 
 
 def test_involution_audit_fixed_point_free(corpus):

@@ -131,12 +131,9 @@ def test_zsigmondy_values_to_million():
     assert got == sorted(fermat + mersenne + [9])
 
 
-def test_zsigmondy_brute_oracle_small():
-    """Independent double loop up to 5000 must find the same solutions.
-
-    Primality comes from the sieve: the solver factors through the same
-    engine as is_prime."""
-    bound = 5000
+def _zsigmondy_brute(bound):
+    """Every (p, m, q, n) with p^m = q^n + 1 <= bound, by a double loop over
+    prime powers; primality comes from the sieve."""
     sieve = prime_sieve(bound)
     brute = set()
     for p in range(2, bound):
@@ -158,8 +155,38 @@ def test_zsigmondy_brute_oracle_small():
                     n += 1
             pm *= p
             m += 1
-    got = {(s.p, s.m, s.q, s.n) for s in zsigmondy_corollary_solve(bound)}
-    assert got == brute
+    return brute
+
+
+def test_zsigmondy_brute_oracle_small():
+    """Independent double loop up to 5000 must find the same solutions.
+
+    Primality comes from the sieve: the solver factors through the same
+    engine as is_prime."""
+    got = {(s.p, s.m, s.q, s.n) for s in zsigmondy_corollary_solve(5000)}
+    assert got == _zsigmondy_brute(5000)
+
+
+def test_zsigmondy_scan_boundaries():
+    """At a bound equal to each solution value p^m <= 5000, and one below
+    it, the scan finds exactly the brute solutions up to that bound, in
+    (p^m, q) order: q^n + 1 <= bound is inclusive."""
+    brute = _zsigmondy_brute(5000)
+    values = sorted({p ** m for p, m, _, _ in brute})
+    assert values == [3, 4, 5, 8, 9, 17, 32, 128, 257]
+    for bound in sorted({b for v in values for b in (v - 1, v) if b >= 4}):
+        sols = zsigmondy_corollary_solve(bound)
+        keys = [(s.p, s.m, s.q, s.n) for s in sols]
+        assert keys == sorted({k for k in brute if k[0] ** k[1] <= bound},
+                              key=lambda k: (k[0] ** k[1], k[2])), bound
+
+
+def test_zsigmondy_bound_is_capped_before_the_sieve():
+    limit = numtheory.ZSIGMONDY_BOUND_MAX
+    with pytest.raises(ValueError, match=f"exceeds ZSIGMONDY_BOUND_MAX = {limit}"):
+        zsigmondy_corollary_solve(limit + 1)
+    with pytest.raises(ValueError, match="at least 4"):
+        zsigmondy_corollary_solve(3)
 
 
 def test_nagell_ljunggren():

@@ -15,7 +15,8 @@ from coverlab import (cube, derive_params, family_A, family_B, feasible_A,
                       feasible_B, hexagon, hoffman_bounds, icosahedron,
                       thas_somma)
 from coverlab.exact import QuadExt
-from coverlab.params import FamilyAEntry, FamilyBParams, ParameterError
+from coverlab.params import (CoverParams, FamilyAEntry, FamilyBParams,
+                             ParameterError, admissible_r)
 
 
 def spectrum_oracle(g):
@@ -100,6 +101,29 @@ def test_non_integral_multiplicities_flagged():
     assert p.m_theta + p.m_tau == (p.r - 1) * p.n
 
 
+@pytest.mark.parametrize("m_tau,integral", [
+    (21, True), (0, False), (-21, False),
+    (QuadExt(21), True), (QuadExt(Fraction(41, 2)), False),
+], ids=["int", "int-zero", "int-negative", "quadext", "quadext-fraction"])
+def test_multiplicities_integral_on_int_and_quadext_records(m_tau, integral):
+    """A hand-built (28, 4, 8) record with m_tau of either type: integral
+    and positive, or not."""
+    p = CoverParams(28, 4, 8, 2, 3, -9, 63, m_tau)
+    assert p.multiplicities_integral is integral
+
+
+def test_family_records_store_ints_and_derive_params_quadext():
+    spectra = [family_B(6, 5).params, family_A(5, 2, +1), family_A(5, 2, -1),
+               family_A(7, 6, +1)]
+    for p in spectra:
+        assert all(type(x) is int for x in p[4:]), p
+        assert p.multiplicities_integral
+    surd = [derive_params(p.n, p.r, p.mu) for p in spectra]
+    surd += [family_B(2, 3).params, family_A(QuadExt.sqrt(5), 2)]
+    for p in surd:
+        assert all(type(x) is QuadExt for x in p[4:]), p
+
+
 def test_family_b_values():
     fb = family_B(6, 5)
     assert (fb.params.n, fb.params.r, fb.params.mu) == (1225, 5, 205)
@@ -128,6 +152,22 @@ def test_feasible_b_table():
     assert got == oracle(12) == {(2, 3), (6, 5), (8, 7), (11, 5), (12, 11)}
     assert {(fb.t, fb.r) for fb in feasible_B(5)} == {(2, 3)}
     assert {(fb.t, fb.r) for fb in feasible_B(2)} == {(2, 3)}
+
+
+def test_admissible_r_matches_range_scan():
+    for t in range(2, 2001):
+        want = [r for r in range(2, t) if (t - 1) % r == 0 and gcd(6, r) == 1]
+        assert admissible_r(t) == want, t
+
+
+def test_feasible_b_rows_in_t_r_order():
+    """The special (9, 3, 3) row first, then the (t, r) pairs ascending."""
+    rows = feasible_B(300)
+    keys = [(fb.t, fb.r) for fb in rows]
+    assert rows[0].special and not any(fb.special for fb in rows[1:])
+    assert keys[1:] == [(t, r) for t in range(2, 301)
+                        for r in range(2, t)
+                        if (t - 1) % r == 0 and gcd(6, r) == 1]
 
 
 def test_feasible_b_integrality_and_trace_identity():
