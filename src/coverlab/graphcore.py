@@ -88,7 +88,8 @@ class CoverGraph:
                  "_edges", "_report", "_kernel", "_params")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
-        fibres = [sorted(_label(x, "fibre") for x in f) for f in fibres]
+        fibres = [sorted(_label(x, "fibre") for x in _entries(f, "fibre"))
+                  for f in _entries(fibres, "fibres")]
         fibres.sort(key=lambda f: f[0] if f else -1)
         seen: set[int] = set()
         for f in fibres:
@@ -193,10 +194,10 @@ class CoverGraph:
     def from_json(obj) -> "CoverGraph":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        try:
-            return CoverGraph(obj["fibres"], obj["edges"], obj["v"])
-        except KeyError as exc:
-            raise GraphStructureError(f"missing key {exc}") from exc
+        if not (isinstance(obj, dict) and {"v", "fibres", "edges"} <= obj.keys()):
+            raise GraphStructureError(
+                "a cover is a JSON object with the keys v, fibres and edges")
+        return CoverGraph(obj["fibres"], obj["edges"], obj["v"])
 
 
 def _is_label(x) -> bool:
@@ -210,25 +211,47 @@ def _label(x, what: str) -> int:
     return int(x)
 
 
+def _entries(obj, what: str) -> list:
+    """obj as a list, or GraphStructureError naming what when it is none."""
+    try:
+        return list(obj)
+    except TypeError:
+        raise GraphStructureError(f"{what} {obj!r} is not a list") from None
+
+
+def _pair_fault(e) -> str | None:
+    """Why the edge e is not a pair of integer labels, or None."""
+    try:
+        u, w = pair = tuple(e)
+    except (TypeError, ValueError):
+        return f"edge {e!r} is not a vertex pair"
+    if not (_is_label(u) and _is_label(w)):
+        return f"edge {pair!r} has a non-integer label"
+
+
 def _edge_array(edges, v: int) -> np.ndarray:
     """The edge list as an (m, 2) integer array, validated in one pass.
 
-    GraphStructureError names the first bad edge in input order: one with a
-    label that is not an integer (bools included), an endpoint outside
+    GraphStructureError names the first bad edge in input order: one that
+    is not a pair of integer labels (bools are not), an endpoint outside
     0..v-1, or a loop.  An integer array is taken as it is; a list has its
-    label types read in one sweep, and only when that finds a bad label are
-    the edges before it checked on their own, so that an earlier bad edge
-    is the one named.
+    edge lengths and label types read in one sweep, and only when that
+    finds a bad edge are the edges before it checked on their own, so that
+    an earlier bad edge is the one named.
     """
     if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
-        edges = list(edges)
-        if not all(t is not bool and issubclass(t, (int, np.integer))
-                   for t in set(map(type, chain.from_iterable(edges)))):
-            k = next(i for i, e in enumerate(edges)
-                     if not all(map(_is_label, e)))
+        edges = _entries(edges, "edges")
+        try:
+            pairs = set(map(len, edges)) <= {2} and all(
+                t is not bool and issubclass(t, (int, np.integer))
+                for t in set(map(type, chain.from_iterable(edges))))
+        except TypeError:  # an edge with no length
+            pairs = False
+        if not pairs:
+            k, fault = next((i, f) for i, e in enumerate(edges)
+                            if (f := _pair_fault(e)))
             _edge_array(edges[:k], v)
-            raise GraphStructureError(
-                f"edge {tuple(edges[k])!r} has a non-integer label")
+            raise GraphStructureError(fault)
     e = np.asarray(edges)
     if e.size == 0:
         return np.zeros((0, 2), dtype=np.intp)

@@ -5,29 +5,28 @@ automorphism of a connected cover is determined by the image of one vertex,
 because each neighbour's image is the unique neighbour of the image in that
 neighbour's fibre (Godsil-Hensel 1992).  covering_group tries the r images
 of vertex 0 in its fibre and propagates each along the perfect matchings
-between fibres.  Given a group, which must act by automorphisms of a
-verified cover, the kernel of its action on the fibre set is group ∩ K: the
-r - 1 non-identity elements of K are sifted through the group's own chain,
-and no second chain is built.  Quotients by subgroups of the covering group
-inherit the cover structure with fibre size divided and mu multiplied by the
-subgroup order, which quotient_cover re-verifies rather than assumes.
-fibre_action alone checks a group G and takes its kernel, and it builds G's
-one chain on the vertices with base (a, F - {a}), a = 0 and F its fibre,
-from |G| by known-order sifting.  Its report holds that chain, and every
-later stage reads the vertex stabilizer G_a, the pointwise stabilizer C of
-F and the transversal off it: the fibre rank and subdegrees (the orbits of
-the fibre stabilizer, generated by G_a and the transversal elements into
-F), the arc orbits (G's orbits on arcs from a are G_a's orbits on N(a)),
-the rank-3 subdegree identities and structure_audit, which builds only a
-second chain on an extended domain for M = G_{F} and C_G(K) meet G_a.
-Every orbit here comes from PermGroup.orbits.  The audit functions turn
-the assertable group-theoretic identities (arc orbits vs rank, displacement
-counts, fixed subgraphs of involutions, rank-3 subdegree relations) into
-pass/fail reports on concrete instances, and involution_types draws one
-involution of each displacement type from seeded uniform draws, with no
-element scan.  A verified cover's report (cover_report) and its K with K's
-info are recorded on the graph, so a graph is verified and its K found once
-however many stages use them.
+between fibres.  So K is semiregular, and its element list gives its chain
+on the base (0,) with no Schreier-Sims; a group's kernel on the fibres, the
+elements of K in the group's chain, gets its chain the same way.  Quotients
+by subgroups of the covering group inherit the cover structure with fibre
+size divided and mu multiplied by the subgroup order, which quotient_cover
+re-verifies rather than assumes.  fibre_action alone checks a group G and
+takes its kernel, and it rebases G's chain once, on the vertices with base
+(a, F - {a}), a = 0 and F its fibre.  Its report holds that chain, and every
+later stage reads the vertex stabilizer G_a, the pointwise stabilizer C of F
+and the transversal off it: the fibre rank and subdegrees (the orbits of the
+fibre stabilizer, generated by G_a and the transversal elements into F), the
+arc orbits (G's orbits on arcs from a are G_a's orbits on N(a)), the rank-3
+subdegree identities and structure_audit, which rebases only a second chain,
+on an extended domain, for M = G_{F} and C_G(K) meet G_a.  Every orbit here
+comes from PermGroup.orbits.  The audit functions turn the assertable
+group-theoretic identities (arc orbits vs rank, displacement counts, fixed
+subgraphs of involutions, rank-3 subdegree relations) into pass/fail reports
+on concrete instances, and involution_types draws one involution of each
+displacement type from seeded uniform draws, with no element scan.  A
+verified cover's report (cover_report) and its K with K's info are recorded
+on the graph, so a graph is verified and its K found once however many
+stages use them.
 """
 from __future__ import annotations
 
@@ -81,13 +80,14 @@ def covering_group(g: CoverGraph, group: PermGroup | None = None):
     """
     require_cover(g)
     if g._kernel is None:
-        kernel = PermGroup(_fibre_fixing_automorphisms(g), g.v)
+        # K is semiregular: its elements are a strong generating set for [0]
+        kernel = PermGroup.from_base(_fibre_fixing_automorphisms(g), g.v, [0])
         g._kernel = kernel, kernel_info(g, kernel)
     if group is None:
         return g._kernel
     require_automorphisms(g, group)
     full = g._kernel[0].generators
-    kernel = PermGroup([k for k in full if k in group], g.v)
+    kernel = PermGroup.from_base([k for k in full if k in group], g.v, [0])
     if kernel.generators == full:
         return g._kernel
     return kernel, kernel_info(g, kernel)
@@ -139,11 +139,6 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
     return found
 
 
-# seed of the draws behind the known-order chains of G that fibre_action and
-# _audit_chains build; |G| certifies each chain, so the seed changes no result
-_CHAIN_SEED = 1
-
-
 @dataclass
 class FibreActionReport:
     """fibre_action's findings on G = vertex_group, with a = 0 and F its
@@ -173,19 +168,15 @@ def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
     """Induced group on the fibre set with its transitivity, rank and
     subdegrees, group ∩ K with its info, and group's chain on base
     (a, F - {a}), a = 0.  covering_group checks that g is a verified cover
-    and group acts by automorphisms.  The chain is built once, from |G| by
-    known-order sifting of seeded draws from G's own chain.  The fibre
-    stabilizer G_F is generated by G_a and the t_b with b in F, as every
-    element of G_F sends a to some b in F ∩ a^G; the orbits of its image
-    are the subdegrees, and no chain of the fibre group is built."""
+    and group acts by automorphisms.  The chain is G's own, rebased.  The
+    fibre stabilizer G_F is generated by G_a and the t_b with b in F, as
+    every element of G_F sends a to some b in F ∩ a^G; the orbits of its
+    image are the subdegrees, and no chain of the fibre group is built."""
     kernel, kinfo = covering_group(g, group)
     image = PermGroup([fibre_image(g, p) for p in group.generators], g.n)
     a = 0
     fibre = g.fibres[g.fibre_of[a]]
-    chain = PermGroup.from_order(
-        group.generators, g.v, group.order(),
-        group.random_elements(_CHAIN_SEED),
-        base_hint=(a, *(x for x in fibre if x != a)))
+    chain = group.rebased((a, *(x for x in fibre if x != a)))
     rank = sizes = None
     if image.is_transitive():
         moves = chain.transversal()
@@ -642,9 +633,8 @@ def _audit_chains(g: CoverGraph, group: PermGroup, kernel: PermGroup):
 
     The chain acts on the vertices, a point F* per fibre and a point per
     element of kernel.generators (K - 1, as K is regular), with base
-    (F*, K - 1, a).  It is built from |G| by known-order sifting of seeded
-    draws from G's own chain; G's chain on the vertices with base
-    (a, F - {a}) is fibre_action's.  Returns (chain, extend).
+    (F*, K - 1, a), rebased from G's chain through extend, which keeps the
+    action on the vertices and so is injective.  Returns (chain, extend).
     """
     a = 0
     ks = kernel.generators
@@ -658,10 +648,7 @@ def _audit_chains(g: CoverGraph, group: PermGroup, kernel: PermGroup):
                            + tuple(g.v + g.fibre_of[p[f[0]]] for f in g.fibres)
                            + tuple(k_point[(inv * k * p).img] for k in ks))
 
-    chain = PermGroup.from_order(
-        [extend(p) for p in group.generators], g.v + g.n + len(ks),
-        group.order(), map(extend, group.random_elements(_CHAIN_SEED)),
-        base_hint=(g.v + g.fibre_of[a], *k_point.values(), a))
+    chain = group.rebased((g.v + g.fibre_of[a], *k_point.values(), a), extend)
     return chain, extend
 
 

@@ -93,11 +93,12 @@ def factorize(n: int) -> dict[int, int]:
     return {p: e for p, e, _ in prime_powers(n)}
 
 
-def divisors(n: int) -> list[int]:
-    """Every positive divisor of n >= 1, ascending."""
+def divisors(n: int, least_prime: int = 2) -> list[int]:
+    """The divisors of n >= 1 with no prime below least_prime, ascending."""
     out = [1]
     for p, e, _ in prime_powers(n):
-        out = [d * p ** k for d in out for k in range(e + 1)]
+        if p >= least_prime:
+            out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
 

@@ -16,10 +16,11 @@ i.e. SIC-POVM-sized systems), together with their known sporadic members.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .exact import QuadExt, is_integral, quad_json, rational_json
-from .numtheory import divisors, prime_powers, six_prime_part
+from .numtheory import divisors, prime_powers
 
 
 class ParameterError(ValueError):
@@ -108,11 +109,11 @@ def derive_params(n: int, r: int, mu: int) -> CoverParams:
 def family_B(t: int, r: int) -> FamilyBParams:
     """Odd-fibre family member (n, r, mu) = ((t^2-1)^2, r, (t-1)^2(t^2+t-1)/r).
 
-    The spectrum is the closed forms tau = -t, theta = t(t^2-2), m_theta =
-    (t^2-1)(r-1), m_tau = (t^2-2) m_theta.  The pair (t, r) = (2, 3) is the
-    genuine exception with (n, r, mu) = (9, 3, 3); it does not satisfy the
-    t-parametrisation (which would give mu = 5/3) and is returned tagged as
-    special.
+    r must be in admissible_r(t).  The spectrum is the closed forms tau =
+    -t, theta = t(t^2-2), m_theta = (t^2-1)(r-1), m_tau = (t^2-2) m_theta.
+    The pair (t, r) = (2, 3) is the genuine exception with (n, r, mu) =
+    (9, 3, 3); it does not satisfy the t-parametrisation (which would give
+    mu = 5/3) and is returned tagged as special.
     """
     if t < 2:
         raise ParameterError(f"t must be at least 2, got {t}")
@@ -120,8 +121,9 @@ def family_B(t: int, r: int) -> FamilyBParams:
         raise ParameterError(f"r must be at least 2, got {r}")
     if (t, r) == (2, 3):
         return FamilyBParams(t=2, r=3, params=derive_params(9, 3, 3), special=True)
-    if (t - 1) % r != 0:
-        raise ParameterError(f"r = {r} does not divide t-1 = {t - 1}")
+    if (t - 1) % r or gcd(6, r) != 1:
+        raise ParameterError(f"r = {r} is not a divisor of t-1 = {t - 1} "
+                             "prime to 6")
     n = (t * t - 1) ** 2
     mu = (t - 1) ** 2 * (t * t + t - 1) // r
     m_theta = (t * t - 1) * (r - 1)
@@ -185,8 +187,8 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
 
 def admissible_r(t: int) -> list[int]:
     """The r >= 2 with r | t-1 and gcd(6, r) = 1, ascending: the divisors
-    >= 2 of the 6'-part of t-1 >= 1."""
-    return divisors(six_prime_part(t - 1))[1:]
+    >= 2 of t-1 >= 1 with no prime factor 2 or 3, from one factorization."""
+    return divisors(t - 1, least_prime=5)[1:]
 
 
 def feasible_B(t_max: int) -> list[FamilyBParams]:

@@ -1,23 +1,21 @@
 """Permutations and small permutation groups with a stabilizer chain.
 
-A group of unknown order gets its chain from a deterministic Schreier-Sims
-procedure: base points are prepended from an optional hint (enabling
-pointwise set stabilizers, e.g. the kernel of an action), otherwise chosen
-as the first moved point.  A group whose order is already known, such as
-the same group on another base or on an extended domain, is built by
-PermGroup.from_order: seeded uniform draws are sifted until the product of
-the orbit lengths equals the order, which certifies the chain, so the
-seed changes no result.  Generators that are already a strong generating
-set relative to a known base, such as the automorphism search's relative to
-its first-path base, give the chain by PermGroup.from_base: each level's
-orbit is closed under the generators fixing the earlier base points, and no
-Schreier generator is sifted.  Orders, membership, stabilizers,
-transversals, seeded uniform draws and lazy element iteration all come from
-the chain, so orders in the tens of millions are fine at degree <= about
-1000 as long as nothing scans every element.  PermGroup.stabilizer(k), of
-the first k base points, is a chain tail and runs no Schreier-Sims (Seress
-2003, section 4.1); point_stabilizer and pointwise_stabilizer build a new
-chain by Schreier-Sims with the points as base hint and take its tail.
+Each chain is built from the facts already held.  Bare generators, such as
+a subgroups_of output or a user's group, get one deterministic Schreier-Sims
+chain, its base points prepended from an optional hint, otherwise each the
+first moved point of a generator.  A strong generating set relative to a
+known base gives the chain by PermGroup.from_base, with no Schreier
+generator sifted: the automorphism search's generators are one for its
+first-path base, and a semiregular group's element list for any one point.
+A group with a chain goes to another base, or another domain, by
+PermGroup.rebased: seeded uniform draws from its own chain are sifted until
+the orbit lengths multiply to its order, which certifies the chain, so the
+seed changes no result.  Orders, membership, stabilizers, transversals,
+seeded uniform draws and lazy element iteration all come from the chain, so
+orders in the tens of millions are fine at degree <= about 1000 as long as
+nothing scans every element.  stabilizer(k), of the first k base points, is
+a chain tail (Seress 2003, section 4.1), and pointwise_stabilizer and
+point_stabilizer are tails of the group rebased at the points.
 PermGroup.orbits is the one orbit partition: the automorphism search, the
 arc orbits, the covering group's regularity, quotients and subdegrees all
 read it.  Products index one image tuple by another with
@@ -32,6 +30,7 @@ from operator import itemgetter
 
 # known-order sifting gives up after this many identity residues in a row
 MAX_IDLE_DRAWS = 64
+CHAIN_SEED = 1  # of rebased's draws; the order certifies the chain anyway
 
 
 class Permutation:
@@ -218,7 +217,8 @@ class PermGroup:
         return levels, strong
 
     def _build_chain(self):
-        """Deterministic Schreier-Sims, for a group of unknown order."""
+        """Deterministic Schreier-Sims, for a group given by bare
+        generators."""
         levels, strong = self._start_chain()
         i = len(levels) - 1
         while i >= 0:
@@ -249,23 +249,24 @@ class PermGroup:
         self._levels = levels
         self._strong = strong
 
-    @classmethod
-    def from_order(cls, generators, degree: int, order: int, draws,
-                   base_hint=()) -> "PermGroup":
-        """The group generated by generators, whose order is known, with a
-        chain built by known-order sifting (Seress, Permutation Group
-        Algorithms, 2003, ch. 4): sift elements of the group taken from the
-        iterator draws, add each non-identity residue as a strong generator
-        and grow the orbits, until the product of the orbit lengths equals
-        order.  That product never exceeds the group's order and reaches it
-        only on a complete chain, so the order certifies the chain for any
-        draws from the group; uniform draws make each sift succeed with
-        probability at least 1/2 while the chain is incomplete.  ValueError
-        when the product passes order or MAX_IDLE_DRAWS draws in a row sift
-        to the identity first: order was not the group's order, or the
-        draws were not uniform in it.
+    def rebased(self, base, act=None) -> "PermGroup":
+        """This group, or its image under act, an injective homomorphism to
+        permutations such as an action on a larger domain, with a chain
+        whose base starts with base.  Known-order sifting (Seress,
+        Permutation Group Algorithms, 2003, ch. 4) of the draws
+        random_elements(CHAIN_SEED), mapped by act: each non-identity
+        residue joins the strong generators and the orbits grow, until the
+        orbit lengths multiply to self.order().  That product never passes
+        the order and reaches it only on a complete chain, so the order
+        certifies the chain; a draw sifts to a new element with probability
+        at least 1/2 while the chain is incomplete.  ValueError when the
+        product passes the order or MAX_IDLE_DRAWS draws in a row sift to
+        the identity first: act was not injective, or the order was wrong.
         """
-        group = cls(generators, degree, base_hint)
+        act = act or (lambda p: p)
+        order, draws = self.order(), map(act, self.random_elements(CHAIN_SEED))
+        degree = act(Permutation.identity(self.degree)).degree
+        group = PermGroup([act(g) for g in self.generators], degree, base)
         levels, strong = group._start_chain()
 
         def grow(top: int):
@@ -339,9 +340,7 @@ class PermGroup:
         generators fixing them, with levels k, k+1, ... as its chain
         (Seress, Permutation Group Algorithms, 2003, 4.1)."""
         levels = self._chain()
-        pts = [l.point for l in levels[:k]]
-        sub = PermGroup([g for g in self._strong
-                         if all(g[p] == p for p in pts)], self.degree)
+        sub = PermGroup(_fixing(self._strong, levels[:k]), self.degree)
         sub._levels = levels[k:]
         sub._strong = sub.generators
         return sub
@@ -355,10 +354,9 @@ class PermGroup:
         return dict(self._chain()[0].orbit)
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
-        """Stabilizer of a set of points, pointwise: one chain's tail."""
+        """Stabilizer of a set of points, pointwise: a tail of rebased."""
         points = tuple(points)
-        chain = PermGroup(self.generators, self.degree, base_hint=points)
-        return chain.stabilizer(len(points))
+        return self.rebased(points).stabilizer(len(points))
 
     def random_elements(self, seed: int):
         """Endless seeded uniform draws: t_L ... t_1 t_0 with each t_i a

@@ -18,15 +18,36 @@ MODULES = ("cli", "constructions", "graphcore", "groupops", "frames", "perms",
            "params", "casecheck", "autgroup", "numtheory", "exact")
 
 
-@pytest.fixture
-def workloads(monkeypatch):
-    """perfbench/workloads.py, imported fresh; monkeypatch takes it and
-    its corpus module out of sys.modules again afterwards."""
+def import_fresh(monkeypatch, name: str, *helpers: str):
+    """perfbench/<name>.py, imported fresh with bytecode writing off;
+    monkeypatch takes it and the helper modules it imports out of
+    sys.modules again afterwards."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    for name in ("workloads", "corpus"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    return importlib.import_module("workloads")
+    for module in (name, *helpers):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    return importlib.import_module(name)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    return import_fresh(monkeypatch, "workloads", "corpus")
+
+
+def test_tracing_targets_resolve(monkeypatch):
+    """Every function and method the benchmark's tracer wraps exists in
+    coverlab, so a rename cannot silently break run.py --trace 1: a method
+    is in its class's __dict__, where the tracer looks it up, and a
+    function is a callable attribute of its module."""
+    targets = import_fresh(monkeypatch, "tracing").TARGETS
+    assert targets
+    for mod_name, attr in targets:
+        owner = importlib.import_module(f"coverlab.{mod_name}")
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name)
+            assert attr in vars(owner), (mod_name, cls_name, attr)
+        assert callable(getattr(owner, attr, None)), (mod_name, attr)
 
 
 @pytest.mark.parametrize("name", ("etf", "analyze", "tables"))

@@ -283,6 +283,34 @@ def test_cover_graph_rejects_non_integer_labels():
     assert g.edges == hexagon().edges and g.fibres == hexagon().fibres
 
 
+def test_from_json_names_malformed_shapes():
+    """JSON of the wrong shape is a GraphStructureError naming the field,
+    and for edges the first bad one in input order, never a TypeError or
+    numpy's ValueError for a ragged array."""
+    hexagon_json = hexagon().to_json()
+    edges, fibres = hexagon_json["edges"], hexagon_json["fibres"]
+    shape = "a cover is a JSON object with the keys v, fibres and edges"
+    cases = {"[]": shape, "5": shape, "null": shape, '{"v": 6}': shape}
+    for change, message in (
+            ({"fibres": None}, "fibres None is not a list"),
+            ({"fibres": [None] + fibres[1:]}, "fibre None is not a list"),
+            ({"edges": 5}, "edges 5 is not a list"),
+            ({"edges": [5] + edges[1:]}, "edge 5 is not a vertex pair"),
+            ({"edges": [[0]] + edges[1:]}, "edge [0] is not a vertex pair"),
+            ({"edges": [[0, 1, 2]] + edges}, "edge [0, 1, 2] is not a vertex "
+                                             "pair"),
+            ({"edges": edges[:2] + [[0, 9], [0]]}, "edge (0,9) out of range"),
+            ({"edges": edges[:2] + [[0], [0, 9]]}, "edge [0] is not a vertex "
+                                                   "pair"),
+            ({"edges": [[0, None], 5]}, "edge (0, None) has a non-integer "
+                                        "label")):
+        cases[json.dumps(dict(hexagon_json, **change))] = message
+    for text, message in cases.items():
+        with pytest.raises(GraphStructureError) as exc:
+            CoverGraph.from_json(text)
+        assert str(exc.value) == message, text
+
+
 _ODD_LABELS = [0.5, 1.0, True, False, "0", None]
 
 

@@ -567,6 +567,26 @@ def test_fibre_action_over_subgroup_lattice(name, count, corpus, auts):
             brute_force_arc_orbits(g, elements), (name, len(elements))
 
 
+@pytest.mark.parametrize("name, count", (("hexagon", 16), ("cube", 98),
+                                         ("icosahedron", 164)))
+def test_subgroup_lattice_runs_schreier_sims_once_per_subgroup(
+        name, count, corpus, auts, monkeypatch):
+    """subgroups_of gives each H by bare generators, so fibre_action and
+    arc_orbit_count run Schreier-Sims once for H itself and for nothing
+    else: K and H ∩ K are read off K's element list, and H's chain on
+    base (a, F - {a}) and every further vertex stabilizer are rebased
+    from H's chain.  A fresh Schreier-Sims chain for K, for H ∩ K and for
+    each stabilizer made 54, 339 and 735 builds."""
+    g = corpus[name]
+    subs = subgroups_of(auts[name])
+    assert len(subs) == count
+    builds, _ = record_chain_builds(monkeypatch)
+    covering_group(g)
+    for sub in subs:
+        arc_orbit_count(g, fibre_action(g, sub))
+    assert sorted(map(id, builds)) == sorted(map(id, subs))
+
+
 def test_subdegree_identities_rank3():
     g = thas_somma(3, 1)
     sub = rank3_subgroup_ts31()
@@ -690,14 +710,17 @@ def test_structure_audit_fails_with_ga_for_m(corpus, auts, monkeypatch):
 
 def record_chain_builds(monkeypatch):
     """Lists of the groups Schreier-Sims builds a chain for and of the
-    degrees of the chains from_order builds, from now on."""
+    degrees of the chains rebased builds, from now on."""
     builds, known_order = [], []
-    build, from_order = PermGroup._build_chain, PermGroup.from_order.__func__
+    build, rebased = PermGroup._build_chain, PermGroup.rebased
     monkeypatch.setattr(PermGroup, "_build_chain",
                         lambda self: builds.append(self) or build(self))
-    monkeypatch.setattr(PermGroup, "from_order", classmethod(
-        lambda cls, gens, degree, *args, **kw: known_order.append(degree)
-        or from_order(cls, gens, degree, *args, **kw)))
+
+    def recorded(self, *args):
+        chain = rebased(self, *args)
+        known_order.append(chain.degree)
+        return chain
+    monkeypatch.setattr(PermGroup, "rebased", recorded)
     return builds, known_order
 
 

@@ -160,6 +160,24 @@ def test_admissible_r_matches_range_scan():
         assert admissible_r(t) == want, t
 
 
+def test_family_b_agrees_with_feasible_b():
+    """family_B(t, r) succeeds exactly for the pairs feasible_B lists: an
+    even r or a multiple of 3 is refused like an r that misses t-1, except
+    the special (2, 3)."""
+    listed = {(fb.t, fb.r) for fb in feasible_B(60)}
+    for t in range(2, 61):
+        for r in range(2, t + 1):
+            try:
+                family_B(t, r)
+            except ParameterError:
+                assert (t, r) not in listed, (t, r)
+            else:
+                assert (t, r) in listed, (t, r)
+    for t, r in ((5, 2), (4, 3)):
+        with pytest.raises(ParameterError, match="prime to 6"):
+            family_B(t, r)
+
+
 def test_feasible_b_rows_in_t_r_order():
     """The special (9, 3, 3) row first, then the (t, r) pairs ascending."""
     rows = feasible_B(300)

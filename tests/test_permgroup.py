@@ -432,8 +432,9 @@ def test_pointwise_stabilizer_random_vs_brute():
 
 
 def test_pointwise_stabilizer_builds_one_chain(monkeypatch):
-    """The stabilizer is a tail of the chain based at its points, so its
-    order needs no second Schreier-Sims."""
+    """The stabilizer is a tail of the group rebased at its points: a
+    group given by bare generators runs Schreier-Sims once, for itself,
+    and a group with a chain runs none."""
     import random
     builds = []
     build = PermGroup._build_chain
@@ -445,7 +446,10 @@ def test_pointwise_stabilizer_builds_one_chain(monkeypatch):
         pts = rng.sample(range(grp.degree), rng.randint(1, grp.degree - 1))
         builds.clear()
         grp.pointwise_stabilizer(pts).order()
-        assert len(builds) == 1
+        assert builds == [grp]
+        builds.clear()
+        grp.pointwise_stabilizer(pts[::-1]).point_stabilizer(0).order()
+        assert builds == []
 
 
 def test_elements_follow_the_transversal_product_order():
@@ -513,7 +517,7 @@ def test_kernel_matches_pointwise_composition():
         assert not p.is_identity() and (p * inv).is_identity()
 
 
-def test_from_order_matches_schreier_sims_on_random_groups():
+def test_rebased_matches_schreier_sims_on_random_groups(monkeypatch):
     """Known-order chains against the deterministic Schreier-Sims with the
     same base hint: the same order, the same hinted base prefix, and the
     same membership in every hinted stabilizer, for several draw seeds;
@@ -527,9 +531,8 @@ def test_from_order_matches_schreier_sims_on_random_groups():
                                 rng.randint(0, grp.degree - 1)))
         slow = PermGroup(grp.generators, grp.degree, base_hint=hint)
         for seed in (0, 1, 2):
-            fast = PermGroup.from_order(grp.generators, grp.degree,
-                                        len(elements),
-                                        grp.random_elements(seed), hint)
+            monkeypatch.setattr(perms, "CHAIN_SEED", seed)
+            fast = grp.rebased(hint)
             assert fast.order() == len(elements) == slow.order()
             assert fast.base[:len(hint)] == list(hint)
             for k in range(len(hint) + 1):
@@ -557,18 +560,20 @@ def test_random_elements_are_uniform_members():
     assert seen == closure_elements(s4.generators, 4)
 
 
-def test_from_order_rejects_a_wrong_order():
+def test_rebased_rejects_a_wrong_order(monkeypatch):
     """Known-order sifting never loops and never clamps.  An order below
     |G| is passed by the orbit product; above |G| it is never reached, and
-    the draws keep sifting to the identity."""
+    the draws keep sifting to the identity.  The wrong order is put in
+    place of the group's own, which rebased reads."""
     from coverlab.perms import MAX_IDLE_DRAWS
     aut = automorphism_group(thas_somma(3, 1))
     order = aut.order()
-    for low in (1, order - 1):
+    for wrong in (1, order - 1):
+        monkeypatch.setattr(aut, "order", lambda: wrong)
         with pytest.raises(ValueError, match="passes the order"):
-            PermGroup.from_order(aut.generators, aut.degree, low,
-                                 aut.random_elements(0), (0,))
-    draws = aut.random_elements(0)
+            aut.rebased((0,))
+    monkeypatch.setattr(aut, "order", lambda: 2 * order)
     with pytest.raises(ValueError, match=f"{MAX_IDLE_DRAWS} draws in a row"):
-        PermGroup.from_order(aut.generators, aut.degree, 2 * order, draws,
-                             (0,))
+        aut.rebased((0,))
+    monkeypatch.undo()
+    assert aut.rebased((0,)).order() == order
