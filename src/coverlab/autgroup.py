@@ -1,16 +1,17 @@
 """Graph automorphism search by individualization and partition refinement.
 
-The graph is held only as bit rows.  Refinement is a splitter worklist
+The graph is given as bit rows.  Refinement is a splitter worklist
 (McKay and Piperno, Practical graph isomorphism II, JSC 2014): a FIFO queue
 of cells, seeded with the input cells, splits each non-singleton cell by
 (adj[u] & splitter).bit_count(), in place and in increasing key order, and
 queues every part, until the partition is equitable.  The search then
 individualizes a vertex of the first non-singleton cell and recurses.  Every
-leaf labelling is compared with the first leaf's, and a label map sending
-each edge of the bit rows to an edge becomes a generator.  Pruning is
-twofold: a branch whose refinement trace differs from the first path's has
-no equivalent leaf, and candidates in one orbit of the group found so far
-(fixing the individualized prefix), numbered by PermGroup.orbits, are
+leaf labelling is compared with the first leaf's, and a label map becomes a
+generator when graphcore.is_automorphism accepts it on the 0/1 matrix, which
+the search unpacks from the bit rows once.  Pruning is twofold: a branch
+whose refinement trace differs from the first path's has no equivalent
+leaf, and candidates in one orbit of the group found so far (fixing the
+individualized prefix), numbered by PermGroup.orbits, are
 interchangeable.  Traces are label-free (splitter steps, cell positions,
 keys and part sizes), so automorphic branches trace alike and both
 prunings are sound.  Off the first path a subtree is abandoned once it
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphcore import CoverGraph, _bits, distance_classes
+from .graphcore import (CoverGraph, bit_matrix, distance_classes,
+                        is_automorphism)
 from .perms import PermGroup, Permutation
 
 AUT_VERTEX_BOUND = 512
@@ -111,10 +113,7 @@ def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
     first_traces: dict[int, tuple] = {}
     gens: list[Permutation] = []
     identity = list(range(n))
-
-    def is_automorphism(img) -> bool:
-        return all(adj_rows[img[u]] >> img[w] & 1
-                   for u in range(n) for w in _bits(adj_rows[u]))
+    mat = bit_matrix(adj_rows, n)
 
     def dfs(cells, depth: int, prefix: list[int], on_first_path: bool) -> bool:
         cells, trace = _refine(cells, adj_rows)
@@ -133,7 +132,7 @@ def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
             img = [0] * n
             for a, b in zip(first_leaf, leaf):
                 img[a] = b
-            if img != identity and is_automorphism(img):
+            if img != identity and is_automorphism(mat, img):
                 gens.append(Permutation(img))
                 return True
             return False

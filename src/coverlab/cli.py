@@ -5,7 +5,9 @@ cases.  Output is canonical JSON, emitted by one json.dumps with sorted
 keys, so golden-file comparisons are stable; etf, the one payload with
 floats, has them rounded to 15 significant digits first, in text mode too.
 Every run embeds its full configuration.  Exit codes: 0 success/verified,
-1 verification, certificate or case-match failure, 2 bad input or path.
+1 verification, certificate or case-match failure, 2 bad input or path
+(a ValueError or OSError).  Any other exception is a bug in the program
+and propagates.
 """
 from __future__ import annotations
 
@@ -381,7 +383,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -278,6 +278,13 @@ def bit_matrix(rows, width: int) -> np.ndarray:
         axis=1, count=width, bitorder="little")
 
 
+def is_automorphism(a: np.ndarray, img) -> bool:
+    """Whether the vertex map img, a bijection, is an automorphism of the
+    graph with 0/1 adjacency matrix a: A permuted by img equals A."""
+    img = np.asarray(img)
+    return bool((a[img][:, img] == a).all())
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -319,15 +326,6 @@ def distance_classes(g: CoverGraph, vertex: int) -> list[list[int]]:
     if sum(len(l) for l in layers) != g.v:
         raise GraphStructureError("graph is disconnected")
     return layers
-
-
-def fibre_masks(g: CoverGraph) -> list[int]:
-    """Bit mask of each fibre's vertices, indexed like g.fibres."""
-    masks = [0] * g.n
-    for i, f in enumerate(g.fibres):
-        for x in f:
-            masks[i] |= 1 << x
-    return masks
 
 
 def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:

@@ -9,24 +9,25 @@ between fibres.  So K is semiregular, and its element list gives its chain
 on the base (0,) with no Schreier-Sims; a group's kernel on the fibres, the
 elements of K in the group's chain, gets its chain the same way.  Quotients
 by subgroups of the covering group inherit the cover structure with fibre
-size divided and mu multiplied by the subgroup order, which quotient_cover
-re-verifies rather than assumes.  fibre_action alone checks a group G and
-takes its kernel, and it rebases G's chain once, on the vertices with base
-(a, F - {a}), a = 0 and F its fibre.  Its report holds that chain, and every
-later stage reads the vertex stabilizer G_a, the pointwise stabilizer C of F
-and the transversal off it: the fibre rank and subdegrees (the orbits of the
-fibre stabilizer, generated by G_a and the transversal elements into F), the
-arc orbits (G's orbits on arcs from a are G_a's orbits on N(a)), the rank-3
-subdegree identities and structure_audit, which rebases only a second chain,
-on an extended domain, for M = G_{F} and C_G(K) meet G_a.  Every orbit here
-comes from PermGroup.orbits.  The audit functions turn the assertable
-group-theoretic identities (arc orbits vs rank, displacement counts, fixed
-subgraphs of involutions, rank-3 subdegree relations) into pass/fail reports
-on concrete instances, and involution_types draws one involution of each
-displacement type from seeded uniform draws, with no element scan.  A
-verified cover's report (cover_report) and its K with K's info are recorded
-on the graph, so a graph is verified and its K found once however many
-stages use them.
+size divided and mu multiplied by the subgroup order; quotient_cover maps
+the edges to the orbits and re-verifies the result.  fibre_action alone
+checks a group G, on one matrix A, and takes its kernel, and it rebases G's
+chain once, on the vertices with base (a, F - {a}), a = 0 and F its fibre.
+Its report holds that chain, and every later stage reads the vertex
+stabilizer G_a, the pointwise stabilizer C of F and the transversal off it:
+the transitivity (a^G meets every fibre, or is every vertex), the fibre
+rank and subdegrees (the orbits of the fibre stabilizer, generated by G_a
+and the transversal elements into F), the arc orbits (G's orbits on arcs
+from a are G_a's orbits on N(a)), the rank-3 subdegree identities and
+structure_audit, which rebases only a second chain, on an extended domain,
+for M = G_{F} and C_G(K) meet G_a.  Every orbit here comes from
+PermGroup.orbits.  The audit functions turn the assertable group-theoretic
+identities (arc orbits vs rank, displacement counts, fixed subgraphs of
+involutions, rank-3 subdegree relations) into pass/fail reports on concrete
+instances, and involution_types draws one involution of each displacement
+type from seeded uniform draws, with no element scan.  A verified cover's
+report (cover_report) and its K with K's info are recorded on the graph, so
+a graph is verified and its K found once however many stages use them.
 """
 from __future__ import annotations
 
@@ -38,8 +39,9 @@ from math import lcm
 import numpy as np
 
 from .exact import is_integral
-from .graphcore import (CoverGraph, bfs_layers, cover_report, fibre_masks,
-                        params_of, require_cover, verify_cover)
+from .graphcore import (CoverGraph, bfs_layers, cover_report,
+                        is_automorphism, params_of, require_cover,
+                        verify_cover)
 from .perms import PermGroup, Permutation
 
 
@@ -52,11 +54,7 @@ def fibre_image(g: CoverGraph, perm: Permutation) -> Permutation:
 
 def is_cover_automorphism(g: CoverGraph, perm) -> bool:
     p = perm if isinstance(perm, Permutation) else Permutation(perm)
-    if p.degree != g.v:
-        return False
-    a = g.adjacency_matrix()
-    img = np.array(p.img)
-    return bool((a[img][:, img] == a).all())
+    return p.degree == g.v and is_automorphism(g.adjacency_matrix(), p.img)
 
 
 def fixes_fibres(g: CoverGraph, perm: Permutation) -> bool:
@@ -74,9 +72,9 @@ def covering_group(g: CoverGraph, group: PermGroup | None = None):
     matching propagation (see _fibre_fixing_automorphisms) once per graph
     and recorded on g with its kernel_info; every call returns that record.
     No search is made, and K.generators lists every non-identity element of
-    K.  Given a group, it must act by automorphisms of g (ValueError
-    otherwise), and the kernel of its action on the fibres is group ∩ K,
-    the record itself when group contains K.  Returns (kernel, info).
+    K.  Given a group, it must act on g's vertices by automorphisms
+    (ValueError otherwise), and the kernel of its action on the fibres is
+    group ∩ K, the record itself when group contains K.  Returns (kernel, info).
     """
     require_cover(g)
     if g._kernel is None:
@@ -106,16 +104,16 @@ def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:
 def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
     """Every fibre-fixing automorphism of a verified cover, identity included.
 
-    match[x, j] is the neighbour of x in fibre j, the single bit of
-    adj[x] & fibre_mask[j] (x itself for its own fibre).  Each image c of
-    vertex 0 in its fibre determines img[y] = match[img[x], fibre_of[y]]
-    along a BFS tree, one layer at a time.  The candidate is kept when img
-    is a bijection with img[match[x, j]] = match[img[x], j] for every x and
-    j, i.e. every edge goes to an edge.  The cost is O(r v n).
+    match[x, j] is the neighbour of x in fibre j, read off row x of A on
+    fibre j (x itself for its own fibre).  Each image c of vertex 0 in its
+    fibre determines img[y] = match[img[x], fibre_of[y]] along a BFS tree,
+    one layer at a time.  The candidate is kept when img is a bijection
+    with img[match[x, j]] = match[img[x], j] for every x and j, i.e. every
+    edge goes to an edge.  The cost is O(r v n).
     """
-    masks = fibre_masks(g)
-    match = np.array([[(ax & m).bit_length() - 1 for m in masks]
-                      for ax in g.adj], dtype=np.intp)
+    members = np.array(g.fibres)
+    match = members[np.arange(g.n),
+                    g.adjacency_matrix()[:, members].argmax(2)]
     fibre = np.array(g.fibre_of, dtype=np.intp)
     match[np.arange(g.v), fibre] = np.arange(g.v)
 
@@ -142,12 +140,11 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
 @dataclass
 class FibreActionReport:
     """fibre_action's findings on G = vertex_group, with a = 0 and F its
-    fibre.  group is G's image on the fibres; kernel is G ∩ K.  chain is G
-    on the vertices with base (a, F - {a}): chain.stabilizer(1) is G_a,
-    chain.stabilizer(|F|) is C, the pointwise stabilizer of F, and
-    chain.transversal() sends b in a^G to an element t_b mapping a to b.
-    Every later stage reads G_a, C and the t_b from it."""
-    group: PermGroup
+    fibre.  kernel is G ∩ K.  chain is G on the vertices with base
+    (a, F - {a}): chain.stabilizer(1) is G_a, chain.stabilizer(|F|) is C,
+    the pointwise stabilizer of F, and chain.transversal() sends b in a^G
+    to an element t_b mapping a to b.  Every later stage reads G_a, C and
+    the t_b from it."""
     transitive: bool
     rank: int | None
     subdegrees: tuple[int, ...] | None
@@ -159,33 +156,38 @@ class FibreActionReport:
 
 
 def require_automorphisms(g: CoverGraph, group: PermGroup) -> None:
-    for p in group.generators:
-        if not is_cover_automorphism(g, p):
-            raise ValueError("group generator is not a graph automorphism")
+    """ValueError unless group acts on g's vertices by automorphisms."""
+    if group.degree != g.v:
+        raise ValueError(f"group acts on {group.degree} points, "
+                         f"not on the {g.v} vertices")
+    a = g.adjacency_matrix()
+    if not all(is_automorphism(a, p.img) for p in group.generators):
+        raise ValueError("group generator is not a graph automorphism")
 
 
 def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
-    """Induced group on the fibre set with its transitivity, rank and
-    subdegrees, group ∩ K with its info, and group's chain on base
-    (a, F - {a}), a = 0.  covering_group checks that g is a verified cover
-    and group acts by automorphisms.  The chain is G's own, rebased.  The
-    fibre stabilizer G_F is generated by G_a and the t_b with b in F, as
-    every element of G_F sends a to some b in F ∩ a^G; the orbits of its
-    image are the subdegrees, and no chain of the fibre group is built."""
+    """Transitivity, rank and subdegrees of group's action on the fibres,
+    group ∩ K with its info, and group's chain on base (a, F - {a}),
+    a = 0.  covering_group checks that g is a verified cover and group
+    acts by automorphisms.  The chain is G's own, rebased.  G is
+    transitive on the fibres iff its first basic orbit a^G meets every
+    fibre, and on the vertices iff a^G has v points.  The fibre stabilizer
+    G_F is generated by G_a and the t_b with b in F, as every element of
+    G_F sends a to some b in F ∩ a^G; the orbits of its image are the
+    subdegrees, and no group on the fibres gets a chain."""
     kernel, kinfo = covering_group(g, group)
-    image = PermGroup([fibre_image(g, p) for p in group.generators], g.n)
     a = 0
     fibre = g.fibres[g.fibre_of[a]]
     chain = group.rebased((a, *(x for x in fibre if x != a)))
+    moves = chain.transversal()
     rank = sizes = None
-    if image.is_transitive():
-        moves = chain.transversal()
+    if len({g.fibre_of[b] for b in moves}) == g.n:
         g_f = chain.stabilizer(1).generators + [moves[b] for b in fibre
                                                  if b in moves]
         orbs = PermGroup([fibre_image(g, p) for p in g_f], g.n).orbits()
         rank, sizes = len(orbs), tuple(sorted(len(o) for o in orbs))
-    return FibreActionReport(image, rank is not None, rank, sizes, group,
-                             kernel, kinfo, group.is_transitive(), chain)
+    return FibreActionReport(rank is not None, rank, sizes, group, kernel,
+                             kinfo, len(moves) == g.v, chain)
 
 
 def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
@@ -224,12 +226,12 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
 
     Requires every generator to fix each fibre setwise and 1 <= |U| < r,
     with U semiregular.  The U-orbits, numbered by least element, are the
-    quotient's vertices; with P the v x m orbit indicator, Q = P^T (A P)
-    counts the edges of g between two orbits, and the quotient's edges are
-    the off-diagonal pairs with Q > 0: every edge of g between different
-    orbits, so nothing assumes U <= Aut.  The result is checked by
-    verify_cover to be an (n, r/|U|, mu |U|)-cover; a failure raises, since
-    it would contradict the quotient-closure property for valid input.
+    quotient's vertices, and its edges are the images of g's edges, those
+    within one orbit dropped and duplicates collapsed by CoverGraph: every
+    edge of g between different orbits, so nothing assumes U <= Aut.  The
+    result is checked by verify_cover to be an (n, r/|U|, mu |U|)-cover; a
+    failure raises, since it would contradict the quotient-closure property
+    for valid input.
     """
     if sub.degree != g.v:
         raise QuotientError(f"subgroup acts on {sub.degree} points, "
@@ -245,15 +247,11 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     orbits = sub.orbits()
     if any(len(o) != u_order for o in orbits):
         raise QuotientError("subgroup does not act semiregularly")
-    orbit_of = [0] * g.v
+    orbit_of = np.empty(g.v, dtype=np.intp)
     for idx, orb in enumerate(orbits):
-        for x in orb:
-            orbit_of[x] = idx
-    p = np.zeros((g.v, len(orbits)), dtype=np.float32)
-    p[np.arange(g.v), orbit_of] = 1
-    # sums of nonnegative terms: Q > 0 is exact at any float precision
-    q = p.T @ (g.adjacency_matrix().astype(np.float32) @ p)
-    edges = np.argwhere(np.triu(q > 0, 1))
+        orbit_of[orb] = idx
+    edges = orbit_of[g._pairs]
+    edges = edges[edges[:, 0] != edges[:, 1]]
     fibres = [sorted({orbit_of[x] for x in f}) for f in g.fibres]
     quot = CoverGraph(fibres, edges)
 
@@ -279,23 +277,20 @@ def displacement_profile(g: CoverGraph, x) -> tuple[int, int, int, int]:
     p = x if isinstance(x, Permutation) else Permutation(x)
     if not is_cover_automorphism(g, p):
         raise ValueError("permutation is not an automorphism of the cover")
-    return _displacement_counts(g, p)
+    return _displacement_counts(g, _moves(p))
 
 
-def _displacement_counts(g: CoverGraph, p: Permutation):
-    """displacement_profile for an automorphism p already checked."""
-    alpha = [0, 0, 0, 0]
-    for u in range(g.v):
-        w = p[u]
-        if w == u:
-            alpha[0] += 1
-        elif g.fibre_of[w] == g.fibre_of[u]:
-            alpha[3] += 1
-        elif g.has_edge(u, w):
-            alpha[1] += 1
-        else:
-            alpha[2] += 1
-    return tuple(alpha)
+def _moves(p: Permutation) -> list[tuple[int, int]]:
+    """The moves u -> p[u] with p[u] != u."""
+    return [(u, w) for u, w in enumerate(p.img) if u != w]
+
+
+def _displacement_counts(g: CoverGraph, moves) -> tuple[int, int, int, int]:
+    """displacement_profile of an automorphism already checked, from its
+    moves u -> w, u != w: the fixed vertices are the ones not moved."""
+    same = sum(g.fibre_of[u] == g.fibre_of[w] for u, w in moves)
+    near = sum(g.adj[u] >> w & 1 for u, w in moves)
+    return g.v - len(moves), near, len(moves) - same - near, same
 
 
 @dataclass
@@ -358,7 +353,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
                          "pass" if ok else "fail",
                          {"degrees": degs, "expected": l - 1}))
 
-    alpha = _displacement_counts(g, p)
+    alpha = _displacement_counts(g, _moves(p))
     ok = alpha[3] == (r - f) * l
     out.append(AuditItem(lemma, "alpha3", "pass" if ok else "fail",
                          {"alpha3": alpha[3], "(r-f)l": (r - f) * l}))
@@ -434,13 +429,12 @@ def involution_types(g: CoverGraph, group: PermGroup):
     of even order o gives the involution x = p^(o/2): every involution is
     drawn as itself, and a larger class is drawn more often.  One cycles()
     pass gives o and x: a cycle of length c turns o/2 mod c steps, which is
-    0 or c/2, so x swaps the points c/2 apart on each cycle that turns, and
-    the type is counted on those pairs.  Drawing stops after
+    0 or c/2, so x moves each point of a cycle that turns to the point c/2
+    along it, and the type is counted on those moves.  Drawing stops after
     INVOLUTION_DRAWS draws, or once INVOLUTION_IDLE_DRAWS draws in a row
     have brought no new type.  group must act by automorphisms of the
     verified cover g.  Returns ([(type, x)] sorted by type, draws).
     """
-    fibre_of, adj = g.fibre_of, g.adj
     found: dict[tuple, Permutation] = {}
     idle = draws = 0
     for p in group.random_elements(INVOLUTION_SEED):
@@ -452,16 +446,13 @@ def involution_types(g: CoverGraph, group: PermGroup):
         half, odd = divmod(reduce(lcm, map(len, cycles), 1), 2)
         if odd:
             continue
-        pairs = [(c[i], c[i + len(c) // 2]) for c in cycles if half % len(c)
-                 for i in range(len(c) // 2)]
-        same = sum(fibre_of[u] == fibre_of[w] for u, w in pairs)
-        near = sum(adj[u] >> w & 1 for u, w in pairs)
-        kind = (g.v - 2 * len(pairs), 2 * near,
-                2 * (len(pairs) - same - near), 2 * same)
+        moves = [(c[i], c[i - len(c) // 2]) for c in cycles if half % len(c)
+                 for i in range(len(c))]
+        kind = _displacement_counts(g, moves)
         if kind not in found:
             img = list(range(g.v))
-            for u, w in pairs:
-                img[u], img[w] = w, u
+            for u, w in moves:
+                img[u] = w
             found[kind] = Permutation(img)
             idle = 0
     return sorted(found.items()), draws

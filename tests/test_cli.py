@@ -314,6 +314,19 @@ def test_analyze_audits_checks_the_group_once(tmp_path, capsys, monkeypatch):
     assert calls == {"require_automorphisms": 1, "kernel_info": 1}
 
 
+@pytest.mark.parametrize("error", (TypeError, KeyError))
+def test_program_errors_escape_main(error, tmp_path, monkeypatch):
+    """Only ValueError and OSError are bad input (exit 2): a TypeError or
+    KeyError from the program is a bug and leaves main as it is."""
+    def broken(*args):
+        raise error("planted")
+    monkeypatch.setattr(coverlab.cli, "fibre_action", broken)
+    path = tmp_path / "hexagon.json"
+    path.write_text(hexagon().to_json_str())
+    with pytest.raises(error, match="planted"):
+        main(["analyze", str(path)])
+
+
 @pytest.mark.parametrize("argv", (["verify"], ["analyze", "--audits"],
                                   ["etf"], ["quotient", "--subgroup-order",
                                             "2"]))

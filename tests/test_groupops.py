@@ -12,7 +12,8 @@ from coverlab import (arc_orbit_count, automorphism_group, covering_group,
                       verify_cover)
 from coverlab.autgroup import automorphism_generators
 from coverlab.exact import QuadExt
-from coverlab.graphcore import GraphStructureError, params_of
+from coverlab.graphcore import (GraphStructureError, is_automorphism,
+                                params_of)
 from coverlab.groupops import (INVOLUTION_DRAWS, QuotientError,
                                _audit_chains, _fibre_fixing_automorphisms,
                                involution_audit, involution_types,
@@ -299,6 +300,7 @@ def test_is_cover_automorphism_matches_edge_walk(corpus, auts):
             walk = all((min(p[u], p[w]), max(p[u], p[w])) in edges
                        for u, w in edges)
             assert is_cover_automorphism(g, p) is walk
+            assert is_automorphism(g.adjacency_matrix(), p.img) is walk
         assert any(is_cover_automorphism(g, p) for p in perms)
         assert is_cover_automorphism(g, list(range(g.v + 1))) is False
 
@@ -749,6 +751,21 @@ def test_rank3_stages_build_no_chain_after_fibre_action(monkeypatch):
     assert arc_orbit_count(g, fa)["arc_orbits"] == 2
     assert subdegree_identity_check(g, fa)["applicable"]
     assert builds == [] and known_order == []
+
+
+@pytest.mark.parametrize("shift", (-1, 1))
+def test_groups_of_another_degree_rejected(shift):
+    """A group on v - 1 or v + 1 points is rejected by its degree, even
+    the trivial one, which has no generator to check."""
+    g = thas_somma(3, 1)
+    degree = g.v + shift
+    for group in (PermGroup([], degree),
+                  PermGroup([Permutation([1, 0] + list(range(2, degree)))],
+                            degree)):
+        for call in (fibre_action, covering_group):
+            with pytest.raises(ValueError, match=f"group acts on {degree} "
+                               f"points, not on the {g.v} vertices"):
+                call(g, group)
 
 
 def test_non_automorphism_groups_rejected(corpus):
