@@ -13,7 +13,7 @@ from math import isqrt
 
 from .numtheory import (factorize, has_coprime6_divisor, prime_power_decompose,
                         prime_sieve, six_prime_part)
-from .params import admissible_r
+from .params import admissible_pairs
 
 
 @dataclass
@@ -286,24 +286,26 @@ def wreathed_congruence_case(t_sweep: int = 1000) -> CaseReport:
 
     For odd t (the relevant regime has t^2 - 2 odd), moduli (t^2-3)/2 and
     t^2-3 are both checked over every admissible r and z1 in {1, 2}; any hit
-    is a solution, expected none.
+    is a solution, expected none.  The pairs come from admissible_pairs,
+    r by r, and the odd t are kept (t = 1 + kr with k even, so t >= 11);
+    the hits are sorted stably by (t, r), so within a pair they stay in
+    (z1, modulus) order.
     """
     hits = []
     checked = 0
-    for t in range(7, t_sweep + 1, 2):
-        admissible = admissible_r(t)
-        if not admissible:
+    for t, r in admissible_pairs(t_sweep):
+        if t % 2 == 0:
             continue
-        half_mod = (t * t - 3) // 2
-        full_mod = t * t - 3
-        for r in admissible:
-            base = -t + (t - 1) // r
-            for z1 in (1, 2):
-                lam1 = z1 * (t * t - 2) + base
-                for mod, tag in ((half_mod, "half"), (full_mod, "full")):
-                    checked += 1
-                    if lam1 % mod in (0, 1):
-                        hits.append((t, r, z1, tag))
+        t2 = t * t
+        half_mod, full_mod = (t2 - 3) // 2, t2 - 3
+        base = -t + (t - 1) // r
+        for z1 in (1, 2):
+            lam1 = z1 * (t2 - 2) + base
+            for mod, tag in ((half_mod, "half"), (full_mod, "full")):
+                checked += 1
+                if lam1 % mod in (0, 1):
+                    hits.append((t, r, z1, tag))
+    hits.sort(key=lambda h: h[:2])
     rep = CaseReport(
         case_id="wreathed-congruence",
         search_space=f"odd t <= {t_sweep}, admissible r | t-1, z1 in {{1,2}}, "

@@ -272,19 +272,9 @@ def cmd_lemma_check(args) -> int:
     failures += 0 if sorted(nl) == [(3, 5, 11), (7, 4, 20)] else 1
 
     if args.sweep:
-        bad_lift = []
-        for q in range(2, 51):
-            for e in (1, -1):
-                for m in range(1, 31):
-                    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
-                              41, 43, 47):
-                        chk = numtheory.lifting_identity_check(q, e, m, p)
-                        if chk.applicable and not chk.equal:
-                            bad_lift.append((q, e, m, p))
-        bad_gcd = [(q, k, m)
-                   for q in range(2, 21) for k in range(1, 41)
-                   for m in range(1, 41)
-                   if not numtheory.gcd_qpow(q, k, m).equal]
+        bad_lift = numtheory.lifting_sweep(
+            50, 30, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+        bad_gcd = numtheory.gcd_sweep(20, 40)
         payload["lifting_sweep"] = {"counterexamples": bad_lift}
         payload["gcd_sweep"] = {"counterexamples": bad_gcd}
         failures += len(bad_lift) + len(bad_gcd)

@@ -53,8 +53,16 @@ def fibre_image(g: CoverGraph, perm: Permutation) -> Permutation:
 
 
 def is_cover_automorphism(g: CoverGraph, perm) -> bool:
+    """Whether perm is a permutation of g's vertices that is a graph
+    automorphism; any other image list, of any length, gives False."""
     p = perm if isinstance(perm, Permutation) else Permutation(perm)
-    return p.degree == g.v and is_automorphism(g.adjacency_matrix(), p.img)
+    return (_permutes_vertices(g, p.img)
+            and is_automorphism(g.adjacency_matrix(), p.img))
+
+
+def _permutes_vertices(g: CoverGraph, img) -> bool:
+    """Whether img lists each of the vertices 0..v-1 once."""
+    return sorted(img) == list(range(g.v))
 
 
 def fixes_fibres(g: CoverGraph, perm: Permutation) -> bool:
@@ -131,8 +139,9 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
         img[0] = c
         for layer, parents in steps:
             img[layer] = match[img[parents], fibre[layer]]
+        # img holds vertex labels 0..v-1: a bijection iff none is missed
         if (np.array_equal(img[match], match[img])
-                and np.unique(img).size == g.v):
+                and np.bincount(img, minlength=g.v).all()):
             found.append(Permutation(img.tolist()))
     return found
 
@@ -160,6 +169,9 @@ def require_automorphisms(g: CoverGraph, group: PermGroup) -> None:
     if group.degree != g.v:
         raise ValueError(f"group acts on {group.degree} points, "
                          f"not on the {g.v} vertices")
+    if not all(_permutes_vertices(g, p.img) for p in group.generators):
+        raise ValueError(f"group generator is not a permutation of the "
+                         f"{g.v} vertices")
     a = g.adjacency_matrix()
     if not all(is_automorphism(a, p.img) for p in group.generators):
         raise ValueError("group generator is not a graph automorphism")

@@ -12,6 +12,13 @@ the n below SMALL_PRIME_LIMIT (built once at import, 4 KB), and
 prime_power_decompose reads an even n off its bits (a power of two or
 nothing).
 
+The lifting and gcd identities each have a single-point checker
+(lifting_identity_check, gcd_qpow) and a sweep over a grid that returns
+its counterexamples in the grid's loop order.  lifting_sweep decides
+applicability, which m enters only through its parity, once per (q, e, p)
+and parity, and evaluates only the applicable points; gcd_sweep computes
+each q^k - 1 once and still checks every ordered pair (k, m).
+
 zsigmondy_corollary_solve scans the sieve's primes as an int64 numpy array,
 one power at a time.  Its bound is capped at ZSIGMONDY_BOUND_MAX, which
 caps the sieve at one byte per integer up to 10^8 and keeps every product
@@ -93,12 +100,11 @@ def factorize(n: int) -> dict[int, int]:
     return {p: e for p, e, _ in prime_powers(n)}
 
 
-def divisors(n: int, least_prime: int = 2) -> list[int]:
-    """The divisors of n >= 1 with no prime below least_prime, ascending."""
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending."""
     out = [1]
     for p, e, _ in prime_powers(n):
-        if p >= least_prime:
-            out = [d * p ** k for d in out for k in range(e + 1)]
+        out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
@@ -159,15 +165,53 @@ def lifting_identity_check(q: int, e: int, m: int, p: int) -> LiftingCheck:
         raise ValueError("need q >= 2, m >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p % 2 == 1:
-        applicable = (q - e) % p == 0
-    else:
-        applicable = (q - e) % 4 == 0 or m % 2 == 1
-    if not applicable:
+    if not _lifting_applicable(q - e, m, p):
         return LiftingCheck(q, e, m, p, False)
     lhs = _p_power(q ** m - e ** m, p)
     rhs = _p_power(m, p) * _p_power(q - e, p)
     return LiftingCheck(q, e, m, p, True, lhs, rhs, lhs == rhs)
+
+
+def _lifting_applicable(d: int, m: int, p: int) -> bool:
+    """Whether the lifting identity holds by hypothesis at q - e = d: p odd
+    dividing d, or p = 2 with 4 | d or m odd.  m counts only by parity."""
+    if p % 2 == 1:
+        return d % p == 0
+    return d % 4 == 0 or m % 2 == 1
+
+
+def lifting_sweep(q_max: int, m_max: int,
+                  primes) -> list[tuple[int, int, int, int]]:
+    """The (q, e, m, p) with 2 <= q <= q_max, e in (1, -1), 1 <= m <= m_max
+    and p in primes where lifting_identity_check is applicable and unequal,
+    in that loop order.
+
+    Applicability depends on m only through its parity, so it is decided
+    once per (q, e, p) for odd m and once for even m, and only the
+    applicable points are evaluated.  Each p is tested for primality once,
+    and (m)_p and (q - e)_p are computed once each.
+    """
+    primes = tuple(primes)
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    m_part = {(m, p): _p_power(m, p)
+              for m in range(1, m_max + 1) for p in primes}
+    bad = []
+    for q in range(2, q_max + 1):
+        for e in (1, -1):
+            d = q - e
+            # [even m, odd m] -> the applicable (p, (q - e)_p)
+            live = [[(p, _p_power(d, p)) for p in primes
+                     if _lifting_applicable(d, parity, p)] for parity in (0, 1)]
+            power = 1
+            for m in range(1, m_max + 1):
+                power *= q
+                x = power - e ** m
+                for p, d_part in live[m & 1]:
+                    if _p_power(x, p) != m_part[m, p] * d_part:
+                        bad.append((q, e, m, p))
+    return bad
 
 
 class GcdPowerCheck(NamedTuple):
@@ -186,6 +230,20 @@ def gcd_qpow(q: int, k: int, m: int) -> GcdPowerCheck:
     val = gcd(q ** k - 1, q ** m - 1)
     want = q ** gcd(k, m) - 1
     return GcdPowerCheck(q, k, m, val, want, val == want)
+
+
+def gcd_sweep(q_max: int, k_max: int) -> list[tuple[int, int, int]]:
+    """The (q, k, m) with 2 <= q <= q_max and 1 <= k, m <= k_max where
+    gcd_qpow is unequal, in that loop order.  q^k - 1 is computed once per
+    (q, k); every ordered pair (k, m) is still checked."""
+    bad = []
+    for q in range(2, q_max + 1):
+        less = [q ** k - 1 for k in range(k_max + 1)]  # less[0] = 0
+        for k in range(1, k_max + 1):
+            for m in range(1, k_max + 1):
+                if gcd(less[k], less[m]) != less[gcd(k, m)]:
+                    bad.append((q, k, m))
+    return bad
 
 
 class ZsigmondySolution(NamedTuple):

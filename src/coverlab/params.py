@@ -109,8 +109,9 @@ def derive_params(n: int, r: int, mu: int) -> CoverParams:
 def family_B(t: int, r: int) -> FamilyBParams:
     """Odd-fibre family member (n, r, mu) = ((t^2-1)^2, r, (t-1)^2(t^2+t-1)/r).
 
-    r must be in admissible_r(t).  The spectrum is the closed forms tau =
-    -t, theta = t(t^2-2), m_theta = (t^2-1)(r-1), m_tau = (t^2-2) m_theta.
+    (t, r) must be one of admissible_pairs: r >= 2 divides t-1 and is
+    prime to 6.  The spectrum is the closed forms tau = -t, theta =
+    t(t^2-2), m_theta = (t^2-1)(r-1), m_tau = (t^2-2) m_theta.
     The pair (t, r) = (2, 3) is the genuine exception with (n, r, mu) =
     (9, 3, 3); it does not satisfy the t-parametrisation (which would give
     mu = 5/3) and is returned tagged as special.
@@ -185,25 +186,29 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
     return CoverParams(n, r, mu, lam, t, -big, m_big, m_small)
 
 
-def admissible_r(t: int) -> list[int]:
-    """The r >= 2 with r | t-1 and gcd(6, r) = 1, ascending: the divisors
-    >= 2 of t-1 >= 1 with no prime factor 2 or 3, from one factorization."""
-    return divisors(t - 1, least_prime=5)[1:]
+def admissible_pairs(t_max: int):
+    """Yield the pairs (t, r) with 2 <= t <= t_max, r >= 2, r | t-1 and
+    gcd(6, r) = 1, by r ascending and then t ascending.
+
+    r runs over 5, 7, 11, 13, ... (the 6k -+ 1 below t_max) and t over
+    r+1, 2r+1, ... up to t_max, so no t-1 is factored.
+    """
+    for low in range(5, t_max, 6):
+        for r in (low, low + 2):
+            for t in range(r + 1, t_max + 1, r):
+                yield t, r
 
 
 def feasible_B(t_max: int) -> list[FamilyBParams]:
     """All odd-fibre family members with t <= t_max, in (t, r) order.
 
-    Entries are the pairs (t, r) with r in admissible_r(t), plus the special
-    (9, 3, 3) member listed first (as t = 2, which has no admissible r).
+    Entries are admissible_pairs(t_max), sorted, plus the special (9, 3, 3)
+    member listed first (as t = 2, which has no admissible r).
     """
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")
-    out = [family_B(2, 3)]
-    for t in range(2, t_max + 1):
-        for r in admissible_r(t):
-            out.append(family_B(t, r))
-    return out
+    return [family_B(2, 3)] + [family_B(t, r)
+                               for t, r in sorted(admissible_pairs(t_max))]
 
 
 def _condition_tags_A(t: int, r: int, mu: int) -> list[str] | None:

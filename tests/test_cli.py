@@ -14,7 +14,6 @@ import coverlab
 from coverlab import (hexagon, seidel_of_graph, taylor_from_seidel,
                       thas_somma)
 from coverlab.cli import _canonical, main, make_parser
-from coverlab.numtheory import GcdPowerCheck, LiftingCheck
 from conftest import matching_swapped, relabelled
 from test_autgroup import symplectic_cover_aut_order
 
@@ -414,26 +413,24 @@ def test_lemma_check_unknown_family_exits_2(capsys):
 
 
 def test_lemma_sweep_reports_its_counterexamples(capsys, monkeypatch):
-    """The sweeps can fail: one planted unequal record per checker makes
-    the run exit 1 and is the one counterexample each lists."""
-    gcd_qpow = coverlab.numtheory.gcd_qpow
-    lifting = coverlab.numtheory.lifting_identity_check
+    """The sweeps can fail: one planted wrong value under each sweep makes
+    the run exit 1 and gives the one counterexample each lists.  The 2-part
+    of 5^4 - 1 = 25^2 - 1 is wrong on its first request only, at
+    (q, e, m, p) = (5, 1, 4, 2), and gcd(7^12 - 1, 7^18 - 1) is wrong in
+    that argument order only."""
+    gcd = coverlab.numtheory.gcd
+    p_power = coverlab.numtheory._p_power
+    planted = [(5 ** 4 - 1, 2)]
 
-    def planted_gcd(q, k, m):
-        chk = gcd_qpow(q, k, m)
-        if (q, k, m) != (7, 12, 18):
-            return chk
-        return GcdPowerCheck(q, k, m, chk.gcd_value, chk.expected + 1, False)
+    def planted_p_power(l, p):
+        if (l, p) in planted:
+            planted.clear()
+            return 2 * p_power(l, p)
+        return p_power(l, p)
 
-    def planted_lifting(q, e, m, p):
-        chk = lifting(q, e, m, p)
-        if (q, e, m, p) != (5, 1, 4, 2):
-            return chk
-        return LiftingCheck(q, e, m, p, True, chk.lhs, 2 * chk.rhs, False)
-
-    monkeypatch.setattr(coverlab.numtheory, "gcd_qpow", planted_gcd)
-    monkeypatch.setattr(coverlab.numtheory, "lifting_identity_check",
-                        planted_lifting)
+    monkeypatch.setattr(coverlab.numtheory, "gcd", lambda a, b: gcd(a, b)
+                        + ((a, b) == (7 ** 12 - 1, 7 ** 18 - 1)))
+    monkeypatch.setattr(coverlab.numtheory, "_p_power", planted_p_power)
     code, out = run_cli(["lemma-check", "nt", "--sweep"], capsys)
     assert code == 1
     blob = json.loads(out)
@@ -494,6 +491,28 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert blob["v"] == 6
+
+
+def test_analyze_leaves_numpy_ma_unloaded(tmp_path):
+    """analyze --audits imports no numpy.ma (np.unique loads it on numpy 2
+    at its first call); numpy 1.x loads it with numpy itself."""
+    src = str(Path(coverlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        return proc.stdout.splitlines()[-1] == "True"
+
+    if loaded("import sys, numpy; print('numpy.ma' in sys.modules)"):
+        pytest.skip("import numpy alone loads numpy.ma")
+    path = tmp_path / "hexagon.json"
+    path.write_text(hexagon().to_json_str())
+    assert not loaded(
+        "import sys; from coverlab.cli import main; "
+        f"code = main(['analyze', '--audits', {str(path)!r}]); "
+        "print(); print(code == 0 and 'numpy.ma' in sys.modules)")
 
 
 @pytest.mark.parametrize("text", ("5", '"abc"', "null", "[0, 1]",

@@ -305,6 +305,23 @@ def test_is_cover_automorphism_matches_edge_walk(corpus, auts):
         assert is_cover_automorphism(g, list(range(g.v + 1))) is False
 
 
+@pytest.mark.parametrize("img", [[-6, 1, 2, 3, 4, 5], [6, 1, 2, 3, 4, 5],
+                                 [0, 0, 2, 3, 4, 5]],
+                         ids=["negative", "v", "repeated"])
+def test_non_permutation_images_rejected(img):
+    """An image list that is not a permutation of the vertices is no
+    automorphism, whatever numpy indexing would make of it: a negative
+    entry wraps to the identity, an entry v is out of range."""
+    g = hexagon()
+    assert is_cover_automorphism(g, img) is False
+    with pytest.raises(ValueError, match="not a permutation of the 6 "
+                                         "vertices"):
+        fibre_action(g, PermGroup([img], g.v))
+    for audit in (displacement_profile, involution_audit):
+        with pytest.raises(ValueError, match="not an automorphism"):
+            audit(g, img)
+
+
 def test_quotient_rejects_subgroup_of_other_degree(corpus):
     g = corpus["ts31"]
     for degree in (g.v - 1, g.v + 1):

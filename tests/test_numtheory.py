@@ -11,6 +11,7 @@ from coverlab.numtheory import (GcdPowerCheck, LiftingCheck, divisors,
                                 prime_sieve, prime_power_decompose,
                                 six_prime_part, zsigmondy_corollary_solve)
 from coverlab import numtheory
+from coverlab.params import admissible_pairs
 
 PRIMES_50 = [p for p in range(2, 51) if is_prime(p)]
 
@@ -55,17 +56,44 @@ def test_lifting_tests_p_for_primality_once(monkeypatch):
     assert calls == [3]
 
 
-def test_lifting_exhaustive_sweep():
-    """Spec bounds: q <= 50, m <= 30, p <= 50; zero counterexamples."""
-    bad = []
-    for q in range(2, 51):
+def _lifting_point_loop(q_max, m_max, primes):
+    """lifting_sweep's oracle: lifting_identity_check at every point, with
+    the points it applies at."""
+    bad, applicable = [], []
+    for q in range(2, q_max + 1):
         for e in (1, -1):
-            for m in range(1, 31):
-                for p in PRIMES_50:
+            for m in range(1, m_max + 1):
+                for p in primes:
                     chk = lifting_identity_check(q, e, m, p)
-                    if chk.applicable and not chk.equal:
-                        bad.append((q, e, m, p))
-    assert bad == []
+                    if chk.applicable:
+                        applicable.append((q, e, m, p))
+                        if not chk.equal:
+                            bad.append((q, e, m, p))
+    return bad, applicable
+
+
+def test_lifting_exhaustive_sweep():
+    """Spec bounds: q <= 50, m <= 30, p <= 50; zero counterexamples, the
+    same as the point loop, which applies at 4980 of the 44100 points."""
+    bad, applicable = _lifting_point_loop(50, 30, PRIMES_50)
+    assert numtheory.lifting_sweep(50, 30, PRIMES_50) == bad == []
+    assert len(applicable) == 4980
+    with pytest.raises(ValueError):
+        numtheory.lifting_sweep(5, 5, [2, 4])
+
+
+@pytest.mark.parametrize("value", [5 ** 4 - 1, 3 ** 5 - 1])
+def test_lifting_sweep_sees_a_planted_fault(value, monkeypatch):
+    """A wrong 2-part of one value is seen by the sweep at the same points
+    as by the point loop: 5^4 - 1 = 25^2 - 1 at even m, and 3^5 - 1 at odd
+    m, where p = 2 applies only since m is odd."""
+    real = numtheory._p_power
+    monkeypatch.setattr(numtheory, "_p_power", lambda l, p: real(l, p)
+                        * (2 if (l, p) == (value, 2) else 1))
+    bad, _ = _lifting_point_loop(50, 30, PRIMES_50)
+    assert numtheory.lifting_sweep(50, 30, PRIMES_50) == bad
+    assert bad == ([(5, 1, 4, 2), (25, 1, 2, 2)] if value == 624 else
+                   [(3, 1, 5, 2)])
 
 
 @pytest.mark.parametrize("make,field", [
@@ -94,11 +122,25 @@ def test_gcd_examples():
     assert gcd_qpow(5, 7, 7).gcd_value == 5 ** 7 - 1
 
 
+def _gcd_point_loop(q_max, k_max):
+    """gcd_sweep's oracle: gcd_qpow at every point."""
+    return [(q, k, m) for q in range(2, q_max + 1)
+            for k in range(1, k_max + 1) for m in range(1, k_max + 1)
+            if not gcd_qpow(q, k, m).equal]
+
+
 def test_gcd_exhaustive_sweep():
-    for q in range(2, 21):
-        for k in range(1, 41):
-            for m in range(1, 41):
-                assert gcd_qpow(q, k, m).equal
+    assert numtheory.gcd_sweep(20, 40) == _gcd_point_loop(20, 40) == []
+
+
+def test_gcd_sweep_sees_a_planted_fault(monkeypatch):
+    """A gcd that is wrong on one ordered pair of values and right on its
+    swap is seen at that (q, k, m) only, by the sweep and the point loop."""
+    real = gcd
+    wrong = (3 ** 6 - 1, 3 ** 4 - 1)
+    monkeypatch.setattr(numtheory, "gcd",
+                        lambda a, b: real(a, b) + ((a, b) == wrong))
+    assert numtheory.gcd_sweep(5, 8) == _gcd_point_loop(5, 8) == [(3, 6, 4)]
 
 
 def test_zsigmondy_expected_members():
@@ -283,11 +325,14 @@ def test_prime_powers_reconstruct_n(n):
     assert product == n
 
 
-def test_admissible_r_matches_range_scan():
-    """The divisors >= 2 of the 6'-part of t-1 equal the O(t) range scan."""
-    for t in range(2, 5000):
-        scan = [r for r in range(2, t) if (t - 1) % r == 0 and gcd(6, r) == 1]
-        assert divisors(six_prime_part(t - 1))[1:] == scan
+def test_admissible_pairs_matches_six_prime_part_divisors():
+    """The r that admissible_pairs gives each t are the divisors >= 2 of the
+    6'-part of t-1, from one factorization of t-1."""
+    by_t = {}
+    for t, r in admissible_pairs(10_000):
+        by_t.setdefault(t, []).append(r)
+    for t in range(2, 10_001):
+        assert by_t.get(t, []) == divisors(six_prime_part(t - 1))[1:], t
 
 
 def test_has_coprime6_divisor():

@@ -16,7 +16,7 @@ from coverlab import (cube, derive_params, family_A, family_B, feasible_A,
                       thas_somma)
 from coverlab.exact import QuadExt
 from coverlab.params import (CoverParams, FamilyAEntry, FamilyBParams,
-                             ParameterError, admissible_r)
+                             ParameterError, admissible_pairs)
 
 
 def spectrum_oracle(g):
@@ -154,10 +154,16 @@ def test_feasible_b_table():
     assert {(fb.t, fb.r) for fb in feasible_B(2)} == {(2, 3)}
 
 
-def test_admissible_r_matches_range_scan():
-    for t in range(2, 2001):
-        want = [r for r in range(2, t) if (t - 1) % r == 0 and gcd(6, r) == 1]
-        assert admissible_r(t) == want, t
+def test_admissible_pairs_matches_range_scan():
+    """Each pair once, r ascending and t ascending within r, and exactly the
+    (t, r) an O(t) scan of every r finds."""
+    pairs = list(admissible_pairs(2000))
+    assert pairs == sorted(pairs, key=lambda tr: tr[::-1])
+    want = [(t, r) for t in range(2, 2001) for r in range(2, t)
+            if (t - 1) % r == 0 and gcd(6, r) == 1]
+    assert sorted(pairs) == want
+    assert list(admissible_pairs(6)) == [(6, 5)]
+    assert list(admissible_pairs(5)) == []
 
 
 def test_family_b_agrees_with_feasible_b():
