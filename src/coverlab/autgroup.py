@@ -2,17 +2,22 @@
 
 The graph is given as bit rows.  Refinement is a splitter worklist
 (McKay and Piperno, Practical graph isomorphism II, JSC 2014): a FIFO queue
-of cells, seeded with the input cells, splits each non-singleton cell by
-(adj[u] & splitter).bit_count(), in place and in increasing key order, and
-queues every part, until the partition is equitable.  The search then
-individualizes a vertex of the first non-singleton cell and recurses.  Every
+of splitters splits each non-singleton cell by its vertices' neighbour
+counts in the splitter, in place and in increasing key order, and queues
+every part, until the partition is equitable.  A splitter visits only the
+non-singleton cells and skips those its neighbourhood misses; a singleton
+splitter also skips those its row covers and reads each key as one bit of
+its row.  The root's queue is seeded with its input cells.  The search then
+individualizes a vertex v of the first non-singleton cell and recurses; the
+parent is equitable, so the child's queue is seeded with [v] alone, and it
+refines to the cells the full queue would give, in the same order.  Every
 leaf labelling is compared with the first leaf's, and a label map becomes a
 generator when graphcore.is_automorphism accepts it on the 0/1 matrix, which
 the search unpacks from the bit rows once.  Pruning is twofold: a branch
 whose refinement trace differs from the first path's has no equivalent
 leaf, and candidates in one orbit of the group found so far (fixing the
 individualized prefix), numbered by PermGroup.orbits, are
-interchangeable.  Traces are label-free (splitter steps, cell positions,
+interchangeable.  Traces are label-free (splitter steps, cell starts,
 keys and part sizes), so automorphic branches trace alike and both
 prunings are sound.  Off the first path a subtree is abandoned once it
 yields an automorphism, the usual backjump to the first-path ancestor.
@@ -33,46 +38,87 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphcore import (CoverGraph, bit_matrix, distance_classes,
-                        is_automorphism)
+from .graphcore import (CoverGraph, SizeBoundExceeded, bit_matrix,
+                        distance_classes, is_automorphism)
 from .perms import PermGroup, Permutation
 
-AUT_VERTEX_BOUND = 512
+AUT_VERTEX_BOUND = 4096
 
 
-class SizeBoundExceeded(ValueError):
-    pass
-
-
-def _refine(cells, adj_rows):
+def _refine(cells, adj_rows, splitters=None):
     """Equitable refinement by a splitter worklist; returns (cells, trace).
 
-    Trace entries are (splitter step, cell position, ((key, size), ...)).
+    splitters seeds the FIFO queue and defaults to the input cells.  A
+    partition that is equitable but for one individualized vertex v needs
+    only [[v]]: a count to C minus v is the count to C, constant on every
+    cell, less the count to v.  A splitter visits only the non-singleton
+    cells and skips those its neighbourhood misses; a singleton splitter
+    u, whose key is row >> x & 1 for row = adj[u], also skips those its
+    row covers.  A larger splitter's keys are (adj[x] & splitter).bit_count().
+
+    Trace entries are (splitter step, cell start, ((key, size), ...)), the
+    start being the number of vertices in the cells before it.
     """
-    cells = [list(c) for c in cells]
     n = sum(map(len, cells))
-    queue = deque(cells)
+    at = [None] * n  # at[start] is the cell starting there
+    live = []  # the non-singleton cells in order, as (start, cell, mask)
+    start = 0
+    for cell in cells:
+        cell = list(cell)
+        at[start] = cell
+        if len(cell) > 1:
+            live.append((start, cell, _mask(cell)))
+        start += len(cell)
+    queue = deque(cells if splitters is None else splitters)
     trace = []
     step = 0
-    while queue and len(cells) < n:
-        splitter = sum(1 << u for u in queue.popleft())
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) > 1:
-                counts = [(adj_rows[u] & splitter).bit_count() for u in cell]
+    while queue and live:
+        splitter = queue.popleft()
+        row = adj_rows[splitter[0]] if len(splitter) == 1 else None
+        if row is None:
+            smask = nbhd = 0
+            for u in splitter:
+                smask |= 1 << u
+                nbhd |= adj_rows[u]
+        kept = []
+        for entry in live:
+            start, cell, mask = entry
+            if row is not None:
+                hit = mask & row
+                if not hit or hit == mask:
+                    kept.append(entry)
+                    continue
+                keys = (0, 1)
+                parts = ([x for x in cell if not row >> x & 1],
+                         [x for x in cell if row >> x & 1])
+                masks = (mask ^ hit, hit)
+            else:
+                if not mask & nbhd:
+                    kept.append(entry)
+                    continue
+                counts = [(adj_rows[x] & smask).bit_count() for x in cell]
                 keys = sorted(set(counts))
-                if len(keys) > 1:
-                    parts = [[u for u, k in zip(cell, counts) if k == key]
-                             for key in keys]
-                    cells[i:i + 1] = parts
-                    trace.append((step, i, tuple((k, len(p))
-                                                 for k, p in zip(keys, parts))))
-                    queue.extend(parts)
-                    i += len(parts) - 1
-            i += 1
+                if len(keys) == 1:
+                    kept.append(entry)
+                    continue
+                parts = [[x for x, k in zip(cell, counts) if k == key]
+                         for key in keys]
+                masks = map(_mask, parts)
+            trace.append((step, start, tuple((k, len(p))
+                                             for k, p in zip(keys, parts))))
+            for part, part_mask in zip(parts, masks):
+                at[start] = part
+                if len(part) > 1:
+                    kept.append((start, part, part_mask))
+                start += len(part)
+            queue.extend(parts)
+        live = kept
         step += 1
-    return cells, tuple(trace)
+    return [c for c in at if c is not None], tuple(trace)
+
+
+def _mask(cell) -> int:
+    return sum(1 << x for x in cell)
 
 
 class SearchGenerators(list):
@@ -115,8 +161,9 @@ def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
     identity = list(range(n))
     mat = bit_matrix(adj_rows, n)
 
-    def dfs(cells, depth: int, prefix: list[int], on_first_path: bool) -> bool:
-        cells, trace = _refine(cells, adj_rows)
+    def dfs(cells, splitters, depth: int, prefix: list[int],
+            on_first_path: bool) -> bool:
+        cells, trace = _refine(cells, adj_rows, splitters)
         if depth in first_traces:
             if trace != first_traces[depth]:
                 return False
@@ -160,16 +207,16 @@ def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
                 # initial descent: v becomes the first-path choice at this level
                 first_choices.append(v)
                 first_choice_here = v
-                dfs(child, depth + 1, prefix + [v], True)
+                dfs(child, [[v]], depth + 1, prefix + [v], True)
             else:
-                found = dfs(child, depth + 1, prefix + [v],
+                found = dfs(child, [[v]], depth + 1, prefix + [v],
                             on_first_path and v == first_choice_here)
                 found_any = found_any or found
                 if found and not on_first_path:
                     return True
         return found_any
 
-    dfs(initial, 0, [], True)
+    dfs(initial, None, 0, [], True)
     return SearchGenerators(gens, first_choices)
 
 

@@ -13,9 +13,9 @@ from itertools import product
 import numpy as np
 
 from .gf import GF
-from .graphcore import CoverGraph, antipodal_classes
+from .graphcore import CoverGraph, SizeBoundExceeded, antipodal_classes
 
-VERTEX_BOUND = 512
+VERTEX_BOUND = 4096
 
 
 def hexagon() -> CoverGraph:
@@ -70,8 +70,8 @@ def thas_somma(q: int, m: int = 1) -> CoverGraph:
     # q >= 2, so a long exponent alone exceeds the bound; the power is taken
     # only for short ones
     if dim + 1 >= VERTEX_BOUND.bit_length() or q ** (dim + 1) > VERTEX_BOUND:
-        raise ValueError(f"q^(2m+1) = {q}^{dim + 1} vertices exceed the bound "
-                         f"{VERTEX_BOUND}")
+        raise SizeBoundExceeded(f"q^(2m+1) = {q}^{dim + 1} vertices exceed "
+                                f"the bound {VERTEX_BOUND}")
 
     # pairs of points i < j in product order; B is accumulated over the
     # coordinate pairs through the field's tables
@@ -112,7 +112,8 @@ def taylor_from_seidel(seidel, convention: int = -1) -> CoverGraph:
     if convention not in (-1, +1):
         raise ValueError("convention must be -1 or +1")
     if 2 * n > VERTEX_BOUND:
-        raise ValueError(f"{2 * n} vertices exceed the bound {VERTEX_BOUND}")
+        raise SizeBoundExceeded(f"{2 * n} vertices exceed the bound "
+                                f"{VERTEX_BOUND}")
 
     edges = []
     for i in range(n):

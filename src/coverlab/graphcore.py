@@ -31,6 +31,10 @@ class GraphStructureError(ValueError):
     """Malformed input (bad partition, unknown vertex), not an axiom failure."""
 
 
+class SizeBoundExceeded(ValueError):
+    """An input past an explicit vertex bound; bounds raise, never clamp."""
+
+
 # float32 holds every integer up to 2^24 exactly; verify_cover's products sum
 # 0/1 terms, so each partial sum is at most the largest degree
 FLOAT32_EXACT = 2 ** 24

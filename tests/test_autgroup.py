@@ -1,18 +1,20 @@
 """The automorphism search: refinement properties and pinned group orders.
 
 The refinement properties are checked against a naive colour-refinement
-oracle written here, the |Aut| pins come from closed forms in the
+oracle and a full-queue refinement written here, which also pins the
+search's generators and base, the |Aut| pins come from closed forms in the
 literature, and the chain read off the search is checked level by level
 against Schreier-Sims on the same generators, so no expectation is computed
 by the search under test.
 """
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from coverlab import automorphism_group, thas_somma
-from coverlab.autgroup import _refine
+from coverlab import automorphism_group, autgroup, graphcore, thas_somma
+from coverlab.autgroup import _refine, automorphism_generators
 from coverlab.perms import PermGroup, Permutation
 from conftest import relabelled
 
@@ -29,6 +31,30 @@ def graphs_with_partitions(draw):
                 adj[w] |= 1 << u
     colour = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     cells = [[u for u in range(n) if colour[u] == c]
+             for c in sorted(set(colour))]
+    perm = draw(st.permutations(range(n)))
+    return adj, cells, perm
+
+
+@st.composite
+def two_lifts(draw):
+    """graphs_with_partitions' triple for a 2-lift of a graph on up to 10
+    vertices: (u, a) is u + a*k, and (u, a) ~ (w, a ^ s_uw).  Swapping the
+    two layers is a fixed-point-free automorphism that keeps the input cells,
+    so no equitable refinement of them is discrete."""
+    k = draw(st.integers(1, 10))
+    n = 2 * k
+    adj = [0] * n
+    for u in range(k):
+        for w in range(u + 1, k):
+            if draw(st.booleans()):
+                s = draw(st.integers(0, 1))
+                for a in (0, 1):
+                    x, y = u + a * k, w + (a ^ s) * k
+                    adj[x] |= 1 << y
+                    adj[y] |= 1 << x
+    colour = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    cells = [[u + a * k for u in range(k) if colour[u] == c for a in (0, 1)]
              for c in sorted(set(colour))]
     perm = draw(st.permutations(range(n)))
     return adj, cells, perm
@@ -55,11 +81,40 @@ def colour_refinement(adj, cells):
             for c in set(colour)}
 
 
-@given(graphs_with_partitions())
-@settings(max_examples=300, deadline=None)
-def test_refine_is_the_coarsest_equitable_refinement(case):
-    adj, cells, perm = case
-    out, trace = _refine(cells, adj)
+def full_queue_refine(cells, adj_rows, splitters=None):
+    """The reference refinement: every input cell is queued, whatever
+    splitters says, and every splitter scans every cell.  _refine from the
+    splitter [v] alone must give the same cells, in the same order, on a
+    partition that is equitable but for the individualized v."""
+    cells = [list(c) for c in cells]
+    n = sum(map(len, cells))
+    queue = deque(cells)
+    trace = []
+    step = 0
+    while queue and len(cells) < n:
+        splitter = sum(1 << u for u in queue.popleft())
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) > 1:
+                counts = [(adj_rows[u] & splitter).bit_count() for u in cell]
+                keys = sorted(set(counts))
+                if len(keys) > 1:
+                    parts = [[u for u, k in zip(cell, counts) if k == key]
+                             for key in keys]
+                    cells[i:i + 1] = parts
+                    trace.append((step, i, tuple((k, len(p))
+                                                 for k, p in zip(keys, parts))))
+                    queue.extend(parts)
+                    i += len(parts) - 1
+            i += 1
+        step += 1
+    return cells, tuple(trace)
+
+
+def assert_coarsest_equitable(adj, cells, perm, splitters=None):
+    """_refine(cells, adj, splitters) against the oracles."""
+    out, trace = _refine(cells, adj, splitters)
     # (a) refines the input and keeps the input cells' order
     owner = {u: i for i, cell in enumerate(cells) for u in cell}
     homes = [owner[cell[0]] for cell in out]
@@ -72,17 +127,47 @@ def test_refine_is_the_coarsest_equitable_refinement(case):
         for y in out:
             mask = sum(1 << w for w in y)
             assert len({(adj[u] & mask).bit_count() for u in x}) == 1
-    # (c) the coarsest such partition
+    # (c) the coarsest such partition, with the full queue's cell order
     assert set(map(frozenset, out)) == colour_refinement(adj, cells)
+    assert out == full_queue_refine(cells, adj)[0]
     # (d) a relabelled input refines to the relabelled output, same trace
     adj2 = [0] * len(adj)
     for u, row in enumerate(adj):
         for w in range(len(adj)):
             if row >> w & 1:
                 adj2[perm[u]] |= 1 << perm[w]
-    out2, trace2 = _refine([[perm[u] for u in c] for c in cells], adj2)
+
+    def relabel(part):
+        return [[perm[u] for u in c] for c in part]
+
+    out2, trace2 = _refine(relabel(cells), adj2,
+                           splitters and relabel(splitters))
     assert [set(c) for c in out2] == [{perm[u] for u in c} for c in out]
     assert trace2 == trace
+
+
+@given(graphs_with_partitions())
+@settings(max_examples=300, deadline=None)
+def test_refine_is_the_coarsest_equitable_refinement(case):
+    assert_coarsest_equitable(*case)
+
+
+@given(st.one_of(graphs_with_partitions(), two_lifts()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_refine_from_an_individualized_vertex(case, data):
+    """An equitable partition with one vertex v individualized refines from
+    the splitter [v] alone, to the cells the full queue gives, in order.
+    Most random graphs refine to a discrete partition; their 2-lifts never
+    do."""
+    adj, cells, perm = case
+    parent, _ = _refine(cells, adj)
+    open_cells = [i for i, c in enumerate(parent) if len(c) > 1]
+    assume(open_cells)
+    t = data.draw(st.sampled_from(open_cells))
+    v = data.draw(st.sampled_from(parent[t]))
+    child = (parent[:t] + [[v]] + [[x for x in parent[t] if x != v]]
+             + parent[t + 1:])
+    assert_coarsest_equitable(adj, child, perm, [[v]])
 
 
 def symplectic_cover_aut_order(q: int, m: int) -> int:
@@ -108,6 +193,21 @@ def test_symplectic_cover_aut_order(q, m):
     assert symplectic_cover_aut_order(q, m) == expected
     g = relabelled(thas_somma(q, m), 10 * q + m)
     assert automorphism_group(g).order() == expected
+
+
+def test_symplectic_cover_aut_order_past_512_vertices():
+    """TS(9, 1) has 729 vertices, past the search's former bound."""
+    g = relabelled(thas_somma(9, 1), 91)
+    assert automorphism_group(g).order() == symplectic_cover_aut_order(9, 1)
+    assert symplectic_cover_aut_order(9, 1) == 8_398_080
+
+
+def test_search_bound_is_the_graph_layer_type():
+    assert autgroup.SizeBoundExceeded is graphcore.SizeBoundExceeded
+    assert issubclass(graphcore.SizeBoundExceeded, ValueError)
+    rows = [0] * (autgroup.AUT_VERTEX_BOUND + 1)
+    with pytest.raises(graphcore.SizeBoundExceeded, match="exceed bound"):
+        automorphism_generators(rows)
 
 
 
@@ -146,6 +246,22 @@ def test_search_chain_matches_schreier_sims_on_the_corpus(corpus):
         for seed in (0, 1, 2, 3):
             h = relabelled(g, seed) if seed else g
             assert_chain_matches_schreier_sims(automorphism_group(h), seed)
+
+
+def test_incremental_search_matches_the_full_queue_search(corpus,
+                                                          monkeypatch):
+    """The same generators, in order, and the same base as the search run
+    with full_queue_refine, on the corpus under seeds 0-3 and on relabelled
+    TS(2, 2) and TS(3, 2)."""
+    graphs = [relabelled(g, seed) if seed else g
+              for g in corpus.values() for seed in (0, 1, 2, 3)]
+    graphs += [relabelled(thas_somma(2, 2), 22),
+               relabelled(thas_somma(3, 2), 32)]
+    mine = [automorphism_generators(g.adj) for g in graphs]
+    monkeypatch.setattr(autgroup, "_refine", full_queue_refine)
+    for g, gens in zip(graphs, mine):
+        theirs = automorphism_generators(g.adj)
+        assert gens == theirs and gens.base == theirs.base
 
 
 @st.composite

@@ -5,8 +5,9 @@ import pytest
 from coverlab import (covering_group, covers_isomorphic, cube, hexagon,
                       icosahedron, seidel_from_cover, seidel_of_graph,
                       taylor_from_seidel, thas_somma, verify_cover)
-from coverlab.constructions import build
+from coverlab.constructions import VERTEX_BOUND, build
 from coverlab.gf import GF
+from coverlab.graphcore import SizeBoundExceeded
 from coverlab.numtheory import prime_power_decompose
 
 
@@ -99,13 +100,21 @@ def test_taylor_from_seidel_needs_a_numeric_matrix(seidel):
 
 def test_thas_somma_bounds():
     with pytest.raises(ValueError):
-        thas_somma(9, 1)  # 729 vertices
-    with pytest.raises(ValueError):
         thas_somma(6, 1)  # not a prime power
-    assert thas_somma(2, 4).v == 512
-    for q, m in ((2, 5), (9, 1), (3, 10 ** 5)):
-        with pytest.raises(ValueError, match="exceed the bound 512"):
+    # 17^3 = 4913 vertices, but GF(17) fails its own field bound first
+    with pytest.raises(ValueError, match="supported bound 16"):
+        thas_somma(17, 1)
+    assert thas_somma(16, 1).v == 4096
+    for q, m in ((2, 6), (3, 4), (3, 10 ** 5)):
+        with pytest.raises(SizeBoundExceeded, match="exceed the bound 4096"):
             thas_somma(q, m)
+
+
+def test_taylor_from_seidel_bound():
+    n = VERTEX_BOUND // 2 + 1
+    s = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+    with pytest.raises(SizeBoundExceeded, match=f"{2 * n} vertices exceed"):
+        taylor_from_seidel(s)
 
 
 def test_ts2_is_cube():
