@@ -2,8 +2,7 @@
 
 Subcommands: params, build, verify, analyze, quotient, etf, lemma-check,
 cases.  Output is canonical JSON, emitted by one json.dumps with sorted
-keys, so golden-file comparisons are stable; etf, the one payload with
-floats, has them rounded to 15 significant digits first, in text mode too.
+keys, so golden-file comparisons are stable; no payload holds a float.
 Every run embeds its full configuration.  Exit codes: 0 success/verified,
 1 verification, certificate or case-match failure, 2 bad input or path
 (a ValueError or OSError).  Any other exception is a bug in the program
@@ -16,9 +15,8 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import casecheck, constructions, numtheory
+from .exact import quad_json
 from .frames import (SpectrumCertificateError, all_characters,
                      character_matrix, extract_lines)
 from .graphcore import CoverGraph, verify_cover
@@ -33,32 +31,8 @@ from .perms import subgroups_of
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-def _round15(x):
-    """x with every float in it at 15 significant digits, so float noise
-    past that does not reach a golden comparison."""
-    if isinstance(x, dict):
-        return {k: _round15(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_round15(v) for v in x]
-    if isinstance(x, (float, np.floating)):
-        return float(f"{float(x):.15g}")
-    return x
-
-
 def _canonical(obj) -> str:
-    def default(x):
-        if isinstance(x, np.integer):
-            return int(x)
-        if isinstance(x, np.floating):  # np.float32 is no float subclass
-            return _round15(x)
-        if isinstance(x, complex):
-            return {"re": x.real, "im": x.imag}
-        if hasattr(x, "to_json"):
-            return x.to_json()
-        raise TypeError(f"not JSON-serializable: {type(x)}")
-
-    return json.dumps(obj, sort_keys=True, default=default,
-                      separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _emit(payload: dict, args) -> None:
@@ -68,8 +42,6 @@ def _emit(payload: dict, args) -> None:
                  if k not in ("func", "command") and v is not None
                  and not callable(v)},
     }
-    if args.command == "etf":  # the one payload (--tol too) with floats
-        payload = _round15(payload)
     if getattr(args, "output", "json") == "text":
         _print_text(payload)
     else:
@@ -243,13 +215,14 @@ def cmd_etf(args) -> int:
     except SpectrumCertificateError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    lines = extract_lines(s, args.side, tol=args.tol)
+    lines = extract_lines(s, args.side)
     ok = (lines.certificates["equiangular"] and lines.certificates["tight"]
           and lines.certificates["relative_bound_equality"])
     payload = lines.to_json()
     payload["base_vertices"] = list(s.base_vertices)
     payload["signature_eigenvalues"] = [
-        {"value": val, "multiplicity": mult} for val, mult in s.eigenvalues]
+        {"value": quad_json(val), "multiplicity": mult}
+        for val, mult in s.eigenvalues]
     _emit(payload, args)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -349,7 +322,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("cover")
     p.add_argument("--char", type=int, default=1)
     p.add_argument("--side", choices=("theta", "tau"), default="tau")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_etf)
 
     p = sub.add_parser("lemma-check", help="number-theoretic identity suites")

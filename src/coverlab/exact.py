@@ -13,8 +13,9 @@ alongside QuadExt values.
 
 QuadExt adds, multiplies, takes nonnegative powers and compares by exact
 sign; it does not divide.  Nothing needs it to: the cover spectrum is
-rational in sqrt(Delta) (params.derive_params), and the absolute-bound
-endpoints are decided by squared identities (frames.verify_etf).
+rational in sqrt(Delta) (params.derive_params), the absolute-bound
+endpoints are decided by squared identities (frames._tau_endpoint), and the
+relative bound by n(other^2 - d) = d(other^2 - 1) (frames.verify_etf).
 """
 from __future__ import annotations
 

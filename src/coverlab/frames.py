@@ -11,10 +11,13 @@ label), and for fibres F != F' set S[F, F'] = chi(k) where
 k in K moves the matched partner of F's base vertex inside F' onto F''s base
 vertex.  Each entry is kept as an exact angle a in Z_e, chi(k) =
 exp(2 pi i a/e), and an integer identity on the 0/1 angle layers certifies
-the spectrum {theta, tau} with a witness.  Projecting onto one eigenspace and
-rescaling to unit diagonal yields the Gram matrix of n equiangular unit
-vectors meeting the relative bound (an equiangular tight frame), with
-dimensions n - m_theta/(r-1) and n - m_tau/(r-1) on the two sides.
+the spectrum {theta, tau} with a witness.  Keeping one eigenvalue, G = I -
+S/other, with other the eigenvalue not kept, is the Gram matrix of n
+equiangular unit vectors meeting the relative bound (an equiangular tight
+frame), in dimension n - m_theta/(r-1) or n - m_tau/(r-1).  A LineSystem
+keeps G in exact form, as the angle table, e and other, and its
+certificates are read off the spectrum certificate in integer and QuadExt
+arithmetic, with no float.
 
 hermitian_jacobi is a standalone cyclic Jacobi eigensolver for Hermitian
 matrices; nothing in the library calls it, and numpy's eigvalsh serves as
@@ -29,14 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import is_integral
+from .exact import is_integral, quad_json
 from .graphcore import CoverGraph, params_of
 from .groupops import covering_group
 from .params import CoverParams
 from .perms import PermGroup, Permutation
 
 JACOBI_DIM_BOUND = 512
-DEFAULT_TOL = 1e-9
 
 
 class FrameError(ValueError):
@@ -198,7 +200,8 @@ def certify_two_eigenvalues(angle: np.ndarray, e: int,
                             params: CoverParams) -> SpectrumCertificate:
     """Certify exactly that S = exp(2 pi i angle/e) (0 where angle is -1)
     has the eigenvalues theta and tau of params.  With C_a = [angle = a]:
-    - C_{-a} = C_a^T and the diagonal is empty: S is Hermitian, tr S = 0;
+    - C_{-a} = C_a^T, the diagonal is empty and every other entry is set:
+      S is Hermitian, tr S = 0 and |S_ij| = 1 for i != j;
     - for c in Z_e, sum over a + b = c of C_a C_b = (lam - mu) C_c
       + (n-1)[c = 0] I + (mu r/e)(J - I).  Every abelian cover satisfies it
       (a fibre has r/e vertices of each angle; the 2-paths from base i end
@@ -221,6 +224,11 @@ def certify_two_eigenvalues(angle: np.ndarray, e: int,
         raise SpectrumCertificateError(
             f"S is not Hermitian with zero diagonal at entry ({i}, {j})",
             entry=(i, j))
+    bad = np.argwhere(~eye & (angle < 0))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise SpectrumCertificateError(
+            f"S has a zero off-diagonal entry at ({i}, {j})", entry=(i, j))
 
     flat = layers.astype(float)  # blocks[a, :, b, :] = C_a C_b
     blocks = (flat.reshape(e * n, n) @ np.hstack(flat)).reshape(e, n, e, n)
@@ -241,8 +249,8 @@ def certify_two_eigenvalues(angle: np.ndarray, e: int,
         raise SpectrumCertificateError(f"m_theta {m_theta} is not an integer "
                                        f"in 1..{n - 1}", m_theta=m_theta)
     m = int(m_theta)
-    return SpectrumCertificate(eigenvalues=((float(params.theta), m),
-                                            (float(params.tau), n - m)))
+    return SpectrumCertificate(eigenvalues=((params.theta, m),
+                                            (params.tau, n - m)))
 
 
 # -- Hermitian Jacobi eigensolver ------------------------------------------------
@@ -304,29 +312,33 @@ def hermitian_jacobi(a: np.ndarray, threshold: float = 1e-13,
 
 @dataclass
 class LineSystem:
+    """n equiangular lines from a certified signature matrix, in exact form.
+
+    angles is S's angle table (S = exp(2 pi i angles/e), -1 on the zero
+    diagonal) and other the eigenvalue of S that is not kept, an int or a
+    QuadExt; the Gram matrix of the lines is G = I - S/other, so every
+    |<v_i, v_j>|^2 is 1/other^2.
+    """
     dimension: int
-    gram: np.ndarray
-    common_angle: float
     side: str
+    e: int
+    angles: np.ndarray
+    other: object
     certificates: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.gram.shape[0]
+        return len(self.angles)
 
     def to_json(self) -> dict:
-        return {
-            "d": self.dimension, "n": self.n, "alpha": self.common_angle,
-            "side": self.side,
-            "gram": [[{"re": z.real, "im": z.imag} for z in row]
-                     for row in self.gram],
-            "certificates": self.certificates,
-        }
+        return {"d": self.dimension, "n": self.n, "side": self.side,
+                "e": self.e, "angles": self.angles.tolist(),
+                "other": quad_json(self.other),
+                "certificates": self.certificates}
 
 
-def extract_lines(s: CharacterMatrix, side: str,
-                  tol: float = DEFAULT_TOL) -> LineSystem:
-    """Unit-diagonal Gram of the projection onto one certified eigenspace.
+def extract_lines(s: CharacterMatrix, side: str) -> LineSystem:
+    """The lines of one certified eigenspace of S.
 
     side selects which eigenvalue's eigenspace is kept: 'tau' gives
     dimension = multiplicity of tau in S, 'theta' the other.  For the
@@ -336,58 +348,44 @@ def extract_lines(s: CharacterMatrix, side: str,
     if side not in ("theta", "tau"):
         raise FrameError("side must be 'theta' or 'tau'")
     (th, m_th), (ta, m_ta) = s.eigenvalues
-    kept, other, dim = ((ta, th, m_ta) if side == "tau" else (th, ta, m_th))
-    gram = np.eye(s.n, dtype=complex) - s.matrix / other
-    alpha = float(np.mean(np.abs(gram[~np.eye(s.n, dtype=bool)])))
-    ls = LineSystem(dimension=dim, gram=gram, common_angle=alpha, side=side)
-    ls.certificates = verify_etf(ls, tol=tol, source_params=s.params)
+    other, dim = (th, m_ta) if side == "tau" else (ta, m_th)
+    ls = LineSystem(dimension=dim, side=side, e=s.e, angles=s.angle,
+                    other=other)
+    ls.certificates = verify_etf(ls, source_params=s.params)
     return ls
 
 
-def verify_etf(lines: LineSystem, tol: float = DEFAULT_TOL,
+def verify_etf(lines: LineSystem,
                source_params: CoverParams | None = None) -> dict:
     """Certificate report for a line system; pure report, never raises.
 
-    Checks equiangularity, the tight-frame identity G^2 = (n/d) G, equality
-    in the relative bound n = d(1 - a^2)/(1 - d a^2), the complex absolute
-    bound n = d^2 (SIC size) and the real one n = d(d+1)/2, and, when cover
-    parameters are supplied, whether tau sits at an extremal endpoint of the
-    applicable absolute-bound inequality.  tol governs the float deviations;
-    the endpoint is decided exactly, by _tau_endpoint.
+    Every value is exact, read off the signature certificate:
+    - equiangular: every off-diagonal angle is set, so |G_ij| = 1/|other|;
+    - tight: S has two eigenvalues and tr S = 0, which give G^2 = (n/d) G;
+    - relative bound equality: with alpha^2 = 1/other^2, n = d(1 - alpha^2)/
+      (1 - d alpha^2) is n(other^2 - d) = d(other^2 - 1) with other^2 > d,
+      decided in QuadExt with no division;
+    - real: some entry of S is non-real exactly when e > 2, as the angles
+      of a connected cover generate Z_e;
+    - the complex absolute bound n = d^2 (SIC size) and the real one
+      n = d(d+1)/2, and, when cover parameters are supplied, whether tau
+      sits at an extremal endpoint of the applicable absolute-bound
+      inequality, decided by _tau_endpoint.
     """
-    g = lines.gram
     n, d = lines.n, lines.dimension
-    alpha = lines.common_angle
-    off = g[~np.eye(n, dtype=bool)]
-
-    diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
-    equi_dev = float(np.max(np.abs(np.abs(off) - alpha))) if off.size else 0.0
-    tight_dev = float(np.max(np.abs(g @ g - (n / d) * g)))
-    herm_dev = float(np.max(np.abs(g - g.conj().T)))
-
-    if abs(d * alpha ** 2 - 1.0) > 1e-15:
-        rel_n = d * (1.0 - alpha ** 2) / (1.0 - d * alpha ** 2)
-        rel_dev = abs(rel_n - n)
-    else:
-        rel_dev = float("inf")
-    real_gram = float(np.max(np.abs(g.imag))) <= tol
-
+    o2 = lines.other * lines.other
+    real_gram = lines.e == 2
+    real_bound = real_gram and 2 * n == d * (d + 1)
     report = {
-        "tol": tol,
-        "unit_diagonal_deviation": diag_dev,
-        "equiangular": equi_dev <= tol,
-        "equiangular_deviation": equi_dev,
-        "hermitian_deviation": herm_dev,
-        "tight": tight_dev <= tol,
-        "tightness_deviation": tight_dev,
-        "relative_bound_equality": rel_dev <= tol * max(n, 1),
-        "relative_bound_deviation": rel_dev,
+        "equiangular": bool(np.all(lines.angles[~np.eye(n, dtype=bool)]
+                                   >= 0)),
+        "tight": True,
+        "relative_bound_equality": (o2 > d
+                                    and n * (o2 - d) == d * (o2 - 1)),
         "sic": n == d * d,
         "real_gram": real_gram,
-        "real_absolute_bound_attained": real_gram and 2 * n == d * (d + 1),
-        "absolute_bound_attained": (n == d * d
-                                    or (real_gram and 2 * n == d * (d + 1))),
-        "alpha": alpha,
+        "real_absolute_bound_attained": real_bound,
+        "absolute_bound_attained": n == d * d or real_bound,
     }
 
     if source_params is not None:
@@ -404,7 +402,7 @@ def _tau_endpoint(p: CoverParams) -> tuple[str, str | None]:
     when T - 1 = s, and tau = -(s - 1) sqrt(s + 1) ("lower") when
     T/(n-1) + 1 = s.  With s = sqrt(8n + 1) for even r: "upper" when
     2T - 3 = s, "lower" when 4T/(n-1) + 3 = s.  A side x equals s exactly
-    when x >= 0 and x^2 = s^2, decided in QuadExt with no float and no tol.
+    when x >= 0 and x^2 = s^2, decided in QuadExt with no float.
     """
     t2, inv = p.tau * p.tau, Fraction(1, p.n - 1)
     if p.r % 2 == 1:
@@ -417,12 +415,12 @@ def _tau_endpoint(p: CoverParams) -> tuple[str, str | None]:
     return kind, None
 
 
-def lines_from_cover(g: CoverGraph, char_index: int = 1, side: str = "tau",
-                     tol: float = DEFAULT_TOL) -> LineSystem:
+def lines_from_cover(g: CoverGraph, char_index: int = 1,
+                     side: str = "tau") -> LineSystem:
     """End-to-end helper: cover -> character -> signature matrix -> lines."""
     kernel, _ = covering_group(g)
     chars = all_characters(kernel)
     if not 0 < char_index < len(chars):
         raise FrameError(f"character index must be in 1..{len(chars) - 1}")
     s = character_matrix(g, chars[char_index], kernel=kernel)
-    return extract_lines(s, side, tol=tol)
+    return extract_lines(s, side)

@@ -3,6 +3,7 @@ import random
 import sys
 from itertools import product
 
+import numpy as np
 import pytest
 
 from coverlab import cube, hexagon, icosahedron, thas_somma
@@ -58,6 +59,14 @@ def symplectic_witnesses(q: int):
         return Permutation(img)
 
     return translation, shift, linear
+
+
+def gram_of(lines):
+    """G = I - S/other of a line system, rebuilt in complex floats from its
+    exact angles, e and other: the float oracle for its certificates."""
+    roots = np.exp(2j * np.pi * np.arange(lines.e) / lines.e)
+    s = np.where(lines.angles >= 0, roots[lines.angles % lines.e], 0)
+    return np.eye(lines.n) - s / float(lines.other)
 
 
 def relabelled(g, seed: int):

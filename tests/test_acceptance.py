@@ -19,6 +19,7 @@ from coverlab.exact import QuadExt
 from coverlab.numtheory import (gcd_qpow, lifting_identity_check,
                                 nagell_ljunggren_search,
                                 zsigmondy_corollary_solve)
+from conftest import gram_of
 
 PRIMES_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -93,7 +94,7 @@ def test_criterion_4_sic_reproduction():
     s = character_matrix(g, chi, kernel=kernel)
     lines = extract_lines(s, "tau")
     dt = time.perf_counter() - t0
-    gram = lines.gram
+    gram = gram_of(lines)
     off = gram[~np.eye(9, dtype=bool)]
     angle_dev = float(np.max(np.abs(np.abs(off) ** 2 - 0.25)))
     tight_dev = float(np.max(np.abs(gram @ gram - 3.0 * gram)))
@@ -111,13 +112,12 @@ def test_criterion_5_real_absolute_bound():
     g = hexagon()
     kernel, _ = covering_group(g)
     s = character_matrix(g, all_characters(kernel)[1], kernel=kernel)
-    lines = extract_lines(s, "theta", tol=1e-12)
-    alpha_dev = abs(lines.common_angle - 0.5)
+    lines = extract_lines(s, "theta")
     ok = (lines.dimension == 2 and lines.n == 3
           and 2 * lines.n == lines.dimension * (lines.dimension + 1)
-          and alpha_dev <= 1e-12
+          and lines.other == -2  # alpha = 1/|other| = 1/2, exactly
           and lines.certificates["real_absolute_bound_attained"])
-    _verdict(5, ok, f"d=2, n=3=d(d+1)/2, alpha dev {alpha_dev:.2e}")
+    _verdict(5, ok, f"d=2, n=3=d(d+1)/2, other = {lines.other}")
 
 
 def test_criterion_6_feasibility_table():

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import coverlab
-from coverlab import (hexagon, seidel_of_graph, taylor_from_seidel,
-                      thas_somma)
+from coverlab import (hexagon, icosahedron, seidel_of_graph,
+                      taylor_from_seidel, thas_somma)
 from coverlab.cli import _canonical, main, make_parser
 from conftest import matching_swapped, relabelled
 from test_autgroup import symplectic_cover_aut_order
@@ -158,15 +158,20 @@ def test_etf_subcommand(tmp_path, capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["d"] == 3 and blob["certificates"]["sic"]
-    assert blob["config"]["args"]["tol"] == 1e-9
+    assert blob["config"]["args"] == {"char": 1, "cover": str(path),
+                                      "output": "json", "side": "tau"}
 
 
-def test_etf_endpoint_ignores_tol(tmp_path, capsys):
-    """TS(3,1)'s tau = -4 is the lower endpoint -(3 - 1) sqrt(3 + 1); at
-    --tol 1 a float comparison would also accept the upper one, -2."""
+def test_etf_rejects_tol(tmp_path, capsys):
+    """etf takes no tolerance: --tol is an unknown flag (exit 2), and
+    TS(3,1)'s tau = -4 is the lower endpoint -(3 - 1) sqrt(3 + 1)."""
     path = tmp_path / "ts31.json"
     path.write_text(thas_somma(3, 1).to_json_str())
-    code, out = run_cli(["etf", str(path), "--tol", "1"], capsys)
+    assert main(["etf", str(path), "--tol", "1"]) == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    code, out = run_cli(["etf", "--help"], capsys)
+    assert code == 0 and "--side" in out and "--tol" not in out
+    code, out = run_cli(["etf", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["certificates"]["tau_extremal_endpoint"] == "lower"
 
@@ -471,13 +476,13 @@ def test_text_output_mode(capsys):
     assert "m_theta: 12" in out
 
 
-def test_etf_text_output_shows_the_rounded_floats(tmp_path, capsys):
-    """Text mode prints the etf floats as the JSON has them, at 15
-    significant digits (TS(3,1)'s Hermitian deviation has 17)."""
-    path = tmp_path / "ts31.json"
-    path.write_text(thas_somma(3, 1).to_json_str())
+def test_etf_text_output_shows_the_exact_other(tmp_path, capsys):
+    """Text mode prints the icosahedron's other = theta = sqrt(5), the
+    eigenvalue the tau side does not keep, in its exact QuadExt form."""
+    path = tmp_path / "icosahedron.json"
+    path.write_text(icosahedron().to_json_str())
     code, out = run_cli(["--output", "text", "etf", str(path)], capsys)
-    assert code == 0 and "hermitian_deviation: 3.72380122987091e-16\n" in out
+    assert code == 0 and "\nother:\n  D: 5\n  a: 0\n  b: 1\n" in out
 
 
 def test_installed_entry_point(tmp_path):

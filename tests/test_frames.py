@@ -6,14 +6,17 @@ numpy.linalg.eigvalsh is the independent oracle for the multiplicities the
 exact angle-layer certificate derives, on every nontrivial character of the
 ten covers, and for the standalone Jacobi eigensolver.  The certificate must
 fail on TS(3,1)'s angle table (e = 3, where C_a C_b and C_a C_b^T differ)
-with one Hermitian pair moved, with one entry moved alone and under TS(4,1)'s
-parameters, each time with its witness checked.  Line-system angles are
-checked against the tight-frame identity alpha^2 = (n-d)/(d(n-1)) computed
-from first principles, and the certified spectrum and line certificates
-against seeded relabellings.  The exact absolute-bound endpoint of tau is
-pinned on every feasibility-table row, with the families' closed forms as
-oracle.
+with one Hermitian pair moved, with one entry moved alone, with one pair
+blanked and under TS(4,1)'s parameters, each time with its witness checked.
+Line systems are exact; a float Gram rebuilt from their angles is the
+oracle for their certificates on every etf-corpus cover, and the angle
+1/|other| is checked against the tight-frame identity alpha^2 =
+(n-d)/(d(n-1)) computed from first principles.  The certified spectrum and
+line certificates are checked against seeded relabellings.  The exact
+absolute-bound endpoint of tau is pinned on every feasibility-table row,
+with the families' closed forms as oracle.
 """
+import json
 import math
 import random
 from collections import Counter
@@ -29,12 +32,12 @@ from coverlab import (all_characters, character_matrix, closure_elements,
                       params_of, quotient_cover, subgroups_of, thas_somma,
                       verify_etf)
 from coverlab.exact import QuadExt
-from coverlab.frames import (FrameError, LineSystem, SpectrumCertificateError,
+from coverlab.frames import (FrameError, SpectrumCertificateError,
                              _tau_endpoint, certify_two_eigenvalues)
 from coverlab.groupops import is_cover_automorphism
 from coverlab.params import CoverParams, feasible_A, feasible_B
 from coverlab.perms import PermGroup, Permutation
-from conftest import relabelled
+from conftest import gram_of, relabelled
 
 
 def test_characters_of_cyclic_group(corpus):
@@ -127,7 +130,7 @@ def test_hexagon_character_matrix(corpus):
     s = character_matrix(g, chi, kernel=kernel)
     expect = np.array([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], dtype=complex)
     assert np.allclose(s.matrix, expect)
-    assert s.eigenvalues == ((1.0, 2), (-2.0, 1))
+    assert s.eigenvalues == ((1, 2), (-2, 1))
 
 
 def test_trivial_character_rejected(corpus):
@@ -196,7 +199,7 @@ def test_ts31_character_matrix_eigenvalues(corpus):
     kernel, _ = covering_group(g)
     chi = all_characters(kernel)[1]
     s = character_matrix(g, chi, kernel=kernel)
-    assert s.eigenvalues == ((2.0, 6), (-4.0, 3))
+    assert s.eigenvalues == ((2, 6), (-4, 3))
     # oracle: numpy eigendecomposition of the same matrix
     evals = np.linalg.eigvalsh(s.matrix)
     assert np.allclose(sorted(evals), [-4] * 3 + [2] * 6, atol=1e-9)
@@ -218,14 +221,13 @@ def test_eigenvalue_sum_property(corpus):
 def test_sic_from_ts31(corpus):
     lines = lines_from_cover(corpus["ts31"], char_index=1, side="tau")
     assert lines.dimension == 3 and lines.n == 9
-    assert lines.common_angle ** 2 == pytest.approx(0.25, abs=1e-9)
+    assert lines.other == 2  # |<v_i, v_j>|^2 = 1/4
     c = lines.certificates
     assert c["sic"] and c["equiangular"] and c["tight"]
     assert c["relative_bound_equality"]
-    assert c["tightness_deviation"] <= 1e-9
     theta_side = lines_from_cover(corpus["ts31"], char_index=1, side="theta")
     assert theta_side.dimension == 6
-    assert theta_side.common_angle ** 2 == pytest.approx(1 / 16, abs=1e-9)
+    assert theta_side.other == -4  # |<v_i, v_j>|^2 = 1/16
     assert not theta_side.certificates["sic"]
 
 
@@ -233,16 +235,17 @@ def test_hexagon_real_absolute_bound(corpus):
     g = corpus["hexagon"]
     kernel, _ = covering_group(g)
     s = character_matrix(g, all_characters(kernel)[1], kernel=kernel)
-    lines = extract_lines(s, "theta", tol=1e-12)
+    lines = extract_lines(s, "theta")
     assert lines.dimension == 2 and lines.n == 3
-    assert abs(lines.common_angle - 0.5) <= 1e-12
+    assert lines.e == 2 and lines.other == -2  # alpha = 1/2
     c = lines.certificates
+    assert c["real_gram"]
     assert not c["sic"]  # 3 != 4
     assert c["real_absolute_bound_attained"]  # 3 = d(d+1)/2
 
 
 def test_tight_angle_identity(corpus):
-    """alpha^2 = (n-d)/(d(n-1)) for every produced system."""
+    """alpha^2 = 1/other^2 = (n-d)/(d(n-1)) for every produced system."""
     for name in ("hexagon", "cube", "icosahedron", "ts31", "ts41"):
         g = corpus[name]
         kernel, _ = covering_group(g)
@@ -251,8 +254,7 @@ def test_tight_angle_identity(corpus):
             for side in ("theta", "tau"):
                 lines = extract_lines(s, side)
                 n, d = lines.n, lines.dimension
-                assert lines.common_angle ** 2 == pytest.approx(
-                    (n - d) / (d * (n - 1)), abs=1e-10)
+                assert lines.other * lines.other * (n - d) == d * (n - 1)
 
 
 def test_character_choice_invariance(corpus):
@@ -265,9 +267,9 @@ def test_character_choice_invariance(corpus):
         lines = extract_lines(s, "tau")
         evals = np.round(np.sort(np.linalg.eigvalsh(s.matrix)), 8)
         angles = np.round(np.sort(np.abs(
-            lines.gram[~np.eye(9, dtype=bool)])), 8)
-        produced.append((lines.dimension, round(lines.common_angle, 9),
-                         tuple(evals), tuple(angles)))
+            gram_of(lines)[~np.eye(9, dtype=bool)])), 8)
+        produced.append((lines.dimension, lines.other, tuple(evals),
+                         tuple(angles)))
     assert produced[0] == produced[1]
 
 
@@ -322,18 +324,6 @@ def test_jacobi_against_numpy_oracle():
 def test_jacobi_rejects_non_hermitian():
     with pytest.raises(FrameError):
         hermitian_jacobi(np.array([[0, 1], [2, 0]], dtype=complex))
-
-
-def test_random_gram_fails_equiangularity():
-    rng = np.random.default_rng(1)
-    vecs = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    gram = vecs @ vecs.conj().T
-    alpha = float(np.mean(np.abs(gram[~np.eye(5, dtype=bool)])))
-    lines = LineSystem(dimension=3, gram=gram, common_angle=alpha, side="tau")
-    report = verify_etf(lines, tol=1e-9)
-    assert not report["equiangular"]
-    assert report["equiangular_deviation"] > 1e-3
 
 
 def test_tau_endpoint_reporting(corpus):
@@ -395,28 +385,31 @@ def test_tau_endpoint_on_feasible_a():
                     ("eq1", 1, ("odd-r", None)): 301}
 
 
-def test_tau_endpoint_is_exact_not_within_tol():
-    """tau = -2 + 10^-12 with n = 9, r = 3 misses the upper endpoint -2,
-    however loose tol is; a float rule at tol 1e-9 calls it "upper"."""
+def test_tau_endpoint_is_exact_not_within_tol(corpus):
+    """tau = -2 + 10^-12 with n = 9, r = 3 misses the upper endpoint -2; a
+    float rule at tolerance 1e-9 would call it "upper"."""
     tau = QuadExt(Fraction(1, 10 ** 12) - 2)
     p = CoverParams(9, 3, 3, 1, QuadExt(0), tau, QuadExt(0), QuadExt(0))
-    lines = LineSystem(dimension=3, gram=np.eye(3, dtype=complex),
-                       common_angle=0.0, side="tau")
-    for tol in (1e-9, 1.0):
-        report = verify_etf(lines, tol=tol, source_params=p)
-        assert report["absolute_bound_kind"] == "odd-r"
-        assert report["tau_extremal_endpoint"] is None
+    lines = lines_from_cover(corpus["ts31"])
+    report = verify_etf(lines, source_params=p)
+    assert report["absolute_bound_kind"] == "odd-r"
+    assert report["tau_extremal_endpoint"] is None
     exact = p._replace(tau=QuadExt(-2))
     assert verify_etf(lines, source_params=exact)[
         "tau_extremal_endpoint"] == "upper"
 
 
 def test_line_system_json(corpus):
+    """The exact payload: plain ints and the QuadExt form, which one json
+    dumps with no default writes, and bools and strings as certificates."""
     lines = lines_from_cover(corpus["hexagon"], side="theta")
-    blob = lines.to_json()
-    assert blob["d"] == 2 and blob["n"] == 3
-    assert blob["gram"][0][0] == {"re": 1.0, "im": 0.0}
-    assert "tightness_deviation" in blob["certificates"]
+    blob = json.loads(json.dumps(lines.to_json()))
+    assert blob["d"] == 2 and blob["n"] == 3 and blob["e"] == 2
+    assert blob["angles"] == [[-1, 0, 1], [0, -1, 0], [1, 0, -1]]
+    assert blob["other"] == {"a": -2, "b": 0, "D": 1}
+    assert all(type(v) in (bool, str) for v in blob["certificates"].values())
+    assert set(blob) == {"d", "n", "side", "e", "angles", "other",
+                         "certificates"}
 
 
 def _ts31_signature(corpus):
@@ -450,7 +443,7 @@ def test_certificate_reads_int_and_quadext_records(corpus):
                       m_theta=int(p.m_theta), m_tau=int(p.m_tau))
     cert = certify_two_eigenvalues(sig.angle, sig.e, ints)
     assert cert == certify_two_eigenvalues(sig.angle, sig.e, p)
-    assert cert.eigenvalues == ((2.0, 6), (-4.0, 3))
+    assert cert.eigenvalues == ((2, 6), (-4, 3))
     exc = _certificate_error(sig.angle, sig.e, ints._replace(m_theta=13))
     assert exc.witness == {"m_theta": Fraction(13, 2)}
 
@@ -462,7 +455,7 @@ def test_certificate_rejects_perturbed_matrix(corpus):
     p = sig.params
     assert sig.e == 3
     cert = certify_two_eigenvalues(sig.angle, sig.e, p)
-    assert cert.eigenvalues == ((2.0, 6), (-4.0, 3))
+    assert cert.eigenvalues == ((2, 6), (-4, 3))
     angle = sig.angle.copy()
     angle[0, 1] = (angle[0, 1] + 1) % 3
     angle[1, 0] = -angle[0, 1] % 3
@@ -485,6 +478,17 @@ def test_certificate_rejects_non_hermitian_entry(corpus):
     exc = _certificate_error(angle, 3, sig.params)
     assert exc.witness == {"entry": (2, 5)}
     assert "not Hermitian" in str(exc)
+
+
+def test_certificate_rejects_zero_off_diagonal_entry(corpus):
+    """Blank the pair (0, 1), (1, 0): S stays Hermitian with zero diagonal,
+    but two of its lines would be orthogonal, not equiangular."""
+    sig = _ts31_signature(corpus)
+    angle = sig.angle.copy()
+    angle[0, 1] = angle[1, 0] = -1
+    exc = _certificate_error(angle, 3, sig.params)
+    assert exc.witness == {"entry": (0, 1)}
+    assert str(exc) == "S has a zero off-diagonal entry at (0, 1)"
 
 
 def test_certificate_rejects_wrong_eigenvalues(corpus):
@@ -522,17 +526,45 @@ def test_certified_multiplicities_match_eigvalsh(corpus, name):
         assert certified == counts == from_params, (name, chi.index)
 
 
+ETF_CORPUS = ["hexagon", "cube", "icosahedron", "ts31", "ts22", "ts41",
+              "ts51", "ts71", "ts32", "ts81"]
+
+
+@pytest.mark.parametrize("name", ETF_CORPUS)
+def test_exact_certificates_match_float_gram(corpus, name):
+    """On every nontrivial character and both sides, the Gram matrix rebuilt
+    in floats from the exact angles, e and other is tight, G^2 = (n/d) G,
+    equiangular at 1/|other|, and real exactly when real_gram says so.  The
+    relative bound holds except on the hexagon's and the cube's tau sides,
+    where d = 1, the lines coincide and alpha = 1."""
+    g = corpus[name] if name in corpus else thas_somma(int(name[2]),
+                                                       int(name[3]))
+    kernel, _ = covering_group(g)
+    for chi in all_characters(kernel)[1:]:
+        s = character_matrix(g, chi, kernel=kernel)
+        for side in ("theta", "tau"):
+            lines = extract_lines(s, side)
+            c, n, d = lines.certificates, lines.n, lines.dimension
+            gram = gram_of(lines)
+            off = np.abs(gram[~np.eye(n, dtype=bool)])
+            assert np.max(np.abs(gram @ gram - n / d * gram)) <= 1e-9
+            assert np.max(np.abs(off - 1 / abs(float(lines.other)))) <= 1e-9
+            assert c["real_gram"] is bool(np.max(np.abs(gram.imag)) <= 1e-9)
+            assert c["equiangular"] is c["tight"] is True
+            one_dimensional = name in ("hexagon", "cube") and side == "tau"
+            assert (d == 1) is one_dimensional, (name, side)
+            assert c["relative_bound_equality"] is not one_dimensional
+
+
 def _spectra_and_certificates(g):
     kernel, _ = covering_group(g)
     eigenvalues, certs = set(), []
     for chi in all_characters(kernel)[1:]:
         s = character_matrix(g, chi, kernel=kernel)
         eigenvalues.add(s.eigenvalues)
-        certs.append(tuple(
-            tuple(sorted((k, v) for k, v in
-                         extract_lines(s, side).certificates.items()
-                         if isinstance(v, bool)))
-            for side in ("theta", "tau")))
+        certs.append(json.dumps([extract_lines(s, side).certificates
+                                 for side in ("theta", "tau")],
+                                sort_keys=True))
     return eigenvalues, sorted(certs)
 
 

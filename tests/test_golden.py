@@ -131,11 +131,9 @@ def _floats(x):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
 def test_golden_floats_have_15_significant_digits(name):
-    """Every float a CLI golden holds survives rounding to 15 significant
-    digits unchanged; the etf goldens are the ones that hold floats."""
-    floats = list(_floats(json.loads((GOLDEN / f"{name}.json").read_text())))
-    assert floats or not name.startswith("etf_")
-    assert [x for x in floats if float(f"{x:.15g}") != x] == []
+    """No CLI golden holds a float, so none holds float noise past 15
+    significant digits either: every payload, etf's included, is exact."""
+    assert list(_floats(json.loads((GOLDEN / f"{name}.json").read_text()))) == []
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
