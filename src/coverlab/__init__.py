@@ -16,7 +16,7 @@ from .graphcore import (CoverGraph, CoverReport, antipodal_classes,
 from .constructions import (build, cube, hexagon, icosahedron,
                             seidel_from_cover, seidel_of_graph,
                             taylor_from_seidel, thas_somma)
-from .perms import PermGroup, Permutation, closure_elements, subgroups_of
+from .perms import PermGroup, Permutation, subgroups_of
 from .autgroup import automorphism_group, covers_isomorphic
 from .groupops import (arc_orbit_count, covering_group, displacement_profile,
                        fibre_action, involution_audit, quotient_cover,
@@ -35,7 +35,7 @@ __all__ = [
     "spectrum_check", "verify_cover", "build", "cube", "hexagon",
     "icosahedron", "seidel_from_cover", "seidel_of_graph",
     "taylor_from_seidel", "thas_somma", "PermGroup", "Permutation",
-    "closure_elements", "subgroups_of", "automorphism_group",
+    "subgroups_of", "automorphism_group",
     "covers_isomorphic", "arc_orbit_count",
     "covering_group", "displacement_profile", "fibre_action",
     "involution_audit", "quotient_cover", "structure_audit",

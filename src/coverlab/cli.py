@@ -17,8 +17,7 @@ import sys
 
 from . import casecheck, constructions, numtheory
 from .exact import quad_json
-from .frames import (SpectrumCertificateError, all_characters,
-                     character_matrix, extract_lines)
+from .frames import SpectrumCertificateError, lines_from_cover
 from .graphcore import CoverGraph, verify_cover
 from .groupops import (arc_orbit_count, covering_group, fibre_action,
                        involution_audit, involution_types, quotient_cover,
@@ -60,7 +59,10 @@ def _print_text(payload, indent=0):
                 print(f"{pad}{k}: {v}")
     elif isinstance(payload, list):
         for v in payload:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, list) and not any(
+                    isinstance(x, (dict, list)) for x in v):
+                print(f"{pad}- [{', '.join(map(str, v))}]")  # a matrix row
+            elif isinstance(v, (dict, list)):
                 _print_text(v, indent)
             else:
                 print(f"{pad}- {v}")
@@ -138,10 +140,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.max_involutions < 1:
-        print(f"--max-involutions must be at least 1, got "
-              f"{args.max_involutions}", file=sys.stderr)
-        return EXIT_USAGE
     g = _load_cover(args.cover)
     rep = verify_cover(g)
     if not rep.is_cover:
@@ -175,7 +173,7 @@ def cmd_analyze(args) -> int:
             {"fixed_points": kind[0], "displacement_profile": list(kind),
              "failures": [i.to_json() for i in involution_audit(g, x)
                           if i.status == "fail"]}
-            for kind, x in types[:args.max_involutions]]
+            for kind, x in types]
         payload["involution_draws"] = {"draws": draws, "types": len(types)}
     _emit(payload, args)
     return EXIT_OK
@@ -201,28 +199,22 @@ def cmd_quotient(args) -> int:
 
 def cmd_etf(args) -> int:
     g = _load_cover(args.cover)
-    kernel, kinfo = covering_group(g)
-    if not kinfo["abelian_cover"]:
+    _, kinfo = covering_group(g)
+    if not kinfo["abelian_cover"]:  # a failed check (1), not bad input (2)
         print("cover is not abelian; no line system", file=sys.stderr)
         return EXIT_FAIL
-    chars = all_characters(kernel)
-    if not 0 < args.char < len(chars):
-        print(f"--char must be in 1..{len(chars) - 1} (0 is trivial)",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
-        s = character_matrix(g, chars[args.char], kernel=kernel)
+        lines = lines_from_cover(g, args.char, args.side)
     except SpectrumCertificateError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    lines = extract_lines(s, args.side)
     ok = (lines.certificates["equiangular"] and lines.certificates["tight"]
           and lines.certificates["relative_bound_equality"])
     payload = lines.to_json()
-    payload["base_vertices"] = list(s.base_vertices)
+    payload["base_vertices"] = list(lines.signature.base_vertices)
     payload["signature_eigenvalues"] = [
         {"value": quad_json(val), "multiplicity": mult}
-        for val, mult in s.eigenvalues]
+        for val, mult in lines.signature.eigenvalues]
     _emit(payload, args)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -307,9 +299,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="groups, rank, arc orbits, audits")
     p.add_argument("cover")
     p.add_argument("--audits", action="store_true")
-    p.add_argument("--max-involutions", type=int, default=50,
-                   help="audit at most this many involution types, the "
-                        "least first (at least 1)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("quotient", help="quotient by a covering subgroup")

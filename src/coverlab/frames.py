@@ -6,18 +6,18 @@ character of H extends to <H, g> in exactly m = [<H, g> : H] ways.  K is
 covering_group's record on the graph, found and checked once per cover.
 
 From an abelian cover and a nontrivial character chi of K one forms the
-n x n Hermitian signature matrix S: pick a base vertex per fibre (minimum
-label), and for fibres F != F' set S[F, F'] = chi(k) where
+n x n Hermitian signature matrix S, in one gauge: the base vertex of each
+fibre is its minimum label, and for fibres F != F' S[F, F'] = chi(k) where
 k in K moves the matched partner of F's base vertex inside F' onto F''s base
-vertex.  Each entry is kept as an exact angle a in Z_e, chi(k) =
-exp(2 pi i a/e), and an integer identity on the 0/1 angle layers certifies
-the spectrum {theta, tau} with a witness.  Keeping one eigenvalue, G = I -
-S/other, with other the eigenvalue not kept, is the Gram matrix of n
-equiangular unit vectors meeting the relative bound (an equiangular tight
-frame), in dimension n - m_theta/(r-1) or n - m_tau/(r-1).  A LineSystem
-keeps G in exact form, as the angle table, e and other, and its
-certificates are read off the spectrum certificate in integer and QuadExt
-arithmetic, with no float.
+vertex.  S is held only as its angle table: each entry is an exact angle a
+in Z_e, chi(k) = exp(2 pi i a/e), and an integer identity on the 0/1 angle
+layers certifies the spectrum {theta, tau} with a witness.  Keeping one
+eigenvalue, G = I - S/other, with other the eigenvalue not kept, is the
+Gram matrix of n equiangular unit vectors meeting the relative bound (an
+equiangular tight frame), in dimension n - m_theta/(r-1) or n -
+m_tau/(r-1).  A LineSystem keeps the certified S it was read from and
+other, and its certificates are read off the spectrum certificate in
+integer and QuadExt arithmetic, with no float.
 
 hermitian_jacobi is a standalone cyclic Jacobi eigensolver for Hermitian
 matrices; nothing in the library calls it, and numpy's eigvalsh serves as
@@ -25,7 +25,6 @@ the independent oracle in the test suite.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -110,8 +109,13 @@ def all_characters(kernel: PermGroup) -> list[Character]:
 
 @dataclass
 class CharacterMatrix:
-    matrix: np.ndarray          # n x n complex Hermitian, zero diagonal
-    angle: np.ndarray           # matrix = exp(2 pi i angle/e); -1 marks 0
+    """A certified signature matrix S, held only as its angle table.
+
+    S = exp(2 pi i angle/e) entrywise, 0 where angle is -1 (the diagonal);
+    row and column i belong to fibre i, whose base vertex is its minimum
+    label.
+    """
+    angle: np.ndarray           # n x n ints in Z_e, -1 on the diagonal
     e: int                      # order of chi's image
     base_vertices: tuple[int, ...]
     params: CoverParams
@@ -119,12 +123,11 @@ class CharacterMatrix:
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.angle)
 
 
 def character_matrix(g: CoverGraph, chi: Character,
-                     kernel: PermGroup | None = None,
-                     base_vertices=None) -> CharacterMatrix:
+                     kernel: PermGroup | None = None) -> CharacterMatrix:
     """Hermitian signature matrix of an abelian cover under a character.
 
     The cover's parameters come from the report verify_cover recorded on g
@@ -133,8 +136,9 @@ def character_matrix(g: CoverGraph, chi: Character,
     generators in K.  Row i is read off the arcs at base vertex i, one
     selection of g's edge array, through a carrier table: for each vertex
     x, the angle a in Z_e of chi at the p in K taking x to its fibre's
-    base (e the lcm of chi's angle denominators).  S is exp(2 pi i a/e)
-    entrywise, on an angle table certify_two_eigenvalues certifies.
+    base, its minimum label (e the lcm of chi's angle denominators).  The
+    result is that angle table, with the eigenvalues certify_two_eigenvalues
+    certifies on it.
     """
     params = params_of(g)
     k, info = covering_group(g)
@@ -148,13 +152,7 @@ def character_matrix(g: CoverGraph, chi: Character,
         raise FrameError("character must be nontrivial")
 
     n = g.n
-    if base_vertices is None:
-        bases = [f[0] for f in g.fibres]
-    else:
-        bases = list(base_vertices)
-        if sorted(g.fibre_of[b] for b in bases) != list(range(n)):
-            raise FrameError("need exactly one base vertex per fibre")
-        bases = sorted(bases, key=lambda b: g.fibre_of[b])
+    bases = [f[0] for f in g.fibres]
 
     # carrier[x] = e*angle(chi, p) for the one p in K taking x to its base
     # (abelian_cover holds, so K is regular on every fibre)
@@ -173,12 +171,9 @@ def character_matrix(g: CoverGraph, chi: Character,
     angle = np.full((n, n), -1)
     angle[row[b], fibre[x]] = carrier[x]
 
-    cert = certify_two_eigenvalues(angle, e, params)
-    roots = np.array([cmath.exp(2j * cmath.pi * float(Fraction(a, e)))
-                      for a in range(e)] + [0])  # roots[-1] = 0
-    return CharacterMatrix(matrix=roots[angle], angle=angle, e=e,
-                           base_vertices=tuple(bases), params=params,
-                           eigenvalues=cert.eigenvalues)
+    eigenvalues = certify_two_eigenvalues(angle, e, params)
+    return CharacterMatrix(angle=angle, e=e, base_vertices=tuple(bases),
+                           params=params, eigenvalues=eigenvalues)
 
 
 # -- spectrum certificate --------------------------------------------------------
@@ -191,15 +186,11 @@ class SpectrumCertificateError(FrameError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class SpectrumCertificate:
-    eigenvalues: tuple      # ((theta, m_theta), (tau, m_tau)), largest first
-
-
 def certify_two_eigenvalues(angle: np.ndarray, e: int,
-                            params: CoverParams) -> SpectrumCertificate:
+                            params: CoverParams) -> tuple:
     """Certify exactly that S = exp(2 pi i angle/e) (0 where angle is -1)
-    has the eigenvalues theta and tau of params.  With C_a = [angle = a]:
+    has the eigenvalues theta and tau of params, and return them with their
+    multiplicities, ((theta, m_theta), (tau, m_tau)).  With C_a = [angle = a]:
     - C_{-a} = C_a^T, the diagonal is empty and every other entry is set:
       S is Hermitian, tr S = 0 and |S_ij| = 1 for i != j;
     - for c in Z_e, sum over a + b = c of C_a C_b = (lam - mu) C_c
@@ -249,8 +240,7 @@ def certify_two_eigenvalues(angle: np.ndarray, e: int,
         raise SpectrumCertificateError(f"m_theta {m_theta} is not an integer "
                                        f"in 1..{n - 1}", m_theta=m_theta)
     m = int(m_theta)
-    return SpectrumCertificate(eigenvalues=((params.theta, m),
-                                            (params.tau, n - m)))
+    return (params.theta, m), (params.tau, n - m)
 
 
 # -- Hermitian Jacobi eigensolver ------------------------------------------------
@@ -314,21 +304,28 @@ def hermitian_jacobi(a: np.ndarray, threshold: float = 1e-13,
 class LineSystem:
     """n equiangular lines from a certified signature matrix, in exact form.
 
-    angles is S's angle table (S = exp(2 pi i angles/e), -1 on the zero
-    diagonal) and other the eigenvalue of S that is not kept, an int or a
-    QuadExt; the Gram matrix of the lines is G = I - S/other, so every
+    signature is the certified S the lines were read from, held as its
+    angle table, and other the eigenvalue of S that is not kept, an int or
+    a QuadExt; the Gram matrix of the lines is G = I - S/other, so every
     |<v_i, v_j>|^2 is 1/other^2.
     """
     dimension: int
     side: str
-    e: int
-    angles: np.ndarray
+    signature: CharacterMatrix
     other: object
     certificates: dict = field(default_factory=dict)
 
     @property
+    def e(self) -> int:
+        return self.signature.e
+
+    @property
+    def angles(self) -> np.ndarray:
+        return self.signature.angle
+
+    @property
     def n(self) -> int:
-        return len(self.angles)
+        return self.signature.n
 
     def to_json(self) -> dict:
         return {"d": self.dimension, "n": self.n, "side": self.side,
@@ -349,8 +346,7 @@ def extract_lines(s: CharacterMatrix, side: str) -> LineSystem:
         raise FrameError("side must be 'theta' or 'tau'")
     (th, m_th), (ta, m_ta) = s.eigenvalues
     other, dim = (th, m_ta) if side == "tau" else (ta, m_th)
-    ls = LineSystem(dimension=dim, side=side, e=s.e, angles=s.angle,
-                    other=other)
+    ls = LineSystem(dimension=dim, side=side, signature=s, other=other)
     ls.certificates = verify_etf(ls, source_params=s.params)
     return ls
 

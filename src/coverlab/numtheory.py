@@ -117,23 +117,6 @@ def six_prime_part(m: int) -> int:
     return m
 
 
-class PPartDecomposition(NamedTuple):
-    l: int
-    p: int
-    p_part: int
-    p_prime_part: int
-
-
-def p_part(l: int, p: int) -> PPartDecomposition:
-    """Largest power of p dividing l, plus the cofactor."""
-    if l < 1:
-        raise ValueError("l must be positive")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    part = _p_power(l, p)
-    return PPartDecomposition(l=l, p=p, p_part=part, p_prime_part=l // part)
-
-
 def _p_power(l: int, p: int) -> int:
     """Largest power of the prime p dividing l >= 1."""
     part = 1

@@ -449,29 +449,6 @@ def _times_transversal(level: _Level, products):
             yield t * p
 
 
-def closure_elements(generators, degree: int, limit: int = 200_000) -> set[tuple]:
-    """Plain BFS closure of a generating set, one tuple composition per
-    product.  No library code calls it: it is the naive cross-check oracle
-    that tests compare chains and subgroups_of with."""
-    gens = [g if isinstance(g, Permutation) else Permutation(g)
-            for g in generators]
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for img in frontier:
-            for g in gens:
-                new = tuple(g.img[x] for x in img)
-                if new not in seen:
-                    if len(seen) >= limit:
-                        raise ValueError("closure exceeds limit")
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return seen
-
-
 def subgroups_of(group: PermGroup, max_group_order: int = 10_000) -> list[PermGroup]:
     """All subgroups, by closure extension; rejects groups above the bound.
 

@@ -1,13 +1,16 @@
-"""Shared fixtures: the small-cover corpus and explicit witness permutations."""
+"""Shared fixtures: the small-cover corpus, explicit witness permutations,
+and the naive oracles the suites compare the library with."""
 import random
 import sys
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from coverlab import cube, hexagon, icosahedron, thas_somma
 from coverlab.graphcore import verify_cover
+from coverlab.numtheory import _p_power, is_prime
 from coverlab.perms import Permutation
 
 
@@ -61,12 +64,57 @@ def symplectic_witnesses(q: int):
     return translation, shift, linear
 
 
+def signature_of(s):
+    """The signature matrix S = exp(2 pi i angle/e) of a CharacterMatrix,
+    rebuilt in complex floats from its exact angle table and e (0 where the
+    angle is -1): the float oracle for its spectrum and its lines."""
+    roots = np.exp(2j * np.pi * np.arange(s.e) / s.e)
+    return np.where(s.angle >= 0, roots[s.angle % s.e], 0)
+
+
 def gram_of(lines):
     """G = I - S/other of a line system, rebuilt in complex floats from its
-    exact angles, e and other: the float oracle for its certificates."""
-    roots = np.exp(2j * np.pi * np.arange(lines.e) / lines.e)
-    s = np.where(lines.angles >= 0, roots[lines.angles % lines.e], 0)
-    return np.eye(lines.n) - s / float(lines.other)
+    exact signature and other: the float oracle for its certificates."""
+    return np.eye(lines.n) - signature_of(lines.signature) / float(lines.other)
+
+
+def closure_elements(generators, degree: int, limit: int = 200_000) -> set[tuple]:
+    """Plain BFS closure of a generating set, one tuple composition per
+    product: the naive cross-check oracle for the chains and subgroups_of."""
+    gens = [g if isinstance(g, Permutation) else Permutation(g)
+            for g in generators]
+    ident = tuple(range(degree))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for img in frontier:
+            for g in gens:
+                new = tuple(g.img[x] for x in img)
+                if new not in seen:
+                    if len(seen) >= limit:
+                        raise ValueError("closure exceeds limit")
+                    seen.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return seen
+
+
+class PPartDecomposition(NamedTuple):
+    l: int
+    p: int
+    p_part: int
+    p_prime_part: int
+
+
+def p_part(l: int, p: int) -> PPartDecomposition:
+    """Largest power of p dividing l, plus the cofactor."""
+    if l < 1:
+        raise ValueError("l must be positive")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    part = _p_power(l, p)
+    return PPartDecomposition(l=l, p=p, p_part=part, p_prime_part=l // part)
 
 
 def relabelled(g, seed: int):

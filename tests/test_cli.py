@@ -190,6 +190,18 @@ def test_etf_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
     assert "entry (0, 0), power 0: got 8, want 15" in captured.err
 
 
+@pytest.mark.parametrize("char", ["0", "3"])
+def test_etf_char_out_of_range_exits_2(char, tmp_path, capsys):
+    """TS(3,1)'s covering group Z3 has characters 0..2, and 0 is trivial:
+    --char 0 and --char 3 are bad input, and stderr names the range."""
+    path = tmp_path / "ts31.json"
+    path.write_text(thas_somma(3, 1).to_json_str())
+    assert main(["etf", str(path), "--char", char]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "character index must be in 1..2" in captured.err
+
+
 def test_quotient_subcommand(tmp_path, capsys):
     path = tmp_path / "ts41.json"
     path.write_text(thas_somma(4, 1).to_json_str())
@@ -243,21 +255,6 @@ def test_analyze_subcommand(tmp_path, capsys):
     assert blob["fibre_action"]["rank"] == 2
     assert blob["rank_identity_holds"]
     assert blob["structure_audit"]
-
-
-def test_analyze_max_involutions_below_1_exits_2(tmp_path, capsys):
-    """--max-involutions 0 is bad input, not a cap that still audits one."""
-    path = tmp_path / "hexagon.json"
-    path.write_text(hexagon().to_json_str())
-    code, out = run_cli(["analyze", str(path), "--audits",
-                         "--max-involutions", "1"], capsys)
-    assert code == 0 and len(json.loads(out)["involution_audits"]) == 1
-    for value in ("0", "-3"):
-        assert main(["analyze", str(path), "--audits",
-                     "--max-involutions", value]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--max-involutions must be at least 1" in captured.err
 
 
 def test_analyze_finds_the_covering_group_once(tmp_path, capsys,
@@ -483,6 +480,18 @@ def test_etf_text_output_shows_the_exact_other(tmp_path, capsys):
     path.write_text(icosahedron().to_json_str())
     code, out = run_cli(["--output", "text", "etf", str(path)], capsys)
     assert code == 0 and "\nother:\n  D: 5\n  a: 0\n  b: 1\n" in out
+
+
+def test_text_output_keeps_matrix_rows(tmp_path, capsys):
+    """Text mode prints each row of the hexagon's 3 x 3 angle table on its
+    own line, not nine bare entries."""
+    path = tmp_path / "hexagon.json"
+    path.write_text(hexagon().to_json_str())
+    code, out = run_cli(["--output", "text", "etf", str(path), "--side",
+                         "theta"], capsys)
+    assert code == 0
+    assert out.startswith("angles:\n  - [-1, 0, 1]\n  - [0, -1, 0]\n"
+                          "  - [1, 0, -1]\nbase_vertices:\n  - 0\n")
 
 
 def test_installed_entry_point(tmp_path):

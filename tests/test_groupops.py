@@ -18,8 +18,9 @@ from coverlab.groupops import (INVOLUTION_DRAWS, QuotientError,
                                _audit_chains, _fibre_fixing_automorphisms,
                                involution_audit, involution_types,
                                is_cover_automorphism)
-from coverlab.perms import PermGroup, Permutation, closure_elements
-from conftest import matching_swapped, relabelled, symplectic_witnesses
+from coverlab.perms import PermGroup, Permutation
+from conftest import (closure_elements, matching_swapped, relabelled,
+                      symplectic_witnesses)
 
 
 @pytest.fixture(scope="module")

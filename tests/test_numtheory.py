@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from coverlab.numtheory import (GcdPowerCheck, LiftingCheck, divisors,
                                 gcd_qpow, has_coprime6_divisor, is_prime,
                                 lifting_identity_check,
-                                nagell_ljunggren_search, p_part, prime_powers,
+                                nagell_ljunggren_search, prime_powers,
                                 prime_sieve, prime_power_decompose,
                                 six_prime_part, zsigmondy_corollary_solve)
 from coverlab import numtheory
 from coverlab.params import admissible_pairs
+from conftest import p_part
 
 PRIMES_50 = [p for p in range(2, 51) if is_prime(p)]
 

@@ -4,15 +4,15 @@ from types import GeneratorType
 
 import pytest
 
-from coverlab import (automorphism_group, closure_elements, covers_isomorphic,
-                      cube, hexagon, icosahedron, subgroups_of, thas_somma)
+from coverlab import (automorphism_group, covers_isomorphic, cube, hexagon,
+                      icosahedron, subgroups_of, thas_somma)
 from coverlab.graphcore import CoverGraph
 from coverlab import perms
 from coverlab.groupops import covering_group
 from coverlab.perms import PermGroup, Permutation
 from coverlab.autgroup import (AUT_VERTEX_BOUND, SizeBoundExceeded,
                                automorphism_generators)
-from conftest import matching_swapped, relabelled
+from conftest import closure_elements, matching_swapped, relabelled
 
 
 def test_permutation_basics():
