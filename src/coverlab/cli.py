@@ -63,7 +63,8 @@ def _print_text(payload, indent=0):
                     isinstance(x, (dict, list)) for x in v):
                 print(f"{pad}- [{', '.join(map(str, v))}]")  # a matrix row
             elif isinstance(v, (dict, list)):
-                _print_text(v, indent)
+                print(f"{pad}-")  # one item: a record, or a list of them
+                _print_text(v, indent + 1)
             else:
                 print(f"{pad}- {v}")
 

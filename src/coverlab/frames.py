@@ -32,7 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import is_integral, quad_json
-from .graphcore import CoverGraph, params_of
+from .graphcore import (FLOAT32_EXACT, CoverGraph, SizeBoundExceeded,
+                        params_of)
 from .groupops import covering_group
 from .params import CoverParams
 from .perms import PermGroup, Permutation
@@ -200,12 +201,18 @@ def certify_two_eigenvalues(angle: np.ndarray, e: int,
       Summed against zeta^c, since sum_c zeta^c = 0 for e >= 2, it gives
       S^2 = (lam - mu)S + (n-1)I: every eigenvalue is theta or tau;
     - theta's multiplicity m_theta/(r-1) in S is an integer in 1..n-1.
-    One float64 (en x n)(n x en) product gives every C_a C_b, exactly, as
-    no entry exceeds n - 1.  A failure raises SpectrumCertificateError.
+    One float32 (en x n)(n x en) product gives every C_a C_b, exactly: a
+    partial sum of entry (i, j) counts k != i with C_a[i, k] = C_b[k, j]
+    = 1, so none exceeds n - 1, and SizeBoundExceeded is raised when n - 1
+    reaches FLOAT32_EXACT.  A failure raises SpectrumCertificateError.
     """
     if e < 2:
         raise FrameError("need e >= 2: sum_c zeta^c vanishes only then")
     n, a = len(angle), np.arange(e)
+    if n - 1 >= FLOAT32_EXACT:
+        raise SizeBoundExceeded(f"layer products reach {n - 1} >= "
+                                f"{FLOAT32_EXACT}, beyond exact float32 "
+                                "arithmetic")
     eye = np.eye(n, dtype=bool)
     layers = angle == a[:, None, None]
     flipped = layers[-a % e].transpose(0, 2, 1)
@@ -221,7 +228,7 @@ def certify_two_eigenvalues(angle: np.ndarray, e: int,
         raise SpectrumCertificateError(
             f"S has a zero off-diagonal entry at ({i}, {j})", entry=(i, j))
 
-    flat = layers.astype(float)  # blocks[a, :, b, :] = C_a C_b
+    flat = layers.astype(np.float32)  # blocks[a, :, b, :] = C_a C_b
     blocks = (flat.reshape(e * n, n) @ np.hstack(flat)).reshape(e, n, e, n)
     got = blocks[a[:, None], :, (a - a[:, None]) % e, :].sum(axis=0)
     want = (params.lam - params.mu) * layers + params.mu * params.r / e * ~eye

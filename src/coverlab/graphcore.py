@@ -32,11 +32,14 @@ class GraphStructureError(ValueError):
 
 
 class SizeBoundExceeded(ValueError):
-    """An input past an explicit vertex bound; bounds raise, never clamp."""
+    """An input past an explicit size bound: a vertex bound, or the bound
+    on a BLAS product's partial sums past which its float type no longer
+    holds every integer.  Bounds raise, never clamp or round."""
 
 
-# float32 holds every integer up to 2^24 exactly; verify_cover's products sum
-# 0/1 terms, so each partial sum is at most the largest degree
+# float32 holds every integer up to 2^24 exactly, float64 every one up to
+# 2^53.  One rule for every BLAS product in the library: it runs in float32
+# when its stated partial-sum bound is below FLOAT32_EXACT
 FLOAT32_EXACT = 2 ** 24
 
 
@@ -79,32 +82,41 @@ class CoverGraph:
     fibres ordered by minimum element.  The constructor checks only the
     partition structure and the edge list: vertex labels are ints (numpy
     integers too, never bools, floats or strings), endpoints lie in 0..v-1
-    and there are no loops.  The cover axioms (including fibres being
-    cocliques) are the business of verify_cover, so invalid candidates can
-    be built and then diagnosed.  verify_cover records a passing report on
-    the graph, and covering_group K with its kernel_info.  The edges are
-    held as one (m, 2) array, which to_json, relabelled and
-    character_matrix read; the edges property builds the tuple of pairs
-    only when first read, and only toggled reads it.
+    and there are no loops.  These checks run on whole lists and arrays:
+    one type sweep over the fibre labels, one over the edge labels (see
+    _edge_array), and fibre_of is one numpy scatter; a label is looked at
+    on its own only to name the first bad one.  The cover axioms
+    (including fibres being cocliques) are the business of verify_cover,
+    so invalid candidates can be built and then diagnosed.  verify_cover
+    records a passing report on the graph, and covering_group K with its
+    kernel_info.  The edges are held as one (m, 2) array, which to_json,
+    relabelled and character_matrix read; the edges property builds the
+    tuple of pairs only when first read, and only toggled reads it.
     """
 
     __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_pairs",
                  "_edges", "_report", "_kernel", "_params")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
-        fibres = [sorted(_label(x, "fibre") for x in _entries(f, "fibre"))
-                  for f in _entries(fibres, "fibres")]
+        fibres = [_entries(f, "fibre") for f in _entries(fibres, "fibres")]
+        labels = list(chain.from_iterable(fibres))
+        if not _all_labels(labels):
+            for x in labels:  # name the first label that is not an int
+                _label(x, "fibre")
+        fibres = [sorted(map(int, f)) for f in fibres]
         fibres.sort(key=lambda f: f[0] if f else -1)
-        seen: set[int] = set()
-        for f in fibres:
-            for x in f:
+        labels = list(chain.from_iterable(fibres))
+        seen = set(labels)
+        if len(seen) != len(labels):
+            seen = set()
+            for x in labels:
                 if x in seen:
                     raise GraphStructureError(f"vertex {x} in two fibres")
                 seen.add(x)
         v = (_label(vertex_count, "vertex count") if vertex_count is not None
              else (max(seen) + 1 if seen else 0))
-        # the count first: set(range(v)) of a huge v from a file is never built
-        if v != len(seen) or seen != set(range(v)):
+        # v distinct labels partition 0..v-1 exactly when all lie in range
+        if v != len(seen) or (seen and (min(seen) < 0 or max(seen) >= v)):
             raise GraphStructureError("fibres do not partition 0..v-1")
         if not fibres:
             raise GraphStructureError("empty fibre list")
@@ -126,15 +138,16 @@ class CoverGraph:
         self.v = v
         self.n = n
         self.r = r
-        self.fibres = tuple(tuple(f) for f in fibres)
-        self.adj = tuple(int.from_bytes(row, "little") for row in packed)
-        fo = [0] * v
-        for i, f in enumerate(self.fibres):
-            for x in f:
-                fo[x] = i
-        self.fibre_of = tuple(fo)
+        self.fibres = tuple(map(tuple, fibres))
+        buf, width = packed.tobytes(), packed.shape[1]
+        self.adj = tuple(int.from_bytes(buf[i:i + width], "little")
+                         for i in range(0, len(buf), width))
+        fibre_of = np.empty(v, dtype=np.intp)
+        fibre_of[np.array(fibres)] = np.arange(n)[:, None]
+        self.fibre_of = tuple(fibre_of.tolist())
         # the edges u < w in row-major order, as one (m, 2) array
-        self._pairs = np.argwhere(np.triu(a, 1))
+        upper = np.flatnonzero(np.triu(a, 1))
+        self._pairs = np.column_stack(np.divmod(upper, v))
         self._edges: tuple | None = None
         self._report: CoverReport | None = None
         self._kernel: tuple | None = None
@@ -209,6 +222,13 @@ def _is_label(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _all_labels(xs) -> bool:
+    """Whether every x is a label (see _is_label), in one sweep over the
+    types present."""
+    return all(t is not bool and issubclass(t, (int, np.integer))
+               for t in set(map(type, xs)))
+
+
 def _label(x, what: str) -> int:
     if not _is_label(x):
         raise GraphStructureError(f"{what} label {x!r} is not an integer")
@@ -223,51 +243,58 @@ def _entries(obj, what: str) -> list:
         raise GraphStructureError(f"{what} {obj!r} is not a list") from None
 
 
-def _pair_fault(e) -> str | None:
-    """Why the edge e is not a pair of integer labels, or None."""
+def _edge_fault(e, v: int) -> str | None:
+    """Why e is not an edge of a graph on 0..v-1, or None."""
     try:
+        if len(e) != 2:
+            raise ValueError
         u, w = pair = tuple(e)
     except (TypeError, ValueError):
         return f"edge {e!r} is not a vertex pair"
     if not (_is_label(u) and _is_label(w)):
         return f"edge {pair!r} has a non-integer label"
+    if not (0 <= u < v and 0 <= w < v):
+        return f"edge ({u},{w}) out of range"
+    if u == w:
+        return f"loop at {u}"
+    return None
 
 
 def _edge_array(edges, v: int) -> np.ndarray:
-    """The edge list as an (m, 2) integer array, validated in one pass.
+    """The edge list as an (m, 2) integer array, validated on the whole.
 
     GraphStructureError names the first bad edge in input order: one that
     is not a pair of integer labels (bools are not), an endpoint outside
-    0..v-1, or a loop.  An integer array is taken as it is; a list has its
-    edge lengths and label types read in one sweep, and only when that
-    finds a bad edge are the edges before it checked on their own, so that
-    an earlier bad edge is the one named.
+    0..v-1, or a loop.  A list is flattened once: its edge lengths and
+    label types are read in one sweep each, and its labels into an array
+    by one np.fromiter; a label too large for the array, such as 2**70,
+    counts as out of range.  The whole array is then range-checked by its
+    min and max and loop-checked.  Only when one of these checks fails are
+    the edges scanned one by one, so that the first bad edge is the one
+    named.
     """
-    if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+        if edges.size == 0:
+            return np.zeros((0, 2), dtype=np.intp)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise GraphStructureError("edges must be vertex pairs")
+        e = edges
+    else:
         edges = _entries(edges, "edges")
+        e = None
         try:
-            pairs = set(map(len, edges)) <= {2} and all(
-                t is not bool and issubclass(t, (int, np.integer))
-                for t in set(map(type, chain.from_iterable(edges))))
-        except TypeError:  # an edge with no length
-            pairs = False
-        if not pairs:
-            k, fault = next((i, f) for i, e in enumerate(edges)
-                            if (f := _pair_fault(e)))
-            _edge_array(edges[:k], v)
-            raise GraphStructureError(fault)
-    e = np.asarray(edges)
-    if e.size == 0:
-        return np.zeros((0, 2), dtype=np.intp)
-    if e.ndim != 2 or e.shape[1] != 2:
-        raise GraphStructureError("edges must be vertex pairs")
-    bad = (e < 0).any(axis=1) | (e >= v).any(axis=1) | (e[:, 0] == e[:, 1])
-    if bad.any():
-        u, w = (int(x) for x in e[bad.argmax()])
-        if not (0 <= u < v and 0 <= w < v):
-            raise GraphStructureError(f"edge ({u},{w}) out of range")
-        raise GraphStructureError(f"loop at {u}")
-    return e.astype(np.intp)
+            if set(map(len, edges)) <= {2}:
+                labels = list(chain.from_iterable(edges))
+                if _all_labels(labels):
+                    e = np.fromiter(labels, dtype=np.intp,
+                                    count=len(labels)).reshape(-1, 2)
+        except (TypeError, OverflowError):
+            pass  # an edge with no length, or a label past int64: scan
+    if e is not None and (e.size == 0 or (
+            e.min() >= 0 and e.max() < v and (e[:, 0] != e[:, 1]).all())):
+        return e.astype(np.intp, copy=False)
+    raise GraphStructureError(next(f for x in edges
+                                   if (f := _edge_fault(x, v))))
 
 
 def bit_matrix(rows, width: int) -> np.ndarray:
@@ -340,8 +367,9 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     adjacency matrix A through two float32 BLAS products: M = A·F, with F
     the v x n fibre indicator, counts each vertex's neighbours per fibre
     for (b) and (c), and C = A·A counts common neighbours for (d) and (e).
-    Their entries are sums of 0/1 terms, so they are exact while the
-    largest degree stays below FLOAT32_EXACT; past it ValueError is raised.
+    Their entries are sums of 0/1 terms, so every partial sum is at most
+    the largest degree, and they are exact while it stays below
+    FLOAT32_EXACT; past it SizeBoundExceeded is raised.
     Witnesses are listed as a scan of the pairs u < w in row-major order
     finds them; for (c), the first vertex of fibre i with a wrong count in
     fibre j, for each pair i < j.
@@ -370,8 +398,9 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     a = g.adjacency_matrix()
     degree = int(a.sum(axis=1).max())
     if degree >= FLOAT32_EXACT:
-        raise ValueError(f"common-neighbour counts reach {degree} >= "
-                         f"{FLOAT32_EXACT}, beyond exact float32 arithmetic")
+        raise SizeBoundExceeded(
+            f"common-neighbour counts reach {degree} >= {FLOAT32_EXACT}, "
+            "beyond exact float32 arithmetic")
     cap = max_violations
     fibre_of = np.array(g.fibre_of)
     members = np.array(g.fibres)  # members[i, k]: k-th vertex of fibre i
@@ -513,11 +542,13 @@ def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
     Verifies (A - theta I)(A + I)(A - tau I)(A - k I) = 0 over the surd field.
     The two surd factors multiply out to A^2 - (lambda - mu)A - (n-1)I, which
     has integer entries, so every product is one of integer matrices.  The
-    products run in float64 through BLAS and are exact: a partial sum of
-    X @ Y is an integer of absolute value at most the largest row 1-norm of X
-    times the largest entry of Y, and these are bounded from the maximum
-    degree of g.  ValueError is raised when the bound reaches 2^53, past
-    which float64 no longer holds every integer.
+    products run through BLAS and are exact: a partial sum of X @ Y is an
+    integer of absolute value at most the largest row 1-norm of X times the
+    largest entry of Y, and these are bounded from the maximum degree d of
+    g (see bound below).  They run in float32 while that bound is below
+    FLOAT32_EXACT, which holds for every cover up to TS(8,1) (bound about
+    2.0 M), and in float64 below 2^53; past that SizeBoundExceeded is
+    raised.
     Then tr(A^m) for m <= 3, read from A^2 as tr(A^2) and sum(A^2 * A), is
     compared with the model spectrum
     k^m + m_theta theta^m + (n-1)(-1)^m + m_tau tau^m, evaluated exactly.
@@ -530,10 +561,11 @@ def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
     # A @ A stays below this, and sum(A^2 * A) is <= v d^2
     bound = max((d + k) * (d + 1) * (d + abs(p.lam - p.mu) + k), v * d * d)
     if bound >= 2 ** 53:
-        raise ValueError(f"spectrum products reach {bound} >= 2^53, "
-                         "beyond exact float64 arithmetic")
+        raise SizeBoundExceeded(f"spectrum products reach {bound} >= 2^53, "
+                                "beyond exact float64 arithmetic")
     failed = []
-    a = g.adjacency_matrix().astype(np.float64)
+    dtype = np.float32 if bound < FLOAT32_EXACT else np.float64
+    a = g.adjacency_matrix().astype(dtype)
     a2 = a @ a
     tr = [v, int(np.trace(a)), int(np.trace(a2)), int(np.vdot(a2, a))]
     # (A - kI)(A + I) = A^2 + (1 - k)A - kI, so one product remains; both

@@ -66,9 +66,10 @@ def _permutes_vertices(g: CoverGraph, img) -> bool:
 
 
 def fixes_fibres(g: CoverGraph, perm: Permutation) -> bool:
-    """True when perm maps every fibre of g onto itself."""
+    """True when perm maps every fibre of g onto itself: the fibre of each
+    image perm[x], read in order of x, is the fibre of x."""
     fo = g.fibre_of
-    return all(fo[perm[x]] == fo[x] for x in range(g.v))
+    return tuple(map(fo.__getitem__, perm.img)) == fo
 
 
 def covering_group(g: CoverGraph, group: PermGroup | None = None):
@@ -238,12 +239,16 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
 
     Requires every generator to fix each fibre setwise and 1 <= |U| < r,
     with U semiregular.  The U-orbits, numbered by least element, are the
-    quotient's vertices, and its edges are the images of g's edges, those
-    within one orbit dropped and duplicates collapsed by CoverGraph: every
-    edge of g between different orbits, so nothing assumes U <= Aut.  The
-    result is checked by verify_cover to be an (n, r/|U|, mu |U|)-cover; a
-    failure raises, since it would contradict the quotient-closure property
-    for valid input.
+    quotient's vertices: one scatter over the (orbits x |U|) array of
+    them gives each vertex its orbit.  The quotient's edges are the images
+    of g's edges, those within one orbit dropped and duplicates collapsed
+    by CoverGraph: every edge of g between different orbits, so nothing
+    assumes U <= Aut.  A fibre of g is a union of r/|U| orbits of |U|
+    vertices each, so its sorted orbit numbers repeat each orbit |U| times
+    in a row, and every |U|-th one is the quotient fibre.  The result is
+    checked by verify_cover to be an (n, r/|U|, mu |U|)-cover; a failure
+    raises, since it would contradict the quotient-closure property for
+    valid input.
     """
     if sub.degree != g.v:
         raise QuotientError(f"subgroup acts on {sub.degree} points, "
@@ -260,12 +265,11 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     if any(len(o) != u_order for o in orbits):
         raise QuotientError("subgroup does not act semiregularly")
     orbit_of = np.empty(g.v, dtype=np.intp)
-    for idx, orb in enumerate(orbits):
-        orbit_of[orb] = idx
+    orbit_of[np.array(orbits)] = np.arange(len(orbits))[:, None]
     edges = orbit_of[g._pairs]
     edges = edges[edges[:, 0] != edges[:, 1]]
-    fibres = [sorted({orbit_of[x] for x in f}) for f in g.fibres]
-    quot = CoverGraph(fibres, edges)
+    fibres = np.sort(orbit_of[np.array(g.fibres)], axis=1)[:, ::u_order]
+    quot = CoverGraph(fibres.tolist(), edges)
 
     base = cover_report(g)
     if base.is_cover:

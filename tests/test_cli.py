@@ -494,6 +494,22 @@ def test_text_output_keeps_matrix_rows(tmp_path, capsys):
                           "  - [1, 0, -1]\nbase_vertices:\n  - 0\n")
 
 
+def test_text_output_marks_each_record_of_a_list(tmp_path, capsys):
+    """Text mode opens each record of a list with its own "-" line and
+    indents the record under it, so the hexagon's two signature
+    eigenvalues stay apart; JSON output is unchanged."""
+    path = tmp_path / "hexagon.json"
+    path.write_text(hexagon().to_json_str())
+    code, out = run_cli(["--output", "text", "etf", str(path), "--side",
+                         "theta"], capsys)
+    assert code == 0
+    assert out.endswith("signature_eigenvalues:\n"
+                        "  -\n    multiplicity: 2\n"
+                        "    value:\n      D: 1\n      a: 1\n      b: 0\n"
+                        "  -\n    multiplicity: 1\n"
+                        "    value:\n      D: 1\n      a: -2\n      b: 0\n")
+
+
 def test_installed_entry_point(tmp_path):
     """One subprocess round through the actual console script, run from
     the package this suite imports, installed or not."""

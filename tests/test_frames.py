@@ -31,9 +31,11 @@ from coverlab import (all_characters, character_matrix, covering_group,
                       hermitian_jacobi, icosahedron, lines_from_cover,
                       params_of, quotient_cover, subgroups_of, thas_somma,
                       verify_etf)
+from coverlab import frames
 from coverlab.exact import QuadExt
 from coverlab.frames import (FrameError, SpectrumCertificateError,
                              _tau_endpoint, certify_two_eigenvalues)
+from coverlab.graphcore import SizeBoundExceeded
 from coverlab.groupops import is_cover_automorphism
 from coverlab.params import CoverParams, feasible_A, feasible_B
 from coverlab.perms import PermGroup, Permutation
@@ -499,6 +501,19 @@ def test_certificate_rejects_wrong_eigenvalues(corpus):
     sig = _ts31_signature(corpus)
     exc = _certificate_error(sig.angle, 3, params_of(corpus["ts41"]))
     assert exc.witness == {"entry": (0, 0), "power": 0, "got": 8, "want": 15}
+
+
+def test_certificate_raises_past_float32_bound(corpus, monkeypatch):
+    """The layer product's partial sums reach n - 1 = 8 on TS(3,1); from
+    FLOAT32_EXACT on float32 could round them, so the certificate raises
+    SizeBoundExceeded instead of certifying."""
+    sig = _ts31_signature(corpus)
+    monkeypatch.setattr(frames, "FLOAT32_EXACT", 9)
+    assert certify_two_eigenvalues(sig.angle, 3, sig.params) == sig.eigenvalues
+    monkeypatch.setattr(frames, "FLOAT32_EXACT", 8)
+    with pytest.raises(SizeBoundExceeded, match="8 >= 8, beyond exact "
+                                                "float32"):
+        certify_two_eigenvalues(sig.angle, 3, sig.params)
 
 
 def test_certificate_needs_two_layers(corpus):

@@ -11,7 +11,7 @@ from coverlab import (CoverGraph, antipodal_classes, cube, derive_params,
                       spectrum_check, thas_somma, verify_cover)
 from coverlab import graphcore
 from coverlab.frames import all_characters, character_matrix
-from coverlab.graphcore import GraphStructureError, bfs_layers
+from coverlab.graphcore import GraphStructureError, bfs_layers, bit_matrix
 from coverlab.groupops import covering_group
 from coverlab.perms import subgroups_of
 from conftest import relabelled
@@ -137,8 +137,36 @@ def test_spectrum_check_raises_past_exactness_bound():
     # about 3 k^2 > 2^53, which float64 cannot hold exactly
     p = derive_params(2 ** 27 + 1, 7, (2 ** 27 - 1) // 7)
     assert p.lam == p.mu
-    with pytest.raises(ValueError, match="2\\^53"):
+    with pytest.raises(graphcore.SizeBoundExceeded, match="2\\^53"):
         spectrum_check(hexagon(), p)
+
+
+def test_spectrum_check_float64_path_agrees(corpus, monkeypatch):
+    """Every corpus cover's spectrum products run in float32, as their
+    bound is below FLOAT32_EXACT; with that bound patched to 1 they run in
+    float64, and the reports, failures on toggled copies of TS(3,1) and
+    TS(3,2) included, are the same.  A spy on the adjacency matrix records
+    the type each call casts it to."""
+    ts32 = thas_somma(3, 2)
+    cases = [(g, params_of(g)) for g in [*corpus.values(), ts32]]
+    cases += [(g.toggled(*g.edges[0]), params_of(g))
+              for g in (corpus["ts31"], ts32)]
+    casts = []
+
+    class Spy(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            casts.append(np.dtype(dtype))
+            return np.asarray(self).astype(dtype, *args, **kwargs)
+
+    monkeypatch.setattr(CoverGraph, "adjacency_matrix",
+                        lambda g: bit_matrix(g.adj, g.v).view(Spy))
+    want = [spectrum_check(g, p) for g, p in cases]
+    assert [rep.ok for rep in want] == [True] * 6 + [False] * 2
+    assert casts == [np.dtype(np.float32)] * len(cases)
+    casts.clear()
+    monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 1)
+    assert [spectrum_check(g, p) for g, p in cases] == want
+    assert casts == [np.dtype(np.float64)] * len(cases)
 
 
 def test_mutation_single_edge_toggle_breaks_cover():
@@ -309,6 +337,68 @@ def test_from_json_names_malformed_shapes():
         with pytest.raises(GraphStructureError) as exc:
             CoverGraph.from_json(text)
         assert str(exc.value) == message, text
+
+
+def test_cover_graph_range_checks_labels_past_int64():
+    """A label past the int64 range, a Python int such as 2**70 or a
+    uint64 past 2**63, is an edge out of range, not numpy's
+    OverflowError; a fibre label that large leaves the fibres short of a
+    partition of 0..v-1."""
+    fibres = [[0, 3], [1, 4], [2, 5]]
+    ring = [[i, (i + 1) % 6] for i in range(6)]
+    for big in (2 ** 70, -2 ** 70, np.uint64(2 ** 64 - 1)):
+        with pytest.raises(GraphStructureError) as exc:
+            CoverGraph(fibres, ring[:2] + [[0, big]] + ring[2:])
+        assert str(exc.value) == f"edge (0,{big}) out of range"
+    with pytest.raises(GraphStructureError, match="do not partition"):
+        CoverGraph([[0, 3], [1, 4], [2, 2 ** 70]], ring)
+
+
+def test_cover_graph_accepts_numpy_scalar_labels():
+    """np.int32 and np.uint64 labels, as scalars in lists or as whole
+    arrays, give the hexagon with plain int labels; numpy bools, like
+    Python bools, are rejected in fibres and in edges."""
+    fibres = [[0, 3], [1, 4], [2, 5]]
+    ring = [[i, (i + 1) % 6] for i in range(6)]
+    hexagon_json = hexagon().to_json()
+    for t in (np.int32, np.uint64):
+        for g in (CoverGraph([[t(x) for x in f] for f in fibres],
+                             [[t(u), t(w)] for u, w in ring], t(6)),
+                  CoverGraph(np.array(fibres, dtype=t),
+                             np.array(ring, dtype=t))):
+            assert g.to_json() == hexagon_json
+            assert all(type(x) is int for f in g.fibres for x in f)
+            assert all(type(x) is int for x in g.fibre_of)
+            assert g.fibre_of == (0, 1, 2, 0, 1, 2)
+    for bad in (True, np.True_):
+        with pytest.raises(GraphStructureError, match="not an integer"):
+            CoverGraph([[0, 3], [bad, 4], [2, 5]], ring)
+        with pytest.raises(GraphStructureError, match="non-integer"):
+            CoverGraph(fibres, ring[:3] + [[3, bad]] + ring[4:])
+    with pytest.raises(GraphStructureError, match="non-integer"):
+        CoverGraph(fibres, np.array(ring) > 2)
+
+
+_BAD_EDGES = {"pair": ([0, 1, 2], "edge [0, 1, 2] is not a vertex pair"),
+              "label": ([0, 1.0], "edge (0, 1.0) has a non-integer label"),
+              "range": ([0, 6], "edge (0,6) out of range"),
+              "loop": ([4, 4], "loop at 4")}
+
+
+@pytest.mark.parametrize("first", sorted(_BAD_EDGES))
+def test_cover_graph_names_first_bad_edge_at_every_position(first):
+    """With a bad edge of one kind at position k and one of any kind at
+    the end, the first in input order is named, for every k and every
+    later kind: the whole-list checks only detect a fault, the scan names
+    it."""
+    ring = [[i, (i + 1) % 6] for i in range(6)]
+    edge, message = _BAD_EDGES[first]
+    for k in range(len(ring) + 1):
+        for later in _BAD_EDGES:
+            edges = ring[:k] + [edge] + ring[k:] + [_BAD_EDGES[later][0]]
+            with pytest.raises(GraphStructureError) as exc:
+                CoverGraph([[0, 3], [1, 4], [2, 5]], edges)
+            assert str(exc.value) == message, (k, later)
 
 
 _ODD_LABELS = [0.5, 1.0, True, False, "0", None]
@@ -494,5 +584,5 @@ def test_verify_cover_raises_past_float32_bound(monkeypatch):
     monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 3)
     assert verify_cover(hexagon()).is_cover
     monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 2)
-    with pytest.raises(ValueError, match="float32"):
+    with pytest.raises(graphcore.SizeBoundExceeded, match="float32"):
         verify_cover(hexagon())

@@ -257,32 +257,35 @@ def test_quotient_rejections(corpus, auts):
 def test_quotient_cover_matches_all_edges_oracle(q, count):
     """On every subgroup U < K of TS(q,1) (K = GF(q)^+, elementary abelian:
     1 + 3 of TS(4,1), 1 + 7 + 7 of TS(8,1)), the quotient's edges are every
-    edge of g between two U-orbits, orbits numbered by least element."""
-    g = thas_somma(q, 1)
-    kernel, _ = covering_group(g)
-    subs = [s for s in subgroups_of(kernel) if s.order() < g.r]
-    assert len(subs) == count
-    for sub in subs:
-        orbit = {}
-        for x in range(g.v):
-            if x not in orbit:
-                orb, stack = {x}, [x]
-                while stack:
-                    y = stack.pop()
-                    for p in sub.generators:
-                        if p.img[y] not in orb:
-                            orb.add(p.img[y])
-                            stack.append(p.img[y])
-                for y in orb:
-                    orbit[y] = x
-        index = {m: i for i, m in enumerate(sorted(set(orbit.values())))}
-        of = {x: index[m] for x, m in orbit.items()}
-        edges = {(min(of[u], of[w]), max(of[u], of[w]))
-                 for u, w in g.edges if of[u] != of[w]}
-        fibres = sorted(tuple(sorted({of[x] for x in f})) for f in g.fibres)
-        quot = quotient_cover(g, sub)
-        assert quot.edges == tuple(sorted(edges))
-        assert quot.fibres == tuple(fibres)
+    edge of g between two U-orbits, orbits numbered by least element, and
+    its fibres the sets of orbits that meet each fibre of g; so too on a
+    relabelled copy, whose U-orbits lie scattered over each fibre."""
+    for g in (thas_somma(q, 1), relabelled(thas_somma(q, 1), 5)):
+        kernel, _ = covering_group(g)
+        subs = [s for s in subgroups_of(kernel) if s.order() < g.r]
+        assert len(subs) == count
+        for sub in subs:
+            orbit = {}
+            for x in range(g.v):
+                if x not in orbit:
+                    orb, stack = {x}, [x]
+                    while stack:
+                        y = stack.pop()
+                        for p in sub.generators:
+                            if p.img[y] not in orb:
+                                orb.add(p.img[y])
+                                stack.append(p.img[y])
+                    for y in orb:
+                        orbit[y] = x
+            index = {m: i for i, m in enumerate(sorted(set(orbit.values())))}
+            of = {x: index[m] for x, m in orbit.items()}
+            edges = {(min(of[u], of[w]), max(of[u], of[w]))
+                     for u, w in g.edges if of[u] != of[w]}
+            fibres = sorted(tuple(sorted({of[x] for x in f}))
+                            for f in g.fibres)
+            quot = quotient_cover(g, sub)
+            assert quot.edges == tuple(sorted(edges))
+            assert quot.fibres == tuple(fibres)
 
 
 def test_is_cover_automorphism_matches_edge_walk(corpus, auts):
