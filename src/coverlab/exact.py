@@ -1,15 +1,17 @@
 """Exact arithmetic in real quadratic extensions Q(sqrt(D)).
 
 Cover spectra involve eigenvalues of the form a + b*sqrt(D) (the icosahedron
-has tau = -sqrt(5)); storing them as (a, b, D) with rational a, b and
-squarefree D keeps every spectral identity exact, with no floating point.
+has tau = -sqrt(5)); storing them as (p + q*sqrt(D))/c, with Python ints
+p, q, c in lowest terms and D squarefree, keeps every spectral identity
+exact, with no floating point and no Fraction in the arithmetic: a sum or
+product is a few integer products and one gcd.  The rational coordinates
+a = p/c and b = q/c are read as Fractions only for output.
 
-Most values are rational (b == 0, D == 1).  Building one from a rational
-costs a single Fraction and no factorization, and a rational QuadExt hashes
-as its Fraction (so it hashes like the int or Fraction it equals).  The
-integer-t feasibility tables in params build no QuadExt at all: their
-closed-form spectra are plain ints, which is_integral and quad_json read
-alongside QuadExt values.
+Most values are rational (q == 0, D == 1).  Building one from an int or a
+Fraction needs no factorization, and a rational QuadExt hashes as the int
+or Fraction it equals.  The integer-t feasibility tables in params build no
+QuadExt at all: their closed-form spectra are plain ints, which is_integral
+and quad_json read alongside QuadExt values.
 
 QuadExt adds, multiplies, takes nonnegative powers and compares by exact
 sign; it does not divide.  Nothing needs it to: the cover spectrum is
@@ -20,13 +22,12 @@ relative bound by n(other^2 - d) = d(other^2 - 1) (frames.verify_etf).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 from .numtheory import prime_powers
 
 Rat = Union[int, Fraction]
-
-_ZERO = Fraction(0)  # the b of every rational element
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
@@ -44,29 +45,58 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
 
 
 class QuadExt:
-    """An element a + b*sqrt(D), a and b rational, D a squarefree integer >= 1.
+    """An element (p + q*sqrt(D))/c: p, q, c Python ints with c >= 1 and
+    gcd(p, q, c) = 1, D a squarefree integer >= 1.
 
-    Rational values are normalised to b == 0, D == 1.  Arithmetic between two
-    irrational elements requires the same D (all covers live in a single
-    quadratic field at a time).
+    The lowest-terms triple makes each value's representation unique, so
+    equality compares it and arithmetic is integer arithmetic with one gcd
+    per result.  a = p/c and b = q/c, the rational coordinates of
+    a + b*sqrt(D), are read-only Fraction properties.  Rational values are
+    normalised to q == 0, D == 1.  Arithmetic between two irrational
+    elements requires the same D (all covers live in a single quadratic
+    field at a time).
     """
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("p", "q", "c", "D")
 
     def __init__(self, a: Rat = 0, b: Rat = 0, D: int = 1):
         if D < 1:
             raise ValueError("D must be a positive integer")
-        if b == 0:  # rational: nothing to normalise
-            self.a, self.b, self.D = Fraction(a), _ZERO, 1
-            return
-        a = Fraction(a)
-        b = Fraction(b)
-        s, d = squarefree_decompose(D)
-        b *= s
-        D = d
-        if D == 1:  # radicand was a perfect square
-            a, b = a + b, _ZERO
-        self.a, self.b, self.D = a, b, D
+        if type(a) is int and type(b) is int:
+            p, q, c = a, b, 1
+        else:  # over the common denominator
+            a, b = Fraction(a), Fraction(b)
+            c = lcm(a.denominator, b.denominator)
+            p = a.numerator * (c // a.denominator)
+            q = b.numerator * (c // b.denominator)
+        if q:
+            s, D = squarefree_decompose(D)
+            q *= s
+            if D == 1:  # radicand was a perfect square
+                p, q = p + q, 0
+        self._set(p, q, c, D if q else 1)
+
+    def _set(self, p: int, q: int, c: int, D: int) -> None:
+        g = gcd(p, q, c)
+        if g != 1:
+            p, q, c = p // g, q // g, c // g
+        self.p, self.q, self.c, self.D = p, q, c, D
+
+    @classmethod
+    def _of(cls, p: int, q: int, c: int, D: int) -> "QuadExt":
+        """(p + q*sqrt(D))/c, c >= 1 and D squarefree, in lowest terms; a
+        rational result (q == 0) gets D = 1."""
+        out = object.__new__(cls)
+        out._set(p, q, c, D if q else 1)
+        return out
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.c)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.c)
 
     # -- constructors ------------------------------------------------------
 
@@ -77,21 +107,25 @@ class QuadExt:
         if value < 0:
             raise ValueError("square root of a negative rational")
         s, d = squarefree_decompose(value.numerator * value.denominator)
-        return QuadExt(0, Fraction(s, value.denominator), d)
+        if d == 1:
+            return QuadExt._of(s, 0, value.denominator, 1)
+        return QuadExt._of(0, s, value.denominator, d)
 
     # -- helpers -----------------------------------------------------------
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
+        if isinstance(other, int):
+            return QuadExt._of(other, 0, 1, 1)
+        if isinstance(other, Fraction):
+            return QuadExt._of(other.numerator, 0, other.denominator, 1)
         return NotImplemented  # type: ignore[return-value]
 
     def _common_D(self, other: "QuadExt") -> int:
-        if self.b == 0:
+        if self.q == 0:
             return other.D
-        if other.b == 0:
+        if other.q == 0:
             return self.D
         if self.D != other.D:
             raise ValueError(f"incompatible radicands {self.D} and {other.D}")
@@ -99,16 +133,16 @@ class QuadExt:
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     @property
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self.q == 0 and self.c == 1
 
     def __int__(self) -> int:
         if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return int(self.a)
+        return self.p
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * float(self.D) ** 0.5
@@ -120,12 +154,16 @@ class QuadExt:
         if o is NotImplemented:
             return o
         D = self._common_D(o)
-        return QuadExt(self.a + o.a, self.b + o.b, D)
+        c1, c2 = self.c, o.c
+        if c1 == c2:
+            return QuadExt._of(self.p + o.p, self.q + o.q, c1, D)
+        return QuadExt._of(self.p * c2 + o.p * c1, self.q * c2 + o.q * c1,
+                           c1 * c2, D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.D)
+        return QuadExt._of(-self.p, -self.q, self.c, self.D)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -141,8 +179,9 @@ class QuadExt:
         if o is NotImplemented:
             return o
         D = self._common_D(o)
-        return QuadExt(self.a * o.a + self.b * o.b * D,
-                       self.a * o.b + self.b * o.a, D)
+        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
+        return QuadExt._of(p1 * p2 + q1 * q2 * D, p1 * q2 + q1 * p2,
+                           self.c * o.c, D)
 
     __rmul__ = __mul__
 
@@ -164,30 +203,28 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.b == 0 and o.b == 0:
-            return self.a == o.a
-        return self.a == o.a and self.b == o.b and self.D == o.D
+        return (self.p == o.p and self.q == o.q and self.c == o.c
+                and self.D == o.D)
 
     def __hash__(self):
-        # equal values hash alike: a rational element equals its Fraction
-        if self.b == 0:
-            return hash(self.a)
+        # equal values hash alike: a rational element hashes as its int or
+        # Fraction, an irrational one as its (a, b, D) with Fraction a, b
+        if self.q == 0:
+            return hash(self.p) if self.c == 1 else hash(self.a)
         return hash((self.a, self.b, self.D))
 
     def sign(self) -> int:
-        """Exact sign, no floating point."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 * D
-        lhs, rhs = a * a, b * b * self.D
-        if a > 0:  # b < 0
+        """Exact sign, no floating point: the sign of p + q*sqrt(D)."""
+        p, q = self.p, self.q
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0:
+            return 1 if q > 0 else -1
+        if (p > 0) == (q > 0):
+            return 1 if p > 0 else -1
+        # opposite signs: compare p^2 with q^2 * D
+        lhs, rhs = p * p, q * q * self.D
+        if p > 0:  # q < 0
             return (lhs > rhs) - (lhs < rhs)
         return (rhs > lhs) - (rhs < lhs)
 

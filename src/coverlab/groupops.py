@@ -5,9 +5,10 @@ automorphism of a connected cover is determined by the image of one vertex,
 because each neighbour's image is the unique neighbour of the image in that
 neighbour's fibre (Godsil-Hensel 1992).  covering_group tries the r images
 of vertex 0 in its fibre and propagates each along the perfect matchings
-between fibres.  So K is semiregular, and its element list gives its chain
-on the base (0,) with no Schreier-Sims; a group's kernel on the fibres, the
-elements of K in the group's chain, gets its chain the same way.  Quotients
+between fibres, read off the arcs.  So K is semiregular, and its element
+list gives its chain, on the base (0,), by PermGroup.from_elements with no
+Schreier-Sims; a group's kernel on the fibres, the elements of K in the
+group's chain, gets its chain the same way.  Quotients
 by subgroups of the covering group inherit the cover structure with fibre
 size divided and mu multiplied by the subgroup order; quotient_cover maps
 the edges to the orbits and re-verifies the result.  fibre_action alone
@@ -87,14 +88,15 @@ def covering_group(g: CoverGraph, group: PermGroup | None = None):
     """
     require_cover(g)
     if g._kernel is None:
-        # K is semiregular: its elements are a strong generating set for [0]
-        kernel = PermGroup.from_base(_fibre_fixing_automorphisms(g), g.v, [0])
+        found = _fibre_fixing_automorphisms(g)
+        kernel = PermGroup.from_elements(found, found, g.v)
         g._kernel = kernel, kernel_info(g, kernel)
     if group is None:
         return g._kernel
     require_automorphisms(g, group)
     full = g._kernel[0].generators
-    kernel = PermGroup.from_base([k for k in full if k in group], g.v, [0])
+    inside = [k for k in full if k in group]
+    kernel = PermGroup.from_elements(inside, inside, g.v)
     if kernel.generators == full:
         return g._kernel
     return kernel, kernel_info(g, kernel)
@@ -113,17 +115,21 @@ def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:
 def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
     """Every fibre-fixing automorphism of a verified cover, identity included.
 
-    match[x, j] is the neighbour of x in fibre j, read off row x of A on
-    fibre j (x itself for its own fibre).  Each image c of vertex 0 in its
-    fibre determines img[y] = match[img[x], fibre_of[y]] along a BFS tree,
-    one layer at a time.  The candidate is kept when img is a bijection
-    with img[match[x, j]] = match[img[x], j] for every x and j, i.e. every
-    edge goes to an edge.  The cost is O(r v n).
+    match[x, j] is the neighbour of x in fibre j (x itself for its own
+    fibre), filled by one scatter over the 2m arcs of g._pairs: g is
+    verified, so each vertex has one neighbour in every other fibre and
+    every entry is written once.  Each image c of vertex 0 in its fibre
+    determines img[y] = match[img[x], fibre_of[y]] along a BFS tree, one
+    layer at a time.  The candidate is kept when img is a bijection with
+    img[match[x, j]] = match[img[x], j] for every x and j, i.e. every edge
+    goes to an edge.  The cost is O(m) for the matching and O(r v n) for
+    the r candidates.
     """
-    members = np.array(g.fibres)
-    match = members[np.arange(g.n),
-                    g.adjacency_matrix()[:, members].argmax(2)]
     fibre = np.array(g.fibre_of, dtype=np.intp)
+    u, w = g._pairs.T
+    match = np.empty((g.v, g.n), dtype=np.intp)
+    match[u, fibre[w]] = w
+    match[w, fibre[u]] = u
     match[np.arange(g.v), fibre] = np.arange(g.v)
 
     # (layer, a neighbour of each layer vertex in the layer before)

@@ -1,12 +1,14 @@
 """Permutations and small permutation groups with a stabilizer chain.
 
-Each chain is built from the facts already held.  Bare generators, such as
-a subgroups_of output or a user's group, get one deterministic Schreier-Sims
-chain, its base points prepended from an optional hint, otherwise each the
-first moved point of a generator.  A strong generating set relative to a
-known base gives the chain by PermGroup.from_base, with no Schreier
-generator sifted: the automorphism search's generators are one for its
-first-path base, and a semiregular group's element list for any one point.
+Each chain is built from the facts already held.  A group whose every
+element is listed, such as a subgroups_of output or a covering group, gets
+its chain by PermGroup.from_elements, filtering that list: no product is
+formed and no Schreier generator sifted.  A strong generating set relative
+to a known base gives the chain by PermGroup.from_base, with no Schreier
+generator sifted either: the automorphism search's generators are one for
+its first-path base.  Bare generators, such as a user's group, get one
+deterministic Schreier-Sims chain, its base points prepended from an
+optional hint, otherwise each the first moved point of a generator.
 A group with a chain goes to another base, or another domain, by
 PermGroup.rebased: seeded uniform draws from its own chain are sifted until
 the orbit lengths multiply to its order, which certifies the chain, so the
@@ -16,21 +18,25 @@ orders in the tens of millions are fine at degree <= about 1000 as long as
 nothing scans every element.  stabilizer(k), of the first k base points, is
 a chain tail (Seress 2003, section 4.1), and pointwise_stabilizer and
 point_stabilizer are tails of the group rebased at the points.
-PermGroup.orbits is the one orbit partition: the automorphism search, the
-arc orbits, the covering group's regularity, quotients and subdegrees all
-read it.  Products index one image tuple by another with
-operator.itemgetter, and each permutation keeps its inverse once computed.
+PermGroup.orbits is the one orbit partition, made in one pass over the
+points: the automorphism search, the arc orbits, the covering group's
+regularity, quotients and subdegrees all read it.  Products index one
+image tuple by another with operator.itemgetter, and each permutation keeps
+its inverse once computed.
 """
 from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter
+
+from .graphcore import SizeBoundExceeded
 
 # known-order sifting gives up after this many identity residues in a row
 MAX_IDLE_DRAWS = 64
 CHAIN_SEED = 1  # of rebased's draws; the order certifies the chain anyway
+MAX_SUBGROUPS_ORDER = 10_000  # subgroups_of refuses larger groups
 
 
 class Permutation:
@@ -321,6 +327,32 @@ class PermGroup:
         group._levels, group._strong = levels, group.generators
         return group
 
+    @classmethod
+    def from_elements(cls, generators, elements, degree: int) -> "PermGroup":
+        """The group generated by generators, whose elements are every one
+        listed in elements, the identity optional.  The chain is read off
+        the list with no product formed: b_i is the first moved point of
+        the first listed element fixing b_0..b_{i-1}, and level i's
+        transversal holds, for each point, the first listed element that
+        fixes b_0..b_{i-1} and sends b_i there.  The transversal elements
+        are the strong generators.  Nothing checks that the list is the
+        whole group, so the caller vouches for it, as subgroups_of does for
+        each closure and covering_group for K."""
+        group = cls(generators, degree)
+        rest = [g for g in elements if not g.is_identity()]
+        levels: list[_Level] = []
+        while rest:
+            b = _first_moved(rest[0])
+            lvl = _Level(b, degree)
+            for g in rest:
+                lvl.orbit.setdefault(g[b], g)
+            levels.append(lvl)
+            rest = [g for g in rest if g[b] == b]
+        group._levels = levels
+        group._strong = [t for l in levels for x, t in l.orbit.items()
+                         if x != l.point]
+        return group
+
     @property
     def base(self) -> list[int]:
         return [l.point for l in self._chain()]
@@ -387,15 +419,25 @@ class PermGroup:
         return orb
 
     def orbits(self) -> list[list[int]]:
-        """The orbits on 0..degree-1, each sorted, in order of least point."""
-        seen: set[int] = set()
+        """The orbits on 0..degree-1, each sorted, in order of least point:
+        one pass over the points, each unseen one starting an orbit list
+        that grows while it is read, with a bytearray of seen points."""
+        imgs = [g.img for g in self.generators]
+        seen = bytearray(self.degree)
         out = []
         for x in range(self.degree):
-            if x in seen:
+            if seen[x]:
                 continue
-            orb = self.orbit(x)
-            seen |= orb
-            out.append(sorted(orb))
+            seen[x] = 1
+            orb = [x]
+            for y in orb:
+                for img in imgs:
+                    z = img[y]
+                    if not seen[z]:
+                        seen[z] = 1
+                        orb.append(z)
+            orb.sort()
+            out.append(orb)
         return out
 
     def is_transitive(self) -> bool:
@@ -449,22 +491,27 @@ def _times_transversal(level: _Level, products):
             yield t * p
 
 
-def subgroups_of(group: PermGroup, max_group_order: int = 10_000) -> list[PermGroup]:
-    """All subgroups, by closure extension; rejects groups above the bound.
+def subgroups_of(group: PermGroup) -> list[PermGroup]:
+    """All subgroups, by closure extension; SizeBoundExceeded (a ValueError)
+    for a group of order above MAX_SUBGROUPS_ORDER.
 
     The elements are numbered in sorted order and every closure runs on
     frozensets of these indices.  The product of two indices is composed
     the first time it is needed and remembered, so at most |G|^2 tuple
     compositions are made, whatever the number of closures.  Each subgroup
-    keeps the generators that first produced it.  Deterministic order: by
+    keeps the generators that first produced it, and its chain is read
+    off its element list (PermGroup.from_elements), so no order or
+    membership test on it runs Schreier-Sims.  Deterministic order: by
     (order, sorted element tuples), which the order-preserving numbering
     turns into (order, sorted indices).  Meant for the small groups that
     occur as covering groups and their relatives.
     """
     n = group.order()
-    if n > max_group_order:
-        raise ValueError(f"group order {n} exceeds bound {max_group_order}")
-    elements = sorted(g.img for g in group.elements())
+    if n > MAX_SUBGROUPS_ORDER:
+        raise SizeBoundExceeded(
+            f"group order {n} exceeds bound {MAX_SUBGROUPS_ORDER}")
+    perms = sorted(group.elements(), key=attrgetter("img"))
+    elements = [p.img for p in perms]
     index = {img: i for i, img in enumerate(elements)}
     # the identity is the least image tuple, so index 0, and its products
     # need no composition; the others are composed on first use
@@ -505,5 +552,7 @@ def subgroups_of(group: PermGroup, max_group_order: int = 10_000) -> list[PermGr
                     known[closed] = gens
                     nxt.append(closed)
         frontier = nxt
-    return [PermGroup([elements[x] for x in known[sub]], group.degree)
-            for sub in sorted(known, key=lambda s: (len(s), sorted(s)))]
+    listed = sorted((len(sub), sorted(sub), known[sub]) for sub in known)
+    return [PermGroup.from_elements([perms[x] for x in gens],
+                                    [perms[x] for x in members], group.degree)
+            for _, members, gens in listed]

@@ -1,5 +1,8 @@
 """Quadratic surd arithmetic: exactness properties and squarefree handling."""
+import operator
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,3 +150,107 @@ def test_ordering_against_non_numbers_is_not_implemented():
         assert getattr(x, op)("2") is NotImplemented
     with pytest.raises(TypeError, match="not supported"):
         x < "2"
+
+
+# -- an oracle on (Fraction a, Fraction b, D) triples ---------------------------
+
+def ref_norm(a, b, D):
+    """a + b*sqrt(D) as (a, b, D) with D squarefree and (a, 0, 1) when
+    rational: the largest square s*s dividing D found by trial."""
+    a, b = Fraction(a), Fraction(b)
+    if b == 0:
+        return a, Fraction(0), 1
+    s = next(s for s in range(isqrt(D), 0, -1) if D % (s * s) == 0)
+    b, D = b * s, D // (s * s)
+    if D == 1:
+        return a + b, Fraction(0), 1
+    return a, b, D
+
+
+def ref_field(x, y):
+    """The common radicand of two normalised triples, None when both are
+    irrational with different radicands."""
+    if x[1] == 0:
+        return y[2]
+    if y[1] == 0 or x[2] == y[2]:
+        return x[2]
+    return None
+
+
+def ref_add(x, y):
+    return ref_norm(x[0] + y[0], x[1] + y[1], ref_field(x, y))
+
+
+def ref_mul(x, y):
+    D = ref_field(x, y)
+    return ref_norm(x[0] * y[0] + x[1] * y[1] * D, x[0] * y[1] + x[1] * y[0], D)
+
+
+def ref_sign(x):
+    """The sign of a + b*sqrt(D) read off a 60-digit decimal value.  On
+    the triples here, and their differences, a nonzero value exceeds
+    1e-12: (a + b sqrt(D))(a - b sqrt(D)) is a nonzero rational of
+    denominator below 3e8, and |a - b sqrt(D)| is below 800."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        value = (Decimal(x[0].numerator) / x[0].denominator
+                 + Decimal(x[1].numerator) / x[1].denominator
+                 * Decimal(x[2]).sqrt())
+    return (value > 0) - (value < 0)
+
+
+def ref_rat_json(f):
+    return f.numerator if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+oracle_rationals = st.one_of(st.integers(-50, 50), small_rationals)
+oracle_triples = st.tuples(
+    oracle_rationals, st.one_of(st.just(0), oracle_rationals),
+    st.sampled_from([1, 2, 3, 4, 5, 8, 12, 20, 45]))
+
+
+def same_value(x, ref):
+    """x holds ref's normalised triple and equals the QuadExt built from it."""
+    return (x.a, x.b, x.D) == ref and x == QuadExt(*ref)
+
+
+@given(oracle_triples, oracle_triples, st.integers(0, 6))
+@settings(max_examples=400)
+def test_quadext_matches_triple_oracle(t1, t2, k):
+    """QuadExt against the reference on triples: construction, negation,
+    sign, powers up to 6, sums, products, the four comparisons, equality
+    and hash against int and Fraction, to_json and repr, and the
+    incompatible-radicand ValueError."""
+    x, y = QuadExt(*t1), QuadExt(*t2)
+    rx, ry = ref_norm(*t1), ref_norm(*t2)
+    assert same_value(x, rx) and same_value(-x, ref_norm(-rx[0], -rx[1], rx[2]))
+    assert x.sign() == ref_sign(rx)
+    power = ref_norm(1, 0, 1)
+    for _ in range(k):
+        power = ref_mul(power, rx)
+    assert same_value(x ** k, power)
+
+    if rx[1] == 0:
+        assert x == rx[0] and hash(x) == hash(rx[0])
+        if rx[0].denominator == 1:
+            assert x == int(rx[0]) and hash(x) == hash(int(rx[0]))
+    else:
+        assert x != rx[0] and x != int(rx[0])
+    assert x.to_json() == {"a": ref_rat_json(rx[0]), "b": ref_rat_json(rx[1]),
+                           "D": rx[2]}
+    assert repr(x) == f"QuadExt({rx[0]!r}, {rx[1]!r}, {rx[2]})"
+
+    if ref_field(rx, ry) is None:
+        for op in (operator.add, operator.mul, operator.sub, operator.lt,
+                   operator.le, operator.gt, operator.ge):
+            with pytest.raises(ValueError, match="incompatible radicands"):
+                op(x, y)
+        return
+    assert same_value(x + y, ref_add(rx, ry))
+    assert same_value(x * y, ref_mul(rx, ry))
+    diff = ref_sign(ref_add(rx, (-ry[0], -ry[1], ry[2])))
+    assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff <= 0, diff > 0,
+                                              diff >= 0)
+    assert (x == y) == (rx == ry)
+    if rx == ry:
+        assert hash(x) == hash(y)

@@ -186,6 +186,19 @@ def test_subgroups_of_small_groups():
     assert orders == [1, 2, 2, 2, 4]
 
 
+def test_subgroups_of_refuses_a_group_past_its_bound():
+    """Past perms.MAX_SUBGROUPS_ORDER, subgroups_of raises
+    SizeBoundExceeded, a ValueError (bad input, exit 2 in the CLI), with
+    the order and the bound in the message: S_8 has order 40320."""
+    assert perms.MAX_SUBGROUPS_ORDER == 10_000
+    s8 = PermGroup([Permutation([1, 0, 2, 3, 4, 5, 6, 7]),
+                    Permutation([1, 2, 3, 4, 5, 6, 7, 0])])
+    with pytest.raises(SizeBoundExceeded) as err:
+        subgroups_of(s8)
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == "group order 40320 exceeds bound 10000"
+
+
 def subgroups_by_closure(group):
     """The closure-extension enumeration over tuples, each closure a BFS of
     closure_elements: every subgroup's first-found generators (identity
