@@ -5,8 +5,10 @@ cases.  Output is canonical JSON, emitted by one json.dumps with sorted
 keys, so golden-file comparisons are stable; no payload holds a float.
 Every run embeds its full configuration.  Exit codes: 0 success/verified,
 1 verification, certificate or case-match failure, 2 bad input or path
-(a ValueError or OSError).  Any other exception is a bug in the program
-and propagates.
+(a ValueError or OSError), 3 an input past one of the library's size
+bounds (graphcore.SizeBoundExceeded: a vertex bound, or the bound past
+which a BLAS product's float type no longer holds every integer).  Any
+other exception is a bug in the program and propagates.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import sys
 from . import casecheck, constructions, numtheory
 from .exact import quad_json
 from .frames import SpectrumCertificateError, lines_from_cover
-from .graphcore import CoverGraph, verify_cover
+from .graphcore import CoverGraph, SizeBoundExceeded, verify_cover
 from .groupops import (arc_orbit_count, covering_group, fibre_action,
                        involution_audit, involution_types, quotient_cover,
                        structure_audit, subdegree_identity_check)
@@ -27,7 +29,7 @@ from .params import (derive_params, family_B, feasible_A, feasible_B,
                      hoffman_bounds)
 from .perms import subgroups_of
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT = 0, 1, 2, 3
 
 
 def _canonical(obj) -> str:
@@ -335,6 +337,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
+    except SizeBoundExceeded as exc:  # a limit of the program, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,7 +2,9 @@
 
 The characters of the abelian covering group K are built by extension along
 its generators: if m is the least power with g^m in a subgroup H, each
-character of H extends to <H, g> in exactly m = [<H, g> : H] ways.  K is
+character of H extends to <H, g> in exactly m = [<H, g> : H] ways.  The
+extension runs in integer angles, a character of H being a row of integers
+mod |H|, and each exact Fraction angle is built only when read.  K is
 covering_group's record on the graph, found and checked once per cover.
 
 From an abelian cover and a nontrivial character chi of K one forms the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -49,13 +52,21 @@ class FrameError(ValueError):
 
 @dataclass(frozen=True)
 class Character:
-    """A character of an abelian permutation group, with exact root angles.
+    """A character of an abelian permutation group G, with exact root angles.
 
-    values maps each group element (image tuple) to a Fraction q meaning
-    exp(2*pi*i*q); exactness keeps kernels and triviality decidable.
+    turns maps each group element (image tuple) to an integer t in
+    Z_modulus, modulus = |G|, meaning exp(2*pi*i*t/modulus); values maps it
+    to the Fraction t/modulus, built when first read.  Exactness keeps
+    kernels and triviality decidable.
     """
-    values: dict
     index: int
+    turns: dict
+    modulus: int
+
+    @cached_property
+    def values(self) -> dict:
+        return {img: Fraction(t, self.modulus)
+                for img, t in self.turns.items()}
 
     def angle(self, perm) -> Fraction:
         img = perm.img if isinstance(perm, Permutation) else tuple(perm)
@@ -63,14 +74,7 @@ class Character:
 
     @property
     def is_trivial(self) -> bool:
-        return all(q == 0 for q in self.values.values())
-
-    def kernel_images(self) -> list[tuple]:
-        return sorted(img for img, q in self.values.items() if q == 0)
-
-    @property
-    def is_faithful(self) -> bool:
-        return len(self.kernel_images()) == 1
+        return not any(self.turns.values())
 
 
 def all_characters(kernel: PermGroup) -> list[Character]:
@@ -80,30 +84,44 @@ def all_characters(kernel: PermGroup) -> list[Character]:
     g^m in H, every element of <H, g> is h*g^e for exactly one h in H and
     0 <= e < m, and a character chi of H extends to <H, g> in exactly m
     ways, chi(h*g^e) = chi(h) + e*(chi(g^m) + j)/m mod 1 for j = 0..m-1.
-    The trivial character has index 0.
+    The extension runs in integer angles: a character of H is a row of
+    integers mod |H|, and the j-th extension takes t at h to
+    m*t + e*(t' + j*|H|) mod m*|H| at h*g^e, t' its angle at g^m, and no
+    Fraction is formed (see Character.values).  The characters are ordered
+    by their angle rows over the elements in image order, so the trivial
+    character, the zero row, has index 0.  The group is abelian exactly
+    when each generator extended along commutes with those before it, as
+    every other generator lies in the group they generate; FrameError is
+    raised at the first that does not.
     """
-    if not kernel.is_abelian():
-        raise FrameError("covering group must be abelian")
     elements = [Permutation.identity(kernel.degree)]
-    chars = [{elements[0].img: Fraction(0)}]
-    # chars[0] stays the trivial character, so its keys are the elements of H
+    position = {elements[0].img: 0}  # the elements of H, by image
+    rows = [[0]]  # each character of H: its angles over elements, mod |H|
+    used = []  # the generators extended along so far; they generate H
     for g in kernel.generators:
-        if g.img in chars[0]:
+        if g.img in position:
             continue
+        if any((g * x).img != (x * g).img for x in used):
+            raise FrameError("covering group must be abelian")
+        used.append(g)
         power, m = g, 1
-        while power.img not in chars[0]:
+        while power.img not in position:
             power, m = power * g, m + 1
         layers = [elements]
         for _ in range(m - 1):
             layers.append([x * g for x in layers[-1]])
-        chars = [{x.img: (chi[h.img] + e * (chi[power.img] + j) / m) % 1
-                  for e, layer in enumerate(layers)
-                  for h, x in zip(elements, layer)}
-                 for chi in chars for j in range(m)]
+        size, at = len(elements), position[power.img]
+        rows = [[(m * t + e * (row[at] + j * size)) % (m * size)
+                 for e in range(m) for t in row]
+                for row in rows for j in range(m)]
         elements = [x for layer in layers for x in layer]
-    chars.sort(key=lambda vals: sorted((img, q) for img, q in vals.items()))
-    chars.sort(key=lambda vals: all(q == 0 for q in vals.values()), reverse=True)
-    return [Character(values=v, index=i) for i, v in enumerate(chars)]
+        position = {x.img: i for i, x in enumerate(elements)}
+    columns = [position[img] for img in sorted(position)]
+    rows.sort(key=lambda row: [row[i] for i in columns])
+    keys = [x.img for x in elements]
+    return [Character(index=index, turns=dict(zip(keys, row)),
+                      modulus=len(elements))
+            for index, row in enumerate(rows)]
 
 
 # -- signature matrix -----------------------------------------------------------
@@ -137,9 +155,9 @@ def character_matrix(g: CoverGraph, chi: Character,
     generators in K.  Row i is read off the arcs at base vertex i, one
     selection of g's edge array, through a carrier table: for each vertex
     x, the angle a in Z_e of chi at the p in K taking x to its fibre's
-    base, its minimum label (e the lcm of chi's angle denominators).  The
-    result is that angle table, with the eigenvalues certify_two_eigenvalues
-    certifies on it.
+    base, its minimum label (e the order of chi's image, read off chi's
+    integer angles).  The result is that angle table, with the eigenvalues
+    certify_two_eigenvalues certifies on it.
     """
     params = params_of(g)
     k, info = covering_group(g)
@@ -156,19 +174,23 @@ def character_matrix(g: CoverGraph, chi: Character,
     bases = [f[0] for f in g.fibres]
 
     # carrier[x] = e*angle(chi, p) for the one p in K taking x to its base
-    # (abelian_cover holds, so K is regular on every fibre)
-    e = math.lcm(*(q.denominator for q in chi.values.values()))
+    # (abelian_cover holds, so K is regular on every fibre): e is the order
+    # of chi's image, and the p are read off one comparison of K's
+    # (|K| x v) element array with each vertex's base
+    elements = list(k.elements())
+    turns = [chi.turns[p.img] for p in elements]
+    step = math.gcd(chi.modulus, *turns)
+    e = chi.modulus // step
     fibre = np.array(g.fibre_of)
     base_of = np.array(bases)[fibre]
-    carrier = np.full(g.v, -1)
-    for p in k.elements():
-        carrier[np.array(p.img) == base_of] = int(chi.angle(p) * e)
+    images = np.array([p.img for p in elements])
+    carrier = (np.array(turns) // step)[(images == base_of).argmax(axis=0)]
 
     # the arcs (b, x) out of the bases: x is b's partner in x's fibre
     row = np.full(g.v, -1)
     row[bases] = np.arange(n)
     arcs = np.concatenate([g._pairs, g._pairs[:, ::-1]])
-    b, x = arcs[row[arcs[:, 0]] >= 0].T
+    b, x = np.compress(row[arcs[:, 0]] >= 0, arcs, axis=0).T
     angle = np.full((n, n), -1)
     angle[row[b], fibre[x]] = carrier[x]
 

@@ -11,9 +11,11 @@ one fibre are at distance 3, and cross-fibre pairs at distance 1 or 2
 Adjacency is stored as bit rows; bit_matrix unpacks them into the 0/1
 matrix A, and the axioms are read off two BLAS products: neighbour counts
 per fibre are entries of A·F (F the fibre indicator), and common-neighbour
-counts are entries of A·A.  A passing report is recorded on the graph,
-which never changes after construction; cover_report hands it to later
-stages so that each graph is verified once.
+counts are entries of A·A, which verify_cover turns in place into the
+residual A^2 - mu J - (lambda - mu)A with its fibre blocks zeroed, 0
+exactly when mu and lambda are as the axioms say.  A passing report is
+recorded on the graph, which never changes after construction;
+cover_report hands it to later stages so that each graph is verified once.
 """
 from __future__ import annotations
 
@@ -363,50 +365,53 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     """Check the cover axioms, collecting up to max_violations per axiom.
 
     Always verifies; a passing report is recorded on g for cover_report.
-    One BFS checks connectivity.  The other axioms are read off the 0/1
-    adjacency matrix A through two float32 BLAS products: M = A·F, with F
+    (a), connectivity, is reported alone when it fails, but (b)-(d) imply
+    it (see below), so its BFS runs only when another axiom fails.  The
+    other axioms are read off the 0/1 adjacency matrix A through two float32 BLAS products: M = A·F, with F
     the v x n fibre indicator, counts each vertex's neighbours per fibre
-    for (b) and (c), and C = A·A counts common neighbours for (d) and (e).
+    for (b) and (c), and A·A counts common neighbours for (d) and (e).
     Their entries are sums of 0/1 terms, so every partial sum is at most
-    the largest degree, and they are exact while it stays below
-    FLOAT32_EXACT; past it SizeBoundExceeded is raised.
+    the largest degree, read off the bit rows, and they are exact while it
+    stays below FLOAT32_EXACT; past it SizeBoundExceeded is raised.
+    (d) and (e) are read off one residual R = A^2 - mu J - (lam - mu)A with
+    its fibre blocks zeroed, built in A^2's buffer: mu is read at the first
+    non-adjacent cross-fibre pair u < w, which (b) and (c) put in row 0,
+    lam = n - (r-1)mu - 2, and the cover passes when mu >= 1 and R is 0.
+    Once (b) and (c) hold, (e) follows from (d): for an edge uw, each
+    neighbour of w other than u has one neighbour in u's fibre, so the r
+    vertices of that fibre share n - 2 neighbours with w in all, mu with
+    each of the r - 1 other than u; R vanishes on the edges when it does
+    off them, and every witness is one of (d).  R's entries are integers
+    of size below v + 2n, exact in float32 for any v x v matrix that fits
+    in memory.
     Witnesses are listed as a scan of the pairs u < w in row-major order
-    finds them; for (c), the first vertex of fibre i with a wrong count in
-    fibre j, for each pair i < j.
-    Once (b)-(e) hold, the distances follow without another BFS:
+    finds them, and R is scanned only when it is nonzero; for (c), the
+    first vertex of fibre i with a wrong count in fibre j, for each pair
+    i < j.
+    Once (b)-(e) hold, the distances follow without a BFS:
     same-fibre vertices share no neighbour, since that neighbour would have
     two neighbours in one fibre; cross-fibre non-adjacent pairs are at
     distance 2, since mu >= 1; and u's matched neighbour w in another fibre
     is non-adjacent to u's fibre mates, so each is at distance 2 from w,
-    hence at distance 3 from u.  So the diameter is 3 and the fibres are
-    the distance-3 classes.
-    A cap below 1 raises ValueError: it would record no witness, and the
-    verdict is read off the witnesses.
+    hence at distance 3 from u.  So g is connected, the diameter is 3 and
+    the fibres are the distance-3 classes.
+    A cap below 1 raises ValueError: it would record no witness, and a
+    failing report is one with witnesses.
     """
     if max_violations < 1:
         raise ValueError(f"max_violations must be at least 1, got {max_violations}")
     rep = CoverReport(is_cover=False, n=g.n, r=g.r, mu=None, lam=None)
-
-    # (a) connectivity
-    layers = bfs_layers(g.adj, 0)
-    reached = sum(len(l) for l in layers)
-    if reached != g.v:
-        rep.failures.append(Violation("connectivity", (0,),
-                                      f"only {reached} of {g.v} vertices reachable"))
-        return rep
-
-    a = g.adjacency_matrix()
-    degree = int(a.sum(axis=1).max())
+    degree = max(row.bit_count() for row in g.adj)
     if degree >= FLOAT32_EXACT:
         raise SizeBoundExceeded(
             f"common-neighbour counts reach {degree} >= {FLOAT32_EXACT}, "
             "beyond exact float32 arithmetic")
+    a = g.adjacency_matrix()
     cap = max_violations
     fibre_of = np.array(g.fibre_of)
     members = np.array(g.fibres)  # members[i, k]: k-th vertex of fibre i
     a32 = a.astype(np.float32)
-    f = np.zeros((g.v, g.n), dtype=np.float32)
-    f[np.arange(g.v), fibre_of] = 1
+    f = np.eye(g.n, dtype=np.float32)[fibre_of]  # the fibre indicator
     per_fibre = (a32 @ f)[members]  # [i, k, j]: neighbours in fibre j
 
     # (b) each fibre is a coclique
@@ -428,44 +433,37 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
             f"vertex {u} has {d} neighbours in fibre {j}"))
 
     if rep.failures:
-        return rep
+        return _connected_or(g, rep)
+    del f, per_fibre, wrong  # dropped before A^2, to bound peak memory
 
-    common = a32 @ a32
-    del a32  # v x v temporaries are dropped once used, to bound peak memory
-
-    # (d) constant mu >= 1 over non-adjacent cross-fibre pairs u < w
-    pairs = fibre_of[:, None] != fibre_of
-    pairs &= a == 0
-    pairs = np.triu(pairs, 1)
-    mu = None
-    if pairs.any():
-        x0 = int(pairs.argmax())
-        mu, mu_witness = int(common.flat[x0]), divmod(x0, g.v)
-        for x in np.flatnonzero(pairs & (common != mu))[:cap].tolist():
+    # (d) and (e) from one residual R = A^2 - mu J - (lam - mu) A, zero on
+    # the fibre blocks, built in A^2's buffer.  mu is read at the first
+    # non-adjacent cross-fibre pair u < w, which (b) and (c) put in row 0
+    w0 = int(((fibre_of != fibre_of[0]) & (a[0] == 0)).argmax())
+    res = a32 @ a32
+    mu = int(res[0, w0])
+    lam = g.n - (g.r - 1) * mu - 2
+    a32 *= lam - mu
+    res -= a32
+    del a32
+    res -= mu
+    res[members[:, :, None], members[:, None, :]] = 0
+    rep.mu = mu
+    if mu < 1 or res.any():
+        # the non-adjacent pairs u < w where R is nonzero, in row-major
+        # order; R vanishes on the edges once it does off them (docstring)
+        nz = np.flatnonzero(res != 0)  # far faster than on the floats
+        nz = nz[(nz // g.v < nz % g.v) & (a.flat[nz] == 0)]
+        for x in nz[:cap].tolist():
             rep.failures.append(Violation(
                 "mu-constant", divmod(x, g.v),
-                f"{int(common.flat[x])} common neighbours, expected {mu} "
-                f"as at {mu_witness}"))
+                f"{int(res.flat[x]) + mu} common neighbours, expected {mu} "
+                f"as at {(0, w0)}"))
         if mu < 1:
-            rep.failures.append(Violation("mu-positive", mu_witness,
+            rep.failures.append(Violation("mu-positive", (0, w0),
                                           f"mu = {mu} < 1"))
-    rep.mu = mu
-    del pairs
-
-    # (e) adjacent pairs u < w: lambda = n - (r-1)mu - 2
-    if mu is not None and not rep.failures:
-        lam_expect = g.n - (g.r - 1) * mu - 2
-        wrong = np.triu(a, 1) & (common != lam_expect)
-        for x in np.flatnonzero(wrong)[:cap].tolist():
-            rep.failures.append(Violation(
-                "lambda-mismatch", divmod(x, g.v),
-                f"{int(common.flat[x])} common neighbours, expected "
-                f"n-(r-1)mu-2 = {lam_expect}"))
-        if not rep.failures:
-            rep.lam = lam_expect
-
-    if rep.failures:
-        return rep
+        return _connected_or(g, rep)
+    rep.lam = lam
 
     # (b)-(e) fix every distance (see the docstring): diameter 3, and the
     # fibres are the distance-3 classes
@@ -474,6 +472,18 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     rep.is_cover = True
     g._report = rep
     return rep
+
+
+def _connected_or(g: CoverGraph, rep: CoverReport) -> CoverReport:
+    """rep, a failing report, or when g is disconnected the report of (a)
+    alone, as one BFS from vertex 0 finds it."""
+    reached = sum(len(l) for l in bfs_layers(g.adj, 0))
+    if reached == g.v:
+        return rep
+    return CoverReport(is_cover=False, n=g.n, r=g.r, mu=None, lam=None,
+                       failures=[Violation(
+                           "connectivity", (0,),
+                           f"only {reached} of {g.v} vertices reachable")])
 
 
 def cover_report(g: CoverGraph) -> CoverReport:
@@ -549,6 +559,10 @@ def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
     FLOAT32_EXACT, which holds for every cover up to TS(8,1) (bound about
     2.0 M), and in float64 below 2^53; past that SizeBoundExceeded is
     raised.
+    The identity is checked as one product of (A - kI)(A + I) and quad =
+    A^2 - (lambda - mu)A - kI (k = n - 1), built in place in the buffers
+    of A^2 and A, so the check holds at most three v x v arrays: A, A^2
+    and the product, which is tested with one any().
     Then tr(A^m) for m <= 3, read from A^2 as tr(A^2) and sum(A^2 * A), is
     compared with the model spectrum
     k^m + m_theta theta^m + (n-1)(-1)^m + m_tau tau^m, evaluated exactly.
@@ -568,16 +582,19 @@ def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
     a = g.adjacency_matrix().astype(dtype)
     a2 = a @ a
     tr = [v, int(np.trace(a)), int(np.trace(a2)), int(np.vdot(a2, a))]
-    # (A - kI)(A + I) = A^2 + (1 - k)A - kI, so one product remains; both
-    # polynomials in A are built in place, to hold few v x v temporaries
-    left = np.multiply(a, 1 - k)
-    left += a2
-    left.flat[::v + 1] -= k
-    quad = np.multiply(a, -(p.lam - p.mu))
-    quad += a2
-    quad.flat[::v + 1] -= p.n - 1
+    # a2 becomes (A - kI)(A + I) = A^2 + (1 - k)A - kI through (1 - k)A,
+    # which a holds for a moment and divides back to the 0/1 A exactly
+    # (k = n - 1 >= 2); a then becomes quad, which differs from it by a
+    # multiple of A
+    a *= 1 - k
+    a2 += a
+    a2.flat[::v + 1] -= k
+    a /= 1 - k
+    a *= (k - 1) - (p.lam - p.mu)
+    a += a2
+    product = a2 @ a
     del a, a2
-    if np.any(left @ quad != 0):
+    if product.any():
         failed.append("minimal-polynomial")
     if g.v != p.v:
         failed.append("vertex-count")

@@ -273,7 +273,8 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     orbit_of = np.empty(g.v, dtype=np.intp)
     orbit_of[np.array(orbits)] = np.arange(len(orbits))[:, None]
     edges = orbit_of[g._pairs]
-    edges = edges[edges[:, 0] != edges[:, 1]]
+    # np.compress selects rows many times faster than a boolean index
+    edges = np.compress(edges[:, 0] != edges[:, 1], edges, axis=0)
     fibres = np.sort(orbit_of[np.array(g.fibres)], axis=1)[:, ::u_order]
     quot = CoverGraph(fibres.tolist(), edges)
 

@@ -120,6 +120,33 @@ def test_verify_malformed_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), text
 
 
+def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
+    """An input past a size bound is a limit of the program, not bad
+    input: SizeBoundExceeded exits 3 with an error line, on one bound of
+    each kind.  VERTEX_BOUND through build, AUT_VERTEX_BOUND through
+    analyze (patched below the icosahedron's 12 vertices) and FLOAT32_EXACT
+    through verify (patched to the hexagon's degree 2).  The 2^53 bound of
+    spectrum_check and MAX_SUBGROUPS_ORDER are pinned as library raises in
+    test_graphcore and test_permgroup."""
+    from coverlab import autgroup, graphcore
+    assert main(["build", "thas-somma", "--q", "5", "--m", "3"]) == 3
+    assert capsys.readouterr().err == ("error: q^(2m+1) = 5^7 vertices "
+                                       "exceed the bound 4096\n")
+    path = tmp_path / "icosahedron.json"
+    path.write_text(icosahedron().to_json_str())
+    monkeypatch.setattr(autgroup, "AUT_VERTEX_BOUND", 11)
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err == "error: 12 vertices exceed bound 11\n"
+    path = tmp_path / "hexagon.json"
+    path.write_text(hexagon().to_json_str())
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 2)
+    assert main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: common-neighbour counts reach 2 >= 2")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

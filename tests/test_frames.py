@@ -42,12 +42,17 @@ from coverlab.perms import PermGroup, Permutation
 from conftest import closure_elements, gram_of, relabelled, signature_of
 
 
+def _kernel(chi) -> list[tuple]:
+    """The elements where chi is 1, read off its exact values."""
+    return sorted(img for img, q in chi.values.items() if q == 0)
+
+
 def test_characters_of_cyclic_group(corpus):
     kernel, _ = covering_group(corpus["ts31"])
     chars = all_characters(kernel)
     assert len(chars) == 3
     assert chars[0].is_trivial
-    assert all(c.is_faithful for c in chars[1:])
+    assert all(len(_kernel(c)) == 1 for c in chars[1:])  # all faithful
     # values are cube roots of unity
     for c in chars[1:]:
         for img in c.values:
@@ -60,8 +65,80 @@ def test_characters_of_elementary_abelian(corpus):
     assert len(chars) == 4
     assert sum(1 for c in chars if c.is_trivial) == 1
     for c in chars[1:]:
-        assert not c.is_faithful  # no faithful character of Z2 x Z2
-        assert len(c.kernel_images()) == 2
+        # no faithful character of Z2 x Z2: each kernel has order 2
+        assert len(_kernel(c)) == 2
+
+
+def fraction_characters(kernel: PermGroup) -> list[dict]:
+    """Every character of an abelian group as a dict of Fraction angles,
+    by the extension all_characters ran before it moved to integer angles:
+    chi(h g^e) = chi(h) + e (chi(g^m) + j)/m mod 1 for j = 0..m-1, then
+    sorted by the angles over the elements in image order, trivial first."""
+    elements = [Permutation.identity(kernel.degree)]
+    chars = [{elements[0].img: Fraction(0)}]
+    for g in kernel.generators:
+        if g.img in chars[0]:
+            continue
+        power, m = g, 1
+        while power.img not in chars[0]:
+            power, m = power * g, m + 1
+        layers = [elements]
+        for _ in range(m - 1):
+            layers.append([x * g for x in layers[-1]])
+        chars = [{x.img: (chi[h.img] + e * (chi[power.img] + j) / m) % 1
+                  for e, layer in enumerate(layers)
+                  for h, x in zip(elements, layer)}
+                 for chi in chars for j in range(m)]
+        elements = [x for layer in layers for x in layer]
+    chars.sort(key=lambda vals: sorted((img, q) for img, q in vals.items()))
+    chars.sort(key=lambda vals: all(q == 0 for q in vals.values()),
+               reverse=True)
+    return chars
+
+
+def _fraction_oracle_groups():
+    """K of the ten etf corpus covers, each under three seeded
+    relabellings, then Z3 and Z2 x Z2 on four points."""
+    for name in ETF_CORPUS:
+        g = thas_somma(int(name[2]), int(name[3])) if name[:2] == "ts" \
+            else {"hexagon": hexagon, "cube": cube,
+                  "icosahedron": icosahedron}[name]()
+        for seed in (11, 12, 13):
+            yield covering_group(relabelled(g, seed))[0]
+    yield PermGroup([Permutation([1, 2, 0])])
+    yield PermGroup([Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2])])
+
+
+def test_characters_match_fraction_extension():
+    """The integer-angle extension gives the characters the Fraction
+    extension gives, value for value and in the same order, and each
+    integer angle t is the Fraction t/|G|."""
+    orders = []
+    for grp in _fraction_oracle_groups():
+        want = fraction_characters(grp)
+        got = all_characters(grp)
+        orders.append(len(got))
+        assert [list(c.values.items()) for c in got] == [list(w.items())
+                                                         for w in want]
+        assert [c.index for c in got] == list(range(len(want)))
+        for c in got:
+            assert c.modulus == len(want)
+            assert c.values == {img: Fraction(t, c.modulus)
+                                for img, t in c.turns.items()}
+    assert orders == [2] * 9 + [3] * 3 + [2] * 3 + [4] * 3 + [5] * 3 \
+        + [7] * 3 + [3] * 3 + [8] * 3 + [3, 4]
+
+
+def test_characters_refuse_a_non_abelian_group():
+    """S3, and D4 given by generators whose first two commute, so that the
+    pair that does not is met only at the third: FrameError either way."""
+    s3 = PermGroup([Permutation([1, 0, 2]), Permutation([1, 2, 0])])
+    d4 = PermGroup([Permutation([2, 3, 0, 1]), Permutation([1, 0, 3, 2]),
+                    Permutation([1, 2, 3, 0])])
+    for grp in (s3, d4):
+        assert not grp.is_abelian()
+        with pytest.raises(FrameError, match="must be abelian"):
+            all_characters(grp)
 
 
 def _random_abelian_group(rng: random.Random) -> PermGroup:
@@ -284,7 +361,7 @@ def test_quotient_compatibility(corpus):
     kernel, _ = covering_group(g)
     chars = all_characters(kernel)
     chi = chars[1]
-    keep = chi.kernel_images()
+    keep = _kernel(chi)
     from coverlab.perms import PermGroup, Permutation
     u = PermGroup([Permutation(img) for img in keep
                    if img != tuple(range(g.v))], g.v)

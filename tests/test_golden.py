@@ -99,12 +99,14 @@ def test_quotient_ts81_matches_golden(order, index, tmp_path, monkeypatch,
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
-# (cover, argv after the cover path); e = 2, 2, 3, 3 and 5 angle layers
+# (cover, argv after the cover path); e = 2, 2, 3, 3, 2 and 5 angle layers.
+# TS(4,1)'s K is Z2 x Z2, the one non-cyclic K among them
 ETF_CASES = {
     "etf_hexagon_theta": (hexagon, ["--side", "theta"]),
     "etf_icosahedron": (icosahedron, []),
     "etf_ts31_char1": (lambda: thas_somma(3, 1), ["--char", "1"]),
     "etf_ts31_char2": (lambda: thas_somma(3, 1), ["--char", "2"]),
+    "etf_ts41_char2": (lambda: thas_somma(4, 1), ["--char", "2"]),
     "etf_ts51_char3_theta": (lambda: thas_somma(5, 1),
                              ["--char", "3", "--side", "theta"]),
 }

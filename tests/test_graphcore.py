@@ -1,10 +1,12 @@
 """Cover-axiom verification, distance layers, antipodal classes, spectra."""
 import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coverlab import (CoverGraph, antipodal_classes, cube, derive_params,
                       distance_classes, hexagon, icosahedron, params_of,
@@ -14,7 +16,7 @@ from coverlab.frames import all_characters, character_matrix
 from coverlab.graphcore import GraphStructureError, bfs_layers, bit_matrix
 from coverlab.groupops import covering_group
 from coverlab.perms import subgroups_of
-from conftest import relabelled
+from conftest import matching_swapped, relabelled
 
 
 def petersen_adjacency():
@@ -169,6 +171,27 @@ def test_spectrum_check_float64_path_agrees(corpus, monkeypatch):
     assert casts == [np.dtype(np.float64)] * len(cases)
 
 
+def test_exact_checks_hold_few_v_by_v_arrays():
+    """tracemalloc's peak on TS(8,1), in units of one float32 v x v array.
+    spectrum_check builds both factors in the buffers of A and A^2, so it
+    holds three with their product; verify_cover holds the 0/1 A (a
+    quarter), its float32 copy and the residual built in A^2's buffer."""
+    g = thas_somma(8, 1)
+    p = params_of(g)
+    unit = g.v * g.v * np.dtype(np.float32).itemsize
+
+    def peak(check):
+        tracemalloc.start()
+        try:
+            check()
+            return tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: spectrum_check(g, p)) <= 3.1
+    assert peak(lambda: verify_cover(g)) <= 2.6
+
+
 def test_mutation_single_edge_toggle_breaks_cover():
     for g in (hexagon(), cube()):
         assert verify_cover(g).is_cover
@@ -205,6 +228,9 @@ def test_degree_and_far_layer_sizes(corpus):
 
 
 def test_verify_cover_makes_one_bfs(monkeypatch):
+    """At most one: none on a cover, whose axioms (b)-(d) imply that it is
+    connected, and one on a graph that fails an axiom, to report it as
+    disconnected if it is."""
     starts = []
 
     def counting(adj, start):
@@ -213,7 +239,9 @@ def test_verify_cover_makes_one_bfs(monkeypatch):
 
     monkeypatch.setattr(graphcore, "bfs_layers", counting)
     assert verify_cover(thas_somma(4, 1)).is_cover
-    assert len(starts) == 1
+    assert starts == []
+    assert not verify_cover(matching_swapped(thas_somma(4, 1))).is_cover
+    assert starts == [0]
 
 
 def test_json_canonical_round_trip(corpus):
@@ -570,12 +598,61 @@ def perturbed_covers(draw):
     return fibres, edges, draw(st.sampled_from([1, 3, 10]))
 
 
+def _case(g, max_violations):
+    return [list(f) for f in g.fibres], list(g.edges), max_violations
+
+
+# the 9-cycle 0-3-6-1-4-7-2-5-8 on the fibres {0,1,2}, {3,4,5}, {6,7,8}:
+# cocliques and perfect matchings, but mu = 0 at (0, 4), the first
+# non-adjacent cross-fibre pair, so mu-positive follows 3 mu-constant
+# witnesses
+NINE_CYCLE = ([[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+              [(0, 3), (3, 6), (6, 1), (1, 4), (4, 7), (7, 2), (2, 5),
+               (5, 8), (8, 0)], 3)
+
+
+def _ts81_quotient():
+    """TS(8,1)'s 256-vertex quotient by a subgroup of order 2, read from
+    its CLI golden, so that no library code runs to build the case."""
+    golden = Path(__file__).parent / "golden"
+    blob = json.loads((golden / "quotient_ts81_order2_index3.json").read_text())
+    assert blob["v"] == 256
+    return blob["fibres"], [tuple(e) for e in blob["edges"]], 1
+
+
 @settings(max_examples=250, deadline=None)
 @given(perturbed_covers())
+@example(NINE_CYCLE)
+# two triangles: (b) and (c) hold and mu fails, but the graph is
+# disconnected, and that alone is reported
+@example(([[0, 3], [1, 4], [2, 5]],
+          [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 10))
+# mu fails and the residual is nonzero on edges too, where it names nothing
+@example(_case(matching_swapped(thas_somma(4, 1)), 10))
+@example(_ts81_quotient())
 def test_verify_cover_matches_pair_loop_oracle(case):
     fibres, edges, m = case
     got = verify_cover(CoverGraph(fibres, edges), max_violations=m).to_json()
     assert got == _oracle_report(fibres, edges, m)
+
+
+def test_lambda_is_forced_by_the_matchings():
+    """Why verify_cover lists no lambda witness: once fibres are cocliques
+    and fibre pairs perfect matchings, for every edge uw the vertices of
+    u's fibre share n - 2 neighbours with w in all, as each neighbour of w
+    but u has one neighbour there.  So constant mu forces lambda = n - 2 -
+    (r - 1)mu.  Pinned by pair loops on matching-swapped copies, where mu
+    and lambda both vary."""
+    for g in (matching_swapped(thas_somma(3, 1)),
+              matching_swapped(thas_somma(4, 1)), matching_swapped(cube())):
+        nbrs = [set(g.neighbours(x)) for x in range(g.v)]
+        assert not verify_cover(g).is_cover
+        lams = set()
+        for u, w in g.edges:
+            shared = [len(nbrs[x] & nbrs[w]) for x in g.fibres[g.fibre_of[u]]]
+            assert sum(shared) == g.n - 2
+            lams.add(len(nbrs[u] & nbrs[w]))
+        assert len(lams) > 1
 
 
 def test_verify_cover_raises_past_float32_bound(monkeypatch):

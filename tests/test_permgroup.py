@@ -188,7 +188,8 @@ def test_subgroups_of_small_groups():
 
 def test_subgroups_of_refuses_a_group_past_its_bound():
     """Past perms.MAX_SUBGROUPS_ORDER, subgroups_of raises
-    SizeBoundExceeded, a ValueError (bad input, exit 2 in the CLI), with
+    SizeBoundExceeded, a ValueError that the CLI reports as a size limit
+    (exit 3, not the bad-input exit 2), with
     the order and the bound in the message: S_8 has order 40320."""
     assert perms.MAX_SUBGROUPS_ORDER == 10_000
     s8 = PermGroup([Permutation([1, 0, 2, 3, 4, 5, 6, 7]),
