@@ -13,8 +13,7 @@ from .params import (CoverParams, FamilyBParams, derive_params, family_A,
 from .graphcore import (CoverGraph, CoverReport, antipodal_classes,
                         distance_classes, params_of, spectrum_check,
                         verify_cover)
-from .constructions import (build, cube, hexagon, icosahedron,
-                            seidel_from_cover, seidel_of_graph,
+from .constructions import (cube, hexagon, icosahedron, seidel_of_graph,
                             taylor_from_seidel, thas_somma)
 from .perms import PermGroup, Permutation, subgroups_of
 from .autgroup import automorphism_group, covers_isomorphic
@@ -32,9 +31,9 @@ __all__ = [
     "QuadExt", "CoverParams", "FamilyBParams", "derive_params", "family_A",
     "family_B", "feasible_A", "feasible_B", "hoffman_bounds", "CoverGraph",
     "CoverReport", "antipodal_classes", "distance_classes", "params_of",
-    "spectrum_check", "verify_cover", "build", "cube", "hexagon",
-    "icosahedron", "seidel_from_cover", "seidel_of_graph",
-    "taylor_from_seidel", "thas_somma", "PermGroup", "Permutation",
+    "spectrum_check", "verify_cover", "cube", "hexagon", "icosahedron",
+    "seidel_of_graph", "taylor_from_seidel", "thas_somma", "PermGroup",
+    "Permutation",
     "subgroups_of", "automorphism_group",
     "covers_isomorphic", "arc_orbit_count",
     "covering_group", "displacement_profile", "fibre_action",

@@ -1,14 +1,19 @@
 """Command-line front end for reproducible batch runs.
 
 Subcommands: params, build, verify, analyze, quotient, etf, lemma-check,
-cases.  Output is canonical JSON, emitted by one json.dumps with sorted
-keys, so golden-file comparisons are stable; no payload holds a float.
-Every run embeds its full configuration.  Exit codes: 0 success/verified,
-1 verification, certificate or case-match failure, 2 bad input or path
-(a ValueError or OSError), 3 an input past one of the library's size
-bounds (graphcore.SizeBoundExceeded: a vertex bound, or the bound past
-which a BLAS product's float type no longer holds every integer).  Any
-other exception is a bug in the program and propagates.
+cases.  Each params table and each build construction has a parser of its
+own that takes only the flags it reads and dispatches straight to its
+handler or constructor, and cases takes its ids as choices, so argparse
+refuses a missing, foreign or misspelt argument (exit 2) and every flag a
+payload records was read.  Output is canonical JSON, emitted by one
+json.dumps with sorted keys, so golden-file comparisons are stable; no
+payload holds a float.  Every run embeds its full configuration.  Exit
+codes: 0 success/verified, 1 verification, certificate or case-match
+failure, 2 bad input or path (a usage error, a ValueError or an OSError),
+3 an input past one of the library's size bounds
+(graphcore.SizeBoundExceeded: a vertex bound, or the bound past which a
+BLAS product's float type no longer holds every integer).  Any other
+exception is a bug in the program and propagates.
 """
 from __future__ import annotations
 
@@ -82,56 +87,44 @@ def _load_cover(path: str) -> CoverGraph:
 
 # -- subcommands ------------------------------------------------------------------
 
-# the flags each params table needs; the others have defaults
-PARAMS_FLAGS = {"derive": ("n", "r", "mu"), "family-b": ("t", "r")}
-
-
-def cmd_params(args) -> int:
-    missing = [f"--{k}" for k in PARAMS_FLAGS.get(args.table, ())
-               if getattr(args, k) is None]
-    if missing:
-        print(f"params {args.table} needs {' '.join(missing)}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.table == "derive":
-        p = derive_params(args.n, args.r, args.mu)
-        _emit({"params": p.to_json()}, args)
-    elif args.table == "family-b":
-        fb = family_B(args.t, args.r)
-        clique, coclique = hoffman_bounds(fb)
-        _emit({"t": fb.t, "r": fb.r, "special": fb.special,
-               "params": fb.params.to_json(),
-               "hoffman": {"clique": str(clique), "coclique": str(coclique)}},
-              args)
-    elif args.table == "feasible-b":
-        rows = []
-        for fb in feasible_B(args.t_max):
-            rows.append({"t": fb.t, "r": fb.r, "special": fb.special,
-                         "params": fb.params.to_json()})
-        _emit({"feasible_b": rows, "t_max": args.t_max}, args)
-    else:
-        rows = []
-        for e in feasible_A(args.t_max):
-            rows.append({"t": str(e.t), "r": e.r, "branch": e.branch,
-                         "conditions": list(e.conditions),
-                         "params": e.params.to_json()})
-        _emit({"feasible_a": rows, "t_max": args.t_max}, args)
+def cmd_derive(args) -> int:
+    _emit({"params": derive_params(args.n, args.r, args.mu).to_json()}, args)
     return EXIT_OK
 
 
+def cmd_family_b(args) -> int:
+    fb = family_B(args.t, args.r)
+    clique, coclique = hoffman_bounds(fb)
+    _emit({"t": fb.t, "r": fb.r, "special": fb.special,
+           "params": fb.params.to_json(),
+           "hoffman": {"clique": str(clique), "coclique": str(coclique)}},
+          args)
+    return EXIT_OK
+
+
+def cmd_feasible_b(args) -> int:
+    rows = [{"t": fb.t, "r": fb.r, "special": fb.special,
+             "params": fb.params.to_json()} for fb in feasible_B(args.t_max)]
+    _emit({"feasible_b": rows, "t_max": args.t_max}, args)
+    return EXIT_OK
+
+
+def cmd_feasible_a(args) -> int:
+    rows = [{"t": str(e.t), "r": e.r, "branch": e.branch,
+             "conditions": list(e.conditions), "params": e.params.to_json()}
+            for e in feasible_A(args.t_max)]
+    _emit({"feasible_a": rows, "t_max": args.t_max}, args)
+    return EXIT_OK
+
+
+def _taylor(args) -> CoverGraph:
+    with open(args.seidel) as fh:
+        seidel = json.load(fh)
+    return constructions.taylor_from_seidel(seidel, args.convention)
+
+
 def cmd_build(args) -> int:
-    kwargs = {}
-    if args.name.replace("-", "_") == "thas_somma":
-        kwargs = {"q": args.q, "m": args.m}
-    elif args.name.replace("-", "_") == "taylor_from_seidel":
-        if not args.seidel:
-            print("taylor construction needs --seidel FILE", file=sys.stderr)
-            return EXIT_USAGE
-        with open(args.seidel) as fh:
-            seidel = json.load(fh)
-        kwargs = {"seidel": seidel, "convention": args.convention}
-    g = constructions.build(args.name, **kwargs)
-    print(g.to_json_str())
+    print(args.construct(args).to_json_str())
     return EXIT_OK
 
 
@@ -253,12 +246,8 @@ def cmd_lemma_check(args) -> int:
 def cmd_cases(args) -> int:
     reports = casecheck.all_cases()
     if args.case_id != "all":
-        wanted = {r for r in reports if r.startswith(args.case_id)}
-        if not wanted:
-            print(f"unknown case id {args.case_id!r}; known: "
-                  f"{sorted(reports)} or 'all'", file=sys.stderr)
-            return EXIT_USAGE
-        reports = {k: reports[k] for k in wanted}
+        reports = {k: r for k, r in reports.items()
+                   if k.startswith(args.case_id)}
     payload = {"cases": {k: r.to_json() for k, r in reports.items()}}
     _emit(payload, args)
     return EXIT_OK if all(r.match for r in reports.values()) else EXIT_FAIL
@@ -275,24 +264,44 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--output", choices=("json", "text"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # each table and construction takes only the flags it reads; a table's
+    # long flags are not abbreviated, so --t is not feasible-b's --t-max
     p = sub.add_parser("params", help="parameter tables")
-    p.add_argument("table", choices=("derive", "family-b", "feasible-b",
-                                     "feasible-a"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--mu", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--t-max", type=int, default=20)
-    p.set_defaults(func=cmd_params)
+    tables = p.add_subparsers(dest="table", required=True, metavar="table")
+    t = tables.add_parser("derive", allow_abbrev=False,
+                          help="the parameters of an (n, r, mu)-cover")
+    for flag in ("--n", "--r", "--mu"):
+        t.add_argument(flag, type=int, required=True)
+    t.set_defaults(func=cmd_derive)
+    t = tables.add_parser("family-b", allow_abbrev=False,
+                          help="the family-B member (t, r)")
+    for flag in ("--t", "--r"):
+        t.add_argument(flag, type=int, required=True)
+    t.set_defaults(func=cmd_family_b)
+    for table, func in (("feasible-b", cmd_feasible_b),
+                        ("feasible-a", cmd_feasible_a)):
+        t = tables.add_parser(table, allow_abbrev=False,
+                              help=f"the {table} table up to --t-max")
+        t.add_argument("--t-max", type=int, default=20)
+        t.set_defaults(func=func)
 
     p = sub.add_parser("build", help="emit a named cover as canonical JSON")
-    p.add_argument("name", help="hexagon | icosahedron | cube | thas-somma "
-                                "| taylor-from-seidel")
-    p.add_argument("--q", type=int, default=3)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--seidel", help="JSON file with the Seidel matrix")
-    p.add_argument("--convention", type=int, choices=(-1, 1), default=-1)
     p.set_defaults(func=cmd_build)
+    names = p.add_subparsers(dest="name", required=True, metavar="name")
+    for name in ("hexagon", "icosahedron", "cube"):
+        names.add_parser(name).set_defaults(
+            construct=lambda a, name=name: getattr(constructions, name)())
+    c = names.add_parser("thas-somma",
+                         help="the symplectic-form cover TS(q, m)")
+    c.add_argument("--q", type=int, default=3)
+    c.add_argument("--m", type=int, default=1)
+    c.set_defaults(construct=lambda a: constructions.thas_somma(a.q, a.m))
+    c = names.add_parser("taylor-from-seidel",
+                         help="the double cover of a Seidel matrix")
+    c.add_argument("--seidel", required=True,
+                   help="JSON file with the Seidel matrix")
+    c.add_argument("--convention", type=int, choices=(-1, 1), default=-1)
+    c.set_defaults(construct=_taylor)
 
     p = sub.add_parser("verify", help="check the cover axioms")
     p.add_argument("cover", help="cover JSON path, or - for stdin")
@@ -323,8 +332,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lemma_check)
 
     p = sub.add_parser("cases", help="finite case enumerations")
-    p.add_argument("case_id", help="sp2d | linear31 | claim4 | twin-powers "
-                                   "| sporadic | wreathed-congruence | all")
+    p.add_argument("case_id", choices=("sp2d", "linear31", "claim4",
+                                       "twin-powers", "sporadic",
+                                       "wreathed-congruence", "all"))
     p.set_defaults(func=cmd_cases)
     return ap
 

@@ -128,43 +128,9 @@ def taylor_from_seidel(seidel, convention: int = -1) -> CoverGraph:
     return CoverGraph(fibres, edges)
 
 
-def seidel_from_cover(g: CoverGraph, convention: int = -1) -> np.ndarray:
-    """Seidel matrix read back from a 2-cover via minimum-label base vertices."""
-    if g.r != 2:
-        raise ValueError("Seidel extraction needs fibre size 2")
-    bases = [f[0] for f in g.fibres]
-    n = g.n
-    s = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adj = g.has_edge(bases[i], bases[j])
-            # base pair adjacent means eps*delta = +1 on that pair
-            s[i, j] = s[j, i] = convention * (1 if adj else -1)
-    return s
-
-
 def seidel_of_graph(adj_matrix) -> np.ndarray:
     """Seidel matrix J - I - 2A of an ordinary graph."""
     a = np.asarray(adj_matrix, dtype=int)
     n = a.shape[0]
     return np.ones((n, n), dtype=int) - np.eye(n, dtype=int) - 2 * a
 
-
-_NAMES = ("hexagon", "icosahedron", "cube", "thas_somma", "taylor_from_seidel")
-
-
-def build(name: str, **kwargs) -> CoverGraph:
-    """Dispatch by construction name (hyphens and underscores both accepted)."""
-    key = name.replace("-", "_")
-    if key == "hexagon":
-        return hexagon()
-    if key == "icosahedron":
-        return icosahedron()
-    if key == "cube":
-        return cube()
-    if key == "thas_somma":
-        return thas_somma(kwargs["q"], kwargs.get("m", 1))
-    if key == "taylor_from_seidel":
-        return taylor_from_seidel(kwargs["seidel"],
-                                  kwargs.get("convention", -1))
-    raise ValueError(f"unknown construction {name!r}; known: {_NAMES}")

@@ -103,9 +103,17 @@ def covering_group(g: CoverGraph, group: PermGroup | None = None):
 
 
 def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:
-    """Order, abelianity and regularity on fibres of a fibre-fixing group."""
+    """Order, abelianity and regularity on fibres of a fibre-fixing group.
+
+    kernel must fix every fibre of the connected cover g, as K and
+    group ∩ K do.  Such a group is semiregular (see the module docstring),
+    so ab and ba, which agree at vertex 0 iff ab(ba)^-1 fixes it, are equal
+    iff they agree there: two generators commute iff b[a[0]] == a[b[0]].
+    """
     order = kernel.order()
-    abelian = kernel.is_abelian()
+    gens = [p.img for p in kernel.generators]
+    abelian = all(b[a[0]] == a[b[0]]
+                  for i, a in enumerate(gens) for b in gens[i + 1:])
     regular = order == g.r and kernel.orbits() == [list(f) for f in g.fibres]
     return {"order": order, "is_abelian": abelian,
             "regular_on_fibres": regular,

@@ -405,19 +405,6 @@ class PermGroup:
 
     # -- orbits ---------------------------------------------------------------
 
-    def orbit(self, point: int) -> set[int]:
-        imgs = [g.img for g in self.generators]
-        orb = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            for img in imgs:
-                y = img[x]
-                if y not in orb:
-                    orb.add(y)
-                    queue.append(y)
-        return orb
-
     def orbits(self) -> list[list[int]]:
         """The orbits on 0..degree-1, each sorted, in order of least point:
         one pass over the points, each unseen one starting an orbit list
@@ -439,14 +426,6 @@ class PermGroup:
             orb.sort()
             out.append(orb)
         return out
-
-    def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
-
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all((a * b).img == (b * a).img
-                   for i, a in enumerate(gens) for b in gens[i + 1:])
 
     # -- element iteration -----------------------------------------------------
 

@@ -38,12 +38,43 @@ def test_params_derive(capsys):
     (["derive"], "--n --r --mu"), (["derive", "--n", "9"], "--r --mu"),
     (["family-b"], "--t --r"), (["family-b", "--t", "3"], "--r")))
 def test_params_missing_flags_exit_2(argv, missing, capsys):
-    """A params table run without the flags it needs is bad input that
+    """A params table run without the flags it needs is a usage error that
     names those flags, not a comparison with None."""
     code = main(["params", *argv])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"params {argv[0]} needs {missing}\n"
+    assert all(flag in captured.err for flag in missing.split())
+
+
+# each params table and construction with a value argparse accepts for each
+# flag it reads; every other flag of its subcommand is foreign to it
+VARIANTS = {
+    ("params", "derive"): ["--n", "9", "--r", "3", "--mu", "3"],
+    ("params", "family-b"): ["--t", "6", "--r", "5"],
+    ("params", "feasible-b"): ["--t-max", "6"],
+    ("params", "feasible-a"): ["--t-max", "6"],
+    ("build", "hexagon"): [],
+    ("build", "icosahedron"): [],
+    ("build", "cube"): [],
+    ("build", "thas-somma"): ["--q", "3", "--m", "1"],
+    ("build", "taylor-from-seidel"): ["--seidel", "seidel.json",
+                                      "--convention", "1"],
+}
+FLAGS = {cmd: {f for (c, _), argv in VARIANTS.items() if c == cmd
+               for f in argv[::2]} for cmd in ("params", "build")}
+FOREIGN = [(variant, flag) for variant, argv in VARIANTS.items()
+           for flag in sorted(FLAGS[variant[0]] - set(argv[::2]))]
+
+
+@pytest.mark.parametrize("variant, flag", FOREIGN,
+                         ids=[f"{v[1]}{f}" for v, f in FOREIGN])
+def test_foreign_flag_exits_2(variant, flag, capsys):
+    """A flag that a table or construction does not read is refused, by
+    its full name, before anything runs."""
+    code = main([*variant, *VARIANTS[variant], flag, "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert flag in captured.err
 
 
 def test_params_feasible_b(capsys):
@@ -159,6 +190,28 @@ def test_cases_exit_codes(capsys):
     code, _ = run_cli(["cases", "all"], capsys)
     assert code == 0
     assert main(["cases", "nonsense"]) == 2
+
+
+def test_cases_ids_are_choices(capsys):
+    """A prefix of several case ids is no case id: exit 2, with the
+    choices on stderr and nothing on stdout."""
+    assert main(["cases", "sp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'sp'" in captured.err
+
+
+@pytest.mark.parametrize("case_id", ("sp2d", "linear31", "claim4",
+                                     "twin-powers", "sporadic",
+                                     "wreathed-congruence"))
+def test_cases_id_is_its_subset_of_all(case_id, capsys):
+    """Each documented id reports exactly the reports of `cases all` whose
+    ids it begins."""
+    _, out = run_cli(["cases", "all"], capsys)
+    every = json.loads(out)["cases"]
+    code, out = run_cli(["cases", case_id], capsys)
+    assert code == 0
+    want = {k: r for k, r in every.items() if k.startswith(case_id)}
+    assert want and json.loads(out)["cases"] == want
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch, request):

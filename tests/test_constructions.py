@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from coverlab import (covering_group, covers_isomorphic, cube, hexagon,
-                      icosahedron, seidel_from_cover, seidel_of_graph,
-                      taylor_from_seidel, thas_somma, verify_cover)
-from coverlab.constructions import VERTEX_BOUND, build
+                      icosahedron, seidel_of_graph, taylor_from_seidel,
+                      thas_somma, verify_cover)
+from coverlab.cli import main
+from coverlab.constructions import VERTEX_BOUND
 from coverlab.gf import GF
 from coverlab.graphcore import SizeBoundExceeded
 from coverlab.numtheory import prime_power_decompose
@@ -181,13 +182,23 @@ def test_taylor_rejects_malformed():
 
 
 def test_seidel_round_trip():
-    for g in (hexagon(), cube(), icosahedron()):
-        s = seidel_from_cover(g)
+    """Seidel matrices written out here give the three small covers: J - I
+    on 3 and on 4 points the hexagon and the cube, and the regular two-graph
+    on 6 points, the switching class of a pentagon plus an isolated vertex,
+    the icosahedron."""
+    pentagon = [[int(i < 5 and j < 5 and (i - j) % 5 in (1, 4))
+                 for j in range(6)] for i in range(6)]
+
+    def j_minus_i(n):
+        return np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
+
+    for s, g in ((j_minus_i(3), hexagon()), (j_minus_i(4), cube()),
+                 (seidel_of_graph(pentagon), icosahedron())):
         assert covers_isomorphic(taylor_from_seidel(s), g)
 
 
-def test_build_dispatch():
-    assert build("thas-somma", q=3, m=1).v == 27
-    assert build("hexagon").v == 6
-    with pytest.raises(ValueError):
-        build("petersen")
+def test_build_dispatch(capsys):
+    """A construction the CLI does not name is a usage error."""
+    assert main(["build", "petersen"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "petersen" in captured.err

@@ -17,7 +17,7 @@ from coverlab.graphcore import (GraphStructureError, is_automorphism,
 from coverlab.groupops import (INVOLUTION_DRAWS, QuotientError,
                                _audit_chains, _fibre_fixing_automorphisms,
                                involution_audit, involution_types,
-                               is_cover_automorphism)
+                               is_cover_automorphism, kernel_info)
 from coverlab.perms import PermGroup, Permutation
 from conftest import (closure_elements, matching_swapped, relabelled,
                       symplectic_witnesses)
@@ -170,6 +170,23 @@ def test_covering_group_semiregular(corpus, auts):
         kernel, info = covering_group(g, auts[name])
         assert g.r % info["order"] == 0 and info["order"] == g.r
         assert all(len(o) == info["order"] for o in kernel.orbits())
+
+
+def test_kernel_info_reads_abelianity_at_one_point():
+    """kernel_info's abelianity, read at vertex 0 alone, holds on K of every
+    corpus cover, and fails on a non-abelian semiregular group: D4 acting
+    on itself by left multiplication, repeated inside each fibre of TS(8,1)."""
+    ts81 = thas_somma(8, 1)
+    for name, make in dict(ORACLE_COVERS, ts81=lambda: ts81).items():
+        assert covering_group(make())[1]["is_abelian"], name
+    # rho^k phi^e is labelled k + 4e; rho and phi multiply it on the left
+    rho = [(k + 1) % 4 + 4 * e for e in (0, 1) for k in range(4)]
+    phi = [-k % 4 + 4 * (1 - e) for e in (0, 1) for k in range(4)]
+    d4 = PermGroup([Permutation([x - x % 8 + p[x % 8] for x in range(ts81.v)])
+                    for p in (rho, phi)], ts81.v)
+    info = kernel_info(ts81, d4)
+    assert info["order"] == 8 and info["regular_on_fibres"]
+    assert not info["is_abelian"] and not info["abelian_cover"]
 
 
 def test_covering_group_hexagon_is_rotation():
