@@ -10,8 +10,7 @@ exhaustive reproductions of the finite number-theoretic case analyses.
 from .exact import QuadExt
 from .params import (CoverParams, FamilyBParams, derive_params, family_A,
                      family_B, feasible_A, feasible_B, hoffman_bounds)
-from .graphcore import (CoverGraph, CoverReport, antipodal_classes,
-                        distance_classes, params_of, spectrum_check,
+from .graphcore import (CoverGraph, CoverReport, params_of, spectrum_check,
                         verify_cover)
 from .constructions import (cube, hexagon, icosahedron, seidel_of_graph,
                             taylor_from_seidel, thas_somma)
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadExt", "CoverParams", "FamilyBParams", "derive_params", "family_A",
     "family_B", "feasible_A", "feasible_B", "hoffman_bounds", "CoverGraph",
-    "CoverReport", "antipodal_classes", "distance_classes", "params_of",
+    "CoverReport", "params_of",
     "spectrum_check", "verify_cover", "cube", "hexagon", "icosahedron",
     "seidel_of_graph", "taylor_from_seidel", "thas_somma", "PermGroup",
     "Permutation",

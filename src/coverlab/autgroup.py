@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphcore import (CoverGraph, SizeBoundExceeded, bit_matrix,
-                        distance_classes, is_automorphism)
+from .graphcore import (CoverGraph, GraphStructureError, SizeBoundExceeded,
+                        bfs_layers, bit_matrix, is_automorphism)
 from .perms import PermGroup, Permutation
 
 AUT_VERTEX_BOUND = 4096
@@ -244,6 +244,7 @@ def covers_isomorphic(g1: CoverGraph, g2: CoverGraph) -> bool:
     if g2.v != v:
         return False
     for g in (g1, g2):
-        distance_classes(g, 0)
+        if sum(len(l) for l in bfs_layers(g.adj, 0)) != v:
+            raise GraphStructureError("graph is disconnected")
     gens = automorphism_generators([*g1.adj, *(a << v for a in g2.adj)])
     return any(gen[0] >= v for gen in gens)

@@ -7,7 +7,9 @@ handler or constructor, and cases takes its ids as choices, so argparse
 refuses a missing, foreign or misspelt argument (exit 2) and every flag a
 payload records was read.  Output is canonical JSON, emitted by one
 json.dumps with sorted keys, so golden-file comparisons are stable; no
-payload holds a float.  Every run embeds its full configuration.  Exit
+payload holds a float.  Every report embeds its run configuration under
+config; build and quotient print a bare cover instead, so that their output
+loads as the input of verify, analyze, quotient and etf.  Exit
 codes: 0 success/verified, 1 verification, certificate or case-match
 failure, 2 bad input or path (a usage error, a ValueError or an OSError),
 3 an input past one of the library's size bounds

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from .gf import GF
-from .graphcore import CoverGraph, SizeBoundExceeded, antipodal_classes
+from .graphcore import CoverGraph, SizeBoundExceeded
 
 VERTEX_BOUND = 4096
 
@@ -34,8 +34,10 @@ def cube() -> CoverGraph:
 def icosahedron() -> CoverGraph:
     """The icosahedron with antipodal fibres; a (6, 2, 2)-cover.
 
-    Built as the pentagonal antiprism plus two apexes; the fibres are then
-    read off as the distance-3 classes.
+    Built as the pentagonal antiprism plus two apexes: apex 0 over the
+    upper ring 1..5, apex 11 under the lower ring 6..10, and upper 1 + i
+    adjacent to lower 6 + i and 6 + (i + 1) % 5.  The antipode of 1 + i is
+    the lower vertex opposite it, 6 + (i + 3) % 5.
     """
     edges = []
     for i in range(5):
@@ -46,11 +48,7 @@ def icosahedron() -> CoverGraph:
         edges.append((lo, 6 + (i + 1) % 5))
         edges.append((up, lo))
         edges.append((up, 6 + (i + 1) % 5))
-    adj = [0] * 12
-    for u, w in edges:
-        adj[u] |= 1 << w
-        adj[w] |= 1 << u
-    fibres = antipodal_classes(adj)
+    fibres = [[0, 11]] + [[1 + i, 6 + (i + 3) % 5] for i in range(5)]
     return CoverGraph(fibres, edges)
 
 

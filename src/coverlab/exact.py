@@ -280,15 +280,11 @@ class QuadExt:
 
     @staticmethod
     def from_json(obj: dict) -> "QuadExt":
-        return QuadExt(_rat_parse(obj["a"]), _rat_parse(obj["b"]), obj["D"])
+        return QuadExt(Fraction(obj["a"]), Fraction(obj["b"]), obj["D"])
 
 
 def _rat_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _rat_parse(x) -> Fraction:
-    return Fraction(x)
 
 
 def is_integral(x) -> bool:

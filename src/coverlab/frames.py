@@ -376,12 +376,11 @@ def extract_lines(s: CharacterMatrix, side: str) -> LineSystem:
     (th, m_th), (ta, m_ta) = s.eigenvalues
     other, dim = (th, m_ta) if side == "tau" else (ta, m_th)
     ls = LineSystem(dimension=dim, side=side, signature=s, other=other)
-    ls.certificates = verify_etf(ls, source_params=s.params)
+    ls.certificates = verify_etf(ls)
     return ls
 
 
-def verify_etf(lines: LineSystem,
-               source_params: CoverParams | None = None) -> dict:
+def verify_etf(lines: LineSystem) -> dict:
     """Certificate report for a line system; pure report, never raises.
 
     Every value is exact, read off the signature certificate:
@@ -393,15 +392,16 @@ def verify_etf(lines: LineSystem,
     - real: some entry of S is non-real exactly when e > 2, as the angles
       of a connected cover generate Z_e;
     - the complex absolute bound n = d^2 (SIC size) and the real one
-      n = d(d+1)/2, and, when cover parameters are supplied, whether tau
-      sits at an extremal endpoint of the applicable absolute-bound
+      n = d(d+1)/2, and whether the cover's tau, read off the signature's
+      params, sits at an extremal endpoint of the applicable absolute-bound
       inequality, decided by _tau_endpoint.
     """
     n, d = lines.n, lines.dimension
     o2 = lines.other * lines.other
     real_gram = lines.e == 2
     real_bound = real_gram and 2 * n == d * (d + 1)
-    report = {
+    kind, end = _tau_endpoint(lines.signature.params)
+    return {
         "equiangular": bool(np.all(lines.angles[~np.eye(n, dtype=bool)]
                                    >= 0)),
         "tight": True,
@@ -411,13 +411,9 @@ def verify_etf(lines: LineSystem,
         "real_gram": real_gram,
         "real_absolute_bound_attained": real_bound,
         "absolute_bound_attained": n == d * d or real_bound,
+        "absolute_bound_kind": kind,
+        "tau_extremal_endpoint": end,
     }
-
-    if source_params is not None:
-        kind, end = _tau_endpoint(source_params)
-        report["absolute_bound_kind"] = kind
-        report["tau_extremal_endpoint"] = end
-    return report
 
 
 def _tau_endpoint(p: CoverParams) -> tuple[str, str | None]:

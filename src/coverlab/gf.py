@@ -27,7 +27,7 @@ class GF:
     """Arithmetic in GF(q), q = p^e <= 16.
 
     add_table[a, b], neg_table[a] and mul_table[a, b] hold a + b, -a and
-    a * b; the scalar operations read them.
+    a * b; callers index them directly, elementwise or by whole arrays.
     """
 
     def __init__(self, q: int):
@@ -56,23 +56,6 @@ class GF:
             mul = np.array(antilog)[(log[:, None] + log) % (q - 1)]
             mul[0, :] = mul[:, 0] = 0
             self.mul_table = mul
-
-    # -- field operations ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def elements(self) -> range:
-        return range(self.q)
 
 
 def _powers_of_x(p: int, e: int, conway) -> list[int]:

@@ -349,18 +349,6 @@ def bfs_layers(adj, start: int) -> list[list[int]]:
         frontier = nxt
 
 
-def distance_classes(g: CoverGraph, vertex: int) -> list[list[int]]:
-    """Spheres of radius 0, 1, 2, ... around a vertex.
-
-    Raises GraphStructureError on disconnected input; a valid cover yields
-    exactly four layers.
-    """
-    layers = bfs_layers(g.adj, vertex)
-    if sum(len(l) for l in layers) != g.v:
-        raise GraphStructureError("graph is disconnected")
-    return layers
-
-
 def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     """Check the cover axioms, collecting up to max_violations per axiom.
 
@@ -498,43 +486,6 @@ def require_cover(g: CoverGraph) -> CoverReport:
         raise GraphStructureError(
             f"not a cover: {[f.axiom for f in rep.failures]}")
     return rep
-
-
-def antipodal_classes(adj) -> list[list[int]]:
-    """Partition of a connected diameter-3 graph into antipodal classes.
-
-    Input is a bit-row adjacency (or a CoverGraph, whose fibres are ignored).
-    The relation "equal or at distance 3" must be an equivalence; otherwise a
-    witness triple is reported.
-    """
-    if isinstance(adj, CoverGraph):
-        adj = adj.adj
-    v = len(adj)
-    far = []
-    for u in range(v):
-        layers = bfs_layers(adj, u)
-        if sum(len(l) for l in layers) != v:
-            raise GraphStructureError("graph is disconnected")
-        if len(layers) - 1 != 3:
-            raise GraphStructureError(
-                f"vertex {u} has eccentricity {len(layers) - 1}, need 3")
-        far.append(set(layers[3]))
-    classes = []
-    assigned = [False] * v
-    for u in range(v):
-        if assigned[u]:
-            continue
-        cls = {u} | far[u]
-        for x in cls:
-            want = cls - {x}
-            if far[x] != want:
-                y = next(iter(far[x] ^ want))
-                raise GraphStructureError(
-                    f"distance-3 relation not an equivalence at ({u},{x},{y})")
-            assigned[x] = True
-        classes.append(sorted(cls))
-    classes.sort(key=lambda c: c[0])
-    return classes
 
 
 @dataclass(frozen=True)

@@ -618,10 +618,12 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
                          {"|M|": order_m, "|K|": kernel.order(),
                           "|Ga|": g_a.order()}))
 
+    # restriction to the vertices is injective on chain2's group (extend
+    # inverts it), so once it maps CG(K) meet Ga into C, equal orders make
+    # the two groups equal
     ok = (cgk_a.order() == c_point.order()
           and all(Permutation(p.img[:g.v]) in c_point
-                  for p in cgk_a.generators)
-          and all(extend(p) in cgk_a for p in c_point.generators))
+                  for p in cgk_a.generators))
     out.append(AuditItem(lemma, "C=CG(K)^Ga", "pass" if ok else "fail",
                          {"|C|": c_point.order(),
                           "|CG(K) meet Ga|": cgk_a.order()}))

@@ -42,7 +42,7 @@ MAX_SUBGROUPS_ORDER = 10_000  # subgroups_of refuses larger groups
 class Permutation:
     """A permutation of 0..n-1 stored as an image tuple.
 
-    Composition is left-to-right: (p * q)(x) = q(p(x)), matching the
+    Composition is left-to-right: (p * q)[x] = q[p[x]], matching the
     exponent convention x^(pq) = (x^p)^q.
     """
 
@@ -61,9 +61,6 @@ class Permutation:
         return len(self.img)
 
     def __getitem__(self, x: int) -> int:
-        return self.img[x]
-
-    def __call__(self, x: int) -> int:
         return self.img[x]
 
     def __mul__(self, other: "Permutation") -> "Permutation":

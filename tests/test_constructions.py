@@ -33,23 +33,23 @@ def test_icosahedron():
 
 
 def test_gf_arithmetic():
+    """The field axioms on the tables thas_somma indexes, over all of GF(q)."""
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         fld = GF(q)
-        els = list(fld.elements())
-        for a in els:
-            assert fld.add(a, 0) == a and fld.mul(a, 1) == a
-            assert fld.add(a, fld.neg(a)) == 0
-        # multiplicative group order q-1 for any generator-check element
-        nonzero = [a for a in els if a != 0]
-        for a in nonzero:
-            assert fld.mul(a, nonzero[0]) in nonzero
-        # associativity spot checks
-        for a in els[:4]:
-            for b in els[:4]:
-                for c in els[:4]:
-                    assert fld.mul(fld.mul(a, b), c) == fld.mul(a, fld.mul(b, c))
-                    assert fld.mul(a, fld.add(b, c)) == fld.add(
-                        fld.mul(a, b), fld.mul(a, c))
+        add, neg, mul = fld.add_table, fld.neg_table, fld.mul_table
+        els = np.arange(q)
+        for t in (add, mul):
+            assert t.shape == (q, q) and (t == t.T).all()
+            # associativity: t[t[a, b], c] == t[a, t[b, c]]
+            assert (t[t[:, :, None], els] == t[els[:, None, None], t]).all()
+        assert (add[:, 0] == els).all() and (mul[:, 1] == els).all()
+        assert (add[els, neg] == 0).all()
+        # distributivity: a(b + c) == ab + ac
+        assert (mul[els[:, None, None], add] ==
+                add[mul[:, :, None], mul[:, None, :]]).all()
+        # each nonzero a permutes the nonzero elements: a has an inverse
+        assert (mul[0] == 0).all()
+        assert all(sorted(row) == list(range(1, q)) for row in mul[1:, 1:])
     with pytest.raises(ValueError):
         GF(6)
     with pytest.raises(ValueError):

@@ -29,8 +29,7 @@ from hypothesis import given, settings, strategies as st
 from coverlab import (all_characters, character_matrix, covering_group,
                       cube, extract_lines, hexagon,
                       hermitian_jacobi, icosahedron, lines_from_cover,
-                      params_of, quotient_cover, subgroups_of, thas_somma,
-                      verify_etf)
+                      params_of, quotient_cover, subgroups_of, thas_somma)
 from coverlab import frames
 from coverlab.exact import QuadExt
 from coverlab.frames import (FrameError, SpectrumCertificateError,
@@ -467,18 +466,13 @@ def test_tau_endpoint_on_feasible_a():
                     ("eq1", 1, ("odd-r", None)): 301}
 
 
-def test_tau_endpoint_is_exact_not_within_tol(corpus):
+def test_tau_endpoint_is_exact_not_within_tol():
     """tau = -2 + 10^-12 with n = 9, r = 3 misses the upper endpoint -2; a
     float rule at tolerance 1e-9 would call it "upper"."""
     tau = QuadExt(Fraction(1, 10 ** 12) - 2)
     p = CoverParams(9, 3, 3, 1, QuadExt(0), tau, QuadExt(0), QuadExt(0))
-    lines = lines_from_cover(corpus["ts31"])
-    report = verify_etf(lines, source_params=p)
-    assert report["absolute_bound_kind"] == "odd-r"
-    assert report["tau_extremal_endpoint"] is None
-    exact = p._replace(tau=QuadExt(-2))
-    assert verify_etf(lines, source_params=exact)[
-        "tau_extremal_endpoint"] == "upper"
+    assert _tau_endpoint(p) == ("odd-r", None)
+    assert _tau_endpoint(p._replace(tau=QuadExt(-2))) == ("odd-r", "upper")
 
 
 def test_line_system_json(corpus):

@@ -29,6 +29,8 @@ CASES = {
     "params_feasible-a_t100": ["params", "feasible-a", "--t-max", "100"],
     "cases_all": ["cases", "all"],
     "lemma-check_nt_sweep": ["lemma-check", "nt", "--sweep"],
+    **{f"build_{name}": ["build", name]
+       for name in ("hexagon", "cube", "icosahedron")},
     **{f"build_thas-somma_q{q}_m{m}": ["build", "thas-somma", "--q", str(q),
                                         "--m", str(m)]
        for q, m in [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1), (8, 1), (2, 2),

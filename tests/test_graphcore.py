@@ -1,4 +1,4 @@
-"""Cover-axiom verification, distance layers, antipodal classes, spectra."""
+"""Cover-axiom verification, distance layers, spectra."""
 import json
 import random
 import tracemalloc
@@ -8,27 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coverlab import (CoverGraph, antipodal_classes, cube, derive_params,
-                      distance_classes, hexagon, icosahedron, params_of,
-                      spectrum_check, thas_somma, verify_cover)
+from coverlab import (CoverGraph, cube, derive_params, hexagon, icosahedron,
+                      params_of, spectrum_check, thas_somma, verify_cover)
 from coverlab import graphcore
 from coverlab.frames import all_characters, character_matrix
 from coverlab.graphcore import GraphStructureError, bfs_layers, bit_matrix
 from coverlab.groupops import covering_group
 from coverlab.perms import subgroups_of
 from conftest import matching_swapped, relabelled
-
-
-def petersen_adjacency():
-    """Bit rows of the Petersen graph (outer C5, inner pentagram, spokes)."""
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    adj = [0] * 10
-    for u, w in edges:
-        adj[u] |= 1 << w
-        adj[w] |= 1 << u
-    return adj
 
 
 def test_verify_hexagon_cube(corpus):
@@ -67,47 +54,19 @@ def test_structural_error_distinct_from_axiom_failure():
         CoverGraph([[0], [1], [2]], [])  # fibre size 1
 
 
-def test_distance_classes():
-    assert [len(l) for l in distance_classes(hexagon(), 0)] == [1, 2, 2, 1]
-    assert [len(l) for l in distance_classes(cube(), 0)] == [1, 3, 3, 1]
+def test_bfs_layer_sizes():
+    assert [len(l) for l in bfs_layers(hexagon().adj, 0)] == [1, 2, 2, 1]
+    assert [len(l) for l in bfs_layers(cube().adj, 0)] == [1, 3, 3, 1]
     ts = thas_somma(3, 1)
     for v in range(0, ts.v, 5):
-        assert [len(l) for l in distance_classes(ts, v)] == [1, 8, 16, 2]
+        assert [len(l) for l in bfs_layers(ts.adj, v)] == [1, 8, 16, 2]
 
 
-def test_distance_classes_disconnected():
+def test_bfs_layers_stop_at_the_component():
+    """The layers stop at the start's component, 2 of the 6 vertices."""
     g = CoverGraph([[0, 3], [1, 4], [2, 5]], [(0, 1), (3, 4)])
-    with pytest.raises(GraphStructureError):
-        distance_classes(g, 0)
-
-
-def test_antipodal_classes_recover_fibres(corpus):
-    for name in ("hexagon", "cube", "icosahedron", "ts31", "ts41"):
-        g = corpus[name]
-        assert antipodal_classes(g.adj) == [list(f) for f in g.fibres]
-
-
-def test_antipodal_classes_petersen_rejected():
-    with pytest.raises(GraphStructureError, match="eccentricity"):
-        antipodal_classes(petersen_adjacency())
-
-
-def test_antipodal_classes_non_equivalence_rejected():
-    # 7-cycle: every eccentricity is 3 but the distance-3 relation is not
-    # transitive, so a witness triple must be reported
-    adj = [0] * 7
-    for i in range(7):
-        adj[i] |= 1 << ((i + 1) % 7)
-        adj[(i + 1) % 7] |= 1 << i
-    with pytest.raises(GraphStructureError, match="not an equivalence"):
-        antipodal_classes(adj)
-    # path P4 fails earlier, on eccentricity
-    padj = [0] * 4
-    for u, w in ((0, 1), (1, 2), (2, 3)):
-        padj[u] |= 1 << w
-        padj[w] |= 1 << u
-    with pytest.raises(GraphStructureError, match="eccentricity"):
-        antipodal_classes(padj)
+    assert bfs_layers(g.adj, 0) == [[0], [1]]
+    assert bfs_layers(g.adj, 3) == [[3], [4]]
 
 
 def test_spectrum_checks(corpus):
@@ -222,7 +181,8 @@ def test_degree_and_far_layer_sizes(corpus):
             assert rep.is_cover and rep.antipodality_confirmed
             for v in range(g.v):
                 assert g.degree(v) == g.n - 1
-                layers = distance_classes(g, v)
+                layers = bfs_layers(g.adj, v)
+                assert sum(len(l) for l in layers) == g.v
                 assert set(layers[3]) == set(g.fibres[g.fibre_of[v]]) - {v}
                 assert rep.diameter == len(layers) - 1
 
