@@ -289,22 +289,27 @@ def wreathed_congruence_case(t_sweep: int = 1000) -> CaseReport:
     is a solution, expected none.  The pairs come from admissible_pairs,
     r by r, and the odd t are kept (t = 1 + kr with k even, so t >= 11);
     the hits are sorted stably by (t, r), so within a pair they stay in
-    (z1, modulus) order.
+    (z1, modulus) order.  Every pair checks its four congruences, unrolled;
+    a residue is in {0, 1} when it is below 2, as both moduli are positive.
     """
     hits = []
     checked = 0
     for t, r in admissible_pairs(t_sweep):
         if t % 2 == 0:
             continue
+        checked += 4
         t2 = t * t
         half_mod, full_mod = (t2 - 3) // 2, t2 - 3
-        base = -t + (t - 1) // r
-        for z1 in (1, 2):
-            lam1 = z1 * (t2 - 2) + base
-            for mod, tag in ((half_mod, "half"), (full_mod, "full")):
-                checked += 1
-                if lam1 % mod in (0, 1):
-                    hits.append((t, r, z1, tag))
+        lam_1 = t2 - 2 - t + (t - 1) // r  # z1 = 1
+        lam_2 = lam_1 + t2 - 2  # z1 = 2
+        if lam_1 % half_mod < 2:
+            hits.append((t, r, 1, "half"))
+        if lam_1 % full_mod < 2:
+            hits.append((t, r, 1, "full"))
+        if lam_2 % half_mod < 2:
+            hits.append((t, r, 2, "half"))
+        if lam_2 % full_mod < 2:
+            hits.append((t, r, 2, "full"))
     hits.sort(key=lambda h: h[:2])
     rep = CaseReport(
         case_id="wreathed-congruence",

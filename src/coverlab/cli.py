@@ -13,9 +13,10 @@ loads as the input of verify, analyze, quotient and etf.  Exit
 codes: 0 success/verified, 1 verification, certificate or case-match
 failure, 2 bad input or path (a usage error, a ValueError or an OSError),
 3 an input past one of the library's size bounds
-(graphcore.SizeBoundExceeded: a vertex bound, or the bound past which a
-BLAS product's float type no longer holds every integer).  Any other
-exception is a bug in the program and propagates.
+(SizeBoundExceeded: a vertex bound, the bound past which a BLAS product's
+float type no longer holds every integer, or ZSIGMONDY_BOUND_MAX, the
+Zsigmondy sieve's memory cap).  Any other exception is a bug in the program
+and propagates.
 """
 from __future__ import annotations
 
@@ -40,7 +41,9 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT = 0, 1, 2, 3
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # every payload is a tree built fresh for this call, so no cycle check
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
 
 
 def _emit(payload: dict, args) -> None:

@@ -27,16 +27,11 @@ import numpy as np
 
 from .exact import QuadExt
 from .params import CoverParams, derive_params
+from .numtheory import SizeBoundExceeded
 
 
 class GraphStructureError(ValueError):
     """Malformed input (bad partition, unknown vertex), not an axiom failure."""
-
-
-class SizeBoundExceeded(ValueError):
-    """An input past an explicit size bound: a vertex bound, or the bound
-    on a BLAS product's partial sums past which its float type no longer
-    holds every integer.  Bounds raise, never clamp or round."""
 
 
 # float32 holds every integer up to 2^24 exactly, float64 every one up to

@@ -17,12 +17,17 @@ The lifting and gcd identities each have a single-point checker
 its counterexamples in the grid's loop order.  lifting_sweep decides
 applicability, which m enters only through its parity, once per (q, e, p)
 and parity, and evaluates only the applicable points; gcd_sweep computes
-each q^k - 1 once and still checks every ordered pair (k, m).
+each q^k - 1 once, reads gcd(k, m) off a table built once for every q, and
+still checks every ordered pair (k, m).
 
-zsigmondy_corollary_solve scans the sieve's primes as an int64 numpy array,
-one power at a time.  Its bound is capped at ZSIGMONDY_BOUND_MAX, which
-caps the sieve at one byte per integer up to 10^8 and keeps every product
-the scan forms below 10^16, inside int64.
+zsigmondy_corollary_solve reads the sieve as a bool array and scans its
+primes as an int64 numpy array, one power at a time.  Its bound is capped at
+ZSIGMONDY_BOUND_MAX, which caps the sieve at one byte per integer up to
+10^8 and keeps every product the scan forms below 10^16, inside int64; past
+it SizeBoundExceeded is raised, a limit of the program rather than bad
+input.  That class lives here, at the foot of the import graph (numtheory
+imports no coverlab module), so that every layer raises the one class;
+graphcore re-exports it.
 """
 from __future__ import annotations
 
@@ -30,6 +35,13 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 import numpy as np
+
+
+class SizeBoundExceeded(ValueError):
+    """An input past an explicit size bound: a vertex bound, the bound on a
+    BLAS product's partial sums past which its float type no longer holds
+    every integer, or a memory cap such as ZSIGMONDY_BOUND_MAX.  Bounds
+    raise, never clamp or round."""
 
 
 def _trial_divisors():
@@ -218,13 +230,16 @@ def gcd_qpow(q: int, k: int, m: int) -> GcdPowerCheck:
 def gcd_sweep(q_max: int, k_max: int) -> list[tuple[int, int, int]]:
     """The (q, k, m) with 2 <= q <= q_max and 1 <= k, m <= k_max where
     gcd_qpow is unequal, in that loop order.  q^k - 1 is computed once per
-    (q, k); every ordered pair (k, m) is still checked."""
+    (q, k) and gcd(k, m) once per (k, m); every ordered pair (k, m) is still
+    checked for every q."""
+    exps = range(1, k_max + 1)
+    gcds = [[gcd(k, m) for m in exps] for k in exps]  # gcds[k-1][m-1]
     bad = []
     for q in range(2, q_max + 1):
         less = [q ** k - 1 for k in range(k_max + 1)]  # less[0] = 0
-        for k in range(1, k_max + 1):
-            for m in range(1, k_max + 1):
-                if gcd(less[k], less[m]) != less[gcd(k, m)]:
+        for k, row in zip(exps, gcds):
+            for m, g in zip(exps, row):
+                if gcd(less[k], less[m]) != less[g]:
                     bad.append((q, k, m))
     return bad
 
@@ -253,14 +268,15 @@ def zsigmondy_corollary_solve(bound: int) -> list[ZsigmondySolution]:
     prefix with q^n <= bound - 1.  An even s = q^n + 1 (odd q) is a prime
     power only as a power of two, so only those with s & (s - 1) == 0 reach
     prime_power_decompose, together with the one odd s, from q = 2.  A bound
-    above ZSIGMONDY_BOUND_MAX raises before the sieve is allocated.
+    above ZSIGMONDY_BOUND_MAX raises SizeBoundExceeded before the sieve is
+    allocated.
     """
     if bound < 4:
         raise ValueError("bound must be at least 4")
     if bound > ZSIGMONDY_BOUND_MAX:
-        raise ValueError(f"zsigmondy bound {bound} exceeds "
-                         f"ZSIGMONDY_BOUND_MAX = {ZSIGMONDY_BOUND_MAX}")
-    primes = np.flatnonzero(np.frombuffer(prime_sieve(bound), dtype=np.uint8))
+        raise SizeBoundExceeded(f"zsigmondy bound {bound} exceeds "
+                                f"ZSIGMONDY_BOUND_MAX = {ZSIGMONDY_BOUND_MAX}")
+    primes = np.flatnonzero(np.frombuffer(prime_sieve(bound), dtype=bool))
     primes = primes.astype(np.int64, copy=False)  # primes[0] == 2
     out = []
     power, n = primes, 1

@@ -20,7 +20,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .exact import QuadExt, is_integral, quad_json, rational_json
-from .numtheory import divisors, prime_powers
+from .numtheory import divisors
 
 
 class ParameterError(ValueError):
@@ -125,12 +125,17 @@ def family_B(t: int, r: int) -> FamilyBParams:
     if (t - 1) % r or gcd(6, r) != 1:
         raise ParameterError(f"r = {r} is not a divisor of t-1 = {t - 1} "
                              "prime to 6")
+    return _family_B_member(t, r)
+
+
+def _family_B_member(t: int, r: int) -> FamilyBParams:
+    """family_B's closed forms, unchecked: (t, r) is an admissible pair."""
     n = (t * t - 1) ** 2
     mu = (t - 1) ** 2 * (t * t + t - 1) // r
     m_theta = (t * t - 1) * (r - 1)
     p = CoverParams(n, r, mu, n - (r - 1) * mu - 2, t * (t * t - 2), -t,
                     m_theta, (t * t - 2) * m_theta)
-    return FamilyBParams(t=t, r=r, params=p)
+    return FamilyBParams(t, r, p)
 
 
 def family_A(t, r: int, sign: int = +1) -> CoverParams:
@@ -164,15 +169,23 @@ def family_A(t, r: int, sign: int = +1) -> CoverParams:
         return derive_params(6, 2, 2)
 
     t = int(tq)
-    n = (t * t - 2) * (t * t - 1) // 2  # t^2-2, t^2-1 are consecutive: even
-    if sign == +1:
-        poly = (t - 1) ** 3 * (t + 2)
-    else:
-        poly = (t + 1) ** 3 * (t - 2)
+    poly = _mu_poly(t, sign)
     if poly % (2 * r) or poly <= 0:
         raise ParameterError(
             f"mu = {Fraction(poly, 2 * r)} is not a positive integer")
-    mu = poly // (2 * r)
+    return _family_A_member(t, r, sign)
+
+
+def _mu_poly(t: int, sign: int) -> int:
+    """2r mu on the branch sign: (t-1)^3 (t+2) or (t+1)^3 (t-2)."""
+    return (t - 1) ** 3 * (t + 2) if sign == +1 else (t + 1) ** 3 * (t - 2)
+
+
+def _family_A_member(t: int, r: int, sign: int) -> CoverParams:
+    """family_A's closed forms at an integer t, unchecked: mu is a positive
+    integer and r, sign are as family_A admits them."""
+    n = (t * t - 2) * (t * t - 1) // 2  # t^2-2, t^2-1 are consecutive: even
+    mu = _mu_poly(t, sign) // (2 * r)
     # lambda - mu = +-(t^3-5t)/2, so lambda >= 0 once mu >= 1 (sign -1 has
     # t >= 3).  Sign +1: theta = t(t^2-3)/2, tau = -t; sign -1: theta = t,
     # tau = -t(t^2-3)/2 (t(t^2-3) is even).  The eigenvalue +-t(t^2-3)/2
@@ -207,7 +220,7 @@ def feasible_B(t_max: int) -> list[FamilyBParams]:
     """
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")
-    return [family_B(2, 3)] + [family_B(t, r)
+    return [family_B(2, 3)] + [_family_B_member(t, r)
                                for t, r in sorted(admissible_pairs(t_max))]
 
 
@@ -228,7 +241,12 @@ def _condition_tags_A(t: int, r: int, mu: int) -> list[str] | None:
         return None
     if t % 2 == 1:
         tags.append("mu even (t odd)")
-    if any(p > 2 and (t - 1) % p for p, _, _ in prime_powers(r)):
+    # divide r's odd part by its gcd with t-1 until that is 1: what is left
+    # is the product of the odd primes of r that do not divide t-1
+    odd = r >> ((r & -r).bit_length() - 1)
+    while (g := gcd(odd, t - 1)) > 1:
+        odd //= g
+    if odd > 1:
         return None
     tags.append("odd primes of r divide t-1")
     return tags
@@ -277,23 +295,20 @@ def feasible_A(t_max: int) -> list[FamilyAEntry]:
                             branch="eq2+", conditions=("t=sqrt(5)",)))
 
     # r >= 4 branch under conditions (i)-(vi); mu integral means 2r | poly,
-    # so r runs over even divisors of the branch polynomial
+    # so r runs over even divisors of the branch polynomial.  Condition (i)
+    # rejects every r at a t with 4 | t, so that t is skipped unfactored
     for t in range(3, t_max + 1):
-        poly = (t - 1) ** 3 * (t + 2)
+        if t % 4 == 0:
+            continue
+        poly = _mu_poly(t, +1)
         for d in divisors(poly):
             if d % 2 != 0 or d // 2 < 4:
                 continue
             r = d // 2
-            mu = poly // d
-            tags = _condition_tags_A(t, r, mu)
-            if tags is None:
-                continue
-            try:
-                p = family_A(t, r, +1)
-            except ParameterError:
-                continue
-            out.append(FamilyAEntry(t=t, r=r, params=p, branch="eq1",
-                                    conditions=tuple(tags)))
+            tags = _condition_tags_A(t, r, poly // d)
+            if tags is not None:
+                out.append(FamilyAEntry(t, r, _family_A_member(t, r, +1),
+                                        "eq1", tuple(tags)))
     return out
 
 

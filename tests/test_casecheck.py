@@ -126,6 +126,26 @@ def test_wreathed_congruence_sweep():
     assert rep.match and rep.solutions == []
 
 
+@pytest.mark.parametrize("t_sweep", [1000, 3000])
+def test_wreathed_congruence_oracle(t_sweep):
+    """A brute loop over odd t <= T and every r >= 5 with r | t-1 and
+    gcd(r, 6) = 1, four congruences each, gives the same count and hits."""
+    checked, hits = 0, []
+    for t in range(3, t_sweep + 1, 2):
+        for r in range(5, t):
+            if (t - 1) % r or r % 2 == 0 or r % 3 == 0:
+                continue
+            for z1 in (1, 2):
+                lam1 = z1 * (t * t - 2) - t + (t - 1) // r
+                for mod, tag in (((t * t - 3) // 2, "half"), (t * t - 3, "full")):
+                    checked += 1
+                    if lam1 % mod in (0, 1):
+                        hits.append((t, r, z1, tag))
+    rep = wreathed_congruence_case(t_sweep)
+    assert rep.notes == [f"{checked} congruences checked"]
+    assert rep.solutions == hits == []
+
+
 def test_all_cases_match():
     reports = all_cases()
     assert reports and all(r.match for r in reports.values())

@@ -482,10 +482,11 @@ def test_lemma_check(capsys):
     assert blob["zsigmondy"]["unclassified"] == 0
 
 
-def test_lemma_check_bound_past_the_cap_exits_2(capsys):
+def test_lemma_check_bound_past_the_cap_exits_3(capsys):
+    """The sieve's cap is a memory limit of the program, not bad input."""
     code = main(["lemma-check", "nt", "--zsigmondy-bound", str(10**12)])
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == 3
     assert err == (f"error: zsigmondy bound {10**12} exceeds "
                    f"ZSIGMONDY_BOUND_MAX = {coverlab.numtheory.ZSIGMONDY_BOUND_MAX}\n")
 

@@ -10,7 +10,7 @@ from coverlab.numtheory import (GcdPowerCheck, LiftingCheck, divisors,
                                 nagell_ljunggren_search, prime_powers,
                                 prime_sieve, prime_power_decompose,
                                 six_prime_part, zsigmondy_corollary_solve)
-from coverlab import numtheory
+from coverlab import graphcore, numtheory
 from coverlab.params import admissible_pairs
 from conftest import p_part
 
@@ -47,7 +47,7 @@ def test_lifting_examples():
 
 
 def test_lifting_tests_p_for_primality_once(monkeypatch):
-    from coverlab import numtheory
+    from coverlab import graphcore, numtheory
     calls = []
     real = numtheory.is_prime
     monkeypatch.setattr(numtheory, "is_prime",
@@ -225,8 +225,10 @@ def test_zsigmondy_scan_boundaries():
 
 
 def test_zsigmondy_bound_is_capped_before_the_sieve():
+    assert numtheory.SizeBoundExceeded is graphcore.SizeBoundExceeded
     limit = numtheory.ZSIGMONDY_BOUND_MAX
-    with pytest.raises(ValueError, match=f"exceeds ZSIGMONDY_BOUND_MAX = {limit}"):
+    with pytest.raises(numtheory.SizeBoundExceeded,
+                       match=f"exceeds ZSIGMONDY_BOUND_MAX = {limit}"):
         zsigmondy_corollary_solve(limit + 1)
     with pytest.raises(ValueError, match="at least 4"):
         zsigmondy_corollary_solve(3)

@@ -5,7 +5,7 @@ adjacency matrices (numpy eigenvalues, integer-rounded), never copied from
 the implementation under test.
 """
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -320,42 +320,58 @@ def test_feasible_a_contents():
 
 
 def test_feasible_a_condition_filter_oracle():
-    """Brute-force re-derivation of the r >= 4 branch for t <= 8."""
-    def oracle():
-        out = set()
-        for t in range(3, 9):
+    """Brute-force re-derivation of the r >= 4 branch for t <= 60: r over
+    the even divisors 2r of (t-1)^3 (t+2), listed by pairing each divisor
+    up to its square root with its cofactor, and condition (vi) by trial
+    division of r.  Every eq1 row's (t, r, conditions) is compared, and its
+    params with the public family_A."""
+    def odd_primes_divide(r, t):
+        odd, p = r, 3
+        while odd % 2 == 0:
+            odd //= 2
+        while p * p <= odd:
+            if odd % p == 0:
+                if (t - 1) % p != 0:
+                    return False
+                while odd % p == 0:
+                    odd //= p
+            p += 2
+        return odd == 1 or (t - 1) % odd == 0
+
+    def oracle(t_max):
+        out = []
+        for t in range(3, t_max + 1):
             if t % 4 == 0:
                 continue
             poly = (t - 1) ** 3 * (t + 2)
-            for r in range(4, poly // 2 + 1):
-                if poly % (2 * r) != 0:
-                    continue
+            divs = set()
+            for d in range(1, isqrt(poly) + 1):
+                if poly % d == 0:
+                    divs |= {d, poly // d}
+            for r in sorted(d // 2 for d in divs if d % 2 == 0 and d >= 8):
                 mu = poly // (2 * r)
+                tags = ["t>=3, 4 does not divide t"]
                 if mu < 2:
                     continue
-                if 2 * r <= t * t + 1 and (t - 1) % r != 0:
+                tags.append("mu>=2")
+                if 2 * r <= t * t + 1:
+                    if (t - 1) % r != 0:
+                        continue
+                    tags.append("r | t-1 (2r <= t^2+1)")
+                if t % 2 == 1:
+                    if mu % 2 == 1:
+                        continue
+                    tags.append("mu even (t odd)")
+                if not odd_primes_divide(r, t):
                     continue
-                if t % 2 == 1 and mu % 2 == 1:
-                    continue
-                odd = r
-                while odd % 2 == 0:
-                    odd //= 2
-                ok = True
-                p = 3
-                while p <= odd:
-                    if odd % p == 0:
-                        if (t - 1) % p != 0:
-                            ok = False
-                            break
-                        while odd % p == 0:
-                            odd //= p
-                    p += 2
-                if ok:
-                    out.add((t, r))
+                tags.append("odd primes of r divide t-1")
+                out.append((t, r, tuple(tags)))
         return out
 
-    got = {(e.t, e.r) for e in feasible_A(8) if e.branch == "eq1"}
-    assert got == oracle()
+    rows = [e for e in feasible_A(60) if e.branch == "eq1"]
+    assert [(e.t, e.r, e.conditions) for e in rows] == oracle(60)
+    for e in rows:
+        assert e.params == family_A(e.t, e.r, +1), (e.t, e.r)
 
 
 def test_hoffman_bounds():
