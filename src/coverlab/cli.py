@@ -5,24 +5,31 @@ cases.  Each params table and each build construction has a parser of its
 own that takes only the flags it reads and dispatches straight to its
 handler or constructor, and cases takes its ids as choices, so argparse
 refuses a missing, foreign or misspelt argument (exit 2) and every flag a
-payload records was read.  Output is canonical JSON, emitted by one
-json.dumps with sorted keys, so golden-file comparisons are stable; no
-payload holds a float.  Every report embeds its run configuration under
-config; build and quotient print a bare cover instead, so that their output
-loads as the input of verify, analyze, quotient and etf.  Exit
-codes: 0 success/verified, 1 verification, certificate or case-match
-failure, 2 bad input or path (a usage error, a ValueError or an OSError),
-3 an input past one of the library's size bounds
-(SizeBoundExceeded: a vertex bound, the bound past which a BLAS product's
-float type no longer holds every integer, or ZSIGMONDY_BOUND_MAX, the
-Zsigmondy sieve's memory cap).  Any other exception is a bug in the program
-and propagates.
+payload records was read.  Output is canonical JSON: json.dumps with
+sorted keys and compact separators, so golden-file comparisons are stable;
+no payload holds a float.  The rows of the two feasibility tables are the
+one exception to a single json.dumps: each is written as that same text
+straight from its FamilyBParams or FamilyAEntry record, by a format whose
+keys are in sorted order (tests/test_cli.py::test_table_rows_match_dict_tree
+holds them to the json.dumps of the dict tree), and the text view reads
+that text back.  Every report embeds its run configuration under config;
+build and quotient print a bare cover instead, so that their output loads
+as the input of verify, analyze, quotient and etf.  Exit codes: 0
+success/verified, 1 verification, certificate or case-match failure, 2 bad
+input or path (a usage error, a ValueError or an OSError), 3 an input past
+one of the library's size bounds (SizeBoundExceeded: a vertex bound, the
+bound past which a BLAS product's float type no longer holds every integer,
+or ZSIGMONDY_BOUND_MAX, the Zsigmondy sieve's memory cap), 141 a reader
+that closed stdout early (128 + SIGPIPE, as a shell reports `yes | head
+-1`; nothing is written to stderr).  Any other exception is a bug in the
+program and propagates.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import casecheck, constructions, numtheory
@@ -33,11 +40,12 @@ from .groupops import (arc_orbit_count, covering_group, fibre_action,
                        involution_audit, involution_types, quotient_cover,
                        structure_audit, subdegree_identity_check)
 from .autgroup import automorphism_group
-from .params import (derive_params, family_B, feasible_A, feasible_B,
-                     hoffman_bounds)
+from .params import (CoverParams, derive_params, family_B, feasible_A,
+                     feasible_B, hoffman_bounds)
 from .perms import subgroups_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT = 0, 1, 2, 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _canonical(obj) -> str:
@@ -46,17 +54,49 @@ def _canonical(obj) -> str:
                       check_circular=False)
 
 
-def _emit(payload: dict, args) -> None:
-    payload["config"] = {
+def _config(args) -> dict:
+    return {
         "subcommand": args.command,
         "args": {k: v for k, v in sorted(vars(args).items())
                  if k not in ("func", "command") and v is not None
                  and not callable(v)},
     }
-    if getattr(args, "output", "json") == "text":
+
+
+def _emit(payload: dict, args) -> None:
+    payload["config"] = _config(args)
+    if args.output == "text":
         _print_text(payload)
     else:
         print(_canonical(payload))
+
+
+def _emit_table(key: str, rows: list[str], args) -> None:
+    """_emit of {key: rows, "t_max": args.t_max} where each row is already
+    its canonical JSON text: the list is spliced in at its sorted key."""
+    fields = {"config": _canonical(_config(args)),
+              "t_max": _canonical(args.t_max), key: f"[{','.join(rows)}]"}
+    text = "{%s}" % ",".join(f"{_canonical(k)}:{fields[k]}"
+                             for k in sorted(fields))
+    if args.output == "text":
+        _print_text(json.loads(text))
+    else:
+        print(text)
+
+
+# CoverParams.to_json() as canonical text when its four spectral fields
+# are ints (quad_json writes an int x as {"D":1,"a":x,"b":0}), keys sorted
+_INT_PARAMS = ('{"lambda":%d,"m_tau":%d,"m_theta":%d,"mu":%d,"n":%d,"r":%d,'
+               '"tau":{"D":1,"a":%d,"b":0},"theta":{"D":1,"a":%d,"b":0},'
+               '"v":%d}')
+
+
+def _params_text(p: CoverParams) -> str:
+    if type(p.theta) is type(p.tau) is type(p.m_theta) is type(p.m_tau) is int:
+        return _INT_PARAMS % (p.lam, p.m_tau, p.m_theta, p.mu, p.n, p.r,
+                              p.tau, p.theta, p.n * p.r)
+    # the (9, 3, 3), (28, 4, 8) and t = sqrt(5) rows: QuadExt spectra
+    return _canonical(p.to_json())
 
 
 def _print_text(payload, indent=0):
@@ -108,17 +148,23 @@ def cmd_family_b(args) -> int:
 
 
 def cmd_feasible_b(args) -> int:
-    rows = [{"t": fb.t, "r": fb.r, "special": fb.special,
-             "params": fb.params.to_json()} for fb in feasible_B(args.t_max)]
-    _emit({"feasible_b": rows, "t_max": args.t_max}, args)
+    rows = ['{"params":%s,"r":%d,"special":%s,"t":%d}'
+            % (_params_text(fb.params), fb.r,
+               "true" if fb.special else "false", fb.t)
+            for fb in feasible_B(args.t_max)]
+    _emit_table("feasible_b", rows, args)
     return EXIT_OK
 
 
 def cmd_feasible_a(args) -> int:
-    rows = [{"t": str(e.t), "r": e.r, "branch": e.branch,
-             "conditions": list(e.conditions), "params": e.params.to_json()}
+    # a handful of branches, t values and conditions tuples: each is
+    # encoded once (json.dumps writes a tuple as a list)
+    enc = functools.cache(_canonical)
+    rows = ['{"branch":%s,"conditions":%s,"params":%s,"r":%d,"t":%s}'
+            % (enc(e.branch), enc(e.conditions), _params_text(e.params),
+               e.r, enc(str(e.t)))
             for e in feasible_A(args.t_max)]
-    _emit({"feasible_a": rows, "t_max": args.t_max}, args)
+    _emit_table("feasible_a", rows, args)
     return EXIT_OK
 
 
@@ -351,7 +397,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): not bad input.  Point stdout
+        # at devnull so the interpreter's flush at exit finds no pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except SizeBoundExceeded as exc:  # a limit of the program, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT

@@ -85,6 +85,74 @@ def test_params_feasible_b(capsys):
         {(2, 3), (6, 5), (8, 7), (11, 5), (12, 11)}
 
 
+def _table_tree(table: str, t_max: int) -> dict:
+    """The payload of `params TABLE --t-max T_MAX` as a dict tree of the
+    records' to_json forms, the oracle for the rows the CLI writes as text."""
+    if table == "feasible-b":
+        rows = [{"t": fb.t, "r": fb.r, "special": fb.special,
+                 "params": fb.params.to_json()}
+                for fb in coverlab.feasible_B(t_max)]
+    else:
+        rows = [{"t": str(e.t), "r": e.r, "branch": e.branch,
+                 "conditions": list(e.conditions),
+                 "params": e.params.to_json()}
+                for e in coverlab.feasible_A(t_max)]
+    return {table.replace("-", "_"): rows, "t_max": t_max,
+            "config": {"subcommand": "params",
+                       "args": {"output": "json", "t_max": t_max,
+                                "table": table}}}
+
+
+@pytest.mark.parametrize("table, t_max", (
+    *(("feasible-b", t) for t in (2, 6, 200, 3000)),
+    *(("feasible-a", t) for t in (2, 3, 8, 100, 400))))
+def test_table_rows_match_dict_tree(table, t_max, capsys):
+    """Each table row is written straight from its record: the bytes equal
+    json.dumps of the dict tree, over the special (9, 3, 3), sporadic
+    (28, 4, 8), t = sqrt(5) and eq1 rows and the int-spectrum ones."""
+    code, out = run_cli(["params", table, "--t-max", str(t_max)], capsys)
+    want = json.dumps(_table_tree(table, t_max), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+    assert code == 0
+    if out != want:  # show the first difference: a diff of 1.5 MB stalls
+        at = max(len(os.path.commonprefix([out, want])) - 60, 0)
+        assert out[at:at + 120] == want[at:at + 120]
+
+
+def _console(*argv):
+    """`coverlab ARGV` in a subprocess, on the package this suite imports,
+    its stdout and stderr pipes."""
+    src = str(Path(coverlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "coverlab.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("argv, read", (
+    (["params", "feasible-b", "--t-max", "3000"], 50),
+    (["params", "feasible-b", "--t-max", "2"], 0),
+    (["--output", "text", "params", "feasible-a", "--t-max", "30"], 0)))
+def test_closed_stdout_exits_141_silently(argv, read):
+    """A reader that stops early (`| head -c 50`) is not bad input: exit
+    141, 128 + SIGPIPE, with nothing on stderr.  The 1.5 MB payload
+    outgrows the pipe, so it is cut while written; the small one is cut
+    at its final flush, the text view at one of its prints."""
+    with _console(*argv) as proc:
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (141, b"")
+
+
+def test_unreadable_path_still_exits_2(tmp_path):
+    """An input path that cannot be read stays bad input (exit 2)."""
+    with _console("verify", str(tmp_path / "missing.json")) as proc:
+        out, err = proc.communicate()
+    assert proc.returncode == 2 and out == b""
+    assert err.startswith(b"error: ")
+
+
 def test_build_verify_pipeline(tmp_path, capsys):
     code, out = run_cli(["build", "thas-somma", "--q", "3", "--m", "1"],
                         capsys)

@@ -7,7 +7,8 @@ The analyze payloads embed their cover path, so those are recorded as
 `coverlab analyze --audits NAME.json` run in the directory holding the
 built cover NAME.json; the verify, quotient and etf payloads are recorded
 the same way, on the perturbed or built cover each test writes.  Each
-demo_NAME.txt is the stdout of `python demos/NAME.py`.
+params_*.txt is the stdout of `coverlab --output text <argv>`, the text
+view of a table, and each demo_NAME.txt that of `python demos/NAME.py`.
 """
 import json
 import os
@@ -42,6 +43,20 @@ CASES = {
 def test_cli_matches_golden(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# the tables' text views; feasible-a to 8 holds the sporadic, sqrt(5) and
+# eq1 rows
+TEXT_CASES = {
+    "params_feasible-a_t8": ["params", "feasible-a", "--t-max", "8"],
+    "params_feasible-b_t12": ["params", "feasible-b", "--t-max", "12"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_cli_text_view_matches_golden(name, capsys):
+    assert main(["--output", "text", *TEXT_CASES[name]]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 ANALYZE_COVERS = {"hexagon": hexagon, "cube": cube, "icosahedron": icosahedron,
