@@ -12,8 +12,8 @@ from .params import (CoverParams, FamilyBParams, derive_params, family_A,
                      family_B, feasible_A, feasible_B, hoffman_bounds)
 from .graphcore import (CoverGraph, CoverReport, params_of, spectrum_check,
                         verify_cover)
-from .constructions import (cube, hexagon, icosahedron, seidel_of_graph,
-                            taylor_from_seidel, thas_somma)
+from .constructions import (cover_from_voltages, cube, hexagon, icosahedron,
+                            seidel_of_graph, taylor_from_seidel, thas_somma)
 from .perms import PermGroup, Permutation, subgroups_of
 from .autgroup import automorphism_group, covers_isomorphic
 from .groupops import (arc_orbit_count, covering_group, displacement_profile,
@@ -30,7 +30,8 @@ __all__ = [
     "QuadExt", "CoverParams", "FamilyBParams", "derive_params", "family_A",
     "family_B", "feasible_A", "feasible_B", "hoffman_bounds", "CoverGraph",
     "CoverReport", "params_of",
-    "spectrum_check", "verify_cover", "cube", "hexagon", "icosahedron",
+    "spectrum_check", "verify_cover", "cover_from_voltages", "cube",
+    "hexagon", "icosahedron",
     "seidel_of_graph", "taylor_from_seidel", "thas_somma", "PermGroup",
     "Permutation",
     "subgroups_of", "automorphism_group",

@@ -1,10 +1,12 @@
 """Explicit constructors for the classical small covers.
 
 Correctness is established empirically: every constructor's output is meant
-to pass verify_cover, which the test suite enforces.  The symplectic-form
-construction builds a (q^{2m}, q, q^{2m-1})-cover on V x GF(q) with
-V = GF(q)^{2m}; the double-cover constructor turns a Seidel matrix into a
-2-cover of K_n (a valid cover exactly when the two-graph is regular).
+to pass verify_cover, which the test suite enforces.  An abelian cover of
+K_n is fixed by a skew voltage matrix W over its covering group (Godsil and
+Hensel, JCTB 56, 1992), and cover_from_voltages builds it.  The
+symplectic-form construction, a (q^{2m}, q, q^{2m-1})-cover on
+GF(q)^{2m} x GF(q), and the double cover of a Seidel matrix (a valid 2-cover
+of K_n exactly when the two-graph is regular) hand it their W.
 """
 from __future__ import annotations
 
@@ -52,6 +54,34 @@ def icosahedron() -> CoverGraph:
     return CoverGraph(fibres, edges)
 
 
+def cover_from_voltages(voltages, add) -> CoverGraph:
+    """The abelian cover of K_n with voltage matrix W over a group K.
+
+    add is K's addition table on its elements 0..r-1, 0 the identity: Z_r's,
+    or GF(q).add_table.  Vertex (i, a) is labelled i*r + a, the fibres are
+    {i*r, ..., i*r + r - 1}, and (i, a) ~ (j, a + W_ij) for i != j.  W must
+    be a square integer matrix over K with a zero diagonal and
+    W_ji = -W_ij; the vertex bound is checked before the entries are read.
+    """
+    w, add = np.asarray(voltages), np.asarray(add)
+    square = w.ndim == 2 and w.shape[0] == w.shape[1]
+    if not (square and np.issubdtype(w.dtype, np.integer)):
+        raise ValueError("voltages must be a square integer matrix")
+    n, r = len(w), len(add)
+    if n * r > VERTEX_BOUND:
+        raise SizeBoundExceeded(f"{n * r} vertices exceed the bound "
+                                f"{VERTEX_BOUND}")
+    if np.any((w < 0) | (w >= r)):
+        raise ValueError(f"voltages must lie in 0..{r - 1}")
+    if np.any(np.diag(w) != 0) or np.any(add[w, w.T] != 0):
+        raise ValueError("voltages need a zero diagonal and W_ji = -W_ij")
+    i, j = np.triu_indices(n, 1)
+    a = np.arange(r)
+    edges = np.stack([i[:, None] * r + a, j[:, None] * r + add[a, w[i, j, None]]],
+                     axis=-1).reshape(-1, 2)
+    return CoverGraph(np.arange(n * r).reshape(n, r).tolist(), edges)
+
+
 def thas_somma(q: int, m: int = 1) -> CoverGraph:
     """Symplectic-form cover on GF(q)^{2m} x GF(q).
 
@@ -59,7 +89,8 @@ def thas_somma(q: int, m: int = 1) -> CoverGraph:
     b - a = B(u, v) for the standard alternating form
     B(u, v) = sum_i (u_{2i} v_{2i+1} - u_{2i+1} v_{2i}).
     Result is a (q^{2m}, q, q^{2m-1})-cover whose covering group is the
-    additive group of GF(q) acting on the second coordinate.
+    additive group of GF(q) acting on the second coordinate: the voltage
+    cover of W_ij = B(u_i, u_j), with the points u_i in product order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -71,59 +102,42 @@ def thas_somma(q: int, m: int = 1) -> CoverGraph:
         raise SizeBoundExceeded(f"q^(2m+1) = {q}^{dim + 1} vertices exceed "
                                 f"the bound {VERTEX_BOUND}")
 
-    # pairs of points i < j in product order; B is accumulated over the
-    # coordinate pairs through the field's tables
+    # B over all pairs of points, accumulated over the coordinate pairs
+    # through the field's tables
     points = np.array(list(product(range(q), repeat=dim))).reshape(-1, dim)
-    i, j = np.triu_indices(len(points), 1)
-    u, w = points[i], points[j]
+    u, v = points[:, None, :], points[None, :, :]
     add, neg, mul = fld.add_table, fld.neg_table, fld.mul_table
-    form = np.zeros(len(i), dtype=np.intp)
+    form = np.zeros((len(points), len(points)), dtype=np.intp)
     for k in range(0, dim, 2):
-        t1 = mul[u[:, k], w[:, k + 1]]
-        t2 = mul[u[:, k + 1], w[:, k]]
+        t1 = mul[u[..., k], v[..., k + 1]]
+        t2 = mul[u[..., k + 1], v[..., k]]
         form = add[form, add[t1, neg[t2]]]
-    # (i, a) ~ (j, a + B(u_i, u_j)) for every a in GF(q)
-    a = np.arange(q)
-    edges = np.stack([i[:, None] * q + a, j[:, None] * q + add[a, form[:, None]]],
-                     axis=-1).reshape(-1, 2)
-    fibres = [[x * q + c for c in range(q)] for x in range(len(points))]
-    return CoverGraph(fibres, edges)
+    return cover_from_voltages(form, add)
 
 
 def taylor_from_seidel(seidel, convention: int = -1) -> CoverGraph:
     """Double cover of K_n from a Seidel matrix (symmetric, 0 diagonal, +-1).
 
-    Vertices are (sign, i) with fibres {(+, i), (-, i)}, encoded as i and
-    n + i; (eps, i) ~ (delta, j) iff i != j and eps*delta = convention * S_ij.
-    The default convention -1 makes antipodal pairs non-adjacent; +1 yields
-    the complementary-switching cover.
+    Vertices are (i, a) with a in Z2, labelled 2i + a, with fibres
+    {2i, 2i + 1}; (i, a) ~ (j, b) iff i != j and
+    (-1)^(a+b) = convention * S_ij.  This is the voltage cover of
+    W_ij = (1 - convention * S_ij) / 2 over Z2, so an asymmetric S is
+    refused by cover_from_voltages.  The default convention -1 makes
+    antipodal pairs non-adjacent; +1 yields the complementary-switching
+    cover.
     """
     s = np.asarray(seidel)
     if s.ndim != 2 or not np.issubdtype(s.dtype, np.number):
         raise ValueError("Seidel matrix must be a 2-d array of numbers")
-    n = s.shape[0]
-    if s.shape != (n, n) or np.any(s != s.T) or np.any(np.diag(s) != 0):
-        raise ValueError("Seidel matrix must be symmetric with zero diagonal")
-    off = s[~np.eye(n, dtype=bool)]
-    if np.any(np.abs(off) != 1):
-        raise ValueError("off-diagonal Seidel entries must be +-1")
     if convention not in (-1, +1):
         raise ValueError("convention must be -1 or +1")
-    if 2 * n > VERTEX_BOUND:
-        raise SizeBoundExceeded(f"{2 * n} vertices exceed the bound "
-                                f"{VERTEX_BOUND}")
-
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            target = convention * int(s[i, j])
-            for eps in (+1, -1):
-                delta = target * eps  # eps*delta = target
-                u = i if eps == 1 else n + i
-                w = j if delta == 1 else n + j
-                edges.append((u, w))
-    fibres = [[i, n + i] for i in range(n)]
-    return CoverGraph(fibres, edges)
+    n = s.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    if s.shape != (n, n) or np.any(s[~off] != 0) or np.any(np.abs(s[off]) != 1):
+        raise ValueError("Seidel matrix must be square with zero diagonal "
+                         "and +-1 off it")
+    return cover_from_voltages((convention * s == -1).astype(np.intp),
+                               np.array([[0, 1], [1, 0]]))
 
 
 def seidel_of_graph(adj_matrix) -> np.ndarray:

@@ -708,6 +708,17 @@ def test_taylor_build_rejects_non_matrix_seidel_file(text, tmp_path, capsys):
                             "numbers\n")
 
 
+def test_taylor_build_rejects_asymmetric_seidel_file(tmp_path, capsys):
+    """A square +-1 matrix with S_10 != S_01 is bad input: exit 2 with an
+    error line."""
+    path = tmp_path / "seidel.json"
+    path.write_text("[[0, 1, 1], [-1, 0, 1], [1, 1, 0]]")
+    code = main(["build", "taylor-from-seidel", "--seidel", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_taylor_build_via_seidel_file(tmp_path, capsys):
     s = (np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)).tolist()
     path = tmp_path / "seidel.json"

@@ -1,9 +1,12 @@
 """Constructors validated through verify_cover (the trust anchor)."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from coverlab import (covering_group, covers_isomorphic, cube, hexagon,
-                      icosahedron, seidel_of_graph, taylor_from_seidel,
+from coverlab import (PermGroup, cover_from_voltages, covering_group,
+                      covers_isomorphic, cube, hexagon, icosahedron,
+                      quotient_cover, seidel_of_graph, taylor_from_seidel,
                       thas_somma, verify_cover)
 from coverlab.cli import main
 from coverlab.constructions import VERTEX_BOUND
@@ -179,6 +182,23 @@ def test_taylor_rejects_malformed():
     bad = np.ones((3, 3), dtype=int)
     with pytest.raises(ValueError):
         taylor_from_seidel(bad)  # nonzero diagonal
+    with pytest.raises(ValueError):
+        taylor_from_seidel([[0, 1, 1], [-1, 0, 1], [1, 1, 0]])  # asymmetric
+
+
+def j_minus_i(n):
+    return np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
+
+
+# the pentagon plus an isolated vertex, whose switching class is the regular
+# two-graph on 6 points
+PENTAGON = seidel_of_graph([[int(i < 5 and j < 5 and (i - j) % 5 in (1, 4))
+                             for j in range(6)] for i in range(6)])
+# T(8), the line graph of K_8, whose switching class holds the Schlaefli
+# graph plus an isolated vertex: its Taylor covers are the Gosset covers
+T8 = seidel_of_graph([[int(len(set(x) & set(y)) == 1)
+                       for y in combinations(range(8), 2)]
+                      for x in combinations(range(8), 2)])
 
 
 def test_seidel_round_trip():
@@ -186,15 +206,120 @@ def test_seidel_round_trip():
     on 3 and on 4 points the hexagon and the cube, and the regular two-graph
     on 6 points, the switching class of a pentagon plus an isolated vertex,
     the icosahedron."""
-    pentagon = [[int(i < 5 and j < 5 and (i - j) % 5 in (1, 4))
-                 for j in range(6)] for i in range(6)]
-
-    def j_minus_i(n):
-        return np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
-
     for s, g in ((j_minus_i(3), hexagon()), (j_minus_i(4), cube()),
-                 (seidel_of_graph(pentagon), icosahedron())):
-        assert covers_isomorphic(taylor_from_seidel(s), g)
+                 (PENTAGON, icosahedron())):
+        taylor = taylor_from_seidel(s)
+        rep, want = verify_cover(taylor), verify_cover(g)
+        assert rep.is_cover
+        assert (rep.n, rep.r, rep.mu) == (want.n, want.r, want.mu)
+        assert covers_isomorphic(taylor, g)
+
+
+@pytest.mark.parametrize("convention", (-1, 1))
+@pytest.mark.parametrize("name", ("K3", "K4", "pentagon", "T8"))
+def test_taylor_labels_follow_the_rule(name, convention):
+    """(i, a) is 2i + a, and (i, a) ~ (j, b) iff i != j and
+    (-1)^(a+b) = convention * S_ij: the edge set read off S directly."""
+    s = {"K3": j_minus_i(3), "K4": j_minus_i(4), "pentagon": PENTAGON,
+         "T8": T8}[name]
+    n = len(s)
+    want = {(2 * i + a, 2 * j + b) for i in range(n) for j in range(i + 1, n)
+            for a in (0, 1) for b in (0, 1)
+            if (-1) ** (a + b) == convention * s[i][j]}
+    g = taylor_from_seidel(s, convention)
+    assert set(g.edges) == want
+    assert g.fibres == tuple((2 * i, 2 * i + 1) for i in range(n))
+
+
+Z2 = np.array([[0, 1], [1, 0]])
+
+
+def voltage_counts(w, add):
+    """The cover condition read off W with numpy alone: for each i != j,
+    count the k outside {i, j} by W_ik + W_kj - W_ij.  (lambda, mu) when
+    every pair counts lambda at 0 and mu at every other element, else
+    None."""
+    n, r = len(w), len(add)
+    neg = np.argmax(add == 0, axis=1)
+    d = add[add[w[:, :, None], w[None, :, :]], neg[w][:, None, :]]  # [i, k, j]
+    i, k, j = np.ix_(*[np.arange(n)] * 3)
+    outside = (k != i) & (k != j)
+    counts = np.stack([((d == x) & outside).sum(axis=1) for x in range(r)], -1)
+    counts = counts[~np.eye(n, dtype=bool)]
+    lam, mu = np.unique(counts[:, 0]), np.unique(counts[:, 1:])
+    return (int(lam[0]), int(mu[0])) if len(lam) == len(mu) == 1 else None
+
+
+def symplectic_voltages(q):
+    """W_ij = B(u_i, u_j) = u_i0 u_j1 - u_i1 u_j0 on GF(q)^2 in product
+    order, from the field tables."""
+    fld = GF(q)
+    add, neg, mul = fld.add_table, fld.neg_table, fld.mul_table
+    x = np.arange(q * q)
+    u0, u1 = x // q, x % q
+    return add[mul[u0[:, None], u1], neg[mul[u1[:, None], u0]]]
+
+
+# W, K's addition table, and (lambda, mu); the Gosset W is (1 - c S) / 2
+VOLTAGES = {"ts31": (symplectic_voltages(3), GF(3).add_table, (1, 3)),
+            "ts41": (symplectic_voltages(4), GF(4).add_table, (2, 4)),
+            "ts51": (symplectic_voltages(5), GF(5).add_table, (3, 5)),
+            "gosset-1": ((-T8 == -1).astype(int), Z2, (16, 10)),
+            "gosset+1": ((T8 == -1).astype(int), Z2, (10, 16))}
+
+
+@pytest.mark.parametrize("name", sorted(VOLTAGES))
+def test_voltage_cover_condition_matches_verify_cover(name):
+    """The counts read off W agree with verify_cover on the built cover,
+    and a seeded change of one W_ij with its skew partner breaks both."""
+    w, add, lam_mu = VOLTAGES[name]
+    rep = verify_cover(cover_from_voltages(w, add))
+    assert rep.is_cover and voltage_counts(w, add) == (rep.lam, rep.mu) == lam_mu
+    rng = np.random.default_rng(len(w))
+    neg = np.argmax(add == 0, axis=1)
+    for _ in range(3):
+        i, j = rng.choice(len(w), 2, replace=False)
+        bad = w.copy()
+        bad[i, j] = (w[i, j] + rng.integers(1, len(add))) % len(add)
+        bad[j, i] = neg[bad[i, j]]
+        assert voltage_counts(bad, add) is None
+        assert not verify_cover(cover_from_voltages(bad, add)).is_cover
+
+
+@pytest.mark.parametrize("q,k", [(4, 1), (8, 1), (8, 2), (9, 1), (16, 1),
+                                 (16, 2), (16, 3)])
+def test_quotient_of_a_voltage_cover_is_its_voltages_mod_the_subgroup(q, k):
+    """U_k, the translations of GF(q) by its low k base-p digits: the
+    quotient of TS(q, 1) by U_k is the voltage cover of W // p^k over
+    GF(q / p^k), label for label."""
+    fld = GF(q)
+    v = np.arange(q ** 3)
+    gens = [(v - v % q + fld.add_table[v % q, fld.p ** t]).tolist()
+            for t in range(k)]
+    quot = quotient_cover(thas_somma(q, 1), PermGroup(gens, len(v)))
+    want = cover_from_voltages(symplectic_voltages(q) // fld.p ** k,
+                               GF(q // fld.p ** k).add_table)
+    assert quot.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("w,r", (
+    (np.zeros((2, 3), dtype=int), 2),            # not square
+    (np.zeros((3, 3)), 2),                       # not integer
+    ([[0, 2, 0], [2, 0, 0], [0, 0, 0]], 2),      # an entry >= r
+    (np.eye(3, dtype=int), 2),                   # a nonzero diagonal
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 3)))     # W_10 != -W_01 over Z3
+def test_cover_from_voltages_rejects_malformed(w, r):
+    z_r = (np.arange(r)[:, None] + np.arange(r)) % r
+    with pytest.raises(ValueError):
+        cover_from_voltages(w, z_r)
+
+
+def test_cover_from_voltages_bound():
+    """The bound comes before the entries are read: 2049 x 2049 entries
+    out of range over Z2 are past the bound first."""
+    with pytest.raises(SizeBoundExceeded,
+                       match="4098 vertices exceed the bound 4096"):
+        cover_from_voltages(np.full((2049, 2049), 5), Z2)
 
 
 def test_build_dispatch(capsys):

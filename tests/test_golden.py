@@ -9,6 +9,8 @@ built cover NAME.json; the verify, quotient and etf payloads are recorded
 the same way, on the perturbed or built cover each test writes.  Each
 params_*.txt is the stdout of `coverlab --output text <argv>`, the text
 view of a table, and each demo_NAME.txt that of `python demos/NAME.py`.
+seidel_pentagon.json is an input, not a payload: the Seidel matrix that
+build_taylor-from-seidel_pentagon.json is built from.
 """
 import json
 import os
@@ -36,6 +38,9 @@ CASES = {
                                         "--m", str(m)]
        for q, m in [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1), (8, 1), (2, 2),
                     (3, 2)]},
+    "build_taylor-from-seidel_pentagon": [
+        "build", "taylor-from-seidel", "--seidel",
+        str(GOLDEN / "seidel_pentagon.json")],
 }
 
 
