@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .numtheory import (factorize, has_coprime6_divisor, prime_power_decompose,
-                        prime_sieve, six_prime_part)
+import numpy as np
+
+from .numtheory import (SizeBoundExceeded, factorize, has_coprime6_divisor,
+                        prime_power_decompose, prime_sieve, six_prime_part)
 from .params import admissible_pairs
 
 
@@ -281,42 +283,52 @@ def sporadic_filter(t_max: int = 15) -> CaseReport:
     return rep.finalize()
 
 
+WREATHED_SWEEP_MAX = 10 ** 6
+# the four congruences of one pair, in the order wreathed_congruence_case
+# lists a pair's hits
+_WREATHED_CONGRUENCES = ((1, "half"), (1, "full"), (2, "half"), (2, "full"))
+
+
 def wreathed_congruence_case(t_sweep: int = 1000) -> CaseReport:
     """lambda1 = z1 (t^2-2) - t + (t-1)/r must avoid residues {0, 1}.
 
     For odd t (the relevant regime has t^2 - 2 odd), moduli (t^2-3)/2 and
     t^2-3 are both checked over every admissible r and z1 in {1, 2}; any hit
-    is a solution, expected none.  The pairs come from admissible_pairs,
-    r by r, and the odd t are kept (t = 1 + kr with k even, so t >= 11);
-    the hits are sorted stably by (t, r), so within a pair they stay in
-    (z1, modulus) order.  Every pair checks its four congruences, unrolled;
-    a residue is in {0, 1} when it is below 2, as both moduli are positive.
+    is a solution, expected none.  The pairs come from admissible_pairs as
+    int64 arrays, and a mask keeps the odd t (t = 1 + kr with k even, so
+    t >= 11); the four congruences are tested as arrays, a residue being in
+    {0, 1} when it is below 2, as both moduli are positive.  The hits are
+    ordered by (t, r), and within a pair by (z1, modulus).
+
+    The largest value formed is lambda1 at z1 = 2, below 2 t^2, so
+    t_sweep <= WREATHED_SWEEP_MAX = 10^6 keeps it below 2^63 with room to
+    spare; the cap is on memory, as the arrays peak at 128 MiB there.  A
+    larger t_sweep raises SizeBoundExceeded before any array is allocated.
     """
-    hits = []
-    checked = 0
-    for t, r in admissible_pairs(t_sweep):
-        if t % 2 == 0:
-            continue
-        checked += 4
-        t2 = t * t
-        half_mod, full_mod = (t2 - 3) // 2, t2 - 3
-        lam_1 = t2 - 2 - t + (t - 1) // r  # z1 = 1
-        lam_2 = lam_1 + t2 - 2  # z1 = 2
-        if lam_1 % half_mod < 2:
-            hits.append((t, r, 1, "half"))
-        if lam_1 % full_mod < 2:
-            hits.append((t, r, 1, "full"))
-        if lam_2 % half_mod < 2:
-            hits.append((t, r, 2, "half"))
-        if lam_2 % full_mod < 2:
-            hits.append((t, r, 2, "full"))
-    hits.sort(key=lambda h: h[:2])
+    if t_sweep > WREATHED_SWEEP_MAX:
+        raise SizeBoundExceeded(f"t_sweep {t_sweep} exceeds "
+                                f"WREATHED_SWEEP_MAX = {WREATHED_SWEEP_MAX}")
+    t, r = admissible_pairs(t_sweep)
+    odd = t % 2 == 1
+    t, r = t[odd], r[odd]
+    t2 = t * t
+    half_mod, full_mod = (t2 - 3) // 2, t2 - 3
+    lam_1 = t2 - 2 - t + (t - 1) // r  # z1 = 1
+    lam_2 = lam_1 + t2 - 2  # z1 = 2
+    hit = np.stack((lam_1 % half_mod < 2, lam_1 % full_mod < 2,
+                    lam_2 % half_mod < 2, lam_2 % full_mod < 2), axis=1)
+    rows = np.flatnonzero(hit.any(axis=1))
+    rows = rows[np.lexsort((r[rows], t[rows]))]
+    hits = [(ti, ri, z1, mod)
+            for i, ti, ri in zip(rows.tolist(), t[rows].tolist(),
+                                 r[rows].tolist())
+            for (z1, mod), h in zip(_WREATHED_CONGRUENCES, hit[i]) if h]
     rep = CaseReport(
         case_id="wreathed-congruence",
         search_space=f"odd t <= {t_sweep}, admissible r | t-1, z1 in {{1,2}}, "
                      f"moduli (t^2-3)/2 and t^2-3",
         solutions=hits, expected=[],
-        notes=[f"{checked} congruences checked"])
+        notes=[f"{4 * t.size} congruences checked"])
     return rep.finalize()
 
 

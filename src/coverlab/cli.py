@@ -89,6 +89,8 @@ def _emit_table(key: str, rows: list[str], args) -> None:
 _INT_PARAMS = ('{"lambda":%d,"m_tau":%d,"m_theta":%d,"mu":%d,"n":%d,"r":%d,'
                '"tau":{"D":1,"a":%d,"b":0},"theta":{"D":1,"a":%d,"b":0},'
                '"v":%d}')
+# a member row of the odd-fibre table: every member's spectrum is ints
+_ROW_B = '{"params":' + _INT_PARAMS + ',"r":%d,"special":false,"t":%d}'
 
 
 def _params_text(p: CoverParams) -> str:
@@ -148,10 +150,12 @@ def cmd_family_b(args) -> int:
 
 
 def cmd_feasible_b(args) -> int:
-    rows = ['{"params":%s,"r":%d,"special":%s,"t":%d}'
-            % (_params_text(fb.params), fb.r,
-               "true" if fb.special else "false", fb.t)
-            for fb in feasible_B(args.t_max)]
+    special, *members = feasible_B(args.t_max)
+    rows = ['{"params":%s,"r":%d,"special":true,"t":%d}'
+            % (_params_text(special.params), special.r, special.t)]
+    rows += [_ROW_B % (p.lam, p.m_tau, p.m_theta, p.mu, p.n, p.r, p.tau,
+                       p.theta, p.n * p.r, r, t)
+             for t, r, p, _ in members]
     _emit_table("feasible_b", rows, args)
     return EXIT_OK
 

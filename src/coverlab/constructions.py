@@ -121,10 +121,10 @@ def taylor_from_seidel(seidel, convention: int = -1) -> CoverGraph:
     Vertices are (i, a) with a in Z2, labelled 2i + a, with fibres
     {2i, 2i + 1}; (i, a) ~ (j, b) iff i != j and
     (-1)^(a+b) = convention * S_ij.  This is the voltage cover of
-    W_ij = (1 - convention * S_ij) / 2 over Z2, so an asymmetric S is
-    refused by cover_from_voltages.  The default convention -1 makes
-    antipodal pairs non-adjacent; +1 yields the complementary-switching
-    cover.
+    W_ij = (1 - convention * S_ij) / 2 over Z2.  S = S^T is checked here,
+    and an asymmetric S is refused with the first (i, j) in row-major
+    order where S_ij != S_ji.  The default convention -1 makes antipodal
+    pairs non-adjacent; +1 yields the complementary-switching cover.
     """
     s = np.asarray(seidel)
     if s.ndim != 2 or not np.issubdtype(s.dtype, np.number):
@@ -136,6 +136,12 @@ def taylor_from_seidel(seidel, convention: int = -1) -> CoverGraph:
     if s.shape != (n, n) or np.any(s[~off] != 0) or np.any(np.abs(s[off]) != 1):
         raise ValueError("Seidel matrix must be square with zero diagonal "
                          "and +-1 off it")
+    asymmetric = np.argwhere(s != s.T)
+    if asymmetric.size:
+        i, j = asymmetric[0].tolist()
+        raise ValueError(f"Seidel matrix must be symmetric: S_ij = "
+                         f"{s[i, j]} but S_ji = {s[j, i]} at (i, j) = "
+                         f"({i}, {j})")
     return cover_from_voltages((convention * s == -1).astype(np.intp),
                                np.array([[0, 1], [1, 0]]))
 

@@ -10,7 +10,10 @@ are views of it, and the other modules call these instead of dividing.
 Two views answer small or even inputs without it: is_prime reads a sieve of
 the n below SMALL_PRIME_LIMIT (built once at import, 4 KB), and
 prime_power_decompose reads an even n off its bits (a power of two or
-nothing).
+nothing).  prime_sieve, which builds that sieve and the one
+zsigmondy_corollary_solve reads, marks the composites in place through one
+uint8 numpy view of the bytearray it returns, one slice assignment per
+prime.
 
 The lifting and gcd identities each have a single-point checker
 (lifting_identity_check, gcd_qpow) and a sweep over a grid that returns
@@ -79,12 +82,17 @@ def prime_powers(n: int):
 
 
 def prime_sieve(limit: int) -> bytearray:
-    """sieve[i] == 1 iff i is prime, for 0 <= i <= limit."""
+    """sieve[i] == 1 iff i is prime, for 0 <= i <= limit.
+
+    The composites are marked in place through one uint8 numpy view of the
+    returned bytearray, one slice assignment per prime up to sqrt(limit).
+    """
     sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
+    marks = np.frombuffer(sieve, dtype=np.uint8)
+    marks[:2] = 0
     for i in range(2, isqrt(limit) + 1):
         if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+            marks[i * i::i] = 0
     return sieve
 
 

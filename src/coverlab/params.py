@@ -19,6 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+import numpy as np
+
 from .exact import QuadExt, is_integral, quad_json, rational_json
 from .numtheory import divisors
 
@@ -199,29 +201,42 @@ def _family_A_member(t: int, r: int, sign: int) -> CoverParams:
     return CoverParams(n, r, mu, lam, t, -big, m_big, m_small)
 
 
-def admissible_pairs(t_max: int):
-    """Yield the pairs (t, r) with 2 <= t <= t_max, r >= 2, r | t-1 and
-    gcd(6, r) = 1, by r ascending and then t ascending.
+def admissible_pairs(t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (t, r) with 2 <= t <= t_max, r >= 2, r | t-1 and
+    gcd(6, r) = 1, as two aligned int64 arrays (t, r), by r ascending and
+    then t ascending.
 
     r runs over 5, 7, 11, 13, ... (the 6k -+ 1 below t_max) and t over
-    r+1, 2r+1, ... up to t_max, so no t-1 is factored.
+    r+1, 2r+1, ... up to t_max, so no t-1 is factored: each r is repeated
+    (t_max-1) // r times and t = 1 + kr is laid out by one cumsum, with no
+    Python step per pair.  Every value is at most t_max.
     """
-    for low in range(5, t_max, 6):
-        for r in (low, low + 2):
-            for t in range(r + 1, t_max + 1, r):
-                yield t, r
+    low = np.arange(5, t_max, 6, dtype=np.int64)
+    r = np.stack((low, low + 2), axis=1).ravel()
+    r = r[r < t_max]
+    counts = (t_max - 1) // r
+    # k = 1, 2, ... within each r: a cumsum of ones that drops back to 1
+    # where the next r begins
+    k = np.ones(counts.sum(), dtype=np.int64)
+    k[np.cumsum(counts[:-1])] -= counts[:-1]
+    r = np.repeat(r, counts)
+    return 1 + np.cumsum(k) * r, r
 
 
 def feasible_B(t_max: int) -> list[FamilyBParams]:
     """All odd-fibre family members with t <= t_max, in (t, r) order.
 
-    Entries are admissible_pairs(t_max), sorted, plus the special (9, 3, 3)
-    member listed first (as t = 2, which has no admissible r).
+    Entries are admissible_pairs(t_max), ordered by np.lexsort on (t, r),
+    plus the special (9, 3, 3) member listed first (as t = 2, which has no
+    admissible r).  The closed forms are evaluated on Python ints: m_tau
+    grows like t^5 and would leave int64 past t ~ 6000.
     """
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")
-    return [family_B(2, 3)] + [_family_B_member(t, r)
-                               for t, r in sorted(admissible_pairs(t_max))]
+    t, r = admissible_pairs(t_max)
+    order = np.lexsort((r, t))
+    return [family_B(2, 3)] + list(map(_family_B_member, t[order].tolist(),
+                                       r[order].tolist()))
 
 
 def _condition_tags_A(t: int, r: int, mu: int) -> list[str] | None:

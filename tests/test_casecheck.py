@@ -1,6 +1,9 @@
 """Case-enumeration regressions against the expected finite sets."""
+import time
+import tracemalloc
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from coverlab import casecheck
@@ -8,7 +11,7 @@ from coverlab.casecheck import (all_cases, claim4_search,
                                 linear_case_31, linear_case_parity_exclusion,
                                 sp_case, sporadic_filter, twin_power_centers,
                                 wreathed_congruence_case)
-from coverlab.numtheory import prime_sieve
+from coverlab.numtheory import SizeBoundExceeded, prime_sieve
 
 
 def test_sp_case_standard():
@@ -130,20 +133,72 @@ def test_wreathed_congruence_sweep():
 def test_wreathed_congruence_oracle(t_sweep):
     """A brute loop over odd t <= T and every r >= 5 with r | t-1 and
     gcd(r, 6) = 1, four congruences each, gives the same count and hits."""
-    checked, hits = 0, []
-    for t in range(3, t_sweep + 1, 2):
-        for r in range(5, t):
-            if (t - 1) % r or r % 2 == 0 or r % 3 == 0:
-                continue
-            for z1 in (1, 2):
-                lam1 = z1 * (t * t - 2) - t + (t - 1) // r
-                for mod, tag in (((t * t - 3) // 2, "half"), (t * t - 3, "full")):
-                    checked += 1
-                    if lam1 % mod in (0, 1):
-                        hits.append((t, r, z1, tag))
+    checked, hits = brute_wreathed((t, r) for t in range(3, t_sweep + 1, 2)
+                                   for r in range(5, t)
+                                   if (t - 1) % r == 0 and r % 2 and r % 3)
     rep = wreathed_congruence_case(t_sweep)
     assert rep.notes == [f"{checked} congruences checked"]
     assert rep.solutions == hits == []
+
+
+def brute_wreathed(pairs):
+    """The count and hits of the four congruences over the given (odd t, r),
+    in the given order."""
+    checked, hits = 0, []
+    for t, r in pairs:
+        for z1 in (1, 2):
+            lam1 = z1 * (t * t - 2) - t + (t - 1) // r
+            for mod, tag in (((t * t - 3) // 2, "half"), (t * t - 3, "full")):
+                checked += 1
+                if lam1 % mod in (0, 1):
+                    hits.append((t, r, z1, tag))
+    return checked, hits
+
+
+def test_wreathed_congruence_planted_hits(monkeypatch):
+    """The hit path and its order, on planted pairs: a pair (t, 1) with odd
+    t has lambda1 = t^2 - 3 at z1 = 1, 0 mod both moduli, and 2(t^2 - 3) + 1
+    at z1 = 2, 1 mod both, so it hits all four congruences; (3, 5) has
+    lambda1 = 4 at z1 = 1, 1 mod 3, and hits once, after (3, 1).  Given out
+    of order among admissible pairs, even t among them, the hits and the
+    count match a brute loop over the same pairs in (t, r) order."""
+    planted = [(29, 7), (11, 1), (3, 5), (12, 11), (9, 1), (21, 5), (3, 1),
+               (15, 7), (6, 5), (7, 1), (11, 5)]
+    t, r = (np.array(a, dtype=np.int64) for a in zip(*planted))
+    monkeypatch.setattr(casecheck, "admissible_pairs",
+                        lambda t_max: (t.copy(), r.copy()))
+    checked, hits = brute_wreathed(tr for tr in sorted(planted) if tr[0] % 2)
+    rep = wreathed_congruence_case(100)
+    assert hits[3:5] == [(3, 1, 2, "full"), (3, 5, 1, "half")]
+    assert [h[:2] for h in hits[5::4]] == [(7, 1), (9, 1), (11, 1)]
+    assert len(hits) == 17 and checked == 36
+    assert rep.solutions == hits
+    assert rep.notes == [f"{checked} congruences checked"]
+    assert not rep.match
+
+
+def test_wreathed_congruence_cap(monkeypatch):
+    """Past WREATHED_SWEEP_MAX the sweep raises before it enumerates a
+    pair; at the cap every value it forms, below 2 t^2, fits in int64."""
+    cap = casecheck.WREATHED_SWEEP_MAX
+    assert 2 * cap * cap < 2 ** 63
+
+    def no_pairs(t_max):
+        raise AssertionError(f"admissible_pairs({t_max}) was called")
+
+    monkeypatch.setattr(casecheck, "admissible_pairs", no_pairs)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SizeBoundExceeded,
+                           match=f"t_sweep {cap + 1} exceeds "
+                                 f"WREATHED_SWEEP_MAX = {cap}"):
+            wreathed_congruence_case(cap + 1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05 and peak < 1 << 20
 
 
 def test_all_cases_match():

@@ -710,13 +710,15 @@ def test_taylor_build_rejects_non_matrix_seidel_file(text, tmp_path, capsys):
 
 def test_taylor_build_rejects_asymmetric_seidel_file(tmp_path, capsys):
     """A square +-1 matrix with S_10 != S_01 is bad input: exit 2 with an
-    error line."""
+    error line that names the first asymmetric pair, (0, 1), and both of
+    its entries."""
     path = tmp_path / "seidel.json"
     path.write_text("[[0, 1, 1], [-1, 0, 1], [1, 1, 0]]")
     code = main(["build", "taylor-from-seidel", "--seidel", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == ("error: Seidel matrix must be symmetric: S_ij = 1 "
+                            "but S_ji = -1 at (i, j) = (0, 1)\n")
 
 
 def test_taylor_build_via_seidel_file(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Constructors validated through verify_cover (the trust anchor)."""
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
 
-from coverlab import (PermGroup, cover_from_voltages, covering_group,
-                      covers_isomorphic, cube, hexagon, icosahedron,
-                      quotient_cover, seidel_of_graph, taylor_from_seidel,
-                      thas_somma, verify_cover)
+from coverlab import (PermGroup, all_characters, character_matrix,
+                      cover_from_voltages, covering_group, covers_isomorphic,
+                      cube, hexagon, icosahedron, quotient_cover,
+                      seidel_of_graph, taylor_from_seidel, thas_somma,
+                      verify_cover)
 from coverlab.cli import main
 from coverlab.constructions import VERTEX_BOUND
 from coverlab.gf import GF
@@ -300,6 +302,32 @@ def test_quotient_of_a_voltage_cover_is_its_voltages_mod_the_subgroup(q, k):
     want = cover_from_voltages(symplectic_voltages(q) // fld.p ** k,
                                GF(q // fld.p ** k).add_table)
     assert quot.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_character_angles_are_the_voltages_times_minus_s(p):
+    """On TS(p, 1), K = Z_p: W is read off the cover, (i, 0) ~ (j, W_ij)
+    with (i, a) labelled i*p + a, and tau: (i, a) -> (i, a + 1) generates K.
+    For a nontrivial chi, with s its turns at tau over the angle step,
+    character_matrix's angle table is (-s W) mod e off the diagonal and -1
+    on it: the arc from base i to (j, W_ij) is carried back by tau^-W_ij."""
+    g = thas_somma(p, 1)
+    n = g.n
+    from_base = g.adjacency_matrix()[::p].reshape(n, n, p)
+    assert np.array_equal(from_base.sum(axis=2), 1 - np.eye(n, dtype=int))
+    w = from_base.argmax(axis=2)
+    x = np.arange(n * p)
+    tau = tuple((x - x % p + (x + 1) % p).tolist())
+    kernel, _ = covering_group(g)
+    off = ~np.eye(n, dtype=bool)
+    chars = [chi for chi in all_characters(kernel) if not chi.is_trivial]
+    assert len(chars) == p - 1
+    for chi in chars:
+        step = gcd(chi.modulus, *chi.turns.values())
+        e, s = chi.modulus // step, chi.turns[tau] // step
+        got = character_matrix(g, chi, kernel=kernel)
+        assert got.e == e
+        assert np.array_equal(got.angle, np.where(off, (-s * w) % e, -1))
 
 
 @pytest.mark.parametrize("w,r", (

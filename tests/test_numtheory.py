@@ -332,7 +332,7 @@ def test_admissible_pairs_matches_six_prime_part_divisors():
     """The r that admissible_pairs gives each t are the divisors >= 2 of the
     6'-part of t-1, from one factorization of t-1."""
     by_t = {}
-    for t, r in admissible_pairs(10_000):
+    for t, r in zip(*(a.tolist() for a in admissible_pairs(10_000))):
         by_t.setdefault(t, []).append(r)
     for t in range(2, 10_001):
         assert by_t.get(t, []) == divisors(six_prime_part(t - 1))[1:], t
