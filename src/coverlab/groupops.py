@@ -13,16 +13,17 @@ by subgroups of the covering group inherit the cover structure with fibre
 size divided and mu multiplied by the subgroup order; quotient_cover maps
 the edges to the orbits and re-verifies the result.  fibre_action alone
 checks a group G, on one matrix A, and takes its kernel, and it rebases G's
-chain once, on the vertices with base (a, F - {a}), a = 0 and F its fibre.
-Its report holds that chain, and every later stage reads the vertex
-stabilizer G_a, the pointwise stabilizer C of F and the transversal off it:
-the transitivity (a^G meets every fibre, or is every vertex), the fibre
-rank and subdegrees (the orbits of the fibre stabilizer, generated by G_a
-and the transversal elements into F), the arc orbits (G's orbits on arcs
-from a are G_a's orbits on N(a)), the rank-3 subdegree identities and
-structure_audit, which rebases only a second chain, on an extended domain,
-for M = G_{F} and C_G(K) meet G_a.  Every orbit here comes from
-PermGroup.orbits.  The audit functions turn the assertable group-theoretic
+chain once, with a = 0 and F its fibre.  That one chain acts on the
+vertices, on a point F* per fibre and, by conjugation, on a point per
+element of (G ∩ K) - 1, with base (F*, a, F - {a}, K - 1), so its tails
+are M = G_{F} (the fibre group's point stabilizer), G_a, the pointwise
+stabilizer C of F and C meet C_G(K).  Every later stage reads the groups
+it needs off that chain: the transitivity (F*^G is every fibre point, and
+|F*^G| |a^M| = v), the fibre rank and subdegrees (M's orbits on the fibre
+points), the arc orbits (G's orbits on arcs from a are G_a's orbits on
+N(a)), the rank-3 subdegree identities and structure_audit, which builds
+no chain.  Every orbit here comes from PermGroup.orbits.  The audit
+functions turn the assertable group-theoretic
 identities (arc orbits vs rank, displacement counts, fixed subgraphs of
 involutions, rank-3 subdegree relations) into pass/fail reports on concrete
 instances, and involution_types draws one involution of each displacement
@@ -47,11 +48,6 @@ from .perms import PermGroup, Permutation
 
 
 # -- basic actions -----------------------------------------------------------
-
-def fibre_image(g: CoverGraph, perm: Permutation) -> Permutation:
-    """The permutation induced on the fibre set."""
-    return Permutation(tuple(g.fibre_of[perm[f[0]]] for f in g.fibres))
-
 
 def is_cover_automorphism(g: CoverGraph, perm) -> bool:
     """Whether perm is a permutation of g's vertices that is a graph
@@ -164,11 +160,16 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
 @dataclass
 class FibreActionReport:
     """fibre_action's findings on G = vertex_group, with a = 0 and F its
-    fibre.  kernel is G ∩ K.  chain is G on the vertices with base
-    (a, F - {a}): chain.stabilizer(1) is G_a, chain.stabilizer(|F|) is C,
-    the pointwise stabilizer of F, and chain.transversal() sends b in a^G
-    to an element t_b mapping a to b.  Every later stage reads G_a, C and
-    the t_b from it."""
+    fibre.  kernel is G ∩ K.  chain is G's one chain: G on the vertices,
+    on the point v + i of each fibre i and, by conjugation, on the point
+    v + n + j of the j-th element of kernel.generators, (G ∩ K) - 1, with
+    base (F*, a, F - {a}, K - 1), F* = v + fibre_of[a].  Its tails are
+    M = G_{F} = chain.stabilizer(1), G_a = chain.stabilizer(2), the
+    pointwise stabilizer C of F = chain.stabilizer(1 + |F|) and C meet
+    C_G(K) = chain.stabilizer(|F| + |G ∩ K|); chain.transversal() sends
+    each fibre point of F*^G to an element mapping F to that fibre, and
+    M's sends each b in a^M to an element mapping a to b.  Every later
+    stage reads its groups off this chain."""
     transitive: bool
     rank: int | None
     subdegrees: tuple[int, ...] | None
@@ -194,27 +195,40 @@ def require_automorphisms(g: CoverGraph, group: PermGroup) -> None:
 
 def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
     """Transitivity, rank and subdegrees of group's action on the fibres,
-    group ∩ K with its info, and group's chain on base (a, F - {a}),
-    a = 0.  covering_group checks that g is a verified cover and group
-    acts by automorphisms.  The chain is G's own, rebased.  G is
-    transitive on the fibres iff its first basic orbit a^G meets every
-    fibre, and on the vertices iff a^G has v points.  The fibre stabilizer
-    G_F is generated by G_a and the t_b with b in F, as every element of
-    G_F sends a to some b in F ∩ a^G; the orbits of its image are the
-    subdegrees, and no group on the fibres gets a chain."""
+    group ∩ K with its info, and group's one chain (see
+    FibreActionReport), a = 0.  covering_group checks that g is a verified
+    cover and group acts by automorphisms.  The chain is G's own, rebased
+    through extend, which keeps the action on the vertices and so is
+    injective; conjugation permutes (G ∩ K) - 1, as G ∩ K is normal in G.
+    G is transitive on the fibres iff the level-0 orbit F*^G has n points,
+    and the subdegrees are then the orbits of M on the fibre points, so no
+    group on the fibres gets a chain of its own.  G is vertex-transitive
+    iff |a^G| = |G : M| |M : G_a| = |F*^G| |a^M| is v, as G_a <= M."""
     kernel, kinfo = covering_group(g, group)
-    a = 0
+    a, v, n = 0, g.v, g.n
     fibre = g.fibres[g.fibre_of[a]]
-    chain = group.rebased((a, *(x for x in fibre if x != a)))
-    moves = chain.transversal()
+    ks = kernel.generators
+    k_point = {k.img: v + n + j for j, k in enumerate(ks)}
+
+    def extend(p: Permutation) -> Permutation:
+        """p on the vertices, on the point v + i of each fibre i and, by
+        k -> p^-1 k p, on the point k_point[k] of each k in ks."""
+        inv = p.inverse()
+        return Permutation(p.img
+                           + tuple(v + g.fibre_of[p[f[0]]] for f in g.fibres)
+                           + tuple(k_point[(inv * k * p).img] for k in ks))
+
+    chain = group.rebased((v + g.fibre_of[a], a, *(x for x in fibre if x != a),
+                           *k_point.values()), extend)
+    m_group = chain.stabilizer(1)
+    blocks = len(chain.transversal())
     rank = sizes = None
-    if len({g.fibre_of[b] for b in moves}) == g.n:
-        g_f = chain.stabilizer(1).generators + [moves[b] for b in fibre
-                                                 if b in moves]
-        orbs = PermGroup([fibre_image(g, p) for p in g_f], g.n).orbits()
+    if blocks == n:
+        orbs = [o for o in m_group.orbits() if v <= o[0] < v + n]
         rank, sizes = len(orbs), tuple(sorted(len(o) for o in orbs))
     return FibreActionReport(rank is not None, rank, sizes, group, kernel,
-                             kinfo, len(moves) == g.v, chain)
+                             kinfo, blocks * len(m_group.transversal()) == v,
+                             chain)
 
 
 def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
@@ -223,8 +237,9 @@ def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
     fa is fibre_action's report on the group G counted.  The G-orbits on
     the arcs (a, w) with a fixed correspond to the G_a-orbits on N(a), so
     the count sums those over G's vertex orbits, each with its least point
-    a.  The orbit of a = 0 reads G_a off fa.chain; any further orbit, which
-    only a group that is not vertex-transitive has, takes point_stabilizer.
+    a.  The orbit of a = 0 reads G_a = fa.chain.stabilizer(2), of which
+    only the orbits on the vertices count; any further orbit, which only a
+    group that is not vertex-transitive has, takes point_stabilizer.
     The rank identity (arc orbits = rank on fibres minus one) needs G to be
     vertex-transitive and to contain the covering group with order exactly
     r; both are read off fa and reported, and the count is returned anyway.
@@ -233,8 +248,9 @@ def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
     count = 0
     for orbit in group.orbits():
         a = orbit[0]
-        g_a = fa.chain.stabilizer(1) if a == 0 else group.point_stabilizer(a)
-        count += sum(g.adj[a] >> o[0] & 1 for o in g_a.orbits())
+        g_a = fa.chain.stabilizer(2) if a == 0 else group.point_stabilizer(a)
+        count += sum(g.adj[a] >> o[0] & 1 for o in g_a.orbits()
+                     if o[0] < g.v)
 
     vt, order = fa.vertex_transitive, fa.kernel_info["order"]
     return {"arc_orbits": count, "vertex_transitive": vt,
@@ -496,7 +512,8 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
     mu-companion k1(mu-mu1) = k2(mu-mu2) for every fixed companion vertex.
 
     fa is fibre_action's report on the group checked, fa.vertex_group,
-    and the vertex stabilizer G_a (a = 0) is read off its chain.  Needs the
+    and the vertex stabilizer G_a (a = 0) is read off its chain as
+    fa.chain.stabilizer(2), with its orbits on the vertices.  Needs the
     induced fibre group to have rank 3 and G_a to have exactly two orbits
     on the neighbourhood; otherwise inapplicable.
     """
@@ -507,8 +524,8 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
     lam, mu = rep.lam, rep.mu
 
     a = 0
-    stab = fa.chain.stabilizer(1)
-    orbits = stab.orbits()
+    stab = fa.chain.stabilizer(2)
+    orbits = [o for o in stab.orbits() if o[0] < g.v]
 
     def meeting(u: int) -> list[list[int]]:
         """The stabilizer orbits that meet N(u)."""
@@ -578,13 +595,15 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
     Checks, on G = fa.vertex_group: C = C_G(K) meet G_a and M = K : G_a
     (semidirect with trivial intersection); the index |G : M| equals the
     fibre count; |Fix(G_a)| = |N_G(G_a) : G_a| divides nr; and
-    |Fix_Sigma(M)| = |N_G(M) : M| divides n.  Each group is a tail of one
-    of two chains of G, and nothing scans elements: G_a and C are tails of
-    fa.chain, on the vertices with base (a, F - {a}); M and C_G(K) meet
-    G_a are tails of _audit_chains' chain, on the vertices, a point F* per
-    fibre and a point per element of K - 1 (by conjugation) with base
-    (F*, K - 1, a), as G_a <= M.  |N_G(H) : H| counts fa.chain's
-    transversal elements t (one per fibre for M) with H^t <= H.
+    |Fix_Sigma(M)| = |N_G(M) : M| divides n.  Every group is a tail of
+    fa.chain, base (F*, a, F - {a}, K - 1): M, G_a, C and C meet C_G(K)
+    after 1, 2, 1 + |F| and |F| + |K| points.  No chain is built and
+    nothing scans elements.  |N_G(H) : H| counts the coset
+    representatives t of H with H^t <= H: for M the level-0 transversal
+    elements, one per fibre; for G_a the products s u of M's transversal
+    element s from a to b' in F and the level-0 element u from F to the
+    fibre of b = b'^u, tried only at b in Fix(G_a), since H^t = H makes
+    G_a = G_b.
     """
     lemma = "stabilizer-structure"
     out: list[AuditItem] = []
@@ -597,12 +616,13 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
                           {"reason": "covering group is not abelian-regular"})]
 
     a = 0
-    nf, nk = len(g.fibres[g.fibre_of[a]]), len(kernel.generators)
-    chain2, extend = _audit_chains(g, group, kernel)
-    g_a, c_point = fa.chain.stabilizer(1), fa.chain.stabilizer(nf)
-    moves = fa.chain.transversal()            # t_b sends a to b
-    m_group = chain2.stabilizer(1)
-    cgk_a = chain2.stabilizer(nk + 2)
+    nf = len(g.fibres[g.fibre_of[a]])
+    chain = fa.chain
+    m_group, g_a = chain.stabilizer(1), chain.stabilizer(2)
+    c_point = chain.stabilizer(1 + nf)
+    cgk_a = chain.stabilizer(1 + nf + len(kernel.generators))
+    to_fibre = chain.transversal().values()   # F to each fibre
+    in_fibre = m_group.transversal()          # a to each b' in F
 
     order_g = group.order()
     order_m = m_group.order()
@@ -618,19 +638,19 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
                          {"|M|": order_m, "|K|": kernel.order(),
                           "|Ga|": g_a.order()}))
 
-    # restriction to the vertices is injective on chain2's group (extend
-    # inverts it), so once it maps CG(K) meet Ga into C, equal orders make
-    # the two groups equal
-    ok = (cgk_a.order() == c_point.order()
-          and all(Permutation(p.img[:g.v]) in c_point
-                  for p in cgk_a.generators))
+    # K is regular, so an element of G_a commuting with K fixes every a^k,
+    # all of F: the tail C meet C_G(K) is C_G(K) meet G_a, and as a tail
+    # of C's chain it lies in C, so equal orders make the two equal
+    ok = cgk_a.order() == c_point.order()
     out.append(AuditItem(lemma, "C=CG(K)^Ga", "pass" if ok else "fail",
                          {"|C|": c_point.order(),
                           "|CG(K) meet Ga|": cgk_a.order()}))
 
     fix_ga = [u for u in range(g.v)
               if all(p[u] == u for p in g_a.generators)]
-    idx = sum(1 for t in moves.values() if _normalizes(t, g_a))
+    fixed = set(fix_ga)
+    idx = sum(1 for b1, s in in_fibre.items() for u in to_fibre
+              if u[b1] in fixed and _normalizes(s * u, g_a))
     ok = len(fix_ga) == idx and g.v % len(fix_ga) == 0
     out.append(AuditItem(
         lemma, "Fix(Ga)=index-in-normalizer-divides-nr",
@@ -639,9 +659,8 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
 
     fixed_fibres = [i for i in range(g.n)
                     if all(p[g.v + i] == g.v + i for p in m_group.generators)]
-    # moves[f[0]] sends F to fibre f; M is normalised by all or none of those
-    idx_m = sum(1 for f in g.fibres
-                if _normalizes(extend(moves[f[0]]), m_group))
+    # M is normalised by all or none of the coset M u
+    idx_m = sum(1 for u in to_fibre if _normalizes(u, m_group))
     ok = (len(fixed_fibres) == idx_m
           and g.n % max(len(fixed_fibres), 1) == 0)
     out.append(AuditItem(
@@ -649,31 +668,6 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
         "pass" if ok else "fail",
         {"|FixSigma(M)|": len(fixed_fibres), "|N:M|": idx_m, "n": g.n}))
     return out
-
-
-def _audit_chains(g: CoverGraph, group: PermGroup, kernel: PermGroup):
-    """structure_audit's chain of G on an extended domain, with a = 0, and
-    the map extend from G to that chain's group.
-
-    The chain acts on the vertices, a point F* per fibre and a point per
-    element of kernel.generators (K - 1, as K is regular), with base
-    (F*, K - 1, a), rebased from G's chain through extend, which keeps the
-    action on the vertices and so is injective.  Returns (chain, extend).
-    """
-    a = 0
-    ks = kernel.generators
-    k_point = {k.img: g.v + g.n + j for j, k in enumerate(ks)}
-
-    def extend(p: Permutation) -> Permutation:
-        """p on the vertices, on the point v + i of each fibre i and, by
-        k -> p^-1 k p, on the point k_point[k] of each k in ks."""
-        inv = p.inverse()
-        return Permutation(p.img
-                           + tuple(g.v + g.fibre_of[p[f[0]]] for f in g.fibres)
-                           + tuple(k_point[(inv * k * p).img] for k in ks))
-
-    chain = group.rebased((g.v + g.fibre_of[a], *k_point.values(), a), extend)
-    return chain, extend
 
 
 def _normalizes(t: Permutation, sub: PermGroup) -> bool:

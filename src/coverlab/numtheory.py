@@ -7,10 +7,9 @@ This module holds the one factorization in coverlab: prime_powers, a lazy
 trial division over 2, 3 and 6k +- 1.  is_prime, prime_power_decompose,
 factorize, divisors and six_prime_part (m with its factors 2 and 3 removed)
 are views of it, and the other modules call these instead of dividing.
-Two views answer small or even inputs without it: is_prime reads a sieve of
-the n below SMALL_PRIME_LIMIT (built once at import, 4 KB), and
-prime_power_decompose reads an even n off its bits (a power of two or
-nothing).  prime_sieve, which builds that sieve and the one
+is_prime reads the first prime power off it, and only
+prime_power_decompose answers some inputs without it, reading an even n off
+its bits (a power of two or nothing).  prime_sieve, which builds the sieve
 zsigmondy_corollary_solve reads, marks the composites in place through one
 uint8 numpy view of the bytearray it returns, one slice assignment per
 prime.
@@ -96,14 +95,9 @@ def prime_sieve(limit: int) -> bytearray:
     return sieve
 
 
-SMALL_PRIME_LIMIT = 1 << 12
-_SMALL_PRIMES = prime_sieve(SMALL_PRIME_LIMIT - 1)
-
-
 def is_prime(n: int) -> bool:
-    if n < SMALL_PRIME_LIMIT:
-        return n >= 2 and _SMALL_PRIMES[n] == 1
-    return next(prime_powers(n)) == (n, 1, 1)
+    """Whether n is prime: n >= 2 is its own first prime power."""
+    return n >= 2 and next(prime_powers(n)) == (n, 1, 1)
 
 
 def prime_power_decompose(n: int) -> tuple[int, int] | None:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import QuadExt, is_integral, quad_json, rational_json
-from .numtheory import divisors
+from .numtheory import SizeBoundExceeded, divisors
 
 
 class ParameterError(ValueError):
@@ -223,16 +223,25 @@ def admissible_pairs(t_max: int) -> tuple[np.ndarray, np.ndarray]:
     return 1 + np.cumsum(k) * r, r
 
 
+FEASIBLE_B_T_MAX = 10 ** 5
+
+
 def feasible_B(t_max: int) -> list[FamilyBParams]:
     """All odd-fibre family members with t <= t_max, in (t, r) order.
 
     Entries are admissible_pairs(t_max), ordered by np.lexsort on (t, r),
     plus the special (9, 3, 3) member listed first (as t = 2, which has no
     admissible r).  The closed forms are evaluated on Python ints: m_tau
-    grows like t^5 and would leave int64 past t ~ 6000.
+    grows like t^5 and would leave int64 past t ~ 6000.  The rows grow
+    like t_max log t_max: FEASIBLE_B_T_MAX = 10^5 gives 330 324 of them at
+    a 169 MiB traced peak, and a larger t_max raises SizeBoundExceeded
+    before any pair is laid out.
     """
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")
+    if t_max > FEASIBLE_B_T_MAX:
+        raise SizeBoundExceeded(f"t_max {t_max} exceeds "
+                                f"FEASIBLE_B_T_MAX = {FEASIBLE_B_T_MAX}")
     t, r = admissible_pairs(t_max)
     order = np.lexsort((r, t))
     return [family_B(2, 3)] + list(map(_family_B_member, t[order].tolist(),

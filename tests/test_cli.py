@@ -222,8 +222,9 @@ def test_verify_malformed_exits_2(tmp_path, capsys):
 def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     """An input past a size bound is a limit of the program, not bad
     input: SizeBoundExceeded exits 3 with an error line, on one bound of
-    each kind.  VERTEX_BOUND through build, AUT_VERTEX_BOUND through
-    analyze (patched below the icosahedron's 12 vertices) and FLOAT32_EXACT
+    each kind.  VERTEX_BOUND through build, FEASIBLE_B_T_MAX through
+    params feasible-b at t_max = 2^70, AUT_VERTEX_BOUND through analyze
+    (patched below the icosahedron's 12 vertices) and FLOAT32_EXACT
     through verify (patched to the hexagon's degree 2).  The 2^53 bound of
     spectrum_check and MAX_SUBGROUPS_ORDER are pinned as library raises in
     test_graphcore and test_permgroup."""
@@ -231,6 +232,9 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["build", "thas-somma", "--q", "5", "--m", "3"]) == 3
     assert capsys.readouterr().err == ("error: q^(2m+1) = 5^7 vertices "
                                        "exceed the bound 4096\n")
+    assert main(["params", "feasible-b", "--t-max", str(2 ** 70)]) == 3
+    assert capsys.readouterr().err == (f"error: t_max {2 ** 70} exceeds "
+                                       "FEASIBLE_B_T_MAX = 100000\n")
     path = tmp_path / "icosahedron.json"
     path.write_text(icosahedron().to_json_str())
     monkeypatch.setattr(autgroup, "AUT_VERTEX_BOUND", 11)
@@ -427,10 +431,10 @@ def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):
     read off its element list with base (0,), as K is semiregular, and is
     recorded on the graph with K; it serves as Aut's kernel too, as Aut
     contains K.  Aut's chain is read off the search's first-path base.
-    Its chain on base (a, F - {a}) is rebased from it in fibre_action,
-    and the fibre rank, the arc orbits, the subdegree check and the audit
-    read G_a off it; the audit's chain on the extended domain is rebased
-    from it too."""
+    fibre_action rebases it once, onto the vertices, the fibres and
+    K - 1 with base (F*, a, F - {a}, K - 1), and the fibre rank, the arc
+    orbits, the subdegree check and the audit read M, G_a, C and
+    C meet C_G(K) off that one chain as its tails."""
     from coverlab.perms import PermGroup
     builds = []
     build = PermGroup._build_chain
@@ -440,6 +444,26 @@ def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):
     path.write_text(thas_somma(3, 1).to_json_str())
     code, _ = run_cli(["analyze", "--audits", str(path)], capsys)
     assert code == 0 and builds == []
+
+
+def test_analyze_audits_rebases_one_chain(tmp_path, capsys, monkeypatch):
+    """analyze --audits on TS(3,1) rebases Aut exactly once, in
+    fibre_action, onto v + n + r - 1 = 38 points: the arc orbits, the
+    subdegree check and the audit read every group they need off that
+    chain (with no Schreier-Sims, as the test above pins)."""
+    from coverlab.perms import PermGroup
+    degrees = []
+    rebased = PermGroup.rebased
+
+    def recorded(self, *args):
+        chain = rebased(self, *args)
+        degrees.append(chain.degree)
+        return chain
+    monkeypatch.setattr(PermGroup, "rebased", recorded)
+    path = tmp_path / "ts31.json"
+    path.write_text(thas_somma(3, 1).to_json_str())
+    code, _ = run_cli(["analyze", "--audits", str(path)], capsys)
+    assert code == 0 and degrees == [27 + 9 + 2]
 
 
 def test_analyze_audits_checks_the_group_once(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from coverlab.exact import QuadExt
 from coverlab.graphcore import (GraphStructureError, is_automorphism,
                                 params_of)
 from coverlab.groupops import (INVOLUTION_DRAWS, QuotientError,
-                               _audit_chains, _fibre_fixing_automorphisms,
+                               _fibre_fixing_automorphisms,
                                involution_audit, involution_types,
                                is_cover_automorphism, kernel_info)
 from coverlab.perms import PermGroup, Permutation
@@ -613,8 +613,9 @@ def test_subgroup_lattice_runs_no_schreier_sims(
         name, count, corpus, auts, monkeypatch):
     """subgroups_of reads each H's chain off its element list, so neither
     it nor fibre_action and arc_orbit_count run Schreier-Sims: K and H ∩ K
-    are read off K's element list, and H's chain on base (a, F - {a}) and
-    every further vertex stabilizer are rebased from H's chain.  With H
+    are read off K's element list, and H's one chain on base
+    (F*, a, F - {a}, K - 1) and every further vertex stabilizer are
+    rebased from H's chain.  With H
     given by bare generators this made one build per H, and a fresh
     Schreier-Sims chain for K, for H ∩ K and for each stabilizer made 54,
     339 and 735 builds."""
@@ -730,43 +731,71 @@ def test_structure_audit_matches_element_scan(name):
             aut.normalizer(m).order() // m.order(), name
 
 
+def audit_reading_tails(g, fa, monkeypatch, swap: dict) -> dict:
+    """structure_audit's items by name, with the chain tail after swap[k]
+    points read wherever the audit asks for the tail after k."""
+    stabilizer = PermGroup.stabilizer
+    monkeypatch.setattr(PermGroup, "stabilizer",
+                        lambda self, k: stabilizer(self, swap.get(k, k)))
+    return {i.item: i for i in structure_audit(g, fa)}
+
+
+def failing(by_name: dict) -> set:
+    return {name for name, i in by_name.items() if i.status == "fail"}
+
+
 def test_structure_audit_can_fail(corpus, auts, monkeypatch):
     """G_a put in place of C = G_F must fail the C = C_G(K) meet G_a item:
     on TS(3,1), |G_a| = 48 while |C| = |C_G(K) meet G_a| = 24.  C is the
-    tail of the audit's chain on the vertices after r points; the tail
-    after one point, G_a, is read instead."""
+    tail of fa.chain after 1 + |F| points; the tail after 2 points, G_a, is
+    read instead."""
     g, aut = corpus["ts31"], auts["ts31"]
     fa = fibre_action(g, aut)
-    stabilizer = PermGroup.stabilizer
-    monkeypatch.setattr(
-        PermGroup, "stabilizer",
-        lambda self, k: stabilizer(self, 1 if self.degree == g.v else k))
-    by_name = {i.item: i for i in structure_audit(g, fa)}
+    by_name = audit_reading_tails(g, fa, monkeypatch, {1 + g.r: 2})
     assert by_name["C=CG(K)^Ga"].status == "fail"
     assert by_name["C=CG(K)^Ga"].witness == {"|C|": 48,
                                               "|CG(K) meet Ga|": 24}
 
 
-def test_structure_audit_fails_with_ga_for_m(corpus, auts, monkeypatch):
-    """G_a put in place of M = G_{F} must fail |G : M| = n on TS(3,1):
-    |G| = 1296 = 144 * 9, but 48 * 9 = 432.  M is the tail after one point
-    of the audit's chain on the extended domain; G_a of that same action
-    is read instead."""
+def test_structure_audit_fails_with_c_for_ga(corpus, auts, monkeypatch):
+    """C put in place of G_a must fail M = K : G_a, and only it, on
+    TS(3,1): |M| = 144 = 3 * 48, but |C| = 24.  G_a is the tail of
+    fa.chain after 2 points; the tail after 1 + |F| points is read."""
     g, aut = corpus["ts31"], auts["ts31"]
     fa = fibre_action(g, aut)
-    stabilizer = PermGroup.stabilizer
+    by_name = audit_reading_tails(g, fa, monkeypatch, {2: 1 + g.r})
+    assert failing(by_name) == {"M=K:Ga"}
+    assert by_name["M=K:Ga"].witness == {"|M|": 144, "|K|": 3, "|Ga|": 24}
 
-    def ga_for_m(self, k):
-        if self.degree == g.v or k != 1:
-            return stabilizer(self, k)
-        return stabilizer(PermGroup(self.generators, self.degree,
-                                    base_hint=(0,)), 1)
 
-    monkeypatch.setattr(PermGroup, "stabilizer", ga_for_m)
-    by_name = {i.item: i for i in structure_audit(g, fa)}
+def test_structure_audit_fails_with_ga_for_m(corpus, auts, monkeypatch):
+    """G_a put in place of M = G_{F} must fail |G : M| = n on TS(3,1):
+    |G| = 1296 = 144 * 9, but 48 * 9 = 432.  M is the tail of fa.chain
+    after one point; the tail after two, G_a, is read instead.  Its
+    transversal, read for M's, then starts at a point of F - {a}, so no
+    coset representative of G_a is found at a, the one fixed point of
+    G_a, and the normalizer item fails too."""
+    g, aut = corpus["ts31"], auts["ts31"]
+    fa = fibre_action(g, aut)
+    by_name = audit_reading_tails(g, fa, monkeypatch, {1: 2})
     assert by_name["index-G:M-equals-n"].status == "fail"
     assert by_name["index-G:M-equals-n"].witness == {"|G|": 1296, "|M|": 48,
                                                      "n": 9}
+    fix = by_name["Fix(Ga)=index-in-normalizer-divides-nr"]
+    assert fix.status == "fail"
+    assert fix.witness == {"|Fix(Ga)|": 1, "|N:Ga|": 0, "nr": 27}
+
+
+def test_structure_audit_fails_with_g_for_m(corpus, auts, monkeypatch):
+    """G put in place of M, the tail after no point for the tail after
+    one, must fail |Fix_Sigma(M)| = |N_G(M) : M| on TS(3,1): G fixes no
+    fibre, but every fibre's transversal element normalises G."""
+    g, aut = corpus["ts31"], auts["ts31"]
+    fa = fibre_action(g, aut)
+    by_name = audit_reading_tails(g, fa, monkeypatch, {1: 0})
+    fix = by_name["FixSigma(M)=index-in-normalizer-divides-n"]
+    assert fix.status == "fail"
+    assert fix.witness == {"|FixSigma(M)|": 0, "|N:M|": 9, "n": 9}
 
 
 def record_chain_builds(monkeypatch):
@@ -786,17 +815,18 @@ def record_chain_builds(monkeypatch):
 
 
 def test_structure_audit_builds_one_chain(corpus, auts, monkeypatch):
-    """With fibre_action's report built, which holds K with its chain and
-    G's chain on base (a, F - {a}), the audit runs no Schreier-Sims and
-    builds one chain, on the extended domain, from |G| by known-order
-    sifting; G_a, C and the transversal are read off the report."""
+    """fibre_action runs no Schreier-Sims and rebases G once, by
+    known-order sifting, onto the vertices, a point per fibre and a point
+    per element of K - 1; after it the audit rebases nothing and runs no
+    Schreier-Sims, as M, G_a, C, C meet C_G(K) and the transversals are
+    all read off that one chain."""
     g, aut = corpus["ts31"], auts["ts31"]
-    fa = fibre_action(g, aut)
     builds, known_order = record_chain_builds(monkeypatch)
+    fa = fibre_action(g, aut)
+    assert builds == [] and known_order == [g.v + g.n + g.r - 1]
     items = structure_audit(g, fa)
     assert all(i.status == "pass" for i in items)
-    assert len(builds) == 0
-    assert known_order == [g.v + g.n + g.r - 1]
+    assert builds == [] and known_order == [g.v + g.n + g.r - 1]
 
 
 def test_rank3_stages_build_no_chain_after_fibre_action(monkeypatch):
@@ -837,40 +867,61 @@ def test_non_automorphism_groups_rejected(corpus):
         covering_group(g, bogus)
 
 
+def extended_action(g, kernel):
+    """The action of fibre_action's chain, written out: p on the vertices,
+    then on the point v + i of each fibre i, then on the point
+    v + n + j of the j-th element k of kernel.generators by conjugation,
+    p^-1 k p sending p[x] to p[k[x]]."""
+    ks = [k.img for k in kernel.generators]
+
+    def extend(p):
+        fibres = [g.v + g.fibre_of[p[f[0]]] for f in g.fibres]
+        conjugates = []
+        for k in ks:
+            c = [0] * g.v
+            for x in range(g.v):
+                c[p[x]] = p[k[x]]
+            conjugates.append(g.v + g.n + ks.index(tuple(c)))
+        return Permutation(list(p.img) + fibres + conjugates)
+    return extend
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
 @pytest.mark.parametrize("seed", (None, 4))
 def test_audit_chains_match_schreier_sims(name, seed):
-    """structure_audit's known-order chains, fibre_action's chain 1 from
-    its report and _audit_chains' chain 2, against the deterministic
+    """fibre_action's known-order chain, on the vertices, the fibres and
+    K - 1 with base (F*, a, F - {a}, K - 1), against the deterministic
     Schreier-Sims on the same generators and base hint: the same orders
     and hinted base, and the same membership in every hinted stabilizer,
-    for elements of G (mapped by extend for the second chain), for
+    for elements of G (mapped by the action written out here), for
     elements of each Schreier-Sims stabilizer and for random permutations
     of the domain, which are mostly non-members."""
     base = ORACLE_COVERS[name]()
     g = base if seed is None else relabelled(base, seed)
     aut = automorphism_group(g)
     fa = fibre_action(g, aut)
-    chain1 = fa.chain
-    chain2, extend = _audit_chains(g, aut, fa.kernel)
+    chain, extend = fa.chain, extended_action(g, fa.kernel)
+    fibre = g.fibres[g.fibre_of[0]]
+    hint = chain._base_hint
+    assert hint == (g.v + g.fibre_of[0], 0, *(x for x in fibre if x != 0),
+                    *range(g.v + g.n, g.v + g.n + g.r - 1))
+    assert chain.generators == [extend(p) for p in aut.generators]
     rng = random.Random(23)
     draws = aut.random_elements(24)
-    for chain, image in ((chain1, lambda p: p), (chain2, extend)):
-        hint = chain._base_hint
-        slow = PermGroup(chain.generators, chain.degree, base_hint=hint)
-        assert chain.order() == aut.order() == slow.order()
-        assert chain.base[:len(hint)] == list(hint) == slow.base[:len(hint)]
-        members = [image(next(draws)) for _ in range(10)]
-        others = [Permutation(rng.sample(range(chain.degree), chain.degree))
-                  for _ in range(10)]
-        assert all(x in chain for x in members)
-        for k in range(len(hint) + 1):
-            fast, sub = chain.stabilizer(k), slow.stabilizer(k)
-            assert fast.order() == sub.order(), (name, k)
-            sub_draws = sub.random_elements(25)
-            tests = members + others + [next(sub_draws) for _ in range(5)]
-            for x in tests:
-                assert (x in fast) == (x in sub), (name, k)
+    slow = PermGroup(chain.generators, chain.degree, base_hint=hint)
+    assert chain.order() == aut.order() == slow.order()
+    assert chain.base[:len(hint)] == list(hint) == slow.base[:len(hint)]
+    members = [extend(next(draws)) for _ in range(10)]
+    others = [Permutation(rng.sample(range(chain.degree), chain.degree))
+              for _ in range(10)]
+    assert all(x in chain for x in members)
+    for k in range(len(hint) + 1):
+        fast, sub = chain.stabilizer(k), slow.stabilizer(k)
+        assert fast.order() == sub.order(), (name, k)
+        sub_draws = sub.random_elements(25)
+        tests = members + others + [next(sub_draws) for _ in range(5)]
+        for x in tests:
+            assert (x in fast) == (x in sub), (name, k)
 
 
 def test_involution_audit_matches_pair_loops(corpus, auts):

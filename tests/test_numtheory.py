@@ -273,9 +273,8 @@ def _trial_prime_power(n: int) -> tuple[int, int] | None:
 
 
 def test_prime_power_decompose_and_is_prime_oracle():
-    """None exactly off the prime powers, on both sides of is_prime's sieve
-    edge and for every even n (read off its bits)."""
-    assert 0 < numtheory.SMALL_PRIME_LIMIT < 20_000
+    """None exactly off the prime powers, every even n included (read off
+    its bits), and is_prime exactly at the primes, for n up to 20 000."""
     for n in range(-5, 20_001):
         want = _trial_prime_power(n)
         assert prime_power_decompose(n) == want, n

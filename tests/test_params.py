@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from coverlab import (cube, derive_params, family_A, family_B, feasible_A,
                       feasible_B, hexagon, hoffman_bounds, icosahedron,
-                      thas_somma)
+                      params, thas_somma)
 from coverlab.exact import QuadExt
+from coverlab.numtheory import SizeBoundExceeded
 from coverlab.params import (CoverParams, FamilyAEntry, FamilyBParams,
                              ParameterError, admissible_pairs)
 
@@ -244,6 +245,21 @@ def test_feasible_b_large_sweep_parity():
     for fb in feasible_B(10_000):
         if not fb.special:
             assert fb.r % 2 == 1 and fb.r % 3 != 0
+
+
+def test_feasible_b_cap(monkeypatch):
+    """Past FEASIBLE_B_T_MAX the table raises, naming t_max and the cap,
+    before it lays out a pair."""
+    cap = params.FEASIBLE_B_T_MAX
+
+    def no_pairs(t_max):
+        raise AssertionError(f"admissible_pairs({t_max}) was called")
+
+    monkeypatch.setattr(params, "admissible_pairs", no_pairs)
+    with pytest.raises(SizeBoundExceeded,
+                       match=f"t_max {cap + 1} exceeds "
+                             f"FEASIBLE_B_T_MAX = {cap}"):
+        feasible_B(cap + 1)
 
 
 def test_family_a_named_members():
