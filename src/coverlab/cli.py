@@ -8,21 +8,23 @@ refuses a missing, foreign or misspelt argument (exit 2) and every flag a
 payload records was read.  Output is canonical JSON: json.dumps with
 sorted keys and compact separators, so golden-file comparisons are stable;
 no payload holds a float.  The rows of the two feasibility tables are the
-one exception to a single json.dumps: each is written as that same text
-straight from its FamilyBParams or FamilyAEntry record, by a format whose
-keys are in sorted order (tests/test_cli.py::test_table_rows_match_dict_tree
-holds them to the json.dumps of the dict tree), and the text view reads
-that text back.  Every report embeds its run configuration under config;
-build and quotient print a bare cover instead, so that their output loads
-as the input of verify, analyze, quotient and etf.  Exit codes: 0
-success/verified, 1 verification, certificate or case-match failure, 2 bad
-input or path (a usage error, a ValueError or an OSError), 3 an input past
-one of the library's size bounds (SizeBoundExceeded: a vertex bound, the
-bound past which a BLAS product's float type no longer holds every integer,
-or ZSIGMONDY_BOUND_MAX, the Zsigmondy sieve's memory cap), 141 a reader
-that closed stdout early (128 + SIGPIPE, as a shell reports `yes | head
--1`; nothing is written to stderr).  Any other exception is a bug in the
-program and propagates.
+one exception to a single json.dumps: each is written as that same text by
+a format whose keys are in sorted order, a feasible-a row straight from its
+FamilyAEntry record and a feasible-b member row from its closed-form values
+(params._family_B_values), with no record built for it
+(tests/test_cli.py::test_table_rows_match_dict_tree holds them to the
+json.dumps of the dict tree), and the text view reads that text back.
+Every report embeds its run configuration under config; build and quotient
+print a bare cover instead, so that their output loads as the input of
+verify, analyze, quotient and etf.  Exit codes: 0 success/verified, 1
+verification, certificate or case-match failure, 2 bad input or path (a
+usage error, a ValueError or an OSError), 3 an input past one of the
+library's size bounds (SizeBoundExceeded: a vertex bound, the bound past
+which a BLAS product's float type no longer holds every integer, or a
+table or scan cap such as FEASIBLE_A_T_MAX or ZSIGMONDY_BOUND_MAX), 141 a
+reader that closed stdout early (128 + SIGPIPE, as a shell reports `yes |
+head -1`; nothing is written to stderr).  Any other exception is a bug in
+the program and propagates.
 """
 from __future__ import annotations
 
@@ -40,8 +42,8 @@ from .groupops import (arc_orbit_count, covering_group, fibre_action,
                        involution_audit, involution_types, quotient_cover,
                        structure_audit, subdegree_identity_check)
 from .autgroup import automorphism_group
-from .params import (CoverParams, derive_params, family_B, feasible_A,
-                     feasible_B, hoffman_bounds)
+from .params import (CoverParams, _family_B_pairs, _family_B_values,
+                     derive_params, family_B, feasible_A, hoffman_bounds)
 from .perms import subgroups_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT = 0, 1, 2, 3
@@ -150,12 +152,14 @@ def cmd_family_b(args) -> int:
 
 
 def cmd_feasible_b(args) -> int:
-    special, *members = feasible_B(args.t_max)
+    # feasible_B's rows, each member written from its closed-form values
+    ts, rs = _family_B_pairs(args.t_max)
+    special = family_B(2, 3)
     rows = ['{"params":%s,"r":%d,"special":true,"t":%d}'
             % (_params_text(special.params), special.r, special.t)]
-    rows += [_ROW_B % (p.lam, p.m_tau, p.m_theta, p.mu, p.n, p.r, p.tau,
-                       p.theta, p.n * p.r, r, t)
-             for t, r, p, _ in members]
+    rows += [_ROW_B % (lam, m_tau, m_theta, mu, n, r, tau, theta, n * r, r, t)
+             for t, (n, r, mu, lam, theta, tau, m_theta, m_tau)
+             in zip(ts, map(_family_B_values, ts, rs))]
     _emit_table("feasible_b", rows, args)
     return EXIT_OK
 

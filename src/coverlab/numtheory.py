@@ -9,10 +9,9 @@ factorize, divisors and six_prime_part (m with its factors 2 and 3 removed)
 are views of it, and the other modules call these instead of dividing.
 is_prime reads the first prime power off it, and only
 prime_power_decompose answers some inputs without it, reading an even n off
-its bits (a power of two or nothing).  prime_sieve, which builds the sieve
-zsigmondy_corollary_solve reads, marks the composites in place through one
-uint8 numpy view of the bytearray it returns, one slice assignment per
-prime.
+its bits (a power of two or nothing).  prime_sieve, which the twin-power
+case enumeration reads, marks the composites in place through one uint8
+numpy view of the bytearray it returns, one slice assignment per prime.
 
 The lifting and gcd identities each have a single-point checker
 (lifting_identity_check, gcd_qpow) and a sweep over a grid that returns
@@ -22,12 +21,12 @@ and parity, and evaluates only the applicable points; gcd_sweep computes
 each q^k - 1 once, reads gcd(k, m) off a table built once for every q, and
 still checks every ordered pair (k, m).
 
-zsigmondy_corollary_solve reads the sieve as a bool array and scans its
-primes as an int64 numpy array, one power at a time.  Its bound is capped at
-ZSIGMONDY_BOUND_MAX, which caps the sieve at one byte per integer up to
-10^8 and keeps every product the scan forms below 10^16, inside int64; past
-it SizeBoundExceeded is raised, a limit of the program rather than bad
-input.  That class lives here, at the foot of the import graph (numtheory
+zsigmondy_corollary_solve needs no sieve: q^n + 1 is even for every odd q,
+so a solution with odd q is a power of two, and it enumerates the powers of
+two instead of the primes.  Its bound is capped at ZSIGMONDY_BOUND_MAX =
+10^8, which bounds that scan of 2^m and of 2^n + 1; past it
+SizeBoundExceeded is raised, a limit of the program rather than bad input.
+That class lives here, at the foot of the import graph (numtheory
 imports no coverlab module), so that every layer raises the one class;
 graphcore re-exports it.
 """
@@ -42,7 +41,7 @@ import numpy as np
 class SizeBoundExceeded(ValueError):
     """An input past an explicit size bound: a vertex bound, the bound on a
     BLAS product's partial sums past which its float type no longer holds
-    every integer, or a memory cap such as ZSIGMONDY_BOUND_MAX.  Bounds
+    every integer, or a scan cap such as ZSIGMONDY_BOUND_MAX.  Bounds
     raise, never clamp or round."""
 
 
@@ -265,38 +264,49 @@ def zsigmondy_corollary_solve(bound: int) -> list[ZsigmondySolution]:
     m prime).  Any solution outside them is tagged 'unclassified', which the
     property suite treats as a hard failure.
 
-    Every prime q and n >= 1 with q^n + 1 <= bound is tested.  For each n
-    the powers q^n of the sieve's primes form one int64 array, cut to its
-    prefix with q^n <= bound - 1.  An even s = q^n + 1 (odd q) is a prime
-    power only as a power of two, so only those with s & (s - 1) == 0 reach
-    prime_power_decompose, together with the one odd s, from q = 2.  A bound
-    above ZSIGMONDY_BOUND_MAX raises SizeBoundExceeded before the sieve is
-    allocated.
+    The solutions are read off the powers of two, in (p^m, q) order.  For
+    q = 2, each odd s = 2^n + 1 <= bound goes to prime_power_decompose.  For
+    odd q, s = q^n + 1 is even, so it is a prime power only as s = 2^m: for
+    each 2^m <= bound and each n with 3^n <= 2^m - 1, the exact integer n-th
+    root q of 2^m - 1 is taken, and (2, m, q, n) is a solution when
+    q^n = 2^m - 1 and q is prime.  A bound above ZSIGMONDY_BOUND_MAX raises
+    SizeBoundExceeded.
     """
     if bound < 4:
         raise ValueError("bound must be at least 4")
     if bound > ZSIGMONDY_BOUND_MAX:
         raise SizeBoundExceeded(f"zsigmondy bound {bound} exceeds "
                                 f"ZSIGMONDY_BOUND_MAX = {ZSIGMONDY_BOUND_MAX}")
-    primes = np.flatnonzero(np.frombuffer(prime_sieve(bound), dtype=bool))
-    primes = primes.astype(np.int64, copy=False)  # primes[0] == 2
     out = []
-    power, n = primes, 1
-    while True:
-        power = power[:np.searchsorted(power, bound - 1, side="right")]
-        if not power.size:
-            break
-        s = power + 1
-        even = s[1:]
-        hits = np.flatnonzero((even & (even - 1)) == 0) + 1
-        for i in [0, *hits.tolist()]:
-            pp = prime_power_decompose(int(s[i]))
-            if pp is not None:
-                out.append(_zsigmondy_solution(*pp, int(primes[i]), n))
-        power = power * primes[:power.size]
+    n = 1
+    while 2 ** n + 1 <= bound:
+        pp = prime_power_decompose(2 ** n + 1)
+        if pp is not None:
+            out.append(_zsigmondy_solution(*pp, 2, n))
         n += 1
+    m = 2  # 2^1 - 1 = 1 is no q^n
+    while 2 ** m <= bound:
+        x = 2 ** m - 1
+        n = 1
+        while 3 ** n <= x:
+            q = _integer_root(x, n)
+            if q ** n == x and is_prime(q):
+                out.append(_zsigmondy_solution(2, m, q, n))
+            n += 1
+        m += 1
     out.sort(key=lambda s: (s.p ** s.m, s.q))
     return out
+
+
+def _integer_root(x: int, n: int) -> int:
+    """The largest q with q^n <= x, for x >= 1: a float estimate corrected
+    by integer comparisons."""
+    q = round(x ** (1 / n))
+    while q ** n > x:
+        q -= 1
+    while (q + 1) ** n <= x:
+        q += 1
+    return q
 
 
 def _zsigmondy_solution(p: int, m: int, q: int, n: int) -> ZsigmondySolution:
@@ -316,13 +326,17 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def nagell_ljunggren_search(x_max: int, i_max: int) -> list[tuple[int, int, int]]:
-    """All (x, i, y) with (x^i - 1)/(x - 1) = y^2, 2 <= x <= x_max, 3 <= i <= i_max."""
+    """All (x, i, y) with (x^i - 1)/(x - 1) = y^2, 2 <= x <= x_max, 3 <= i <= i_max.
+
+    The repunit 1 + x + ... + x^(i-1) is carried from i to i + 1 as
+    s * x + 1, with no power or division per point."""
     if x_max < 2 or i_max < 3:
         raise ValueError("need x_max >= 2 and i_max >= 3")
     out = []
     for x in range(2, x_max + 1):
+        s = 1 + x  # i = 2
         for i in range(3, i_max + 1):
-            s = (x ** i - 1) // (x - 1)
+            s = s * x + 1
             y = isqrt(s)
             if y * y == s:
                 out.append((x, i, y))

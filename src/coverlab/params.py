@@ -131,13 +131,20 @@ def family_B(t: int, r: int) -> FamilyBParams:
 
 
 def _family_B_member(t: int, r: int) -> FamilyBParams:
-    """family_B's closed forms, unchecked: (t, r) is an admissible pair."""
+    """family_B's record at an admissible pair (t, r), unchecked: the
+    closed forms of _family_B_values wrapped in a CoverParams."""
+    return FamilyBParams(t, r, CoverParams(*_family_B_values(t, r)))
+
+
+def _family_B_values(t: int, r: int) -> tuple[int, ...]:
+    """family_B's closed forms at an admissible pair (t, r), unchecked: the
+    CoverParams fields (n, r, mu, lambda, theta, tau, m_theta, m_tau) as
+    one tuple of ints."""
     n = (t * t - 1) ** 2
     mu = (t - 1) ** 2 * (t * t + t - 1) // r
     m_theta = (t * t - 1) * (r - 1)
-    p = CoverParams(n, r, mu, n - (r - 1) * mu - 2, t * (t * t - 2), -t,
-                    m_theta, (t * t - 2) * m_theta)
-    return FamilyBParams(t, r, p)
+    return (n, r, mu, n - (r - 1) * mu - 2, t * (t * t - 2), -t,
+            m_theta, (t * t - 2) * m_theta)
 
 
 def family_A(t, r: int, sign: int = +1) -> CoverParams:
@@ -229,14 +236,24 @@ FEASIBLE_B_T_MAX = 10 ** 5
 def feasible_B(t_max: int) -> list[FamilyBParams]:
     """All odd-fibre family members with t <= t_max, in (t, r) order.
 
-    Entries are admissible_pairs(t_max), ordered by np.lexsort on (t, r),
-    plus the special (9, 3, 3) member listed first (as t = 2, which has no
-    admissible r).  The closed forms are evaluated on Python ints: m_tau
-    grows like t^5 and would leave int64 past t ~ 6000.  The rows grow
-    like t_max log t_max: FEASIBLE_B_T_MAX = 10^5 gives 330 324 of them at
-    a 169 MiB traced peak, and a larger t_max raises SizeBoundExceeded
-    before any pair is laid out.
+    Entries are the pairs of _family_B_pairs(t_max), each through
+    _family_B_member, plus the special (9, 3, 3) member listed first (as
+    t = 2, which has no admissible r).  The closed forms are evaluated on
+    Python ints: m_tau grows like t^5 and would leave int64 past t ~ 6000.
+    The rows grow like t_max log t_max: FEASIBLE_B_T_MAX = 10^5 gives
+    330 324 of them at a 169 MiB traced peak, and a larger t_max raises
+    SizeBoundExceeded before any pair is laid out.  `params feasible-b`
+    writes its rows from _family_B_values on the same pairs, with no
+    record per row.
     """
+    ts, rs = _family_B_pairs(t_max)
+    return [family_B(2, 3)] + list(map(_family_B_member, ts, rs))
+
+
+def _family_B_pairs(t_max: int) -> tuple[list[int], list[int]]:
+    """feasible_B's member pairs (t, r) as two aligned lists of ints:
+    admissible_pairs(t_max) ordered by np.lexsort on (t, r).  t_max < 2
+    and t_max > FEASIBLE_B_T_MAX raise before any pair is laid out."""
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")
     if t_max > FEASIBLE_B_T_MAX:
@@ -244,8 +261,7 @@ def feasible_B(t_max: int) -> list[FamilyBParams]:
                                 f"FEASIBLE_B_T_MAX = {FEASIBLE_B_T_MAX}")
     t, r = admissible_pairs(t_max)
     order = np.lexsort((r, t))
-    return [family_B(2, 3)] + list(map(_family_B_member, t[order].tolist(),
-                                       r[order].tolist()))
+    return t[order].tolist(), r[order].tolist()
 
 
 def _condition_tags_A(t: int, r: int, mu: int) -> list[str] | None:
@@ -284,12 +300,21 @@ class FamilyAEntry(NamedTuple):
     conditions: tuple[str, ...] = ()
 
 
+FEASIBLE_A_T_MAX = 10 ** 4
+
+
 def feasible_A(t_max: int) -> list[FamilyAEntry]:
     """Even-fibre feasibility table up to t_max.
 
     Contains the sporadic (28, 4, 8); every r = 2 entry (both branches, with
     integral positive mu) for integer t <= t_max plus the t = sqrt(5) member;
-    and every r >= 4 entry passing conditions (i)-(vi).
+    and every r >= 4 entry passing conditions (i)-(vi).  Both branches build
+    their rows with _family_A_member once their own loop has tested mu, so
+    no rejected (t, r, sign) raises.
+
+    FEASIBLE_A_T_MAX = 10^4 gives 383 483 rows (2.8 s with Python 3.11 on
+    a 2-vCPU AMD EPYC), and a larger t_max raises SizeBoundExceeded before
+    any row is built.
 
     Open question: the r >= 4 rows take r = d/2 for every even divisor d of
     (t-1)^3 (t+2), odd r included, and 301 of them have odd r at t_max =
@@ -302,17 +327,20 @@ def feasible_A(t_max: int) -> list[FamilyAEntry]:
     """
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")
+    if t_max > FEASIBLE_A_T_MAX:
+        raise SizeBoundExceeded(f"t_max {t_max} exceeds "
+                                f"FEASIBLE_A_T_MAX = {FEASIBLE_A_T_MAX}")
     out = [FamilyAEntry(t=3, r=4, params=derive_params(28, 4, 8),
                         branch="sporadic", conditions=("fixed member",))]
 
-    # r = 2 branch, integer t
+    # r = 2 branch, integer t: family_A's test that mu = poly/4 is a
+    # positive integer, made here so that no rejected (t, sign) raises
     for t in range(2, t_max + 1):
         for sign, tag in ((+1, "eq2+"), (-1, "eq2-")):
-            try:
-                p = family_A(t, 2, sign)
-            except ParameterError:
-                continue
-            out.append(FamilyAEntry(t=t, r=2, params=p, branch=tag))
+            poly = _mu_poly(t, sign)
+            if poly % 4 == 0 and poly > 0:
+                out.append(FamilyAEntry(t=t, r=2, branch=tag,
+                                        params=_family_A_member(t, 2, sign)))
     # r = 2, t = sqrt(5): both branches coincide at (6, 2, 2)
     s5 = QuadExt.sqrt(5)
     out.append(FamilyAEntry(t=s5, r=2, params=family_A(s5, 2, +1),

@@ -1,5 +1,6 @@
 """CLI surfaces: exit codes, canonical output, pipelines."""
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -107,9 +108,11 @@ def _table_tree(table: str, t_max: int) -> dict:
     *(("feasible-b", t) for t in (2, 6, 200, 3000)),
     *(("feasible-a", t) for t in (2, 3, 8, 100, 400))))
 def test_table_rows_match_dict_tree(table, t_max, capsys):
-    """Each table row is written straight from its record: the bytes equal
-    json.dumps of the dict tree, over the special (9, 3, 3), sporadic
-    (28, 4, 8), t = sqrt(5) and eq1 rows and the int-spectrum ones."""
+    """Each feasible-a row is written straight from its record and each
+    feasible-b member row from its closed-form values: the bytes equal
+    json.dumps of the dict tree of the records, over the special (9, 3, 3),
+    sporadic (28, 4, 8), t = sqrt(5) and eq1 rows and the int-spectrum
+    ones."""
     code, out = run_cli(["params", table, "--t-max", str(t_max)], capsys)
     want = json.dumps(_table_tree(table, t_max), sort_keys=True,
                       separators=(",", ":")) + "\n"
@@ -117,6 +120,33 @@ def test_table_rows_match_dict_tree(table, t_max, capsys):
     if out != want:  # show the first difference: a diff of 1.5 MB stalls
         at = max(len(os.path.commonprefix([out, want])) - 60, 0)
         assert out[at:at + 120] == want[at:at + 120]
+
+
+FEASIBLE_B_3000_SHA256 = ("d5363fd8caf4d6257fdd7848239ad956"
+                          "ac91b41445500314eaa875fbe2a3fbfc")
+
+
+def test_feasible_b_builds_no_member_record(capsys, monkeypatch):
+    """`params feasible-b` writes its member rows from the closed-form
+    values: with _family_B_member unusable and FamilyBParams counted, the
+    bytes are unchanged and the one record built is the special row's."""
+    _, want = run_cli(["params", "feasible-b", "--t-max", "3000"], capsys)
+    assert hashlib.sha256(want.encode()).hexdigest() == FEASIBLE_B_3000_SHA256
+    built = []
+    record = coverlab.params.FamilyBParams
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return record(*args, **kwargs)
+
+    def unreached(t, r):
+        raise AssertionError(f"_family_B_member({t}, {r}) was called")
+
+    monkeypatch.setattr(coverlab.params, "FamilyBParams", counted)
+    monkeypatch.setattr(coverlab.params, "_family_B_member", unreached)
+    assert run_cli(["params", "feasible-b", "--t-max", "3000"],
+                   capsys) == (0, want)
+    assert len(built) == 1
 
 
 def _console(*argv):
@@ -223,7 +253,8 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     """An input past a size bound is a limit of the program, not bad
     input: SizeBoundExceeded exits 3 with an error line, on one bound of
     each kind.  VERTEX_BOUND through build, FEASIBLE_B_T_MAX through
-    params feasible-b at t_max = 2^70, AUT_VERTEX_BOUND through analyze
+    params feasible-b at t_max = 2^70, FEASIBLE_A_T_MAX through params
+    feasible-a at its cap + 1, AUT_VERTEX_BOUND through analyze
     (patched below the icosahedron's 12 vertices) and FLOAT32_EXACT
     through verify (patched to the hexagon's degree 2).  The 2^53 bound of
     spectrum_check and MAX_SUBGROUPS_ORDER are pinned as library raises in
@@ -235,6 +266,9 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["params", "feasible-b", "--t-max", str(2 ** 70)]) == 3
     assert capsys.readouterr().err == (f"error: t_max {2 ** 70} exceeds "
                                        "FEASIBLE_B_T_MAX = 100000\n")
+    assert main(["params", "feasible-a", "--t-max", "10001"]) == 3
+    assert capsys.readouterr().err == ("error: t_max 10001 exceeds "
+                                       "FEASIBLE_A_T_MAX = 10000\n")
     path = tmp_path / "icosahedron.json"
     path.write_text(icosahedron().to_json_str())
     monkeypatch.setattr(autgroup, "AUT_VERTEX_BOUND", 11)

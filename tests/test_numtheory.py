@@ -164,14 +164,36 @@ def test_zsigmondy_full_classification_to_million():
         assert is_prime(s.p) and is_prime(s.q)
 
 
+# every p^m up to 10^8, written from the admissible shapes: the Fermat
+# primes 2^(2^k) + 1, the powers 2^m whose 2^m - 1 is a Mersenne prime,
+# and 9 = 2^3 + 1; none lies in (10^6, 10^8]
+ZSIGMONDY_VALUES = sorted([2 ** 2 ** k + 1 for k in range(5)]
+                          + [2 ** m for m in (2, 3, 5, 7, 13, 17, 19)] + [9])
+
+
 def test_zsigmondy_values_to_million():
-    """Every p^m up to 10^6, written from the admissible shapes: the Fermat
-    primes 2^(2^k) + 1, the powers 2^m whose 2^m - 1 is a Mersenne prime,
-    and 9 = 2^3 + 1."""
-    fermat = [2 ** 2 ** k + 1 for k in range(5)]
-    mersenne = [2 ** m for m in (2, 3, 5, 7, 13, 17, 19)]
     got = sorted(s.p ** s.m for s in zsigmondy_corollary_solve(10**6))
-    assert got == sorted(fermat + mersenne + [9])
+    assert got == ZSIGMONDY_VALUES
+
+
+def test_zsigmondy_at_the_cap():
+    """The scan at ZSIGMONDY_BOUND_MAX = 10^8 gives the same 13 values,
+    every one classified."""
+    sols = zsigmondy_corollary_solve(numtheory.ZSIGMONDY_BOUND_MAX)
+    assert sorted(s.p ** s.m for s in sols) == ZSIGMONDY_VALUES
+    assert len(sols) == 13
+    assert all(s.case != "unclassified" for s in sols)
+
+
+def test_zsigmondy_scan_reads_no_sieve(monkeypatch):
+    """The solutions are read off the powers of two: the scan runs with
+    prime_sieve unusable."""
+    def no_sieve(limit):
+        raise AssertionError(f"prime_sieve({limit}) was called")
+
+    monkeypatch.setattr(numtheory, "prime_sieve", no_sieve)
+    got = sorted(s.p ** s.m for s in zsigmondy_corollary_solve(10**6))
+    assert got == ZSIGMONDY_VALUES
 
 
 def _zsigmondy_brute(bound):
@@ -224,7 +246,7 @@ def test_zsigmondy_scan_boundaries():
                               key=lambda k: (k[0] ** k[1], k[2])), bound
 
 
-def test_zsigmondy_bound_is_capped_before_the_sieve():
+def test_zsigmondy_bound_is_capped():
     assert numtheory.SizeBoundExceeded is graphcore.SizeBoundExceeded
     limit = numtheory.ZSIGMONDY_BOUND_MAX
     with pytest.raises(numtheory.SizeBoundExceeded,
@@ -236,6 +258,12 @@ def test_zsigmondy_bound_is_capped_before_the_sieve():
 
 def test_nagell_ljunggren():
     assert sorted(nagell_ljunggren_search(200, 20)) == [(3, 5, 11), (7, 4, 20)]
+    # the carried repunit against a fresh power and division per point
+    repunits = {(x, i): (x ** i - 1) // (x - 1)
+                for x in range(2, 201) for i in range(3, 21)}
+    assert nagell_ljunggren_search(200, 20) == [
+        (x, i, isqrt(s)) for (x, i), s in repunits.items()
+        if isqrt(s) ** 2 == s]
     assert nagell_ljunggren_search(6, 20) == [(3, 5, 11)]
     assert nagell_ljunggren_search(2, 3) == []
     # y-values from the quotients themselves

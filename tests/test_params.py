@@ -262,6 +262,36 @@ def test_feasible_b_cap(monkeypatch):
         feasible_B(cap + 1)
 
 
+def test_feasible_a_cap(monkeypatch):
+    """Past FEASIBLE_A_T_MAX the table raises, naming t_max and the cap,
+    before it builds a row or factors a polynomial."""
+    cap = params.FEASIBLE_A_T_MAX
+
+    def unreached(*args):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(params, "_family_A_member", unreached)
+    monkeypatch.setattr(params, "divisors", unreached)
+    with pytest.raises(SizeBoundExceeded,
+                       match=f"t_max {cap + 1} exceeds "
+                             f"FEASIBLE_A_T_MAX = {cap}"):
+        feasible_A(cap + 1)
+
+
+def test_feasible_a_r2_rows_are_family_a():
+    """The r = 2 integer-t rows are exactly the (t, sign) where family_A
+    succeeds, record for record, in (t, sign) order."""
+    want = []
+    for t in range(2, 401):
+        for sign, tag in ((+1, "eq2+"), (-1, "eq2-")):
+            try:
+                want.append(FamilyAEntry(t, 2, family_A(t, 2, sign), tag))
+            except ParameterError:
+                continue
+    got = [e for e in feasible_A(400) if e.r == 2 and type(e.t) is int]
+    assert got == want
+
+
 def test_family_a_named_members():
     assert (family_A(3, 2, +1).n, family_A(3, 2, +1).mu) == (28, 10)
     assert (family_A(2, 2, +1).n, family_A(2, 2, +1).mu) == (3, 1)
