@@ -10,7 +10,8 @@ sorted keys and compact separators, so golden-file comparisons are stable;
 no payload holds a float.  The rows of the two feasibility tables are the
 one exception to a single json.dumps: each is written as that same text by
 a format whose keys are in sorted order, a feasible-a row straight from its
-FamilyAEntry record and a feasible-b member row from its closed-form values
+FamilyAEntry record, written as params._feasible_A_rows makes it so that
+no table is held, and a feasible-b member row from its closed-form values
 (params._family_B_values), with no record built for it
 (tests/test_cli.py::test_table_rows_match_dict_tree holds them to the
 json.dumps of the dict tree), and the text view reads that text back.
@@ -43,7 +44,8 @@ from .groupops import (arc_orbit_count, covering_group, fibre_action,
                        structure_audit, subdegree_identity_check)
 from .autgroup import automorphism_group
 from .params import (CoverParams, _family_B_pairs, _family_B_values,
-                     derive_params, family_B, feasible_A, hoffman_bounds)
+                     _feasible_A_rows, derive_params, family_B,
+                     hoffman_bounds)
 from .perms import subgroups_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_LIMIT = 0, 1, 2, 3
@@ -73,17 +75,24 @@ def _emit(payload: dict, args) -> None:
         print(_canonical(payload))
 
 
-def _emit_table(key: str, rows: list[str], args) -> None:
-    """_emit of {key: rows, "t_max": args.t_max} where each row is already
-    its canonical JSON text: the list is spliced in at its sorted key."""
-    fields = {"config": _canonical(_config(args)),
-              "t_max": _canonical(args.t_max), key: f"[{','.join(rows)}]"}
-    text = "{%s}" % ",".join(f"{_canonical(k)}:{fields[k]}"
-                             for k in sorted(fields))
+def _emit_table(key: str, rows, args) -> None:
+    """_emit of {key: rows, "t_max": args.t_max} where rows is an iterable
+    of rows, each already its canonical JSON text, spliced in at key's
+    sorted place: both table keys sort between "config" and "t_max".  JSON
+    output writes each row as rows yields it, so no table is held whole;
+    the text view reads the whole text back."""
+    head = "{%s:%s,%s:[" % (_canonical("config"), _canonical(_config(args)),
+                            _canonical(key))
+    tail = "],%s:%s}\n" % (_canonical("t_max"), _canonical(args.t_max))
     if args.output == "text":
-        _print_text(json.loads(text))
-    else:
-        print(text)
+        _print_text(json.loads(head + ",".join(rows) + tail))
+        return
+    sys.stdout.write(head)
+    sep = ""
+    for row in rows:
+        sys.stdout.write(sep + row)
+        sep = ","
+    sys.stdout.write(tail)
 
 
 # CoverParams.to_json() as canonical text when its four spectral fields
@@ -168,10 +177,10 @@ def cmd_feasible_a(args) -> int:
     # a handful of branches, t values and conditions tuples: each is
     # encoded once (json.dumps writes a tuple as a list)
     enc = functools.cache(_canonical)
-    rows = ['{"branch":%s,"conditions":%s,"params":%s,"r":%d,"t":%s}'
+    rows = ('{"branch":%s,"conditions":%s,"params":%s,"r":%d,"t":%s}'
             % (enc(e.branch), enc(e.conditions), _params_text(e.params),
                e.r, enc(str(e.t)))
-            for e in feasible_A(args.t_max)]
+            for e in _feasible_A_rows(args.t_max))
     _emit_table("feasible_a", rows, args)
     return EXIT_OK
 

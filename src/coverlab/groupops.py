@@ -17,17 +17,22 @@ chain once, with a = 0 and F its fibre.  That one chain acts on the
 vertices, on a point F* per fibre and, by conjugation, on a point per
 element of (G ∩ K) - 1, with base (F*, a, F - {a}, K - 1), so its tails
 are M = G_{F} (the fibre group's point stabilizer), G_a, the pointwise
-stabilizer C of F and C meet C_G(K).  Every later stage reads the groups
-it needs off that chain: the transitivity (F*^G is every fibre point, and
-|F*^G| |a^M| = v), the fibre rank and subdegrees (M's orbits on the fibre
-points), the arc orbits (G's orbits on arcs from a are G_a's orbits on
-N(a)), the rank-3 subdegree identities and structure_audit, which builds
-no chain.  Every orbit here comes from PermGroup.orbits.  The audit
-functions turn the assertable group-theoretic
+stabilizer C of F and C meet C_G(K).  As G ∩ K is semiregular, one vertex
+image names each of its elements, so a conjugate p^-1 k p is named by its
+image of a, p[k[p^-1(a)]], and never formed.  Every later stage reads the
+groups it needs off that chain: the transitivity (F*^G is every fibre
+point, and |F*^G| |a^M| = v), the fibre rank and subdegrees (M's orbits on
+the fibre points), the arc orbits (G's orbits on arcs from a are G_a's
+orbits on N(a)), the rank-3 subdegree identities and structure_audit,
+which builds no chain and sifts nothing: a tail is the pointwise
+stabilizer of a base prefix (Seress 2003, 4.1), so an element of G lies in
+it iff it fixes those points.  Every orbit here comes from
+PermGroup.orbits.  The audit functions turn the assertable group-theoretic
 identities (arc orbits vs rank, displacement counts, fixed subgraphs of
 involutions, rank-3 subdegree relations) into pass/fail reports on concrete
 instances, and involution_types draws one involution of each displacement
-type from seeded uniform draws, with no element scan.  A verified cover's
+type from seeded uniform draws, with no element scan, classifying each by
+its swapped pairs and building it only for a new type.  A verified cover's
 report (cover_report) and its K with K's info are recorded on the graph, so
 a graph is verified and its K found once however many stages use them.
 """
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 
 import numpy as np
@@ -200,6 +204,9 @@ def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
     cover and group acts by automorphisms.  The chain is G's own, rebased
     through extend, which keeps the action on the vertices and so is
     injective; conjugation permutes (G ∩ K) - 1, as G ∩ K is normal in G.
+    G ∩ K is semiregular, so an element k is named by k[a], and extend
+    names the conjugate p^-1 k p by p[k[p^-1(a)]], with p^-1(a) read off
+    p's image tuple once per draw: no inverse or product is formed.
     G is transitive on the fibres iff the level-0 orbit F*^G has n points,
     and the subdegrees are then the orbits of M on the fibre points, so no
     group on the fibres gets a chain of its own.  G is vertex-transitive
@@ -207,16 +214,20 @@ def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
     kernel, kinfo = covering_group(g, group)
     a, v, n = 0, g.v, g.n
     fibre = g.fibres[g.fibre_of[a]]
-    ks = kernel.generators
-    k_point = {k.img: v + n + j for j, k in enumerate(ks)}
+    fibre_of, firsts = g.fibre_of, [f[0] for f in g.fibres]
+    ks = [k.img for k in kernel.generators]
+    # G ∩ K is semiregular: its elements differ at a, so k[a] names k
+    k_point = {k[a]: v + n + j for j, k in enumerate(ks)}
 
     def extend(p: Permutation) -> Permutation:
         """p on the vertices, on the point v + i of each fibre i and, by
-        k -> p^-1 k p, on the point k_point[k] of each k in ks."""
-        inv = p.inverse()
-        return Permutation(p.img
-                           + tuple(v + g.fibre_of[p[f[0]]] for f in g.fibres)
-                           + tuple(k_point[(inv * k * p).img] for k in ks))
+        k -> p^-1 k p, on the point named by p^-1 k p sending a to
+        p[k[p^-1(a)]]."""
+        img = p.img
+        pre = img.index(a)
+        return Permutation(img
+                           + tuple(v + fibre_of[img[x]] for x in firsts)
+                           + tuple(k_point[img[k[pre]]] for k in ks))
 
     chain = group.rebased((v + g.fibre_of[a], a, *(x for x in fibre if x != a),
                            *k_point.values()), extend)
@@ -476,13 +487,17 @@ def involution_types(g: CoverGraph, group: PermGroup):
     of even order o gives the involution x = p^(o/2): every involution is
     drawn as itself, and a larger class is drawn more often.  One cycles()
     pass gives o and x: a cycle of length c turns o/2 mod c steps, which is
-    0 or c/2, so x moves each point of a cycle that turns to the point c/2
-    along it, and the type is counted on those moves.  Drawing stops after
+    0 or c/2, so x swaps each point of the first half of a cycle that turns
+    with the point c/2 along it.  The type is counted on those swapped
+    pairs, each pair once, as "same fibre" and "adjacent" are symmetric:
+    v - 2 pairs fixed points and twice the adjacent, other and same-fibre
+    pairs.  x is built only for a type not yet found.  Drawing stops after
     INVOLUTION_DRAWS draws, or once INVOLUTION_IDLE_DRAWS draws in a row
     have brought no new type.  group must act by automorphisms of the
     verified cover g.  Returns ([(type, x)] sorted by type, draws).
     """
     found: dict[tuple, Permutation] = {}
+    fibre_of, adj = g.fibre_of, g.adj
     idle = draws = 0
     for p in group.random_elements(INVOLUTION_SEED):
         if draws == INVOLUTION_DRAWS or idle == INVOLUTION_IDLE_DRAWS:
@@ -490,16 +505,23 @@ def involution_types(g: CoverGraph, group: PermGroup):
         draws += 1
         idle += 1
         cycles = p.cycles()
-        half, odd = divmod(reduce(lcm, map(len, cycles), 1), 2)
+        half, odd = divmod(lcm(*map(len, cycles)), 2)
         if odd:
             continue
-        moves = [(c[i], c[i - len(c) // 2]) for c in cycles if half % len(c)
-                 for i in range(len(c))]
-        kind = _displacement_counts(g, moves)
+        pairs = [pair for c in cycles if half % len(c)
+                 for pair in zip(c, c[len(c) // 2:])]
+        same = near = 0
+        for u, w in pairs:  # a fibre is a coclique: never both
+            if fibre_of[u] == fibre_of[w]:
+                same += 1
+            elif adj[u] >> w & 1:
+                near += 1
+        kind = (g.v - 2 * len(pairs), 2 * near,
+                2 * (len(pairs) - same - near), 2 * same)
         if kind not in found:
             img = list(range(g.v))
-            for u, w in moves:
-                img[u] = w
+            for u, w in pairs:
+                img[u], img[w] = w, u
             found[kind] = Permutation(img)
             idle = 0
     return sorted(found.items()), draws
@@ -603,7 +625,9 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
     elements, one per fibre; for G_a the products s u of M's transversal
     element s from a to b' in F and the level-0 element u from F to the
     fibre of b = b'^u, tried only at b in Fix(G_a), since H^t = H makes
-    G_a = G_b.
+    G_a = G_b.  H is a tail, the pointwise stabilizer in G of the base
+    points H.tail_points, so whether t normalises it is read off the
+    images of those points under t (_normalizes): nothing is sifted.
     """
     lemma = "stabilizer-structure"
     out: list[AuditItem] = []
@@ -671,6 +695,10 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
 
 
 def _normalizes(t: Permutation, sub: PermGroup) -> bool:
-    """t^-1 sub t = sub, by membership of the conjugated generators."""
-    inv = t.inverse()
-    return all(inv * s * t in sub for s in sub.generators)
+    """t^-1 sub t = sub, for a chain tail sub and t in its root group G.
+    t normalises sub iff t^-1 does, that is, iff t s t^-1 lies in sub for
+    every generator s.  That element of G lies in the tail iff it fixes
+    sub.tail_points, that is, iff s fixes their images under t: no
+    conjugate is formed and nothing is sifted."""
+    images = [t[x] for x in sub.tail_points]
+    return all(s[x] == x for s in sub.generators for x in images)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -304,7 +304,7 @@ FEASIBLE_A_T_MAX = 10 ** 4
 
 
 def feasible_A(t_max: int) -> list[FamilyAEntry]:
-    """Even-fibre feasibility table up to t_max.
+    """Even-fibre feasibility table up to t_max: _feasible_A_rows listed.
 
     Contains the sporadic (28, 4, 8); every r = 2 entry (both branches, with
     integral positive mu) for integer t <= t_max plus the t = sqrt(5) member;
@@ -314,7 +314,8 @@ def feasible_A(t_max: int) -> list[FamilyAEntry]:
 
     FEASIBLE_A_T_MAX = 10^4 gives 383 483 rows (2.8 s with Python 3.11 on
     a 2-vCPU AMD EPYC), and a larger t_max raises SizeBoundExceeded before
-    any row is built.
+    any row is built.  `params feasible-a` writes each row as
+    _feasible_A_rows makes it, so it holds no list of them.
 
     Open question: the r >= 4 rows take r = d/2 for every even divisor d of
     (t-1)^3 (t+2), odd r included, and 301 of them have odd r at t_max =
@@ -325,43 +326,51 @@ def feasible_A(t_max: int) -> list[FamilyAEntry]:
     should demand an even r is a question for the paper's statement, and
     the table keeps those rows until it is settled.
     """
+    return list(_feasible_A_rows(t_max))
+
+
+def _feasible_A_rows(t_max: int) -> Iterator[FamilyAEntry]:
+    """feasible_A's rows in order, each made when it is asked for.  t_max
+    is checked here, so t_max < 2 and t_max > FEASIBLE_A_T_MAX raise before
+    the iterator is returned."""
     if t_max < 2:
         raise ParameterError("t_max must be at least 2")
     if t_max > FEASIBLE_A_T_MAX:
         raise SizeBoundExceeded(f"t_max {t_max} exceeds "
                                 f"FEASIBLE_A_T_MAX = {FEASIBLE_A_T_MAX}")
-    out = [FamilyAEntry(t=3, r=4, params=derive_params(28, 4, 8),
-                        branch="sporadic", conditions=("fixed member",))]
 
-    # r = 2 branch, integer t: family_A's test that mu = poly/4 is a
-    # positive integer, made here so that no rejected (t, sign) raises
-    for t in range(2, t_max + 1):
-        for sign, tag in ((+1, "eq2+"), (-1, "eq2-")):
-            poly = _mu_poly(t, sign)
-            if poly % 4 == 0 and poly > 0:
-                out.append(FamilyAEntry(t=t, r=2, branch=tag,
-                                        params=_family_A_member(t, 2, sign)))
-    # r = 2, t = sqrt(5): both branches coincide at (6, 2, 2)
-    s5 = QuadExt.sqrt(5)
-    out.append(FamilyAEntry(t=s5, r=2, params=family_A(s5, 2, +1),
-                            branch="eq2+", conditions=("t=sqrt(5)",)))
-
-    # r >= 4 branch under conditions (i)-(vi); mu integral means 2r | poly,
-    # so r runs over even divisors of the branch polynomial.  Condition (i)
-    # rejects every r at a t with 4 | t, so that t is skipped unfactored
-    for t in range(3, t_max + 1):
-        if t % 4 == 0:
-            continue
-        poly = _mu_poly(t, +1)
-        for d in divisors(poly):
-            if d % 2 != 0 or d // 2 < 4:
+    def rows():
+        yield FamilyAEntry(t=3, r=4, params=derive_params(28, 4, 8),
+                           branch="sporadic", conditions=("fixed member",))
+        # r = 2 branch, integer t: family_A's test that mu = poly/4 is a
+        # positive integer, made here so that no rejected (t, sign) raises
+        for t in range(2, t_max + 1):
+            for sign, tag in ((+1, "eq2+"), (-1, "eq2-")):
+                poly = _mu_poly(t, sign)
+                if poly % 4 == 0 and poly > 0:
+                    yield FamilyAEntry(t=t, r=2, branch=tag,
+                                       params=_family_A_member(t, 2, sign))
+        # r = 2, t = sqrt(5): both branches coincide at (6, 2, 2)
+        s5 = QuadExt.sqrt(5)
+        yield FamilyAEntry(t=s5, r=2, params=family_A(s5, 2, +1),
+                           branch="eq2+", conditions=("t=sqrt(5)",))
+        # r >= 4 branch under conditions (i)-(vi); mu integral means
+        # 2r | poly, so r runs over even divisors of the branch polynomial.
+        # Condition (i) rejects every r at a t with 4 | t, so that t is
+        # skipped unfactored
+        for t in range(3, t_max + 1):
+            if t % 4 == 0:
                 continue
-            r = d // 2
-            tags = _condition_tags_A(t, r, poly // d)
-            if tags is not None:
-                out.append(FamilyAEntry(t, r, _family_A_member(t, r, +1),
-                                        "eq1", tuple(tags)))
-    return out
+            poly = _mu_poly(t, +1)
+            for d in divisors(poly):
+                if d % 2 != 0 or d // 2 < 4:
+                    continue
+                r = d // 2
+                tags = _condition_tags_A(t, r, poly // d)
+                if tags is not None:
+                    yield FamilyAEntry(t, r, _family_A_member(t, r, +1),
+                                       "eq1", tuple(tags))
+    return rows()
 
 
 def hoffman_bounds(fb: FamilyBParams) -> tuple[Fraction, Fraction]:

@@ -16,13 +16,15 @@ seed changes no result.  Orders, membership, stabilizers, transversals,
 seeded uniform draws and lazy element iteration all come from the chain, so
 orders in the tens of millions are fine at degree <= about 1000 as long as
 nothing scans every element.  stabilizer(k), of the first k base points, is
-a chain tail (Seress 2003, section 4.1), and pointwise_stabilizer and
-point_stabilizer are tails of the group rebased at the points.
-PermGroup.orbits is the one orbit partition, made in one pass over the
-points: the automorphism search, the arc orbits, the covering group's
-regularity, quotients and subdegrees all read it.  Products index one
-image tuple by another with operator.itemgetter, and each permutation keeps
-its inverse once computed.
+a chain tail (Seress 2003, section 4.1) that records those points as its
+tail_points, so an element of the group lies in the tail iff it fixes
+them; pointwise_stabilizer and point_stabilizer are tails of the group
+rebased at the points.  PermGroup.orbits is the one orbit partition, made
+in one pass over the points: the automorphism search, the arc orbits, the
+covering group's regularity, quotients and subdegrees all read it.
+Products index one image tuple by another with operator.itemgetter, a
+seeded draw composes image tuples and wraps only its result, and each
+permutation keeps its inverse once computed.
 """
 from __future__ import annotations
 
@@ -155,11 +157,12 @@ def _fixing(strong, levels) -> list[Permutation]:
 def _close_orbit(orbit: dict, gens, queue: list) -> None:
     """Apply gens to the points in queue and to every point they reach,
     recording each new point's transversal element."""
+    gens = [(s, s.img) for s in gens]
     while queue:
         x = queue.pop()
         tx = orbit[x]
-        for s in gens:
-            y = s[x]
+        for s, img in gens:
+            y = img[x]
             if y not in orbit:
                 orbit[y] = tx * s
                 queue.append(y)
@@ -198,6 +201,9 @@ class PermGroup:
         self._base_hint = tuple(base_hint)
         self._levels: list[_Level] | None = None
         self._strong: list[Permutation] | None = None
+        # the base points whose pointwise stabilizer in its root group this
+        # group is, when stabilizer made it as a chain tail
+        self.tail_points: tuple[int, ...] = ()
 
     # -- stabilizer chain ----------------------------------------------------
 
@@ -273,10 +279,13 @@ class PermGroup:
         levels, strong = group._start_chain()
 
         def grow(top: int):
-            """Close the orbits of levels 0..top under their generators."""
-            for i in range(top + 1):
-                orbit = levels[i].orbit
-                _close_orbit(orbit, _fixing(strong, levels[:i]), list(orbit))
+            """Close the orbits of levels 0..top under their generators,
+            those strong generators fixing the earlier base points, each
+            level's filtered from the level before's."""
+            gens = strong
+            for lvl in levels[:top + 1]:
+                _close_orbit(lvl.orbit, gens, list(lvl.orbit))
+                gens = [s for s in gens if s[lvl.point] == lvl.point]
 
         grow(len(levels) - 1)
         idle = 0
@@ -367,11 +376,14 @@ class PermGroup:
     def stabilizer(self, k: int) -> "PermGroup":
         """Pointwise stabilizer of the first k base points: the strong
         generators fixing them, with levels k, k+1, ... as its chain
-        (Seress, Permutation Group Algorithms, 2003, 4.1)."""
+        (Seress, Permutation Group Algorithms, 2003, 4.1).  Its
+        tail_points are this group's followed by those k points: an
+        element of the root group lies in the tail iff it fixes them."""
         levels = self._chain()
         sub = PermGroup(_fixing(self._strong, levels[:k]), self.degree)
         sub._levels = levels[k:]
         sub._strong = sub.generators
+        sub.tail_points = self.tail_points + tuple(l.point for l in levels[:k])
         return sub
 
     def point_stabilizer(self, point: int) -> "PermGroup":
@@ -390,15 +402,19 @@ class PermGroup:
     def random_elements(self, seed: int):
         """Endless seeded uniform draws: t_L ... t_1 t_0 with each t_i a
         random transversal element of level i, as elements() multiplies
-        them, so every element is one product."""
+        them, so every element is one product.  The image tuples are
+        composed level by level and wrapped in one Permutation per draw."""
         rng = random.Random(seed)
-        transversals = [list(l.orbit.values()) for l in self._chain()]
-        ident = Permutation.identity(self.degree)
+        # below two points the identity is the only element, and itemgetter
+        # of one index would give a scalar
+        levels = self._chain() if self.degree > 1 else []
+        transversals = [[t.img for t in l.orbit.values()] for l in levels]
+        ident = _identity_img(self.degree)
         while True:
-            g = ident
+            img = ident
             for ts in transversals:
-                g = rng.choice(ts) * g
-            yield g
+                img = itemgetter(*rng.choice(ts))(img)
+            yield Permutation(img)
 
     # -- orbits ---------------------------------------------------------------
 

@@ -149,6 +149,31 @@ def test_feasible_b_builds_no_member_record(capsys, monkeypatch):
     assert len(built) == 1
 
 
+FEASIBLE_A_400_SHA256 = ("3515200ba4db42bb9abed414c659e548"
+                         "e6664e83f0068ce042423a248b0e04c1")
+
+
+def test_feasible_a_writes_each_row_as_made(monkeypatch):
+    """`params feasible-a` holds no table: each time a row is asked of
+    _feasible_A_rows, stdout already holds the head and every row before
+    it.  The bytes are the pinned digest at t_max 400, which CI pins too."""
+    import io
+    out, seen = io.StringIO(), []
+    rows = coverlab.params._feasible_A_rows
+
+    def watched(t_max):
+        for entry in rows(t_max):
+            seen.append(len(out.getvalue()))
+            yield entry
+    monkeypatch.setattr(coverlab.cli, "_feasible_A_rows", watched)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["params", "feasible-a", "--t-max", "400"]) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == FEASIBLE_A_400_SHA256
+    assert len(seen) == len(json.loads(text)["feasible_a"])
+    assert 0 < seen[0] and all(a < b for a, b in zip(seen, seen[1:]))
+
+
 def _console(*argv):
     """`coverlab ARGV` in a subprocess, on the package this suite imports,
     its stdout and stderr pipes."""

@@ -14,7 +14,8 @@ from coverlab.autgroup import automorphism_generators
 from coverlab.exact import QuadExt
 from coverlab.graphcore import (GraphStructureError, is_automorphism,
                                 params_of)
-from coverlab.groupops import (INVOLUTION_DRAWS, QuotientError,
+from coverlab.groupops import (INVOLUTION_DRAWS, INVOLUTION_IDLE_DRAWS,
+                               INVOLUTION_SEED, QuotientError,
                                _fibre_fixing_automorphisms,
                                involution_audit, involution_types,
                                is_cover_automorphism, kernel_info)
@@ -922,6 +923,119 @@ def test_audit_chains_match_schreier_sims(name, seed):
         tests = members + others + [next(sub_draws) for _ in range(5)]
         for x in tests:
             assert (x in fast) == (x in sub), (name, k)
+
+
+def chain_tables(chain):
+    """A chain's base, each level's orbit with its transversal images, and
+    its strong generators' images."""
+    return (chain.base,
+            [{x: t.img for x, t in lvl.orbit.items()} for lvl in chain._chain()],
+            [s.img for s in chain._strong])
+
+
+def proper_kernel_subgroups():
+    """Groups H whose H ∩ K is a proper subgroup of K: every subgroup of
+    the cube's Aut with H ∩ K = 1 (K = Z2), and on TS(4,1) (K = Z2 x Z2)
+    each <k, x> with |H ∩ K| = 2, for k the first element of K and x one
+    of the first 40 seed-5 draws of Aut commuting with k."""
+    g = cube()
+    aut = automorphism_group(g)
+    for sub in subgroups_of(aut):
+        if covering_group(g, sub)[0].order() == 1:
+            yield g, sub
+    g = thas_somma(4, 1)
+    aut = automorphism_group(g)
+    k = covering_group(g)[0].generators[0]
+    for x in islice(aut.random_elements(5), 40):
+        if (x * k).img == (k * x).img:
+            sub = PermGroup([k, x], g.v)
+            if covering_group(g, sub)[0].order() == 2:
+                yield g, sub
+
+
+def test_fibre_action_chain_matches_full_conjugation(corpus):
+    """fibre_action names the conjugate p^-1 k p by its image of a = 0,
+    p[k[p^-1(0)]]; extended_action above forms the whole conjugate and
+    names it by its full image tuple.  Rebasing G with that action on the
+    same base gives the same base, the same orbits and transversals and
+    the same strong generators, on every corpus cover under relabelling
+    seeds 0-3 and on groups whose G ∩ K is a proper subgroup of K."""
+    cases = [(relabelled(g, seed), None) for g in corpus.values()
+             for seed in range(4)]
+    cases += list(proper_kernel_subgroups())
+    assert sum(1 for _, sub in cases if sub is not None) > 20
+    for g, group in cases:
+        group = group or automorphism_group(g)
+        fa = fibre_action(g, group)
+        ref = group.rebased(fa.chain._base_hint,
+                            extended_action(g, fa.kernel))
+        assert chain_tables(ref) == chain_tables(fa.chain)
+
+
+def reference_involution_types(g, group):
+    """involution_types as a plain loop: each of the same draws p of even
+    order o gives x = p^(o/2) as o/2 full products, classified by
+    displacement_profile, with the same stopping rule."""
+    found, idle, draws = {}, 0, 0
+    for p in group.random_elements(INVOLUTION_SEED):
+        if draws == INVOLUTION_DRAWS or idle == INVOLUTION_IDLE_DRAWS:
+            break
+        draws += 1
+        idle += 1
+        order = p.order()
+        if order % 2:
+            continue
+        x = Permutation.identity(g.v)
+        for _ in range(order // 2):
+            x = x * p
+        kind = displacement_profile(g, x)
+        if kind not in found:
+            found[kind] = x
+            idle = 0
+    return sorted((kind, x.img) for kind, x in found.items()), draws
+
+
+def test_involution_types_match_profile_loop(corpus, auts):
+    """The types, the draws and each type's representative involution of
+    involution_types, read off swapped pairs, against the plain loop on
+    every corpus cover under relabelling seeds 0-3."""
+    for name, base in corpus.items():
+        for seed in range(4):
+            g = relabelled(base, seed)
+            aut = automorphism_group(g)
+            types, draws = involution_types(g, aut)
+            assert ([(kind, x.img) for kind, x in types], draws) == \
+                reference_involution_types(g, aut), (name, seed)
+
+
+def test_structure_audit_tail_membership(corpus, monkeypatch):
+    """structure_audit decides t^-1 s t in H, for H a tail of fa.chain, by
+    the points H's tail fixes.  For every (t, H) it tries on the corpus
+    under relabelling seeds 0-3, each conjugate of a generator s is formed
+    here: fixing H.tail_points, the prefix of the chain's base, agrees
+    with membership by a sift, and the audit's verdict is that of the
+    sifts."""
+    from coverlab import groupops
+    normalizes, calls = groupops._normalizes, []
+
+    def checked(t, sub):
+        got = normalizes(t, sub)
+        conjugates = [t.inverse() * s * t for s in sub.generators]
+        for c in conjugates:
+            assert all(c[x] == x for x in sub.tail_points) == (c in sub)
+        assert got == all(c in sub for c in conjugates)
+        calls.append(got)
+        return got
+    monkeypatch.setattr(groupops, "_normalizes", checked)
+    for base in corpus.values():
+        for seed in range(4):
+            g = relabelled(base, seed)
+            fa = fibre_action(g, automorphism_group(g))
+            for k in (1, 2):
+                assert fa.chain.stabilizer(k).tail_points == \
+                    tuple(fa.chain.base[:k])
+            structure_audit(g, fa)
+    assert len(calls) > 100 and True in calls and False in calls
 
 
 def test_involution_audit_matches_pair_loops(corpus, auts):

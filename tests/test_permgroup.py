@@ -572,6 +572,58 @@ def test_random_elements_are_uniform_members():
     assert seen == closure_elements(s4.generators, 4)
 
 
+@pytest.mark.parametrize("q, m", ((3, 1), (2, 2)))
+@pytest.mark.parametrize("seed", (1, 2))
+def test_random_elements_match_product_loop(q, m, seed):
+    """The first 200 draws of random_elements(seed) on Aut of TS(3,1) and
+    TS(2,2) against a loop written here: the same Random(seed), one
+    rng.choice per level from its transversal list, and a full product
+    rng.choice(ts) * g per level, from level 0 up."""
+    import random
+    aut = automorphism_group(thas_somma(q, m))
+    rng = random.Random(seed)
+    transversals = [list(lvl.orbit.values()) for lvl in aut._chain()]
+    want = []
+    for _ in range(200):
+        g = Permutation.identity(aut.degree)
+        for ts in transversals:
+            g = rng.choice(ts) * g
+        want.append(g.img)
+    draws = aut.random_elements(seed)
+    got = [next(draws) for _ in range(200)]
+    assert all(type(p) is Permutation for p in got)
+    assert [p.img for p in got] == want
+
+
+def test_random_elements_on_one_point():
+    """A group on one point, even with a level from a base hint, draws the
+    identity: one index would make itemgetter give a scalar."""
+    group = PermGroup([], 1).rebased((0,))
+    assert len(group._chain()) == 1
+    assert next(group.random_elements(1)).img == (0,)
+
+
+def test_tail_points_decide_membership_in_tails():
+    """stabilizer(k) records the k base points its tail fixes, after those
+    of the group it is taken from, and pointwise_stabilizer the points it
+    is given.  On Aut of TS(3,1), an element of Aut lies in each tail
+    exactly when it fixes the tail's points: draws from Aut, mostly
+    outside, and from the tail itself, all inside."""
+    aut = automorphism_group(thas_somma(3, 1))
+    base = aut.base
+    draws = aut.random_elements(7)
+    elements = [next(draws) for _ in range(100)]
+    for k in range(len(base) + 1):
+        for j in range(len(base) - k + 1):
+            tail = aut.stabilizer(k).stabilizer(j)
+            assert tail.tail_points == tuple(base[:k + j])
+            inside = tail.random_elements(8)
+            for e in elements + [next(inside) for _ in range(20)]:
+                assert (e in tail) == all(e[x] == x for x in tail.tail_points)
+    assert aut.pointwise_stabilizer((5, 2)).tail_points == (5, 2)
+    assert aut.tail_points == ()
+
+
 def test_rebased_rejects_a_wrong_order(monkeypatch):
     """Known-order sifting never loops and never clamps.  An order below
     |G| is passed by the orbit product; above |G| it is never reached, and
