@@ -16,6 +16,10 @@ residual A^2 - mu J - (lambda - mu)A with its fibre blocks zeroed, 0
 exactly when mu and lambda are as the axioms say.  A passing report is
 recorded on the graph, which never changes after construction;
 cover_report hands it to later stages so that each graph is verified once.
+Cover files are JSON.  from_json reads a compact edge list, as writers
+emit it, straight into an int array by string operations and numpy, and
+any other valid JSON by json.loads; the errors are always those of
+json.loads or of the constructor's checks, whichever reader ran.
 """
 from __future__ import annotations
 
@@ -86,9 +90,12 @@ class CoverGraph:
     (including fibres being cocliques) are the business of verify_cover,
     so invalid candidates can be built and then diagnosed.  verify_cover
     records a passing report on the graph, and covering_group K with its
-    kernel_info.  The edges are held as one (m, 2) array, which to_json,
-    relabelled and character_matrix read; the edges property builds the
-    tuple of pairs only when first read, and only toggled reads it.
+    kernel_info.  from_json hands a compact edge list over as one int64
+    array, which skips the type sweep.  The edges are held as one (m, 2)
+    array, made canonical by one sort of the keys u v + w (u < w), which
+    to_json, relabelled and character_matrix read; the edges property
+    builds the tuple of pairs only when first read, and only toggled reads
+    it.
     """
 
     __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_pairs",
@@ -142,9 +149,14 @@ class CoverGraph:
         fibre_of = np.empty(v, dtype=np.intp)
         fibre_of[np.array(fibres)] = np.arange(n)[:, None]
         self.fibre_of = tuple(fibre_of.tolist())
-        # the edges u < w in row-major order, as one (m, 2) array
-        upper = np.flatnonzero(np.triu(a, 1))
-        self._pairs = np.column_stack(np.divmod(upper, v))
+        # the edges u < w in row-major order, as one (m, 2) array: the keys
+        # u v + w sorted, each kept once
+        u, w = pairs.T
+        keys = np.minimum(u, w) * v + np.maximum(u, w)
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        self._pairs = np.column_stack(np.divmod(keys[first], v))
         self._edges: tuple | None = None
         self._report: CoverReport | None = None
         self._kernel: tuple | None = None
@@ -206,12 +218,67 @@ class CoverGraph:
 
     @staticmethod
     def from_json(obj) -> "CoverGraph":
+        """The cover a JSON object states, or a JSON text of one.
+
+        A text whose edge list is compact is decoded by _decode_compact,
+        any other by json.loads, which is then the one reporter of
+        malformed JSON."""
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            compact = _decode_compact(obj)
+            obj = compact if compact is not None else json.loads(obj)
         if not (isinstance(obj, dict) and {"v", "fibres", "edges"} <= obj.keys()):
             raise GraphStructureError(
                 "a cover is a JSON object with the keys v, fibres and edges")
         return CoverGraph(obj["fibres"], obj["edges"], obj["v"])
+
+
+def _decode_compact(text: str) -> dict | None:
+    """json.loads(text) with the top-level edges as an (m, 2) int64 array,
+    or None unless the edge list is written compact.
+
+    Compact is "edges":[[u,w],...,[u,w]] with no whitespace, every label a
+    non-negative integer below 10^18 without leading zeros, "edges" written
+    once in the text and no backslash in it, so that no escaped key can
+    also read "edges".  The array is checked by string operations at C
+    speed: with its digits deleted it must read [[,],...,[,]], and the
+    labels numpy parses from it must need exactly the digits written,
+    which rules out a leading zero and a label numpy could not hold.  The
+    rest of the text, with null in place of the array, goes to json.loads,
+    and its top-level edges must come back as that null.  Any other text,
+    and any failure along the way, gives None, so that the caller's
+    json.loads of the whole text reports it.
+    """
+    start = text.find('"edges":[[') + 8
+    if start < 8 or "\\" in text or text.count('"edges"') != 1:
+        return None
+    end = text.find("]]", start) + 2
+    try:
+        edges = text[start:end].encode("ascii")
+        skeleton = edges.translate(None, b"0123456789")
+        m = (len(skeleton) - 1) // 4
+        # with every inner ] in a "],[" no label straddles a bracket, so
+        # deleting the brackets leaves the labels apart; an empty label
+        # raises or ends numpy's parse early
+        if (skeleton != b"[" + b"[,]," * (m - 1) + b"[,]]"
+                or edges.count(b"],[") != m - 1):
+            return None
+        e = np.fromstring(edges.translate(None, b"[]"), dtype=np.int64,
+                          sep=",")
+        if e.size != 2 * m or (top := int(e.max())) >= 10 ** 18:
+            return None
+        digits, power = e.size, 10
+        while power <= top:
+            digits += np.count_nonzero(e >= power)
+            power *= 10
+        if digits != len(edges) - len(skeleton):
+            return None
+        obj = json.loads(text[:start] + "null" + text[end:])
+    except (ValueError, RecursionError):
+        return None
+    if not (isinstance(obj, dict) and "edges" in obj and obj["edges"] is None):
+        return None
+    obj["edges"] = e.reshape(m, 2)
+    return obj
 
 
 def _is_label(x) -> bool:
@@ -350,9 +417,10 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     Always verifies; a passing report is recorded on g for cover_report.
     (a), connectivity, is reported alone when it fails, but (b)-(d) imply
     it (see below), so its BFS runs only when another axiom fails.  The
-    other axioms are read off the 0/1 adjacency matrix A through two float32 BLAS products: M = A·F, with F
-    the v x n fibre indicator, counts each vertex's neighbours per fibre
-    for (b) and (c), and A·A counts common neighbours for (d) and (e).
+    other axioms are read off the 0/1 adjacency matrix A through two
+    float32 BLAS products: M = A·F, with F the v x n fibre indicator,
+    counts each vertex's neighbours per fibre for (b) and (c), and A·A
+    counts common neighbours for (d) and (e).
     Their entries are sums of 0/1 terms, so every partial sum is at most
     the largest degree, read off the bit rows, and they are exact while it
     stays below FLOAT32_EXACT; past it SizeBoundExceeded is raised.

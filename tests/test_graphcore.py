@@ -242,6 +242,16 @@ def test_relabelled_json_matches_argwhere_formula(corpus, seed):
                 "edges": sorted(sorted(e) for e in pairs.tolist())}
         assert relabelled(g, seed).to_json_str() == json.dumps(
             want, sort_keys=True, separators=(",", ":"))
+        # the same edges shuffled, some reversed and some repeated, as one
+        # array: the constructor's one sort gives the same canonical pairs
+        rng = np.random.default_rng(seed)
+        shuffled = pairs[rng.permutation(len(pairs))]
+        flip = rng.random(len(shuffled)) < 0.5
+        shuffled[flip] = shuffled[flip, ::-1]
+        shuffled = np.concatenate([shuffled, shuffled[rng.integers(
+            0, len(shuffled), 20)][:, ::-1]])
+        h = CoverGraph(want["fibres"], shuffled, g.v)
+        assert h.to_json() == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,6 +277,145 @@ def test_json_reader_accepts_any_order():
     obj["fibres"] = [list(reversed(f)) for f in reversed(obj["fibres"])]
     h = CoverGraph.from_json(json.dumps(obj))
     assert h.fibres == g.fibres and h.edges == g.edges
+
+
+def _reference_from_json(text):
+    """from_json as json.loads and the constructor: the reader the compact
+    decode must agree with."""
+    obj = json.loads(text)
+    if not (isinstance(obj, dict) and {"v", "fibres", "edges"} <= obj.keys()):
+        raise GraphStructureError(
+            "a cover is a JSON object with the keys v, fibres and edges")
+    return CoverGraph(obj["fibres"], obj["edges"], obj["v"])
+
+
+def _outcome(read, text):
+    """The canonical JSON read gives for text, or its exception's type and
+    message (a JSONDecodeError's message holds its position)."""
+    try:
+        return read(text).to_json_str()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _compact(obj) -> str:
+    """obj written compact with its keys in their own order."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
+_HEXAGON = ('{"v":6,"fibres":[[0,3],[1,4],[2,5]],"edges":'
+            '[[0,1],[0,5],[1,2],[2,3],[3,4],[4,5]]}')
+
+
+def _decode_cases():
+    """Texts that take the compact decode and texts that must fall back
+    to json.loads, each of which must read as the reference reads it."""
+    ring = '[[0,1],[0,5],[1,2],[2,3],[3,4],[4,5]]'
+    head = '{"v":6,"fibres":[[0,3],[1,4],[2,5]],'
+    edges = {"whitespace": "[[0, 1],[0,5],[1,2],[2,3],[3,4],[4,5]]",
+             "leading zero": "[[0,01],[0,5],[1,2],[2,3],[3,4],[4,5]]",
+             "zero zero": "[[00,1],[0,5],[1,2],[2,3],[3,4],[4,5]]",
+             "negative": "[[0,-1],[0,5],[1,2],[2,3],[3,4],[4,5]]",
+             "float": "[[0,1.0],[0,5],[1,2],[2,3],[3,4],[4,5]]",
+             "exponent": "[[0,1e0],[0,5],[1,2],[2,3],[3,4],[4,5]]",
+             "bool": "[[0,true],[0,5],[1,2],[2,3],[3,4],[4,5]]",
+             "19 digits": "[[0,9999999999999999999],[1,2]]",
+             "10^18": "[[0,1000000000000000000],[1,2]]",
+             "10^18 - 1": "[[0,999999999999999999],[1,2]]",
+             "past uint64": "[[0,1180591620717411303424],[1,2]]",
+             "empty": "[]", "empty pair": "[[]]", "empty label": "[[0,],[1,2]]",
+             "leading comma": "[[,1],[1,2]]", "triple": "[[0,1,2],[1,2]]",
+             "single": "[[0]]", "loop": "[[0,0]]", "out of range": "[[0,7]]",
+             "nested": "[[[0,1]]]", "string": '[[0,"1"]]', "object": "{}",
+             "extra ]": ring + "]", "unclosed": "[[0,1],[0,5]",
+             "label after ]": "[[0,1]0,[1,2]]",
+             "label past ]": "[[0,]1,[1,2]]",
+             "label before [": "[[0,1],2[1,2]]"}
+    cases = {name: head + '"edges":' + e + "}" for name, e in edges.items()}
+    cases.update({
+        "canonical": _HEXAGON, "trailing text": _HEXAGON + "x",
+        "trailing ]": _HEXAGON + "]", "trailing space": _HEXAGON + " ",
+        "no edges key": head[:-1] + "}",
+        "repeated edges": head + '"edges":' + ring + ',"edges":[[0,1]]}',
+        "repeated edges null": head + '"edges":' + ring + ',"edges":null}',
+        "nested edges": '{"x":{"edges":' + ring + '},' + head[1:-1] + "}",
+        "nested edges too": head + '"x":{"edges":[[0,1]]},"edges":' + ring + "}",
+        "edges as a value": head + '"y":"edges","edges":' + ring + "}",
+        "escaped quote key": head + '"\\"edges":' + ring + "}",
+        "escaped key": head + '"edges":' + ring + ',"\\u0065dges":null}',
+        "escaped key first": '{"\\u0065dges":null,' + head[1:] + '"edges":'
+                             + ring + "}",
+        "edges in a list": '[{"edges":' + ring + "}]",
+        "space after colon": head + '"edges": ' + ring + "}",
+        "non-ascii": head + '"edges":[[0,1],[0,\u00e9]]}',
+        "v last": '{"fibres":[[0,3],[1,4],[2,5]],"edges":' + ring + ',"v":6}',
+        "no v": '{"fibres":[[0,3],[1,4],[2,5]],"edges":' + ring + "}",
+        "v past labels": '{"v":5,"fibres":[[0,3],[1,4],[2,5]],"edges":'
+                         + ring + "}",
+    })
+    return cases
+
+
+def test_from_json_matches_json_loads_reader(corpus):
+    """from_json gives what json.loads and the constructor give: the same
+    canonical JSON, or the same exception type and message, JSONDecodeError
+    positions included, on the corpus relabelled and written canonical or
+    compact with its keys unsorted, and on every text the compact decode
+    must pass over."""
+    texts = _decode_cases()
+    for name, g in corpus.items():
+        for seed in range(3):
+            h = relabelled(g, seed)
+            obj = h.to_json()
+            texts[f"{name}/{seed}"] = h.to_json_str()
+            rng = random.Random(seed)
+            edges = [e[::-1] if rng.random() < 0.5 else e
+                     for e in rng.sample(obj["edges"], len(obj["edges"]))]
+            texts[f"{name}/{seed}/unsorted"] = _compact(
+                {"v": h.v, "fibres": obj["fibres"], "edges": edges})
+    for name, text in texts.items():
+        assert (_outcome(CoverGraph.from_json, text)
+                == _outcome(_reference_from_json, text)), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, len(_HEXAGON)), st.integers(0, 2),
+       st.sampled_from('0123456789[],:{}"\\ -.ex'))
+@example(_HEXAGON.index("[[0,1]") + 3, 0, "0")
+@example(_HEXAGON.index("[[0,1]") + 3, 2, "0")
+def test_from_json_matches_json_loads_reader_on_edits(at, kind, char):
+    """One character of the hexagon's canonical text inserted, replaced or
+    deleted: from_json and the json.loads reader agree."""
+    if kind == 0:
+        text = _HEXAGON[:at] + char + _HEXAGON[at:]
+    elif kind == 1:
+        text = _HEXAGON[:at] + char + _HEXAGON[at + 1:]
+    else:
+        text = _HEXAGON[:at] + _HEXAGON[at + 1:]
+    assert (_outcome(CoverGraph.from_json, text)
+            == _outcome(_reference_from_json, text))
+
+
+def test_from_json_reads_compact_edges_without_json_loads(monkeypatch):
+    """TS(8,1), written canonical or compact with its keys unsorted, never
+    hands json.loads more than 4 KB: its edge list, 150 KB of the text, is
+    read by numpy, and only v and the fibres, 2.1 KB, go to json.loads."""
+    g = thas_somma(8, 1)
+    obj = g.to_json()
+    texts = [g.to_json_str(), _compact(
+        {"v": g.v, "fibres": obj["fibres"], "edges": obj["edges"]})]
+    assert texts[0] != texts[1] and len(texts[1]) > 100_000
+    seen = []
+    loads = json.loads
+
+    def recording(text, *args, **kwargs):
+        seen.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(graphcore.json, "loads", recording)
+    for text in texts:
+        assert CoverGraph.from_json(text).to_json_str() == texts[0]
+    assert seen and max(seen) <= 4096
 
 
 def test_params_of(corpus):
