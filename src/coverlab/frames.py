@@ -152,12 +152,12 @@ def character_matrix(g: CoverGraph, chi: Character,
     The cover's parameters come from the report verify_cover recorded on g
     (g is verified only when none is recorded), K and its info from
     covering_group(g).  A supplied kernel must be K: same order, and its
-    generators in K.  Row i is read off the arcs at base vertex i, one
-    selection of g's edge array, through a carrier table: for each vertex
-    x, the angle a in Z_e of chi at the p in K taking x to its fibre's
-    base, its minimum label (e the order of chi's image, read off chi's
-    integer angles).  The result is that angle table, with the eigenvalues
-    certify_two_eigenvalues certifies on it.
+    generators in K.  Row i is read off the arcs at base vertex i, the
+    nonzero entries of A's row there, through a carrier table: for each
+    vertex x, the angle a in Z_e of chi at the p in K taking x to its
+    fibre's base, its minimum label (e the order of chi's image, read off
+    chi's integer angles).  The result is that angle table, with the
+    eigenvalues certify_two_eigenvalues certifies on it.
     """
     params = params_of(g)
     k, info = covering_group(g)
@@ -186,13 +186,11 @@ def character_matrix(g: CoverGraph, chi: Character,
     images = np.array([p.img for p in elements])
     carrier = (np.array(turns) // step)[(images == base_of).argmax(axis=0)]
 
-    # the arcs (b, x) out of the bases: x is b's partner in x's fibre
-    row = np.full(g.v, -1)
-    row[bases] = np.arange(n)
-    arcs = np.concatenate([g._pairs, g._pairs[:, ::-1]])
-    b, x = np.compress(row[arcs[:, 0]] >= 0, arcs, axis=0).T
+    # the arcs (b, x) out of the bases, off A's base rows: x is b's
+    # partner in x's fibre
+    i, x = np.nonzero(g.adjacency_matrix()[bases])
     angle = np.full((n, n), -1)
-    angle[row[b], fibre[x]] = carrier[x]
+    angle[i, fibre[x]] = carrier[x]
 
     eigenvalues = certify_two_eigenvalues(angle, e, params)
     return CharacterMatrix(angle=angle, e=e, base_vertices=tuple(bases),

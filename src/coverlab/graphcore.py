@@ -8,14 +8,17 @@ common neighbours, and adjacent pairs have lambda = n - (r-1)mu - 2 of them.
 These axioms fix every distance, so no further BFS is needed: vertices in
 one fibre are at distance 3, and cross-fibre pairs at distance 1 or 2
 (mu >= 1).  The diameter is 3 and the fibres are the distance-3 classes.
-Adjacency is stored as bit rows; bit_matrix unpacks them into the 0/1
-matrix A, and the axioms are read off two BLAS products: neighbour counts
-per fibre are entries of A·F (F the fibre indicator), and common-neighbour
-counts are entries of A·A, which verify_cover turns in place into the
-residual A^2 - mu J - (lambda - mu)A with its fibre blocks zeroed, 0
-exactly when mu and lambda are as the axioms say.  A passing report is
-recorded on the graph, which never changes after construction;
-cover_report hands it to later stages so that each graph is verified once.
+A graph stores one adjacency, the read-only v x v bool matrix A, and every
+stage reads it in place; the int rows the automorphism search reads and the
+canonical edges are views of it built on first read.  The axioms are read off
+two BLAS products: neighbour counts per fibre are entries of A·F (F the fibre
+indicator), and common-neighbour counts are entries of A·A, which verify_cover
+turns in place, one row block at a time, into the residual
+A^2 - mu J - (lambda - mu)A with its fibre blocks zeroed, 0 exactly when mu
+and lambda are as the axioms say.  bit_matrix unpacks raw int rows, such as the search's union of two
+graphs, into the 0/1 matrix.  A passing report is recorded on the graph, which
+never changes after construction; cover_report hands it to later stages so that
+each graph is verified once.
 Cover files are JSON.  from_json reads a compact edge list, as writers
 emit it, straight into an int array by string operations and numpy, and
 any other valid JSON by json.loads; the errors are always those of
@@ -91,15 +94,20 @@ class CoverGraph:
     so invalid candidates can be built and then diagnosed.  verify_cover
     records a passing report on the graph, and covering_group K with its
     kernel_info.  from_json hands a compact edge list over as one int64
-    array, which skips the type sweep.  The edges are held as one (m, 2)
-    array, made canonical by one sort of the keys u v + w (u < w), which
-    to_json, relabelled and character_matrix read; the edges property
-    builds the tuple of pairs only when first read, and only toggled reads
-    it.
+    array, which skips the type sweep.  The one stored adjacency is A, a
+    read-only v x v bool matrix (v^2 bytes: 256 KB on TS(8,1), 16 MB at
+    AUT_VERTEX_BOUND) set by one scatter of the edges' flat indices, so
+    repeated edges need no sort; adjacency_matrix() is a uint8 view of it,
+    and degree, neighbours and has_edge read it.  Three views are built on
+    first read and kept: adj, the rows as ints, which only the automorphism
+    search, bfs_layers and the audits read; _pairs, the edges u < w as one
+    (m, 2) array in canonical order, read off A's flat nonzero indices,
+    which the covering group's match table, to_json, relabelled and
+    quotient_cover read; and the edges tuple built from it.
     """
 
-    __slots__ = ("v", "n", "r", "fibres", "adj", "fibre_of", "_pairs",
-                 "_edges", "_report", "_kernel", "_params")
+    __slots__ = ("v", "n", "r", "fibres", "fibre_of", "_a", "_rows",
+                 "_pair_array", "_edges", "_report", "_kernel", "_params")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
         fibres = [_entries(f, "fibre") for f in _entries(fibres, "fibres")]
@@ -133,36 +141,53 @@ class CoverGraph:
         if n < 3:
             raise GraphStructureError(f"need at least 3 fibres, got {n}")
 
-        pairs = _edge_array(edges, v)
-        a = np.zeros((v, v), dtype=bool)
-        a[pairs[:, 0], pairs[:, 1]] = True
-        a[pairs[:, 1], pairs[:, 0]] = True
-        packed = np.packbits(a, axis=1, bitorder="little")
+        # A by one scatter of each edge's two flat indices, which is faster
+        # than indexing by (row, column) pairs
+        u, w = _edge_array(edges, v).T
+        a = np.zeros(v * v, dtype=bool)
+        a[u * v + w] = a[w * v + u] = True
+        a = a.reshape(v, v)
+        a.flags.writeable = False
 
         self.v = v
         self.n = n
         self.r = r
         self.fibres = tuple(map(tuple, fibres))
-        buf, width = packed.tobytes(), packed.shape[1]
-        self.adj = tuple(int.from_bytes(buf[i:i + width], "little")
-                         for i in range(0, len(buf), width))
+        self._a = a
         fibre_of = np.empty(v, dtype=np.intp)
         fibre_of[np.array(fibres)] = np.arange(n)[:, None]
         self.fibre_of = tuple(fibre_of.tolist())
-        # the edges u < w in row-major order, as one (m, 2) array: the keys
-        # u v + w sorted, each kept once
-        u, w = pairs.T
-        keys = np.minimum(u, w) * v + np.maximum(u, w)
-        keys.sort()
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        self._pairs = np.column_stack(np.divmod(keys[first], v))
+        self._rows: tuple | None = None
+        self._pair_array: np.ndarray | None = None
         self._edges: tuple | None = None
         self._report: CoverReport | None = None
         self._kernel: tuple | None = None
         self._params: CoverParams | None = None
 
-    # -- basic accessors ---------------------------------------------------
+    # -- views of the matrix, built on first read ----------------------------
+
+    @property
+    def adj(self) -> tuple[int, ...]:
+        """The rows of A as ints, bit w of row u set iff uw is an edge: the
+        form the automorphism search, bfs_layers and the audits read."""
+        if self._rows is None:
+            packed = np.packbits(self._a, axis=1, bitorder="little")
+            buf, width = packed.tobytes(), packed.shape[1]
+            self._rows = tuple(int.from_bytes(buf[i:i + width], "little")
+                               for i in range(0, len(buf), width))
+        return self._rows
+
+    @property
+    def _pairs(self) -> np.ndarray:
+        """The edges u < w as one (m, 2) array in row-major order: the arcs
+        (u, w), read off A's flat nonzero indices, with u < w."""
+        if self._pair_array is None:
+            x = np.flatnonzero(self._a)
+            u = x // self.v
+            w = x - u * self.v
+            keep = u < w
+            self._pair_array = np.column_stack((u[keep], w[keep]))
+        return self._pair_array
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -174,18 +199,21 @@ class CoverGraph:
             self._edges = tuple(zip(map(label, us), map(label, ws)))
         return self._edges
 
+    # -- basic accessors ---------------------------------------------------
+
     def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
+        return int(np.count_nonzero(self._a[u]))
 
     def neighbours(self, u: int) -> list[int]:
-        return _bits(self.adj[u])
+        return np.flatnonzero(self._a[u]).tolist()
 
     def has_edge(self, u: int, w: int) -> bool:
-        return bool(self.adj[u] >> w & 1)
+        return bool(self._a[u, w])
 
     def adjacency_matrix(self) -> np.ndarray:
-        """The 0/1 adjacency matrix, dtype uint8 (see bit_matrix)."""
-        return bit_matrix(self.adj, self.v)
+        """The 0/1 adjacency matrix, dtype uint8: a read-only view of the
+        stored matrix, not a copy."""
+        return self._a.view(np.uint8)
 
     def toggled(self, u: int, w: int) -> "CoverGraph":
         """Copy with the adjacency of the pair (u, w) flipped."""
@@ -422,12 +450,16 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     counts each vertex's neighbours per fibre for (b) and (c), and A·A
     counts common neighbours for (d) and (e).
     Their entries are sums of 0/1 terms, so every partial sum is at most
-    the largest degree, read off the bit rows, and they are exact while it
-    stays below FLOAT32_EXACT; past it SizeBoundExceeded is raised.
+    the largest degree, read off A, and they are exact while it stays
+    below FLOAT32_EXACT; past it SizeBoundExceeded is raised.
     (d) and (e) are read off one residual R = A^2 - mu J - (lam - mu)A with
-    its fibre blocks zeroed, built in A^2's buffer: mu is read at the first
-    non-adjacent cross-fibre pair u < w, which (b) and (c) put in row 0,
-    lam = n - (r-1)mu - 2, and the cover passes when mu >= 1 and R is 0.
+    its fibre blocks zeroed, built in A^2's buffer in two row blocks: rows
+    0..n-1 first, where mu is read at the first non-adjacent cross-fibre
+    pair u < w, which (b) and (c) put in row 0, and lam = n - (r-1)mu - 2;
+    then rows n..v-1, only when the first block holds fewer than
+    max_violations witnesses.  So a failing cover whose first n rows hold
+    them all pays about 1/r of A^2, and a passing one the same flops as
+    one product.  The cover passes when mu >= 1 and R is 0.
     Once (b) and (c) hold, (e) follows from (d): for an edge uw, each
     neighbour of w other than u has one neighbour in u's fibre, so the r
     vertices of that fibre share n - 2 neighbours with w in all, mu with
@@ -436,7 +468,7 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     of size below v + 2n, exact in float32 for any v x v matrix that fits
     in memory.
     Witnesses are listed as a scan of the pairs u < w in row-major order
-    finds them, and R is scanned only when it is nonzero; for (c), the
+    finds them, and a block is scanned only when it is nonzero; for (c), the
     first vertex of fibre i with a wrong count in fibre j, for each pair
     i < j.
     Once (b)-(e) hold, the distances follow without a BFS:
@@ -452,12 +484,12 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     if max_violations < 1:
         raise ValueError(f"max_violations must be at least 1, got {max_violations}")
     rep = CoverReport(is_cover=False, n=g.n, r=g.r, mu=None, lam=None)
-    degree = max(row.bit_count() for row in g.adj)
+    degree = _max_degree(g)
     if degree >= FLOAT32_EXACT:
         raise SizeBoundExceeded(
             f"common-neighbour counts reach {degree} >= {FLOAT32_EXACT}, "
             "beyond exact float32 arithmetic")
-    a = g.adjacency_matrix()
+    a = g._a
     cap = max_violations
     fibre_of = np.array(g.fibre_of)
     members = np.array(g.fibres)  # members[i, k]: k-th vertex of fibre i
@@ -488,28 +520,32 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     del f, per_fibre, wrong  # dropped before A^2, to bound peak memory
 
     # (d) and (e) from one residual R = A^2 - mu J - (lam - mu) A, zero on
-    # the fibre blocks, built in A^2's buffer.  mu is read at the first
-    # non-adjacent cross-fibre pair u < w, which (b) and (c) put in row 0
-    w0 = int(((fibre_of != fibre_of[0]) & (a[0] == 0)).argmax())
-    res = a32 @ a32
-    mu = int(res[0, w0])
-    lam = g.n - (g.r - 1) * mu - 2
-    a32 *= lam - mu
-    res -= a32
-    del a32
-    res -= mu
-    res[members[:, :, None], members[:, None, :]] = 0
+    # the fibre blocks, built in A^2's buffer one row block at a time: rows
+    # 0..n-1, then the rest only while fewer than cap witnesses are found.
+    # mu is read at the first non-adjacent cross-fibre pair u < w, which
+    # (b) and (c) put in row 0
+    n = g.n
+    mates = members[fibre_of]  # mates[u]: the fibre of u
+    w0 = int(((fibre_of != fibre_of[0]) & ~a[0]).argmax())
+    head = a32[:n] @ a32
+    mu = int(head[0, w0])
+    lam = n - (g.r - 1) * mu - 2
     rep.mu = mu
-    if mu < 1 or res.any():
-        # the non-adjacent pairs u < w where R is nonzero, in row-major
-        # order; R vanishes on the edges once it does off them (docstring)
-        nz = np.flatnonzero(res != 0)  # far faster than on the floats
-        nz = nz[(nz // g.v < nz % g.v) & (a.flat[nz] == 0)]
-        for x in nz[:cap].tolist():
+    head -= (lam - mu) * a32[:n]
+    nonzero, found = _residual_witnesses(head, 0, a, mates, mu, cap)
+    if len(found) < cap:
+        tail = a32[n:] @ a32
+        a32 *= lam - mu
+        tail -= a32[n:]
+        del a32
+        more, rest = _residual_witnesses(tail, n, a, mates, mu,
+                                         cap - len(found))
+        nonzero, found = nonzero or more, found + rest
+    if mu < 1 or nonzero:
+        for u, w, c in found:
             rep.failures.append(Violation(
-                "mu-constant", divmod(x, g.v),
-                f"{int(res.flat[x]) + mu} common neighbours, expected {mu} "
-                f"as at {(0, w0)}"))
+                "mu-constant", (u, w),
+                f"{c} common neighbours, expected {mu} as at {(0, w0)}"))
         if mu < 1:
             rep.failures.append(Violation("mu-positive", (0, w0),
                                           f"mu = {mu} < 1"))
@@ -523,6 +559,33 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     rep.is_cover = True
     g._report = rep
     return rep
+
+
+def _residual_witnesses(block: np.ndarray, start: int, a: np.ndarray,
+                        mates: np.ndarray, mu: int,
+                        cap: int) -> tuple[bool, list]:
+    """Turn block, rows start, start + 1, ... of A^2 - (lam - mu)A, into
+    those rows of R in place: mu subtracted and each row zeroed on its
+    vertex's fibre, mates[u].  Returns whether they are nonzero, and their
+    first cap witnesses (u, w, common neighbours): the non-adjacent pairs
+    u < w where R is nonzero, in row-major order; R vanishes on the edges
+    once it does off them (see verify_cover)."""
+    block -= mu
+    block[np.arange(len(block))[:, None], mates[start:start + len(block)]] = 0
+    if not block.any():
+        return False, []
+    nz = np.flatnonzero(block != 0)  # far faster than on the floats
+    u, w = np.divmod(nz, len(a))
+    u += start
+    keep = np.flatnonzero((u < w) & ~a[u, w])[:cap]
+    counts = block.flat[nz[keep]].astype(np.int64) + mu
+    return True, list(zip(u[keep].tolist(), w[keep].tolist(),
+                          counts.tolist()))
+
+
+def _max_degree(g: CoverGraph) -> int:
+    """The largest degree of g, read off its matrix."""
+    return int(np.count_nonzero(g._a, axis=1).max())
 
 
 def _connected_or(g: CoverGraph, rep: CoverReport) -> CoverReport:
@@ -575,15 +638,16 @@ def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
     raised.
     The identity is checked as one product of (A - kI)(A + I) and quad =
     A^2 - (lambda - mu)A - kI (k = n - 1), built in place in the buffers
-    of A^2 and A, so the check holds at most three v x v arrays: A, A^2
-    and the product, which is tested with one any().
+    of A^2 and A's float copy, so besides the graph's bool A the check
+    holds at most three v x v arrays: A's copy, A^2 and the product,
+    which is tested with one any().  The degree bound is read off A.
     Then tr(A^m) for m <= 3, read from A^2 as tr(A^2) and sum(A^2 * A), is
     compared with the model spectrum
     k^m + m_theta theta^m + (n-1)(-1)^m + m_tau tau^m, evaluated exactly.
     """
     v = g.v
     k = p.n - 1
-    d = max(g.degree(u) for u in range(v))
+    d = _max_degree(g)
     # |partial sums| of ((A - kI)(A + I)) @ quad: the left factor's rows
     # have 1-norm <= (d + k)(d + 1), quad's entries are <= d + |lam-mu| + k;
     # A @ A stays below this, and sum(A^2 * A) is <= v d^2

@@ -26,15 +26,17 @@ the fibre points), the arc orbits (G's orbits on arcs from a are G_a's
 orbits on N(a)), the rank-3 subdegree identities and structure_audit,
 which builds no chain and sifts nothing: a tail is the pointwise
 stabilizer of a base prefix (Seress 2003, 4.1), so an element of G lies in
-it iff it fixes those points.  Every orbit here comes from
-PermGroup.orbits.  The audit functions turn the assertable group-theoretic
-identities (arc orbits vs rank, displacement counts, fixed subgraphs of
-involutions, rank-3 subdegree relations) into pass/fail reports on concrete
-instances, and involution_types draws one involution of each displacement
-type from seeded uniform draws, with no element scan, classifying each by
-its swapped pairs and building it only for a new type.  A verified cover's
-report (cover_report) and its K with K's info are recorded on the graph, so
-a graph is verified and its K found once however many stages use them.
+it iff it fixes those points.  Every orbit of a group given by generators comes
+from PermGroup.orbits; those of K and of the subgroups U of K a quotient is
+taken by are read off the element array of the small group, one column per
+vertex.  The audit functions turn the assertable group-theoretic identities
+(arc orbits vs rank, displacement counts, fixed subgraphs of involutions,
+rank-3 subdegree relations) into pass/fail reports on concrete instances, and
+involution_types draws one involution of each displacement type from seeded
+uniform draws, with no element scan, classifying each by its swapped pairs and
+building it only for a new type.  A verified cover's report (cover_report) and
+its K with K's info are recorded on the graph, so a graph is verified and its K
+found once however many stages use them.
 """
 from __future__ import annotations
 
@@ -45,9 +47,8 @@ from math import lcm
 import numpy as np
 
 from .exact import is_integral
-from .graphcore import (CoverGraph, bfs_layers, cover_report,
-                        is_automorphism, params_of, require_cover,
-                        verify_cover)
+from .graphcore import (CoverGraph, cover_report, is_automorphism,
+                        params_of, require_cover, verify_cover)
 from .perms import PermGroup, Permutation
 
 
@@ -109,12 +110,18 @@ def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:
     group ∩ K do.  Such a group is semiregular (see the module docstring),
     so ab and ba, which agree at vertex 0 iff ab(ba)^-1 fixes it, are equal
     iff they agree there: two generators commute iff b[a[0]] == a[b[0]].
+    It is regular on the fibres iff its order is r and each column of its
+    (r x v) element array, sorted, is that vertex's fibre: the orbit of x
+    is then its fibre, reached by r distinct elements.  That holds for any
+    fibre-fixing group, a kernel= a caller supplies included.
     """
     order = kernel.order()
     gens = [p.img for p in kernel.generators]
     abelian = all(b[a[0]] == a[b[0]]
                   for i, a in enumerate(gens) for b in gens[i + 1:])
-    regular = order == g.r and kernel.orbits() == [list(f) for f in g.fibres]
+    regular = order == g.r and np.array_equal(
+        np.sort([p.img for p in kernel.elements()], axis=0).T,
+        np.array(g.fibres)[np.array(g.fibre_of)])
     return {"order": order, "is_abelian": abelian,
             "regular_on_fibres": regular,
             "abelian_cover": abelian and regular}
@@ -123,40 +130,47 @@ def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:
 def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
     """Every fibre-fixing automorphism of a verified cover, identity included.
 
-    match[x, j] is the neighbour of x in fibre j (x itself for its own
-    fibre), filled by one scatter over the 2m arcs of g._pairs: g is
-    verified, so each vertex has one neighbour in every other fibre and
-    every entry is written once.  Each image c of vertex 0 in its fibre
-    determines img[y] = match[img[x], fibre_of[y]] along a BFS tree, one
-    layer at a time.  The candidate is kept when img is a bijection with
-    img[match[x, j]] = match[img[x], j] for every x and j, i.e. every edge
-    goes to an edge.  The cost is O(m) for the matching and O(r v n) for
-    the r candidates.
+    match[x, j] is the neighbour of x in fibre j (x itself for its own fibre),
+    filled by one scatter over the 2m arcs of g._pairs: g is verified, so each
+    vertex has one neighbour in every other fibre and every entry is written
+    once.  Each image c of vertex 0 in its fibre, fibre 0 (fibres are ordered
+    by least element), determines img[y] = match[img[x], fibre_of[y]] for every
+    edge xy, and the propagation tree is read off the table: the neighbours
+    match[0, j] of 0, j != 0; every other vertex outside fibre 0 from a
+    neighbour of 0 it is matched to, by one scatter over match[N(0)] (mu >= 1,
+    so each has one); and each fibre-mate z of 0 from its neighbour match[z,
+    1], which lies outside N(0).  The candidate is kept when img is a bijection
+    with img[match[x, j]] = match[img[x], j] for every x and j, i.e. every edge
+    goes to an edge, so the tree chosen does not change K.  The cost is O(m)
+    for the matching and O(r v n) for the r candidates.
     """
+    v = g.v
     fibre = np.array(g.fibre_of, dtype=np.intp)
     u, w = g._pairs.T
-    match = np.empty((g.v, g.n), dtype=np.intp)
+    match = np.empty((v, g.n), dtype=np.intp)
     match[u, fibre[w]] = w
     match[w, fibre[u]] = u
-    match[np.arange(g.v), fibre] = np.arange(g.v)
+    match[np.arange(v), fibre] = np.arange(v)
 
-    # (layer, a neighbour of each layer vertex in the layer before)
-    steps = []
-    before = 1
-    for layer in bfs_layers(g.adj, 0)[1:]:
-        parents = [(g.adj[y] & before).bit_length() - 1 for y in layer]
-        steps.append((np.array(layer), np.array(parents)))
-        before = sum(1 << y for y in layer)
+    nbrs = match[0, 1:]
+    parent = np.zeros(v, dtype=np.intp)
+    parent[match[nbrs]] = nbrs[:, None]
+    mates = np.array(g.fibres[0][1:])
+    outside = np.ones(v, dtype=bool)  # outside fibre 0 and N(0)
+    outside[0] = outside[mates] = outside[nbrs] = False
+    far = np.flatnonzero(outside)
+    via = match[mates, 1]
 
     found = []
-    for c in g.fibres[g.fibre_of[0]]:
-        img = np.empty(g.v, dtype=np.intp)
+    for c in g.fibres[0]:
+        img = np.empty(v, dtype=np.intp)
         img[0] = c
-        for layer, parents in steps:
-            img[layer] = match[img[parents], fibre[layer]]
+        img[nbrs] = match[c, 1:]
+        img[far] = match[img[parent[far]], fibre[far]]
+        img[mates] = match[img[via], 0]
         # img holds vertex labels 0..v-1: a bijection iff none is missed
         if (np.array_equal(img[match], match[img])
-                and np.bincount(img, minlength=g.v).all()):
+                and np.bincount(img, minlength=v).all()):
             found.append(Permutation(img.tolist()))
     return found
 
@@ -278,18 +292,20 @@ class QuotientError(ValueError):
 def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     """Quotient by a subgroup of the covering group, re-verified.
 
-    Requires every generator to fix each fibre setwise and 1 <= |U| < r,
-    with U semiregular.  The U-orbits, numbered by least element, are the
-    quotient's vertices: one scatter over the (orbits x |U|) array of
-    them gives each vertex its orbit.  The quotient's edges are the images
-    of g's edges, those within one orbit dropped and duplicates collapsed
-    by CoverGraph: every edge of g between different orbits, so nothing
-    assumes U <= Aut.  A fibre of g is a union of r/|U| orbits of |U|
-    vertices each, so its sorted orbit numbers repeat each orbit |U| times
-    in a row, and every |U|-th one is the quotient fibre.  The result is
-    checked by verify_cover to be an (n, r/|U|, mu |U|)-cover; a failure
-    raises, since it would contradict the quotient-closure property for
-    valid input.
+    Requires every generator to fix each fibre setwise and 1 <= |U| < r, with U
+    semiregular.  These order checks come first, so U has at most r - 1
+    non-identity elements, and its elements are listed as one (|U| x v) image
+    array: U is semiregular iff only the identity row fixes a point.  The
+    U-orbits, numbered by least element, are the quotient's vertices: a
+    vertex's orbit number is the rank of its column's minimum, the least
+    element of its orbit, among all those minima.  The quotient's edges are the
+    images of g's edges, those within one orbit dropped and duplicates
+    collapsed by CoverGraph: every edge of g between different orbits, so
+    nothing assumes U <= Aut.  A fibre of g is a union of r/|U| orbits of |U|
+    vertices each, so its sorted orbit numbers repeat each orbit |U| times in a
+    row, and every |U|-th one is the quotient fibre.  The result is checked by
+    verify_cover to be an (n, r/|U|, mu |U|)-cover; a failure raises, since it
+    would contradict the quotient-closure property for valid input.
     """
     if sub.degree != g.v:
         raise QuotientError(f"subgroup acts on {sub.degree} points, "
@@ -302,11 +318,10 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     if g.r % u_order != 0:
         raise QuotientError(f"|U| = {u_order} does not divide r = {g.r}")
 
-    orbits = sub.orbits()
-    if any(len(o) != u_order for o in orbits):
+    images = np.array([p.img for p in sub.elements()])
+    if np.count_nonzero((images == np.arange(g.v)).any(axis=1)) > 1:
         raise QuotientError("subgroup does not act semiregularly")
-    orbit_of = np.empty(g.v, dtype=np.intp)
-    orbit_of[np.array(orbits)] = np.arange(len(orbits))[:, None]
+    _, orbit_of = np.unique(images.min(axis=0), return_inverse=True)
     edges = orbit_of[g._pairs]
     # np.compress selects rows many times faster than a boolean index
     edges = np.compress(edges[:, 0] != edges[:, 1], edges, axis=0)

@@ -124,16 +124,22 @@ def relabelled(g, seed: int):
     return g.relabelled(perm)
 
 
-def matching_swapped(g):
+def matching_swapped(g, fibres=None):
     """g with two edges of one fibre-pair matching exchanged.
 
-    A fixed seed picks the two fibres and the two vertices.  Fibres stay
-    cocliques and every fibre pair still induces a perfect matching, so
-    only the mu, lambda or connectivity axioms can notice.
+    A fixed seed picks the two fibres and the two vertices; given fibres
+    (i, j), the swap is between the first two vertices of fibre i and
+    their neighbours in fibre j.  Fibres stay cocliques and every fibre
+    pair still induces a perfect matching, so only the mu, lambda or
+    connectivity axioms can notice.
     """
     rng = random.Random(0)
-    i, j = rng.sample(range(g.n), 2)
-    u, u2 = rng.sample(g.fibres[i], 2)
+    if fibres is None:
+        i, j = rng.sample(range(g.n), 2)
+        u, u2 = rng.sample(g.fibres[i], 2)
+    else:
+        i, j = fibres
+        u, u2 = g.fibres[i][:2]
     w, w2 = (next(x for x in g.fibres[j] if g.has_edge(y, x)) for y in (u, u2))
     return g.toggled(u, w).toggled(u2, w2).toggled(u, w2).toggled(u2, w)
 

@@ -93,11 +93,23 @@ def _toggled_ts32():
     return g
 
 
+def _late_swapped(q):
+    g = thas_somma(q, 1)
+    return matching_swapped(g, (g.n - 2, g.n - 1))
+
+
 # (cover, argv after the cover path, exit code)
 PERTURBED = {
     "verify_swapped_ts41": (lambda: matching_swapped(thas_somma(4, 1)),
                             [], 1),
     "verify_toggled_ts32_max3": (_toggled_ts32, ["--max-violations", "3"], 1),
+    # a swap between the last two fibres: verify_cover's first row block,
+    # rows 0..n-1, holds 64 of TS(8,1)'s mu witnesses, past the cap, and 32
+    # of TS(4,1)'s, short of it, so the rows past n are read too
+    "verify_swapped_ts81_max50": (lambda: _late_swapped(8),
+                                  ["--max-violations", "50"], 1),
+    "verify_swapped_ts41_late_max50": (lambda: _late_swapped(4),
+                                       ["--max-violations", "50"], 1),
 }
 
 

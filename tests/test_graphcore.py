@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from coverlab import (CoverGraph, cube, derive_params, hexagon, icosahedron,
                       params_of, spectrum_check, thas_somma, verify_cover)
 from coverlab import graphcore
-from coverlab.frames import all_characters, character_matrix
+from coverlab.autgroup import automorphism_group
+from coverlab.frames import all_characters, character_matrix, extract_lines
 from coverlab.graphcore import GraphStructureError, bfs_layers, bit_matrix
-from coverlab.groupops import covering_group
+from coverlab.groupops import covering_group, quotient_cover
 from coverlab.perms import subgroups_of
 from conftest import matching_swapped, relabelled
 
@@ -133,8 +134,8 @@ def test_spectrum_check_float64_path_agrees(corpus, monkeypatch):
 def test_exact_checks_hold_few_v_by_v_arrays():
     """tracemalloc's peak on TS(8,1), in units of one float32 v x v array.
     spectrum_check builds both factors in the buffers of A and A^2, so it
-    holds three with their product; verify_cover holds the 0/1 A (a
-    quarter), its float32 copy and the residual built in A^2's buffer."""
+    holds three with their product; verify_cover holds A's float32 copy
+    and the residual built in A^2's buffer, as the graph owns the bool A."""
     g = thas_somma(8, 1)
     p = params_of(g)
     unit = g.v * g.v * np.dtype(np.float32).itemsize
@@ -148,7 +149,23 @@ def test_exact_checks_hold_few_v_by_v_arrays():
             tracemalloc.stop()
 
     assert peak(lambda: spectrum_check(g, p)) <= 3.1
-    assert peak(lambda: verify_cover(g)) <= 2.6
+    assert peak(lambda: verify_cover(g)) <= 2.2
+
+
+def test_cover_graph_retains_one_byte_per_vertex_pair():
+    """Constructing TS(8,1) retains its v x v bool matrix and the fibre
+    tuples, under 2m bytes besides: no packed copy (v^2/8 bytes) and no
+    int rows are held alongside."""
+    g = thas_somma(8, 1)
+    fibres, edges = [list(f) for f in g.fibres], list(g.edges)
+    tracemalloc.start()
+    try:
+        h = CoverGraph(fibres, edges)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.v * g.v <= retained < g.v * g.v + 2 * len(edges)
+    assert h._rows is None
 
 
 def test_mutation_single_edge_toggle_breaks_cover():
@@ -562,10 +579,32 @@ def edge_lists(draw):
     return v, fibres, draw(st.lists(edge, max_size=30))
 
 
+def _corpus_case(g, seed=None):
+    g = g if seed is None else relabelled(g, seed)
+    return g.v, [list(f) for f in g.fibres], list(g.edges)
+
+
+_SET_ORACLE_GRAPHS = [hexagon(), cube(), icosahedron(), thas_somma(3, 1),
+                      thas_somma(4, 1)]
+
+
+def _with_examples(cases):
+    """Hypothesis's @example once for each case."""
+    def add(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return add
+
+
 @settings(max_examples=300, deadline=None)
 @given(edge_lists())
+@_with_examples([_corpus_case(g, seed) for g in _SET_ORACLE_GRAPHS
+                 for seed in (None, 1, 2)])
 def test_cover_graph_matches_set_oracle(case):
-    """adj, edges and the adjacency matrix equal a set-based build, and an
+    """adj, edges, to_json, degree, neighbours, has_edge and the adjacency
+    matrix equal a set-based build, on random edge lists and on the corpus
+    relabelled by seeds 1 and 2; the matrix is a read-only view; and an
     error names the first bad edge in input order."""
     v, fibres, edges = case
     expected_error = None
@@ -593,6 +632,18 @@ def test_cover_graph_matches_set_oracle(case):
                           for row in matrix)
     a = g.adjacency_matrix()
     assert a.dtype == np.uint8 and a.tolist() == matrix
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 1
+    assert np.shares_memory(a, g.adjacency_matrix())
+    fibres = sorted((sorted(f) for f in fibres), key=lambda f: f[0])
+    assert g.to_json() == {"v": v, "fibres": fibres,
+                           "edges": [list(e) for e in sorted(pairs)]}
+    nbrs = [sorted({w for e in pairs for w in e if u in e} - {u})
+            for u in range(v)]
+    assert [g.neighbours(u) for u in range(v)] == nbrs
+    assert [g.degree(u) for u in range(v)] == list(map(len, nbrs))
+    assert all(g.has_edge(u, w) == ((min(u, w), max(u, w)) in pairs)
+               for u in range(v) for w in range(v))
 
 
 def _oracle_report(fibres, edges, max_violations):
@@ -743,6 +794,72 @@ def test_verify_cover_matches_pair_loop_oracle(case):
     fibres, edges, m = case
     got = verify_cover(CoverGraph(fibres, edges), max_violations=m).to_json()
     assert got == _oracle_report(fibres, edges, m)
+
+
+# matching-swapped TS(4,1) and TS(8,1), by the seeded swap and by one
+# between the last two fibres, each plain and relabelled by seeds 1 and 2.
+# verify_cover reads R's rows 0..n-1 first and the rest only while fewer
+# than cap witnesses are found; the first block holds 32, 41 and 54 or 55
+# witnesses on TS(4,1) and 56 to 349 on TS(8,1), so the caps below fall
+# short of it and past it, and 32 and 64 are on the plain late swaps'
+# counts, 33 and 65 one past them
+BLOCK_COVERS = {
+    f"ts{q}1-{swap}-{seed or 'plain'}": (q, swap, seed)
+    for q in (4, 8) for swap in ("seeded", "late") for seed in (None, 1, 2)}
+BLOCK_CASES = [(name, cap) for name in sorted(BLOCK_COVERS)
+               for cap in (1, 10, 50)]
+BLOCK_CASES += [("ts41-late-plain", 32), ("ts41-late-plain", 33),
+                ("ts81-late-plain", 64), ("ts81-late-plain", 65)]
+
+
+def _block_cover(name):
+    q, swap, seed = BLOCK_COVERS[name]
+    g = thas_somma(q, 1)
+    g = matching_swapped(g, None if swap == "seeded" else (g.n - 2, g.n - 1))
+    return g if seed is None else relabelled(g, seed)
+
+
+@pytest.mark.parametrize("name,cap", BLOCK_CASES,
+                         ids=[f"{name}-cap{cap}" for name, cap in BLOCK_CASES])
+def test_verify_cover_matches_pair_loop_oracle_at_the_row_blocks(name, cap):
+    g = _block_cover(name)
+    got = verify_cover(g, max_violations=cap).to_json()
+    assert got == _oracle_report(*_case(g, cap))
+
+
+def test_verify_cover_row_block_counts():
+    """The first row block's witness counts the caps above are set
+    against, read off the uncapped pair-loop oracle."""
+    for name, count in [("ts41-late-plain", 32), ("ts81-late-plain", 64)]:
+        g = _block_cover(name)
+        rep = _oracle_report(*_case(g, g.v * g.v))
+        assert sum(f["witness"][0] < g.n for f in rep["failures"]) == count
+
+
+def test_etf_stages_read_the_matrix_in_place(monkeypatch):
+    """verify_cover, spectrum_check, covering_group, character_matrix,
+    extract_lines and all 14 quotients of TS(8,1) build no int rows, and
+    no quotient builds its edge pairs; the automorphism search builds the
+    rows, once."""
+    g = thas_somma(8, 1)
+    assert verify_cover(g).is_cover
+    assert spectrum_check(g, params_of(g))
+    k, _ = covering_group(g)
+    s = character_matrix(g, all_characters(k)[1])
+    for side in ("tau", "theta"):
+        extract_lines(s, side)
+    quotients = [quotient_cover(g, u) for u in subgroups_of(k)
+                 if 1 < u.order() < g.r]
+    assert len(quotients) == 14
+    assert all(h._rows is None for h in [g, *quotients])
+    assert all(h._pair_array is None for h in quotients)
+    packs = []
+    packbits = np.packbits
+    monkeypatch.setattr(np, "packbits",
+                        lambda *a, **kw: packs.append(1) or packbits(*a, **kw))
+    assert automorphism_group(g).order() == 5419008
+    rows = g.adj
+    assert g.adj is rows and len(packs) == 1
 
 
 def test_lambda_is_forced_by_the_matchings():
