@@ -1,6 +1,9 @@
 """Graph automorphism search by individualization and partition refinement.
 
-The graph is given as bit rows.  Refinement is a splitter worklist
+The graph is given as its 0/1 adjacency matrix, which each search packs
+once into bit rows, int row u with bit w set iff uw is an edge: the form
+the refinement's splitter counts read, and the one place in the library
+that holds it.  Refinement is a splitter worklist
 (McKay and Piperno, Practical graph isomorphism II, JSC 2014): a FIFO queue
 of splitters splits each non-singleton cell by its vertices' neighbour
 counts in the splitter, in place and in increasing key order, and queues
@@ -12,15 +15,15 @@ individualizes a vertex v of the first non-singleton cell and recurses; the
 parent is equitable, so the child's queue is seeded with [v] alone, and it
 refines to the cells the full queue would give, in the same order.  Every
 leaf labelling is compared with the first leaf's, and a label map becomes a
-generator when graphcore.is_automorphism accepts it on the 0/1 matrix, which
-the search unpacks from the bit rows once.  Pruning is twofold: a branch
-whose refinement trace differs from the first path's has no equivalent
-leaf, and candidates in one orbit of the group found so far (fixing the
-individualized prefix), numbered by PermGroup.orbits, are
-interchangeable.  Traces are label-free (splitter steps, cell starts,
-keys and part sizes), so automorphic branches trace alike and both
-prunings are sound.  Off the first path a subtree is abandoned once it
-yields an automorphism, the usual backjump to the first-path ancestor.
+generator when graphcore.is_automorphism accepts it on the 0/1 matrix the
+search was given.  Pruning is twofold: a branch whose refinement trace
+differs from the first path's has no equivalent leaf, and candidates in
+one orbit of the group found so far (fixing the individualized prefix),
+numbered by PermGroup.orbits, are interchangeable.  Traces are label-free
+(splitter steps, cell starts, keys and part sizes), so automorphic branches
+trace alike and both prunings are sound.  Off the first path a subtree is
+abandoned once it yields an automorphism, the usual backjump to the
+first-path ancestor.
 
 The first path is explored in full and pruned only by orbits of the group
 fixing its prefix, so at each of its nodes the generators fixing the prefix
@@ -31,15 +34,17 @@ returns with them, and automorphism_group builds Aut's chain from that base
 by orbit closure alone, with no Schreier generator sifted.
 
 Isomorphism of two connected covers is read off the same search, run on
-their disjoint union: they are isomorphic iff a generator swaps the two
-components.  There is no second matching engine.
+their disjoint union, one block-diagonal matrix: they are isomorphic iff a
+generator swaps the two components.  There is no second matching engine.
 """
 from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from .graphcore import (CoverGraph, GraphStructureError, SizeBoundExceeded,
-                        bfs_layers, bit_matrix, is_automorphism)
+                        is_automorphism, reachable_count)
 from .perms import PermGroup, Permutation
 
 AUT_VERTEX_BOUND = 4096
@@ -121,6 +126,15 @@ def _mask(cell) -> int:
     return sum(1 << x for x in cell)
 
 
+def _bit_rows(a: np.ndarray) -> list[int]:
+    """The rows of the 0/1 matrix a as ints, bit w of row u set iff
+    a[u, w] != 0: one np.packbits."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    buf, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[i:i + width], "little")
+            for i in range(0, len(buf), width)]
+
+
 class SearchGenerators(list):
     """The generators a search found, in order of discovery, with base, its
     first-path base: they are a strong generating set relative to it."""
@@ -132,16 +146,16 @@ class SearchGenerators(list):
         self.base = base
 
 
-def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
-    """Generators of the automorphism group of a graph given as bit rows,
-    with the first-path base they strongly generate relative to.
+def automorphism_generators(a, colors=None) -> SearchGenerators:
+    """Generators of the automorphism group of the graph with 0/1 adjacency
+    matrix a, with the first-path base they strongly generate relative to.
 
     colors, when given, is a vertex colouring (sequence of ints) that
     automorphisms must preserve.  The library passes none; the tests pass
     fibre indices to find the fibre-fixing automorphisms by this search
     and compare them with covering_group's.
     """
-    n = len(adj_rows)
+    n = len(a)
     if n > AUT_VERTEX_BOUND:
         raise SizeBoundExceeded(f"{n} vertices exceed bound {AUT_VERTEX_BOUND}")
     if n == 0:
@@ -159,7 +173,7 @@ def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
     first_traces: dict[int, tuple] = {}
     gens: list[Permutation] = []
     identity = list(range(n))
-    mat = bit_matrix(adj_rows, n)
+    adj_rows = _bit_rows(a)
 
     def dfs(cells, splitters, depth: int, prefix: list[int],
             on_first_path: bool) -> bool:
@@ -177,9 +191,9 @@ def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
                 first_leaf.extend(leaf)
                 return False
             img = [0] * n
-            for a, b in zip(first_leaf, leaf):
-                img[a] = b
-            if img != identity and is_automorphism(mat, img):
+            for x, y in zip(first_leaf, leaf):
+                img[x] = y
+            if img != identity and is_automorphism(a, img):
                 gens.append(Permutation(img))
                 return True
             return False
@@ -220,20 +234,21 @@ def automorphism_generators(adj_rows, colors=None) -> SearchGenerators:
     return SearchGenerators(gens, first_choices)
 
 
-def automorphism_group(g: CoverGraph | list, colors=None) -> PermGroup:
-    """Full automorphism group of a cover (or of raw bit-row adjacency),
-    with its chain on the search's first-path base."""
-    adj = g.adj if isinstance(g, CoverGraph) else g
-    gens = automorphism_generators(adj, colors)
-    return PermGroup.from_base(gens, len(adj), gens.base)
+def automorphism_group(g: CoverGraph | np.ndarray, colors=None) -> PermGroup:
+    """Full automorphism group of a cover (or of a graph given by its 0/1
+    adjacency matrix), with its chain on the search's first-path base."""
+    a = g._a if isinstance(g, CoverGraph) else g
+    gens = automorphism_generators(a, colors)
+    return PermGroup.from_base(gens, len(a), gens.base)
 
 
 def covers_isomorphic(g1: CoverGraph, g2: CoverGraph) -> bool:
     """Whether two connected graphs (covers) are isomorphic.
 
-    Runs the automorphism search on the disjoint union, g2 relabelled to
-    v..2v-1.  Both components are connected, so every automorphism fixes
-    them or swaps them, and a swap exists iff g1 and g2 are isomorphic.
+    Runs the automorphism search on the disjoint union, the block-diagonal
+    matrix of the two adjacency matrices, so g2 is relabelled to v..2v-1.
+    Both components are connected, so every automorphism fixes them or
+    swaps them, and a swap exists iff g1 and g2 are isomorphic.
     The generators found generate the whole group, so a swap exists iff
     some generator sends vertex 0 to a label >= v.  Raises
     GraphStructureError (a ValueError) on a disconnected input and
@@ -243,8 +258,9 @@ def covers_isomorphic(g1: CoverGraph, g2: CoverGraph) -> bool:
     v = g1.v
     if g2.v != v:
         return False
-    for g in (g1, g2):
-        if sum(len(l) for l in bfs_layers(g.adj, 0)) != v:
-            raise GraphStructureError("graph is disconnected")
-    gens = automorphism_generators([*g1.adj, *(a << v for a in g2.adj)])
+    if reachable_count(g1._a) != v or reachable_count(g2._a) != v:
+        raise GraphStructureError("graph is disconnected")
+    union = np.zeros((2 * v, 2 * v), dtype=bool)
+    union[:v, :v], union[v:, v:] = g1._a, g2._a
+    gens = automorphism_generators(union)
     return any(gen[0] >= v for gen in gens)

@@ -9,16 +9,15 @@ These axioms fix every distance, so no further BFS is needed: vertices in
 one fibre are at distance 3, and cross-fibre pairs at distance 1 or 2
 (mu >= 1).  The diameter is 3 and the fibres are the distance-3 classes.
 A graph stores one adjacency, the read-only v x v bool matrix A, and every
-stage reads it in place; the int rows the automorphism search reads and the
-canonical edges are views of it built on first read.  The axioms are read off
-two BLAS products: neighbour counts per fibre are entries of A·F (F the fibre
-indicator), and common-neighbour counts are entries of A·A, which verify_cover
-turns in place, one row block at a time, into the residual
-A^2 - mu J - (lambda - mu)A with its fibre blocks zeroed, 0 exactly when mu
-and lambda are as the axioms say.  bit_matrix unpacks raw int rows, such as the search's union of two
-graphs, into the 0/1 matrix.  A passing report is recorded on the graph, which
-never changes after construction; cover_report hands it to later stages so that
-each graph is verified once.
+stage reads it in place; the canonical edges are a view of it built on first
+read.  The axioms are read off two BLAS products: neighbour counts per fibre
+are entries of A·F (F the fibre indicator), and common-neighbour counts are
+entries of A·A, which verify_cover turns in place, one row block at a time,
+into the residual A^2 - mu J - (lambda - mu)A with its fibre blocks zeroed, 0
+exactly when mu and lambda are as the axioms say.  The one traversal,
+reachable_count, steps a boolean frontier over the rows of A.  A passing
+report is recorded on the graph, which never changes after construction;
+cover_report hands it to later stages so that each graph is verified once.
 Cover files are JSON.  from_json reads a compact edge list, as writers
 emit it, straight into an int array by string operations and numpy, and
 any other valid JSON by json.loads; the errors are always those of
@@ -98,15 +97,15 @@ class CoverGraph:
     read-only v x v bool matrix (v^2 bytes: 256 KB on TS(8,1), 16 MB at
     AUT_VERTEX_BOUND) set by one scatter of the edges' flat indices, so
     repeated edges need no sort; adjacency_matrix() is a uint8 view of it,
-    and degree, neighbours and has_edge read it.  Three views are built on
-    first read and kept: adj, the rows as ints, which only the automorphism
-    search, bfs_layers and the audits read; _pairs, the edges u < w as one
-    (m, 2) array in canonical order, read off A's flat nonzero indices,
-    which the covering group's match table, to_json, relabelled and
-    quotient_cover read; and the edges tuple built from it.
+    and degree, neighbours and has_edge read it, raising GraphStructureError
+    for a label outside 0..v-1.  Two views are built on first read and
+    kept: _pairs, the edges u < w as one (m, 2) array in canonical order,
+    read off A's flat nonzero indices, which the covering group's match
+    table, to_json, relabelled and quotient_cover read; and the edges tuple
+    built from it.
     """
 
-    __slots__ = ("v", "n", "r", "fibres", "fibre_of", "_a", "_rows",
+    __slots__ = ("v", "n", "r", "fibres", "fibre_of", "_a",
                  "_pair_array", "_edges", "_report", "_kernel", "_params")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
@@ -157,7 +156,6 @@ class CoverGraph:
         fibre_of = np.empty(v, dtype=np.intp)
         fibre_of[np.array(fibres)] = np.arange(n)[:, None]
         self.fibre_of = tuple(fibre_of.tolist())
-        self._rows: tuple | None = None
         self._pair_array: np.ndarray | None = None
         self._edges: tuple | None = None
         self._report: CoverReport | None = None
@@ -165,17 +163,6 @@ class CoverGraph:
         self._params: CoverParams | None = None
 
     # -- views of the matrix, built on first read ----------------------------
-
-    @property
-    def adj(self) -> tuple[int, ...]:
-        """The rows of A as ints, bit w of row u set iff uw is an edge: the
-        form the automorphism search, bfs_layers and the audits read."""
-        if self._rows is None:
-            packed = np.packbits(self._a, axis=1, bitorder="little")
-            buf, width = packed.tobytes(), packed.shape[1]
-            self._rows = tuple(int.from_bytes(buf[i:i + width], "little")
-                               for i in range(0, len(buf), width))
-        return self._rows
 
     @property
     def _pairs(self) -> np.ndarray:
@@ -201,14 +188,20 @@ class CoverGraph:
 
     # -- basic accessors ---------------------------------------------------
 
+    def _vertex(self, u):
+        """u, an index of A, or GraphStructureError unless it is a vertex."""
+        if _is_label(u) and 0 <= u < self.v:
+            return u
+        raise GraphStructureError(f"vertex {u!r} is not in 0..{self.v - 1}")
+
     def degree(self, u: int) -> int:
-        return int(np.count_nonzero(self._a[u]))
+        return int(np.count_nonzero(self._a[self._vertex(u)]))
 
     def neighbours(self, u: int) -> list[int]:
-        return np.flatnonzero(self._a[u]).tolist()
+        return np.flatnonzero(self._a[self._vertex(u)]).tolist()
 
     def has_edge(self, u: int, w: int) -> bool:
-        return bool(self._a[u, w])
+        return bool(self._a[self._vertex(u), self._vertex(w)])
 
     def adjacency_matrix(self) -> np.ndarray:
         """The 0/1 adjacency matrix, dtype uint8: a read-only view of the
@@ -389,18 +382,6 @@ def _edge_array(edges, v: int) -> np.ndarray:
                                    if (f := _edge_fault(x, v))))
 
 
-def bit_matrix(rows, width: int) -> np.ndarray:
-    """0/1 uint8 matrix whose row i holds bits 0..width-1 of rows[i].
-
-    One np.unpackbits over the rows' little-endian bytes.
-    """
-    nbytes = (width + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    return np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes),
-        axis=1, count=width, bitorder="little")
-
-
 def is_automorphism(a: np.ndarray, img) -> bool:
     """Whether the vertex map img, a bijection, is an automorphism of the
     graph with 0/1 adjacency matrix a: A permuted by img equals A."""
@@ -408,35 +389,17 @@ def is_automorphism(a: np.ndarray, img) -> bool:
     return bool((a[img][:, img] == a).all())
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def bfs_layers(adj, start: int) -> list[list[int]]:
-    """BFS layers from start over bit-row adjacency; stops at the last layer."""
-    v = len(adj)
-    full = (1 << v) - 1
-    seen = 1 << start
-    frontier = 1 << start
-    layers = [[start]]
-    while True:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        nxt &= full & ~seen
-        if not nxt:
-            return layers
-        layers.append(_bits(nxt))
-        seen |= nxt
-        frontier = nxt
+def reachable_count(a: np.ndarray) -> int:
+    """How many vertices are reachable from vertex 0 in the graph with 0/1
+    adjacency matrix a: one boolean frontier step over the rows of a per
+    distance layer."""
+    seen = np.zeros(len(a), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = a[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return int(np.count_nonzero(seen))
 
 
 def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
@@ -444,8 +407,8 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
 
     Always verifies; a passing report is recorded on g for cover_report.
     (a), connectivity, is reported alone when it fails, but (b)-(d) imply
-    it (see below), so its BFS runs only when another axiom fails.  The
-    other axioms are read off the 0/1 adjacency matrix A through two
+    it (see below), so reachable_count runs only when another axiom fails.
+    The other axioms are read off the 0/1 adjacency matrix A through two
     float32 BLAS products: M = A·F, with F the v x n fibre indicator,
     counts each vertex's neighbours per fibre for (b) and (c), and A·A
     counts common neighbours for (d) and (e).
@@ -590,8 +553,8 @@ def _max_degree(g: CoverGraph) -> int:
 
 def _connected_or(g: CoverGraph, rep: CoverReport) -> CoverReport:
     """rep, a failing report, or when g is disconnected the report of (a)
-    alone, as one BFS from vertex 0 finds it."""
-    reached = sum(len(l) for l in bfs_layers(g.adj, 0))
+    alone, as reachable_count from vertex 0 finds it."""
+    reached = reachable_count(g._a)
     if reached == g.v:
         return rep
     return CoverReport(is_cover=False, n=g.n, r=g.r, mu=None, lam=None,

@@ -31,10 +31,13 @@ from PermGroup.orbits; those of K and of the subgroups U of K a quotient is
 taken by are read off the element array of the small group, one column per
 vertex.  The audit functions turn the assertable group-theoretic identities
 (arc orbits vs rank, displacement counts, fixed subgraphs of involutions,
-rank-3 subdegree relations) into pass/fail reports on concrete instances, and
-involution_types draws one involution of each displacement type from seeded
-uniform draws, with no element scan, classifying each by its swapped pairs and
-building it only for a new type.  A verified cover's report (cover_report) and
+rank-3 subdegree relations) into pass/fail reports on concrete instances,
+reading the cover's one adjacency, the matrix A, in place: a count over
+vertices is a numpy reduction over rows of A, and involution_types' per-pair
+test reads one entry through a memoryview.  involution_types draws one
+involution of each displacement type from seeded uniform draws, with no
+element scan, classifying each by its swapped pairs and building it only for
+a new type.  A verified cover's report (cover_report) and
 its K with K's info are recorded on the graph, so a graph is verified and its K
 found once however many stages use them.
 """
@@ -274,8 +277,8 @@ def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
     for orbit in group.orbits():
         a = orbit[0]
         g_a = fa.chain.stabilizer(2) if a == 0 else group.point_stabilizer(a)
-        count += sum(g.adj[a] >> o[0] & 1 for o in g_a.orbits()
-                     if o[0] < g.v)
+        reps = [o[0] for o in g_a.orbits() if o[0] < g.v]
+        count += int(np.count_nonzero(g._a[a, reps]))
 
     vt, order = fa.vertex_transitive, fa.kernel_info["order"]
     return {"arc_orbits": count, "vertex_transitive": vt,
@@ -350,20 +353,18 @@ def displacement_profile(g: CoverGraph, x) -> tuple[int, int, int, int]:
     p = x if isinstance(x, Permutation) else Permutation(x)
     if not is_cover_automorphism(g, p):
         raise ValueError("permutation is not an automorphism of the cover")
-    return _displacement_counts(g, _moves(p))
+    return _displacement_counts(g, np.array(p.img))
 
 
-def _moves(p: Permutation) -> list[tuple[int, int]]:
-    """The moves u -> p[u] with p[u] != u."""
-    return [(u, w) for u, w in enumerate(p.img) if u != w]
-
-
-def _displacement_counts(g: CoverGraph, moves) -> tuple[int, int, int, int]:
+def _displacement_counts(g: CoverGraph, img) -> tuple[int, int, int, int]:
     """displacement_profile of an automorphism already checked, from its
-    moves u -> w, u != w: the fixed vertices are the ones not moved."""
-    same = sum(g.fibre_of[u] == g.fibre_of[w] for u, w in moves)
-    near = sum(g.adj[u] >> w & 1 for u, w in moves)
-    return g.v - len(moves), near, len(moves) - same - near, same
+    image array: the moves u -> img[u] != u, read off A and fibre_of."""
+    u = np.flatnonzero(img != np.arange(g.v))
+    w = img[u]
+    fibre_of = np.array(g.fibre_of)
+    same = int(np.count_nonzero(fibre_of[u] == fibre_of[w]))
+    near = int(np.count_nonzero(g._a[u, w]))
+    return g.v - len(u), near, len(u) - same - near, same
 
 
 @dataclass
@@ -396,19 +397,22 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     if p.order() != 2:
         raise ValueError("permutation is not an involution")
 
-    fixed = [u for u in range(g.v) if p[u] == u]
-    if not fixed:
+    img = np.array(p.img)
+    is_fixed = img == np.arange(g.v)
+    fixed = np.flatnonzero(is_fixed)
+    if not len(fixed):
         return [AuditItem(lemma, "applicability", "inapplicable",
                           {"reason": "fixed-point-free involution"})]
     rep = require_cover(g)
     n, r, mu, lam = rep.n, rep.r, rep.mu, rep.lam
 
-    fixed_set = set(fixed)
-    fixed_mask = sum(1 << u for u in fixed)
-    fixed_fibres = [i for i, f in enumerate(g.fibres)
-                    if all(g.fibre_of[p[z]] == i for z in f)]
+    members = np.array(g.fibres)
+    fixed_fibres = np.flatnonzero(
+        (np.array(g.fibre_of)[img[members]] == np.arange(n)[:, None])
+        .all(axis=1))
     l = len(fixed_fibres)
-    per_fibre = [len(fixed_set & set(g.fibres[i])) for i in fixed_fibres]
+    per_fibre = np.count_nonzero(is_fixed[members[fixed_fibres]],
+                                 axis=1).tolist()
     f_counts = sorted(set(per_fibre))
     if len(f_counts) != 1:
         out.append(AuditItem(lemma, "constant-f", "fail",
@@ -420,13 +424,16 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     ok = len(fixed) == l * f
     out.append(AuditItem(lemma, "size-lf", "pass" if ok else "fail",
                          {"fixed": len(fixed), "l*f": l * f}))
-    degs = sorted({(g.adj[u] & fixed_mask).bit_count() for u in fixed})
+    # each vertex's fixed neighbours, one row sum over A's fixed columns
+    to_fixed = np.count_nonzero(g._a[:, fixed], axis=1)
+    outside = to_fixed[~is_fixed]
+    degs = sorted(set(to_fixed[fixed].tolist()))
     ok = degs == [l - 1]
     out.append(AuditItem(lemma, "regular-degree-l-1",
                          "pass" if ok else "fail",
                          {"degrees": degs, "expected": l - 1}))
 
-    alpha = _displacement_counts(g, _moves(p))
+    alpha = _displacement_counts(g, img)
     ok = alpha[3] == (r - f) * l
     out.append(AuditItem(lemma, "alpha3", "pass" if ok else "fail",
                          {"alpha3": alpha[3], "(r-f)l": (r - f) * l}))
@@ -436,8 +443,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
                           "(n-l)r": (n - l) * r}))
 
     # vertices outside see at most l fixed vertices
-    worst = max(((g.adj[u] & fixed_mask).bit_count()
-                 for u in range(g.v) if u not in fixed_set), default=0)
+    worst = int(outside.max(initial=0))
     out.append(AuditItem(lemma, "outside-neighbours<=l",
                          "pass" if worst <= l else "fail",
                          {"max_outside": worst, "l": l}))
@@ -446,8 +452,8 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     t_int = -int(pp.tau) if is_integral(pp.tau) else None
 
     if l == 1:
-        fibre = set(g.fibres[fixed_fibres[0]])
-        ok = alpha[3] == 0 and fixed_set <= fibre
+        # Fix lies in the one fixed fibre iff that fibre holds all of it
+        ok = alpha[3] == 0 and per_fibre[0] == len(fixed)
         out.append(AuditItem(lemma, "case-l=1", "pass" if ok else "fail",
                              {"alpha3": alpha[3]}))
         if t_int is not None:
@@ -468,9 +474,7 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
                                  {"l": l, "r*mu/(t-1)": str(bound)}))
     if l > 1:
         if lam >= mu:
-            xset = [u for u in range(g.v) if u not in fixed_set
-                    and g.adj[u] & fixed_mask]
-            lhs = Fraction(len(xset), n - l)
+            lhs = Fraction(int(np.count_nonzero(outside)), n - l)
             middle = len(fixed)
             rhs = Fraction((lam - mu) * alpha[1], n - l) + r * mu
             chain_ok = (f <= lhs <= middle <= rhs <= r * lam)
@@ -512,7 +516,8 @@ def involution_types(g: CoverGraph, group: PermGroup):
     verified cover g.  Returns ([(type, x)] sorted by type, draws).
     """
     found: dict[tuple, Permutation] = {}
-    fibre_of, adj = g.fibre_of, g.adj
+    # a memoryview reads one entry of A as fast as a shift reads a bit row
+    fibre_of, a = g.fibre_of, memoryview(g._a)
     idle = draws = 0
     for p in group.random_elements(INVOLUTION_SEED):
         if draws == INVOLUTION_DRAWS or idle == INVOLUTION_IDLE_DRAWS:
@@ -529,7 +534,7 @@ def involution_types(g: CoverGraph, group: PermGroup):
         for u, w in pairs:  # a fibre is a coclique: never both
             if fibre_of[u] == fibre_of[w]:
                 same += 1
-            elif adj[u] >> w & 1:
+            elif a[u, w]:
                 near += 1
         kind = (g.v - 2 * len(pairs), 2 * near,
                 2 * (len(pairs) - same - near), 2 * same)
@@ -566,7 +571,7 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
 
     def meeting(u: int) -> list[list[int]]:
         """The stabilizer orbits that meet N(u)."""
-        return [o for o in orbits if any(g.adj[u] >> x & 1 for x in o)]
+        return [o for o in orbits if g._a[u, o].any()]
 
     orbit_sets = meeting(a)
     if sum(map(len, orbit_sets)) != g.degree(a):
@@ -581,7 +586,7 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
     k1, k2 = len(x1), len(x2)
 
     def lam_inside(orb) -> int:
-        vals = {sum(1 for w in orb if g.has_edge(x, w)) for x in orb}
+        vals = set(np.count_nonzero(g._a[np.ix_(orb, orb)], axis=1).tolist())
         assert len(vals) == 1  # constant on a stabilizer orbit
         return vals.pop()
 
@@ -615,8 +620,8 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
             o1, o2 = sized[k1][0], sized[k1][1]
             assignments.extend([(o1, o2), (o2, o1)])
         for x1s, x2s in assignments:
-            mu1 = len(set(g.neighbours(x1s[0])) & set(x1))
-            mu2 = len(set(g.neighbours(x2[0])) & set(x2s))
+            mu1 = int(np.count_nonzero(g._a[x1s[0], x1]))
+            mu2 = int(np.count_nonzero(g._a[x2[0], x2s]))
             holds = k1 * (mu - mu1) == k2 * (mu - mu2)
             result["mu_checks"].append(
                 {"a_star": astar, "mu1": mu1, "mu2": mu2,

@@ -11,7 +11,7 @@ import pytest
 from coverlab import cube, hexagon, icosahedron, thas_somma
 from coverlab.graphcore import verify_cover
 from coverlab.numtheory import _p_power, is_prime
-from coverlab.perms import Permutation
+from coverlab.perms import PermGroup, Permutation
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +62,13 @@ def symplectic_witnesses(q: int):
         return Permutation(img)
 
     return translation, shift, linear
+
+
+def rank3_subgroup_ts31():
+    """The order-108 subgroup of Aut(TS(3,1)) of rank 3 on the fibres."""
+    translation, shift, linear = symplectic_witnesses(3)
+    return PermGroup([translation((1, 0)), translation((0, 1)), shift(1),
+                      linear([[0, -1], [1, 0]])])
 
 
 def signature_of(s):
@@ -122,6 +129,21 @@ def relabelled(g, seed: int):
     perm = list(range(g.v))
     random.Random(seed).shuffle(perm)
     return g.relabelled(perm)
+
+
+def bfs_layers(a, start: int) -> list[list[int]]:
+    """BFS layers from start in the graph with 0/1 adjacency matrix a, each
+    sorted, to the last layer reached: the distance oracle for what the
+    library derives without a traversal, and for reachable_count."""
+    nbrs = [np.flatnonzero(row).tolist() for row in a]
+    seen = {start}
+    layers = [[start]]
+    while True:
+        layer = sorted({w for u in layers[-1] for w in nbrs[u]} - seen)
+        if not layer:
+            return layers
+        seen.update(layer)
+        layers.append(layer)
 
 
 def matching_swapped(g, fibres=None):

@@ -10,6 +10,7 @@ by the search under test.
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -205,9 +206,9 @@ def test_symplectic_cover_aut_order_past_512_vertices():
 def test_search_bound_is_the_graph_layer_type():
     assert autgroup.SizeBoundExceeded is graphcore.SizeBoundExceeded
     assert issubclass(graphcore.SizeBoundExceeded, ValueError)
-    rows = [0] * (autgroup.AUT_VERTEX_BOUND + 1)
+    n = autgroup.AUT_VERTEX_BOUND + 1
     with pytest.raises(graphcore.SizeBoundExceeded, match="exceed bound"):
-        automorphism_generators(rows)
+        automorphism_generators(np.zeros((n, n), dtype=bool))
 
 
 
@@ -257,23 +258,22 @@ def test_incremental_search_matches_the_full_queue_search(corpus,
               for g in corpus.values() for seed in (0, 1, 2, 3)]
     graphs += [relabelled(thas_somma(2, 2), 22),
                relabelled(thas_somma(3, 2), 32)]
-    mine = [automorphism_generators(g.adj) for g in graphs]
+    mine = [automorphism_generators(g.adjacency_matrix()) for g in graphs]
     monkeypatch.setattr(autgroup, "_refine", full_queue_refine)
     for g, gens in zip(graphs, mine):
-        theirs = automorphism_generators(g.adj)
+        theirs = automorphism_generators(g.adjacency_matrix())
         assert gens == theirs and gens.base == theirs.base
 
 
 @st.composite
 def coloured_graphs(draw):
-    """(bit rows, vertex colouring) on up to 12 vertices."""
+    """(0/1 adjacency matrix, vertex colouring) on up to 12 vertices."""
     n = draw(st.integers(1, 12))
-    adj = [0] * n
+    adj = np.zeros((n, n), dtype=bool)
     for u in range(n):
         for w in range(u + 1, n):
             if draw(st.booleans()):
-                adj[u] |= 1 << w
-                adj[w] |= 1 << u
+                adj[u, w] = adj[w, u] = True
     colours = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     return adj, colours
 

@@ -110,6 +110,10 @@ PERTURBED = {
                                   ["--max-violations", "50"], 1),
     "verify_swapped_ts41_late_max50": (lambda: _late_swapped(4),
                                        ["--max-violations", "50"], 1),
+    # the hexagon less (0,1) and (3,4): the path 3-2-1 and 0-5-4 apart,
+    # reported by the connectivity axiom alone
+    "verify_disconnected_hexagon": (
+        lambda: hexagon().toggled(0, 1).toggled(3, 4), [], 1),
 }
 
 

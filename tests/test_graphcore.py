@@ -13,10 +13,14 @@ from coverlab import (CoverGraph, cube, derive_params, hexagon, icosahedron,
 from coverlab import graphcore
 from coverlab.autgroup import automorphism_group
 from coverlab.frames import all_characters, character_matrix, extract_lines
-from coverlab.graphcore import GraphStructureError, bfs_layers, bit_matrix
-from coverlab.groupops import covering_group, quotient_cover
+from coverlab.graphcore import GraphStructureError, reachable_count
+from coverlab.groupops import (arc_orbit_count, covering_group, fibre_action,
+                               involution_audit, involution_types,
+                               quotient_cover, structure_audit,
+                               subdegree_identity_check)
 from coverlab.perms import subgroups_of
-from conftest import matching_swapped, relabelled
+from conftest import (bfs_layers, matching_swapped, rank3_subgroup_ts31,
+                      relabelled)
 
 
 def test_verify_hexagon_cube(corpus):
@@ -56,18 +60,58 @@ def test_structural_error_distinct_from_axiom_failure():
 
 
 def test_bfs_layer_sizes():
-    assert [len(l) for l in bfs_layers(hexagon().adj, 0)] == [1, 2, 2, 1]
-    assert [len(l) for l in bfs_layers(cube().adj, 0)] == [1, 3, 3, 1]
+    """The distance layers of the BFS oracle, from which the derived
+    distances are checked."""
+    a = hexagon().adjacency_matrix()
+    assert [len(l) for l in bfs_layers(a, 0)] == [1, 2, 2, 1]
+    assert [len(l) for l in bfs_layers(cube().adjacency_matrix(), 0)] == [
+        1, 3, 3, 1]
     ts = thas_somma(3, 1)
     for v in range(0, ts.v, 5):
-        assert [len(l) for l in bfs_layers(ts.adj, v)] == [1, 8, 16, 2]
+        assert [len(l) for l in bfs_layers(ts.adjacency_matrix(), v)] == [
+            1, 8, 16, 2]
 
 
-def test_bfs_layers_stop_at_the_component():
-    """The layers stop at the start's component, 2 of the 6 vertices."""
+def test_reachable_count_stops_at_the_component():
+    """2 of the 6 vertices are reachable from 0, and the oracle's layers
+    stop at the start's component."""
     g = CoverGraph([[0, 3], [1, 4], [2, 5]], [(0, 1), (3, 4)])
-    assert bfs_layers(g.adj, 0) == [[0], [1]]
-    assert bfs_layers(g.adj, 3) == [[3], [4]]
+    assert reachable_count(g.adjacency_matrix()) == 2
+    assert bfs_layers(g.adjacency_matrix(), 0) == [[0], [1]]
+    assert bfs_layers(g.adjacency_matrix(), 3) == [[3], [4]]
+
+
+def test_reachable_count_matches_the_bfs_oracle():
+    """On random graphs of every density, vertex 0's component is as
+    large as the oracle's layers from 0 hold."""
+    rng = random.Random(5)
+    for _ in range(200):
+        v = rng.randint(1, 24)
+        p = rng.random() / 2
+        a = np.zeros((v, v), dtype=bool)
+        for u in range(v):
+            for w in range(u + 1, v):
+                if rng.random() < p:
+                    a[u, w] = a[w, u] = True
+        assert reachable_count(a) == sum(map(len, bfs_layers(a, 0)))
+
+
+def test_accessors_reject_labels_outside_the_vertices():
+    """degree, neighbours and has_edge name a label outside 0..v-1 as bad
+    input, in either endpoint; a negative one is not read as a numpy index
+    from the end.  numpy integers in range are vertices."""
+    g = hexagon()
+    for bad in (-1, g.v, np.int64(g.v)):
+        with pytest.raises(GraphStructureError, match="not in 0..5"):
+            g.degree(bad)
+        with pytest.raises(GraphStructureError, match="not in 0..5"):
+            g.neighbours(bad)
+        for u, w in ((0, bad), (bad, 0)):
+            with pytest.raises(GraphStructureError, match="not in 0..5"):
+                g.has_edge(u, w)
+    last = np.int64(g.v - 1)
+    assert g.degree(last) == 2 and g.neighbours(last) == [0, 4]
+    assert g.has_edge(np.int64(0), last) and not g.has_edge(0, np.int32(3))
 
 
 def test_spectrum_checks(corpus):
@@ -120,8 +164,9 @@ def test_spectrum_check_float64_path_agrees(corpus, monkeypatch):
             casts.append(np.dtype(dtype))
             return np.asarray(self).astype(dtype, *args, **kwargs)
 
+    matrix = CoverGraph.adjacency_matrix
     monkeypatch.setattr(CoverGraph, "adjacency_matrix",
-                        lambda g: bit_matrix(g.adj, g.v).view(Spy))
+                        lambda g: matrix(g).view(Spy))
     want = [spectrum_check(g, p) for g, p in cases]
     assert [rep.ok for rep in want] == [True] * 6 + [False] * 2
     assert casts == [np.dtype(np.float32)] * len(cases)
@@ -165,7 +210,6 @@ def test_cover_graph_retains_one_byte_per_vertex_pair():
     finally:
         tracemalloc.stop()
     assert g.v * g.v <= retained < g.v * g.v + 2 * len(edges)
-    assert h._rows is None
 
 
 def test_mutation_single_edge_toggle_breaks_cover():
@@ -198,27 +242,28 @@ def test_degree_and_far_layer_sizes(corpus):
             assert rep.is_cover and rep.antipodality_confirmed
             for v in range(g.v):
                 assert g.degree(v) == g.n - 1
-                layers = bfs_layers(g.adj, v)
+                layers = bfs_layers(g.adjacency_matrix(), v)
                 assert sum(len(l) for l in layers) == g.v
                 assert set(layers[3]) == set(g.fibres[g.fibre_of[v]]) - {v}
                 assert rep.diameter == len(layers) - 1
 
 
 def test_verify_cover_makes_one_bfs(monkeypatch):
-    """At most one: none on a cover, whose axioms (b)-(d) imply that it is
-    connected, and one on a graph that fails an axiom, to report it as
-    disconnected if it is."""
-    starts = []
+    """At most one reachability pass: none on a cover, whose axioms (b)-(d)
+    imply that it is connected, and one on a graph that fails an axiom, to
+    report it as disconnected if it is."""
+    passes = []
 
-    def counting(adj, start):
-        starts.append(start)
-        return bfs_layers(adj, start)
+    def counting(a):
+        passes.append(a)
+        return reachable_count(a)
 
-    monkeypatch.setattr(graphcore, "bfs_layers", counting)
+    monkeypatch.setattr(graphcore, "reachable_count", counting)
     assert verify_cover(thas_somma(4, 1)).is_cover
-    assert starts == []
-    assert not verify_cover(matching_swapped(thas_somma(4, 1))).is_cover
-    assert starts == [0]
+    assert passes == []
+    g = matching_swapped(thas_somma(4, 1))
+    assert not verify_cover(g).is_cover
+    assert len(passes) == 1 and passes[0] is g._a
 
 
 def test_json_canonical_round_trip(corpus):
@@ -602,7 +647,7 @@ def _with_examples(cases):
 @_with_examples([_corpus_case(g, seed) for g in _SET_ORACLE_GRAPHS
                  for seed in (None, 1, 2)])
 def test_cover_graph_matches_set_oracle(case):
-    """adj, edges, to_json, degree, neighbours, has_edge and the adjacency
+    """edges, to_json, degree, neighbours, has_edge and the adjacency
     matrix equal a set-based build, on random edge lists and on the corpus
     relabelled by seeds 1 and 2; the matrix is a read-only view; and an
     error names the first bad edge in input order."""
@@ -628,8 +673,6 @@ def test_cover_graph_matches_set_oracle(case):
     assert all(type(x) is int for e in g.edges for x in e)
     matrix = [[int((min(u, w), max(u, w)) in pairs) for w in range(v)]
               for u in range(v)]
-    assert g.adj == tuple(sum(bit << w for w, bit in enumerate(row))
-                          for row in matrix)
     a = g.adjacency_matrix()
     assert a.dtype == np.uint8 and a.tolist() == matrix
     with pytest.raises(ValueError, match="read-only"):
@@ -838,9 +881,22 @@ def test_verify_cover_row_block_counts():
 
 def test_etf_stages_read_the_matrix_in_place(monkeypatch):
     """verify_cover, spectrum_check, covering_group, character_matrix,
-    extract_lines and all 14 quotients of TS(8,1) build no int rows, and
-    no quotient builds its edge pairs; the automorphism search builds the
-    rows, once."""
+    extract_lines and all 14 quotients of TS(8,1) pack no bit rows, and no
+    quotient builds its edge pairs; the automorphism search packs them
+    once.  On a relabelled TS(4,1), the analyze stages, the search then
+    fibre_action, arc_orbit_count, structure_audit,
+    subdegree_identity_check, involution_types and every involution_audit,
+    make one np.packbits between them: bit rows are the search's own form,
+    and a graph has no slot to keep them in.  TS(4,1)'s fibre rank is 2,
+    so the subdegree identities are read, with no pack, on the rank-3
+    subgroup of TS(3,1)."""
+    assert "_rows" not in CoverGraph.__slots__
+    packs = []
+    packbits, unpackbits = np.packbits, np.unpackbits
+    monkeypatch.setattr(np, "packbits",
+                        lambda *a, **kw: packs.append(1) or packbits(*a, **kw))
+    monkeypatch.setattr(np, "unpackbits", lambda *a, **kw: (
+        packs.append(0) or unpackbits(*a, **kw)))
     g = thas_somma(8, 1)
     assert verify_cover(g).is_cover
     assert spectrum_check(g, params_of(g))
@@ -851,15 +907,25 @@ def test_etf_stages_read_the_matrix_in_place(monkeypatch):
     quotients = [quotient_cover(g, u) for u in subgroups_of(k)
                  if 1 < u.order() < g.r]
     assert len(quotients) == 14
-    assert all(h._rows is None for h in [g, *quotients])
     assert all(h._pair_array is None for h in quotients)
-    packs = []
-    packbits = np.packbits
-    monkeypatch.setattr(np, "packbits",
-                        lambda *a, **kw: packs.append(1) or packbits(*a, **kw))
+    assert packs == []
     assert automorphism_group(g).order() == 5419008
-    rows = g.adj
-    assert g.adj is rows and len(packs) == 1
+    assert packs == [1]
+
+    packs.clear()
+    g = relabelled(thas_somma(4, 1), 3)
+    fa = fibre_action(g, automorphism_group(g))
+    arc_orbit_count(g, fa)
+    assert all(item.status == "pass" for item in structure_audit(g, fa))
+    subdegree_identity_check(g, fa)
+    kinds, _ = involution_types(g, fa.vertex_group)
+    for _, x in kinds:
+        involution_audit(g, x)
+    assert sum(1 for kind, _ in kinds if kind[0]) > 1
+    g = thas_somma(3, 1)
+    assert subdegree_identity_check(
+        g, fibre_action(g, rank3_subgroup_ts31()))["applicable"]
+    assert packs == [1]
 
 
 def test_lambda_is_forced_by_the_matchings():

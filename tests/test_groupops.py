@@ -20,8 +20,8 @@ from coverlab.groupops import (INVOLUTION_DRAWS, INVOLUTION_IDLE_DRAWS,
                                involution_audit, involution_types,
                                is_cover_automorphism, kernel_info)
 from coverlab.perms import PermGroup, Permutation
-from conftest import (closure_elements, matching_swapped, relabelled,
-                      symplectic_witnesses)
+from conftest import (closure_elements, matching_swapped, rank3_subgroup_ts31,
+                      relabelled, symplectic_witnesses)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,8 @@ ORACLE_COVERS = {"hexagon": hexagon, "cube": cube,
 
 def coloured_search_elements(g):
     """The fibre-fixing automorphisms by the coloured automorphism search."""
-    gens = automorphism_generators(g.adj, colors=list(g.fibre_of))
+    gens = automorphism_generators(g.adjacency_matrix(),
+                                   colors=list(g.fibre_of))
     return {p.img for p in PermGroup(gens, g.v).elements()}
 
 
@@ -104,13 +105,6 @@ def test_covering_group_is_recorded_once(monkeypatch):
     monkeypatch.undo()
     aut = automorphism_group(g)
     assert covering_group(g, aut)[0] is kernel
-
-
-def rank3_subgroup_ts31():
-    """The order-108 subgroup of Aut(TS(3,1)) of rank 3 on the fibres."""
-    translation, shift, linear = symplectic_witnesses(3)
-    return PermGroup([translation((1, 0)), translation((0, 1)), shift(1),
-                      linear([[0, -1], [1, 0]])])
 
 
 @pytest.fixture(scope="module")

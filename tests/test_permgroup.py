@@ -2,6 +2,7 @@
 from itertools import permutations as all_perms
 from types import GeneratorType
 
+import numpy as np
 import pytest
 
 from coverlab import (automorphism_group, covers_isomorphic, cube, hexagon,
@@ -153,7 +154,7 @@ def test_aut_hexagon_brute_force_oracle():
 
 
 def test_aut_single_edge():
-    gens = automorphism_generators([2, 1])
+    gens = automorphism_generators(np.array([[0, 1], [1, 0]]))
     assert PermGroup(gens, 2).order() == 2
 
 
@@ -173,7 +174,8 @@ def test_aut_ts31_contains_witnesses():
 def test_aut_respects_colors():
     # fibre colouring restricts the hexagon group to fibre-fixing maps
     g = hexagon()
-    gens = automorphism_generators(g.adj, colors=list(g.fibre_of))
+    gens = automorphism_generators(g.adjacency_matrix(),
+                                   colors=list(g.fibre_of))
     assert PermGroup(gens, 6).order() == 2  # identity and the antipodal map
 
 
@@ -346,14 +348,12 @@ def test_aut_search_random_graphs_vs_brute_force():
     rng = random.Random(99)
     for _ in range(60):
         n = rng.randint(1, 6)
-        adj = [0] * n
+        adj = np.zeros((n, n), dtype=bool)
         for u in range(n):
             for w in range(u + 1, n):
                 if rng.random() < 0.5:
-                    adj[u] |= 1 << w
-                    adj[w] |= 1 << u
-        edges = {(u, w) for u in range(n) for w in range(n)
-                 if adj[u] >> w & 1}
+                    adj[u, w] = adj[w, u] = True
+        edges = set(map(tuple, np.argwhere(adj).tolist()))
         brute = sum(1 for img in all_perms(range(n))
                     if all((img[u], img[w]) in edges for (u, w) in edges))
         gens = automorphism_generators(adj)
@@ -365,15 +365,13 @@ def test_colored_aut_search_vs_brute_force():
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(2, 6)
-        adj = [0] * n
+        adj = np.zeros((n, n), dtype=bool)
         for u in range(n):
             for w in range(u + 1, n):
                 if rng.random() < 0.5:
-                    adj[u] |= 1 << w
-                    adj[w] |= 1 << u
+                    adj[u, w] = adj[w, u] = True
         colors = [rng.randint(0, 1) for _ in range(n)]
-        edges = {(u, w) for u in range(n) for w in range(n)
-                 if adj[u] >> w & 1}
+        edges = set(map(tuple, np.argwhere(adj).tolist()))
         brute = sum(1 for img in all_perms(range(n))
                     if all(colors[img[v]] == colors[v] for v in range(n))
                     and all((img[u], img[w]) in edges for (u, w) in edges))
