@@ -37,7 +37,7 @@ import numpy as np
 from .exact import is_integral, quad_json
 from .graphcore import (FLOAT32_EXACT, CoverGraph, SizeBoundExceeded,
                         params_of)
-from .groupops import covering_group
+from .groupops import covering_group, kernel_images
 from .params import CoverParams
 from .perms import PermGroup, Permutation
 
@@ -177,13 +177,12 @@ def character_matrix(g: CoverGraph, chi: Character,
     # (abelian_cover holds, so K is regular on every fibre): e is the order
     # of chi's image, and the p are read off one comparison of K's
     # (|K| x v) element array with each vertex's base
-    elements = list(k.elements())
-    turns = [chi.turns[p.img] for p in elements]
+    images = kernel_images(g)
+    turns = [chi.turns[img] for img in map(tuple, images.tolist())]
     step = math.gcd(chi.modulus, *turns)
     e = chi.modulus // step
-    fibre = np.array(g.fibre_of)
-    base_of = np.array(bases)[fibre]
-    images = np.array([p.img for p in elements])
+    fibre = g._fibre_of
+    base_of = g._members[fibre, 0]
     carrier = (np.array(turns) // step)[(images == base_of).argmax(axis=0)]
 
     # the arcs (b, x) out of the bases, off A's base rows: x is b's

@@ -9,15 +9,18 @@ These axioms fix every distance, so no further BFS is needed: vertices in
 one fibre are at distance 3, and cross-fibre pairs at distance 1 or 2
 (mu >= 1).  The diameter is 3 and the fibres are the distance-3 classes.
 A graph stores one adjacency, the read-only v x v bool matrix A, and every
-stage reads it in place; the canonical edges are a view of it built on first
-read.  The axioms are read off two BLAS products: neighbour counts per fibre
-are entries of A·F (F the fibre indicator), and common-neighbour counts are
-entries of A·A, which verify_cover turns in place, one row block at a time,
-into the residual A^2 - mu J - (lambda - mu)A with its fibre blocks zeroed, 0
-exactly when mu and lambda are as the axioms say.  The one traversal,
-reachable_count, steps a boolean frontier over the rows of A.  A passing
-report is recorded on the graph, which never changes after construction;
-cover_report hands it to later stages so that each graph is verified once.
+stage reads it in place.  Its one per-edge form is the (m, 2) int array of
+the edges u < w, read off A on first read and kept (16 B per edge); the
+edges tuple and the JSON text are built from that array on each call, and
+no graph keeps them.  The axioms are read off two BLAS products: neighbour
+counts per fibre are entries of A·F (F the fibre indicator), and
+common-neighbour counts are entries of A·A, which verify_cover turns in
+place, one row block at a time, into the residual A^2 - mu J -
+(lambda - mu)A with its fibre blocks zeroed, 0 exactly when mu and lambda
+are as the axioms say.  The one traversal, reachable_count, steps a
+boolean frontier over the rows of A.  A passing report is recorded on the
+graph, which never changes after construction; cover_report hands it to
+later stages so that each graph is verified once.
 Cover files are JSON.  from_json reads a compact edge list, as writers
 emit it, straight into an int array by string operations and numpy, and
 any other valid JSON by json.loads; the errors are always those of
@@ -78,6 +81,10 @@ class CoverReport:
         }
 
 
+# edge rows per %-format call in CoverGraph.to_json_str
+_JSON_ROWS = 4096
+
+
 class CoverGraph:
     """Immutable graph plus fibre partition, vertices 0..v-1.
 
@@ -98,15 +105,19 @@ class CoverGraph:
     AUT_VERTEX_BOUND) set by one scatter of the edges' flat indices, so
     repeated edges need no sort; adjacency_matrix() is a uint8 view of it,
     and degree, neighbours and has_edge read it, raising GraphStructureError
-    for a label outside 0..v-1.  Two views are built on first read and
-    kept: _pairs, the edges u < w as one (m, 2) array in canonical order,
-    read off A's flat nonzero indices, which the covering group's match
-    table, to_json, relabelled and quotient_cover read; and the edges tuple
-    built from it.
+    for a label outside 0..v-1.  The one per-edge form kept is _pairs, the
+    edges u < w as one (m, 2) intp array in canonical order (16 B per
+    edge), read off A's flat nonzero indices on first read; the covering
+    group's match table, to_json, to_json_str, toggled, relabelled and
+    quotient_cover read it, and the edges tuple is built from it on each
+    read and not kept.  Beside the fibre tuples, two read-only intp arrays
+    are kept for the stages that index by fibre: _fibre_of, vertex ->
+    fibre, and _members, n x r with row i the fibre i.
     """
 
-    __slots__ = ("v", "n", "r", "fibres", "fibre_of", "_a",
-                 "_pair_array", "_edges", "_report", "_kernel", "_params")
+    __slots__ = ("v", "n", "r", "fibres", "fibre_of", "_fibre_of",
+                 "_members", "_a", "_pair_array", "_report", "_kernel",
+                 "_params")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
         fibres = [_entries(f, "fibre") for f in _entries(fibres, "fibres")]
@@ -153,21 +164,25 @@ class CoverGraph:
         self.r = r
         self.fibres = tuple(map(tuple, fibres))
         self._a = a
+        members = np.array(fibres, dtype=np.intp)
         fibre_of = np.empty(v, dtype=np.intp)
-        fibre_of[np.array(fibres)] = np.arange(n)[:, None]
+        fibre_of[members] = np.arange(n)[:, None]
+        members.flags.writeable = fibre_of.flags.writeable = False
+        self._members = members
+        self._fibre_of = fibre_of
         self.fibre_of = tuple(fibre_of.tolist())
         self._pair_array: np.ndarray | None = None
-        self._edges: tuple | None = None
         self._report: CoverReport | None = None
         self._kernel: tuple | None = None
         self._params: CoverParams | None = None
 
-    # -- views of the matrix, built on first read ----------------------------
+    # -- edges, read off the matrix -------------------------------------------
 
     @property
     def _pairs(self) -> np.ndarray:
         """The edges u < w as one (m, 2) array in row-major order: the arcs
-        (u, w), read off A's flat nonzero indices, with u < w."""
+        (u, w), read off A's flat nonzero indices, with u < w; built on
+        first read and kept, the graph's one per-edge form."""
         if self._pair_array is None:
             x = np.flatnonzero(self._a)
             u = x // self.v
@@ -178,13 +193,11 @@ class CoverGraph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges (u, w), u < w, sorted; built on first read, with one
-        shared int object per vertex."""
-        if self._edges is None:
-            label = list(range(self.v)).__getitem__
-            us, ws = self._pairs.T.tolist()
-            self._edges = tuple(zip(map(label, us), map(label, ws)))
-        return self._edges
+        """The edges (u, w), u < w, sorted; built from _pairs on each read
+        and not kept, with one shared int object per vertex."""
+        label = list(range(self.v)).__getitem__
+        us, ws = self._pairs.T.tolist()
+        return tuple(zip(map(label, us), map(label, ws)))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -209,16 +222,22 @@ class CoverGraph:
         return self._a.view(np.uint8)
 
     def toggled(self, u: int, w: int) -> "CoverGraph":
-        """Copy with the adjacency of the pair (u, w) flipped."""
+        """Copy with the adjacency of the pair (u, w) flipped: its row
+        (min, max) dropped from _pairs when it is an edge, else appended.
+        A pair that is no edge of a graph on 0..v-1 raises the
+        GraphStructureError the constructor would."""
         if u == w:
             raise GraphStructureError("cannot toggle a loop")
-        e = set(self.edges)
         pair = (u, w) if u < w else (w, u)
-        if pair in e:
-            e.remove(pair)
+        if fault := _edge_fault(pair, self.v):
+            raise GraphStructureError(fault)
+        u, w = map(int, pair)
+        p = self._pairs
+        if self._a[u, w]:
+            p = np.compress((p[:, 0] != u) | (p[:, 1] != w), p, axis=0)
         else:
-            e.add(pair)
-        return CoverGraph(self.fibres, e, self.v)
+            p = np.concatenate((p, [[u, w]]))
+        return CoverGraph(self.fibres, p, self.v)
 
     def relabelled(self, perm) -> "CoverGraph":
         """Image of the graph under a vertex permutation (perm[u] = new label)."""
@@ -235,7 +254,20 @@ class CoverGraph:
                 "edges": self._pairs.tolist()}
 
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        """The text json.dumps(to_json(), sort_keys=True,
+        separators=(",", ":")) gives, written from _pairs: the edges are
+        %-formatted _JSON_ROWS rows at a time and the blocks joined once,
+        so no Python list is built per edge."""
+        p = self._pairs
+        block = ",".join(["[%d,%d]"] * _JSON_ROWS)
+        parts = []
+        for start in range(0, len(p), _JSON_ROWS):
+            rows = p[start:start + _JSON_ROWS]
+            fmt = (block if len(rows) == _JSON_ROWS
+                   else ",".join(["[%d,%d]"] * len(rows)))
+            parts.append(fmt % tuple(rows.ravel().tolist()))
+        fibres = json.dumps(self._members.tolist(), separators=(",", ":"))
+        return f'{{"edges":[{",".join(parts)}],"fibres":{fibres},"v":{self.v}}}'
 
     @staticmethod
     def from_json(obj) -> "CoverGraph":
@@ -454,8 +486,8 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
             "beyond exact float32 arithmetic")
     a = g._a
     cap = max_violations
-    fibre_of = np.array(g.fibre_of)
-    members = np.array(g.fibres)  # members[i, k]: k-th vertex of fibre i
+    fibre_of = g._fibre_of
+    members = g._members  # members[i, k]: k-th vertex of fibre i
     a32 = a.astype(np.float32)
     f = np.eye(g.n, dtype=np.float32)[fibre_of]  # the fibre indicator
     per_fibre = (a32 @ f)[members]  # [i, k, j]: neighbours in fibre j

@@ -86,27 +86,37 @@ def covering_group(g: CoverGraph, group: PermGroup | None = None):
     matching propagation (see _fibre_fixing_automorphisms) once per graph
     and recorded on g with its kernel_info; every call returns that record.
     No search is made, and K.generators lists every non-identity element of
-    K.  Given a group, it must act on g's vertices by automorphisms
+    K, whose (|K| x v) image array is recorded with it (see kernel_images).
+    Given a group, it must act on g's vertices by automorphisms
     (ValueError otherwise), and the kernel of its action on the fibres is
     group ∩ K, the record itself when group contains K.  Returns (kernel, info).
     """
     require_cover(g)
     if g._kernel is None:
-        found = _fibre_fixing_automorphisms(g)
+        images = _fibre_fixing_automorphisms(g)
+        found = [Permutation(img) for img in images.tolist()]
         kernel = PermGroup.from_elements(found, found, g.v)
-        g._kernel = kernel, kernel_info(g, kernel)
+        g._kernel = kernel, kernel_info(g, kernel, images), images
     if group is None:
-        return g._kernel
+        return g._kernel[:2]
     require_automorphisms(g, group)
     full = g._kernel[0].generators
     inside = [k for k in full if k in group]
     kernel = PermGroup.from_elements(inside, inside, g.v)
     if kernel.generators == full:
-        return g._kernel
+        return g._kernel[:2]
     return kernel, kernel_info(g, kernel)
 
 
-def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:
+def kernel_images(g: CoverGraph) -> np.ndarray:
+    """The elements of K = covering_group(g)[0] as one read-only
+    (|K| x v) image array, identity first, recorded with K on g."""
+    covering_group(g)
+    return g._kernel[2]
+
+
+def kernel_info(g: CoverGraph, kernel: PermGroup,
+                images: np.ndarray | None = None) -> dict:
     """Order, abelianity and regularity on fibres of a fibre-fixing group.
 
     kernel must fix every fibre of the connected cover g, as K and
@@ -116,22 +126,26 @@ def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:
     It is regular on the fibres iff its order is r and each column of its
     (r x v) element array, sorted, is that vertex's fibre: the orbit of x
     is then its fibre, reached by r distinct elements.  That holds for any
-    fibre-fixing group, a kernel= a caller supplies included.
+    fibre-fixing group, a kernel= a caller supplies included.  images is
+    that element array when the caller holds it, in any row order;
+    otherwise kernel's elements are listed.
     """
     order = kernel.order()
     gens = [p.img for p in kernel.generators]
     abelian = all(b[a[0]] == a[b[0]]
                   for i, a in enumerate(gens) for b in gens[i + 1:])
-    regular = order == g.r and np.array_equal(
-        np.sort([p.img for p in kernel.elements()], axis=0).T,
-        np.array(g.fibres)[np.array(g.fibre_of)])
+    if order == g.r and images is None:
+        images = np.array([p.img for p in kernel.elements()])
+    regular = order == g.r and np.array_equal(np.sort(images, axis=0).T,
+                                              g._members[g._fibre_of])
     return {"order": order, "is_abelian": abelian,
             "regular_on_fibres": regular,
             "abelian_cover": abelian and regular}
 
 
-def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
-    """Every fibre-fixing automorphism of a verified cover, identity included.
+def _fibre_fixing_automorphisms(g: CoverGraph) -> np.ndarray:
+    """Every fibre-fixing automorphism of a verified cover, identity first,
+    as the rows of one read-only image array.
 
     match[x, j] is the neighbour of x in fibre j (x itself for its own fibre),
     filled by one scatter over the 2m arcs of g._pairs: g is verified, so each
@@ -148,7 +162,7 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
     for the matching and O(r v n) for the r candidates.
     """
     v = g.v
-    fibre = np.array(g.fibre_of, dtype=np.intp)
+    fibre = g._fibre_of
     u, w = g._pairs.T
     match = np.empty((v, g.n), dtype=np.intp)
     match[u, fibre[w]] = w
@@ -158,7 +172,7 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
     nbrs = match[0, 1:]
     parent = np.zeros(v, dtype=np.intp)
     parent[match[nbrs]] = nbrs[:, None]
-    mates = np.array(g.fibres[0][1:])
+    mates = g._members[0, 1:]
     outside = np.ones(v, dtype=bool)  # outside fibre 0 and N(0)
     outside[0] = outside[mates] = outside[nbrs] = False
     far = np.flatnonzero(outside)
@@ -174,7 +188,9 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> list[Permutation]:
         # img holds vertex labels 0..v-1: a bijection iff none is missed
         if (np.array_equal(img[match], match[img])
                 and np.bincount(img, minlength=v).all()):
-            found.append(Permutation(img.tolist()))
+            found.append(img)
+    found = np.array(found)
+    found.flags.writeable = False
     return found
 
 
@@ -328,7 +344,7 @@ def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
     edges = orbit_of[g._pairs]
     # np.compress selects rows many times faster than a boolean index
     edges = np.compress(edges[:, 0] != edges[:, 1], edges, axis=0)
-    fibres = np.sort(orbit_of[np.array(g.fibres)], axis=1)[:, ::u_order]
+    fibres = np.sort(orbit_of[g._members], axis=1)[:, ::u_order]
     quot = CoverGraph(fibres.tolist(), edges)
 
     base = cover_report(g)
@@ -361,8 +377,7 @@ def _displacement_counts(g: CoverGraph, img) -> tuple[int, int, int, int]:
     image array: the moves u -> img[u] != u, read off A and fibre_of."""
     u = np.flatnonzero(img != np.arange(g.v))
     w = img[u]
-    fibre_of = np.array(g.fibre_of)
-    same = int(np.count_nonzero(fibre_of[u] == fibre_of[w]))
+    same = int(np.count_nonzero(g._fibre_of[u] == g._fibre_of[w]))
     near = int(np.count_nonzero(g._a[u, w]))
     return g.v - len(u), near, len(u) - same - near, same
 
@@ -406,9 +421,9 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     rep = require_cover(g)
     n, r, mu, lam = rep.n, rep.r, rep.mu, rep.lam
 
-    members = np.array(g.fibres)
+    members = g._members
     fixed_fibres = np.flatnonzero(
-        (np.array(g.fibre_of)[img[members]] == np.arange(n)[:, None])
+        (g._fibre_of[img[members]] == np.arange(n)[:, None])
         .all(axis=1))
     l = len(fixed_fibres)
     per_fibre = np.count_nonzero(is_fixed[members[fixed_fibres]],

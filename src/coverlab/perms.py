@@ -24,7 +24,8 @@ in one pass over the points: the automorphism search, the arc orbits, the
 covering group's regularity, quotients and subdegrees all read it.
 Products index one image tuple by another with operator.itemgetter, a
 seeded draw composes image tuples and wraps only its result, and each
-permutation keeps its inverse once computed.
+permutation keeps its inverse once computed; a transversal element gets
+its inverse as it is recorded, by one product.
 """
 from __future__ import annotations
 
@@ -72,7 +73,9 @@ class Permutation:
         return Permutation(itemgetter(*img)(other.img))
 
     def inverse(self) -> "Permutation":
-        """The inverse, computed once: each of the pair holds the other."""
+        """The inverse, computed once: each of the pair holds the other,
+        except a transversal element's, which _close_orbit records one way
+        only."""
         if self._inv is None:
             inv = [0] * len(self.img)
             for i, x in enumerate(self.img):
@@ -145,7 +148,9 @@ class _Level:
     def __init__(self, point: int, degree: int):
         self.point = point
         # base point -> transversal element sending it there
-        self.orbit = {point: Permutation.identity(degree)}
+        root = Permutation.identity(degree)
+        root._inv = Permutation.identity(degree)  # not root: no cycle
+        self.orbit = {point: root}
 
 
 def _fixing(strong, levels) -> list[Permutation]:
@@ -156,7 +161,12 @@ def _fixing(strong, levels) -> list[Permutation]:
 
 def _close_orbit(orbit: dict, gens, queue: list) -> None:
     """Apply gens to the points in queue and to every point they reach,
-    recording each new point's transversal element."""
+    recording each new point's transversal element t_y = t_x s with its
+    inverse s^-1 t_x^-1, one product, so that _sift never inverts one by
+    Permutation.inverse's loop: a _Level's root holds its inverse, and so
+    does every element recorded here.  The inverse is not linked back to
+    t_y, so that a chain holds no reference cycle and is freed as soon as
+    it is dropped."""
     gens = [(s, s.img) for s in gens]
     while queue:
         x = queue.pop()
@@ -164,7 +174,8 @@ def _close_orbit(orbit: dict, gens, queue: list) -> None:
         for s, img in gens:
             y = img[x]
             if y not in orbit:
-                orbit[y] = tx * s
+                ty = orbit[y] = tx * s
+                ty._inv = s.inverse() * tx.inverse()
                 queue.append(y)
 
 

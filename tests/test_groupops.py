@@ -1,5 +1,6 @@
 """Actions, quotients, displacement and the group-identity audits."""
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -70,7 +71,7 @@ def test_covering_group_matches_coloured_search(name):
             # the swap keeps every matching perfect, so propagation still
             # runs; it must reject the images that give no automorphism
             sw = matching_swapped(g)
-            got = {p.img for p in _fibre_fixing_automorphisms(sw)}
+            got = set(map(tuple, _fibre_fixing_automorphisms(sw).tolist()))
             assert got == coloured_search_elements(sw), name
 
 
@@ -105,6 +106,29 @@ def test_covering_group_is_recorded_once(monkeypatch):
     monkeypatch.undo()
     aut = automorphism_group(g)
     assert covering_group(g, aut)[0] is kernel
+
+
+def test_kernel_elements_are_listed_once(monkeypatch):
+    """K's (|K| x v) image array is recorded with K, identity first, and
+    kernel_info and character_matrix read it: neither lists K's elements
+    through its chain."""
+    from coverlab import groupops
+    from coverlab.frames import all_characters, character_matrix
+    g = relabelled(thas_somma(4, 1), 1)
+    listed = []
+    elements = PermGroup.elements
+    monkeypatch.setattr(PermGroup, "elements",
+                        lambda self: listed.append(self) or elements(self))
+    kernel, info = covering_group(g)
+    character_matrix(g, all_characters(kernel)[1], kernel=kernel)
+    assert listed == [] and info["abelian_cover"]
+    images = groupops.kernel_images(g)
+    assert images.tolist()[0] == list(range(g.v))
+    assert not images.flags.writeable
+    monkeypatch.undo()
+    assert sorted(map(tuple, images.tolist())) == sorted(
+        p.img for p in kernel.elements())
+    assert kernel_info(g, kernel) == info
 
 
 @pytest.fixture(scope="module")
@@ -945,6 +969,28 @@ def proper_kernel_subgroups():
             sub = PermGroup([k, x], g.v)
             if covering_group(g, sub)[0].order() == 2:
                 yield g, sub
+
+
+def test_sift_inverts_no_transversal_element_by_a_loop(monkeypatch):
+    """Every transversal element that _close_orbit records holds its
+    inverse, s^-1 t_x^-1, so one fibre_action on relabelled TS(8,1) runs
+    Permutation.inverse's loop for no element _sift strips with; before
+    the inverses were recorded, this call ran it 55 times there."""
+    from coverlab import perms
+    g = relabelled(thas_somma(8, 1), 1)
+    aut = automorphism_group(g)
+    inverse = Permutation.inverse
+    looped = []
+
+    def counting(self):
+        if self._inv is None and sys._getframe(1).f_code is perms._sift.__code__:
+            looped.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Permutation, "inverse", counting)
+    fa = fibre_action(g, aut)
+    assert fa.transitive and fa.kernel.order() == 8
+    assert looped == []
 
 
 def test_fibre_action_chain_matches_full_conjugation(corpus):
