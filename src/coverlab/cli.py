@@ -232,7 +232,7 @@ def cmd_analyze(args) -> int:
         payload["structure_audit"] = [a.to_json()
                                       for a in structure_audit(g, fa)]
         payload["subdegree_identities"] = subdegree_identity_check(g, fa)
-        types, draws = involution_types(g, aut)
+        types, draws = involution_types(g, fa)
         payload["involution_audits"] = [
             {"fixed_points": kind[0], "displacement_profile": list(kind),
              "failures": [i.to_json() for i in involution_audit(g, x)

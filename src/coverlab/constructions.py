@@ -15,9 +15,7 @@ from itertools import product
 import numpy as np
 
 from .gf import GF
-from .graphcore import CoverGraph, SizeBoundExceeded
-
-VERTEX_BOUND = 4096
+from .graphcore import VERTEX_BOUND, CoverGraph, SizeBoundExceeded
 
 
 def hexagon() -> CoverGraph:

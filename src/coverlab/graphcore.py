@@ -48,6 +48,10 @@ class GraphStructureError(ValueError):
 # when its stated partial-sum bound is below FLOAT32_EXACT
 FLOAT32_EXACT = 2 ** 24
 
+# a cover has at most this many vertices: A alone takes v^2 bytes (16 MB at
+# the bound), and the constructors refuse larger covers before building
+VERTEX_BOUND = 4096
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -100,12 +104,14 @@ class CoverGraph:
     so invalid candidates can be built and then diagnosed.  verify_cover
     records a passing report on the graph, and covering_group K with its
     kernel_info.  from_json hands a compact edge list over as one int64
-    array, which skips the type sweep.  The one stored adjacency is A, a
-    read-only v x v bool matrix (v^2 bytes: 256 KB on TS(8,1), 16 MB at
-    AUT_VERTEX_BOUND) set by one scatter of the edges' flat indices, so
-    repeated edges need no sort; adjacency_matrix() is a uint8 view of it,
-    and degree, neighbours and has_edge read it, raising GraphStructureError
-    for a label outside 0..v-1.  The one per-edge form kept is _pairs, the
+    array, which skips the type sweep.  A partition of more than
+    VERTEX_BOUND vertices raises SizeBoundExceeded before the edges are
+    read.  The one stored adjacency is A, a read-only v x v bool matrix
+    (v^2 bytes: 256 KB on TS(8,1), 16 MB at VERTEX_BOUND) set by one
+    scatter of the edges' flat indices, so repeated edges need no sort;
+    adjacency_matrix() is a uint8 view of it, and degree, neighbours and
+    has_edge read it, raising GraphStructureError for a label outside
+    0..v-1.  The one per-edge form kept is _pairs, the
     edges u < w as one (m, 2) intp array in canonical order (16 B per
     edge), read off A's flat nonzero indices on first read; the covering
     group's match table, to_json, to_json_str, toggled, relabelled and
@@ -140,6 +146,9 @@ class CoverGraph:
         # v distinct labels partition 0..v-1 exactly when all lie in range
         if v != len(seen) or (seen and (min(seen) < 0 or max(seen) >= v)):
             raise GraphStructureError("fibres do not partition 0..v-1")
+        if v > VERTEX_BOUND:
+            raise SizeBoundExceeded(f"{v} vertices exceed the bound "
+                                    f"{VERTEX_BOUND}")
         if not fibres:
             raise GraphStructureError("empty fibre list")
         r = len(fibres[0])

@@ -511,13 +511,16 @@ INVOLUTION_DRAWS = 400
 INVOLUTION_IDLE_DRAWS = 100
 
 
-def involution_types(g: CoverGraph, group: PermGroup):
-    """One involution of each type in group, and the number of draws made.
+def involution_types(g: CoverGraph, fa: FibreActionReport):
+    """One involution of each type in G = fa.vertex_group, and the number
+    of draws made.
 
     The type of an involution is its displacement profile, whose first
     entry counts its fixed vertices.  It is invariant under conjugation by
-    automorphisms, so the set of types does not depend on the labelling.  Each draw p
-    is uniform in group (random_elements, seeded by INVOLUTION_SEED), and p
+    automorphisms, so the set of types does not depend on the labelling.  fa
+    is fibre_action's report on G, which has checked that G acts by
+    automorphisms of the verified cover g.  Each draw p is uniform in G
+    (random_elements of G's own chain, seeded by INVOLUTION_SEED), and p
     of even order o gives the involution x = p^(o/2): every involution is
     drawn as itself, and a larger class is drawn more often.  One cycles()
     pass gives o and x: a cycle of length c turns o/2 mod c steps, which is
@@ -527,14 +530,14 @@ def involution_types(g: CoverGraph, group: PermGroup):
     v - 2 pairs fixed points and twice the adjacent, other and same-fibre
     pairs.  x is built only for a type not yet found.  Drawing stops after
     INVOLUTION_DRAWS draws, or once INVOLUTION_IDLE_DRAWS draws in a row
-    have brought no new type.  group must act by automorphisms of the
-    verified cover g.  Returns ([(type, x)] sorted by type, draws).
+    have brought no new type.  Returns ([(type, x)] sorted by type,
+    draws).
     """
     found: dict[tuple, Permutation] = {}
     # a memoryview reads one entry of A as fast as a shift reads a bit row
     fibre_of, a = g.fibre_of, memoryview(g._a)
     idle = draws = 0
-    for p in group.random_elements(INVOLUTION_SEED):
+    for p in fa.vertex_group.random_elements(INVOLUTION_SEED):
         if draws == INVOLUTION_DRAWS or idle == INVOLUTION_IDLE_DRAWS:
             break
         draws += 1

@@ -22,10 +22,11 @@ them; pointwise_stabilizer and point_stabilizer are tails of the group
 rebased at the points.  PermGroup.orbits is the one orbit partition, made
 in one pass over the points: the automorphism search, the arc orbits, the
 covering group's regularity, quotients and subdegrees all read it.
-Products index one image tuple by another with operator.itemgetter, a
-seeded draw composes image tuples and wraps only its result, and each
-permutation keeps its inverse once computed; a transversal element gets
-its inverse as it is recorded, by one product.
+Products index one image tuple by another with operator.itemgetter, and a
+seeded draw composes image tuples and wraps only its result.  A
+permutation holds only its image tuple.  Sifting forms no inverse: it
+holds the element it strips inverted and strips each level by one product
+on the left.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import attrgetter, itemgetter
 
-from .graphcore import SizeBoundExceeded
+from .numtheory import SizeBoundExceeded
 
 # known-order sifting gives up after this many identity residues in a row
 MAX_IDLE_DRAWS = 64
@@ -49,11 +50,10 @@ class Permutation:
     exponent convention x^(pq) = (x^p)^q.
     """
 
-    __slots__ = ("img", "_inv")
+    __slots__ = ("img",)
 
     def __init__(self, img):
         self.img = tuple(img)
-        self._inv: Permutation | None = None
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -73,16 +73,11 @@ class Permutation:
         return Permutation(itemgetter(*img)(other.img))
 
     def inverse(self) -> "Permutation":
-        """The inverse, computed once: each of the pair holds the other,
-        except a transversal element's, which _close_orbit records one way
-        only."""
-        if self._inv is None:
-            inv = [0] * len(self.img)
-            for i, x in enumerate(self.img):
-                inv[x] = i
-            self._inv = Permutation(inv)
-            self._inv._inv = self
-        return self._inv
+        """The inverse, computed on each call and not kept."""
+        inv = [0] * len(self.img)
+        for i, x in enumerate(self.img):
+            inv[x] = i
+        return Permutation(inv)
 
     def is_identity(self) -> bool:
         return self.img == _identity_img(len(self.img))
@@ -148,9 +143,7 @@ class _Level:
     def __init__(self, point: int, degree: int):
         self.point = point
         # base point -> transversal element sending it there
-        root = Permutation.identity(degree)
-        root._inv = Permutation.identity(degree)  # not root: no cycle
-        self.orbit = {point: root}
+        self.orbit = {point: Permutation.identity(degree)}
 
 
 def _fixing(strong, levels) -> list[Permutation]:
@@ -161,12 +154,7 @@ def _fixing(strong, levels) -> list[Permutation]:
 
 def _close_orbit(orbit: dict, gens, queue: list) -> None:
     """Apply gens to the points in queue and to every point they reach,
-    recording each new point's transversal element t_y = t_x s with its
-    inverse s^-1 t_x^-1, one product, so that _sift never inverts one by
-    Permutation.inverse's loop: a _Level's root holds its inverse, and so
-    does every element recorded here.  The inverse is not linked back to
-    t_y, so that a chain holds no reference cycle and is freed as soon as
-    it is dropped."""
+    recording each new point's transversal element t_y = t_x s."""
     gens = [(s, s.img) for s in gens]
     while queue:
         x = queue.pop()
@@ -174,21 +162,24 @@ def _close_orbit(orbit: dict, gens, queue: list) -> None:
         for s, img in gens:
             y = img[x]
             if y not in orbit:
-                ty = orbit[y] = tx * s
-                ty._inv = s.inverse() * tx.inverse()
+                orbit[y] = tx * s
                 queue.append(y)
 
 
-def _sift(levels, g: Permutation, start: int = 0):
-    """Strip g through levels start, start + 1, ...: (residue, index of
-    the level whose orbit misses it, or len(levels))."""
+def _sift(levels, w: Permutation, start: int = 0):
+    """Strip g = w^-1 through levels start, start + 1, ..., held as w:
+    at base point b, y = g[b] is the point w sends to b, and g = u t_y
+    with u fixing b gives u^-1 = t_y w, one product on the left.  Returns
+    (w for the residue, index of the level whose orbit misses it, or
+    len(levels)); g is in the group iff w is, so callers sift their own
+    elements as w."""
     for i in range(start, len(levels)):
         lvl = levels[i]
-        t = lvl.orbit.get(g[lvl.point])
+        t = lvl.orbit.get(w.img.index(lvl.point))
         if t is None:
-            return g, i
-        g = g * t.inverse()
-    return g, len(levels)
+            return w, i
+        w = t * w
+    return w, len(levels)
 
 
 def _orbit_product(levels) -> int:
@@ -238,7 +229,9 @@ class PermGroup:
 
     def _build_chain(self):
         """Deterministic Schreier-Sims, for a group given by bare
-        generators."""
+        generators: each scan of a level sifts the Schreier generators
+        t_x s t_y^-1, y = x^s, with the level's transversal inverted once
+        for the scan."""
         levels, strong = self._start_chain()
         i = len(levels) - 1
         while i >= 0:
@@ -246,12 +239,12 @@ class PermGroup:
             gens = _fixing(strong, levels[:i])
             lvl.orbit = {lvl.point: lvl.orbit[lvl.point]}
             _close_orbit(lvl.orbit, gens, [lvl.point])
+            inv = {y: t.inverse() for y, t in lvl.orbit.items()}
             dirty = None
             for x in sorted(lvl.orbit):
                 tx = lvl.orbit[x]
                 for s in gens:
-                    y = s[x]
-                    schreier = tx * s * lvl.orbit[y].inverse()
+                    schreier = tx * s * inv[s[x]]
                     h, j = _sift(levels, schreier, i + 1)
                     if not h.is_identity():
                         if j == len(levels):
@@ -274,12 +267,14 @@ class PermGroup:
         permutations such as an action on a larger domain, with a chain
         whose base starts with base.  Known-order sifting (Seress,
         Permutation Group Algorithms, 2003, ch. 4) of the draws
-        random_elements(CHAIN_SEED), mapped by act: each non-identity
-        residue joins the strong generators and the orbits grow, until the
-        orbit lengths multiply to self.order().  That product never passes
-        the order and reaches it only on a complete chain, so the order
-        certifies the chain; a draw sifts to a new element with probability
-        at least 1/2 while the chain is incomplete.  ValueError when the
+        random_elements(CHAIN_SEED), mapped by act and sifted as drawn
+        (_sift strips each draw's inverse, as uniform as the draw): each
+        non-identity residue joins the strong generators and the orbits
+        grow, until the orbit lengths multiply to self.order().  That
+        product never passes the order and reaches it only on a complete
+        chain, so the order certifies the chain; a draw sifts to a new
+        element with probability at least 1/2 while the chain is
+        incomplete.  ValueError when the
         product passes the order or MAX_IDLE_DRAWS draws in a row sift to
         the identity first: act was not injective, or the order was wrong.
         """
@@ -456,13 +451,15 @@ class PermGroup:
     def elements(self, limit: int = 200_000):
         """Iterate t_L ... t_1 t_0 over the sorted transversals, last level
         fastest, one product per element: each level multiplies onto the
-        slower levels' products.  ValueError only for element limit + 1."""
+        slower levels' products.  SizeBoundExceeded (a ValueError) only
+        for element limit + 1."""
         products = iter([Permutation.identity(self.degree)])
         for lvl in self._chain():
             products = _times_transversal(lvl, products)
         for count, g in enumerate(products):
             if count == limit:
-                raise ValueError(f"more than {limit} elements requested")
+                raise SizeBoundExceeded(
+                    f"more than {limit} elements requested")
             yield g
 
     def normalizer(self, sub: "PermGroup", limit: int = 200_000) -> "PermGroup":

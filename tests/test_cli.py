@@ -309,6 +309,30 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: common-neighbour counts reach 2 >= 2")
 
 
+@pytest.mark.parametrize("subcommand", ["verify", "analyze", "etf"])
+def test_cover_file_past_vertex_bound_exits_3_before_a(subcommand, tmp_path,
+                                                       capsys):
+    """A fibres-only cover file with v = 4098 > VERTEX_BOUND is refused
+    as it loads, with one error line, before the v x v matrix A (16.8 MB)
+    or anything of its size is allocated: the traced peak, about 1 MB,
+    stays below v^2 / 8 bytes."""
+    import tracemalloc
+    v = 4098
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"v": v, "edges": [],
+                                "fibres": [[x, x + 1]
+                                           for x in range(0, v, 2)]}))
+    tracemalloc.start()
+    try:
+        assert main([subcommand, str(path)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == ("error: 4098 vertices exceed the "
+                                       "bound 4096\n")
+    assert peak < v * v // 8
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

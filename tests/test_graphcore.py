@@ -1013,7 +1013,7 @@ def test_etf_stages_read_the_matrix_in_place(monkeypatch):
     arc_orbit_count(g, fa)
     assert all(item.status == "pass" for item in structure_audit(g, fa))
     subdegree_identity_check(g, fa)
-    kinds, _ = involution_types(g, fa.vertex_group)
+    kinds, _ = involution_types(g, fa)
     for _, x in kinds:
         involution_audit(g, x)
     assert sum(1 for kind, _ in kinds if kind[0]) > 1

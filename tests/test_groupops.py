@@ -1,6 +1,5 @@
 """Actions, quotients, displacement and the group-identity audits."""
 import random
-import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -517,7 +516,7 @@ def test_involution_types_match_an_element_scan(corpus, auts):
             if (not p.is_identity()
                     and all(img[y] == x for x, y in enumerate(img))):
                 scanned.add(displacement_profile(g, p))
-        types, draws = involution_types(g, aut)
+        types, draws = involution_types(g, fibre_action(g, aut))
         assert [kind for kind, _ in types] == sorted(scanned), name
         assert draws <= INVOLUTION_DRAWS
         for kind, x in types:
@@ -548,7 +547,7 @@ def test_ts22_has_ten_involution_types(ts22_seed2):
                    "this labelling the draws stop after 254 with 9 types")
 def test_involution_types_find_rare_types(ts22_seed2):
     g, aut, scanned = ts22_seed2
-    types, _ = involution_types(g, aut)
+    types, _ = involution_types(g, fibre_action(g, aut))
     assert [kind for kind, _ in types] == sorted(scanned)
 
 
@@ -971,26 +970,30 @@ def proper_kernel_subgroups():
                 yield g, sub
 
 
-def test_sift_inverts_no_transversal_element_by_a_loop(monkeypatch):
-    """Every transversal element that _close_orbit records holds its
-    inverse, s^-1 t_x^-1, so one fibre_action on relabelled TS(8,1) runs
-    Permutation.inverse's loop for no element _sift strips with; before
-    the inverses were recorded, this call ran it 55 times there."""
-    from coverlab import perms
+def test_sift_forms_no_inverse(monkeypatch):
+    """_sift holds the element it strips inverted and strips each level by
+    one product on the left, so fibre_action on relabelled TS(8,1),
+    membership tests in Aut(TS(4,1)) and rebased call
+    Permutation.inverse for no element; a sift that multiplies by t^-1 on
+    the right calls it once per level."""
     g = relabelled(thas_somma(8, 1), 1)
     aut = automorphism_group(g)
+    aut4 = automorphism_group(thas_somma(4, 1))
+    members = list(islice(aut4.random_elements(7), 20))
+    swap = Permutation((1, 0) + tuple(range(2, aut4.degree)))
     inverse = Permutation.inverse
-    looped = []
+    calls = []
 
     def counting(self):
-        if self._inv is None and sys._getframe(1).f_code is perms._sift.__code__:
-            looped.append(self)
+        calls.append(self)
         return inverse(self)
 
     monkeypatch.setattr(Permutation, "inverse", counting)
     fa = fibre_action(g, aut)
     assert fa.transitive and fa.kernel.order() == 8
-    assert looped == []
+    assert all(x in aut4 for x in members) and swap not in aut4
+    assert aut4.rebased((5, 3, 1)).order() == aut4.order()
+    assert calls == []
 
 
 def test_fibre_action_chain_matches_full_conjugation(corpus):
@@ -1043,7 +1046,7 @@ def test_involution_types_match_profile_loop(corpus, auts):
         for seed in range(4):
             g = relabelled(base, seed)
             aut = automorphism_group(g)
-            types, draws = involution_types(g, aut)
+            types, draws = involution_types(g, fibre_action(g, aut))
             assert ([(kind, x.img) for kind, x in types], draws) == \
                 reference_involution_types(g, aut), (name, seed)
 

@@ -380,6 +380,12 @@ def test_colored_aut_search_vs_brute_force():
 
 
 def test_schreier_sims_random_groups_vs_closure():
+    """Orders and membership of the Schreier-Sims chain against the BFS
+    closure on random groups of degree <= 8.  A chain that sifted the
+    left residue t_y t_x s of each t_x s, t_y the transversal element
+    sending the base point to the point t_x s sends to it, in place of the
+    Schreier generator t_x s t_y^-1, y = x^s, would miss part of the
+    stabilizer on some of these groups, and this test fails on it."""
     import random
     rng = random.Random(3)
     for _ in range(60):
@@ -504,7 +510,7 @@ def test_kernel_small_degrees(n):
     ident = Permutation.identity(n)
     assert ident.is_identity()
     for p in perms:
-        assert p.inverse().inverse() is p
+        assert p.inverse().inverse() == p
         assert p * p.inverse() == ident == p.inverse() * p
         assert p.is_identity() == (list(p.img) == list(range(n)))
         for q in perms:
@@ -522,7 +528,7 @@ def test_kernel_matches_pointwise_composition():
         q = Permutation(rng.sample(range(n), n))
         assert (p * q).img == tuple(q.img[p.img[x]] for x in range(n))
         inv = p.inverse()
-        assert inv is p.inverse() and inv.inverse() is p
+        assert inv == p.inverse() and inv.inverse() == p
         assert all(inv[p[x]] == x for x in range(n))
         assert not p.is_identity() and (p * inv).is_identity()
 
