@@ -14,24 +14,24 @@ size divided and mu multiplied by the subgroup order; quotient_cover maps
 the edges to the orbits and re-verifies the result.  fibre_action alone
 checks a group G, on one matrix A, and takes its kernel, and it rebases G's
 chain once, with a = 0 and F its fibre.  That one chain acts on the
-vertices, on a point F* per fibre and, by conjugation, on a point per
-element of (G ∩ K) - 1, with base (F*, a, F - {a}, K - 1), so its tails
-are M = G_{F} (the fibre group's point stabilizer), G_a, the pointwise
-stabilizer C of F and C meet C_G(K).  As G ∩ K is semiregular, one vertex
-image names each of its elements, so a conjugate p^-1 k p is named by its
-image of a, p[k[p^-1(a)]], and never formed.  Every later stage reads the
-groups it needs off that chain: the transitivity (F*^G is every fibre
-point, and |F*^G| |a^M| = v), the fibre rank and subdegrees (M's orbits on
-the fibre points), the arc orbits (G's orbits on arcs from a are G_a's
-orbits on N(a)), the rank-3 subdegree identities and structure_audit,
-which builds no chain and sifts nothing: a tail is the pointwise
-stabilizer of a base prefix (Seress 2003, 4.1), so an element of G lies in
-it iff it fixes those points.  Every orbit of a group given by generators comes
-from PermGroup.orbits; those of K and of the subgroups U of K a quotient is
-taken by are read off the element array of the small group, one column per
-vertex.  The audit functions turn the assertable group-theoretic identities
-(arc orbits vs rank, displacement counts, fixed subgraphs of involutions,
-rank-3 subdegree relations) into pass/fail reports on concrete instances,
+vertices and on a point F* per fibre, with base (F*, a, F - {a}), so its
+tails are M = G_{F} (the fibre group's point stabilizer), G_a and the
+pointwise stabilizer C of F.  Every later stage reads the groups it needs
+off that chain: the transitivity (F*^G is every fibre point, and
+|F*^G| |a^M| = v), the fibre rank and subdegrees (M's orbits on the fibre
+points), the arc orbits (G's orbits on arcs from a are G_a's orbits on
+N(a)), the rank-3 subdegree identities and structure_audit, which builds
+no chain and sifts nothing: a tail is the pointwise stabilizer of a base
+prefix (Seress 2003, 4.1), so an element of G lies in it iff it fixes
+those points.  Its item C = C_G(K) meet G_a checks C <= C_G(K) by products
+of C's generators with K's elements, so a wrong C fails it; the other
+inclusion is a lemma (see structure_audit).  Every orbit of a group given
+by generators comes from PermGroup.orbits; those of K and of the
+subgroups U of K a quotient is taken by are read off the element array of
+the small group, one column per vertex.  The audit functions turn the
+assertable group-theoretic identities (arc orbits vs rank, displacement
+counts, fixed subgraphs of involutions, rank-3 subdegree relations) into
+pass/fail reports on concrete instances,
 reading the cover's one adjacency, the matrix A, in place: a count over
 vertices is a numpy reduction over rows of A, and involution_types' per-pair
 test reads one entry through a memoryview.  involution_types draws one
@@ -197,16 +197,17 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> np.ndarray:
 @dataclass
 class FibreActionReport:
     """fibre_action's findings on G = vertex_group, with a = 0 and F its
-    fibre.  kernel is G ∩ K.  chain is G's one chain: G on the vertices,
-    on the point v + i of each fibre i and, by conjugation, on the point
-    v + n + j of the j-th element of kernel.generators, (G ∩ K) - 1, with
-    base (F*, a, F - {a}, K - 1), F* = v + fibre_of[a].  Its tails are
-    M = G_{F} = chain.stabilizer(1), G_a = chain.stabilizer(2), the
-    pointwise stabilizer C of F = chain.stabilizer(1 + |F|) and C meet
-    C_G(K) = chain.stabilizer(|F| + |G ∩ K|); chain.transversal() sends
-    each fibre point of F*^G to an element mapping F to that fibre, and
-    M's sends each b in a^M to an element mapping a to b.  Every later
-    stage reads its groups off this chain."""
+    fibre.  kernel is G ∩ K.  chain is G's one chain: G on the vertices
+    and on the point v + i of each fibre i, v + n points, with base
+    (F*, a, F - {a}), F* = v + fibre_of[a].  Its tails are
+    M = G_{F} = chain.stabilizer(1), G_a = chain.stabilizer(2) and the
+    pointwise stabilizer C of F = chain.stabilizer(1 + |F|).  C lies in
+    C_G(K), so C meet C_G(K) needs no tail of its own: for p in C and k in
+    the normal, semiregular G ∩ K, p^-1 k p sends a to p[k[a]] = k[a], so
+    it is k.  chain.transversal() sends each fibre point of F*^G to an
+    element mapping F to that fibre, and M's sends each b in a^M to an
+    element mapping a to b.  Every later stage reads its groups off this
+    chain."""
     transitive: bool
     rank: int | None
     subdegrees: tuple[int, ...] | None
@@ -236,10 +237,7 @@ def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
     FibreActionReport), a = 0.  covering_group checks that g is a verified
     cover and group acts by automorphisms.  The chain is G's own, rebased
     through extend, which keeps the action on the vertices and so is
-    injective; conjugation permutes (G ∩ K) - 1, as G ∩ K is normal in G.
-    G ∩ K is semiregular, so an element k is named by k[a], and extend
-    names the conjugate p^-1 k p by p[k[p^-1(a)]], with p^-1(a) read off
-    p's image tuple once per draw: no inverse or product is formed.
+    injective, and adds the fibre points.
     G is transitive on the fibres iff the level-0 orbit F*^G has n points,
     and the subdegrees are then the orbits of M on the fibre points, so no
     group on the fibres gets a chain of its own.  G is vertex-transitive
@@ -248,22 +246,14 @@ def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
     a, v, n = 0, g.v, g.n
     fibre = g.fibres[g.fibre_of[a]]
     fibre_of, firsts = g.fibre_of, [f[0] for f in g.fibres]
-    ks = [k.img for k in kernel.generators]
-    # G ∩ K is semiregular: its elements differ at a, so k[a] names k
-    k_point = {k[a]: v + n + j for j, k in enumerate(ks)}
 
     def extend(p: Permutation) -> Permutation:
-        """p on the vertices, on the point v + i of each fibre i and, by
-        k -> p^-1 k p, on the point named by p^-1 k p sending a to
-        p[k[p^-1(a)]]."""
+        """p on the vertices and on the point v + i of each fibre i."""
         img = p.img
-        pre = img.index(a)
-        return Permutation(img
-                           + tuple(v + fibre_of[img[x]] for x in firsts)
-                           + tuple(k_point[img[k[pre]]] for k in ks))
+        return Permutation(img + tuple(v + fibre_of[img[x]] for x in firsts))
 
-    chain = group.rebased((v + g.fibre_of[a], a, *(x for x in fibre if x != a),
-                           *k_point.values()), extend)
+    chain = group.rebased((v + fibre_of[a], a, *(x for x in fibre if x != a)),
+                          extend)
     m_group = chain.stabilizer(1)
     blocks = len(chain.transversal())
     rank = sizes = None
@@ -656,16 +646,21 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
     (semidirect with trivial intersection); the index |G : M| equals the
     fibre count; |Fix(G_a)| = |N_G(G_a) : G_a| divides nr; and
     |Fix_Sigma(M)| = |N_G(M) : M| divides n.  Every group is a tail of
-    fa.chain, base (F*, a, F - {a}, K - 1): M, G_a, C and C meet C_G(K)
-    after 1, 2, 1 + |F| and |F| + |K| points.  No chain is built and
-    nothing scans elements.  |N_G(H) : H| counts the coset
-    representatives t of H with H^t <= H: for M the level-0 transversal
-    elements, one per fibre; for G_a the products s u of M's transversal
-    element s from a to b' in F and the level-0 element u from F to the
-    fibre of b = b'^u, tried only at b in Fix(G_a), since H^t = H makes
-    G_a = G_b.  H is a tail, the pointwise stabilizer in G of the base
-    points H.tail_points, so whether t normalises it is read off the
-    images of those points under t (_normalizes): nothing is sifted.
+    fa.chain, base (F*, a, F - {a}): M, G_a and C after 1, 2 and 1 + |F|
+    points.  No chain is built and nothing scans elements.  K is regular on
+    the fibres when the items run, so an element of G_a commuting with K
+    fixes every a^k, all of F: C_G(K) meet G_a <= C is that lemma.  The
+    item checks C <= C_G(K), C's generators on the vertices against K's
+    elements by full image products, so C read off a wrong tail fails,
+    its witness the first non-commuting pair [i, j] of those indices.
+    |N_G(H) : H| counts the coset representatives t of H with H^t <= H:
+    for M the level-0 transversal elements, one per fibre; for G_a the
+    products s u of M's transversal element s from a to b' in F and the
+    level-0 element u from F to the fibre of b = b'^u, tried only at b in
+    Fix(G_a), since H^t = H makes G_a = G_b.  H is a tail, the pointwise
+    stabilizer in G of the base points H.tail_points, so whether t
+    normalises it is read off the images of those points under t
+    (_normalizes): nothing is sifted.
     """
     lemma = "stabilizer-structure"
     out: list[AuditItem] = []
@@ -682,7 +677,6 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
     chain = fa.chain
     m_group, g_a = chain.stabilizer(1), chain.stabilizer(2)
     c_point = chain.stabilizer(1 + nf)
-    cgk_a = chain.stabilizer(1 + nf + len(kernel.generators))
     to_fibre = chain.transversal().values()   # F to each fibre
     in_fibre = m_group.transversal()          # a to each b' in F
 
@@ -700,13 +694,15 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
                          {"|M|": order_m, "|K|": kernel.order(),
                           "|Ga|": g_a.order()}))
 
-    # K is regular, so an element of G_a commuting with K fixes every a^k,
-    # all of F: the tail C meet C_G(K) is C_G(K) meet G_a, and as a tail
-    # of C's chain it lies in C, so equal orders make the two equal
-    ok = cgk_a.order() == c_point.order()
-    out.append(AuditItem(lemma, "C=CG(K)^Ga", "pass" if ok else "fail",
-                         {"|C|": c_point.order(),
-                          "|CG(K) meet Ga|": cgk_a.order()}))
+    # C <= C_G(K), checked; C_G(K) meet G_a <= C is the lemma above
+    c_gens = [Permutation(c.img[:g.v]) for c in c_point.generators]
+    pair = next(([i, j] for i, c in enumerate(c_gens)
+                 for j, k in enumerate(kernel.generators)
+                 if (c * k).img != (k * c).img), None)
+    wit = {"|C|": c_point.order(), "|CG(K) meet Ga|": c_point.order()}
+    if pair:
+        wit.update({"|CG(K) meet Ga|": None, "non_commuting": pair})
+    out.append(AuditItem(lemma, "C=CG(K)^Ga", "fail" if pair else "pass", wit))
 
     fix_ga = [u for u in range(g.v)
               if all(p[u] == u for p in g_a.generators)]

@@ -8,20 +8,23 @@ to a known base gives the chain by PermGroup.from_base, with no Schreier
 generator sifted either: the automorphism search's generators are one for
 its first-path base.  Bare generators, such as a user's group, get one
 deterministic Schreier-Sims chain, its base points prepended from an
-optional hint, otherwise each the first moved point of a generator.
+optional hint, the others each the first moved point of a sifted element.
 A group with a chain goes to another base, or another domain, by
 PermGroup.rebased: seeded uniform draws from its own chain are sifted until
 the orbit lengths multiply to its order, which certifies the chain, so the
-seed changes no result.  Orders, membership, stabilizers, transversals,
-seeded uniform draws and lazy element iteration all come from the chain, so
-orders in the tens of millions are fine at degree <= about 1000 as long as
-nothing scans every element.  stabilizer(k), of the first k base points, is
-a chain tail (Seress 2003, section 4.1) that records those points as its
-tail_points, so an element of the group lies in the tail iff it fixes
-them; pointwise_stabilizer and point_stabilizer are tails of the group
-rebased at the points.  PermGroup.orbits is the one orbit partition, made
-in one pass over the points: the automorphism search, the arc orbits, the
-covering group's regularity, quotients and subdegrees all read it.
+seed changes no result.  Every builder closes its orbits by one step,
+_grow, and Schreier-Sims and rebased take each new strong generator by one
+step, _admit, which keeps every level's orbit closed.  Orders, membership,
+stabilizers, transversals, seeded uniform draws and lazy element iteration
+all come from the chain, so orders in the tens of millions are fine at
+degree <= about 1000 as long as nothing scans every element.
+stabilizer(k), of the first k base points, is a chain tail (Seress 2003,
+section 4.1) that records those points as its tail_points, so an element
+of the group lies in the tail iff it fixes them; pointwise_stabilizer
+and point_stabilizer are tails of the group rebased at the points.
+PermGroup.orbits is the one orbit partition, made in one pass over the
+points: the automorphism search, the arc orbits, the covering group's
+regularity, quotients and subdegrees all read it.
 Products index one image tuple by another with operator.itemgetter, and a
 seeded draw composes image tuples and wraps only its result.  A
 permutation holds only its image tuple.  Sifting forms no inverse: it
@@ -182,6 +185,33 @@ def _sift(levels, w: Permutation, start: int = 0):
     return w, len(levels)
 
 
+def _grow(levels, strong, top: int) -> None:
+    """Close the orbits of levels 0..top under their generators, those
+    strong generators fixing the earlier base points, each level's
+    filtered from the level before's."""
+    gens = strong
+    for lvl in levels[:top + 1]:
+        _close_orbit(lvl.orbit, gens, list(lvl.orbit))
+        gens = [s for s in gens if s[lvl.point] == lvl.point]
+
+
+def _admit(levels, strong, w: Permutation, start: int = 0) -> int | None:
+    """Sift w from level start (see _sift).  A non-identity residue h,
+    which fixes the base points before its level j, joins strong, a new
+    level at its first moved point when j is past the last level, and the
+    orbits of levels 0..j are closed again, so every level's orbit stays
+    closed under its generators.  Returns j, or None when w sifts to the
+    identity."""
+    h, j = _sift(levels, w, start)
+    if h.is_identity():
+        return None
+    if j == len(levels):
+        levels.append(_Level(_first_moved(h), h.degree))
+    strong.append(h)
+    _grow(levels, strong, j)
+    return j
+
+
 def _orbit_product(levels) -> int:
     return reduce(lambda a, l: a * len(l.orbit), levels, 1)
 
@@ -214,51 +244,28 @@ class PermGroup:
             self._build_chain()
         return self._levels
 
-    def _start_chain(self) -> tuple[list[_Level], list[Permutation]]:
-        """Levels for the hinted base points, then one for the first moved
-        point of each generator that fixes every base point so far; each
-        orbit is just its base point.  Returns (levels, strong generators)."""
-        levels: list[_Level] = []
-        strong: list[Permutation] = list(self.generators)
-        for b in self._base_hint:
-            levels.append(_Level(b, self.degree))
-        for g in strong:
-            if all(g[l.point] == l.point for l in levels):
-                levels.append(_Level(_first_moved(g), self.degree))
-        return levels, strong
-
     def _build_chain(self):
         """Deterministic Schreier-Sims, for a group given by bare
-        generators: each scan of a level sifts the Schreier generators
-        t_x s t_y^-1, y = x^s, with the level's transversal inverted once
-        for the scan."""
-        levels, strong = self._start_chain()
+        generators: each generator is admitted (_admit) after the hinted
+        levels, then each scan of a level, its orbit kept closed, sifts
+        the Schreier generators t_x s t_y^-1, y = x^s, with the level's
+        transversal inverted once for the scan."""
+        levels, strong = [_Level(b, self.degree) for b in self._base_hint], []
+        for g in self.generators:
+            _admit(levels, strong, g)
         i = len(levels) - 1
         while i >= 0:
-            lvl = levels[i]
-            gens = _fixing(strong, levels[:i])
-            lvl.orbit = {lvl.point: lvl.orbit[lvl.point]}
-            _close_orbit(lvl.orbit, gens, [lvl.point])
-            inv = {y: t.inverse() for y, t in lvl.orbit.items()}
-            dirty = None
-            for x in sorted(lvl.orbit):
-                tx = lvl.orbit[x]
-                for s in gens:
-                    schreier = tx * s * inv[s[x]]
-                    h, j = _sift(levels, schreier, i + 1)
-                    if not h.is_identity():
-                        if j == len(levels):
-                            levels.append(_Level(_first_moved(h), self.degree))
-                        strong.append(h)
-                        dirty = j
-                        break
-                if dirty is not None:
+            orbit, gens = levels[i].orbit, _fixing(strong, levels[:i])
+            inv = {y: t.inverse() for y, t in orbit.items()}
+            schreier = (tx * s * inv[s[x]]
+                        for x, tx in sorted(orbit.items()) for s in gens)
+            for w in schreier:
+                j = _admit(levels, strong, w, i + 1)
+                if j is not None:
+                    i = j
                     break
-            if dirty is not None:
-                i = dirty
             else:
                 i -= 1
-
         self._levels = levels
         self._strong = strong
 
@@ -282,33 +289,19 @@ class PermGroup:
         order, draws = self.order(), map(act, self.random_elements(CHAIN_SEED))
         degree = act(Permutation.identity(self.degree)).degree
         group = PermGroup([act(g) for g in self.generators], degree, base)
-        levels, strong = group._start_chain()
-
-        def grow(top: int):
-            """Close the orbits of levels 0..top under their generators,
-            those strong generators fixing the earlier base points, each
-            level's filtered from the level before's."""
-            gens = strong
-            for lvl in levels[:top + 1]:
-                _close_orbit(lvl.orbit, gens, list(lvl.orbit))
-                gens = [s for s in gens if s[lvl.point] == lvl.point]
-
-        grow(len(levels) - 1)
+        levels, strong = [_Level(b, degree) for b in base], []
+        for g in group.generators:
+            _admit(levels, strong, g)
         idle = 0
         while (found := _orbit_product(levels)) < order:
-            h, j = _sift(levels, next(draws))
-            if h.is_identity():
-                idle += 1
-                if idle == MAX_IDLE_DRAWS:
-                    raise ValueError(
-                        f"{idle} draws in a row sifted to the identity with "
-                        f"orbit product {found} below the order {order}")
+            if _admit(levels, strong, next(draws)) is not None:
+                idle = 0
                 continue
-            idle = 0
-            if j == len(levels):
-                levels.append(_Level(_first_moved(h), degree))
-            strong.append(h)
-            grow(j)  # h fixes the base points before level j
+            idle += 1
+            if idle == MAX_IDLE_DRAWS:
+                raise ValueError(
+                    f"{idle} draws in a row sifted to the identity with "
+                    f"orbit product {found} below the order {order}")
         if found > order:
             raise ValueError(f"orbit product {found} passes the order {order}")
         group._levels, group._strong = levels, strong
@@ -326,15 +319,10 @@ class PermGroup:
         vouches for it, as the automorphism search does for its first-path
         base (McKay 1981)."""
         group = cls(generators, degree)
-        gens = group.generators
-        levels: list[_Level] = []
-        for b in base:
-            lvl = _Level(b, degree)
-            _close_orbit(lvl.orbit, gens, [b])
-            if len(lvl.orbit) > 1:
-                levels.append(lvl)
-                gens = [g for g in gens if g[b] == b]
-        if gens:
+        levels = [_Level(b, degree) for b in base]
+        _grow(levels, group.generators, len(levels) - 1)
+        levels = [l for l in levels if len(l.orbit) > 1]
+        if _fixing(group.generators, levels):
             raise ValueError("a generator fixes the whole base")
         group._levels, group._strong = levels, group.generators
         return group

@@ -514,10 +514,10 @@ def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):
     read off its element list with base (0,), as K is semiregular, and is
     recorded on the graph with K; it serves as Aut's kernel too, as Aut
     contains K.  Aut's chain is read off the search's first-path base.
-    fibre_action rebases it once, onto the vertices, the fibres and
-    K - 1 with base (F*, a, F - {a}, K - 1), and the fibre rank, the arc
-    orbits, the subdegree check and the audit read M, G_a, C and
-    C meet C_G(K) off that one chain as its tails."""
+    fibre_action rebases it once, onto the vertices and the fibres with
+    base (F*, a, F - {a}), and the fibre rank, the arc orbits, the
+    subdegree check and the audit read M, G_a and C off that one chain as
+    its tails."""
     from coverlab.perms import PermGroup
     builds = []
     build = PermGroup._build_chain
@@ -531,7 +531,7 @@ def test_analyze_audits_chain_builds(tmp_path, capsys, monkeypatch):
 
 def test_analyze_audits_rebases_one_chain(tmp_path, capsys, monkeypatch):
     """analyze --audits on TS(3,1) rebases Aut exactly once, in
-    fibre_action, onto v + n + r - 1 = 38 points: the arc orbits, the
+    fibre_action, onto v + n = 36 points: the arc orbits, the
     subdegree check and the audit read every group they need off that
     chain (with no Schreier-Sims, as the test above pins)."""
     from coverlab.perms import PermGroup
@@ -546,7 +546,7 @@ def test_analyze_audits_rebases_one_chain(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ts31.json"
     path.write_text(thas_somma(3, 1).to_json_str())
     code, _ = run_cli(["analyze", "--audits", str(path)], capsys)
-    assert code == 0 and degrees == [27 + 9 + 2]
+    assert code == 0 and degrees == [27 + 9]
 
 
 def test_analyze_audits_checks_the_group_once(tmp_path, capsys, monkeypatch):

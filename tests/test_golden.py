@@ -67,7 +67,9 @@ def test_cli_text_view_matches_golden(name, capsys):
 ANALYZE_COVERS = {"hexagon": hexagon, "cube": cube, "icosahedron": icosahedron,
                   "ts22": lambda: thas_somma(2, 2),
                   "ts31": lambda: thas_somma(3, 1),
-                  "ts41": lambda: thas_somma(4, 1)}
+                  "ts41": lambda: thas_somma(4, 1),
+                  "ts51": lambda: thas_somma(5, 1),
+                  "ts71": lambda: thas_somma(7, 1)}
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_COVERS))

@@ -632,7 +632,7 @@ def test_subgroup_lattice_runs_no_schreier_sims(
     """subgroups_of reads each H's chain off its element list, so neither
     it nor fibre_action and arc_orbit_count run Schreier-Sims: K and H ∩ K
     are read off K's element list, and H's one chain on base
-    (F*, a, F - {a}, K - 1) and every further vertex stabilizer are
+    (F*, a, F - {a}) and every further vertex stabilizer are
     rebased from H's chain.  With H
     given by bare generators this made one build per H, and a fresh
     Schreier-Sims chain for K, for H ∩ K and for each stabilizer made 54,
@@ -762,17 +762,41 @@ def failing(by_name: dict) -> set:
     return {name for name, i in by_name.items() if i.status == "fail"}
 
 
+def assert_fails_with_tail_for_c(g, fa, monkeypatch, k: int) -> None:
+    """With the tail of fa.chain after k points read as C, the tail after
+    1 + |F| points, the C = C_G(K) meet G_a item, and only it, fails with
+    that tail's order, no |C_G(K) meet G_a| and a pair [i, j]: the tail's
+    i-th generator, on the vertices, does not commute with the j-th
+    element of K."""
+    by_name = audit_reading_tails(g, fa, monkeypatch, {1 + g.r: k})
+    assert failing(by_name) == {"C=CG(K)^Ga"}
+    tail, wit = fa.chain.stabilizer(k), by_name["C=CG(K)^Ga"].witness
+    i, j = wit["non_commuting"]
+    assert wit == {"|C|": tail.order(), "|CG(K) meet Ga|": None,
+                   "non_commuting": [i, j]}
+    c, x = Permutation(tail.generators[i].img[:g.v]), fa.kernel.generators[j]
+    assert (c * x).img != (x * c).img
+
+
 def test_structure_audit_can_fail(corpus, auts, monkeypatch):
-    """G_a put in place of C = G_F must fail the C = C_G(K) meet G_a item:
-    on TS(3,1), |G_a| = 48 while |C| = |C_G(K) meet G_a| = 24.  C is the
-    tail of fa.chain after 1 + |F| points; the tail after 2 points, G_a, is
-    read instead."""
+    """G_a put in place of C = G_F must fail the C = C_G(K) meet G_a item,
+    by a generator that does not commute with K: on TS(3,1), |G_a| = 48
+    while |C| = |C_G(K) meet G_a| = 24.  C is the tail of fa.chain after
+    1 + |F| points; the tail after 2 points, G_a, is read instead."""
     g, aut = corpus["ts31"], auts["ts31"]
     fa = fibre_action(g, aut)
-    by_name = audit_reading_tails(g, fa, monkeypatch, {1 + g.r: 2})
-    assert by_name["C=CG(K)^Ga"].status == "fail"
-    assert by_name["C=CG(K)^Ga"].witness == {"|C|": 48,
-                                              "|CG(K) meet Ga|": 24}
+    assert fa.chain.stabilizer(2).order() == 48
+    assert_fails_with_tail_for_c(g, fa, monkeypatch, 2)
+
+
+def test_structure_audit_fails_with_m_for_c(corpus, auts, monkeypatch):
+    """M = K : G_a put in place of C = G_F must fail the C = C_G(K) meet
+    G_a item the same way: on TS(3,1), |M| = 144 against |C| = 24.  The
+    tail of fa.chain after 1 point, M, is read for C."""
+    g, aut = corpus["ts31"], auts["ts31"]
+    fa = fibre_action(g, aut)
+    assert fa.chain.stabilizer(1).order() == 144
+    assert_fails_with_tail_for_c(g, fa, monkeypatch, 1)
 
 
 def test_structure_audit_fails_with_c_for_ga(corpus, auts, monkeypatch):
@@ -834,17 +858,16 @@ def record_chain_builds(monkeypatch):
 
 def test_structure_audit_builds_one_chain(corpus, auts, monkeypatch):
     """fibre_action runs no Schreier-Sims and rebases G once, by
-    known-order sifting, onto the vertices, a point per fibre and a point
-    per element of K - 1; after it the audit rebases nothing and runs no
-    Schreier-Sims, as M, G_a, C, C meet C_G(K) and the transversals are
-    all read off that one chain."""
+    known-order sifting, onto the vertices and a point per fibre; after it
+    the audit rebases nothing and runs no Schreier-Sims, as M, G_a, C and
+    the transversals are all read off that one chain."""
     g, aut = corpus["ts31"], auts["ts31"]
     builds, known_order = record_chain_builds(monkeypatch)
     fa = fibre_action(g, aut)
-    assert builds == [] and known_order == [g.v + g.n + g.r - 1]
+    assert builds == [] and known_order == [g.v + g.n]
     items = structure_audit(g, fa)
     assert all(i.status == "pass" for i in items)
-    assert builds == [] and known_order == [g.v + g.n + g.r - 1]
+    assert builds == [] and known_order == [g.v + g.n]
 
 
 def test_rank3_stages_build_no_chain_after_fibre_action(monkeypatch):
@@ -885,30 +908,20 @@ def test_non_automorphism_groups_rejected(corpus):
         covering_group(g, bogus)
 
 
-def extended_action(g, kernel):
+def extended_action(g):
     """The action of fibre_action's chain, written out: p on the vertices,
-    then on the point v + i of each fibre i, then on the point
-    v + n + j of the j-th element k of kernel.generators by conjugation,
-    p^-1 k p sending p[x] to p[k[x]]."""
-    ks = [k.img for k in kernel.generators]
-
+    then on the point v + i of each fibre i."""
     def extend(p):
-        fibres = [g.v + g.fibre_of[p[f[0]]] for f in g.fibres]
-        conjugates = []
-        for k in ks:
-            c = [0] * g.v
-            for x in range(g.v):
-                c[p[x]] = p[k[x]]
-            conjugates.append(g.v + g.n + ks.index(tuple(c)))
-        return Permutation(list(p.img) + fibres + conjugates)
+        return Permutation(list(p.img)
+                           + [g.v + g.fibre_of[p[f[0]]] for f in g.fibres])
     return extend
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
 @pytest.mark.parametrize("seed", (None, 4))
 def test_audit_chains_match_schreier_sims(name, seed):
-    """fibre_action's known-order chain, on the vertices, the fibres and
-    K - 1 with base (F*, a, F - {a}, K - 1), against the deterministic
+    """fibre_action's known-order chain, on the vertices and the fibres
+    with base (F*, a, F - {a}), against the deterministic
     Schreier-Sims on the same generators and base hint: the same orders
     and hinted base, and the same membership in every hinted stabilizer,
     for elements of G (mapped by the action written out here), for
@@ -918,11 +931,10 @@ def test_audit_chains_match_schreier_sims(name, seed):
     g = base if seed is None else relabelled(base, seed)
     aut = automorphism_group(g)
     fa = fibre_action(g, aut)
-    chain, extend = fa.chain, extended_action(g, fa.kernel)
+    chain, extend = fa.chain, extended_action(g)
     fibre = g.fibres[g.fibre_of[0]]
     hint = chain._base_hint
-    assert hint == (g.v + g.fibre_of[0], 0, *(x for x in fibre if x != 0),
-                    *range(g.v + g.n, g.v + g.n + g.r - 1))
+    assert hint == (g.v + g.fibre_of[0], 0, *(x for x in fibre if x != 0))
     assert chain.generators == [extend(p) for p in aut.generators]
     rng = random.Random(23)
     draws = aut.random_elements(24)
@@ -940,14 +952,6 @@ def test_audit_chains_match_schreier_sims(name, seed):
         tests = members + others + [next(sub_draws) for _ in range(5)]
         for x in tests:
             assert (x in fast) == (x in sub), (name, k)
-
-
-def chain_tables(chain):
-    """A chain's base, each level's orbit with its transversal images, and
-    its strong generators' images."""
-    return (chain.base,
-            [{x: t.img for x, t in lvl.orbit.items()} for lvl in chain._chain()],
-            [s.img for s in chain._strong])
 
 
 def proper_kernel_subgroups():
@@ -996,23 +1000,26 @@ def test_sift_forms_no_inverse(monkeypatch):
     assert calls == []
 
 
-def test_fibre_action_chain_matches_full_conjugation(corpus):
-    """fibre_action names the conjugate p^-1 k p by its image of a = 0,
-    p[k[p^-1(0)]]; extended_action above forms the whole conjugate and
-    names it by its full image tuple.  Rebasing G with that action on the
-    same base gives the same base, the same orbits and transversals and
-    the same strong generators, on every corpus cover under relabelling
-    seeds 0-3 and on groups whose G ∩ K is a proper subgroup of K."""
+def test_fibre_action_chain_on_vertices_and_fibres(corpus):
+    """fibre_action's chain acts on the vertices and the fibres alone:
+    degree v + n, a base that starts (F*, a, F - {a}), generators the
+    group's on that domain, and the group's order, on every corpus cover
+    under relabelling seeds 0-3 and on groups whose G ∩ K is a proper
+    subgroup of K."""
     cases = [(relabelled(g, seed), None) for g in corpus.values()
              for seed in range(4)]
     cases += list(proper_kernel_subgroups())
     assert sum(1 for _, sub in cases if sub is not None) > 20
     for g, group in cases:
         group = group or automorphism_group(g)
-        fa = fibre_action(g, group)
-        ref = group.rebased(fa.chain._base_hint,
-                            extended_action(g, fa.kernel))
-        assert chain_tables(ref) == chain_tables(fa.chain)
+        chain = fibre_action(g, group).chain
+        fibre = g.fibres[g.fibre_of[0]]
+        hint = [g.v + g.fibre_of[0], 0, *(x for x in fibre if x != 0)]
+        assert chain.degree == g.v + g.n
+        assert chain.base[:len(hint)] == hint
+        assert chain.generators == list(map(extended_action(g),
+                                            group.generators))
+        assert chain.order() == group.order()
 
 
 def reference_involution_types(g, group):
