@@ -22,10 +22,12 @@ verification, certificate or case-match failure, 2 bad input or path (a
 usage error, a ValueError or an OSError), 3 an input past one of the
 library's size bounds (SizeBoundExceeded: a vertex bound, the bound past
 which a BLAS product's float type no longer holds every integer, or a
-table or scan cap such as FEASIBLE_A_T_MAX or ZSIGMONDY_BOUND_MAX), 141 a
-reader that closed stdout early (128 + SIGPIPE, as a shell reports `yes |
-head -1`; nothing is written to stderr).  Any other exception is a bug in
-the program and propagates.
+table or scan cap such as FEASIBLE_A_T_MAX, ZSIGMONDY_BOUND_MAX or the
+involution scan's STABILIZER_SCAN_MAX, which analyze --audits meets on
+TS(4,2), TS(3,3), TS(5,2), TS(13,1) and TS(16,1)), 141 a reader that
+closed stdout early (128 + SIGPIPE, as a shell reports `yes | head -1`;
+nothing is written to stderr).  Any other exception is a bug in the
+program and propagates.
 """
 from __future__ import annotations
 
@@ -232,13 +234,14 @@ def cmd_analyze(args) -> int:
         payload["structure_audit"] = [a.to_json()
                                       for a in structure_audit(g, fa)]
         payload["subdegree_identities"] = subdegree_identity_check(g, fa)
-        types, draws = involution_types(g, fa)
+        types, scanned = involution_types(g, fa)
         payload["involution_audits"] = [
             {"fixed_points": kind[0], "displacement_profile": list(kind),
              "failures": [i.to_json() for i in involution_audit(g, x)
                           if i.status == "fail"]}
             for kind, x in types]
-        payload["involution_draws"] = {"draws": draws, "types": len(types)}
+        payload["involution_scan"] = {"elements": scanned,
+                                      "types": len(types)}
     _emit(payload, args)
     return EXIT_OK
 

@@ -33,11 +33,12 @@ assertable group-theoretic identities (arc orbits vs rank, displacement
 counts, fixed subgraphs of involutions, rank-3 subdegree relations) into
 pass/fail reports on concrete instances,
 reading the cover's one adjacency, the matrix A, in place: a count over
-vertices is a numpy reduction over rows of A, and involution_types' per-pair
-test reads one entry through a memoryview.  involution_types draws one
-involution of each displacement type from seeded uniform draws, with no
-element scan, classifying each by its swapped pairs and building it only for
-a new type.  A verified cover's report (cover_report) and
+vertices is a numpy reduction over rows of A.  involution_types finds every
+displacement type of involution exactly, with no draw: each is the type of
+an involution in a vertex stabilizer G_c, one per vertex orbit, or in one of
+the cosets of G_a sending a to a G_a-orbit representative, and it scans
+those as image arrays, one gather per chain level, under one size bound,
+STABILIZER_SCAN_MAX.  A verified cover's report (cover_report) and
 its K with K's info are recorded on the graph, so a graph is verified and its K
 found once however many stages use them.
 """
@@ -45,13 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .exact import is_integral
-from .graphcore import (CoverGraph, cover_report, is_automorphism,
-                        params_of, require_cover, verify_cover)
+from .graphcore import (CoverGraph, SizeBoundExceeded, cover_report,
+                        is_automorphism, params_of, require_cover,
+                        verify_cover)
 from .perms import PermGroup, Permutation
 
 
@@ -364,12 +365,18 @@ def displacement_profile(g: CoverGraph, x) -> tuple[int, int, int, int]:
 
 def _displacement_counts(g: CoverGraph, img) -> tuple[int, int, int, int]:
     """displacement_profile of an automorphism already checked, from its
-    image array: the moves u -> img[u] != u, read off A and fibre_of."""
-    u = np.flatnonzero(img != np.arange(g.v))
-    w = img[u]
-    same = int(np.count_nonzero(g._fibre_of[u] == g._fibre_of[w]))
-    near = int(np.count_nonzero(g._a[u, w]))
-    return g.v - len(u), near, len(u) - same - near, same
+    image array."""
+    return tuple(_displacement_rows(g, img[None])[0].tolist())
+
+
+def _displacement_rows(g: CoverGraph, x: np.ndarray) -> np.ndarray:
+    """The displacement counts of automorphisms already checked, one row
+    of x's images each: each vertex u against its image x[u], same fibre
+    or adjacent read off fibre_of and A (whose diagonal is 0)."""
+    fixed = np.count_nonzero(x == np.arange(g.v), axis=1)
+    same = np.count_nonzero(g._fibre_of[x] == g._fibre_of, axis=1) - fixed
+    near = np.count_nonzero(g._a[np.arange(g.v), x], axis=1)
+    return np.stack([fixed, near, g.v - fixed - same - near, same], axis=1)
 
 
 @dataclass
@@ -494,65 +501,113 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
     return out
 
 
-# involution_types stops after INVOLUTION_DRAWS draws, or sooner once
-# INVOLUTION_IDLE_DRAWS draws in a row have brought no new type
-INVOLUTION_SEED = 1
-INVOLUTION_DRAWS = 400
-INVOLUTION_IDLE_DRAWS = 100
+# involution_types lists each stabilizer G_c it scans as one array of
+# |G_c| v vertex images; TS(3,2)'s G_a, 103 680 x 243, fits
+STABILIZER_SCAN_MAX = 1 << 25
 
 
 def involution_types(g: CoverGraph, fa: FibreActionReport):
-    """One involution of each type in G = fa.vertex_group, and the number
-    of draws made.
+    """One involution of each type in G = fa.vertex_group, found exactly,
+    and the number of elements scanned.
 
     The type of an involution is its displacement profile, whose first
     entry counts its fixed vertices.  It is invariant under conjugation by
     automorphisms, so the set of types does not depend on the labelling.  fa
     is fibre_action's report on G, which has checked that G acts by
-    automorphisms of the verified cover g.  Each draw p is uniform in G
-    (random_elements of G's own chain, seeded by INVOLUTION_SEED), and p
-    of even order o gives the involution x = p^(o/2): every involution is
-    drawn as itself, and a larger class is drawn more often.  One cycles()
-    pass gives o and x: a cycle of length c turns o/2 mod c steps, which is
-    0 or c/2, so x swaps each point of the first half of a cycle that turns
-    with the point c/2 along it.  The type is counted on those swapped
-    pairs, each pair once, as "same fibre" and "adjacent" are symmetric:
-    v - 2 pairs fixed points and twice the adjacent, other and same-fibre
-    pairs.  x is built only for a type not yet found.  Drawing stops after
-    INVOLUTION_DRAWS draws, or once INVOLUTION_IDLE_DRAWS draws in a row
-    have brought no new type.  Returns ([(type, x)] sorted by type,
-    draws).
+    automorphisms of the verified cover g.  With a = 0, the scan meets a
+    conjugate of every involution x of G:
+    - if x fixes a point of the G-orbit whose least point is c, x is
+      conjugate into G_c;
+    - if x fixes no point, it sends a to some b, and conjugating it by an
+      h in G_a sending b to the least point b0 of its G_a-orbit gives an
+      involution sending a to b0, an element of the coset G_a t of those
+      sending a to b0, for any such t; it sends b0 back to a.
+    So the G_c, one per vertex orbit, and the cosets G_a t_b, one per
+    G_a-orbit in a^G other than {a}, hold every type.  G_a is
+    fa.chain.stabilizer(2) and each other G_c is G's point_stabilizer.
+    t_b is formed as structure_audit forms it: M's transversal element s
+    from a to b' in F times the level-0 element u from F to b's fibre,
+    with b' the point u sends to b.  Each G_c's elements are one image
+    array (_element_array); a coset's rows h t_b gather t_b's images at
+    h's, and are formed only for the h whose row sends b to a and moves
+    every point of F.  The rows then pass x(x(p)) = p at the chain's base
+    points, one column each, before the test at every point, and the
+    involutions' types are counted by numpy reductions
+    (_displacement_rows).  SizeBoundExceeded when some |G_c| v passes
+    STABILIZER_SCAN_MAX, before any array is made.  Returns ([(type, x)]
+    sorted by type, each x the first of its type scanned, the elements
+    scanned): the sum of the |G_c| and |G_a| per coset, which does not
+    depend on the labelling either.
     """
+    group, chain, v, a = fa.vertex_group, fa.chain, g.v, 0
+    orbits = group.orbits()  # a's orbit first, by its least point
+    stabs = [chain.stabilizer(2)]
+    stabs += [group.point_stabilizer(o[0]) for o in orbits[1:]]
+    for sub in stabs:
+        if sub.order() * v > STABILIZER_SCAN_MAX:
+            raise SizeBoundExceeded(
+                f"a vertex stabilizer of order {sub.order()} on {v} vertices "
+                f"passes STABILIZER_SCAN_MAX = {STABILIZER_SCAN_MAX} images")
+    dtype = np.min_scalar_type(v - 1)
+    to_fibre = chain.transversal()
+    in_fibre = chain.stabilizer(1).transversal()
+    cosets = []
+    for o in stabs[0].orbits():
+        b = o[0]
+        if b != a and b in orbits[0]:
+            u = to_fibre[v + g.fibre_of[b]]
+            t = in_fibre[u.img.index(b)] * u
+            cosets.append((b, np.array(t.img[:v], dtype=dtype)))
+
+    fibre = g.fibres[g.fibre_of[a]]
+    points = [p for p in chain.base if p < v]
     found: dict[tuple, Permutation] = {}
-    # a memoryview reads one entry of A as fast as a shift reads a bit row
-    fibre_of, a = g.fibre_of, memoryview(g._a)
-    idle = draws = 0
-    for p in fa.vertex_group.random_elements(INVOLUTION_SEED):
-        if draws == INVOLUTION_DRAWS or idle == INVOLUTION_IDLE_DRAWS:
-            break
-        draws += 1
-        idle += 1
-        cycles = p.cycles()
-        half, odd = divmod(lcm(*map(len, cycles)), 2)
-        if odd:
-            continue
-        pairs = [pair for c in cycles if half % len(c)
-                 for pair in zip(c, c[len(c) // 2:])]
-        same = near = 0
-        for u, w in pairs:  # a fibre is a coclique: never both
-            if fibre_of[u] == fibre_of[w]:
-                same += 1
-            elif a[u, w]:
-                near += 1
-        kind = (g.v - 2 * len(pairs), 2 * near,
-                2 * (len(pairs) - same - near), 2 * same)
-        if kind not in found:
-            img = list(range(g.v))
-            for u, w in pairs:
-                img[u], img[w] = w, u
-            found[kind] = Permutation(img)
-            idle = 0
-    return sorted(found.items()), draws
+
+    def collect(x):
+        x = _involution_rows(x, points)
+        kinds, first = np.unique(_displacement_rows(g, x), axis=0,
+                                 return_index=True)
+        for kind, i in zip(kinds.tolist(), first.tolist()):
+            if kind[0] < v:  # not the identity
+                found.setdefault(tuple(kind), Permutation(x[i].tolist()))
+
+    e = _element_array(stabs[0], v, dtype)
+    collect(e)
+    for b, t in cosets:
+        keep = t[e[:, b]] == a
+        for f in fibre:
+            keep &= t[e[:, f]] != f
+        collect(t[e[keep]])
+    del e
+    for sub in stabs[1:]:
+        collect(_element_array(sub, v, dtype))
+    scanned = (sum(sub.order() for sub in stabs)
+               + len(cosets) * stabs[0].order())
+    return sorted(found.items()), scanned
+
+
+def _element_array(sub: PermGroup, v: int, dtype) -> np.ndarray:
+    """Every element of sub as the rows of one (|sub| x v) array of its
+    images on the vertices 0..v-1, built from the identity row by one
+    gather per level: the row of t e, for t in the level's transversal and
+    e a row so far, holds e's images at t's, (t e)[x] = e[t[x]]."""
+    x = np.arange(v, dtype=dtype)[None]
+    for level in sub.transversals():
+        ts = np.array([t.img[:v] for t in level.values()])
+        x = np.take(x, ts, axis=1).reshape(-1, v)
+    return x
+
+
+def _involution_rows(x: np.ndarray, points) -> np.ndarray:
+    """The rows of the image array x that square to the identity:
+    x(x(p)) = p is tested at points first, one column each, then at every
+    point."""
+    rows = np.arange(len(x))
+    for p in points:
+        rows = rows[x[rows, x[rows, p]] == p]
+    x = x[rows]
+    return x[(np.take_along_axis(x, x, axis=1) == np.arange(x.shape[1]))
+             .all(axis=1)]
 
 
 # -- rank-3 subdegree identities ----------------------------------------------

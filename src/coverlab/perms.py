@@ -12,12 +12,14 @@ optional hint, the others each the first moved point of a sifted element.
 A group with a chain goes to another base, or another domain, by
 PermGroup.rebased: seeded uniform draws from its own chain are sifted until
 the orbit lengths multiply to its order, which certifies the chain, so the
-seed changes no result.  Every builder closes its orbits by one step,
-_grow, and Schreier-Sims and rebased take each new strong generator by one
-step, _admit, which keeps every level's orbit closed.  Orders, membership,
-stabilizers, transversals, seeded uniform draws and lazy element iteration
-all come from the chain, so orders in the tens of millions are fine at
-degree <= about 1000 as long as nothing scans every element.
+seed changes no result.  Schreier-Sims, rebased and from_base take each
+new strong generator by one step, _admit, which grows each level's orbit
+by it alone on the old points and by all the level's generators on the
+new ones, so every orbit stays closed and none is closed again from the
+start.  Orders, membership, stabilizers, transversals, seeded uniform
+draws and lazy element iteration all come from the chain, so orders in
+the tens of millions are fine at degree <= about 1000 as long as nothing
+scans every element.
 stabilizer(k), of the first k base points, is a chain tail (Seress 2003,
 section 4.1) that records those points as its tail_points, so an element
 of the group lies in the tail iff it fixes them; pointwise_stabilizer
@@ -185,21 +187,14 @@ def _sift(levels, w: Permutation, start: int = 0):
     return w, len(levels)
 
 
-def _grow(levels, strong, top: int) -> None:
-    """Close the orbits of levels 0..top under their generators, those
-    strong generators fixing the earlier base points, each level's
-    filtered from the level before's."""
-    gens = strong
-    for lvl in levels[:top + 1]:
-        _close_orbit(lvl.orbit, gens, list(lvl.orbit))
-        gens = [s for s in gens if s[lvl.point] == lvl.point]
-
-
 def _admit(levels, strong, w: Permutation, start: int = 0) -> int | None:
     """Sift w from level start (see _sift).  A non-identity residue h,
     which fixes the base points before its level j, joins strong, a new
     level at its first moved point when j is past the last level, and the
-    orbits of levels 0..j are closed again, so every level's orbit stays
+    orbits of levels 0..j grow by h: each level applies h to its old
+    points, then all its generators, those strong generators fixing the
+    earlier base points, to the points that brings in.  Old points under
+    the old generators stay in the orbit, so every level's orbit stays
     closed under its generators.  Returns j, or None when w sifts to the
     identity."""
     h, j = _sift(levels, w, start)
@@ -208,7 +203,16 @@ def _admit(levels, strong, w: Permutation, start: int = 0) -> int | None:
     if j == len(levels):
         levels.append(_Level(_first_moved(h), h.degree))
     strong.append(h)
-    _grow(levels, strong, j)
+    gens, img = strong, h.img
+    for lvl in levels[:j + 1]:
+        orbit, new = lvl.orbit, []
+        for x, tx in list(orbit.items()):
+            if img[x] not in orbit:
+                orbit[img[x]] = tx * h
+                new.append(img[x])
+        if new:
+            _close_orbit(orbit, gens, new)
+        gens = [s for s in gens if s[lvl.point] == lvl.point]
     return j
 
 
@@ -311,20 +315,23 @@ class PermGroup:
     def from_base(cls, generators, degree: int, base) -> "PermGroup":
         """The group generated by generators, which must be a strong
         generating set relative to base: those fixing base[:i] generate the
-        pointwise stabilizer of base[:i], for every i.  Level i's orbit is
-        closed under them alone and no Schreier generator is sifted; a base
-        point they all fix gets no level.  Only the last step is checked:
-        ValueError when a generator fixes the whole base and is not the
-        identity.  Nothing else checks the strong generation, so the caller
-        vouches for it, as the automorphism search does for its first-path
-        base (McKay 1981)."""
+        pointwise stabilizer of base[:i], for every i.  Each generator is
+        admitted (_admit) on the levels of base, and no Schreier generator
+        is sifted: a generator fixing base[:i] leaves a residue that fixes
+        them too, so the residues fixing base[:i] generate what those
+        generators do, and each level's orbit, closed under them, is its
+        whole basic orbit.  A base point they all fix gets no level.  Only
+        the last step is checked: ValueError when a residue passes the
+        base, a non-identity element fixing all of it.  Nothing else checks
+        the strong generation, so the caller vouches for it, as the
+        automorphism search does for its first-path base (McKay 1981)."""
         group = cls(generators, degree)
-        levels = [_Level(b, degree) for b in base]
-        _grow(levels, group.generators, len(levels) - 1)
-        levels = [l for l in levels if len(l.orbit) > 1]
-        if _fixing(group.generators, levels):
-            raise ValueError("a generator fixes the whole base")
-        group._levels, group._strong = levels, group.generators
+        levels, strong = [_Level(b, degree) for b in base], []
+        for g in group.generators:
+            if _admit(levels, strong, g) == len(base):
+                raise ValueError("a residue fixes the whole base")
+        group._levels = [l for l in levels if len(l.orbit) > 1]
+        group._strong = strong
         return group
 
     @classmethod
@@ -387,6 +394,11 @@ class PermGroup:
     def transversal(self) -> dict[int, Permutation]:
         """Point b -> an element sending the first base point to b."""
         return dict(self._chain()[0].orbit)
+
+    def transversals(self) -> list[dict[int, Permutation]]:
+        """Each level's transversal, as transversal() gives level 0's; the
+        base point itself comes first, with the identity."""
+        return [dict(l.orbit) for l in self._chain()]
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """Stabilizer of a set of points, pointwise: a tail of rebased."""

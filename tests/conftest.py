@@ -2,13 +2,14 @@
 and the naive oracles the suites compare the library with."""
 import random
 import sys
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from coverlab import cube, hexagon, icosahedron, thas_somma
+from coverlab import (cube, hexagon, icosahedron, seidel_of_graph,
+                      taylor_from_seidel, thas_somma)
 from coverlab.graphcore import verify_cover
 from coverlab.numtheory import _p_power, is_prime
 from coverlab.perms import PermGroup, Permutation
@@ -83,6 +84,15 @@ def gram_of(lines):
     """G = I - S/other of a line system, rebuilt in complex floats from its
     exact signature and other: the float oracle for its certificates."""
     return np.eye(lines.n) - signature_of(lines.signature) / float(lines.other)
+
+
+def gosset_cover(convention: int):
+    """Taylor extension of the Schlaefli graph: the double cover of K_28
+    from the Seidel matrix of T(8), the line graph of K_8, whose switching
+    class holds the Schlaefli graph plus an isolated vertex."""
+    pairs = list(combinations(range(8), 2))
+    adj = [[int(len(set(x) & set(y)) == 1) for y in pairs] for x in pairs]
+    return taylor_from_seidel(seidel_of_graph(adj), convention=convention)
 
 
 def closure_elements(generators, degree: int, limit: int = 200_000) -> set[tuple]:

@@ -5,17 +5,15 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import coverlab
-from coverlab import (hexagon, icosahedron, seidel_of_graph,
-                      taylor_from_seidel, thas_somma)
+from coverlab import hexagon, icosahedron, thas_somma
 from coverlab.cli import _canonical, main, make_parser
-from conftest import matching_swapped, relabelled
+from conftest import gosset_cover, matching_swapped, relabelled
 from test_autgroup import symplectic_cover_aut_order
 
 
@@ -595,15 +593,6 @@ def test_directory_path_exits_2(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
-def gosset_cover(convention: int):
-    """Taylor extension of the Schlaefli graph: the double cover of K_28
-    from the Seidel matrix of T(8), the line graph of K_8, whose switching
-    class holds the Schlaefli graph plus an isolated vertex."""
-    pairs = list(combinations(range(8), 2))
-    adj = [[int(len(set(x) & set(y)) == 1) for y in pairs] for x in pairs]
-    return taylor_from_seidel(seidel_of_graph(adj), convention=convention)
-
-
 @pytest.mark.parametrize("convention", (-1, 1))
 def test_analyze_audits_gosset_covers(convention, tmp_path, capsys):
     """Both Gosset covers.  |Aut| is the Weyl group order |W(E7)| =
@@ -622,7 +611,9 @@ def test_analyze_audits_gosset_covers(convention, tmp_path, capsys):
     # W(E7) = 2 x Sp6(2) and Sp6(2) has the four involution classes 2A-2D
     # (ATLAS), so W(E7) has 2*5 - 1 = 9, each of its own displacement type
     invs = blob["involution_audits"]
-    assert len(invs) == blob["involution_draws"]["types"] == 9
+    assert len(invs) == blob["involution_scan"]["types"] == 9
+    # |G_a| = |W(E7)| / 56 = 51 840, and G_a has 4 orbits on the vertices
+    assert blob["involution_scan"]["elements"] == 51_840 * 4
     assert not any(inv["failures"] for inv in invs)
 
 
@@ -630,7 +621,7 @@ def test_analyze_audits_ts32_relabellings(tmp_path, capsys):
     """analyze --audits on three seeded relabellings of TS(3,2): each exits
     0, |Aut| is the closed form, every structure_audit item passes, and the
     parts of the payload that do not depend on the labelling agree, the
-    involution audits included."""
+    involution audits and the count of elements scanned included."""
     views = []
     for seed in (1, 2, 3):
         path = tmp_path / f"ts32_{seed}.json"
@@ -645,7 +636,8 @@ def test_analyze_audits_ts32_relabellings(tmp_path, capsys):
         assert all(item["status"] == "pass" for item in items), items
         assert not any(inv["failures"] for inv in blob["involution_audits"])
         views.append([blob[k] for k in ("structure_audit", "fibre_action",
-                                         "arc_orbits", "involution_audits")])
+                                         "arc_orbits", "involution_audits",
+                                         "involution_scan")])
     assert views[0] == views[1] == views[2]
 
 
