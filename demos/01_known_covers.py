@@ -32,7 +32,7 @@ for name, g in covers.items():
           f"(multiplicities 1, {p.m_theta}, {p.n - 1}, {p.m_tau})")
     print(f"  antipodal classes = fibres: {rep.antipodality_confirmed}, "
           f"diameter {rep.diameter}")
-    print(f"  exact minimal-polynomial identity: {spec.ok}")
+    print(f"  spectrum from the verified parameters, traces exact: {spec.ok}")
 
 print("\nWhat failure looks like (hexagon with one edge deleted):")
 broken = hexagon().toggled(0, 1)

@@ -24,7 +24,9 @@ library's size bounds (SizeBoundExceeded: a vertex bound, the bound past
 which a BLAS product's float type no longer holds every integer, or a
 table or scan cap such as FEASIBLE_A_T_MAX, ZSIGMONDY_BOUND_MAX or the
 involution scan's STABILIZER_SCAN_MAX, which analyze --audits meets on
-TS(4,2), TS(3,3), TS(5,2), TS(13,1) and TS(16,1)), 141 a reader that
+TS(4,2), TS(3,3), TS(5,2), TS(13,1) and TS(16,1), or the trial divisor
+bound TRIAL_DIVISION_MAX, which params derive meets on a discriminant that
+is no square and has a large cofactor), 141 a reader that
 closed stdout early (128 + SIGPIPE, as a shell reports `yes | head -1`;
 nothing is written to stderr).  Any other exception is a bug in the
 program and propagates.
@@ -374,24 +376,25 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--convention", type=int, choices=(-1, 1), default=-1)
     c.set_defaults(construct=_taylor)
 
+    cover_help = "cover JSON path, or - for stdin"
     p = sub.add_parser("verify", help="check the cover axioms")
-    p.add_argument("cover", help="cover JSON path, or - for stdin")
+    p.add_argument("cover", help=cover_help)
     p.add_argument("--max-violations", type=int, default=10)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="groups, rank, arc orbits, audits")
-    p.add_argument("cover")
+    p.add_argument("cover", help=cover_help)
     p.add_argument("--audits", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("quotient", help="quotient by a covering subgroup")
-    p.add_argument("cover")
+    p.add_argument("cover", help=cover_help)
     p.add_argument("--subgroup-order", type=int, required=True)
     p.add_argument("--subgroup-index", type=int, default=0)
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("etf", help="equiangular lines from an abelian cover")
-    p.add_argument("cover")
+    p.add_argument("cover", help=cover_help)
     p.add_argument("--char", type=int, default=1)
     p.add_argument("--side", choices=("theta", "tau"), default="tau")
     p.set_defaults(func=cmd_etf)

@@ -22,7 +22,7 @@ relative bound by n(other^2 - d) = d(other^2 - 1) (frames.verify_etf).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Union
 
 from .numtheory import prime_powers
@@ -31,11 +31,16 @@ Rat = Union[int, Fraction]
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
-    """Write m >= 0 as s*s*d with d squarefree; return (s, d)."""
+    """Write m >= 0 as s*s*d with d squarefree; return (s, d).
+
+    A perfect square is read off isqrt with no factorization, so every
+    integer spectrum derives at any size; any other m goes through
+    prime_powers and its TRIAL_DIVISION_MAX."""
     if m < 0:
         raise ValueError("negative argument")
-    if m == 0:
-        return 0, 1
+    s = isqrt(m)
+    if s * s == m:
+        return s, 1
     s, d = 1, 1
     for p, e, _ in prime_powers(m):
         s *= p ** (e // 2)

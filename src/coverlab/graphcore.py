@@ -20,7 +20,10 @@ place, one row block at a time, into the residual A^2 - mu J -
 are as the axioms say.  The one traversal, reachable_count, steps a
 boolean frontier over the rows of A.  A passing report is recorded on the
 graph, which never changes after construction; cover_report hands it to
-later stages so that each graph is verified once.
+later stages so that each graph is verified once.  spectrum_check is one
+of them and computes nothing on A: a verified cover's parameters fix its
+spectrum, so it compares the report's parameters with the given ones and
+their closed-form spectrum with the traces of A^m they fix.
 Cover files are JSON.  from_json reads a compact edge list, as writers
 emit it, straight into an int array by string operations and numpy, and
 any other valid JSON by json.loads; the errors are always those of
@@ -43,9 +46,9 @@ class GraphStructureError(ValueError):
     """Malformed input (bad partition, unknown vertex), not an axiom failure."""
 
 
-# float32 holds every integer up to 2^24 exactly, float64 every one up to
-# 2^53.  One rule for every BLAS product in the library: it runs in float32
-# when its stated partial-sum bound is below FLOAT32_EXACT
+# float32 holds every integer up to 2^24 exactly.  One rule for every BLAS
+# product in the library: it runs in float32 when its stated partial-sum
+# bound is below FLOAT32_EXACT, and past it raises SizeBoundExceeded
 FLOAT32_EXACT = 2 ** 24
 
 # a cover has at most this many vertices: A alone takes v^2 bytes (16 MB at
@@ -628,69 +631,32 @@ class SpectrumReport:
 
 
 def spectrum_check(g: CoverGraph, p: CoverParams) -> SpectrumReport:
-    """Exact check of the four-eigenvalue identity and trace multiplicities.
+    """Check that g is an (n, r, mu)-cover with p's parameters and that p's
+    closed-form spectrum has the traces such a cover's A^m has.
 
-    Verifies (A - theta I)(A + I)(A - tau I)(A - k I) = 0 over the surd field.
-    The two surd factors multiply out to A^2 - (lambda - mu)A - (n-1)I, which
-    has integer entries, so every product is one of integer matrices.  The
-    products run through BLAS and are exact: a partial sum of X @ Y is an
-    integer of absolute value at most the largest row 1-norm of X times the
-    largest entry of Y, and these are bounded from the maximum degree d of
-    g (see bound below).  They run in float32 while that bound is below
-    FLOAT32_EXACT, which holds for every cover up to TS(8,1) (bound about
-    2.0 M), and in float64 below 2^53; past that SizeBoundExceeded is
-    raised.
-    The identity is checked as one product of (A - kI)(A + I) and quad =
-    A^2 - (lambda - mu)A - kI (k = n - 1), built in place in the buffers
-    of A^2 and A's float copy, so besides the graph's bool A the check
-    holds at most three v x v arrays: A's copy, A^2 and the product,
-    which is tested with one any().  The degree bound is read off A.
-    Then tr(A^m) for m <= 3, read from A^2 as tr(A^2) and sum(A^2 * A), is
-    compared with the model spectrum
-    k^m + m_theta theta^m + (n-1)(-1)^m + m_tau tau^m, evaluated exactly.
+    Nothing is computed on A.  A verified cover is distance regular with
+    intersection array {n-1, (r-1)mu, 1; 1, mu, n-1}, which fixes its
+    spectrum k = n-1, theta, -1, tau with their multiplicities (Brouwer,
+    Cohen and Neumaier, Distance-Regular Graphs, 4.1), so the check reads
+    cover_report(g), which verifies g at most once: it fails "cover" when
+    g is not a cover, and "parameters" when the report's (n, r, mu,
+    lambda) differ from p's.  Then tr(A^m) for m <= 3, which the axioms
+    make v, 0, vk and vk lambda, is compared with the model spectrum
+    k^m + m_theta theta^m + (n-1)(-1)^m + m_tau tau^m, evaluated exactly
+    in the surd field; each mismatch fails "model-trace-A^m".
     """
-    v = g.v
-    k = p.n - 1
-    d = _max_degree(g)
-    # |partial sums| of ((A - kI)(A + I)) @ quad: the left factor's rows
-    # have 1-norm <= (d + k)(d + 1), quad's entries are <= d + |lam-mu| + k;
-    # A @ A stays below this, and sum(A^2 * A) is <= v d^2
-    bound = max((d + k) * (d + 1) * (d + abs(p.lam - p.mu) + k), v * d * d)
-    if bound >= 2 ** 53:
-        raise SizeBoundExceeded(f"spectrum products reach {bound} >= 2^53, "
-                                "beyond exact float64 arithmetic")
+    rep = cover_report(g)
     failed = []
-    dtype = np.float32 if bound < FLOAT32_EXACT else np.float64
-    a = g.adjacency_matrix().astype(dtype)
-    a2 = a @ a
-    tr = [v, int(np.trace(a)), int(np.trace(a2)), int(np.vdot(a2, a))]
-    # a2 becomes (A - kI)(A + I) = A^2 + (1 - k)A - kI through (1 - k)A,
-    # which a holds for a moment and divides back to the 0/1 A exactly
-    # (k = n - 1 >= 2); a then becomes quad, which differs from it by a
-    # multiple of A
-    a *= 1 - k
-    a2 += a
-    a2.flat[::v + 1] -= k
-    a /= 1 - k
-    a *= (k - 1) - (p.lam - p.mu)
-    a += a2
-    product = a2 @ a
-    del a, a2
-    if product.any():
-        failed.append("minimal-polynomial")
-    if g.v != p.v:
-        failed.append("vertex-count")
-
-    expect = [v, 0, p.v * k, p.v * k * p.lam]
-    for m, (got, want) in enumerate(zip(tr, expect)):
-        if got != want:
-            failed.append(f"trace-A^{m}")
-
-    # model spectrum traces, exact in the surd field
-    for m in range(4):
+    if not rep.is_cover:
+        failed.append("cover")
+    elif (rep.n, rep.r, rep.mu, rep.lam) != (p.n, p.r, p.mu, p.lam):
+        failed.append("parameters")
+    k = p.n - 1
+    traces = [p.v, 0, p.v * k, p.v * k * p.lam]
+    for m, trace in enumerate(traces):
         model = (QuadExt(k ** m) + p.m_theta * p.theta ** m
                  + QuadExt((p.n - 1) * (-1) ** m) + p.m_tau * p.tau ** m)
-        if model != tr[m]:
+        if model != trace:
             failed.append(f"model-trace-A^{m}")
     return SpectrumReport(ok=not failed, failed=tuple(failed))
 

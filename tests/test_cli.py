@@ -1,6 +1,7 @@
 """CLI surfaces: exit codes, canonical output, pipelines."""
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -277,11 +278,12 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     input: SizeBoundExceeded exits 3 with an error line, on one bound of
     each kind.  VERTEX_BOUND through build, FEASIBLE_B_T_MAX through
     params feasible-b at t_max = 2^70, FEASIBLE_A_T_MAX through params
-    feasible-a at its cap + 1, AUT_VERTEX_BOUND through analyze
-    (patched below the icosahedron's 12 vertices) and FLOAT32_EXACT
-    through verify (patched to the hexagon's degree 2).  The 2^53 bound of
-    spectrum_check and MAX_SUBGROUPS_ORDER are pinned as library raises in
-    test_graphcore and test_permgroup."""
+    feasible-a at its cap + 1, TRIAL_DIVISION_MAX through params derive
+    at n = 10^30 + 1, whose discriminant is no square and has a cofactor
+    past the bound's square, AUT_VERTEX_BOUND through analyze (patched
+    below the icosahedron's 12 vertices) and FLOAT32_EXACT through verify
+    (patched to the hexagon's degree 2).  MAX_SUBGROUPS_ORDER is pinned as
+    a library raise in test_permgroup."""
     from coverlab import autgroup, graphcore
     assert main(["build", "thas-somma", "--q", "5", "--m", "3"]) == 3
     assert capsys.readouterr().err == ("error: q^(2m+1) = 5^7 vertices "
@@ -292,6 +294,10 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["params", "feasible-a", "--t-max", "10001"]) == 3
     assert capsys.readouterr().err == ("error: t_max 10001 exceeds "
                                        "FEASIBLE_A_T_MAX = 10000\n")
+    assert main(["params", "derive", "--n", str(10 ** 30 + 1), "--r", "2",
+                 "--mu", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "TRIAL_DIVISION_MAX = 10000000" in err
     path = tmp_path / "icosahedron.json"
     path.write_text(icosahedron().to_json_str())
     monkeypatch.setattr(autgroup, "AUT_VERTEX_BOUND", 11)
@@ -393,6 +399,23 @@ def test_etf_subcommand(tmp_path, capsys):
     assert blob["d"] == 3 and blob["certificates"]["sic"]
     assert blob["config"]["args"] == {"char": 1, "cover": str(path),
                                       "output": "json", "side": "tau"}
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["analyze", "--audits"],
+                                  ["etf"]])
+def test_cover_read_from_stdin(argv, tmp_path, capsys, monkeypatch):
+    """A cover argument of - reads the cover from stdin: the payload is the
+    file path's, apart from config.args.cover, and the help says so."""
+    text = thas_somma(3, 1).to_json_str()
+    path = tmp_path / "ts31.json"
+    path.write_text(text)
+    code, from_file = run_cli([*argv, str(path)], capsys)
+    assert code == 0 and json.dumps(str(path)) in from_file
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run_cli([*argv, "-"], capsys) == (code, from_file.replace(
+        json.dumps(str(path)), json.dumps("-")))
+    assert main([argv[0], "--help"]) == 0
+    assert "- for stdin" in capsys.readouterr().out
 
 
 def test_etf_rejects_tol(tmp_path, capsys):

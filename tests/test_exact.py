@@ -7,6 +7,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coverlab import exact
 from coverlab.exact import (QuadExt, is_integral, quad_json, rational_json,
                             squarefree_decompose)
 
@@ -25,6 +26,19 @@ def test_squarefree_decompose():
     assert squarefree_decompose(5) == (1, 5)
     with pytest.raises(ValueError):
         squarefree_decompose(-4)
+
+
+def test_squarefree_decompose_reads_squares_without_factoring(monkeypatch):
+    """A perfect square is its isqrt squared, at any size: no trial
+    division, so no TRIAL_DIVISION_MAX."""
+    def refuse(m):
+        raise AssertionError(f"factored {m}")
+
+    monkeypatch.setattr(exact, "prime_powers", refuse)
+    for s in (1, 6, 10 ** 30 + 1, (10 ** 7 + 19) ** 3):
+        assert squarefree_decompose(s * s) == (s, 1)
+    with pytest.raises(AssertionError):
+        squarefree_decompose(2)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

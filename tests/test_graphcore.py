@@ -137,52 +137,44 @@ def test_spectrum_check_rejects_toggled_edge(corpus):
     g = corpus["ts31"]
     u, w = g.edges[0]
     rep = spectrum_check(g.toggled(u, w), derive_params(9, 3, 3))
-    assert "minimal-polynomial" in rep.failed
+    assert not rep.ok and "cover" in rep.failed
 
 
-def test_spectrum_check_raises_past_exactness_bound():
-    # k = 2^27 and lambda = mu: the final product's partial sums reach
-    # about 3 k^2 > 2^53, which float64 cannot hold exactly
-    p = derive_params(2 ** 27 + 1, 7, (2 ** 27 - 1) // 7)
-    assert p.lam == p.mu
-    with pytest.raises(graphcore.SizeBoundExceeded, match="2\\^53"):
-        spectrum_check(hexagon(), p)
+def test_spectrum_check_rejects_another_valid_triple(corpus):
+    """A verified cover checked against another admissible triple fails
+    parameters: the cube is no (3, 2, 1)-cover, TS(3,1) no (9, 3, 1)-cover."""
+    for name, p in (("cube", derive_params(3, 2, 1)),
+                    ("ts31", derive_params(9, 3, 1))):
+        rep = spectrum_check(corpus[name], p)
+        assert not rep.ok and rep.failed[0] == "parameters", (name, rep)
 
 
-def test_spectrum_check_float64_path_agrees(corpus, monkeypatch):
-    """Every corpus cover's spectrum products run in float32, as their
-    bound is below FLOAT32_EXACT; with that bound patched to 1 they run in
-    float64, and the reports, failures on toggled copies of TS(3,1) and
-    TS(3,2) included, are the same.  A spy on the adjacency matrix records
-    the type each call casts it to."""
-    ts32 = thas_somma(3, 2)
-    cases = [(g, params_of(g)) for g in [*corpus.values(), ts32]]
-    cases += [(g.toggled(*g.edges[0]), params_of(g))
-              for g in (corpus["ts31"], ts32)]
-    casts = []
+def test_spectrum_check_rejects_a_changed_spectral_field(corpus):
+    """p's parameters match the cover but one spectral field does not: the
+    model traces no longer sum to tr(A^m)."""
+    g = corpus["ts31"]
+    p = params_of(g)
+    for field, value in (("m_theta", p.m_theta + 1), ("m_tau", p.m_tau - 1),
+                         ("theta", p.theta + 1), ("tau", p.tau * 2)):
+        rep = spectrum_check(g, p._replace(**{field: value}))
+        assert not rep.ok and rep.failed, field
+        assert all(f.startswith("model-trace-A^") for f in rep.failed), rep
 
-    class Spy(np.ndarray):
-        def astype(self, dtype, *args, **kwargs):
-            casts.append(np.dtype(dtype))
-            return np.asarray(self).astype(dtype, *args, **kwargs)
 
-    matrix = CoverGraph.adjacency_matrix
-    monkeypatch.setattr(CoverGraph, "adjacency_matrix",
-                        lambda g: matrix(g).view(Spy))
-    want = [spectrum_check(g, p) for g, p in cases]
-    assert [rep.ok for rep in want] == [True] * 6 + [False] * 2
-    assert casts == [np.dtype(np.float32)] * len(cases)
-    casts.clear()
-    monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 1)
-    assert [spectrum_check(g, p) for g, p in cases] == want
-    assert casts == [np.dtype(np.float64)] * len(cases)
+def test_spectrum_check_reads_the_recorded_report(verify_calls):
+    """On a graph already verified, spectrum_check verifies nothing again."""
+    g = thas_somma(3, 1)
+    p = params_of(g)
+    assert verify_calls == [g]
+    assert spectrum_check(g, p).ok
+    assert verify_calls == [g]
 
 
 def test_exact_checks_hold_few_v_by_v_arrays():
     """tracemalloc's peak on TS(8,1), in units of one float32 v x v array.
-    spectrum_check builds both factors in the buffers of A and A^2, so it
-    holds three with their product; verify_cover holds A's float32 copy
-    and the residual built in A^2's buffer, as the graph owns the bool A."""
+    spectrum_check reads the recorded report and allocates no matrix;
+    verify_cover holds A's float32 copy and the residual built in A^2's
+    buffer, as the graph owns the bool A."""
     g = thas_somma(8, 1)
     p = params_of(g)
     unit = g.v * g.v * np.dtype(np.float32).itemsize
@@ -195,7 +187,7 @@ def test_exact_checks_hold_few_v_by_v_arrays():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: spectrum_check(g, p)) <= 3.1
+    assert peak(lambda: spectrum_check(g, p)) < 0.05
     assert peak(lambda: verify_cover(g)) <= 2.2
 
 

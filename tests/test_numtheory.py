@@ -355,6 +355,36 @@ def test_prime_powers_reconstruct_n(n):
     assert product == n
 
 
+def test_prime_powers_bound(monkeypatch):
+    """Trial division stops at TRIAL_DIVISION_MAX (patched to 100 here):
+    an n whose cofactor has no prime factor up to the bound factors while
+    that cofactor is at most the bound's square, and raises past it.  A
+    small prime factor is still found first, so is_prime answers a large
+    even n."""
+    monkeypatch.setattr(numtheory, "TRIAL_DIVISION_MAX", 100)
+    for n in (9973, 97 * 89, 2 ** 80 * 9973, 10 ** 4):
+        assert list(prime_powers(n)) == [
+            (p, e, rest) for p, e, rest in _brute_prime_powers(n)]
+    for n in (101 * 103, 101 ** 2, 2 ** 5 * 101 * 103, 10007 * 10009):
+        with pytest.raises(numtheory.SizeBoundExceeded,
+                           match="TRIAL_DIVISION_MAX = 100"):
+            list(prime_powers(n))
+    assert not is_prime(2 * 101 * 103)
+
+
+def _brute_prime_powers(n):
+    """prime_powers' records by unbounded trial division."""
+    p = 2
+    while n > 1:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e, n
+        p += 1
+
+
 def test_admissible_pairs_matches_six_prime_part_divisors():
     """The r that admissible_pairs gives each t are the divisors >= 2 of the
     6'-part of t-1, from one factorization of t-1."""
