@@ -20,13 +20,13 @@ print a bare cover instead, so that their output loads as the input of
 verify, analyze, quotient and etf.  Exit codes: 0 success/verified, 1
 verification, certificate or case-match failure, 2 bad input or path (a
 usage error, a ValueError or an OSError), 3 an input past one of the
-library's size bounds (SizeBoundExceeded: a vertex bound, the bound past
-which a BLAS product's float type no longer holds every integer, or a
-table or scan cap such as FEASIBLE_A_T_MAX, ZSIGMONDY_BOUND_MAX or the
-involution scan's STABILIZER_SCAN_MAX, which analyze --audits meets on
-TS(4,2), TS(3,3), TS(5,2), TS(13,1) and TS(16,1), or the trial divisor
-bound TRIAL_DIVISION_MAX, which params derive meets on a discriminant that
-is no square and has a large cofactor), 141 a reader that
+library's size bounds (SizeBoundExceeded: a vertex bound, the
+FLOAT32_EXACT bound of etf's spectrum certificate, or a table or scan
+cap such as FEASIBLE_A_T_MAX, ZSIGMONDY_BOUND_MAX or the involution
+scan's STABILIZER_SCAN_MAX, which analyze --audits meets on TS(4,2),
+TS(3,3), TS(5,2), TS(13,1) and TS(16,1), or the trial divisor bound
+TRIAL_DIVISION_MAX, which params derive meets on a discriminant that is
+no square and has a large cofactor), 141 a reader that
 closed stdout early (128 + SIGPIPE, as a shell reports `yes | head -1`;
 nothing is written to stderr).  Any other exception is a bug in the
 program and propagates.

@@ -35,13 +35,17 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import is_integral, quad_json
-from .graphcore import (FLOAT32_EXACT, CoverGraph, SizeBoundExceeded,
-                        params_of)
+from .graphcore import CoverGraph, SizeBoundExceeded, params_of
 from .groupops import covering_group, kernel_images
 from .params import CoverParams
 from .perms import PermGroup, Permutation
 
 JACOBI_DIM_BOUND = 512
+
+# float32 holds every integer up to 2^24 exactly.  The partial sums of
+# certify_two_eigenvalues' layer product reach n - 1, and it raises
+# SizeBoundExceeded once n - 1 reaches this bound
+FLOAT32_EXACT = 2 ** 24
 
 
 class FrameError(ValueError):

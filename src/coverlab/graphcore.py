@@ -46,13 +46,9 @@ class GraphStructureError(ValueError):
     """Malformed input (bad partition, unknown vertex), not an axiom failure."""
 
 
-# float32 holds every integer up to 2^24 exactly.  One rule for every BLAS
-# product in the library: it runs in float32 when its stated partial-sum
-# bound is below FLOAT32_EXACT, and past it raises SizeBoundExceeded
-FLOAT32_EXACT = 2 ** 24
-
 # a cover has at most this many vertices: A alone takes v^2 bytes (16 MB at
-# the bound), and the constructors refuse larger covers before building
+# the bound), and the constructors refuse larger covers before building.
+# Being below 2^24, it keeps verify_cover's float32 products exact
 VERTEX_BOUND = 4096
 
 
@@ -457,8 +453,8 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     counts each vertex's neighbours per fibre for (b) and (c), and A·A
     counts common neighbours for (d) and (e).
     Their entries are sums of 0/1 terms, so every partial sum is at most
-    the largest degree, read off A, and they are exact while it stays
-    below FLOAT32_EXACT; past it SizeBoundExceeded is raised.
+    the largest degree, below v <= VERTEX_BOUND < 2^24, and float32 holds
+    every integer up to 2^24: they are exact.
     (d) and (e) are read off one residual R = A^2 - mu J - (lam - mu)A with
     its fibre blocks zeroed, built in A^2's buffer in two row blocks: rows
     0..n-1 first, where mu is read at the first non-adjacent cross-fibre
@@ -491,11 +487,6 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     if max_violations < 1:
         raise ValueError(f"max_violations must be at least 1, got {max_violations}")
     rep = CoverReport(is_cover=False, n=g.n, r=g.r, mu=None, lam=None)
-    degree = _max_degree(g)
-    if degree >= FLOAT32_EXACT:
-        raise SizeBoundExceeded(
-            f"common-neighbour counts reach {degree} >= {FLOAT32_EXACT}, "
-            "beyond exact float32 arithmetic")
     a = g._a
     cap = max_violations
     fibre_of = g._fibre_of
@@ -588,11 +579,6 @@ def _residual_witnesses(block: np.ndarray, start: int, a: np.ndarray,
     counts = block.flat[nz[keep]].astype(np.int64) + mu
     return True, list(zip(u[keep].tolist(), w[keep].tolist(),
                           counts.tolist()))
-
-
-def _max_degree(g: CoverGraph) -> int:
-    """The largest degree of g, read off its matrix."""
-    return int(np.count_nonzero(g._a, axis=1).max())
 
 
 def _connected_or(g: CoverGraph, rep: CoverReport) -> CoverReport:

@@ -25,8 +25,8 @@ section 4.1) that records those points as its tail_points, so an element
 of the group lies in the tail iff it fixes them; pointwise_stabilizer
 and point_stabilizer are tails of the group rebased at the points.
 PermGroup.orbits is the one orbit partition, made in one pass over the
-points: the automorphism search, the arc orbits, the covering group's
-regularity, quotients and subdegrees all read it.
+points: the automorphism search, the arc orbits, the subdegrees and the
+involution scan read it.
 Products index one image tuple by another with operator.itemgetter, and a
 seeded draw composes image tuples and wraps only its result.  A
 permutation holds only its image tuple.  Sifting forms no inverse: it
@@ -100,9 +100,13 @@ class Permutation:
         return out
 
     def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * len(self.img)
+        """The cycles of length > 1, each from its least point.  ValueError
+        when the image is no permutation of 0..n-1: a cycle reaches a point
+        outside 0..n-1, or one already seen, which has two preimages."""
+        n = len(self.img)
+        seen = [False] * n
         out = []
-        for i in range(len(self.img)):
+        for i in range(n):
             if seen[i] or self.img[i] == i:
                 seen[i] = True
                 continue
@@ -110,6 +114,10 @@ class Permutation:
             seen[i] = True
             j = self.img[i]
             while j != i:
+                if not 0 <= j < n:
+                    raise ValueError(f"image {j} lies outside 0..{n - 1}")
+                if seen[j]:
+                    raise ValueError(f"point {j} is the image of two points")
                 cyc.append(j)
                 seen[j] = True
                 j = self.img[j]
@@ -120,7 +128,10 @@ class Permutation:
         return [i for i, x in enumerate(self.img) if i == x]
 
     def __repr__(self):
-        cyc = self.cycles()
+        try:
+            cyc = self.cycles()
+        except ValueError:  # no permutation: show the raw image
+            return f"Permutation({list(self.img)})"
         if not cyc:
             return "Permutation(id)"
         return "Permutation(" + "".join(str(c) for c in cyc) + ")"
@@ -372,7 +383,10 @@ class PermGroup:
             g = Permutation(g)
         if g.degree != self.degree:
             return False
-        return _sift(self._chain(), g)[0].is_identity()
+        try:
+            return _sift(self._chain(), g)[0].is_identity()
+        except ValueError:  # a base point has no preimage: no permutation
+            return False
 
     def stabilizer(self, k: int) -> "PermGroup":
         """Pointwise stabilizer of the first k base points: the strong

@@ -72,6 +72,21 @@ def rank3_subgroup_ts31():
                       linear([[0, -1], [1, 0]])])
 
 
+def imprimitive_rank3_group(q: int):
+    """The subgroup of Aut(TS(q,1)) of order q^4 (q - 1), q an odd prime,
+    generated by the translations of (1, 0) and (0, 1), the shift, and the
+    lifts of diag(w, 1/w), w a primitive root, and of [[1, 1], [0, 1]].  Its
+    fibre stabilizer acts as the upper triangular matrices of determinant 1,
+    whose orbits on the nonzero vectors are the q - 1 of the line u1 = 0 and
+    the q (q - 1) others: rank 3 on the fibres, imprimitive."""
+    translation, shift, linear = symplectic_witnesses(q)
+    w = next(w for w in range(2, q)
+             if len({pow(w, k, q) for k in range(q - 1)}) == q - 1)
+    return PermGroup([translation((1, 0)), translation((0, 1)), shift(1),
+                      linear([[w, 0], [0, pow(w, -1, q)]]),
+                      linear([[1, 1], [0, 1]])])
+
+
 def signature_of(s):
     """The signature matrix S = exp(2 pi i angle/e) of a CharacterMatrix,
     rebuilt in complex floats from its exact angle table and e (0 where the

@@ -281,10 +281,13 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     feasible-a at its cap + 1, TRIAL_DIVISION_MAX through params derive
     at n = 10^30 + 1, whose discriminant is no square and has a cofactor
     past the bound's square, AUT_VERTEX_BOUND through analyze (patched
-    below the icosahedron's 12 vertices) and FLOAT32_EXACT through verify
-    (patched to the hexagon's degree 2).  MAX_SUBGROUPS_ORDER is pinned as
+    below the icosahedron's 12 vertices) and FLOAT32_EXACT through etf
+    (patched to the hexagon's n - 1 = 2).  verify_cover's float32 products
+    need no bound of their own: their partial sums stay below v, and
+    VERTEX_BOUND is below FLOAT32_EXACT.  MAX_SUBGROUPS_ORDER is pinned as
     a library raise in test_permgroup."""
-    from coverlab import autgroup, graphcore
+    from coverlab import autgroup, frames, graphcore
+    assert graphcore.VERTEX_BOUND < frames.FLOAT32_EXACT
     assert main(["build", "thas-somma", "--q", "5", "--m", "3"]) == 3
     assert capsys.readouterr().err == ("error: q^(2m+1) = 5^7 vertices "
                                        "exceed the bound 4096\n")
@@ -305,12 +308,12 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: 12 vertices exceed bound 11\n"
     path = tmp_path / "hexagon.json"
     path.write_text(hexagon().to_json_str())
-    assert main(["verify", str(path)]) == 0
+    assert main(["etf", str(path), "--side", "theta"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 2)
-    assert main(["verify", str(path)]) == 3
+    monkeypatch.setattr(frames, "FLOAT32_EXACT", 2)
+    assert main(["etf", str(path), "--side", "theta"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: common-neighbour counts reach 2 >= 2")
+    assert err.startswith("error: layer products reach 2 >= 2")
 
 
 @pytest.mark.parametrize("subcommand", ["verify", "analyze", "etf"])

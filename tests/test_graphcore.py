@@ -1032,13 +1032,3 @@ def test_lambda_is_forced_by_the_matchings():
             assert sum(shared) == g.n - 2
             lams.add(len(nbrs[u] & nbrs[w]))
         assert len(lams) > 1
-
-
-def test_verify_cover_raises_past_float32_bound(monkeypatch):
-    """Past FLOAT32_EXACT the common-neighbour products could round, so
-    verify_cover raises instead of reporting; the hexagon has degree 2."""
-    monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 3)
-    assert verify_cover(hexagon()).is_cover
-    monkeypatch.setattr(graphcore, "FLOAT32_EXACT", 2)
-    with pytest.raises(graphcore.SizeBoundExceeded, match="float32"):
-        verify_cover(hexagon())

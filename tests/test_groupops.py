@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from coverlab import (arc_orbit_count, automorphism_group, covering_group,
@@ -17,9 +18,11 @@ from coverlab.graphcore import (GraphStructureError, is_automorphism,
 from coverlab.groupops import (QuotientError, SizeBoundExceeded,
                                _fibre_fixing_automorphisms,
                                involution_audit, involution_types,
-                               is_cover_automorphism, kernel_info)
+                               is_cover_automorphism, kernel_images,
+                               kernel_info)
 from coverlab.perms import PermGroup, Permutation
-from conftest import (closure_elements, gosset_cover, matching_swapped,
+from conftest import (closure_elements, gosset_cover,
+                      imprimitive_rank3_group, matching_swapped,
                       rank3_subgroup_ts31, relabelled, symplectic_witnesses)
 
 
@@ -108,8 +111,8 @@ def test_covering_group_is_recorded_once(monkeypatch):
 
 def test_kernel_elements_are_listed_once(monkeypatch):
     """K's (|K| x v) image array is recorded with K, identity first, and
-    kernel_info and character_matrix read it: neither lists K's elements
-    through its chain."""
+    character_matrix reads it; kernel_info reads regularity off |K| = r.
+    Neither lists K's elements through its chain."""
     from coverlab import groupops
     from coverlab.frames import all_characters, character_matrix
     g = relabelled(thas_somma(4, 1), 1)
@@ -204,6 +207,45 @@ def test_kernel_info_reads_abelianity_at_one_point():
     info = kernel_info(ts81, d4)
     assert info["order"] == 8 and info["regular_on_fibres"]
     assert not info["is_abelian"] and not info["abelian_cover"]
+
+
+@pytest.mark.parametrize("q, seed", ((4, 1), (8, 2)))
+def test_kernel_info_regularity_matches_orbit_oracle(q, seed):
+    """kernel_info calls a fibre-fixing group regular on the fibres iff its
+    orbits, listed here from a closure of its elements, are the fibres: on
+    every subgroup U of K of a relabelled TS(q,1), the trivial group and K
+    among them."""
+    g = relabelled(thas_somma(q, 1), seed)
+    subs = subgroups_of(covering_group(g)[0])
+    fibres = {frozenset(f) for f in g.fibres}
+    regular = []
+    for sub in subs:
+        elements = closure_elements(sub.generators, g.v)
+        orbits = {frozenset(e[x] for e in elements) for x in range(g.v)}
+        info = kernel_info(g, sub)
+        assert info["order"] == len(elements)
+        assert info["regular_on_fibres"] == (orbits == fibres)
+        regular.append(info["regular_on_fibres"])
+    assert sum(regular) == 1 and len(regular) > 2
+
+
+def test_kernel_images_rows_are_permutations(corpus):
+    """Every row of kernel_images is a permutation of the vertices, on the
+    corpus covers and relabelled copies, and a matching_swapped copy, which
+    is no cover, gets no image array.  On the swapped hexagon, two
+    triangles, the matching propagation alone keeps rows that send both
+    triangles onto one: only the verified cover's connectivity makes every
+    kept row a bijection."""
+    for name, base in corpus.items():
+        for g in (base, relabelled(base, 1)):
+            images = kernel_images(g)
+            assert images.shape == (g.r, g.v), name
+            assert (np.sort(images, axis=1) == np.arange(g.v)).all(), name
+        with pytest.raises(GraphStructureError):
+            kernel_images(matching_swapped(base))
+    swapped = matching_swapped(corpus["hexagon"])
+    rows = _fibre_fixing_automorphisms(swapped).tolist()
+    assert rows and all(sorted(r) != list(range(swapped.v)) for r in rows)
 
 
 def test_covering_group_hexagon_is_rotation():
@@ -710,6 +752,53 @@ def test_subdegree_identities_rank3():
     assert res["lambda1"] == res["lambda2"] == 1
     assert res["mu_checks"] and all(c["status"] == "pass"
                                     for c in res["mu_checks"])
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+def test_imprimitive_rank3_group(q):
+    """The paper's imprimitive rank-3 case on TS(q,1), with the values
+    derived by hand (see conftest.imprimitive_rank3_group).  Vertex
+    i q + c lies over the fibre vector u = (i // q, i % q); a = 0 lies
+    over 0, and G_a's orbits on N(a) lie over the line u1 = 0 (q - 1
+    vertices) and off it (q (q - 1)).  Each is a clique less one point's
+    worth: every vertex has lambda = q - 2 neighbours inside its orbit, as
+    a count over all its rows shows.  The q - 1 fibre-mates of a are fixed
+    by G_a, and each sees the first orbit through no edge and the second
+    through q - 1.  The lift of -I, which fixes a's fibre and sends every
+    other vertex to a neighbour, gives the one involution type."""
+    g = thas_somma(q, 1)
+    group = imprimitive_rank3_group(q)
+    assert group.order() == q ** 4 * (q - 1)
+    assert g.fibre_of == tuple(x // q for x in range(g.v))
+    fa = fibre_action(g, group)
+    assert fa.transitive and fa.vertex_transitive
+    assert fa.rank == 3 and fa.subdegrees == (1, q - 1, q * (q - 1))
+    arcs = arc_orbit_count(g, fa)
+    assert arcs["rank_identity_applicable"]
+    assert arcs["arc_orbits"] == fa.rank - 1 == 2
+
+    res = subdegree_identity_check(g, fa)
+    assert res["applicable"] and res["eq_lambda_holds"]
+    assert (res["k1"], res["k2"]) == (q - 1, q * (q - 1))
+    assert res["lambda1"] == res["lambda2"] == q - 2
+    a = g.adjacency_matrix()
+    nbrs = np.flatnonzero(a[0])
+    on_line = (nbrs // q) % q == 0
+    for orbit, k in ((nbrs[on_line], q - 1), (nbrs[~on_line], q * (q - 1))):
+        assert len(orbit) == k
+        assert (a[np.ix_(orbit, orbit)].sum(axis=1) == q - 2).all()
+    assert [c["a_star"] for c in res["mu_checks"]] == list(range(1, q))
+    assert all((c["mu1"], c["mu2"], c["status"]) == (0, q - 1, "pass")
+               for c in res["mu_checks"])
+
+    assert all(item.status == "pass" for item in structure_audit(g, fa))
+    types, _ = involution_types(g, fa)
+    kind = (q, q * (q * q - 1), 0, 0)
+    assert [t for t, _ in types] == [kind]
+    _, _, linear = symplectic_witnesses(q)
+    minus_one = linear([[-1, 0], [0, -1]])
+    assert minus_one in group and minus_one.order() == 2
+    assert displacement_profile(g, minus_one) == kind
 
 
 def test_subdegree_inapplicable_rank2(corpus, auts):

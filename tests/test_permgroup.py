@@ -26,6 +26,34 @@ def test_permutation_basics():
     assert q.fixed_points() == [0, 1]
 
 
+def test_image_that_is_no_permutation():
+    """The constructor takes any image; cycles and order raise ValueError
+    on one that is no permutation of 0..n-1, naming a point with two
+    preimages or an image out of range, and repr shows the raw image."""
+    for img, point in (([1, 1, 0], "point 1 "), ([0, 0], "point 0 "),
+                       ([1, 2, 2], "point 2 "), ([2, 0, 3], "image 3 "),
+                       ([-1, 0, 1], "image -1 ")):
+        p = Permutation(img)
+        for call in (p.cycles, p.order):
+            with pytest.raises(ValueError, match=point):
+                call()
+        assert repr(p) == f"Permutation({img})"
+    assert repr(Permutation([1, 0, 2])) == "Permutation((0, 1))"
+    assert repr(Permutation([0, 1])) == "Permutation(id)"
+
+
+def test_membership_of_an_image_that_is_no_permutation():
+    """in is False for every image that is no permutation of the points,
+    whether or not it misses a base point, and for a list of another
+    length."""
+    group = automorphism_group(hexagon())
+    assert [0, 1, 2, 3, 4, 5] in group
+    for img in ([1, 1, 2, 3, 4, 5], [-6, 1, 2, 3, 4, 5], [0, 0, 1, 2, 3, 4],
+                [6, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4]):
+        assert img not in group, img
+        assert Permutation(img) not in group, img
+
+
 def test_stabilizer_chain_order_matches_closure():
     cyc = Permutation([1, 2, 3, 4, 0])
     flip = Permutation([0, 4, 3, 2, 1])
