@@ -15,9 +15,10 @@ edges tuple and the JSON text are built from that array on each call, and
 no graph keeps them.  The axioms are read off two BLAS products: neighbour
 counts per fibre are entries of A·F (F the fibre indicator), and
 common-neighbour counts are entries of A·A, which verify_cover turns in
-place, one row block at a time, into the residual A^2 - mu J -
+place, one block at a time, into the residual A^2 - mu J -
 (lambda - mu)A with its fibre blocks zeroed, 0 exactly when mu and lambda
-are as the axioms say.  The one traversal, reachable_count, steps a
+are as the axioms say; as A^2 is symmetric, its second block is a
+symmetric product.  The one traversal, reachable_count, steps a
 boolean frontier over the rows of A.  A passing report is recorded on the
 graph, which never changes after construction; cover_report hands it to
 later stages so that each graph is verified once.  spectrum_check is one
@@ -96,7 +97,9 @@ class CoverGraph:
     partition structure and the edge list: vertex labels are ints (numpy
     integers too, never bools, floats or strings), endpoints lie in 0..v-1
     and there are no loops.  These checks run on whole lists and arrays:
-    one type sweep over the fibre labels, one over the edge labels (see
+    a rectangular fibre partition is checked as one integer array after
+    one type sweep over its labels (none for an integer array, see
+    _fibre_members), the edges after one sweep over theirs (see
     _edge_array), and fibre_of is one numpy scatter; a label is looked at
     on its own only to name the first bad one.  The cover axioms
     (including fibres being cocliques) are the business of verify_cover,
@@ -125,37 +128,10 @@ class CoverGraph:
                  "_params")
 
     def __init__(self, fibres, edges, vertex_count: int | None = None):
-        fibres = [_entries(f, "fibre") for f in _entries(fibres, "fibres")]
-        labels = list(chain.from_iterable(fibres))
-        if not _all_labels(labels):
-            for x in labels:  # name the first label that is not an int
-                _label(x, "fibre")
-        fibres = [sorted(map(int, f)) for f in fibres]
-        fibres.sort(key=lambda f: f[0] if f else -1)
-        labels = list(chain.from_iterable(fibres))
-        seen = set(labels)
-        if len(seen) != len(labels):
-            seen = set()
-            for x in labels:
-                if x in seen:
-                    raise GraphStructureError(f"vertex {x} in two fibres")
-                seen.add(x)
-        v = (_label(vertex_count, "vertex count") if vertex_count is not None
-             else (max(seen) + 1 if seen else 0))
-        # v distinct labels partition 0..v-1 exactly when all lie in range
-        if v != len(seen) or (seen and (min(seen) < 0 or max(seen) >= v)):
-            raise GraphStructureError("fibres do not partition 0..v-1")
-        if v > VERTEX_BOUND:
-            raise SizeBoundExceeded(f"{v} vertices exceed the bound "
-                                    f"{VERTEX_BOUND}")
-        if not fibres:
-            raise GraphStructureError("empty fibre list")
-        r = len(fibres[0])
-        if any(len(f) != r for f in fibres):
-            raise GraphStructureError("fibres have unequal sizes")
+        members, v = _fibre_members(fibres, vertex_count)
+        n, r = members.shape
         if r < 2:
             raise GraphStructureError(f"fibre size must be >= 2, got {r}")
-        n = len(fibres)
         if n < 3:
             raise GraphStructureError(f"need at least 3 fibres, got {n}")
 
@@ -170,9 +146,8 @@ class CoverGraph:
         self.v = v
         self.n = n
         self.r = r
-        self.fibres = tuple(map(tuple, fibres))
+        self.fibres = tuple(map(tuple, members.tolist()))
         self._a = a
-        members = np.array(fibres, dtype=np.intp)
         fibre_of = np.empty(v, dtype=np.intp)
         fibre_of[members] = np.arange(n)[:, None]
         members.flags.writeable = fibre_of.flags.writeable = False
@@ -291,6 +266,86 @@ class CoverGraph:
             raise GraphStructureError(
                 "a cover is a JSON object with the keys v, fibres and edges")
         return CoverGraph(obj["fibres"], obj["edges"], obj["v"])
+
+
+def _fibre_members(fibres, vertex_count) -> tuple[np.ndarray, int]:
+    """The fibres as an n x r intp array, each row sorted and the rows
+    ordered by their first entries, and v, once they are checked to
+    partition 0..v-1 into equal parts, v <= VERTEX_BOUND.
+
+    An integer array, or a list of equal-length lists of integer labels
+    (one type sweep, see _all_labels), is checked on the whole: a range
+    test, a row sort, one bincount that sees every label once, and the
+    rows ordered by their first column through one scatter.  What fails
+    that check goes to _scan_fibres, which names the first bad label or
+    fibre as the checks run one by one.  Wherever labels are read one by
+    one, an array is read as its tolist(), so that a label is named as in
+    a list: a non-integer array before the type sweep, an integer one in
+    the scan."""
+    if isinstance(fibres, np.ndarray) and fibres.dtype.kind in "iu":
+        m, rows = fibres, None
+    else:
+        if isinstance(fibres, np.ndarray):
+            fibres = fibres.tolist()
+        rows = [_entries(f, "fibre") for f in _entries(fibres, "fibres")]
+        m = None
+        if _all_labels(chain.from_iterable(rows)):
+            try:
+                m = np.array(rows, dtype=np.intp)
+            except (ValueError, OverflowError):
+                pass  # ragged, or a label past intp: scan
+    if m is not None and m.ndim == 2 and (vertex_count is None
+                                          or _is_label(vertex_count)):
+        v = m.size if vertex_count is None else int(vertex_count)
+        if (v == m.size and 0 < v <= VERTEX_BOUND and m.min() >= 0
+                and m.max() < v):
+            m = m.astype(np.intp)
+            m.sort(axis=1)
+            if (np.bincount(m.ravel(), minlength=v) == 1).all():
+                # the first entries are distinct labels below v, so one
+                # scatter orders the rows by them (a counting sort)
+                row = np.full(v, -1)
+                row[m[:, 0]] = np.arange(len(m))
+                return m[row[row >= 0]], v
+    return _scan_fibres(fibres.tolist() if rows is None else rows,
+                        vertex_count)
+
+
+def _scan_fibres(fibres, vertex_count) -> tuple[np.ndarray, int]:
+    """_fibre_members on a partition its array check refused, label by
+    label: GraphStructureError names the first label that is not an int,
+    then the first label in two fibres, then a partition of other than
+    0..v-1; more than VERTEX_BOUND vertices raises SizeBoundExceeded; then
+    an empty list and unequal fibres raise."""
+    fibres = [_entries(f, "fibre") for f in _entries(fibres, "fibres")]
+    labels = list(chain.from_iterable(fibres))
+    if not _all_labels(labels):
+        for x in labels:  # name the first label that is not an int
+            _label(x, "fibre")
+    fibres = [sorted(map(int, f)) for f in fibres]
+    fibres.sort(key=lambda f: f[0] if f else -1)
+    labels = list(chain.from_iterable(fibres))
+    seen = set(labels)
+    if len(seen) != len(labels):
+        seen = set()
+        for x in labels:
+            if x in seen:
+                raise GraphStructureError(f"vertex {x} in two fibres")
+            seen.add(x)
+    v = (_label(vertex_count, "vertex count") if vertex_count is not None
+         else (max(seen) + 1 if seen else 0))
+    # v distinct labels partition 0..v-1 exactly when all lie in range
+    if v != len(seen) or (seen and (min(seen) < 0 or max(seen) >= v)):
+        raise GraphStructureError("fibres do not partition 0..v-1")
+    if v > VERTEX_BOUND:
+        raise SizeBoundExceeded(f"{v} vertices exceed the bound "
+                                f"{VERTEX_BOUND}")
+    if not fibres:
+        raise GraphStructureError("empty fibre list")
+    r = len(fibres[0])
+    if any(len(f) != r for f in fibres):
+        raise GraphStructureError("fibres have unequal sizes")
+    return np.array(fibres, dtype=np.intp).reshape(len(fibres), r), v
 
 
 def _decode_compact(text: str) -> dict | None:
@@ -456,13 +511,18 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     the largest degree, below v <= VERTEX_BOUND < 2^24, and float32 holds
     every integer up to 2^24: they are exact.
     (d) and (e) are read off one residual R = A^2 - mu J - (lam - mu)A with
-    its fibre blocks zeroed, built in A^2's buffer in two row blocks: rows
+    its fibre blocks zeroed, built in A^2's buffer in two blocks: rows
     0..n-1 first, where mu is read at the first non-adjacent cross-fibre
     pair u < w, which (b) and (c) put in row 0, and lam = n - (r-1)mu - 2;
-    then rows n..v-1, only when the first block holds fewer than
-    max_violations witnesses.  So a failing cover whose first n rows hold
-    them all pays about 1/r of A^2, and a passing one the same flops as
-    one product.  The cover passes when mu >= 1 and R is 0.
+    then, only when the first block holds fewer than max_violations
+    witnesses, rows n..v-1 at the columns n..v-1 alone: R is symmetric,
+    the first block holds rows 0..n-1 in full, and every witness the
+    second can add has w > u >= n.  That block is t t^T, t the rows n..v-1
+    of A, which BLAS forms as a symmetric product (ssyrk) at half the
+    flops of a general one.  So a failing cover whose first n rows hold
+    all its witnesses pays about 1/r of A^2, and a passing one
+    n v^2 + (v - n)^2 v / 2 multiply-adds.  The cover passes when mu >= 1
+    and R is 0.
     Once (b) and (c) hold, (e) follows from (d): for an edge uw, each
     neighbour of w other than u has one neighbour in u's fibre, so the r
     vertices of that fibre share n - 2 neighbours with w in all, mu with
@@ -518,8 +578,9 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     del f, per_fibre, wrong  # dropped before A^2, to bound peak memory
 
     # (d) and (e) from one residual R = A^2 - mu J - (lam - mu) A, zero on
-    # the fibre blocks, built in A^2's buffer one row block at a time: rows
-    # 0..n-1, then the rest only while fewer than cap witnesses are found.
+    # the fibre blocks, built in A^2's buffer one block at a time: rows
+    # 0..n-1, then rows and columns n..v-1 only while fewer than cap
+    # witnesses are found.
     # mu is read at the first non-adjacent cross-fibre pair u < w, which
     # (b) and (c) put in row 0
     n = g.n
@@ -531,11 +592,15 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
     rep.mu = mu
     head -= (lam - mu) * a32[:n]
     nonzero, found = _residual_witnesses(head, 0, a, mates, mu, cap)
+    del head
     if len(found) < cap:
-        tail = a32[n:] @ a32
+        # R is symmetric and the head holds rows 0..n-1 in full, so the
+        # tail needs only its columns n..v-1: one symmetric product
+        t = a32[n:]
+        tail = t @ t.T
         a32 *= lam - mu
-        tail -= a32[n:]
-        del a32
+        tail -= a32[n:, n:]
+        del t, a32
         more, rest = _residual_witnesses(tail, n, a, mates, mu,
                                          cap - len(found))
         nonzero, found = nonzero or more, found + rest
@@ -562,19 +627,23 @@ def verify_cover(g: CoverGraph, max_violations: int = 10) -> CoverReport:
 def _residual_witnesses(block: np.ndarray, start: int, a: np.ndarray,
                         mates: np.ndarray, mu: int,
                         cap: int) -> tuple[bool, list]:
-    """Turn block, rows start, start + 1, ... of A^2 - (lam - mu)A, into
-    those rows of R in place: mu subtracted and each row zeroed on its
-    vertex's fibre, mates[u].  Returns whether they are nonzero, and their
-    first cap witnesses (u, w, common neighbours): the non-adjacent pairs
-    u < w where R is nonzero, in row-major order; R vanishes on the edges
-    once it does off them (see verify_cover)."""
+    """Turn block, the rows start, start + 1, ... and columns start..v-1
+    of A^2 - (lam - mu)A, into that block of R in place: mu subtracted and
+    each row zeroed on its vertex's fibre, mates[u], where the fibre falls
+    inside the block.  Returns whether the block is nonzero, and its first
+    cap witnesses (u, w, common neighbours): the non-adjacent pairs u < w
+    where R is nonzero, in row-major order; R vanishes on the edges once
+    it does off them (see verify_cover)."""
     block -= mu
-    block[np.arange(len(block))[:, None], mates[start:start + len(block)]] = 0
+    cols = mates[start:start + len(block)] - start
+    rows, k = np.nonzero(cols >= 0)
+    block[rows, cols[rows, k]] = 0
     if not block.any():
         return False, []
     nz = np.flatnonzero(block != 0)  # far faster than on the floats
-    u, w = np.divmod(nz, len(a))
+    u, w = np.divmod(nz, block.shape[1])
     u += start
+    w += start
     keep = np.flatnonzero((u < w) & ~a[u, w])[:cap]
     counts = block.flat[nz[keep]].astype(np.int64) + mu
     return True, list(zip(u[keep].tolist(), w[keep].tolist(),

@@ -8,11 +8,12 @@ of vertex 0 in its fibre and propagates each along the perfect matchings
 between fibres, read off the arcs.  So K is semiregular, and its element
 list gives its chain, on the base (0,), by PermGroup.from_elements with no
 Schreier-Sims; a group's kernel on the fibres, the elements of K in the
-group's chain, gets its chain the same way.  Quotients
-by subgroups of the covering group inherit the cover structure with fibre
-size divided and mu multiplied by the subgroup order; quotient_cover maps
-the edges to the orbits and re-verifies the result.  fibre_action alone
-checks a group G, on one matrix A, and takes its kernel, and it rebases G's
+group's chain, gets its chain the same way.  Quotients by subgroups U of
+the covering group inherit the cover structure with fibre size divided and
+mu multiplied by |U|; quotient_cover checks U <= K against K's recorded
+elements, maps the edges to the orbits and records the report that
+theorem fixes, with no second verification.  fibre_action alone checks a
+group G, on one matrix A, and takes its kernel, and it rebases G's
 chain once, with a = 0 and F its fibre.  That one chain acts on the
 vertices and on a point F* per fibre, with base (F*, a, F - {a}), so its
 tails are M = G_{F} (the fibre group's point stabilizer), G_a and the
@@ -50,9 +51,9 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import is_integral
-from .graphcore import (CoverGraph, SizeBoundExceeded, cover_report,
-                        is_automorphism, params_of, require_cover,
-                        verify_cover)
+from .graphcore import (CoverGraph, CoverReport, SizeBoundExceeded,
+                        cover_report, is_automorphism, params_of,
+                        require_cover)
 from .perms import PermGroup, Permutation
 
 
@@ -69,13 +70,6 @@ def is_cover_automorphism(g: CoverGraph, perm) -> bool:
 def _permutes_vertices(g: CoverGraph, img) -> bool:
     """Whether img lists each of the vertices 0..v-1 once."""
     return sorted(img) == list(range(g.v))
-
-
-def fixes_fibres(g: CoverGraph, perm: Permutation) -> bool:
-    """True when perm maps every fibre of g onto itself: the fibre of each
-    image perm[x], read in order of x, is the fibre of x."""
-    fo = g.fibre_of
-    return tuple(map(fo.__getitem__, perm.img)) == fo
 
 
 def covering_group(g: CoverGraph, group: PermGroup | None = None):
@@ -293,52 +287,59 @@ class QuotientError(ValueError):
 
 
 def quotient_cover(g: CoverGraph, sub: PermGroup) -> CoverGraph:
-    """Quotient by a subgroup of the covering group, re-verified.
+    """Quotient by a subgroup U of the covering group K, with its cover
+    report derived, not re-verified.
 
-    Requires every generator to fix each fibre setwise and 1 <= |U| < r, with U
-    semiregular.  These order checks come first, so U has at most r - 1
-    non-identity elements, and its elements are listed as one (|U| x v) image
-    array: U is semiregular iff only the identity row fixes a point.  The
-    U-orbits, numbered by least element, are the quotient's vertices: a
-    vertex's orbit number is the rank of its column's minimum, the least
-    element of its orbit, among all those minima.  The quotient's edges are the
-    images of g's edges, those within one orbit dropped and duplicates
-    collapsed by CoverGraph: every edge of g between different orbits, so
-    nothing assumes U <= Aut.  A fibre of g is a union of r/|U| orbits of |U|
-    vertices each, so its sorted orbit numbers repeat each orbit |U| times in a
-    row, and every |U|-th one is the quotient fibre.  The result is checked by
-    verify_cover to be an (n, r/|U|, mu |U|)-cover; a failure raises, since it
-    would contradict the quotient-closure property for valid input.
+    g must be a cover (GraphStructureError otherwise, from covering_group),
+    and U <= K is checked by finding each generator of U among the rows of
+    kernel_images(g): K is semiregular, so the row is the one whose image
+    of vertex 0 agrees.  Then 1 <= |U| < r is checked.  Membership gives
+    the rest: U fixes every fibre, acts semiregularly, and |U| divides
+    |K|, which divides r, as K's orbits split each fibre into orbits of
+    |K| points.  The U-orbits, numbered by least element, are the
+    quotient's vertices: a vertex's orbit number is the rank of its
+    column's minimum in U's (|U| x v) image array, the least element of
+    its orbit, among all those minima.  The quotient's edges are the images
+    of g's edges, duplicates collapsed by CoverGraph; none lies within an
+    orbit, as an orbit lies in one fibre, a coclique.  A fibre of g is a
+    union of r/|U| orbits of |U| vertices each, so its sorted orbit numbers
+    repeat each orbit |U| times in a row, and every |U|-th one is the
+    quotient fibre.  The quotient is an (n, r/|U|, mu |U|)-cover (Godsil and Hensel, JCTB
+    56, 1992), and its report is recorded on it with no verify_cover.  Let
+    T(x, j) be the neighbour of x in fibre j.  Each u in U is a
+    fibre-fixing automorphism, so u T(x, j) = T(ux, j): the neighbours of
+    Ux in fibre j form the one orbit U T(x, j), and the fibres of the
+    quotient are cocliques joined pairwise by perfect matchings.  No two
+    vertices uy != u'y of Uy share a neighbour of x in one fibre, since
+    the matching between two fibres of g is a bijection, so Ux and Uy have
+    sum_u c(x, uy) common neighbour orbits, c counting common neighbours
+    in g.  For Ux, Uy in two fibres that is |U| mu, or lam + (|U| - 1) mu
+    when they are adjacent, as x is then adjacent to one vertex of Uy:
+    mu' = |U| mu >= 1 and lam' = n - (r/|U| - 1) mu' - 2, as verify_cover
+    would find, and the diameter is 3 as for every cover (see verify_cover).
     """
     if sub.degree != g.v:
         raise QuotientError(f"subgroup acts on {sub.degree} points, "
                             f"not on the {g.v} vertices")
-    if not all(fixes_fibres(g, p) for p in sub.generators):
-        raise QuotientError("subgroup is not fibre-fixing")
+    kernel = kernel_images(g)
+    for p in sub.generators:
+        row = kernel[kernel[:, 0] == p.img[0]]
+        if not (len(row) and np.array_equal(row[0], p.img)):
+            raise QuotientError("subgroup is not contained in the covering "
+                                "group")
     u_order = sub.order()
     if u_order >= g.r:
         raise QuotientError(f"|U| = {u_order} must be smaller than r = {g.r}")
-    if g.r % u_order != 0:
-        raise QuotientError(f"|U| = {u_order} does not divide r = {g.r}")
 
     images = np.array([p.img for p in sub.elements()])
-    if np.count_nonzero((images == np.arange(g.v)).any(axis=1)) > 1:
-        raise QuotientError("subgroup does not act semiregularly")
     _, orbit_of = np.unique(images.min(axis=0), return_inverse=True)
-    edges = orbit_of[g._pairs]
-    # np.compress selects rows many times faster than a boolean index
-    edges = np.compress(edges[:, 0] != edges[:, 1], edges, axis=0)
     fibres = np.sort(orbit_of[g._members], axis=1)[:, ::u_order]
-    quot = CoverGraph(fibres.tolist(), edges)
-
+    quot = CoverGraph(fibres, orbit_of[g._pairs])
     base = cover_report(g)
-    if base.is_cover:
-        rep = verify_cover(quot)
-        if not (rep.is_cover and (rep.n, rep.r) == (g.n, g.r // u_order)
-                and rep.mu == base.mu * u_order):
-            raise QuotientError(
-                f"quotient is not an ({g.n}, {g.r // u_order}, "
-                f"{base.mu * u_order})-cover")
+    quot._report = CoverReport(
+        is_cover=True, n=g.n, r=g.r // u_order, mu=base.mu * u_order,
+        lam=base.lam + (u_order - 1) * base.mu,
+        antipodality_confirmed=True, diameter=3)
     return quot
 
 

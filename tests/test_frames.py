@@ -241,11 +241,11 @@ def test_supplied_kernel_must_be_the_covering_group(corpus):
 
 def test_characters_never_recheck_the_kernel(monkeypatch):
     """Building S for every nontrivial character of TS(4,1), with K
-    supplied and without, finds K once and never checks it again: no
-    fixes_fibres sweep, and kernel_info once, when K is recorded.  Both
-    are counted wherever a coverlab module binds them."""
+    supplied and without, finds K once and never checks it again:
+    kernel_info runs once, when K is recorded, counted wherever a coverlab
+    module binds it."""
     from coverlab import frames, groupops
-    calls = {"fixes_fibres": 0, "kernel_info": 0}
+    calls = {"kernel_info": 0}
     for module in (groupops, frames):
         for name in calls:
             original = getattr(module, name, None)
@@ -263,7 +263,7 @@ def test_characters_never_recheck_the_kernel(monkeypatch):
     for chi in chars:
         for supplied in (kernel, None):
             assert character_matrix(g, chi, kernel=supplied).n == g.n
-    assert calls == {"fixes_fibres": 0, "kernel_info": 1}
+    assert calls == {"kernel_info": 1}
 
 
 def test_lines_from_cover_verifies_once(verify_calls):

@@ -173,8 +173,10 @@ def test_spectrum_check_reads_the_recorded_report(verify_calls):
 def test_exact_checks_hold_few_v_by_v_arrays():
     """tracemalloc's peak on TS(8,1), in units of one float32 v x v array.
     spectrum_check reads the recorded report and allocates no matrix;
-    verify_cover holds A's float32 copy and the residual built in A^2's
-    buffer, as the graph owns the bool A."""
+    verify_cover holds A's float32 copy and the residual's second block,
+    (v - n)^2 floats of the symmetric product, as the graph owns the bool
+    A: a peak of 1.864 units, measured on Python 3.11 with numpy 2.4
+    (2.067 when that block was (v - n) x v)."""
     g = thas_somma(8, 1)
     p = params_of(g)
     unit = g.v * g.v * np.dtype(np.float32).itemsize
@@ -188,7 +190,7 @@ def test_exact_checks_hold_few_v_by_v_arrays():
             tracemalloc.stop()
 
     assert peak(lambda: spectrum_check(g, p)) < 0.05
-    assert peak(lambda: verify_cover(g)) <= 2.2
+    assert peak(lambda: verify_cover(g)) <= 1.97
 
 
 def test_cover_graph_retains_one_byte_per_vertex_pair():
@@ -663,6 +665,66 @@ def test_cover_graph_accepts_numpy_scalar_labels():
             CoverGraph(fibres, ring[:3] + [[3, bad]] + ring[4:])
     with pytest.raises(GraphStructureError, match="non-integer"):
         CoverGraph(fibres, np.array(ring) > 2)
+
+
+def test_cover_graph_from_a_fibre_array_matches_the_list(corpus):
+    """A fibre array, an int64 or int32 one, with its rows in reverse and
+    each row reversed, builds the graph a list builds: fibres, fibre_of,
+    the members array and A, on the corpus and on copies relabelled by
+    seeds 1 and 2."""
+    for name, base in corpus.items():
+        for g in (base, relabelled(base, 1), relabelled(base, 2)):
+            fibres = [list(f)[::-1] for f in g.fibres][::-1]
+            edges = g._pairs
+            want = CoverGraph(fibres, edges, g.v)
+            for dtype in (np.int64, np.int32):
+                h = CoverGraph(np.array(fibres, dtype=dtype), edges)
+                assert h.fibres == want.fibres == g.fibres, name
+                assert h.fibre_of == want.fibre_of == g.fibre_of, name
+                assert h._members.dtype == np.intp
+                assert (h._members == want._members).all(), name
+                assert (h._a == want._a).all(), name
+
+
+def _structure_error(fibres, vertex_count=None):
+    """The message CoverGraph gives for fibres on the hexagon's edges."""
+    ring = [[i, (i + 1) % 6] for i in range(6)]
+    with pytest.raises(GraphStructureError) as exc:
+        CoverGraph(fibres, ring, vertex_count)
+    return str(exc.value)
+
+
+def test_cover_graph_fibre_array_errors_match_the_list():
+    """Bool, float, ragged, out-of-range, repeated and 2**70 fibre arrays,
+    too few or too small fibres and a wrong vertex count raise the
+    GraphStructureError the same fibres raise as lists; a partition past
+    VERTEX_BOUND raises SizeBoundExceeded either way."""
+    cases = {
+        "bool": ([[False, True], [True, False], [False, True]], None),
+        "float": ([[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]], None),
+        "ragged": ([[0, 3], [1, 4], [2, 5, 6]], None),
+        "range": ([[0, 3], [1, 4], [2, 6]], None),
+        "negative": ([[0, 3], [1, 4], [-1, 5]], 6),
+        "repeated": ([[0, 3], [1, 4], [3, 5]], None),
+        "big": ([[0, 3], [1, 4], [2, 2 ** 70]], None),
+        "count": ([[0, 3], [1, 4], [2, 5]], 7),
+        "two": ([[0, 2], [1, 3]], None),
+        "one": ([[0], [1], [2]], None),
+        "empty": ([], None),
+    }
+    messages = set()
+    for name, (fibres, count) in cases.items():
+        want = _structure_error(fibres, count)
+        dtype = object if name in ("ragged", "big") else None
+        assert _structure_error(np.array(fibres, dtype=dtype),
+                                count) == want, name
+        messages.add(want)
+    # range, negative, big and count all fail the partition
+    assert len(messages) == 8
+    huge = np.arange(graphcore.VERTEX_BOUND + 2).reshape(-1, 2)
+    for fibres in (huge, huge.tolist()):
+        with pytest.raises(graphcore.SizeBoundExceeded):
+            CoverGraph(fibres, [])
 
 
 _BAD_EDGES = {"pair": ([0, 1, 2], "edge [0, 1, 2] is not a vertex pair"),

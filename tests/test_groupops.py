@@ -6,15 +6,16 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from coverlab import (arc_orbit_count, automorphism_group, covering_group,
-                      cube, displacement_profile, fibre_action, hexagon,
+from coverlab import (all_characters, arc_orbit_count, automorphism_group,
+                      character_matrix, covering_group, cube,
+                      displacement_profile, fibre_action, hexagon,
                       icosahedron, quotient_cover, structure_audit,
                       subdegree_identity_check, subgroups_of, thas_somma,
                       verify_cover)
 from coverlab.autgroup import automorphism_generators
 from coverlab.exact import QuadExt
-from coverlab.graphcore import (GraphStructureError, is_automorphism,
-                                params_of)
+from coverlab.graphcore import (CoverGraph, GraphStructureError,
+                                cover_report, is_automorphism, params_of)
 from coverlab.groupops import (QuotientError, SizeBoundExceeded,
                                _fibre_fixing_automorphisms,
                                involution_audit, involution_types,
@@ -175,13 +176,71 @@ def test_covering_group_of_group_matches_closure(case, kernel_cases):
 
 
 def test_quotients_verify_parent_once(verify_calls):
+    """Quotients by U <= K get their report from the theorem: only the
+    parent is verified, at most once, and never a quotient, though
+    cover_report, params_of, covering_group and character_matrix read
+    each quotient's report."""
     g = thas_somma(4, 1)
     kernel, _ = covering_group(g)
     subs = [u for u in subgroups_of(kernel) if u.order() < g.r]
     quotients = [quotient_cover(g, u) for u in subs]
     assert len(subs) == 4  # trivial and the three of order 2
-    assert sum(h is g for h in verify_calls) <= 1
-    assert [h for h in verify_calls if h is not g] == quotients
+    for q in quotients:
+        assert cover_report(q).is_cover and params_of(q).r == q.r
+        k, _ = covering_group(q)
+        assert character_matrix(q, all_characters(k)[1]).n == q.n
+    assert verify_calls in ([], [g])
+
+
+def _reverified(q):
+    """verify_cover's report on a fresh copy of q, with no record."""
+    return verify_cover(CoverGraph(q.fibres, q.edges, q.v)).to_json()
+
+
+@pytest.mark.parametrize("q, k", [(4, 1), (8, 1), (4, 2)])
+def test_quotient_report_is_the_verified_one(q, k):
+    """The report quotient_cover derives from the parent's is the one
+    verify_cover finds on a copy of the quotient: for every subgroup
+    U < K (order below r), on TS(q, k) as built and relabelled by seeds
+    1 and 2."""
+    base = thas_somma(q, k)
+    for g in (base, relabelled(base, 1), relabelled(base, 2)):
+        kernel, _ = covering_group(g)
+        subs = [u for u in subgroups_of(kernel) if u.order() < g.r]
+        assert len(subs) > 1
+        for sub in subs:
+            quot = quotient_cover(g, sub)
+            rep = quot._report
+            assert (rep.n, rep.r, rep.mu) == (
+                g.n, g.r // sub.order(), g._report.mu * sub.order())
+            assert rep.to_json() == _reverified(quot)
+
+
+def test_quotient_rejects_a_fibre_fixing_non_automorphism():
+    """U = <p>, p acting as one element of K on fibre 1 and as another on
+    the other fibres, fixes every fibre and is semiregular of order 2 < r,
+    but is no automorphism, so it is not in K."""
+    g = thas_somma(4, 1)
+    k1, k2 = np.array(kernel_images(g)[1:3])
+    img = np.where(g._fibre_of == 1, k1, k2)
+    p = Permutation(img.tolist())
+    assert not is_cover_automorphism(g, p)
+    sub = PermGroup([p], g.v)
+    assert sub.order() == 2 and (img != np.arange(g.v)).all()
+    with pytest.raises(QuotientError, match="covering group"):
+        quotient_cover(g, sub)
+
+
+def test_quotient_of_a_non_cover_raises(corpus):
+    """A parent that is no cover has no K to take a quotient by: a
+    matching_swapped copy raises, for the trivial group and for an
+    element of the cover's K."""
+    g = corpus["ts41"]
+    bad = matching_swapped(g)
+    for sub in (PermGroup([], g.v),
+                PermGroup([Permutation(kernel_images(g)[1].tolist())], g.v)):
+        with pytest.raises(GraphStructureError, match="not a cover"):
+            quotient_cover(bad, sub)
 
 
 def test_covering_group_semiregular(corpus, auts):
@@ -442,6 +501,8 @@ def test_nested_quotients_compose():
         induced.append(Permutation(img))
     second = quotient_cover(first, PermGroup(induced, len(orbits)))
     assert second.fibres == direct.fibres and second.edges == direct.edges
+    for quot in (direct, first, second):
+        assert quot._report.to_json() == _reverified(quot)
 
 
 def test_displacement_profiles(corpus):
