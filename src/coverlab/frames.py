@@ -8,18 +8,17 @@ mod |H|, and each exact Fraction angle is built only when read.  K is
 covering_group's record on the graph, found and checked once per cover.
 
 From an abelian cover and a nontrivial character chi of K one forms the
-n x n Hermitian signature matrix S, in one gauge: the base vertex of each
-fibre is its minimum label, and for fibres F != F' S[F, F'] = chi(k) where
-k in K moves the matched partner of F's base vertex inside F' onto F''s base
-vertex.  S is held only as its angle table: each entry is an exact angle a
-in Z_e, chi(k) = exp(2 pi i a/e), and an integer identity on the 0/1 angle
-layers certifies the spectrum {theta, tau} with a witness.  Keeping one
-eigenvalue, G = I - S/other, with other the eigenvalue not kept, is the
-Gram matrix of n equiangular unit vectors meeting the relative bound (an
-equiangular tight frame), in dimension n - m_theta/(r-1) or n -
-m_tau/(r-1).  A LineSystem keeps the certified S it was read from and
-other, and its certificates are read off the spectrum certificate in
-integer and QuadExt arithmetic, with no float.
+n x n Hermitian signature matrix S_ij = chi(-W_ij), W = kernel_voltages(g)
+in its gauge, each fibre's base vertex its minimum label: -W_ij moves base
+i's neighbour in fibre j onto base j.  S is held only as its angle table:
+each entry is an exact angle a in Z_e, chi(k) = exp(2 pi i a/e), and an
+integer identity on the 0/1 angle layers certifies the spectrum {theta,
+tau} with a witness.  Keeping one eigenvalue, G = I - S/other, with other
+the eigenvalue not kept, is the Gram matrix of n equiangular unit vectors
+meeting the relative bound (an equiangular tight frame), in dimension
+n - m_theta/(r-1) or n - m_tau/(r-1).  A LineSystem keeps the certified S
+it was read from and other, and its certificates are read off the spectrum
+certificate in integer and QuadExt arithmetic, with no float.
 
 hermitian_jacobi is a standalone cyclic Jacobi eigensolver for Hermitian
 matrices; nothing in the library calls it, and numpy's eigvalsh serves as
@@ -36,7 +35,7 @@ import numpy as np
 
 from .exact import is_integral, quad_json
 from .graphcore import CoverGraph, SizeBoundExceeded, params_of
-from .groupops import covering_group, kernel_images
+from .groupops import covering_group, kernel_images, kernel_voltages
 from .params import CoverParams
 from .perms import PermGroup, Permutation
 
@@ -156,12 +155,10 @@ def character_matrix(g: CoverGraph, chi: Character,
     The cover's parameters come from the report verify_cover recorded on g
     (g is verified only when none is recorded), K and its info from
     covering_group(g).  A supplied kernel must be K: same order, and its
-    generators in K.  Row i is read off the arcs at base vertex i, the
-    nonzero entries of A's row there, through a carrier table: for each
-    vertex x, the angle a in Z_e of chi at the p in K taking x to its
-    fibre's base, its minimum label (e the order of chi's image, read off
-    chi's integer angles).  The result is that angle table, with the
-    eigenvalues certify_two_eigenvalues certifies on it.
+    generators in K, and chi a character of K (FrameError otherwise).  The
+    angle table of S_ij = chi(-W_ij), W = kernel_voltages(g), is one gather
+    at W of chi's angles -a in Z_e (e the order of its image), -1 on the
+    diagonal, with the eigenvalues certify_two_eigenvalues certifies on it.
     """
     params = params_of(g)
     k, info = covering_group(g)
@@ -174,29 +171,17 @@ def character_matrix(g: CoverGraph, chi: Character,
     if chi.is_trivial:
         raise FrameError("character must be nontrivial")
 
-    n = g.n
-    bases = [f[0] for f in g.fibres]
-
-    # carrier[x] = e*angle(chi, p) for the one p in K taking x to its base
-    # (abelian_cover holds, so K is regular on every fibre): e is the order
-    # of chi's image, and the p are read off one comparison of K's
-    # (|K| x v) element array with each vertex's base
-    images = kernel_images(g)
-    turns = [chi.turns[img] for img in map(tuple, images.tolist())]
+    turns = [chi.turns.get(tuple(img)) for img in kernel_images(g).tolist()]
+    if None in turns:
+        raise FrameError("chi is not a character of g's covering group")
     step = math.gcd(chi.modulus, *turns)
     e = chi.modulus // step
-    fibre = g._fibre_of
-    base_of = g._members[fibre, 0]
-    carrier = (np.array(turns) // step)[(images == base_of).argmax(axis=0)]
-
-    # the arcs (b, x) out of the bases, off A's base rows: x is b's
-    # partner in x's fibre
-    i, x = np.nonzero(g.adjacency_matrix()[bases])
-    angle = np.full((n, n), -1)
-    angle[i, fibre[x]] = carrier[x]
+    angle = (-np.array(turns) % chi.modulus // step)[kernel_voltages(g)]
+    np.fill_diagonal(angle, -1)
 
     eigenvalues = certify_two_eigenvalues(angle, e, params)
-    return CharacterMatrix(angle=angle, e=e, base_vertices=tuple(bases),
+    return CharacterMatrix(angle=angle, e=e,
+                           base_vertices=tuple(f[0] for f in g.fibres),
                            params=params, eigenvalues=eigenvalues)
 
 

@@ -39,9 +39,9 @@ displacement type of involution exactly, with no draw: each is the type of
 an involution in a vertex stabilizer G_c, one per vertex orbit, or in one of
 the cosets of G_a sending a to a G_a-orbit representative, and it scans
 those as image arrays, one gather per chain level, under one size bound,
-STABILIZER_SCAN_MAX.  A verified cover's report (cover_report) and
-its K with K's info are recorded on the graph, so a graph is verified and its K
-found once however many stages use them.
+STABILIZER_SCAN_MAX.  A verified cover's report (cover_report), its K with
+K's info and, once read, an abelian cover's voltage matrix (kernel_voltages)
+are recorded on the graph, so each is found once however many stages read it.
 """
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ def covering_group(g: CoverGraph, group: PermGroup | None = None):
         images = _fibre_fixing_automorphisms(g)
         found = [Permutation(img) for img in images.tolist()]
         kernel = PermGroup.from_elements(found, found, g.v)
-        g._kernel = kernel, kernel_info(g, kernel), images
+        g._kernel = kernel, kernel_info(g, kernel), images, None
     if group is None:
         return g._kernel[:2]
     require_automorphisms(g, group)
@@ -108,6 +108,31 @@ def kernel_images(g: CoverGraph) -> np.ndarray:
     (|K| x v) image array, identity first, recorded with K on g."""
     covering_group(g)
     return g._kernel[2]
+
+
+def kernel_voltages(g: CoverGraph) -> np.ndarray:
+    """An abelian cover's voltage matrix W, read-only n x n over the rows of
+    kernel_images(g): W[i, j] is the k with k(b_j) ~ b_i, b_i fibre i's least
+    label, so (i, a) -> a(b_i) maps (i, a) ~ (j, a + W_ij) onto g.  Built on
+    first read, kept with K; ValueError unless K is abelian and regular."""
+    if not covering_group(g)[1]["abelian_cover"]:
+        raise ValueError("cover is not abelian (kernel not abelian-regular)")
+    if g._kernel[3] is None:
+        g._kernel = *g._kernel[:3], _voltages(g, g._kernel[2])
+    return g._kernel[3]
+
+
+def _voltages(g: CoverGraph, images: np.ndarray) -> np.ndarray:
+    """W off the arcs (b_i, x), x in fibre j: W[i, j] = where[x], the k with
+    k(b) = x for b x's base, a bijection as K is regular on every fibre."""
+    bases = g._members[:, 0]
+    where = np.empty(g.v, dtype=np.intp)
+    where[images[:, bases]] = np.arange(len(images))[:, None]
+    i, x = np.nonzero(g._a[bases])
+    w = np.zeros((g.n, g.n), dtype=np.intp)
+    w[i, g._fibre_of[x]] = where[x]
+    w.flags.writeable = False
+    return w
 
 
 def kernel_info(g: CoverGraph, kernel: PermGroup) -> dict:

@@ -156,6 +156,39 @@ def relabelled(g, seed: int):
     return g.relabelled(perm)
 
 
+def named_cover(name: str, seed: int = 0):
+    """hexagon, cube, icosahedron or tsQM, thas_somma(Q, M), by name, and
+    relabelled by the seed unless it is 0."""
+    builders = {"hexagon": hexagon, "cube": cube, "icosahedron": icosahedron}
+    g = (builders[name]() if name in builders
+         else thas_somma(int(name[2]), int(name[3])))
+    return relabelled(g, seed) if seed else g
+
+
+def kernel_positions(g, images):
+    """The gauge of an abelian cover's voltages, for K's image rows images:
+    where[x], the row k with k(b) = x for b the least label of x's fibre,
+    and K's addition table add[a, b], the row of a(b(0)), each read off
+    the rows one entry at a time.  The oracle for kernel_voltages."""
+    rows = images.tolist()
+    where = {}
+    for k, img in enumerate(rows):
+        for f in g.fibres:
+            where[img[f[0]]] = k
+    add = np.array([[where[a[b[0]]] for b in rows] for a in rows])
+    return where, add
+
+
+def orbit_numbers(elements, v: int) -> list[int]:
+    """For each vertex x < v, its vertex in the quotient by the group with
+    these element images: its orbit, numbered by the rank of the orbit's
+    least vertex among all orbits' least vertices, as quotient_cover's
+    docstring states."""
+    least = [min(u[x] for u in elements) for x in range(v)]
+    number = {x: i for i, x in enumerate(sorted(set(least)))}
+    return [number[x] for x in least]
+
+
 def bfs_layers(a, start: int) -> list[list[int]]:
     """BFS layers from start in the graph with 0/1 adjacency matrix a, each
     sorted, to the last layer reached: the distance oracle for what the

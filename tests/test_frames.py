@@ -26,19 +26,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverlab import (all_characters, character_matrix, covering_group,
-                      cube, extract_lines, hexagon,
+from coverlab import (all_characters, character_matrix,
+                      cover_from_voltages, covering_group, cube,
+                      extract_lines, hexagon,
                       hermitian_jacobi, icosahedron, lines_from_cover,
                       params_of, quotient_cover, subgroups_of, thas_somma)
 from coverlab import frames
 from coverlab.exact import QuadExt
 from coverlab.frames import (FrameError, SpectrumCertificateError,
                              _tau_endpoint, certify_two_eigenvalues)
-from coverlab.graphcore import SizeBoundExceeded
-from coverlab.groupops import is_cover_automorphism
+from coverlab.graphcore import SizeBoundExceeded, verify_cover
+from coverlab.groupops import is_cover_automorphism, kernel_images
 from coverlab.params import CoverParams, feasible_A, feasible_B
 from coverlab.perms import PermGroup, Permutation
-from conftest import closure_elements, gram_of, relabelled, signature_of
+from conftest import (closure_elements, gram_of, kernel_positions,
+                      named_cover, orbit_numbers, relabelled, signature_of)
 
 
 def _kernel(chi) -> list[tuple]:
@@ -237,6 +239,15 @@ def test_supplied_kernel_must_be_the_covering_group(corpus):
     chi = all_characters(kernel)[1]
     with pytest.raises(FrameError, match="not the covering group"):
         character_matrix(g, chi, kernel=PermGroup([], g.v))
+
+
+def test_character_of_another_group_is_refused(corpus):
+    """A character of a relabelled copy's K is no character of g's K:
+    FrameError names it, with no KeyError on K's first element."""
+    g = corpus["ts31"]
+    chi = all_characters(covering_group(relabelled(g, 1))[0])[1]
+    with pytest.raises(FrameError, match="not a character of g's covering"):
+        character_matrix(g, chi)
 
 
 def test_characters_never_recheck_the_kernel(monkeypatch):
@@ -643,6 +654,48 @@ def test_exact_certificates_match_float_gram(corpus, name):
             one_dimensional = name in ("hexagon", "cube") and side == "tau"
             assert (d == 1) is one_dimensional, (name, side)
             assert c["relative_bound_equality"] is not one_dimensional
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ETF_CORPUS)
+def test_character_angles_are_a_voltage_cover_at_the_labels(name, seed):
+    """The CGSZ correspondence at the labels.  With U = ker chi and where[x]
+    the k in K with k(b) = x, b the least label of x's fibre, the map
+    x -> (fibre(x), -e chi(where[x]) mod e) is constant on U-orbits and is
+    an isomorphism, from g when |U| = 1 and from quotient_cover(g, U)
+    otherwise, onto the voltage cover over Z_e of the angle table with a
+    zero diagonal.  That cover verifies as an (n, e, mu r/e)-cover."""
+    g = named_cover(name, seed)
+    kernel, _ = covering_group(g)
+    images = kernel_images(g)
+    where, _ = kernel_positions(g, images)
+    rows = [tuple(img) for img in images.tolist()]
+    p = params_of(g)
+    for chi in all_characters(kernel)[1:]:
+        s = character_matrix(g, chi)
+        e = s.e
+        z_e = (np.arange(e)[:, None] + np.arange(e)) % e
+        volt = cover_from_voltages(np.maximum(s.angle, 0), z_e)
+        rep = verify_cover(volt)
+        assert rep.is_cover and (rep.n, rep.r, rep.mu) == (
+            p.n, e, p.mu * p.r // e), (name, chi.index)
+        label = [g.fibre_of[x] * e + int(-e * chi.values[rows[where[x]]]) % e
+                 for x in range(g.v)]
+        keep = [img for img in rows if chi.values[img] == 0]
+        if len(keep) == 1:
+            source, vertex = g, range(g.v)
+        else:
+            sub = PermGroup([Permutation(img) for img in keep[1:]], g.v)
+            source = quotient_cover(g, sub)
+            vertex = orbit_numbers(keep, g.v)
+        phi = np.empty(source.v, dtype=int)
+        for x in range(g.v):
+            phi[vertex[x]] = label[x]
+        for x in range(g.v):  # the label is constant on U-orbits
+            assert phi[vertex[x]] == label[x]
+        assert sorted(phi.tolist()) == list(range(volt.v))
+        assert np.array_equal(volt.adjacency_matrix()[np.ix_(phi, phi)],
+                              source.adjacency_matrix()), (name, chi.index)
 
 
 def _spectra_and_certificates(g):

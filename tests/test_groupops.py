@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from coverlab import (all_characters, arc_orbit_count, automorphism_group,
-                      character_matrix, covering_group, cube,
+                      character_matrix, cover_from_voltages, covering_group,
+                      cube,
                       displacement_profile, fibre_action, hexagon,
                       icosahedron, quotient_cover, structure_audit,
                       subdegree_identity_check, subgroups_of, thas_somma,
@@ -20,11 +21,14 @@ from coverlab.groupops import (QuotientError, SizeBoundExceeded,
                                _fibre_fixing_automorphisms,
                                involution_audit, involution_types,
                                is_cover_automorphism, kernel_images,
-                               kernel_info)
+                               kernel_info, kernel_voltages)
 from coverlab.perms import PermGroup, Permutation
 from conftest import (closure_elements, gosset_cover,
-                      imprimitive_rank3_group, matching_swapped,
+                      imprimitive_rank3_group, kernel_positions,
+                      matching_swapped, named_cover, orbit_numbers,
                       rank3_subgroup_ts31, relabelled, symplectic_witnesses)
+from test_constructions import symplectic_voltages, voltage_counts
+from test_frames import ETF_CORPUS
 
 
 @pytest.fixture(scope="module")
@@ -1271,3 +1275,126 @@ def test_involution_audit_matches_pair_loops(corpus, auts):
                 assert chain.witness["|X|/(n-l)"] == \
                     str(Fraction(len(xset), g.n - l))
     assert checked > 50
+
+
+# -- the voltage matrix W of an abelian cover ---------------------------------
+
+def _coset_table(add, u_rows):
+    """The cosets a + U of a subgroup U of K, given by its rows u_rows in
+    K's addition table add, numbered by least row, and the addition table
+    of K/U on those numbers: the identity's coset, holding row 0, is 0."""
+    least = np.array([min(add[a, u] for u in u_rows) for a in range(len(add))])
+    reps, coset = np.unique(least, return_inverse=True)
+    return coset, coset[add[np.ix_(reps, reps)]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ETF_CORPUS)
+def test_kernel_voltages_give_the_cover(name, seed):
+    """W = kernel_voltages(g), over K's addition table as the test reads
+    it off K's image rows: the map (i, a) -> a(b_i) carries
+    cover_from_voltages(W, add) onto g, adjacency for adjacency; W is skew,
+    W_ji = -W_ij, with a zero diagonal; and the cover condition counted
+    on W gives g's (lambda, mu)."""
+    g = named_cover(name, seed)
+    images = kernel_images(g)
+    w = kernel_voltages(g)
+    _, add = kernel_positions(g, images)
+    assert w.shape == (g.n, g.n) and not w.flags.writeable
+    label = images[:, [f[0] for f in g.fibres]].T.ravel()
+    assert sorted(label.tolist()) == list(range(g.v))
+    volt = cover_from_voltages(w, add)
+    assert np.array_equal(g.adjacency_matrix()[np.ix_(label, label)],
+                          volt.adjacency_matrix())
+    assert (add[w, w.T] == 0).all() and not np.diag(w).any()
+    p = params_of(g)
+    assert voltage_counts(w, add) == (p.lam, p.mu)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+def test_kernel_voltages_of_ts_q1_are_the_symplectic_form(q):
+    """On TS(q, 1), (u, a) labelled by its index in GF(q)^3, K's row k adds
+    k(0) to a: W read as field elements is B(u_i, u_j), the matrix the
+    constructor's docstring states, computed from the field tables."""
+    g = thas_somma(q, 1)
+    assert np.array_equal(kernel_images(g)[:, 0][kernel_voltages(g)],
+                          symplectic_voltages(q))
+
+
+def test_kernel_voltages_are_built_once_when_first_read(monkeypatch,
+                                                        tmp_path):
+    """covering_group and analyze --audits build no W; the first
+    character matrix builds it, and every later one, with K supplied or
+    not, reads the same read-only record."""
+    from coverlab import groupops
+    from coverlab.cli import main
+    builds = []
+    build = groupops._voltages
+    monkeypatch.setattr(groupops, "_voltages",
+                        lambda *a: builds.append(a[0]) or build(*a))
+    g = thas_somma(4, 1)
+    kernel, _ = covering_group(g)
+    path = tmp_path / "ts41.json"
+    path.write_text(g.to_json_str())
+    assert main(["analyze", "--audits", str(path)]) == 0
+    assert builds == []
+    for chi in all_characters(kernel)[1:]:
+        for supplied in (kernel, None):
+            character_matrix(g, chi, kernel=supplied)
+    w = kernel_voltages(g)
+    assert builds == [g] and kernel_voltages(g) is w
+    with pytest.raises(ValueError):
+        w[0, 1] = 0
+
+
+def test_kernel_voltages_need_an_abelian_cover(monkeypatch):
+    """A cover whose K kernel_info does not find abelian and regular on the
+    fibres has no W: kernel_voltages raises ValueError and character_matrix
+    FrameError, before any W is built."""
+    from coverlab import groupops
+    from coverlab.frames import FrameError
+    info = groupops.kernel_info
+    monkeypatch.setattr(groupops, "kernel_info",
+                        lambda *a: {**info(*a), "abelian_cover": False})
+    monkeypatch.setattr(groupops, "_voltages", None)
+    g = thas_somma(3, 1)
+    with pytest.raises(ValueError, match="not abelian"):
+        kernel_voltages(g)
+    chi = all_characters(covering_group(g)[0])[1]
+    with pytest.raises(FrameError, match="not abelian"):
+        character_matrix(g, chi)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quotients_are_the_voltage_covers_of_w_mod_u(seed):
+    """For every proper nontrivial U <= K of TS(4,1), TS(8,1) and TS(4,2),
+    20 subgroups, the map sending the U-orbit of a(b_i) to (i, a + U) is an
+    isomorphism from quotient_cover(g, U) onto the voltage cover of W mod U
+    over K/U."""
+    count = 0
+    for name in ("ts41", "ts81", "ts42"):
+        g = named_cover(name, seed)
+        images = kernel_images(g)
+        where, add = kernel_positions(g, images)
+        w = kernel_voltages(g)
+        kernel, _ = covering_group(g)
+        for sub in subgroups_of(kernel):
+            if not 1 < sub.order() < g.r:
+                continue
+            count += 1
+            elements = [p.img for p in sub.elements()]
+            coset, add_q = _coset_table(add, [where[u[0]] for u in elements])
+            volt = cover_from_voltages(coset[w], add_q)
+            vertex = orbit_numbers(elements, g.v)
+            r = len(add_q)
+            label = np.empty(volt.v, dtype=int)
+            for i, f in enumerate(g.fibres):
+                for a, x in enumerate(images[:, f[0]].tolist()):
+                    label[i * r + coset[a]] = vertex[x]
+            quot = quotient_cover(g, sub)
+            assert sorted(label.tolist()) == list(range(quot.v))
+            assert [quot.fibre_of[x] for x in label] == list(
+                np.repeat(np.arange(g.n), r))
+            quot_a = quot.adjacency_matrix()[np.ix_(label, label)]
+            assert np.array_equal(quot_a, volt.adjacency_matrix()), name
+    assert count == 20
