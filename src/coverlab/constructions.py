@@ -92,13 +92,14 @@ def thas_somma(q: int, m: int = 1) -> CoverGraph:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    fld = GF(q)
     dim = 2 * m
-    # q >= 2, so a long exponent alone exceeds the bound; the power is taken
-    # only for short ones
-    if dim + 1 >= VERTEX_BOUND.bit_length() or q ** (dim + 1) > VERTEX_BOUND:
+    # the bound comes before the field's own checks; for q >= 2 a long
+    # exponent alone exceeds it, and the power is taken only for short ones
+    if q >= 2 and (dim + 1 >= VERTEX_BOUND.bit_length()
+                   or q ** (dim + 1) > VERTEX_BOUND):
         raise SizeBoundExceeded(f"q^(2m+1) = {q}^{dim + 1} vertices exceed "
                                 f"the bound {VERTEX_BOUND}")
+    fld = GF(q)
 
     # B over all pairs of points, accumulated over the coordinate pairs
     # through the field's tables

@@ -17,28 +17,31 @@ group G, on one matrix A, and takes its kernel, and it rebases G's
 chain once, with a = 0 and F its fibre.  That one chain acts on the
 vertices and on a point F* per fibre, with base (F*, a, F - {a}), so its
 tails are M = G_{F} (the fibre group's point stabilizer), G_a and the
-pointwise stabilizer C of F.  Every later stage reads the groups it needs
-off that chain: the transitivity (F*^G is every fibre point, and
-|F*^G| |a^M| = v), the fibre rank and subdegrees (M's orbits on the fibre
-points), the arc orbits (G's orbits on arcs from a are G_a's orbits on
-N(a)), the rank-3 subdegree identities and structure_audit, which builds
-no chain and sifts nothing: a tail is the pointwise stabilizer of a base
-prefix (Seress 2003, 4.1), so an element of G lies in it iff it fixes
-those points.  Its item C = C_G(K) meet G_a checks C <= C_G(K) by products
-of C's generators with K's elements, so a wrong C fails it; the other
-inclusion is a lemma (see structure_audit).  Every orbit of a group given
-by generators comes from PermGroup.orbits; those of K and of the
-subgroups U of K a quotient is taken by are read off the element array of
-the small group, one column per vertex.  The audit functions turn the
-assertable group-theoretic identities (arc orbits vs rank, displacement
-counts, fixed subgraphs of involutions, rank-3 subdegree relations) into
-pass/fail reports on concrete instances,
-reading the cover's one adjacency, the matrix A, in place: a count over
-vertices is a numpy reduction over rows of A.  involution_types finds every
-displacement type of involution exactly, with no draw: each is the type of
-an involution in a vertex stabilizer G_c, one per vertex orbit, or in one of
-the cosets of G_a sending a to a G_a-orbit representative, and it scans
-those as image arrays, one gather per chain level, under one size bound,
+pointwise stabilizer C of F.  Its report, FibreActionReport, names them,
+holds the chain's level-0 transversal and M's, and forms from the two the
+element sending a to any b in a^G.  Every later stage reads the groups it
+needs off that report: the transitivity (|G : M| = n, |G : G_a| = v),
+the fibre rank and subdegrees (M's orbits on the fibre points), the arc
+orbits (G's orbits on arcs from a are G_a's orbits on N(a)), the rank-3
+subdegree identities and structure_audit, which builds no chain and sifts
+nothing: a tail is the pointwise stabilizer of a base prefix (Seress
+2003, 4.1), so an element of G lies in it iff it fixes those points.
+Its item C = C_G(K) meet G_a checks C <= C_G(K) by products of C's
+generators with K's elements, so a wrong C fails it; the other inclusion
+is a lemma (see structure_audit).  Every orbit of a group given by
+generators comes from PermGroup.orbits; those of K and of the subgroups U
+of K a quotient is taken by are read off the element array of the small
+group, one column per vertex.  The audit functions turn the assertable
+group-theoretic identities (arc orbits vs rank, the involution lemma's
+case bounds, rank-3 subdegree relations, M = K : G_a) into pass/fail
+reports on concrete instances, and check nothing a verified cover and an
+automorphism of it satisfy anyway.  They read the cover's one adjacency,
+the matrix A, in place: a count over vertices is a numpy reduction over
+rows of A.  involution_types finds every displacement type of involution
+exactly, with no draw: each is the type of an involution in a vertex
+stabilizer G_c, one per vertex orbit, or in one of the cosets of G_a
+sending a to a G_a-orbit representative, and it scans those as image
+arrays, one gather per chain level, under one size bound,
 STABILIZER_SCAN_MAX.  A verified cover's report (cover_report), its K with
 K's info and, once read, an abelian cover's voltage matrix (kernel_voltages)
 are recorded on the graph, so each is found once however many stages read it.
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -210,17 +214,18 @@ def _fibre_fixing_automorphisms(g: CoverGraph) -> np.ndarray:
 @dataclass
 class FibreActionReport:
     """fibre_action's findings on G = vertex_group, with a = 0 and F its
-    fibre.  kernel is G ∩ K.  chain is G's one chain: G on the vertices
-    and on the point v + i of each fibre i, v + n points, with base
-    (F*, a, F - {a}), F* = v + fibre_of[a].  Its tails are
-    M = G_{F} = chain.stabilizer(1), G_a = chain.stabilizer(2) and the
-    pointwise stabilizer C of F = chain.stabilizer(1 + |F|).  C lies in
+    fibre; the one place that knows its chain's layout.  kernel is G ∩ K.
+    chain is G's one chain: G on the vertices and on the point v + i of
+    each fibre i, v + n points, with base (F*, a, F - {a}),
+    F* = v + fibre_of[a].  Its tails after 1, 2 and 1 + |F| points are m,
+    M = G_{F}; g_a, G_a; and c, the pointwise stabilizer C of F.  C lies in
     C_G(K), so C meet C_G(K) needs no tail of its own: for p in C and k in
     the normal, semiregular G ∩ K, p^-1 k p sends a to p[k[a]] = k[a], so
-    it is k.  chain.transversal() sends each fibre point of F*^G to an
-    element mapping F to that fibre, and M's sends each b in a^M to an
-    element mapping a to b.  Every later stage reads its groups off this
-    chain."""
+    it is k.  to_fibre, the chain's level-0 transversal, sends each fibre
+    point of F*^G to an element mapping F to that fibre, and in_fibre, M's,
+    each b in a^M to an element mapping a to b; each is built once, from
+    the group it belongs to.  fibre_of is the cover's.  Every later stage
+    reads its groups off this report."""
     transitive: bool
     rank: int | None
     subdegrees: tuple[int, ...] | None
@@ -229,6 +234,27 @@ class FibreActionReport:
     kernel_info: dict
     vertex_transitive: bool
     chain: PermGroup
+    m: PermGroup
+    g_a: PermGroup
+    c: PermGroup
+    fibre_of: tuple[int, ...]
+
+    @cached_property
+    def to_fibre(self) -> dict[int, Permutation]:
+        return self.chain.transversal()
+
+    @cached_property
+    def in_fibre(self) -> dict[int, Permutation]:
+        return self.m.transversal()
+
+    def sending(self, b: int) -> Permutation | None:
+        """An element of G, on the chain's points, sending a to b: s u, u
+        the level-0 element from F to b's fibre and s M's element from a
+        to the b' in F that u sends to b.  None when b is not in a^G, that
+        is, when b's fibre is not in F*^G or b' is not in a^M."""
+        u = self.to_fibre.get(self.vertex_group.degree + self.fibre_of[b])
+        s = None if u is None else self.in_fibre.get(u.img.index(b))
+        return None if s is None else s * u
 
 
 def require_automorphisms(g: CoverGraph, group: PermGroup) -> None:
@@ -251,10 +277,10 @@ def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
     cover and group acts by automorphisms.  The chain is G's own, rebased
     through extend, which keeps the action on the vertices and so is
     injective, and adds the fibre points.
-    G is transitive on the fibres iff the level-0 orbit F*^G has n points,
+    G is transitive on the fibres iff F*^G, of |G : M| points, has n,
     and the subdegrees are then the orbits of M on the fibre points, so no
     group on the fibres gets a chain of its own.  G is vertex-transitive
-    iff |a^G| = |G : M| |M : G_a| = |F*^G| |a^M| is v, as G_a <= M."""
+    iff |a^G| = |G : G_a| is v."""
     kernel, kinfo = covering_group(g, group)
     a, v, n = 0, g.v, g.n
     fibre = g.fibres[g.fibre_of[a]]
@@ -267,15 +293,15 @@ def fibre_action(g: CoverGraph, group: PermGroup) -> FibreActionReport:
 
     chain = group.rebased((v + fibre_of[a], a, *(x for x in fibre if x != a)),
                           extend)
-    m_group = chain.stabilizer(1)
-    blocks = len(chain.transversal())
+    m_group, g_a = chain.stabilizer(1), chain.stabilizer(2)
+    order = chain.order()
     rank = sizes = None
-    if blocks == n:
+    if order == n * m_group.order():
         orbs = [o for o in m_group.orbits() if v <= o[0] < v + n]
         rank, sizes = len(orbs), tuple(sorted(len(o) for o in orbs))
     return FibreActionReport(rank is not None, rank, sizes, group, kernel,
-                             kinfo, blocks * len(m_group.transversal()) == v,
-                             chain)
+                             kinfo, order == v * g_a.order(), chain, m_group,
+                             g_a, chain.stabilizer(1 + len(fibre)), fibre_of)
 
 
 def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
@@ -284,9 +310,9 @@ def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
     fa is fibre_action's report on the group G counted.  The G-orbits on
     the arcs (a, w) with a fixed correspond to the G_a-orbits on N(a), so
     the count sums those over G's vertex orbits, each with its least point
-    a.  The orbit of a = 0 reads G_a = fa.chain.stabilizer(2), of which
-    only the orbits on the vertices count; any further orbit, which only a
-    group that is not vertex-transitive has, takes point_stabilizer.
+    a.  The orbit of a = 0 reads G_a = fa.g_a, of which only the orbits
+    on the vertices count; any further orbit, which only a group that is
+    not vertex-transitive has, takes point_stabilizer.
     The rank identity (arc orbits = rank on fibres minus one) needs G to be
     vertex-transitive and to contain the covering group with order exactly
     r; both are read off fa and reported, and the count is returned anyway.
@@ -295,7 +321,7 @@ def arc_orbit_count(g: CoverGraph, fa: FibreActionReport) -> dict:
     count = 0
     for orbit in group.orbits():
         a = orbit[0]
-        g_a = fa.chain.stabilizer(2) if a == 0 else group.point_stabilizer(a)
+        g_a = fa.g_a if a == 0 else group.point_stabilizer(a)
         reps = [o[0] for o in g_a.orbits() if o[0] < g.v]
         count += int(np.count_nonzero(g._a[a, reps]))
 
@@ -411,14 +437,28 @@ class AuditItem:
 
 
 def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
-    """Fixed-subgraph identities for an involution with Fix != empty.
+    """The involution lemma's case bounds, for an involution x with Fix !=
+    empty.
 
-    Checks: the fixed subgraph is regular of degree l-1 on l*f vertices,
-    the displacement identities alpha_3 = (r-f) l and alpha_1+alpha_2 =
-    (n-l) r, plus the case distinctions that are assertable on a concrete
-    cover (l = 1: fixed subgraph is one fibre; f = 1, l > 1: it is a clique;
-    outside vertices see at most l fixed vertices).  Inequality chains that
-    presuppose lambda >= mu are marked inapplicable otherwise.
+    l is the number of fibres holding a fixed point and f = |Fix| / l.
+    When l = 1, Fix is one whole fibre, f = r (case-l=1), and t = -tau is
+    even (case-l=1-t-even).  When f = 1 < l, l <= r mu / (t - 1) for t >= 2
+    (case-f=1-hoffman).  When l > 1 and lambda >= mu, f <= |X| / (n - l)
+    <= |Fix| <= (lambda - mu) alpha_1 / (n - l) + r mu <= r lambda, X the
+    vertices outside Fix with a fixed neighbour and alpha_1 the number x
+    moves to a neighbour (case-l>1-chain; inapplicable when lambda < mu).
+    The identities every automorphism of a cover satisfies, as its fibres
+    are joined by perfect matchings (Godsil and Hensel, JCTB 56, 1992),
+    are not checked; each has a one-line proof:
+    - every fibre x fixes setwise holds f fixed points, |Fix| = lf: x
+      preserves the matching between two setwise-fixed fibres, so that
+      matching pairs their fixed points;
+    - Fix is regular of degree l - 1, a clique when f = 1: a fixed
+      vertex's neighbour is fixed exactly in the fixed fibres;
+    - alpha_3 = (r - f) l and alpha_1 + alpha_2 = (n - l) r: a vertex
+      moved within its own fibre lies in a fixed fibre;
+    - a vertex outside Fix sees at most l fixed vertices: a vertex has one
+      neighbour per fibre.
     """
     p = x if isinstance(x, Permutation) else Permutation(x)
     lemma = "involution-fixed-subgraph"
@@ -436,57 +476,15 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
                           {"reason": "fixed-point-free involution"})]
     rep = require_cover(g)
     n, r, mu, lam = rep.n, rep.r, rep.mu, rep.lam
-
-    members = g._members
-    fixed_fibres = np.flatnonzero(
-        (g._fibre_of[img[members]] == np.arange(n)[:, None])
-        .all(axis=1))
-    l = len(fixed_fibres)
-    per_fibre = np.count_nonzero(is_fixed[members[fixed_fibres]],
-                                 axis=1).tolist()
-    f_counts = sorted(set(per_fibre))
-    if len(f_counts) != 1:
-        out.append(AuditItem(lemma, "constant-f", "fail",
-                             {"per_fibre": per_fibre}))
-        return out
-    f = f_counts[0]
-    out.append(AuditItem(lemma, "constant-f", "pass", {"f": f, "l": l}))
-
-    ok = len(fixed) == l * f
-    out.append(AuditItem(lemma, "size-lf", "pass" if ok else "fail",
-                         {"fixed": len(fixed), "l*f": l * f}))
-    # each vertex's fixed neighbours, one row sum over A's fixed columns
-    to_fixed = np.count_nonzero(g._a[:, fixed], axis=1)
-    outside = to_fixed[~is_fixed]
-    degs = sorted(set(to_fixed[fixed].tolist()))
-    ok = degs == [l - 1]
-    out.append(AuditItem(lemma, "regular-degree-l-1",
-                         "pass" if ok else "fail",
-                         {"degrees": degs, "expected": l - 1}))
-
-    alpha = _displacement_counts(g, img)
-    ok = alpha[3] == (r - f) * l
-    out.append(AuditItem(lemma, "alpha3", "pass" if ok else "fail",
-                         {"alpha3": alpha[3], "(r-f)l": (r - f) * l}))
-    ok = alpha[1] + alpha[2] == (n - l) * r
-    out.append(AuditItem(lemma, "alpha1+alpha2", "pass" if ok else "fail",
-                         {"alpha1+alpha2": alpha[1] + alpha[2],
-                          "(n-l)r": (n - l) * r}))
-
-    # vertices outside see at most l fixed vertices
-    worst = int(outside.max(initial=0))
-    out.append(AuditItem(lemma, "outside-neighbours<=l",
-                         "pass" if worst <= l else "fail",
-                         {"max_outside": worst, "l": l}))
+    l = len(set(g._fibre_of[fixed].tolist()))
+    f = len(fixed) // l
 
     pp = params_of(g)
     t_int = -int(pp.tau) if is_integral(pp.tau) else None
 
     if l == 1:
-        # Fix lies in the one fixed fibre iff that fibre holds all of it
-        ok = alpha[3] == 0 and per_fibre[0] == len(fixed)
-        out.append(AuditItem(lemma, "case-l=1", "pass" if ok else "fail",
-                             {"alpha3": alpha[3]}))
+        out.append(AuditItem(lemma, "case-l=1", "pass" if f == r else "fail",
+                             {"f": f, "r": r}))
         if t_int is not None:
             out.append(AuditItem(lemma, "case-l=1-t-even",
                                  "pass" if t_int % 2 == 0 else "fail",
@@ -494,20 +492,18 @@ def involution_audit(g: CoverGraph, x) -> list[AuditItem]:
         else:
             out.append(AuditItem(lemma, "case-l=1-t-even", "inapplicable",
                                  {"reason": "tau is not an integer"}))
-    if f == 1 and l > 1:
-        clique = degs == [len(fixed) - 1]
-        out.append(AuditItem(lemma, "case-f=1-clique",
-                             "pass" if clique else "fail", {"l": l}))
-        if t_int is not None and t_int >= 2:
-            bound = Fraction(r * mu, t_int - 1)
-            out.append(AuditItem(lemma, "case-f=1-hoffman",
-                                 "pass" if l <= bound else "fail",
-                                 {"l": l, "r*mu/(t-1)": str(bound)}))
+    if f == 1 and l > 1 and t_int is not None and t_int >= 2:
+        bound = Fraction(r * mu, t_int - 1)
+        out.append(AuditItem(lemma, "case-f=1-hoffman",
+                             "pass" if l <= bound else "fail",
+                             {"l": l, "r*mu/(t-1)": str(bound)}))
     if l > 1:
         if lam >= mu:
-            lhs = Fraction(int(np.count_nonzero(outside)), n - l)
+            near = np.count_nonzero(g._a[:, fixed].any(axis=1) & ~is_fixed)
+            lhs = Fraction(int(near), n - l)
             middle = len(fixed)
-            rhs = Fraction((lam - mu) * alpha[1], n - l) + r * mu
+            alpha1 = _displacement_counts(g, img)[1]
+            rhs = Fraction((lam - mu) * alpha1, n - l) + r * mu
             chain_ok = (f <= lhs <= middle <= rhs <= r * lam)
             out.append(AuditItem(lemma, "case-l>1-chain",
                                  "pass" if chain_ok else "fail",
@@ -542,25 +538,22 @@ def involution_types(g: CoverGraph, fa: FibreActionReport):
       involution sending a to b0, an element of the coset G_a t of those
       sending a to b0, for any such t; it sends b0 back to a.
     So the G_c, one per vertex orbit, and the cosets G_a t_b, one per
-    G_a-orbit in a^G other than {a}, hold every type.  G_a is
-    fa.chain.stabilizer(2) and each other G_c is G's point_stabilizer.
-    t_b is formed as structure_audit forms it: M's transversal element s
-    from a to b' in F times the level-0 element u from F to b's fibre,
-    with b' the point u sends to b.  Each G_c's elements are one image
-    array (_element_array); a coset's rows h t_b gather t_b's images at
-    h's, and are formed only for the h whose row sends b to a and moves
-    every point of F.  The rows then pass x(x(p)) = p at the chain's base
-    points, one column each, before the test at every point, and the
-    involutions' types are counted by numpy reductions
-    (_displacement_rows).  SizeBoundExceeded when some |G_c| v passes
-    STABILIZER_SCAN_MAX, before any array is made.  Returns ([(type, x)]
-    sorted by type, each x the first of its type scanned, the elements
-    scanned): the sum of the |G_c| and |G_a| per coset, which does not
-    depend on the labelling either.
+    G_a-orbit in a^G other than {a}, hold every type.  G_a is fa.g_a,
+    each other G_c is G's point_stabilizer, and t_b is fa.sending(b).
+    Each G_c's elements are one image array (_element_array); a coset's
+    rows h t_b gather t_b's images at h's, and are formed only for the h
+    whose row sends b to a and moves every point of F.  The rows then
+    pass x(x(p)) = p at the chain's base points, one column each, before
+    the test at every point, and the involutions' types are counted by
+    numpy reductions (_displacement_rows).  SizeBoundExceeded when some
+    |G_c| v passes STABILIZER_SCAN_MAX, before any array is made.  Returns
+    ([(type, x)] sorted by type, each x the first of its type scanned, the
+    elements scanned): the sum of the |G_c| and |G_a| per coset, which
+    does not depend on the labelling either.
     """
-    group, chain, v, a = fa.vertex_group, fa.chain, g.v, 0
+    group, v, a = fa.vertex_group, g.v, 0
     orbits = group.orbits()  # a's orbit first, by its least point
-    stabs = [chain.stabilizer(2)]
+    stabs = [fa.g_a]
     stabs += [group.point_stabilizer(o[0]) for o in orbits[1:]]
     for sub in stabs:
         if sub.order() * v > STABILIZER_SCAN_MAX:
@@ -568,18 +561,12 @@ def involution_types(g: CoverGraph, fa: FibreActionReport):
                 f"a vertex stabilizer of order {sub.order()} on {v} vertices "
                 f"passes STABILIZER_SCAN_MAX = {STABILIZER_SCAN_MAX} images")
     dtype = np.min_scalar_type(v - 1)
-    to_fibre = chain.transversal()
-    in_fibre = chain.stabilizer(1).transversal()
-    cosets = []
-    for o in stabs[0].orbits():
-        b = o[0]
-        if b != a and b in orbits[0]:
-            u = to_fibre[v + g.fibre_of[b]]
-            t = in_fibre[u.img.index(b)] * u
-            cosets.append((b, np.array(t.img[:v], dtype=dtype)))
+    cosets = [(b, np.array(fa.sending(b).img[:v], dtype=dtype))
+              for b in (o[0] for o in stabs[0].orbits())
+              if b != a and b in orbits[0]]
 
     fibre = g.fibres[g.fibre_of[a]]
-    points = [p for p in chain.base if p < v]
+    points = [p for p in fa.chain.base if p < v]
     found: dict[tuple, Permutation] = {}
 
     def collect(x):
@@ -636,10 +623,12 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
     mu-companion k1(mu-mu1) = k2(mu-mu2) for every fixed companion vertex.
 
     fa is fibre_action's report on the group checked, fa.vertex_group,
-    and the vertex stabilizer G_a (a = 0) is read off its chain as
-    fa.chain.stabilizer(2), with its orbits on the vertices.  Needs the
-    induced fibre group to have rank 3 and G_a to have exactly two orbits
-    on the neighbourhood; otherwise inapplicable.
+    and the vertex stabilizer G_a (a = 0) is fa.g_a, with its orbits on
+    the vertices.  Needs the induced fibre group to have rank 3 and G_a to
+    have exactly two orbits on the neighbourhood; otherwise inapplicable.
+    For a* in F fixed by G_a, u -> fibre(u) is a G_a-equivariant bijection
+    from N(a), and from N(a*), onto the other fibres, so G_a's orbits on
+    N(a*) have the sizes (k1, k2) too.
     """
     if not fa.transitive or fa.rank != 3:
         return {"applicable": False,
@@ -648,7 +637,7 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
     lam, mu = rep.lam, rep.mu
 
     a = 0
-    stab = fa.chain.stabilizer(2)
+    stab = fa.g_a
     orbits = [o for o in stab.orbits() if o[0] < g.v]
 
     def meeting(u: int) -> list[list[int]]:
@@ -678,26 +667,10 @@ def subdegree_identity_check(g: CoverGraph, fa: FibreActionReport) -> dict:
     fixed_companions = [x for x in home
                         if all(s[x] == x for s in stab.generators)]
     for astar in fixed_companions:
-        star_orbits = meeting(astar)
-        sized = {}
-        for orb in star_orbits:
-            sized.setdefault(len(orb), []).append(orb)
-        # G_a fixes a*, so these orbits partition N(a*); their sizes can
-        # still differ from (k1, k2)
-        if sorted(len(o) for o in star_orbits) != sorted([k1, k2]):
-            result["mu_checks"].append(
-                {"a_star": astar, "status": "inapplicable",
-                 "reason": "orbit sizes on the companion neighbourhood "
-                           "do not match (k1, k2)"})
-            continue
-        # all assignments of star orbits to (k1, k2); ambiguous when k1 == k2
-        assignments = []
-        if k1 != k2:
-            assignments.append((sized[k1][0], sized[k2][0]))
-        else:
-            o1, o2 = sized[k1][0], sized[k1][1]
-            assignments.extend([(o1, o2), (o2, o1)])
-        for x1s, x2s in assignments:
+        # G_a's two orbits on N(a*), of k1 and k2 points; either way round
+        # when k1 == k2
+        o1, o2 = sorted(meeting(astar), key=len)
+        for x1s, x2s in ([(o1, o2), (o2, o1)] if k1 == k2 else [(o1, o2)]):
             mu1 = int(np.count_nonzero(g._a[x1s[0], x1]))
             mu2 = int(np.count_nonzero(g._a[x2[0], x2s]))
             holds = k1 * (mu - mu1) == k2 * (mu - mu2)
@@ -715,22 +688,21 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
     Checks, on G = fa.vertex_group: C = C_G(K) meet G_a and M = K : G_a
     (semidirect with trivial intersection); the index |G : M| equals the
     fibre count; |Fix(G_a)| = |N_G(G_a) : G_a| divides nr; and
-    |Fix_Sigma(M)| = |N_G(M) : M| divides n.  Every group is a tail of
-    fa.chain, base (F*, a, F - {a}): M, G_a and C after 1, 2 and 1 + |F|
-    points.  No chain is built and nothing scans elements.  K is regular on
-    the fibres when the items run, so an element of G_a commuting with K
-    fixes every a^k, all of F: C_G(K) meet G_a <= C is that lemma.  The
-    item checks C <= C_G(K), C's generators on the vertices against K's
-    elements by full image products, so C read off a wrong tail fails,
-    its witness the first non-commuting pair [i, j] of those indices.
-    |N_G(H) : H| counts the coset representatives t of H with H^t <= H:
-    for M the level-0 transversal elements, one per fibre; for G_a the
-    products s u of M's transversal element s from a to b' in F and the
-    level-0 element u from F to the fibre of b = b'^u, tried only at b in
-    Fix(G_a), since H^t = H makes G_a = G_b.  H is a tail, the pointwise
-    stabilizer in G of the base points H.tail_points, so whether t
-    normalises it is read off the images of those points under t
-    (_normalizes): nothing is sifted.
+    |Fix_Sigma(M)| = |N_G(M) : M| divides n.  M, G_a and C are fa.m,
+    fa.g_a and fa.c, tails of fa.chain.  No chain is built and nothing
+    scans elements.  K is regular on the fibres when the items run, so an
+    element of G_a commuting with K fixes every a^k, all of F: C_G(K) meet
+    G_a <= C is that lemma.  The item checks C <= C_G(K), C's generators
+    on the vertices against K's elements by full image products, so a
+    wrong C fails, its witness the first non-commuting pair [i, j] of
+    those indices.  |N_G(H) : H| counts the coset representatives t of H
+    with H^t <= H: for M the level-0 transversal elements fa.to_fibre, one
+    per fibre; for G_a, whose cosets are a's images b, the fa.sending(b),
+    tried only at b in Fix(G_a), since H^t = H makes G_a = G_b.  A b that
+    sending misses, which a correct report of a vertex-transitive G has
+    none of, counts 0.  H is a tail, the pointwise stabilizer in G of the
+    base points H.tail_points, so whether t normalises it is read off the
+    images of those points under t (_normalizes): nothing is sifted.
     """
     lemma = "stabilizer-structure"
     out: list[AuditItem] = []
@@ -742,14 +714,7 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
         return [AuditItem(lemma, "applicability", "inapplicable",
                           {"reason": "covering group is not abelian-regular"})]
 
-    a = 0
-    nf = len(g.fibres[g.fibre_of[a]])
-    chain = fa.chain
-    m_group, g_a = chain.stabilizer(1), chain.stabilizer(2)
-    c_point = chain.stabilizer(1 + nf)
-    to_fibre = chain.transversal().values()   # F to each fibre
-    in_fibre = m_group.transversal()          # a to each b' in F
-
+    m_group, g_a, c_point = fa.m, fa.g_a, fa.c
     order_g = group.order()
     order_m = m_group.order()
     ok = order_g == order_m * g.n
@@ -775,9 +740,8 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
 
     fix_ga = [u for u in range(g.v)
               if all(p[u] == u for p in g_a.generators)]
-    fixed = set(fix_ga)
-    idx = sum(1 for b1, s in in_fibre.items() for u in to_fibre
-              if u[b1] in fixed and _normalizes(s * u, g_a))
+    idx = sum(1 for t in map(fa.sending, fix_ga)
+              if t is not None and _normalizes(t, g_a))
     ok = len(fix_ga) == idx and g.v % len(fix_ga) == 0
     out.append(AuditItem(
         lemma, "Fix(Ga)=index-in-normalizer-divides-nr",
@@ -787,7 +751,7 @@ def structure_audit(g: CoverGraph, fa: FibreActionReport) -> list[AuditItem]:
     fixed_fibres = [i for i in range(g.n)
                     if all(p[g.v + i] == g.v + i for p in m_group.generators)]
     # M is normalised by all or none of the coset M u
-    idx_m = sum(1 for u in to_fibre if _normalizes(u, m_group))
+    idx_m = sum(1 for u in fa.to_fibre.values() if _normalizes(u, m_group))
     ok = (len(fixed_fibres) == idx_m
           and g.n % max(len(fixed_fibres), 1) == 0)
     out.append(AuditItem(

@@ -188,8 +188,10 @@ def test_criterion_8_property_suites():
                 if verify_cover(g.toggled(u, w)).is_cover:
                     mutations_ok = False
 
-    # involution identities over every involution of every corpus cover
-    universal = {"size-lf", "regular-degree-l-1", "alpha3", "alpha1+alpha2"}
+    # the involution lemma's case bounds over every involution of every
+    # corpus cover: each item passes or does not apply, and the corpus
+    # meets every item
+    items_seen = set()
     involutions_ok = True
     n_checked = 0
     for g in (hexagon(), cube(), icosahedron(), thas_somma(3, 1),
@@ -200,8 +202,12 @@ def test_criterion_8_property_suites():
                 continue
             n_checked += 1
             for item in involution_audit(g, p):
-                if item.item in universal and item.status != "pass":
+                items_seen.add(item.item)
+                if item.status == "fail":
                     involutions_ok = False
+    involutions_ok &= items_seen == {"case-l=1", "case-l=1-t-even",
+                                     "case-f=1-hoffman", "case-l>1-chain",
+                                     "applicability"}
 
     ok = (lift_bad == 0 and gcd_bad == 0 and mutations_ok
           and involutions_ok and n_checked > 0)

@@ -276,9 +276,11 @@ def test_verify_malformed_exits_2(tmp_path, capsys):
 def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     """An input past a size bound is a limit of the program, not bad
     input: SizeBoundExceeded exits 3 with an error line, on one bound of
-    each kind.  VERTEX_BOUND through build, FEASIBLE_B_T_MAX through
-    params feasible-b at t_max = 2^70, FEASIBLE_A_T_MAX through params
-    feasible-a at its cap + 1, TRIAL_DIVISION_MAX through params derive
+    each kind.  VERTEX_BOUND through build, also at q = 17, past GF(q)'s
+    own bound, while a q that is no prime power stays bad input, exit 2;
+    FEASIBLE_B_T_MAX through params feasible-b at t_max = 2^70,
+    FEASIBLE_A_T_MAX through params feasible-a at its cap + 1,
+    TRIAL_DIVISION_MAX through params derive
     at n = 10^30 + 1, whose discriminant is no square and has a cofactor
     past the bound's square, AUT_VERTEX_BOUND through analyze (patched
     below the icosahedron's 12 vertices) and FLOAT32_EXACT through etf
@@ -291,6 +293,12 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["build", "thas-somma", "--q", "5", "--m", "3"]) == 3
     assert capsys.readouterr().err == ("error: q^(2m+1) = 5^7 vertices "
                                        "exceed the bound 4096\n")
+    # past GF's q <= 16 too: the vertex bound is checked first
+    assert main(["build", "thas-somma", "--q", "17", "--m", "1"]) == 3
+    assert capsys.readouterr().err == ("error: q^(2m+1) = 17^3 vertices "
+                                       "exceed the bound 4096\n")
+    assert main(["build", "thas-somma", "--q", "6", "--m", "1"]) == 2
+    assert capsys.readouterr().err == "error: 6 is not a prime power\n"
     assert main(["params", "feasible-b", "--t-max", str(2 ** 70)]) == 3
     assert capsys.readouterr().err == (f"error: t_max {2 ** 70} exceeds "
                                        "FEASIBLE_B_T_MAX = 100000\n")

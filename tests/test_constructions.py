@@ -105,15 +105,18 @@ def test_taylor_from_seidel_needs_a_numeric_matrix(seidel):
 
 
 def test_thas_somma_bounds():
-    with pytest.raises(ValueError):
-        thas_somma(6, 1)  # not a prime power
-    # 17^3 = 4913 vertices, but GF(17) fails its own field bound first
-    with pytest.raises(ValueError, match="supported bound 16"):
-        thas_somma(17, 1)
+    with pytest.raises(ValueError, match="6 is not a prime power"):
+        thas_somma(6, 1)
+    # the vertex bound comes before GF(q)'s own bound of 16: 17^3 = 4913
+    # and 32^3 vertices
     assert thas_somma(16, 1).v == 4096
-    for q, m in ((2, 6), (3, 4), (3, 10 ** 5)):
+    for q, m in ((17, 1), (32, 1), (2, 6), (3, 4), (3, 10 ** 5)):
         with pytest.raises(SizeBoundExceeded, match="exceed the bound 4096"):
             thas_somma(q, m)
+    # below q = 2 no power exceeds the bound; GF refuses q
+    for q in (1, 0):
+        with pytest.raises(ValueError, match="not a prime power"):
+            thas_somma(q, 10 ** 5)
 
 
 def test_taylor_from_seidel_bound():
