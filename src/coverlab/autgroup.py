@@ -7,10 +7,17 @@ that holds it.  Refinement is a splitter worklist
 (McKay and Piperno, Practical graph isomorphism II, JSC 2014): a FIFO queue
 of splitters splits each non-singleton cell by its vertices' neighbour
 counts in the splitter, in place and in increasing key order, and queues
-every part, until the partition is equitable.  A splitter visits only the
-non-singleton cells and skips those its neighbourhood misses; a singleton
-splitter also skips those its row covers and reads each key as one bit of
-its row.  The root's queue is seeded with its input cells.  The search then
+its parts, until the partition is equitable.  The last part of each split
+is queued as a placeholder that only advances the step count when popped,
+since by then it can split nothing: the queue is FIFO, so the split cell
+C's own entry and the split's earlier parts have been popped before it,
+every cell's count into each of them is constant, and so is its count into
+C less theirs.  (The largest part is the textbook choice, but skipping it
+would change the splitter order.)  A splitter visits only the
+non-singleton cells: it adds its rows, once, into bit planes of the counts
+(bit x of plane j is bit j of x's count), skips every cell that each plane
+misses or covers, and counts keys only in the cells it splits.  The
+root's queue is seeded with its input cells.  The search then
 individualizes a vertex v of the first non-singleton cell and recurses; the
 parent is equitable, so the child's queue is seeded with [v] alone, and it
 refines to the cells the full queue would give, in the same order.  Every
@@ -56,10 +63,21 @@ def _refine(cells, adj_rows, splitters=None):
     splitters seeds the FIFO queue and defaults to the input cells.  A
     partition that is equitable but for one individualized vertex v needs
     only [[v]]: a count to C minus v is the count to C, constant on every
-    cell, less the count to v.  A splitter visits only the non-singleton
-    cells and skips those its neighbourhood misses; a singleton splitter
-    u, whose key is row >> x & 1 for row = adj[u], also skips those its
-    row covers.  A larger splitter's keys are (adj[x] & splitter).bit_count().
+    cell, less the count to v.  A split of cell C into parts P1..Pk, in key
+    order, queues Pk as a placeholder (None) that only advances step: every
+    splitter queued before it has been popped by then, P1..P(k-1) and C's
+    own entry among them (C itself or its placeholder, queued when C was
+    made; a child's unqueued parent cell is stable from the start, or, for
+    T - {v}, once [v] is popped at step 0), so every cell has a constant
+    count into C and each Pi, i < k, hence into Pk.  Cells, their order and
+    the trace, step numbers included, are those of queueing every part.
+
+    A splitter visits only the non-singleton cells.  It first adds its
+    rows into bit planes, bit x of plane j being bit j of x's count, one
+    ripple-carry add per row (a singleton's one plane is its row).  A cell
+    has one count iff every plane misses or covers it, so only a cell that
+    some plane meets in part has its keys counted,
+    (adj[x] & splitter).bit_count().
 
     Trace entries are (splitter step, cell start, ((key, size), ...)), the
     start being the number of vertices in the cells before it.
@@ -79,44 +97,44 @@ def _refine(cells, adj_rows, splitters=None):
     step = 0
     while queue and live:
         splitter = queue.popleft()
-        row = adj_rows[splitter[0]] if len(splitter) == 1 else None
-        if row is None:
-            smask = nbhd = 0
-            for u in splitter:
-                smask |= 1 << u
-                nbhd |= adj_rows[u]
+        if splitter is None:  # a split's last part: it splits no cell
+            step += 1
+            continue
+        smask = 0
+        planes = []  # bit x of planes[j] is bit j of x's count
+        for u in splitter:
+            smask |= 1 << u
+            carry = adj_rows[u]
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
         kept = []
         for entry in live:
             start, cell, mask = entry
-            if row is not None:
-                hit = mask & row
-                if not hit or hit == mask:
-                    kept.append(entry)
-                    continue
-                keys = (0, 1)
-                parts = ([x for x in cell if not row >> x & 1],
-                         [x for x in cell if row >> x & 1])
-                masks = (mask ^ hit, hit)
+            for plane in planes:
+                hit = plane & mask
+                if hit and hit != mask:
+                    break
             else:
-                if not mask & nbhd:
-                    kept.append(entry)
-                    continue
-                counts = [(adj_rows[x] & smask).bit_count() for x in cell]
-                keys = sorted(set(counts))
-                if len(keys) == 1:
-                    kept.append(entry)
-                    continue
-                parts = [[x for x, k in zip(cell, counts) if k == key]
-                         for key in keys]
-                masks = map(_mask, parts)
-            trace.append((step, start, tuple((k, len(p))
-                                             for k, p in zip(keys, parts))))
-            for part, part_mask in zip(parts, masks):
+                kept.append(entry)
+                continue
+            counts = [(adj_rows[x] & smask).bit_count() for x in cell]
+            keys = sorted(set(counts))
+            parts = [[x for x, k in zip(cell, counts) if k == key]
+                     for key in keys]
+            trace.append((step, start, tuple(zip(keys, map(len, parts)))))
+            for part in parts:
                 at[start] = part
                 if len(part) > 1:
-                    kept.append((start, part, part_mask))
+                    kept.append((start, part, _mask(part)))
                 start += len(part)
-            queue.extend(parts)
+            queue.extend(parts[:-1])
+            queue.append(None)
         live = kept
         step += 1
     return [c for c in at if c is not None], tuple(trace)
@@ -151,13 +169,16 @@ def automorphism_generators(a, colors=None) -> SearchGenerators:
     matrix a, with the first-path base they strongly generate relative to.
 
     colors, when given, is a vertex colouring (sequence of ints) that
-    automorphisms must preserve.  The library passes none; the tests pass
-    fibre indices to find the fibre-fixing automorphisms by this search
-    and compare them with covering_group's.
+    automorphisms must preserve, one per vertex: ValueError otherwise.  The
+    library passes none; the tests pass fibre indices to find the
+    fibre-fixing automorphisms by this search and compare them with
+    covering_group's.
     """
     n = len(a)
     if n > AUT_VERTEX_BOUND:
         raise SizeBoundExceeded(f"{n} vertices exceed bound {AUT_VERTEX_BOUND}")
+    if colors is not None and len(colors) != n:
+        raise ValueError(f"{len(colors)} colours for {n} vertices")
     if n == 0:
         return SearchGenerators([], [])
     if colors is None:

@@ -42,9 +42,11 @@ exactly, with no draw: each is the type of an involution in a vertex
 stabilizer G_c, one per vertex orbit, or in one of the cosets of G_a
 sending a to a G_a-orbit representative, and it scans those as image
 arrays, one gather per chain level, under one size bound,
-STABILIZER_SCAN_MAX.  A verified cover's report (cover_report), its K with
-K's info and, once read, an abelian cover's voltage matrix (kernel_voltages)
-are recorded on the graph, so each is found once however many stages read it.
+STABILIZER_SCAN_MAX; each array keeps only its involutions, and their
+concatenation is classified once, by one int64 key per type.  A verified
+cover's report (cover_report), its K with K's info and, once read, an
+abelian cover's voltage matrix (kernel_voltages) are recorded on the graph,
+so each is found once however many stages read it.
 """
 from __future__ import annotations
 
@@ -542,14 +544,21 @@ def involution_types(g: CoverGraph, fa: FibreActionReport):
     each other G_c is G's point_stabilizer, and t_b is fa.sending(b).
     Each G_c's elements are one image array (_element_array); a coset's
     rows h t_b gather t_b's images at h's, and are formed only for the h
-    whose row sends b to a and moves every point of F.  The rows then
-    pass x(x(p)) = p at the chain's base points, one column each, before
-    the test at every point, and the involutions' types are counted by
-    numpy reductions (_displacement_rows).  SizeBoundExceeded when some
-    |G_c| v passes STABILIZER_SCAN_MAX, before any array is made.  Returns
-    ([(type, x)] sorted by type, each x the first of its type scanned, the
-    elements scanned): the sum of the |G_c| and |G_a| per coset, which
-    does not depend on the labelling either.
+    whose row sends b to a and moves every point of F.  Each piece (G_a,
+    each coset, each other G_c) keeps only its rows that pass x(x(p)) = p
+    at the chain's base points, one column each, then at every point
+    (_involution_rows).  The survivors alone are concatenated, in scan
+    order, and classified once: their types are counted by numpy
+    reductions (_displacement_rows) and each type is one int64 key,
+    ((f (v + 1) + near) (v + 1) + far) (v + 1) + same, which orders as the
+    rows do because every entry is at most v <= VERTEX_BOUND = 4 096, so
+    the key stays below 4 097^4 < 2^63.  np.unique(key, return_index=True)
+    sorts stably, so each type's representative is the first of its type
+    scanned, and the identity, f = v, has the largest key.
+    SizeBoundExceeded when some |G_c| v passes STABILIZER_SCAN_MAX, before
+    any array is made.  Returns ([(type, x)] sorted by type, each x the
+    first of its type scanned, the elements scanned): the sum of the |G_c|
+    and |G_a| per coset, which does not depend on the labelling either.
     """
     group, v, a = fa.vertex_group, g.v, 0
     orbits = group.orbits()  # a's orbit first, by its least point
@@ -567,29 +576,27 @@ def involution_types(g: CoverGraph, fa: FibreActionReport):
 
     fibre = g.fibres[g.fibre_of[a]]
     points = [p for p in fa.chain.base if p < v]
-    found: dict[tuple, Permutation] = {}
-
-    def collect(x):
-        x = _involution_rows(x, points)
-        kinds, first = np.unique(_displacement_rows(g, x), axis=0,
-                                 return_index=True)
-        for kind, i in zip(kinds.tolist(), first.tolist()):
-            if kind[0] < v:  # not the identity
-                found.setdefault(tuple(kind), Permutation(x[i].tolist()))
-
     e = _element_array(stabs[0], v, dtype)
-    collect(e)
+    pieces = [_involution_rows(e, points)]
     for b, t in cosets:
         keep = t[e[:, b]] == a
         for f in fibre:
             keep &= t[e[:, f]] != f
-        collect(t[e[keep]])
+        pieces.append(_involution_rows(t[e[keep]], points))
     del e
     for sub in stabs[1:]:
-        collect(_element_array(sub, v, dtype))
+        pieces.append(_involution_rows(_element_array(sub, v, dtype), points))
+    x = np.concatenate(pieces)
+    kinds = _displacement_rows(g, x).astype(np.int64, copy=False)
+    key = kinds[:, 0]
+    for column in kinds.T[1:]:
+        key = key * (v + 1) + column
+    _, first = np.unique(key, return_index=True)
+    found = [(tuple(kinds[i].tolist()), Permutation(x[i].tolist()))
+             for i in first.tolist() if kinds[i, 0] < v]  # not the identity
     scanned = (sum(sub.order() for sub in stabs)
                + len(cosets) * stabs[0].order())
-    return sorted(found.items()), scanned
+    return found, scanned
 
 
 def _element_array(sub: PermGroup, v: int, dtype) -> np.ndarray:

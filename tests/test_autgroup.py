@@ -7,6 +7,8 @@ literature, and the chain read off the search is checked level by level
 against Schreier-Sims on the same generators, so no expectation is computed
 by the search under test.
 """
+import hashlib
+import json
 import random
 from collections import deque
 
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coverlab import automorphism_group, autgroup, graphcore, thas_somma
+from coverlab import (automorphism_group, autgroup, graphcore, hexagon,
+                      thas_somma)
 from coverlab.autgroup import _refine, automorphism_generators
 from coverlab.perms import PermGroup, Permutation
 from conftest import relabelled
@@ -111,6 +114,62 @@ def full_queue_refine(cells, adj_rows, splitters=None):
             i += 1
         step += 1
     return cells, tuple(trace)
+
+
+def reference_refine(cells, adj_rows, splitters=None):
+    """_refine's FIFO refinement, seeded the same way, but processing every
+    splitter against every cell, the last part of each split included.
+    Asserts the last-part lemma: a splitter queued as the last part of a
+    split splits no cell when it is popped.  Returns (cells, trace) in
+    _refine's form, the trace's starts counting vertices."""
+    cells = [list(c) for c in cells]
+    n = sum(map(len, cells))
+    queue = deque((list(s), False)
+                  for s in (cells if splitters is None else splitters))
+    trace = []
+    step = 0
+    while queue and len(cells) < n:
+        splitter, last = queue.popleft()
+        mask = sum(1 << u for u in splitter)
+        refined = []
+        start = 0
+        for cell in cells:
+            counts = [(adj_rows[u] & mask).bit_count() for u in cell]
+            keys = sorted(set(counts))
+            if len(keys) > 1:
+                assert not last, "the last part of a split split a cell"
+                parts = [[u for u, k in zip(cell, counts) if k == key]
+                         for key in keys]
+                trace.append((step, start, tuple((k, len(p))
+                                                 for k, p in zip(keys, parts))))
+                queue.extend((p, i == len(parts) - 1)
+                             for i, p in enumerate(parts))
+                refined += parts
+            else:
+                refined.append(cell)
+            start += len(cell)
+        cells = refined
+        step += 1
+    return cells, tuple(trace)
+
+
+@given(st.one_of(graphs_with_partitions(), two_lifts()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_last_part_of_a_split_splits_nothing(case, data):
+    """At the root and from an individualized child, the reference that
+    processes every splitter finds no last part splitting a cell, and
+    _refine, which skips them, gives its cells and trace."""
+    adj, cells, _ = case
+    root = reference_refine(cells, adj)
+    assert _refine(cells, adj) == root
+    open_cells = [i for i, c in enumerate(root[0]) if len(c) > 1]
+    if not open_cells:
+        return
+    t = data.draw(st.sampled_from(open_cells))
+    v = data.draw(st.sampled_from(root[0][t]))
+    child = (root[0][:t] + [[v]] + [[x for x in root[0][t] if x != v]]
+             + root[0][t + 1:])
+    assert _refine(child, adj, [[v]]) == reference_refine(child, adj, [[v]])
 
 
 def assert_coarsest_equitable(adj, cells, perm, splitters=None):
@@ -210,6 +269,30 @@ def test_search_bound_is_the_graph_layer_type():
     with pytest.raises(graphcore.SizeBoundExceeded, match="exceed bound"):
         automorphism_generators(np.zeros((n, n), dtype=bool))
 
+
+def test_colouring_must_have_one_colour_per_vertex():
+    """A short colouring used to give no generators, a long one IndexError."""
+    a = hexagon().adjacency_matrix()
+    for colors in ([0] * 5, [0] * 7):
+        with pytest.raises(ValueError, match=f"{len(colors)} colours for 6"):
+            automorphism_generators(a, colors)
+    assert automorphism_group(a, [0] * 6).order() == 12
+
+
+@pytest.mark.parametrize("q, m, seed, digest", [
+    (9, 1, 91,
+     "eb1e414672f153123ef84cdef094624ba8910a8c5d31486246dd82f31589eb98"),
+    (4, 2, 42,
+     "a339fba63144be620e0772b05af7b72e42a138cbc3c42f46960eb31e57d1813b"),
+])
+def test_search_output_pinned_past_the_corpus(q, m, seed, digest):
+    """SHA-256 of the generators' images, then the base, as JSON, on
+    relabelled TS(9, 1) and TS(4, 2).  The digests were recorded from the
+    search whose refinement processed every splitter."""
+    gens = automorphism_generators(
+        relabelled(thas_somma(q, m), seed).adjacency_matrix())
+    payload = json.dumps([[list(x.img) for x in gens], list(gens.base)])
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def assert_chain_matches_schreier_sims(aut, seed: int):
