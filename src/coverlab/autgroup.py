@@ -7,7 +7,9 @@ that holds it.  Refinement is a splitter worklist
 (McKay and Piperno, Practical graph isomorphism II, JSC 2014): a FIFO queue
 of splitters splits each non-singleton cell by its vertices' neighbour
 counts in the splitter, in place and in increasing key order, and queues
-its parts, until the partition is equitable.  The last part of each split
+its parts, until the partition is equitable.  A cell splits in one pass:
+its vertices go into a dict by key, in cell order, and the parts are the
+dict's lists in sorted key order.  The last part of each split
 is queued as a placeholder that only advances the step count when popped,
 since by then it can split nothing: the queue is FIFO, so the split cell
 C's own entry and the split's earlier parts have been popped before it,
@@ -25,12 +27,17 @@ leaf labelling is compared with the first leaf's, and a label map becomes a
 generator when graphcore.is_automorphism accepts it on the 0/1 matrix the
 search was given.  Pruning is twofold: a branch whose refinement trace
 differs from the first path's has no equivalent leaf, and candidates in
-one orbit of the group found so far (fixing the individualized prefix),
-numbered by PermGroup.orbits, are interchangeable.  Traces are label-free
-(splitter steps, cell starts, keys and part sizes), so automorphic branches
-trace alike and both prunings are sound.  Off the first path a subtree is
-abandoned once it yields an automorphism, the usual backjump to the
-first-path ancestor.
+one orbit of the group found so far (fixing the individualized prefix) are
+interchangeable.  A node reads each candidate's orbit label, the least
+point of its orbit, from perms.orbit_labels on the image tuples of the
+generators fixing the prefix, with no group built, and skips a candidate
+whose label it has tried: the orbit lies in the cell, which those
+generators keep, so its least point came first among the candidates, and
+was tried, since no orbit found by then held a smaller point.  Traces
+are label-free (splitter steps, cell starts, keys and part sizes), so
+automorphic branches trace alike and both prunings are sound.  Off the
+first path a subtree is abandoned once it yields an automorphism, the
+usual backjump to the first-path ancestor.
 
 The first path is explored in full and pruned only by orbits of the group
 fixing its prefix, so at each of its nodes the generators fixing the prefix
@@ -52,7 +59,7 @@ import numpy as np
 
 from .graphcore import (CoverGraph, GraphStructureError, SizeBoundExceeded,
                         is_automorphism, reachable_count)
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, orbit_labels
 
 AUT_VERTEX_BOUND = 4096
 
@@ -76,8 +83,10 @@ def _refine(cells, adj_rows, splitters=None):
     rows into bit planes, bit x of plane j being bit j of x's count, one
     ripple-carry add per row (a singleton's one plane is its row).  A cell
     has one count iff every plane misses or covers it, so only a cell that
-    some plane meets in part has its keys counted,
-    (adj[x] & splitter).bit_count().
+    some plane meets in part is split, in one pass: each vertex x goes, in
+    cell order, into a dict under its key (adj[x] & splitter).bit_count(),
+    and the parts are the dict's lists in sorted key order, each part's
+    mask one loop over it.
 
     Trace entries are (splitter step, cell start, ((key, size), ...)), the
     start being the number of vertices in the cells before it.
@@ -123,10 +132,16 @@ def _refine(cells, adj_rows, splitters=None):
             else:
                 kept.append(entry)
                 continue
-            counts = [(adj_rows[x] & smask).bit_count() for x in cell]
-            keys = sorted(set(counts))
-            parts = [[x for x, k in zip(cell, counts) if k == key]
-                     for key in keys]
+            buckets = {}
+            for x in cell:
+                key = (adj_rows[x] & smask).bit_count()
+                part = buckets.get(key)
+                if part is None:
+                    buckets[key] = [x]
+                else:
+                    part.append(x)
+            keys = sorted(buckets)
+            parts = [buckets[key] for key in keys]
             trace.append((step, start, tuple(zip(keys, map(len, parts)))))
             for part in parts:
                 at[start] = part
@@ -141,7 +156,10 @@ def _refine(cells, adj_rows, splitters=None):
 
 
 def _mask(cell) -> int:
-    return sum(1 << x for x in cell)
+    mask = 0
+    for x in cell:
+        mask |= 1 << x
+    return mask
 
 
 def _bit_rows(a: np.ndarray) -> list[int]:
@@ -223,19 +241,19 @@ def automorphism_generators(a, colors=None) -> SearchGenerators:
         found_any = False
         first_choice_here = (first_choices[len(prefix)]
                              if len(prefix) < len(first_choices) else None)
-        orbit_id = None
-        orbit_stamp = -1
+        label = None
+        label_stamp = 0  # len(gens) when label was read
+        tried = set()
         for v in candidates:
-            if gens and first_leaf:
-                if orbit_stamp != len(gens):
-                    keep = [g for g in gens if all(g[p] == p for p in prefix)]
-                    orbit_id = [0] * n
-                    for i, orb in enumerate(PermGroup(keep, n).orbits()):
-                        for x in orb:
-                            orbit_id[x] = i
-                    orbit_stamp = len(gens)
-                if any(orbit_id[v] == orbit_id[w] for w in candidates if w < v):
+            if gens:
+                if label_stamp != len(gens):
+                    label = orbit_labels([g.img for g in gens
+                                          if all(g[p] == p for p in prefix)],
+                                         n)
+                    label_stamp = len(gens)
+                if label[v] in tried:
                     continue
+            tried.add(v)
             child = (cells[:tgt] + [[v]]
                      + [[x for x in cells[tgt] if x != v]] + cells[tgt + 1:])
             if on_first_path and not first_leaf:

@@ -429,5 +429,5 @@ def lines_from_cover(g: CoverGraph, char_index: int = 1,
     chars = all_characters(kernel)
     if not 0 < char_index < len(chars):
         raise FrameError(f"character index must be in 1..{len(chars) - 1}")
-    s = character_matrix(g, chars[char_index], kernel=kernel)
+    s = character_matrix(g, chars[char_index])
     return extract_lines(s, side)

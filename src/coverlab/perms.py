@@ -24,9 +24,11 @@ stabilizer(k), of the first k base points, is a chain tail (Seress 2003,
 section 4.1) that records those points as its tail_points, so an element
 of the group lies in the tail iff it fixes them; pointwise_stabilizer
 and point_stabilizer are tails of the group rebased at the points.
-PermGroup.orbits is the one orbit partition, made in one pass over the
-points: the automorphism search, the arc orbits, the subdegrees and the
-involution scan read it.
+orbit_labels is the one orbit routine: one pass over the points labels
+each with the least point of its orbit.  The automorphism search reads the
+labels of its generators' image tuples, with no group built, and
+PermGroup.orbits, the orbit partition that the arc orbits, the subdegrees
+and the involution scan read, groups them.
 Products index one image tuple by another with operator.itemgetter, and a
 seeded draw composes image tuples and wraps only its result.  A
 permutation holds only its image tuple.  Sifting forms no inverse: it
@@ -229,6 +231,25 @@ def _admit(levels, strong, w: Permutation, start: int = 0) -> int | None:
 
 def _orbit_product(levels) -> int:
     return reduce(lambda a, l: a * len(l.orbit), levels, 1)
+
+
+def orbit_labels(imgs, degree: int) -> list[int]:
+    """label[x], the least point of x's orbit under the permutations with
+    image tuples imgs: one pass over the points, each unlabelled one
+    starting an orbit list that grows while it is read."""
+    label = [-1] * degree
+    for x in range(degree):
+        if label[x] >= 0:
+            continue
+        label[x] = x
+        orb = [x]
+        for y in orb:
+            for img in imgs:
+                z = img[y]
+                if label[z] < 0:
+                    label[z] = x
+                    orb.append(z)
+    return label
 
 
 class PermGroup:
@@ -440,25 +461,12 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """The orbits on 0..degree-1, each sorted, in order of least point:
-        one pass over the points, each unseen one starting an orbit list
-        that grows while it is read, with a bytearray of seen points."""
-        imgs = [g.img for g in self.generators]
-        seen = bytearray(self.degree)
-        out = []
-        for x in range(self.degree):
-            if seen[x]:
-                continue
-            seen[x] = 1
-            orb = [x]
-            for y in orb:
-                for img in imgs:
-                    z = img[y]
-                    if not seen[z]:
-                        seen[z] = 1
-                        orb.append(z)
-            orb.sort()
-            out.append(orb)
-        return out
+        the points grouped by their orbit_labels."""
+        out: dict[int, list[int]] = {}
+        labels = orbit_labels([g.img for g in self.generators], self.degree)
+        for x, label in enumerate(labels):
+            out.setdefault(label, []).append(x)
+        return list(out.values())
 
     # -- element iteration -----------------------------------------------------
 

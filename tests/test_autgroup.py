@@ -20,7 +20,7 @@ from coverlab import (automorphism_group, autgroup, graphcore, hexagon,
                       thas_somma)
 from coverlab.autgroup import _refine, automorphism_generators
 from coverlab.perms import PermGroup, Permutation
-from conftest import relabelled
+from conftest import named_cover, relabelled
 
 
 @st.composite
@@ -346,6 +346,45 @@ def test_incremental_search_matches_the_full_queue_search(corpus,
     for g, gens in zip(graphs, mine):
         theirs = automorphism_generators(g.adjacency_matrix())
         assert gens == theirs and gens.base == theirs.base
+
+
+# (refinements, leaves tested) of automorphism_generators on each corpus
+# cover relabelled by seeds 0-3, recorded from the search that built a
+# PermGroup per node and compared each candidate's orbit with every smaller
+# candidate's
+SEARCH_WORK = {
+    "hexagon": [(6, 2), (8, 3), (8, 3), (6, 2)],
+    "cube": [(10, 3), (13, 4), (10, 3), (10, 3)],
+    "icosahedron": [(10, 3), (10, 3), (10, 3), (10, 3)],
+    "ts31": [(17, 6), (10, 3), (12, 4), (14, 5)],
+    "ts41": [(26, 8), (16, 5), (16, 5), (19, 6)],
+}
+
+
+def test_search_work_is_pinned(monkeypatch):
+    """The search's work, not only its output: a pruning that lets through
+    branches whose traces then differ changes no generator, so the _refine
+    calls and the leaf is_automorphism tests are counted on the corpus
+    under seeds 0-3 and compared with SEARCH_WORK."""
+    refine, accept = autgroup._refine, autgroup.is_automorphism
+    counts = [0, 0]
+
+    def counting_refine(*args):
+        counts[0] += 1
+        return refine(*args)
+
+    def counting_accept(*args):
+        counts[1] += 1
+        return accept(*args)
+
+    monkeypatch.setattr(autgroup, "_refine", counting_refine)
+    monkeypatch.setattr(autgroup, "is_automorphism", counting_accept)
+    for name, work in SEARCH_WORK.items():
+        for seed, expected in enumerate(work):
+            counts[:] = [0, 0]
+            automorphism_generators(
+                named_cover(name, seed).adjacency_matrix())
+            assert tuple(counts) == expected, (name, seed)
 
 
 @st.composite

@@ -284,6 +284,23 @@ def test_lines_from_cover_verifies_once(verify_calls):
     assert verify_calls == [g]
 
 
+def test_lines_from_cover_sifts_no_kernel_element(monkeypatch):
+    """lines_from_cover reads the K that covering_group records and does
+    not hand it back to character_matrix to be checked against itself, so
+    no element is sifted for membership on TS(3,1), TS(4,1) or TS(8,1)."""
+    contains = PermGroup.__contains__
+    calls = []
+
+    def counting(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(PermGroup, "__contains__", counting)
+    for q in (3, 4, 8):
+        assert lines_from_cover(thas_somma(q, 1)).certificates["tight"]
+    assert calls == []
+
+
 def test_ts31_character_matrix_eigenvalues(corpus):
     g = corpus["ts31"]
     kernel, _ = covering_group(g)

@@ -454,6 +454,30 @@ def test_orbits_and_transitivity_random_groups_vs_closure():
             assert expected == [[x] for x in range(n)]
 
 
+def test_orbit_labels_are_least_orbit_points(corpus):
+    """orbit_labels gives each point the least point of its orbit as the
+    element-scan closure reads it, on the random groups of the orbits()
+    test above and on Aut of each corpus cover."""
+    import random
+    rng = random.Random(5)
+    cases = []
+    for trial in range(80):
+        n = rng.randint(1, 7)
+        gens = []
+        for _ in range(0 if trial % 8 == 0 else rng.randint(1, 3)):
+            img = list(range(n))
+            rng.shuffle(img)
+            gens.append(Permutation(img))
+        cases.append((gens, n))
+    for g in corpus.values():
+        aut = automorphism_group(g)
+        cases.append((aut.generators, aut.degree))
+    for gens, n in cases:
+        els = closure_elements(gens, n)
+        expected = [min(e[x] for e in els) for x in range(n)]
+        assert perms.orbit_labels([p.img for p in gens], n) == expected
+
+
 def test_pointwise_stabilizer_random_vs_brute():
     import random
     rng = random.Random(11)
