@@ -39,6 +39,16 @@ automorphic branches trace alike and both prunings are sound.  Off the
 first path a subtree is abandoned once it yields an automorphism, the
 usual backjump to the first-path ancestor.
 
+The first path is one record indexed by depth (the length of the
+individualized prefix), its choices and its traces.  Only the initial
+descent appends to it, as the first node to reach each depth, and its
+choice there is the least candidate; every later node compares its trace
+with the record at its depth.  A later node cannot pass the first leaf's
+depth: equal traces from equal cell sizes give equal cell sizes, so a node
+that matches the record is discrete where the first leaf is.  The
+recursion has one call site and returns True only off the first path,
+where a found automorphism triggers the backjump.
+
 The first path is explored in full and pruned only by orbits of the group
 fixing its prefix, so at each of its nodes the generators fixing the prefix
 reach the whole orbit of its choice under the prefix's stabilizer in Aut.
@@ -50,6 +60,10 @@ by orbit closure alone, with no Schreier generator sifted.
 Isomorphism of two connected covers is read off the same search, run on
 their disjoint union, one block-diagonal matrix: they are isomorphic iff a
 generator swaps the two components.  There is no second matching engine.
+
+The search has one vertex bound, graphcore.VERTEX_BOUND, the bound every
+CoverGraph keeps: a larger matrix, or a union of two covers past it, raises
+SizeBoundExceeded before anything is built from it.
 """
 from __future__ import annotations
 
@@ -57,11 +71,9 @@ from collections import deque
 
 import numpy as np
 
-from .graphcore import (CoverGraph, GraphStructureError, SizeBoundExceeded,
-                        is_automorphism, reachable_count)
+from .graphcore import (VERTEX_BOUND, CoverGraph, GraphStructureError,
+                        SizeBoundExceeded, is_automorphism, reachable_count)
 from .perms import PermGroup, Permutation, orbit_labels
-
-AUT_VERTEX_BOUND = 4096
 
 
 def _refine(cells, adj_rows, splitters=None):
@@ -193,8 +205,8 @@ def automorphism_generators(a, colors=None) -> SearchGenerators:
     covering_group's.
     """
     n = len(a)
-    if n > AUT_VERTEX_BOUND:
-        raise SizeBoundExceeded(f"{n} vertices exceed bound {AUT_VERTEX_BOUND}")
+    if n > VERTEX_BOUND:
+        raise SizeBoundExceeded(f"{n} vertices exceed bound {VERTEX_BOUND}")
     if colors is not None and len(colors) != n:
         raise ValueError(f"{len(colors)} colours for {n} vertices")
     if n == 0:
@@ -209,19 +221,18 @@ def automorphism_generators(a, colors=None) -> SearchGenerators:
 
     first_leaf: list[int] = []
     first_choices: list[int] = []
-    first_traces: dict[int, tuple] = {}
+    first_traces: list[tuple] = []  # the first path's traces, by depth
     gens: list[Permutation] = []
     identity = list(range(n))
     adj_rows = _bit_rows(a)
 
-    def dfs(cells, splitters, depth: int, prefix: list[int],
-            on_first_path: bool) -> bool:
+    def dfs(cells, splitters, prefix: list[int], on_first_path: bool) -> bool:
         cells, trace = _refine(cells, adj_rows, splitters)
-        if depth in first_traces:
-            if trace != first_traces[depth]:
-                return False
-        elif on_first_path:
-            first_traces[depth] = trace
+        depth = len(prefix)
+        if depth == len(first_traces):  # the initial descent
+            first_traces.append(trace)
+        elif trace != first_traces[depth]:
+            return False
 
         tgt = next((i for i, c in enumerate(cells) if len(c) > 1), -1)
         if tgt < 0:
@@ -238,9 +249,8 @@ def automorphism_generators(a, colors=None) -> SearchGenerators:
             return False
 
         candidates = sorted(cells[tgt])
-        found_any = False
-        first_choice_here = (first_choices[len(prefix)]
-                             if len(prefix) < len(first_choices) else None)
+        if depth == len(first_choices):
+            first_choices.append(candidates[0])
         label = None
         label_stamp = 0  # len(gens) when label was read
         tried = set()
@@ -256,20 +266,13 @@ def automorphism_generators(a, colors=None) -> SearchGenerators:
             tried.add(v)
             child = (cells[:tgt] + [[v]]
                      + [[x for x in cells[tgt] if x != v]] + cells[tgt + 1:])
-            if on_first_path and not first_leaf:
-                # initial descent: v becomes the first-path choice at this level
-                first_choices.append(v)
-                first_choice_here = v
-                dfs(child, [[v]], depth + 1, prefix + [v], True)
-            else:
-                found = dfs(child, [[v]], depth + 1, prefix + [v],
-                            on_first_path and v == first_choice_here)
-                found_any = found_any or found
-                if found and not on_first_path:
-                    return True
-        return found_any
+            if (dfs(child, [[v]], prefix + [v],
+                    on_first_path and v == first_choices[depth])
+                    and not on_first_path):
+                return True
+        return False
 
-    dfs(initial, None, 0, [], True)
+    dfs(initial, None, [], True)
     return SearchGenerators(gens, first_choices)
 
 
@@ -290,13 +293,16 @@ def covers_isomorphic(g1: CoverGraph, g2: CoverGraph) -> bool:
     swaps them, and a swap exists iff g1 and g2 are isomorphic.
     The generators found generate the whole group, so a swap exists iff
     some generator sends vertex 0 to a label >= v.  Raises
-    GraphStructureError (a ValueError) on a disconnected input and
-    SizeBoundExceeded when the union has more than AUT_VERTEX_BOUND
-    vertices.
+    SizeBoundExceeded, before anything is built, when the union has more
+    than VERTEX_BOUND vertices, and GraphStructureError (a ValueError) on
+    a disconnected input.
     """
     v = g1.v
     if g2.v != v:
         return False
+    if 2 * v > VERTEX_BOUND:
+        raise SizeBoundExceeded(f"{2 * v} vertices exceed bound "
+                                f"{VERTEX_BOUND}")
     if reachable_count(g1._a) != v or reachable_count(g2._a) != v:
         raise GraphStructureError("graph is disconnected")
     union = np.zeros((2 * v, 2 * v), dtype=bool)

@@ -159,6 +159,8 @@ class _Level:
     __slots__ = ("point", "orbit")
 
     def __init__(self, point: int, degree: int):
+        if not 0 <= point < degree:
+            raise ValueError(f"base point {point} outside 0..{degree - 1}")
         self.point = point
         # base point -> transversal element sending it there
         self.orbit = {point: Permutation.identity(degree)}

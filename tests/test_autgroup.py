@@ -265,7 +265,7 @@ def test_symplectic_cover_aut_order_past_512_vertices():
 def test_search_bound_is_the_graph_layer_type():
     assert autgroup.SizeBoundExceeded is graphcore.SizeBoundExceeded
     assert issubclass(graphcore.SizeBoundExceeded, ValueError)
-    n = autgroup.AUT_VERTEX_BOUND + 1
+    n = graphcore.VERTEX_BOUND + 1
     with pytest.raises(graphcore.SizeBoundExceeded, match="exceed bound"):
         automorphism_generators(np.zeros((n, n), dtype=bool))
 
@@ -293,6 +293,54 @@ def test_search_output_pinned_past_the_corpus(q, m, seed, digest):
         relabelled(thas_somma(q, m), seed).adjacency_matrix())
     payload = json.dumps([[list(x.img) for x in gens], list(gens.base)])
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+def rows_of(a) -> list[int]:
+    """The bit rows of the 0/1 matrix a, one entry at a time."""
+    return [sum(1 << int(w) for w in np.flatnonzero(row)) for row in a]
+
+
+def first_path_base(adj_rows, cells):
+    """The first-path base by its rule alone, with no search: refine the
+    input cells with reference_refine, individualize the least vertex of
+    the first non-singleton cell, refine from it alone, and repeat until
+    the partition is discrete."""
+    cells, _ = reference_refine(cells, adj_rows)
+    base = []
+    while (t := next((i for i, c in enumerate(cells) if len(c) > 1),
+                     None)) is not None:
+        v = min(cells[t])
+        base.append(v)
+        child = (cells[:t] + [[v]] + [[x for x in cells[t] if x != v]]
+                 + cells[t + 1:])
+        cells, _ = reference_refine(child, adj_rows, [[v]])
+    return base
+
+
+def test_search_base_is_the_first_path_rule(corpus):
+    """The search's base on the corpus under seeds 0-3 is first_path_base's:
+    the first-path record, pinned by a rule that runs no search."""
+    for g in corpus.values():
+        for seed in (0, 1, 2, 3):
+            a = (relabelled(g, seed) if seed else g).adjacency_matrix()
+            assert (automorphism_generators(a).base
+                    == first_path_base(rows_of(a), [list(range(len(a)))]))
+
+
+@given(graphs_with_partitions())
+@settings(max_examples=150, deadline=None)
+def test_coloured_search_base_is_the_first_path_rule(case):
+    """The same on random graphs, their input cells passed as colours."""
+    adj, cells, _ = case
+    n = len(adj)
+    a = np.array([[row >> w & 1 for w in range(n)] for row in adj],
+                 dtype=bool)
+    colours = [0] * n
+    for c, cell in enumerate(cells):
+        for u in cell:
+            colours[u] = c
+    assert (automorphism_generators(a, colours).base
+            == first_path_base(adj, cells))
 
 
 def assert_chain_matches_schreier_sims(aut, seed: int):
@@ -385,6 +433,77 @@ def test_search_work_is_pinned(monkeypatch):
             automorphism_generators(
                 named_cover(name, seed).adjacency_matrix())
             assert tuple(counts) == expected, (name, seed)
+
+
+def frucht_graph(seed: int) -> np.ndarray:
+    """The Frucht graph, cubic on 12 vertices with no automorphism but the
+    identity (LCF notation [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]),
+    relabelled by the seed."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    perm = list(range(12))
+    random.Random(seed).shuffle(perm)
+    a = np.zeros((12, 12), dtype=bool)
+    for i, jump in enumerate(lcf):
+        for j in (i + 1, i + jump):
+            u, w = perm[i], perm[j % 12]
+            a[u, w] = a[w, u] = True
+    return a
+
+
+def trace_matched_work(adj_rows, cells):
+    """(refinements, leaves tested) of a search that finds no automorphism,
+    so neither orbits nor a backjump prune it: every child of a node whose
+    trace at each depth is the first path's is refined, and each such leaf
+    but the first is tested.  reference_refine does the refining."""
+    first_traces = []
+    counts = [0, 0]
+
+    def walk(cells, splitters, depth):
+        cells, trace = reference_refine(cells, adj_rows, splitters)
+        counts[0] += 1
+        if depth == len(first_traces):
+            first_traces.append(trace)
+        elif trace != first_traces[depth]:
+            return
+        t = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if t is None:
+            counts[1] += 1
+            return
+        for v in sorted(cells[t]):
+            walk(cells[:t] + [[v]] + [[x for x in cells[t] if x != v]]
+                 + cells[t + 1:], [[v]], depth + 1)
+
+    walk(cells, None, 0)
+    return counts[0], counts[1] - 1
+
+
+def test_trace_pruning_on_a_rigid_graph(monkeypatch):
+    """On a graph with no automorphism only the trace comparison prunes:
+    the Frucht graph is cubic, so its root is one cell, and each of the 11
+    children off the first path is cut by its trace before its leaf is
+    tested.  Its work, counted as in
+    test_search_work_is_pinned, is trace_matched_work's, under seeds 0-3."""
+    refine, accept = autgroup._refine, autgroup.is_automorphism
+    counts = [0, 0]
+
+    def counting_refine(*args):
+        counts[0] += 1
+        return refine(*args)
+
+    def counting_accept(*args):
+        counts[1] += 1
+        return accept(*args)
+
+    monkeypatch.setattr(autgroup, "_refine", counting_refine)
+    monkeypatch.setattr(autgroup, "is_automorphism", counting_accept)
+    for seed in (0, 1, 2, 3):
+        a = frucht_graph(seed)
+        assert a.sum(axis=1).tolist() == [3] * 12
+        counts[:] = [0, 0]
+        assert automorphism_generators(a) == []
+        assert tuple(counts) == trace_matched_work(rows_of(a),
+                                                   [list(range(12))])
+        assert tuple(counts) == (13, 0)
 
 
 @st.composite

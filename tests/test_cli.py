@@ -282,8 +282,9 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     FEASIBLE_A_T_MAX through params feasible-a at its cap + 1,
     TRIAL_DIVISION_MAX through params derive
     at n = 10^30 + 1, whose discriminant is no square and has a cofactor
-    past the bound's square, AUT_VERTEX_BOUND through analyze (patched
-    below the icosahedron's 12 vertices) and FLOAT32_EXACT through etf
+    past the bound's square, the search's VERTEX_BOUND through analyze
+    (patched in autgroup below the icosahedron's 12 vertices, so the file
+    still loads) and FLOAT32_EXACT through etf
     (patched to the hexagon's n - 1 = 2).  verify_cover's float32 products
     need no bound of their own: their partial sums stay below v, and
     VERTEX_BOUND is below FLOAT32_EXACT.  MAX_SUBGROUPS_ORDER is pinned as
@@ -311,7 +312,7 @@ def test_size_limits_exit_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "TRIAL_DIVISION_MAX = 10000000" in err
     path = tmp_path / "icosahedron.json"
     path.write_text(icosahedron().to_json_str())
-    monkeypatch.setattr(autgroup, "AUT_VERTEX_BOUND", 11)
+    monkeypatch.setattr(autgroup, "VERTEX_BOUND", 11)
     assert main(["analyze", str(path)]) == 3
     assert capsys.readouterr().err == "error: 12 vertices exceed bound 11\n"
     path = tmp_path / "hexagon.json"

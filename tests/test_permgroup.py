@@ -7,12 +7,11 @@ import pytest
 
 from coverlab import (automorphism_group, covers_isomorphic, cube, hexagon,
                       icosahedron, subgroups_of, thas_somma)
-from coverlab.graphcore import CoverGraph
+from coverlab.graphcore import VERTEX_BOUND, CoverGraph
 from coverlab import perms
 from coverlab.groupops import covering_group
 from coverlab.perms import PermGroup, Permutation
-from coverlab.autgroup import (AUT_VERTEX_BOUND, SizeBoundExceeded,
-                               automorphism_generators)
+from coverlab.autgroup import SizeBoundExceeded, automorphism_generators
 from conftest import closure_elements, matching_swapped, relabelled
 
 
@@ -362,12 +361,21 @@ def test_covers_isomorphic_bad_inputs():
     for pair in ((hexagon(), two_triangles), (two_triangles, hexagon())):
         with pytest.raises(ValueError, match="disconnected"):
             covers_isomorphic(*pair)
-    # a union past the search bound raises; it is never clamped
-    v = AUT_VERTEX_BOUND // 2 + 2
+    # a union past the search bound raises, never clamped, before the
+    # (2v)^2-byte union (16.8 MB) or anything of its size is allocated
+    import tracemalloc
+    v = VERTEX_BOUND // 2 + 2
     cycle = CoverGraph([[i, i + v // 2] for i in range(v // 2)],
                        [(i, (i + 1) % v) for i in range(v)])
-    with pytest.raises(SizeBoundExceeded):
-        covers_isomorphic(cycle, cycle)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBoundExceeded,
+                           match=f"{2 * v} vertices exceed bound 4096"):
+            covers_isomorphic(cycle, cycle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * v) ** 2 // 64
 
 
 def test_aut_search_random_graphs_vs_brute_force():
@@ -617,6 +625,25 @@ def test_from_base_rejects_a_short_base():
     with pytest.raises(ValueError, match="fixes the whole base"):
         PermGroup.from_base([swap], 3, [0])
     assert PermGroup.from_base([swap], 3, [0, 1]).order() == 2
+
+
+def test_base_point_out_of_range_is_named():
+    """A base point outside 0..degree - 1 is refused where its chain level
+    is made, with the point and the range named, by every entry point that
+    takes one."""
+    swap = PermGroup([Permutation([1, 0, 2])])
+    calls = [lambda: PermGroup([], 3).rebased((5,)),
+             lambda: swap.rebased((0, 3)),
+             lambda: PermGroup.from_base([], 3, [5]),
+             lambda: swap.pointwise_stabilizer((0, 3)),
+             lambda: swap.point_stabilizer(5),
+             lambda: swap.point_stabilizer(-1),
+             lambda: PermGroup(swap.generators, 3, base_hint=(7,)).order()]
+    for call, point in zip(calls, (5, 3, 5, 3, 5, -1, 7)):
+        with pytest.raises(ValueError,
+                           match=f"^base point {point} outside 0..2$"):
+            call()
+    assert swap.point_stabilizer(2).order() == 2
 
 
 def test_random_elements_are_uniform_members():
